@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from hofa import analysis as an
-from hofa.cyclotomic import RealSurd
+from hofa.cyclotomic import RealSurd, ring
 from hofa.errors import BudgetExceeded
 from hofa.fpspace import all_vectors
 from hofa.ncpoly import Monomial, NcPoly, random_poly
+from hofa.pipeline import derivative_sum_cube
 from hofa.torus import TorusValue
 
 
@@ -230,6 +231,68 @@ class TestOctolinear:
             gs = {S: an.random_mu_p_function(rng, 2, 2) for S in range(8)}
             avg = an.octolinear_average(gs)
             assert an.gcs_check(gs, avg)[0]
+
+
+def _same_value(num_a, den_a, num_b, den_b) -> bool:
+    """num_a / den_a == num_b / den_b for ring elements in one power basis."""
+    a = np.asarray(num_a, dtype=object) * den_b
+    b = np.asarray(num_b, dtype=object) * den_a
+    return bool((a == b).all())
+
+
+def _zi_function_den2(n):
+    """A Z[i]-valued function on F_2^n with values (a + b i) / 2, a, b in {-1, 0, 1}."""
+    rng = random.Random(21)
+    coeffs = np.array([[rng.randrange(-1, 2) for _ in range(2**n)] for _ in range(2)], dtype=np.int64)
+    return an.BoundedFunction(2, n, ring(2, 2), coeffs, 2)
+
+
+class TestCubeAveragesAgainstOracle:
+    """The corner-cube averages against the definition-chasing oracles."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(20)
+        return [
+            an.random_unimodular_exact(rng, 2, 2, 3),
+            an.random_mu_p_function(rng, 3, 2, zeros=True),
+            an.random_unimodular_exact(rng, 2, 3, 2),
+            _zi_function_den2(2),
+        ]
+
+    def test_octolinear_with_equal_functions_is_u3_power(self):
+        for f in self.cases():
+            avg = an.octolinear_average({S: f for S in range(8)})
+            oracle = an.direct_gowers_power(f, 3)
+            assert _same_value(avg.num, avg.den, oracle.power_num, oracle.power_den), (f.p, f.n)
+
+    def test_derivative_cube_summed_is_u3_power(self):
+        for f in self.cases():
+            R, D, den = derivative_sum_cube(f)
+            total = D.reshape(D.shape[0], -1).astype(object).sum(axis=1)
+            oracle = an.direct_gowers_power(f, 3)
+            assert _same_value(total, den * f.size**4, oracle.power_num, oracle.power_den), (f.p, f.n)
+
+    @pytest.mark.parametrize("p, n, m", [(2, 2, 3), (3, 2, 1)])
+    def test_octolinear_distinct_functions_against_float_definition(self, p, n, m):
+        rng = random.Random(22 + p)
+        gs = {S: an.random_unimodular_exact(rng, p, n, m) for S in range(8)}
+        gs[5] = _zi_function_den2(n) if p == 2 else gs[5]
+        avg = an.octolinear_average(gs)
+        # independent float evaluation: coordinates added mod p, no shift table
+        size = p**n
+        V = np.array(all_vectors(p, n))
+        weights = p ** np.arange(n - 1, -1, -1)
+        grids = np.meshgrid(*(np.arange(size),) * 4, indexing="ij")
+        total = np.ones(grids[0].shape, dtype=complex)
+        for S in range(8):
+            pt = V[grids[0]]
+            for i in range(3):
+                if S >> i & 1:
+                    pt = pt + V[grids[i + 1]]
+            vals = gs[S].to_complex_table()[(pt % p) @ weights]
+            total *= np.conj(vals) if bin(S).count("1") % 2 == 0 else vals
+        assert abs(avg.float_value - total.mean()) < 1e-9
 
 
 class TestFloatMode:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import pytest
 from hofa import analysis as an
 from hofa import mforms as mf
 from hofa import pipeline as pl
+from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import RealSurd
 from hofa.errors import PreconditionError
 from hofa.fpspace import all_vectors, vec_index
+from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import Monomial, NcPoly, random_poly
+from hofa.rank import CertTerm
 from hofa.torus import TorusValue
 
 
@@ -82,6 +86,118 @@ class TestDerandomize:
         assert c is None and measured.mag2() == eps.mag2()
 
 
+def _pin_g_cube(p):
+    """Derivative cube of the depth cubic on F_2^2 or the classical cubic on F_3^2."""
+    if p == 2:
+        return pl.derivative_sum_cube(depth_cubic_fixture(2)[1])
+    return pl.derivative_sum_cube(an.BoundedFunction.from_poly_phase(NcPoly.from_classical(3, 2, {(2, 1): 1})))
+
+
+def _pin_rank1(g_cube, phase, terms):
+    """Stage-5 derandomization of linear(h_slot) x bilinear(other pair) terms."""
+    gammas = tuple(
+        pl.GammaTerm(s, np.array(lin), tuple(i for i in range(3) if i != s), np.array(bil))
+        for s, lin, bil in terms
+    )
+    eps = pl.measure_state(g_cube, phase, gammas=gammas)
+    return eps, pl.derandomize_indicator(g_cube, phase, gammas, eps, len(terms))
+
+
+def _pin_linear(g_cube, phase, terms):
+    """Stage-6 derandomization of linear(h_s1) x linear(h_s2) terms."""
+    gammas = [pl.LinearGamma(s1, np.array(v1), s2, np.array(v2)) for s1, v1, s2, v2 in terms]
+    eps = pl.measure_state(g_cube, phase, gammas=gammas)
+    return eps, pl._derandomize_linear(g_cube, phase, gammas, eps, len(terms), DEFAULT_BUDGET)
+
+
+_RANK1_BOUND = "[ok ] {} argmax: |corr| >= eps p^{{-2r}}: measured |corr|={}, bound eps*p^(-2r)={}"
+_LINEAR_BOUND = "[ok ] second derandomization: |corr| >= eps p^{{-290 r}}: measured |corr|={}, bound eps*p^(-290r)=0"
+
+# (p, routine, beta(0,1), alpha(2), terms) -> (|eps|^2, c, xi, |corr|^2, new phase, ledger)
+DERANDOMIZE_PINS = [
+    (
+        (2, "rank1", [[0, 0], [1, 0]], [1, 1], [(1, [1, 0], [[0, 1], [0, 1]])]),
+        (Fraction(1, 64), (1, 0), (0, 1), Fraction(1, 64),
+         (0, [(2, [1, 1])], [((0, 1), [[0, 0], [1, 0]]), ((0, 2), [[0, 1], [0, 1]])]),
+         [_RANK1_BOUND.format("indicator", "0.0625", "0.00195312"),
+          _RANK1_BOUND.format("character", "0.125", "0.00195312")]),
+    ),
+    (
+        (2, "rank1", [[1, 1], [0, 1]], [1, 1], [(1, [1, 1], [[0, 0], [1, 0]]), (0, [1, 0], [[1, 0], [0, 1]])]),
+        (Fraction(1, 256), (0, 0, 0, 0), (1, 1, 1, 1), Fraction(1, 16),
+         (0, [(0, [1, 0]), (1, [1, 1]), (2, [1, 1])],
+          [((0, 1), [[1, 1], [0, 1]]), ((0, 2), [[0, 0], [1, 0]]), ((1, 2), [[1, 0], [0, 1]])]),
+         [_RANK1_BOUND.format("indicator", "0.015625", "0.000244141"),
+          _RANK1_BOUND.format("character", "0.25", "0.000244141")]),
+    ),
+    (
+        (2, "linear", [[1, 1], [0, 1]], [1, 1], [(1, [1, 0], 2, [0, 1])]),
+        (Fraction(1, 64), (1, 0), (0, 1), Fraction(1, 64),
+         (0, [(2, [1, 0])], [((0, 1), [[1, 1], [0, 1]])]),
+         [_LINEAR_BOUND.format("0.125")]),
+    ),
+    (
+        (2, "linear", [[0, 0], [1, 0]], [1, 1], [(1, [1, 0], 2, [1, 1]), (2, [1, 1], 0, [1, 0])]),
+        (Fraction(1, 16), (0, 0, 0, 0), (0, 0, 1, 0), Fraction(1, 4),
+         (0, [], [((0, 1), [[0, 0], [1, 0]])]),
+         [_LINEAR_BOUND.format("0.5")]),
+    ),
+    (
+        (3, "rank1", [[0, 2], [2, 0]], [1, 2], [(1, [2, 2], [[0, 2], [0, 1]])]),
+        (Fraction(100, 6561), (1, 0), (0, 1), Fraction(1, 81),
+         (0, [(2, [1, 2])], [((0, 1), [[0, 2], [2, 0]]), ((0, 2), [[0, 2], [0, 1]])]),
+         [_RANK1_BOUND.format("indicator", "0.037037", "0.00188168"),
+          _RANK1_BOUND.format("character", "0.111111", "0.00188168")]),
+    ),
+    (
+        (3, "rank1", [[0, 0], [0, 1]], [0, 2], [(2, [1, 1], [[2, 0], [2, 0]]), (2, [2, 0], [[1, 2], [1, 2]])]),
+        (Fraction(4, 6561), (1, 0, 1, 0), (1, 0, 1, 1), Fraction(49, 729),
+         (1, [], [((0, 1), [[1, 2], [1, 0]])]),
+         [_RANK1_BOUND.format("indicator", "0.0452675", "1.50534e-05"),
+          _RANK1_BOUND.format("character", "0.259259", "1.50534e-05")]),
+    ),
+    (
+        (3, "linear", [[0, 1], [1, 0]], [0, 2], [(0, [2, 0], 2, [1, 2])]),
+        (Fraction(1, 729), (1, 1), (0, 2), Fraction(16, 729),
+         (1, [(2, [2, 0])], [((0, 1), [[0, 1], [1, 0]])]),
+         [_LINEAR_BOUND.format("0.148148")]),
+    ),
+    (
+        (3, "linear", [[0, 2], [0, 1]], [0, 1], [(1, [2, 1], 2, [1, 0]), (1, [2, 0], 2, [2, 1])]),
+        (Fraction(1, 2187), (0, 0, 0, 0), (0, 2, 0, 2), Fraction(25, 729),
+         (0, [], [((0, 1), [[0, 2], [0, 1]])]),
+         [_LINEAR_BOUND.format("0.185185")]),
+    ),
+]
+
+
+class TestDerandomizePinned:
+    """Both derandomization stages on non-empty correction terms, pinned to
+    recorded outputs: indicator value c, character xi, exact |corr|^2, the
+    updated phase and the ledger lines."""
+
+    @pytest.mark.parametrize("case, expected", DERANDOMIZE_PINS)
+    def test_pinned(self, case, expected):
+        p, routine, beta, alpha, terms = case
+        eps2, c_exp, xi_exp, corr2, (const, alphas, betas), ledger = expected
+        phase = pl.PhaseState(p, 2, (), (), 0).add_beta((0, 1), np.array(beta)).add_alpha(2, np.array(alpha))
+        run = _pin_rank1 if routine == "rank1" else _pin_linear
+        eps, (c, xi, new_phase, measured, entries) = run(_pin_g_cube(p), phase, terms)
+        assert eps.mag2() == RealSurd(eps2)
+        assert (c, xi) == (c_exp, xi_exp)
+        assert measured.mag2() == RealSurd(corr2)
+        assert new_phase.const == const
+        assert [(s, v.tolist()) for s, v in new_phase.alphas] == alphas
+        assert [(pair, m.tolist()) for pair, m in new_phase.betas] == betas
+        assert [str(e) for e in entries] == ledger
+
+    def test_nonzero_character_for_each_routine(self):
+        for routine in ("rank1", "linear"):
+            assert any(
+                any(exp[2]) for case, exp in DERANDOMIZE_PINS if case[1] == routine
+            ), routine
+
+
 class TestPipelineP2:
     def test_depth_cubic_fixture(self):
         P0, f = depth_cubic_fixture(3)
@@ -123,6 +239,47 @@ class TestPipelineP2:
         )
         again = an.correlation(f, rep.final_poly)
         assert again.mag2() == rep.final_correlation.mag2()
+
+
+def _supplied_planted_report():
+    """Supplied phi = -d^3 P0 + x_1 * B(y, z) with planted defect certificates:
+    the symmetrization certificate is non-empty, so stage 5 removes real terms."""
+    P0 = random_poly(2, 2, 3, True, seed=2)
+    f = an.BoundedFunction.from_poly_phase(P0)
+    term = CertTerm(
+        (0,),
+        MultilinearForm(2, 2, 1, np.array([1, 0])),
+        MultilinearForm(2, 2, 2, np.array([[1, 0], [1, 1]])),
+    )
+    T = -total_derivative(P0, 3) + MultilinearForm(2, 2, 3, term.tensor(3))
+    opts = pl.PipelineOptions(
+        strategy=pl.SuppliedTriaffine(MultiaffineForm.from_multilinear(T)),
+        certs_by_perm=defect_certificates_from_terms(T, [term]),
+    )
+    return pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+
+
+def _fixture_report(P0):
+    f = an.BoundedFunction.from_poly_phase(P0)
+    return pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0)))
+
+
+class TestReportPinned:
+    """sha256 of the full report text, recorded once; any change to a ledger
+    line, a printed value or a serialized form shows here."""
+
+    def test_depth_cubic_p2_n3(self):
+        rep = _fixture_report(depth_cubic_fixture(3)[0])
+        assert hashlib.sha256(rep.as_text().encode()).hexdigest() == "87d25d1d2dbce54551d17f40bf5d1ef79f79e61c153cf897cca9d7300f22c9f6"
+
+    def test_classical_cubic_p3_n2(self):
+        rep = _fixture_report(NcPoly.from_classical(3, 2, {(2, 1): 1}))
+        assert hashlib.sha256(rep.as_text().encode()).hexdigest() == "61c89b88d7461c85369923148889020e442413a3bbed075d98730f8210baab9b"
+
+    def test_supplied_with_certificate_terms(self):
+        rep = _supplied_planted_report()
+        assert "indicator argmax" in " | ".join(e.claim for e in rep.ledger)
+        assert hashlib.sha256(rep.as_text().encode()).hexdigest() == "77f0c93eecbd7c7d608d5223bfa9d4c2e7e2117b50eb1f6c04a904d6c6fae407"
 
 
 class TestPipelineP3:

@@ -48,6 +48,28 @@ def _shift_table(p: int, n: int) -> np.ndarray:
     return acc
 
 
+def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict) -> np.ndarray:
+    """Exact prod_S tables[S](sum of the variables in S) over (F_p^n)^m.
+
+    ``tables`` maps bitmasks S over m index variables (bit i = variable i)
+    to (degree, p^n) coefficient arrays in ring R; the result has shape
+    (degree,) + (p^n,) * m, one axis per variable.  These are the corner
+    products behind Gowers-Cauchy-Schwarz averages.
+    """
+    size = p**n
+    sh = _shift_table(p, n)
+    axes = [np.arange(size).reshape((1,) * i + (size,) + (1,) * (m - 1 - i)) for i in range(m)]
+    prod = None
+    for S, tab in sorted(tables.items()):
+        idx = None
+        for i in range(m):
+            if S >> i & 1:
+                idx = axes[i] if idx is None else sh[idx, axes[i]]
+        factor = tab[:, idx]
+        prod = factor if prod is None else R.mul_arrays(prod, factor)
+    return prod
+
+
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
     """Array mapping index(x) -> index(x + h)."""
     return _shift_table(p, n)[vec_index(p, h)]
@@ -509,7 +531,7 @@ def _float_gowers_power(fn: BoundedFunction, d: int) -> float:
 
     def power(v, dd):
         if dd == 2:
-            tau = np.fft.fftn((v.reshape((p,) * n)), norm=None) if False else _float_transform(p, n, v)
+            tau = _float_transform(p, n, v)
             return float((np.abs(tau) ** 4).sum() / p ** (4 * n))
         return float(np.mean([power(v[sh[vec_index(p, h)]] * np.conj(v), dd - 1) for h in all_vectors(p, n)]))
 
@@ -696,33 +718,16 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     emb = {S: (g.embed(R) if g.exact else None) for S, g in gs.items()}
     if any(v is None for v in emb.values()):
         raise PreconditionError("octolinear average requires exact functions")
-    conj = {S: (bin(S).count("1") % 2 == 0) for S in range(8)}
+    # variables (x, h1, h2, h3): g_S sits at x + h_S, conjugated when |S| is even
     tabs = {
-        S: (R.conj_arrays(emb[S].coeffs) if conj[S] else emb[S].coeffs) for S in range(8)
+        1 | S << 1: (R.conj_arrays(emb[S].coeffs) if bin(S).count("1") % 2 == 0 else emb[S].coeffs)
+        for S in range(8)
     }
     den = 1
     for S in range(8):
         den *= emb[S].den
-    sh = _shift_table(p, n)
-    total = R.zero().astype(object)
-    size = len(all_vectors(p, n))
-    for i1 in range(size):
-        for i2 in range(size):
-            i12 = sh[i1, i2]
-            for i3 in range(size):
-                corner = {
-                    1: sh[:, i1],
-                    2: sh[:, i2],
-                    3: sh[sh[:, i1], i2],
-                    4: sh[:, i3],
-                    5: sh[sh[:, i1], i3],
-                    6: sh[sh[:, i2], i3],
-                    7: sh[sh[:, i12], i3],
-                }
-                prod = tabs[0]
-                for S in range(1, 8):
-                    prod = R.mul_arrays(prod, tabs[S][:, corner[S]])
-                total = total + prod.sum(axis=-1)
+    prod = corner_product(R, p, n, 4, tabs)
+    total = prod.sum(axis=1).reshape(R.degree, -1).astype(object).sum(axis=1)
     return CorrValue.from_sum(R, np.array([int(v) for v in total]), den * p ** (4 * n))
 
 

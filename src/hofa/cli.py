@@ -160,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=int, default=None)
-    common.add_argument("--n", type=int, default=None)
     common.add_argument("--seed", type=int, default=None)
     common.add_argument("--budget", type=int, default=None)
 

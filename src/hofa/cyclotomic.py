@@ -256,9 +256,6 @@ class RealSurd:
     def __float__(self):
         return float(self.a) + float(self.b) * sqrt(2)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

@@ -25,10 +25,6 @@ def check_prime(p: int) -> None:
         raise ValueError(f"unsupported prime {p}; supported primes are {SUPPORTED_PRIMES}")
 
 
-def zero_vec(n: int) -> Vec:
-    return (0,) * n
-
-
 def unit_vec(n: int, i: int) -> Vec:
     return tuple(1 if j == i else 0 for j in range(n))
 
@@ -43,14 +39,6 @@ def vec_sub(p: int, x: Vec, y: Vec) -> Vec:
     if len(x) != len(y):
         raise DimensionMismatch(f"vector lengths {len(x)} != {len(y)}")
     return tuple((a - b) % p for a, b in zip(x, y))
-
-
-def vec_neg(p: int, x: Vec) -> Vec:
-    return tuple((-a) % p for a in x)
-
-
-def vec_scale(p: int, c: int, x: Vec) -> Vec:
-    return tuple((c * a) % p for a in x)
 
 
 def dot(p: int, a: Vec, x: Vec) -> int:
@@ -196,21 +184,6 @@ class Subspace:
 
     def contains(self, v: Vec) -> bool:
         return all(dot(self.p, L, v) == 0 for L in self.vanishing_forms)
-
-    def coordinates_of(self, v: Vec) -> Vec:
-        """Coefficients of ``v`` in the echelon basis; raises if v not in the space."""
-        if not self.contains(v):
-            raise ValueError("vector not in subspace")
-        # echelon basis: coefficient of basis row i is v[pivot_i]
-        _, pivots = rref(self.p, self.basis)
-        coeffs = tuple(v[c] for c in pivots)
-        # exact by echelon structure; double-check
-        rebuilt = zero_vec(self.n)
-        for c, b in zip(coeffs, self.basis):
-            rebuilt = vec_add(self.p, rebuilt, vec_scale(self.p, c, b))
-        if rebuilt != tuple(v):
-            raise ValueError("coordinate extraction failed")  # pragma: no cover
-        return coeffs
 
 
 def kernel(p: int, n: int, rows) -> Subspace:

@@ -15,7 +15,10 @@ Stages (each displayed inequality is recomputed exactly and ledgered):
   5. remove the rank-1 correction terms by exhaustive derandomization
      (argmax over the indicator value c and the character xi);
   6. clean the bilinear phases into integrable symmetric ones (defect
-     nullspaces, extension, quadratic integration);
+     nullspaces, extension, quadratic integration), then remove the
+     linear x linear terms of the cleanup certificates; stages 5 and 6
+     share one derandomization loop (``derandomize_indicator``), each
+     with its own ledger wording and bound exponent (2 and 290);
   7. assemble the eight g-functions, check the octolinear identity and
      the Gowers-Cauchy-Schwarz bound, concluding ||g||_U3 >= eps p^{-290 r};
   8. finish with the exhaustive quadratic inverse oracle and return
@@ -30,13 +33,13 @@ import hashlib
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import analysis, fpspace, integrate, mforms, rank, serialize, symmetrize
-from .analysis import BoundedFunction, CorrValue, _shift_table
+from .analysis import BoundedFunction, CorrValue
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd
 from .errors import BudgetExceeded, InternalCheckError, PreconditionError
@@ -49,6 +52,7 @@ from .symmetrize import (
     SymmetrizationReport,
     bias_vs_delta_power,
     multiaffine_cs,
+    slot_cube,
     symmetrize_classical,
     symmetrize_nonclassical_p2,
 )
@@ -86,52 +90,19 @@ class ExhaustiveTrilinear:
 def derivative_sum_cube(f: BoundedFunction, budget: Budget = DEFAULT_BUDGET):
     """D[h1,h2,h3] = sum_x (d_{h1} d_{h2} d_{h3} f)(x), exact ring elements."""
     p, n = f.p, f.n
-    size = p**n
-    if size**4 * 8 > budget.enum_cap:
+    if p ** (4 * n) * 8 > budget.enum_cap:
         raise BudgetExceeded("derivative cube too large")
     R = f.ring
-    sh = _shift_table(p, n)
-    X = np.arange(size)
-    idx = {
-        (): X.reshape(size, 1, 1, 1),
-        (1,): sh[X.reshape(size, 1, 1, 1), np.arange(size).reshape(1, size, 1, 1)],
-    }
-    h1 = np.arange(size).reshape(1, size, 1, 1)
-    h2 = np.arange(size).reshape(1, 1, size, 1)
-    h3 = np.arange(size).reshape(1, 1, 1, size)
-    x = X.reshape(size, 1, 1, 1)
-    corner_idx = {}
-    for S in range(8):
-        cur = x
-        if S & 1:
-            cur = sh[cur, h1]
-        if S & 2:
-            cur = sh[cur, h2]
-        if S & 4:
-            cur = sh[cur, h3]
-        corner_idx[S] = cur
     conjed = R.conj_arrays(f.coeffs)
-    prod = None
-    for S in range(8):
-        use_conj = bin(S).count("1") % 2 == 0
-        tab = conjed if use_conj else f.coeffs
-        factor = tab[:, corner_idx[S]]
-        prod = factor if prod is None else R.mul_arrays(prod, factor)
-    total = prod.sum(axis=1)  # sum over x; shape (deg, H1, H2, H3)
+    # variables (x, h1, h2, h3): f at x + h_S, conjugated when |S| is even
+    tables = {1 | S << 1: (conjed if bin(S).count("1") % 2 == 0 else f.coeffs) for S in range(8)}
+    total = analysis.corner_product(R, p, n, 4, tables).sum(axis=1)  # sum over x; (deg, H1, H2, H3)
     return R, total, f.den**8
 
 
 def measure_triaffine(f_cube, phi: MultiaffineForm) -> CorrValue:
     """|E_{x,h} (d^3 f)(x) w^{phi(h)}| from a precomputed derivative cube."""
-    R, D, den = f_cube
-    p = phi.p
-    n = phi.n
-    size = p**n
-    cube = symmetrize.form_cube(phi, p, n) * (R.N // p)
-    phase = R.roots_to_coeffs(cube)
-    prod = R.mul_arrays(D, phase)
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den * size**4)
+    return measure_state(f_cube, symmetrize.form_cube(phi, phi.p, phi.n))
 
 
 def find_triaffine(
@@ -248,23 +219,15 @@ class PhaseState:
                 return vec
         return np.zeros(self.n, dtype=np.int64)
 
-    def value_cube(self) -> np.ndarray:
-        """Exponent table over (h1, h2, h3)."""
+    def value_cube(self, gammas=()) -> np.ndarray:
+        """Exponent table over (h1, h2, h3), with the correction terms ``gammas`` added."""
         p, n = self.p, self.n
-        size = p**n
-        X = np.array(all_vectors(p, n), dtype=np.int64)
-        cube = np.full((size, size, size), self.const, dtype=np.int64)
-        for (a, b), mat in self.betas:
-            vals = (X @ mat @ X.T) % p  # [i, j] = beta(x_i, x_j)
-            idx_shape = [1, 1, 1]
-            idx_shape[a] = size
-            idx_shape[b] = size
-            cube = cube + vals.reshape(tuple(idx_shape))
-        for slot, vec in self.alphas:
-            vals = (X @ vec) % p
-            shape = [1, 1, 1]
-            shape[slot] = size
-            cube = cube + vals.reshape(tuple(shape))
+        cube = np.full((p**n,) * 3, self.const, dtype=np.int64)
+        for slots, coeffs in self.betas + tuple(((slot,), vec) for slot, vec in self.alphas):
+            cube = cube + slot_cube(p, n, slots, coeffs)
+        for gt in gammas:
+            (ls, left), (rs, right) = gt.factors()
+            cube = cube + slot_cube(p, n, ls, left) * slot_cube(p, n, rs, right)
         return cube % p
 
     def add_beta(self, pair, mat) -> "PhaseState":
@@ -277,6 +240,10 @@ class PhaseState:
         alphas = dict(self.alphas)
         alphas[slot] = (alphas.get(slot, np.zeros(self.n, dtype=np.int64)) + vec) % self.p
         return PhaseState(self.p, self.n, self.betas, _norm_pairs(list(alphas.items()), self.p), self.const)
+
+    def add_form(self, slots, coeffs) -> "PhaseState":
+        """Add a linear (one slot) or bilinear (two slots) phase."""
+        return self.add_alpha(slots[0], coeffs) if len(slots) == 1 else self.add_beta(slots, coeffs)
 
     def add_const(self, c) -> "PhaseState":
         return PhaseState(self.p, self.n, self.betas, self.alphas, (self.const + c) % self.p)
@@ -296,112 +263,114 @@ def _norm_pairs(items, p):
 
 @dataclass(frozen=True)
 class GammaTerm:
-    """One rank-1 correction: linear(h_slot) * bilinear(h_a, h_b)."""
+    """One rank-1 correction w^{left(h_lslots) * right(h_rslots)}: linear x
+    bilinear from the symmetrization certificate, linear x linear from the
+    bilinear cleanup."""
 
-    slot: int
-    linear: np.ndarray
-    pair: tuple
-    bilinear: np.ndarray
+    lslots: tuple
+    left: np.ndarray
+    rslots: tuple
+    right: np.ndarray
 
     @classmethod
-    def from_cert_term(cls, t, k: int = 3) -> "GammaTerm":
-        slot = t.slots[0]
-        pair = tuple(i for i in range(k) if i != slot)
-        return cls(slot, t.left.coeffs.astype(np.int64), pair, t.right.coeffs.astype(np.int64))
+    def from_cert_term(cls, t, slots=(0, 1, 2)) -> "GammaTerm":
+        """The certificate term t, its argument i sitting on cube axis slots[i]."""
+        lslots = tuple(slots[i] for i in t.slots)
+        rslots = tuple(s for i, s in enumerate(slots) if i not in t.slots)
+        return cls(lslots, t.left.coeffs.astype(np.int64), rslots, t.right.coeffs.astype(np.int64))
 
-    def component_cubes(self, p: int, n: int):
-        size = p**n
-        X = np.array(all_vectors(p, n), dtype=np.int64)
-        lin = (X @ self.linear) % p
-        shape = [1, 1, 1]
-        shape[self.slot] = size
-        lin_cube = np.broadcast_to(lin.reshape(tuple(shape)), (size, size, size))
-        bil = (X @ self.bilinear @ X.T) % p
-        idx_shape = [1, 1, 1]
-        idx_shape[self.pair[0]] = size
-        sh2 = [1, 1, 1]
-        sh2[self.pair[1]] = size
-        bil_cube = np.broadcast_to(
-            bil.reshape(
-                tuple(
-                    size if s == self.pair[0] or s == self.pair[1] else 1 for s in range(3)
-                )
-            ),
-            (size, size, size),
-        )
-        return lin_cube, bil_cube
+    def factors(self):
+        return ((self.lslots, self.left), (self.rslots, self.right))
 
 
-def measure_state(g_cube, phase: PhaseState, gammas=(), indicator=None) -> CorrValue:
-    """|E b(h) w^{sum gammas} [indicator] (d^3 g)(x)| from the g-cube."""
+def measure_state(g_cube, phase, gammas=(), masks=None):
+    """|E b(h) w^{phase + sum gammas} (d^3 g)(x)| from the g-cube.
+
+    ``phase`` is a PhaseState or an exponent table over (h1, h2, h3).  With
+    ``masks``, a list of the values under each indicator mask, all summed
+    from one phased product.
+    """
     R, D, den = g_cube
-    p, n = phase.p, phase.n
-    size = p**n
-    expo = phase.value_cube()
-    for gt in gammas:
-        lin, bil = gt.component_cubes(p, n)
-        expo = (expo + lin * bil) % p
-    coeff_phase = R.roots_to_coeffs(expo * (R.N // p))
-    prod = R.mul_arrays(D, coeff_phase)
-    if indicator is not None:
-        prod = prod * indicator[None, ...]
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den * size**4)
+    expo = phase.value_cube(gammas) if isinstance(phase, PhaseState) else phase
+    prod = R.mul_arrays(D, R.roots_to_coeffs(expo * (R.N // R.p)))
+    parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
+    den = den * D.shape[-1] ** 4
+    vals = [
+        CorrValue.from_sum(R, np.array([int(v) for v in part.astype(object).sum(axis=1)]), den)
+        for part in parts
+    ]
+    return vals[0] if masks is None else vals
+
+
+# ledger claims of one derandomization: (no-op, indicator argmax or None, character argmax)
+RANK1_CLAIMS = (
+    "derandomization (no-op): |corr| >= eps p^{-2r}",
+    "indicator argmax: |corr| >= eps p^{-2r}",
+    "character argmax: |corr| >= eps p^{-2r}",
+)
+CLEANUP_CLAIMS = (
+    "second derandomization (no-op): |corr| >= eps p^{-290 r}",
+    None,
+    "second derandomization: |corr| >= eps p^{-290 r}",
+)
 
 
 def derandomize_indicator(
-    g_cube, phase: PhaseState, gammas, eps: CorrValue, r_len: int, budget: Budget = DEFAULT_BUDGET
+    g_cube,
+    phase: PhaseState,
+    gammas,
+    eps: CorrValue,
+    r_len: int,
+    budget: Budget = DEFAULT_BUDGET,
+    claims=RANK1_CLAIMS,
+    coeff: int = 2,
 ):
     """Replace the pending rank-1 phases by an exhaustive (c, xi_0) argmax.
 
     Returns (c, xi0, new_phase, measured, ledger entries).  The measured
-    correlation after each step is checked against eps * p^{-2r}.
+    correlations are checked against eps * p^{-coeff r}; ``claims`` words
+    the stage's ledger entries.
     """
     p, n = phase.p, phase.n
+    noop_claim, c_claim, xi_claim = claims
     if not gammas:
         measured = measure_state(g_cube, phase)
-        entry = _stage_bound_entry(p, "derandomization (no-op): |corr| >= eps p^{-2r}", measured, eps, r_len, 2)
+        entry = _stage_bound_entry(p, noop_claim, measured, eps, r_len, coeff)
         return None, None, phase, measured, (entry,)
     m = len(gammas)
     if m > budget.derand_terms_cap:
         raise BudgetExceeded(
             f"{m} correction terms exceed the derandomization cap {budget.derand_terms_cap}"
         )
-    comps = []
-    for gt in gammas:
-        lin, bil = gt.component_cubes(p, n)
-        comps.append(lin)
-        comps.append(bil)
     # argmax over the indicator value c (only attained values matter)
-    stacked = np.stack([c.reshape(-1) for c in comps])  # (2m, size^3)
+    full = (p**n,) * 3
+    stacked = np.stack(
+        [np.broadcast_to(slot_cube(p, n, *fac), full).reshape(-1) for gt in gammas for fac in gt.factors()]
+    )  # (2m, size^3)
+    cs = sorted(set(map(tuple, stacked.T.tolist())))
+    masks = (np.all(stacked == np.array(c)[:, None], axis=0).reshape(full) for c in cs)
     best_c = None
-    for c in sorted(set(map(tuple, stacked.T.tolist()))):
-        mask = np.all(stacked == np.array(c)[:, None], axis=0).reshape(comps[0].shape)
-        val = measure_state(g_cube, phase, gammas=gammas, indicator=mask)
+    for c, val in zip(cs, measure_state(g_cube, phase, gammas, masks)):
         if best_c is None or val.mag2() > best_c[1].mag2():
             best_c = (c, val)
     c, c_val = best_c
-    entries = [
-        _stage_bound_entry(p, "indicator argmax: |corr| >= eps p^{-2r}", c_val, eps, r_len, 2)
-    ]
+    entries = []
+    if c_claim is not None:
+        entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff))
     # argmax over xi
     best_xi = None
     for xi in itertools.product(range(p), repeat=2 * m):
         cand = phase
         for i, gt in enumerate(gammas):
-            if xi[2 * i]:
-                cand = cand.add_alpha(gt.slot, xi[2 * i] * gt.linear)
-            if xi[2 * i + 1]:
-                cand = cand.add_beta(gt.pair, xi[2 * i + 1] * gt.bilinear)
-        shift = -sum(xi[j] * c[j] for j in range(2 * m))
-        cand = cand.add_const(shift)
+            for j, (slots, coeffs) in enumerate(gt.factors()):
+                if xi[2 * i + j]:
+                    cand = cand.add_form(slots, xi[2 * i + j] * coeffs)
+        cand = cand.add_const(-sum(xi[j] * c[j] for j in range(2 * m)))
         val = measure_state(g_cube, cand)
         if best_xi is None or val.mag2() > best_xi[2].mag2():
             best_xi = (xi, cand, val)
     xi0, new_phase, measured = best_xi
-    entries.append(
-        _stage_bound_entry(p, "character argmax: |corr| >= eps p^{-2r}", measured, eps, r_len, 2)
-    )
+    entries.append(_stage_bound_entry(p, xi_claim, measured, eps, r_len, coeff))
     for e in entries:
         if not e.holds:  # pragma: no cover
             raise InternalCheckError(f"derandomization bound failed: {e}")
@@ -698,12 +667,11 @@ def run_inverse_pipeline(
     cleanup = bilinear_cleanup(g, g_cube, phase1, eps, r_len, budget)
     ledger.extend(cleanup.ledger)
     phase2 = phase1.replace_betas({pair: mat for pair, mat in cleanup.new_betas.items()})
-    lin_gammas = []
-    for pair, cert in cleanup.certs.items():
-        for t in cert.terms:
-            lin_gammas.append(_linear_linear_gamma(pair, t))
-    c1, xi1, phase3, measured2, d2_entries = _derandomize_linear(
-        g_cube, phase2, lin_gammas, eps, r_len, budget
+    lin_gammas = [
+        GammaTerm.from_cert_term(t, pair) for pair, cert in cleanup.certs.items() for t in cert.terms
+    ]
+    c1, xi1, phase3, measured2, d2_entries = derandomize_indicator(
+        g_cube, phase2, lin_gammas, eps, r_len, budget, CLEANUP_CLAIMS, 290
     )
     ledger.extend(d2_entries)
     ledger.append(
@@ -792,103 +760,6 @@ def run_inverse_pipeline(
         tuple(ledger),
         classical,
     )
-
-
-def _ceil_log_inv(p: int, eps: CorrValue) -> int:
-    """Smallest integer s with p^{-s} <= |eps| (0 when |eps| = 1)."""
-    one = RealSurd(Fraction(1))
-    s = 0
-    while True:
-        if eps.mag2() * RealSurd(Fraction(p ** (2 * s))) >= one:
-            return s
-        s += 1
-        if s > 64:  # pragma: no cover
-            raise InternalCheckError("correlation is unreasonably small")
-
-
-def _linear_linear_gamma(pair, t) -> "LinearGamma":
-    return LinearGamma(pair[t.slots[0]], t.left.coeffs.astype(np.int64), pair[1 - t.slots[0]], t.right.coeffs.astype(np.int64))
-
-
-@dataclass(frozen=True)
-class LinearGamma:
-    """linear(h_s1) * linear(h_s2) correction from the quadratic cleanup."""
-
-    slot1: int
-    vec1: np.ndarray
-    slot2: int
-    vec2: np.ndarray
-
-    def component_cubes(self, p: int, n: int):
-        size = p**n
-        X = np.array(all_vectors(p, n), dtype=np.int64)
-        out = []
-        for slot, vec in ((self.slot1, self.vec1), (self.slot2, self.vec2)):
-            vals = (X @ vec) % p
-            shape = [1, 1, 1]
-            shape[slot] = size
-            out.append(np.broadcast_to(vals.reshape(tuple(shape)), (size, size, size)))
-        return out
-
-
-def _derandomize_linear(g_cube, phase: PhaseState, lin_gammas, eps, r_len, budget: Budget):
-    """Same argmax derandomization for linear x linear corrections."""
-    p, n = phase.p, phase.n
-    if not lin_gammas:
-        measured = measure_state(g_cube, phase)
-        entry = _stage_bound_entry(
-            p, "second derandomization (no-op): |corr| >= eps p^{-290 r}", measured, eps, r_len, 290
-        )
-        return None, None, phase, measured, (entry,)
-    m = len(lin_gammas)
-    if m > budget.derand_terms_cap:
-        raise BudgetExceeded(
-            f"{m} quadratic-cleanup terms exceed the derandomization cap"
-        )
-    comps = []
-    for gt in lin_gammas:
-        comps.extend(gt.component_cubes(p, n))
-    expo_pending = np.zeros_like(comps[0])
-    for i in range(m):
-        expo_pending = (expo_pending + comps[2 * i] * comps[2 * i + 1]) % p
-    stacked = np.stack([c.reshape(-1) for c in comps])
-    best_c = None
-    for c in sorted(set(map(tuple, stacked.T.tolist()))):
-        mask = np.all(stacked == np.array(c)[:, None], axis=0).reshape(comps[0].shape)
-        val = _measure_with_expo(g_cube, phase, expo_pending, indicator=mask)
-        if best_c is None or val.mag2() > best_c[1].mag2():
-            best_c = (c, val)
-    c, _ = best_c
-    best_xi = None
-    for xi in itertools.product(range(p), repeat=2 * m):
-        cand = phase
-        for i, gt in enumerate(lin_gammas):
-            if xi[2 * i]:
-                cand = cand.add_alpha(gt.slot1, xi[2 * i] * gt.vec1)
-            if xi[2 * i + 1]:
-                cand = cand.add_alpha(gt.slot2, xi[2 * i + 1] * gt.vec2)
-        cand = cand.add_const(-sum(xi[j] * c[j] for j in range(2 * m)))
-        val = measure_state(g_cube, cand)
-        if best_xi is None or val.mag2() > best_xi[2].mag2():
-            best_xi = (xi, cand, val)
-    xi0, new_phase, measured = best_xi
-    entry = _stage_bound_entry(
-        p, "second derandomization: |corr| >= eps p^{-290 r}", measured, eps, r_len, 290
-    )
-    return c, xi0, new_phase, measured, (entry,)
-
-
-def _measure_with_expo(g_cube, phase: PhaseState, extra_expo, indicator=None) -> CorrValue:
-    R, D, den = g_cube
-    p, n = phase.p, phase.n
-    size = p**n
-    expo = (phase.value_cube() + extra_expo) % p
-    coeff_phase = R.roots_to_coeffs(expo * (R.N // p))
-    prod = R.mul_arrays(D, coeff_phase)
-    if indicator is not None:
-        prod = prod * indicator[None, ...]
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den * size**4)
 
 
 def _assemble_g_table(f: BoundedFunction, P: NcPoly, quads: dict, linears: dict) -> dict:

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fpspace, mforms, rank
-from .analysis import BoundedFunction, CorrValue, _shift_table
+from .analysis import BoundedFunction, CorrValue, corner_product
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd, common_ring, ring
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
@@ -47,72 +47,41 @@ from .rank import RankCertificate, analytic_rank, bilinear_rank, vanishing_decom
 # -- exact seven-function correlations --
 
 
-def _coordinate_matrix(p: int, n: int) -> np.ndarray:
-    return np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
+def slot_cube(p: int, n: int, slots, coeffs, k: int = 3) -> np.ndarray:
+    """F_p values of the form with tensor ``coeffs`` whose arguments are the
+    axes ``slots`` (sorted) of a k-axis table over F_p^n; other axes have
+    length 1, so parts add and multiply by broadcasting."""
+    X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
+    t = np.asarray(coeffs, dtype=np.int64)
+    for _ in slots:
+        t = np.tensordot(t, X, axes=([0], [1])) % p
+    shape = [1] * k
+    for s in slots:
+        shape[s] = p**n
+    return t.reshape(shape)
 
 
 def form_cube(form, p: int, n: int) -> np.ndarray:
     """Value table F[x, y, z] in F_p of a trilinear or triaffine form."""
-    X = _coordinate_matrix(p, n)
-    if isinstance(form, MultiaffineForm):
-        size = p**n
-        cube = np.zeros((size, size, size), dtype=np.int64)
-        for slots, comp in form.components:
-            slots = sorted(slots)
-            if not slots:
-                cube += int(comp.coeffs)
-                continue
-            t = comp.coeffs.astype(np.int64)
-            for _ in slots:
-                t = np.tensordot(t, X, axes=([0], [1])) % p
-            # t is indexed by the slots in sorted order; broadcast into the cube
-            shape = [1, 1, 1]
-            for s in slots:
-                shape[s] = size
-            cube += t.reshape(tuple(shape))
-        return cube % p
-    t = form.coeffs.astype(np.int64)
-    for _ in range(3):
-        t = np.tensordot(t, X, axes=([0], [1])) % p
-    return t
-
-
-def pair_square(form: MultilinearForm) -> np.ndarray:
-    """Value table F[u, v] of a bilinear form."""
-    X = _coordinate_matrix(form.p, form.n)
-    t = form.coeffs.astype(np.int64)
-    for _ in range(2):
-        t = np.tensordot(t, X, axes=([0], [1])) % form.p
-    return t
+    if not isinstance(form, MultiaffineForm):
+        return slot_cube(p, n, (0, 1, 2), form.coeffs)
+    cube = np.zeros((p**n,) * 3, dtype=np.int64)
+    for slots, comp in form.components:
+        cube = cube + slot_cube(p, n, sorted(slots), comp.coeffs)
+    return cube % p
 
 
 def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{x,y,z} b1(x)b2(y)b3(z)b4(x+y)b5(x+z)b6(y+z)b7(x+y+z) w^{form}."""
-    b1, b2, b3, b4, b5, b6, b7 = bs
-    p, n = b1.p, b1.n
+    p, n = bs[0].p, bs[0].n
     size = p**n
     if size**3 * 8 > budget.enum_cap:
         raise fpspace.BudgetExceeded("seven-function correlation too large")  # pragma: no cover
-    R = ring(p, 1)
-    for b in bs:
-        if not b.exact:
-            raise PreconditionError("exact witness functions required")
-        R = common_ring(R, b.ring)
-    emb = [b.embed(R) for b in bs]
-    cube = form_cube(form, p, n) * (R.N // p)
-    phase = R.roots_to_coeffs(cube)  # (deg, X, Y, Z)
-    sh = _shift_table(p, n)
-    c1 = emb[0].coeffs[:, :, None, None]
-    c2 = emb[1].coeffs[:, None, :, None]
-    c3 = emb[2].coeffs[:, None, None, :]
-    c4 = emb[3].coeffs[:, sh][:, :, :, None]
-    c5 = emb[4].coeffs[:, sh][:, :, None, :]
-    c6 = emb[5].coeffs[:, sh][:, None, :, :]
-    xyz = sh[sh]  # [x, y, z] -> index of x + y + z
-    c7 = emb[6].coeffs[:, xyz]
-    prod = R.mul_arrays(c1, c2)
-    for c in (c3, c4, c5, c6, c7, phase):
-        prod = R.mul_arrays(prod, c)
+    R, emb = _common_exact(p, bs)
+    # b1..b7 sit at the corners x, y, z, x+y, x+z, y+z, x+y+z (bitmasks over x, y, z)
+    tables = dict(zip((1, 2, 4, 3, 5, 6, 7), (b.coeffs for b in emb)))
+    phase = R.roots_to_coeffs(form_cube(form, p, n) * (R.N // p))
+    prod = R.mul_arrays(corner_product(R, p, n, 3, tables), phase)
     den = size**3
     for b in emb:
         den *= b.den
@@ -123,22 +92,22 @@ def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
 def three_correlation(b1, b2, b3, A: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{u,v} b1(u) b2(v) b3(u+v) w^{A(u,v)} for bilinear A."""
     p, n = b1.p, b1.n
-    size = p**n
+    R, (e1, e2, e3) = _common_exact(p, (b1, b2, b3))
+    phase = R.roots_to_coeffs(slot_cube(p, n, (0, 1), A.coeffs, k=2) * (R.N // p))
+    prod = R.mul_arrays(corner_product(R, p, n, 2, {1: e1.coeffs, 2: e2.coeffs, 3: e3.coeffs}), phase)
+    den = p ** (2 * n) * e1.den * e2.den * e3.den
+    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
+    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den)
+
+
+def _common_exact(p: int, bs) -> tuple:
+    """The witness functions embedded in one ring containing the p-th roots."""
     R = ring(p, 1)
-    for b in (b1, b2, b3):
+    for b in bs:
         if not b.exact:
             raise PreconditionError("exact witness functions required")
         R = common_ring(R, b.ring)
-    e1, e2, e3 = (b.embed(R) for b in (b1, b2, b3))
-    square = pair_square(A) * (R.N // p)
-    phase = R.roots_to_coeffs(square)
-    sh = _shift_table(p, n)
-    prod = R.mul_arrays(e1.coeffs[:, :, None], e2.coeffs[:, None, :])
-    prod = R.mul_arrays(prod, e3.coeffs[:, sh])
-    prod = R.mul_arrays(prod, phase)
-    den = size**2 * e1.den * e2.den * e3.den
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den)
+    return R, [b.embed(R) for b in bs]
 
 
 # -- witnesses and ledgers --

@@ -265,6 +265,17 @@ def value_cube(T: MultilinearForm, budget_points: int = 1 << 20) -> np.ndarray:
     return cur
 
 
+def eval_many(T: MultilinearForm, args: np.ndarray) -> np.ndarray:
+    """T at each of S argument tuples at once; ``args`` has shape (S, k, n)."""
+    args = np.asarray(args, dtype=np.int64)
+    if args.shape[1:] != (T.k, T.n):
+        raise DimensionMismatch(f"argument block {args.shape[1:]} != {(T.k, T.n)}")
+    cur = np.broadcast_to(T.coeffs.astype(np.int64), (len(args),) + T.coeffs.shape)
+    for i in range(T.k):  # contract the leading slot axis, sample by sample
+        cur = np.einsum("sj...,sj->s...", cur, args[:, i]) % T.p
+    return cur
+
+
 def is_symmetric_eval(T: MultilinearForm, budget_points: int = 1 << 20) -> bool:
     cube = value_cube(T, budget_points)
     return all(
@@ -323,28 +334,35 @@ def is_csm_eval(T: MultilinearForm, budget_points: int = 1 << 20) -> bool:
 def total_derivative(P: NcPoly, k: int) -> MultilinearForm:
     """d^k P as a k-linear form: the k-fold additive derivative at 0.
 
-    The alternating sum over shift subsets always lands on the (1/p)-grid,
-    which is identified with F_p; any off-grid value signals a bug.
+    Entry idx is the alternating sum over subsets S of P(sum_{i in S}
+    e_{idx_i}); all n^k entries are summed at once, as exact numerators
+    over the common denominator p^M.  The sum always lands on the
+    (1/p)-grid, which is identified with F_p; any off-grid value signals a
+    bug.
     """
     if P.degree() > k:
         raise PreconditionError(f"degree {P.degree()} exceeds k = {k}")
     p, n = P.p, P.n
-    signs = [(-1) ** (k - bin(S).count("1")) for S in range(1 << k)]
-    t = np.zeros((n,) * k, dtype=np.int64)
-    for idx in itertools.product(range(n), repeat=k):
-        total = TorusValue.zero(p)
-        for S in range(1 << k):
-            shift = [0] * n
-            for i in range(k):
-                if S >> i & 1:
-                    shift[idx[i]] = (shift[idx[i]] + 1) % p
-            v = P.evaluate(tuple(shift))
-            total = total + (v if signs[S] > 0 else -v)
-        try:
-            t[idx] = total.as_fp()
-        except ValueError as exc:  # pragma: no cover
-            raise InternalCheckError(f"total derivative off the 1/p grid at {idx}: {exc}")
-    return MultilinearForm(p, n, k, t)
+    M = max(P.max_depth_exponent(), 1)
+    mod = p**M
+    # the summands are < mod and there are 2^k of them
+    dtype = np.int64 if (mod << k) < 1 << 62 else object
+    # onehot[i, idx, j] = [idx_i == j] over the n^k index grid
+    grid = np.indices((n,) * k).reshape(k, n**k)
+    onehot = (grid[:, :, None] == np.arange(n)).astype(np.int64)
+    masks = range(1 << k)
+    # pts[S, idx] = sum_{i in S} e_{idx_i}, a point of F_p^n
+    pts = np.stack([onehot[[i for i in range(k) if S >> i & 1]].sum(axis=0) % p for S in masks])
+    uniq, where = np.unique(pts.reshape(-1, n), axis=0, return_inverse=True)
+    vals = np.array([P.evaluate(tuple(int(c) for c in x)).scaled_num(M) for x in uniq], dtype=dtype)
+    vals = vals[where.reshape(len(masks), -1)]
+    signs = np.array([(-1) ** (k - bin(S).count("1")) for S in masks], dtype=np.int64)
+    total = (signs.astype(dtype) @ vals) % mod
+    off = np.flatnonzero(total % (mod // p))
+    if len(off):  # pragma: no cover
+        idx = tuple(int(i) for i in np.unravel_index(off[0], (n,) * k))
+        raise InternalCheckError(f"total derivative off the 1/p grid at {idx}: {total[off[0]]}/{mod}")
+    return MultilinearForm(p, n, k, (total // (mod // p)).astype(np.int64).reshape((n,) * k))
 
 
 def total_derivative_at(P: NcPoly, hs, x: Vec) -> TorusValue:

@@ -129,8 +129,8 @@ def find_triaffine(
                 best = (phi, val)
         return best
     if isinstance(strategy, ExhaustiveTrilinear):
-        if p ** (n**3) > (1 << 16):
-            raise BudgetExceeded("exhaustive trilinear search needs n <= 2")
+        if p ** (n**3) > budget.prank_space_cap:
+            raise BudgetExceeded(f"trilinear form space {p ** (n**3)} exceeds the prank search cap")
         best = None
         for coefs in itertools.product(range(p), repeat=n**3):
             T = MultilinearForm(p, n, 3, np.array(coefs).reshape(n, n, n))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fpspace, mforms
 from .config import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceeded, DimensionMismatch, PreconditionError
+from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, PreconditionError
 from .fpspace import Subspace, all_vectors
 from .mforms import MultilinearForm
 
@@ -41,7 +41,7 @@ def naive_bias(T: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> Fraction:
     """Character-sum oracle: counts each value of T over all p^{nk} tuples.
 
     The nonzero values appear equally often (scaling any slot permutes
-    them), which is asserted; the sum then telescopes to (N_0 - N_*) / p^{nk}.
+    them), which is checked; the sum then telescopes to (N_0 - N_*) / p^{nk}.
     """
     p, n, k = T.p, T.n, T.k
     total = p ** (n * k)
@@ -51,7 +51,8 @@ def naive_bias(T: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> Fraction:
     vecs = all_vectors(p, n)
     for args in itertools.product(vecs, repeat=k):
         counts[T.eval(*args)] += 1
-    assert len(set(counts[1:])) <= 1, "nonzero form values are not equidistributed"
+    if len(set(counts[1:])) > 1:
+        raise InternalCheckError(f"nonzero form values are not equidistributed: {counts}")
     return Fraction(counts[0] - (counts[1] if p > 1 else 0), total)
 
 
@@ -117,14 +118,15 @@ class CertTerm:
     left: MultilinearForm  # arity |I|
     right: MultilinearForm  # arity k - |I|
 
+    def slot_order(self, k: int) -> list:
+        """The slots of I, then the complement: the axis order of left (x) right."""
+        return list(self.slots) + [i for i in range(k) if i not in self.slots]
+
     def tensor(self, k: int) -> np.ndarray:
         """Full coefficient tensor of the term, axes in slot order."""
         p = self.left.p
         out = np.multiply.outer(self.left.coeffs.astype(np.int64), self.right.coeffs)
-        # axes currently ordered (slots of I, then complement); move them home
-        comp = [i for i in range(k) if i not in self.slots]
-        order = list(self.slots) + comp
-        return (np.moveaxis(out, range(k), order) % p).astype(np.int8)
+        return (np.moveaxis(out, range(k), self.slot_order(k)) % p).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,30 @@ def negate_certificate(cert: RankCertificate) -> RankCertificate:
     return RankCertificate(-cert.claimed_form, terms)
 
 
+def certified_cube(cert: RankCertificate) -> np.ndarray:
+    """Value cube of the certified sum sum_t left(x_I) right(x_{[k] \\ I}) mod p,
+    axes indexed by points like ``mforms.value_cube``."""
+    f = cert.claimed_form
+    p, k = f.p, f.k
+    acc = np.zeros((p**f.n,) * k, dtype=np.int64)
+    for t in cert.terms:
+        prod = np.multiply.outer(mforms.value_cube(t.left), mforms.value_cube(t.right))
+        acc = (acc + np.moveaxis(prod, range(k), t.slot_order(k))) % p
+    return acc
+
+
+def certified_values(cert: RankCertificate, args: np.ndarray) -> np.ndarray:
+    """The certified sum at each argument tuple; ``args`` has shape (S, k, n)."""
+    f = cert.claimed_form
+    acc = np.zeros(len(args), dtype=np.int64)
+    for t in cert.terms:
+        order = t.slot_order(f.k)
+        left = mforms.eval_many(t.left, args[:, order[: len(t.slots)]])
+        right = mforms.eval_many(t.right, args[:, order[len(t.slots) :]])
+        acc = (acc + left * right) % f.p
+    return acc
+
+
 def verify_certificate(
     cert: RankCertificate,
     sample_points: int = 10_000,
@@ -197,9 +223,11 @@ def verify_certificate(
 ) -> VerifyResult:
     """Re-evaluate the certified sum against the claimed form.
 
-    Tensor reconstruction is always compared exactly; on small spaces every
-    argument tuple is also evaluated directly, otherwise a seeded sample of
-    tuples is used and the result is flagged as sampled.
+    Tensor reconstruction is always compared exactly; on small spaces the
+    certified sum is also evaluated at every argument tuple (as one value
+    cube), otherwise at a seeded sample of tuples and the result is flagged
+    as sampled.  The witness is the first failing tuple in
+    ``itertools.product`` order, or in sample order.
     """
     f = cert.claimed_form
     if cert.reconstruct() != f:
@@ -207,30 +235,27 @@ def verify_certificate(
         idx = tuple(int(i) for i in np.argwhere(diff)[0])
         return VerifyResult(False, "exhaustive", witness=idx)
     p, n, k = f.p, f.n, f.k
+    vecs = all_vectors(p, n)
     if p ** (n * k) <= min(budget.enum_cap, 1 << 16):
-        vecs = all_vectors(p, n)
-        for args in itertools.product(vecs, repeat=k):
-            s = sum(
-                t.left.eval(*(args[i] for i in t.slots))
-                * t.right.eval(*(args[i] for i in range(k) if i not in t.slots))
-                for t in cert.terms
-            ) % p
-            if s != f.eval(*args):
-                return VerifyResult(False, "exhaustive", witness=args)
+        bad = np.flatnonzero(certified_cube(cert) != mforms.value_cube(f))
+        if len(bad):
+            pos = np.unravel_index(bad[0], (len(vecs),) * k)
+            return VerifyResult(False, "exhaustive", witness=tuple(vecs[int(i)] for i in pos))
         return VerifyResult(True, "exhaustive")
     import random as _random
 
     rng = rng or _random.Random(0)
-    vecs = all_vectors(p, n)
-    for _ in range(sample_points):
-        args = tuple(vecs[rng.randrange(len(vecs))] for _ in range(k))
-        s = sum(
-            t.left.eval(*(args[i] for i in t.slots))
-            * t.right.eval(*(args[i] for i in range(k) if i not in t.slots))
-            for t in cert.terms
-        ) % p
-        if s != f.eval(*args):
-            return VerifyResult(False, "sampled", witness=args)
+    picks = [rng.randrange(len(vecs)) for _ in range(sample_points * k)]
+    picks = np.array(picks, dtype=np.int64).reshape(sample_points, k)
+    X = np.array(vecs, dtype=np.int64)
+    # chunks keep the (samples x n^(k-1)) contraction intermediates small
+    step = max(1, (1 << 20) // n ** (k - 1))
+    for lo in range(0, sample_points, step):
+        args = X[picks[lo : lo + step]]
+        bad = np.flatnonzero(certified_values(cert, args) != mforms.eval_many(f, args))
+        if len(bad):
+            witness = tuple(vecs[int(i)] for i in picks[lo + bad[0]])
+            return VerifyResult(False, "sampled", witness=witness)
     return VerifyResult(True, "sampled")
 
 

@@ -45,6 +45,14 @@ class TestEval:
             a3[slot] = y
             assert T.eval(*a1) == (T.eval(*a2) + T.eval(*a3)) % p
 
+    def test_eval_many_matches_eval(self):
+        rng = random.Random(2)
+        for p, n, k in [(2, 3, 1), (3, 2, 2), (2, 2, 3), (3, 2, 4)]:
+            T = mf.random_form(rng, p, n, k)
+            args = [[tuple(rng.randrange(p) for _ in range(n)) for _ in range(k)] for _ in range(30)]
+            got = mf.eval_many(T, np.array(args, dtype=np.int64))
+            assert got.tolist() == [T.eval(*a) for a in args]
+
 
 class TestPermute:
     def test_identity(self):
@@ -171,6 +179,28 @@ class TestTotalDerivative:
             assert mf.is_csm(total_derivative(Pc, k))
             Pn = random_poly(p, n, k, depth_allowed=True, seed=(trial, "n"))
             assert mf.is_ncsm(total_derivative(Pn, k))
+
+    def test_matches_per_point_oracle(self):
+        # coefficient idx is (Delta_{e_idx1} ... Delta_{e_idxk} P)(0)
+        for p in (2, 3):
+            for n in (1, 2, 3):
+                for k in (1, 2, 3, 4):
+                    for depth in (False, True):
+                        P = random_poly(p, n, k, depth, seed=(p, n, k, depth, "td"))
+                        D = total_derivative(P, k)
+                        units = [fs.unit_vec(n, j) for j in range(n)]
+                        for idx in itertools.product(range(n), repeat=k):
+                            hs = [units[j] for j in idx]
+                            assert int(D.coeffs[idx]) == mf.total_derivative_at(P, hs, (0,) * n).as_fp()
+
+    def test_constant_and_zero_give_zero_form(self):
+        for p in (2, 3):
+            zero = NcPoly.zero(p, 2)  # max_depth_exponent() == 0
+            assert zero.max_depth_exponent() == 0
+            const = NcPoly.make(p, 2, TorusValue.make(p, 1, 2), [])  # constant 1/p^2
+            for k in (1, 2, 3):
+                assert total_derivative(zero, k) == MultilinearForm.zero(p, 2, k)
+                assert total_derivative(const, k) == MultilinearForm.zero(p, 2, k)
 
     def test_degree_too_high(self):
         P = random_poly(2, 2, 3, True, seed=0)

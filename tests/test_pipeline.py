@@ -1,5 +1,6 @@
 import hashlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hofa import mforms as mf
 from hofa import pipeline as pl
 from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import RealSurd
-from hofa.errors import PreconditionError
+from hofa.errors import BudgetExceeded, PreconditionError
 from hofa.fpspace import all_vectors, vec_index
 from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
@@ -51,6 +52,11 @@ class TestFindTriaffine:
         # self-consistency: re-measuring the returned form gives the same value
         phi2, eps2 = pl.find_triaffine(f, pl.SuppliedTriaffine(phi))
         assert eps2.mag2() == eps.mag2()
+
+    def test_exhaustive_search_reads_the_budget(self):
+        f = an.BoundedFunction.ones(2, 2)  # trilinear form space 2^8
+        with pytest.raises(BudgetExceeded):
+            pl.find_triaffine(f, pl.ExhaustiveTrilinear(), replace(DEFAULT_BUDGET, prank_space_cap=255))
 
     def test_random_search_measures_honestly(self):
         rng = random.Random(9)

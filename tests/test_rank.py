@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofa import fpspace as fs
 from hofa import mforms as mf
 from hofa import rank as rk
-from hofa.errors import PreconditionError
+from hofa.errors import InternalCheckError, PreconditionError
 from hofa.mforms import MultilinearForm
 
 
@@ -36,6 +38,18 @@ class TestAnalyticRank:
             p, n, k = rng.choice([(2, 2, 3), (2, 3, 3), (2, 4, 3), (3, 2, 3), (2, 4, 2)])
             T = mf.random_form(rng, p, n, k)
             assert rk.naive_bias(T) == rk.analytic_rank(T).bias
+
+    def test_naive_bias_rejects_skewed_values(self):
+        # a stand-in "form" whose nonzero values are not equidistributed: the
+        # check must raise (not assert, which python -O strips)
+        class Skewed:
+            p, n, k = 3, 1, 2
+
+            def eval(self, x, y):
+                return 1 if x == y == (1,) else 0
+
+        with pytest.raises(InternalCheckError):
+            rk.naive_bias(Skewed())
 
     def test_subadditivity(self):
         rng = random.Random(1)
@@ -126,6 +140,129 @@ class TestCertificates:
     def test_empty_vs_zero(self):
         Z = MultilinearForm.zero(2, 2, 3)
         assert rk.verify_certificate(rk.empty_certificate(Z)).ok
+
+
+def _random_certificate(rng, p, n, k, nterms):
+    """A valid certificate: random rank-1 terms, claimed form = their sum."""
+    terms = []
+    for _ in range(nterms):
+        r = rng.randrange(1, k)
+        slots = tuple(sorted(rng.sample(range(k), r)))
+        terms.append(rk.CertTerm(slots, mf.random_form(rng, p, n, r), mf.random_form(rng, p, n, k - r)))
+    claimed = rk.RankCertificate(MultilinearForm.zero(p, n, k), tuple(terms)).reconstruct()
+    return rk.RankCertificate(claimed, tuple(terms))
+
+
+def _reference_sum(cert, args):
+    """The certified sum at one argument tuple, one MultilinearForm.eval per factor."""
+    k = cert.claimed_form.k
+    return sum(
+        t.left.eval(*(args[i] for i in t.slots))
+        * t.right.eval(*(args[i] for i in range(k) if i not in t.slots))
+        for t in cert.terms
+    ) % cert.claimed_form.p
+
+
+def _reference_cube(cert):
+    f = cert.claimed_form
+    vecs = fs.all_vectors(f.p, f.n)
+    vals = [_reference_sum(cert, args) for args in itertools.product(vecs, repeat=f.k)]
+    return np.array(vals, dtype=np.int64).reshape((len(vecs),) * f.k)
+
+
+def _corrupt_claimed_cube(monkeypatch, cert, flat_positions):
+    """Make mforms.value_cube flip the claimed form's values at these positions."""
+    real = mf.value_cube
+
+    def patched(T, *a, **kw):
+        cube = real(T, *a, **kw)
+        if T is cert.claimed_form:
+            flat = cube.reshape(-1)
+            flat[list(flat_positions)] = (flat[list(flat_positions)] + 1) % T.p
+        return cube
+
+    monkeypatch.setattr(mf, "value_cube", patched)
+
+
+class TestVerifyVectorized:
+    """The value-cube and batched evaluations against the per-tuple loop."""
+
+    @pytest.mark.parametrize(
+        "p,n,k", [(2, 3, 2), (3, 2, 2), (2, 3, 3), (3, 2, 3), (2, 2, 4), (3, 1, 4)]
+    )
+    def test_certified_cube_matches_per_tuple(self, p, n, k):
+        rng = random.Random(100 * p + 10 * n + k)
+        for nterms in (0, 1, 3):
+            cert = _random_certificate(rng, p, n, k, nterms)
+            assert np.array_equal(rk.certified_cube(cert), _reference_cube(cert))
+            assert np.array_equal(rk.certified_cube(cert), mf.value_cube(cert.claimed_form))
+            res = rk.verify_certificate(cert)
+            assert res.ok and res.mode == "exhaustive"
+
+    @pytest.mark.parametrize("p,n,k", [(2, 2, 3), (3, 2, 2), (2, 1, 4)])
+    def test_witness_is_first_failing_tuple(self, monkeypatch, p, n, k):
+        rng = random.Random(5)
+        cert = _random_certificate(rng, p, n, k, 2)
+        size = p ** (n * k)
+        bad = sorted(rng.sample(range(size), 3))
+        _corrupt_claimed_cube(monkeypatch, cert, bad)
+        res = rk.verify_certificate(cert)
+        assert not res.ok and res.mode == "exhaustive"
+        # the per-tuple loop against the corrupted cube fails first at bad[0]
+        claimed = mf.value_cube(cert.claimed_form).reshape(-1)
+        vecs = fs.all_vectors(p, n)
+        first = next(
+            args
+            for pos, args in enumerate(itertools.product(vecs, repeat=k))
+            if _reference_sum(cert, args) != claimed[pos]
+        )
+        assert res.witness == first
+        assert res.witness == tuple(itertools.product(vecs, repeat=k))[bad[0]]
+
+    def test_sampled_branch(self, monkeypatch):
+        p, n, k = 2, 6, 3  # p^(nk) = 2^18 > 2^16
+        rng = random.Random(11)
+        cert = _random_certificate(rng, p, n, k, 2)
+        res = rk.verify_certificate(cert, sample_points=2000)
+        assert res.ok and res.mode == "sampled"
+        # the batched values agree with the per-tuple evaluation
+        vecs = fs.all_vectors(p, n)
+        draws = random.Random(0)
+        args = [tuple(vecs[draws.randrange(len(vecs))] for _ in range(k)) for _ in range(50)]
+        block = np.array(args, dtype=np.int64)
+        assert rk.certified_values(cert, block).tolist() == [_reference_sum(cert, a) for a in args]
+        assert mf.eval_many(cert.claimed_form, block).tolist() == [
+            cert.claimed_form.eval(*a) for a in args
+        ]
+        # corrupt the claimed values whose first argument is v: the witness is
+        # the first such tuple in the seeded draw order
+        v = vecs[37]
+        real = mf.eval_many
+
+        def patched(T, block):
+            out = np.array(real(T, block))
+            if T is cert.claimed_form:
+                hit = (block[:, 0] == np.array(v)).all(axis=1)
+                out[hit] = (out[hit] + 1) % p
+            return out
+
+        monkeypatch.setattr(mf, "eval_many", patched)
+        res = rk.verify_certificate(cert, sample_points=2000)
+        draws = random.Random(0)
+        for _ in range(2000):
+            expected = tuple(vecs[draws.randrange(len(vecs))] for _ in range(k))
+            if expected[0] == v:
+                break
+        assert not res.ok and res.mode == "sampled" and res.witness == expected
+
+
+@given(st.integers(0, 10**6), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (3, 1, 3), (2, 1, 4)]))
+@settings(max_examples=30, deadline=None)
+def test_certified_cube_matches_per_tuple_hypothesis(seed, pnk):
+    rng = random.Random(seed)
+    p, n, k = pnk
+    cert = _random_certificate(rng, p, n, k, rng.randrange(4))
+    assert np.array_equal(rk.certified_cube(cert), _reference_cube(cert))
 
 
 class TestPrankSearch:

@@ -227,8 +227,9 @@ class TestVerifyVectorized:
         assert res.ok and res.mode == "sampled"
         # the batched values agree with the per-tuple evaluation
         vecs = fs.all_vectors(p, n)
-        draws = random.Random(0)
-        args = [tuple(vecs[draws.randrange(len(vecs))] for _ in range(k)) for _ in range(50)]
+        draws = random.Random(0)  # the default sampling rng, replayed
+        samples = [tuple(vecs[draws.randrange(len(vecs))] for _ in range(k)) for _ in range(2000)]
+        args = samples[:50]
         block = np.array(args, dtype=np.int64)
         assert rk.certified_values(cert, block).tolist() == [_reference_sum(cert, a) for a in args]
         assert mf.eval_many(cert.claimed_form, block).tolist() == [
@@ -248,11 +249,7 @@ class TestVerifyVectorized:
 
         monkeypatch.setattr(mf, "eval_many", patched)
         res = rk.verify_certificate(cert, sample_points=2000)
-        draws = random.Random(0)
-        for _ in range(2000):
-            expected = tuple(vecs[draws.randrange(len(vecs))] for _ in range(k))
-            if expected[0] == v:
-                break
+        expected = next(s for s in samples if s[0] == v)
         assert not res.ok and res.mode == "sampled" and res.witness == expected
 
 

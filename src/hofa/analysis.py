@@ -70,6 +70,22 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict) -> np.nda
     return prod
 
 
+def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: int, masks=None):
+    """Exact sum of prod * omega_p^expo over all entries, divided by den.
+
+    ``prod`` is a (degree, ...) coefficient array in ring R and ``expo`` an
+    F_p exponent table of the same trailing shape.  With ``masks``, a list
+    of the sums under each boolean mask, all from one phased product.
+    """
+    prod = R.mul_arrays(prod, R.roots_to_coeffs(expo * (R.N // p)))
+    parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
+    vals = [
+        CorrValue.from_sum(R, np.array([int(v) for v in part.astype(object).sum(axis=1)]), den)
+        for part in parts
+    ]
+    return vals[0] if masks is None else vals
+
+
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
     """Array mapping index(x) -> index(x + h)."""
     return _shift_table(p, n)[vec_index(p, h)]

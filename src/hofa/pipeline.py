@@ -12,8 +12,9 @@ Stages (each displayed inequality is recomputed exactly and ledgered):
      trilinear part T into S (CSM for p >= 3, nCSM for p = 2) with a
      verified certificate for T - S;
   4. integrate S to a cubic P and pass to g = f * e^{2 pi i P};
-  5. remove the rank-1 correction terms by exhaustive derandomization
-     (argmax over the indicator value c and the character xi);
+  5. remove the rank-1 correction terms by derandomization: an argmax
+     over the indicator value c, then over the character xi, read from one
+     exact transform of the indicator class sums;
   6. clean the bilinear phases into integrable symmetric ones (defect
      nullspaces, extension, quadratic integration), then remove the
      linear x linear terms of the cleanup certificates; stages 5 and 6
@@ -100,46 +101,33 @@ def derivative_sum_cube(f: BoundedFunction, budget: Budget = DEFAULT_BUDGET):
     return R, total, f.den**8
 
 
-def measure_triaffine(f_cube, phi: MultiaffineForm) -> CorrValue:
-    """|E_{x,h} (d^3 f)(x) w^{phi(h)}| from a precomputed derivative cube."""
-    return measure_state(f_cube, symmetrize.form_cube(phi, phi.p, phi.n))
-
-
 def find_triaffine(
     f: BoundedFunction, strategy, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[MultiaffineForm, CorrValue]:
-    """A triaffine form with its exactly measured correlation; never fabricates."""
+    """A triaffine form with its exactly measured correlation; never fabricates.
+
+    The search strategies keep the first candidate of largest correlation.
+    """
     p, n = f.p, f.n
     cube = derivative_sum_cube(f, budget)
     if isinstance(strategy, SuppliedTriaffine):
-        phi = strategy.phi
-        return phi, measure_triaffine(cube, phi)
-    if isinstance(strategy, FromPolynomialGuess):
-        T = -mforms.total_derivative(strategy.poly, 3)
-        phi = MultiaffineForm.from_multilinear(T)
-        return phi, measure_triaffine(cube, phi)
-    if isinstance(strategy, RandomSearch):
+        cands = [strategy.phi]
+    elif isinstance(strategy, FromPolynomialGuess):
+        cands = [MultiaffineForm.from_multilinear(-mforms.total_derivative(strategy.poly, 3))]
+    elif isinstance(strategy, RandomSearch):
         rng = random.Random(strategy.seed)
-        best = None
-        for _ in range(strategy.tries):
-            T = mforms.random_form(rng, p, n, 3)
-            phi = MultiaffineForm.from_multilinear(T)
-            val = measure_triaffine(cube, phi)
-            if best is None or val.mag2() > best[1].mag2():
-                best = (phi, val)
-        return best
-    if isinstance(strategy, ExhaustiveTrilinear):
+        forms = (mforms.random_form(rng, p, n, 3) for _ in range(strategy.tries))
+        cands = map(MultiaffineForm.from_multilinear, forms)
+    elif isinstance(strategy, ExhaustiveTrilinear):
         if p ** (n**3) > budget.prank_space_cap:
             raise BudgetExceeded(f"trilinear form space {p ** (n**3)} exceeds the prank search cap")
-        best = None
-        for coefs in itertools.product(range(p), repeat=n**3):
-            T = MultilinearForm(p, n, 3, np.array(coefs).reshape(n, n, n))
-            phi = MultiaffineForm.from_multilinear(T)
-            val = measure_triaffine(cube, phi)
-            if best is None or val.mag2() > best[1].mag2():
-                best = (phi, val)
-        return best
-    raise PreconditionError(f"unknown strategy {strategy!r}")
+        coefs = itertools.product(range(p), repeat=n**3)
+        forms = (MultilinearForm(p, n, 3, np.reshape(c, (n, n, n))) for c in coefs)
+        cands = map(MultiaffineForm.from_multilinear, forms)
+    else:
+        raise PreconditionError(f"unknown strategy {strategy!r}")
+    scored = ((phi, measure_state(cube, phi)) for phi in cands)
+    return max(scored, key=lambda pv: pv[1].mag2(), default=None)
 
 
 # -- witness construction from f --
@@ -179,86 +167,22 @@ def _constant_conj_at(f: BoundedFunction, x0) -> BoundedFunction:
     return BoundedFunction(f.p, f.n, R, coeffs, f.den)
 
 
-# -- symbolic phase state: products of bilinear and linear phases --
+# -- phases: multiaffine forms on (h1, h2, h3) without a trilinear part --
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """w^{sum betas(pair) + sum alphas(slot) + const} as explicit forms."""
-
-    p: int
-    n: int
-    betas: tuple  # ((a, b) sorted, matrix) pairs
-    alphas: tuple  # (slot, vector) pairs
-    const: int
-
-    @classmethod
-    def from_multiaffine(cls, phi: MultiaffineForm) -> "PhaseState":
-        betas, alphas, const = [], [], 0
-        for slots, comp in phi.components:
-            slots = tuple(sorted(slots))
-            if len(slots) == 3:
-                continue
-            if len(slots) == 2:
-                betas.append((slots, comp.coeffs.astype(np.int64) % phi.p))
-            elif len(slots) == 1:
-                alphas.append((slots[0], comp.coeffs.astype(np.int64) % phi.p))
-            else:
-                const = int(comp.coeffs) % phi.p
-        return cls(phi.p, phi.n, _norm_pairs(betas, phi.p), _norm_pairs(alphas, phi.p), const)
-
-    def beta(self, pair) -> np.ndarray:
-        for key, mat in self.betas:
-            if key == tuple(sorted(pair)):
-                return mat
-        return np.zeros((self.n, self.n), dtype=np.int64)
-
-    def alpha(self, slot) -> np.ndarray:
-        for key, vec in self.alphas:
-            if key == slot:
-                return vec
-        return np.zeros(self.n, dtype=np.int64)
-
-    def value_cube(self, gammas=()) -> np.ndarray:
-        """Exponent table over (h1, h2, h3), with the correction terms ``gammas`` added."""
-        p, n = self.p, self.n
-        cube = np.full((p**n,) * 3, self.const, dtype=np.int64)
-        for slots, coeffs in self.betas + tuple(((slot,), vec) for slot, vec in self.alphas):
-            cube = cube + slot_cube(p, n, slots, coeffs)
-        for gt in gammas:
-            (ls, left), (rs, right) = gt.factors()
-            cube = cube + slot_cube(p, n, ls, left) * slot_cube(p, n, rs, right)
-        return cube % p
-
-    def add_beta(self, pair, mat) -> "PhaseState":
-        pair = tuple(sorted(pair))
-        betas = dict(self.betas)
-        betas[pair] = (betas.get(pair, np.zeros((self.n, self.n), dtype=np.int64)) + mat) % self.p
-        return PhaseState(self.p, self.n, _norm_pairs(list(betas.items()), self.p), self.alphas, self.const)
-
-    def add_alpha(self, slot, vec) -> "PhaseState":
-        alphas = dict(self.alphas)
-        alphas[slot] = (alphas.get(slot, np.zeros(self.n, dtype=np.int64)) + vec) % self.p
-        return PhaseState(self.p, self.n, self.betas, _norm_pairs(list(alphas.items()), self.p), self.const)
-
-    def add_form(self, slots, coeffs) -> "PhaseState":
-        """Add a linear (one slot) or bilinear (two slots) phase."""
-        return self.add_alpha(slots[0], coeffs) if len(slots) == 1 else self.add_beta(slots, coeffs)
-
-    def add_const(self, c) -> "PhaseState":
-        return PhaseState(self.p, self.n, self.betas, self.alphas, (self.const + c) % self.p)
-
-    def replace_betas(self, new_betas) -> "PhaseState":
-        return PhaseState(self.p, self.n, _norm_pairs(list(new_betas.items()), self.p), self.alphas, self.const)
+def _coeffs(phase: MultiaffineForm, slots) -> np.ndarray:
+    """The tensor of the component on ``slots`` (sorted), zero if absent."""
+    comp = phase.component(slots)
+    return np.zeros((phase.n,) * len(slots), dtype=np.int64) if comp is None else comp.coeffs.astype(np.int64)
 
 
-def _norm_pairs(items, p):
-    out = []
-    for key, arr in sorted(items, key=lambda kv: str(kv[0])):
-        arr = np.asarray(arr, dtype=np.int64) % p
-        if arr.any():
-            out.append((tuple(key) if isinstance(key, tuple) else key, arr))
-    return tuple(out)
+def _add_component(phase: MultiaffineForm, slots, coeffs) -> MultiaffineForm:
+    """phase plus the form with tensor ``coeffs`` on ``slots`` (sorted); () adds a constant."""
+    p, n = phase.p, phase.n
+    comps = {s: c.coeffs.astype(np.int64) for s, c in phase.components}
+    key = frozenset(slots)
+    comps[key] = comps.get(key, 0) + np.asarray(coeffs, dtype=np.int64)
+    return MultiaffineForm.make(p, n, phase.k, {s: MultilinearForm(p, n, len(s), t) for s, t in comps.items()})
 
 
 @dataclass(frozen=True)
@@ -283,23 +207,20 @@ class GammaTerm:
         return ((self.lslots, self.left), (self.rslots, self.right))
 
 
-def measure_state(g_cube, phase, gammas=(), masks=None):
-    """|E b(h) w^{phase + sum gammas} (d^3 g)(x)| from the g-cube.
+def measure_state(g_cube, phase: MultiaffineForm, gammas=(), masks=None):
+    """|E_{x,h} (d^3 g)(x) w^{phase(h) + sum gammas(h)}| from the g-cube.
 
-    ``phase`` is a PhaseState or an exponent table over (h1, h2, h3).  With
-    ``masks``, a list of the values under each indicator mask, all summed
-    from one phased product.
+    ``phase`` is any multiaffine form on (h1, h2, h3).  With ``masks``, a
+    list of the values under each indicator mask, all summed from one
+    phased product.
     """
     R, D, den = g_cube
-    expo = phase.value_cube(gammas) if isinstance(phase, PhaseState) else phase
-    prod = R.mul_arrays(D, R.roots_to_coeffs(expo * (R.N // R.p)))
-    parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
-    den = den * D.shape[-1] ** 4
-    vals = [
-        CorrValue.from_sum(R, np.array([int(v) for v in part.astype(object).sum(axis=1)]), den)
-        for part in parts
-    ]
-    return vals[0] if masks is None else vals
+    p, n = phase.p, phase.n
+    expo = symmetrize.form_cube(phase, p, n)
+    for gt in gammas:
+        (ls, left), (rs, right) = gt.factors()
+        expo = expo + slot_cube(p, n, ls, left) * slot_cube(p, n, rs, right)
+    return analysis.phased_sum(R, p, D, expo % p, den * D.shape[-1] ** 4, masks)
 
 
 # ledger claims of one derandomization: (no-op, indicator argmax or None, character argmax)
@@ -317,7 +238,7 @@ CLEANUP_CLAIMS = (
 
 def derandomize_indicator(
     g_cube,
-    phase: PhaseState,
+    phase: MultiaffineForm,
     gammas,
     eps: CorrValue,
     r_len: int,
@@ -330,6 +251,12 @@ def derandomize_indicator(
     Returns (c, xi0, new_phase, measured, ledger entries).  The measured
     correlations are checked against eps * p^{-coeff r}; ``claims`` words
     the stage's ledger entries.
+
+    Both argmaxes read the class sums S_c' of one phased product D w^phase
+    over the classes c' in F_p^{2m} of the correction factors' values.  The
+    corrections add the constant sum_i c'_{2i} c'_{2i+1} on class c', and
+    the character xi adds xi . (c' - c), so the xi-phase has correlation
+    w^{-xi . c} tau[xi] with tau the transform (sign +1) of the table S.
     """
     p, n = phase.p, phase.n
     noop_claim, c_claim, xi_claim = claims
@@ -342,34 +269,35 @@ def derandomize_indicator(
         raise BudgetExceeded(
             f"{m} correction terms exceed the derandomization cap {budget.derand_terms_cap}"
         )
-    # argmax over the indicator value c (only attained values matter)
     full = (p**n,) * 3
-    stacked = np.stack(
-        [np.broadcast_to(slot_cube(p, n, *fac), full).reshape(-1) for gt in gammas for fac in gt.factors()]
-    )  # (2m, size^3)
+    factors = [fac for gt in gammas for fac in gt.factors()]
+    # the factors' values at every point, (2m, size^3); its distinct columns are the classes
+    stacked = np.stack([np.broadcast_to(slot_cube(p, n, *fac), full).reshape(-1) for fac in factors])
     cs = sorted(set(map(tuple, stacked.T.tolist())))
     masks = (np.all(stacked == np.array(c)[:, None], axis=0).reshape(full) for c in cs)
-    best_c = None
-    for c, val in zip(cs, measure_state(g_cube, phase, gammas, masks)):
-        if best_c is None or val.mag2() > best_c[1].mag2():
-            best_c = (c, val)
-    c, c_val = best_c
+    sums = measure_state(g_cube, phase, masks=masks)
+    # argmax over the indicator value c: the corrections' root of unity leaves |S_c| alone
+    best = max(range(len(cs)), key=lambda i: sums[i].mag2())
+    c, c_val = cs[best], sums[best]
     entries = []
     if c_claim is not None:
         entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff))
-    # argmax over xi
-    best_xi = None
-    for xi in itertools.product(range(p), repeat=2 * m):
-        cand = phase
-        for i, gt in enumerate(gammas):
-            for j, (slots, coeffs) in enumerate(gt.factors()):
-                if xi[2 * i + j]:
-                    cand = cand.add_form(slots, xi[2 * i + j] * coeffs)
-        cand = cand.add_const(-sum(xi[j] * c[j] for j in range(2 * m)))
-        val = measure_state(g_cube, cand)
-        if best_xi is None or val.mag2() > best_xi[2].mag2():
-            best_xi = (xi, cand, val)
-    xi0, new_phase, measured = best_xi
+    # argmax over xi: one exact transform of the class sums
+    R, den = c_val.ring, c_val.den
+    table = np.zeros((R.degree, p ** (2 * m)), dtype=object)
+    for cl, s in zip(cs, sums):
+        table[:, vec_index(p, cl)] = s.num
+    tau = analysis._transform_array(R, p, 2 * m, table, 1)
+    cands = [CorrValue.from_sum(R, tau[:, j], den) for j in range(p ** (2 * m))]
+    j = max(range(len(cands)), key=lambda j: cands[j].mag2())
+    xi0 = all_vectors(p, 2 * m)[j]
+    new_phase = _add_component(phase, (), -sum(x * cj for x, cj in zip(xi0, c)))
+    for x, (slots, coeffs) in zip(xi0, factors):
+        if x:
+            new_phase = _add_component(new_phase, slots, x * coeffs)
+    measured = measure_state(g_cube, new_phase)
+    if measured.mag2() != cands[j].mag2():  # pragma: no cover
+        raise InternalCheckError("the character argmax phase does not measure its transform value")
     entries.append(_stage_bound_entry(p, xi_claim, measured, eps, r_len, coeff))
     for e in entries:
         if not e.holds:  # pragma: no cover
@@ -402,7 +330,7 @@ def _stage_bound_entry(
 
 @dataclass(frozen=True)
 class CleanupResult:
-    new_betas: dict  # pair -> matrix of the nCSM replacement
+    new_betas: dict  # pair -> the nCSM replacement form
     quads: dict  # pair -> NcPoly with d^2 Q = beta'
     certs: dict  # pair -> RankCertificate for beta - beta'
     ledger: tuple
@@ -411,7 +339,7 @@ class CleanupResult:
 def bilinear_cleanup(
     g: BoundedFunction,
     g_cube,
-    phase: PhaseState,
+    phase: MultiaffineForm,
     eps: CorrValue,
     r_len: int,
     budget: Budget = DEFAULT_BUDGET,
@@ -429,8 +357,7 @@ def bilinear_cleanup(
     new_betas, quads, certs = {}, {}, {}
     entries = []
     for pair in pairs:
-        mat = phase.beta(pair)
-        B = mforms.BilinearForm(p, n, mat)
+        B = mforms.BilinearForm(p, n, _coeffs(phase, pair))
         fixed_slot = next(s for s in range(3) if s not in pair)
         b1, b2, b3, loc = _cleanup_witness(g, phase, pair, fixed_slot, budget)
         res = symmetrize.gt_defect(B, b1, b2, b3, budget)
@@ -471,13 +398,13 @@ def bilinear_cleanup(
             Q = integrate.integrate_csm(beta_prime, 2)
         if mforms.total_derivative(Q, 2) != beta_prime:  # pragma: no cover
             raise InternalCheckError("quadratic integration failed to reproduce the kernel")
-        new_betas[pair] = beta_prime.coeffs.astype(np.int64)
+        new_betas[pair] = beta_prime
         quads[pair] = Q
         certs[pair] = cert
     return CleanupResult(new_betas, quads, certs, tuple(entries))
 
 
-def _cleanup_witness(g: BoundedFunction, phase: PhaseState, pair, fixed_slot: int, budget: Budget):
+def _cleanup_witness(g: BoundedFunction, phase: MultiaffineForm, pair, fixed_slot: int, budget: Budget):
     """Argmax (x*, h*) three-function witness whose kernel is beta(pair).
 
     The corners of the third derivative split by dependence on the two
@@ -487,8 +414,7 @@ def _cleanup_witness(g: BoundedFunction, phase: PhaseState, pair, fixed_slot: in
     p, n = g.p, g.n
     a, b = pair
     best = None
-    Bmat = phase.beta(pair)
-    Bform = mforms.BilinearForm(p, n, Bmat)
+    Bform = mforms.BilinearForm(p, n, _coeffs(phase, pair))
     for x0 in all_vectors(p, n):
         gx = g.shift_arg(x0)
         for hfix in all_vectors(p, n):
@@ -504,18 +430,14 @@ def _cleanup_witness(g: BoundedFunction, phase: PhaseState, pair, fixed_slot: in
     return best
 
 
-def _fold_phases(fn: BoundedFunction, phase: PhaseState, slot: int, hfix, fixed_slot: int):
+def _fold_phases(fn: BoundedFunction, phase: MultiaffineForm, slot: int, hfix, fixed_slot: int):
     """Multiply in w^{beta(h_fix, h_slot)} cross terms and w^{alpha(h_slot)}."""
     p, n = phase.p, phase.n
     X = np.array(all_vectors(p, n), dtype=np.int64)
-    expo = (X @ phase.alpha(slot)) % p
-    for (u, v), mat in phase.betas:
-        if (u, v) == tuple(sorted((slot, fixed_slot))):
-            hvec = np.asarray(hfix, dtype=np.int64)
-            if u == fixed_slot:
-                expo = (expo + (hvec @ mat @ X.T)) % p
-            else:
-                expo = (expo + (X @ mat @ hvec)) % p
+    hvec = np.asarray(hfix, dtype=np.int64)
+    mat = _coeffs(phase, sorted((slot, fixed_slot)))
+    cross = hvec @ mat @ X.T if fixed_slot < slot else X @ mat @ hvec
+    expo = (X @ _coeffs(phase, (slot,)) + cross) % p
     phase_fn = BoundedFunction.from_exponents(p, n, 1, expo)
     return fn.mul(phase_fn)
 
@@ -639,7 +561,7 @@ def run_inverse_pipeline(
     g_cube = derivative_sum_cube(g, budget)
 
     # the rewritten correlation must equal eps exactly
-    phase0 = PhaseState.from_multiaffine(phi)
+    phase0 = MultiaffineForm.make(p, n, 3, {s: c for s, c in phi.components if len(s) < 3})
     gammas = tuple(GammaTerm.from_cert_term(t) for t in sym_report.certificate.terms)
     rewritten = measure_state(g_cube, phase0, gammas=gammas)
     same = rewritten.mag2() == eps.mag2()
@@ -666,7 +588,8 @@ def run_inverse_pipeline(
     # stage 6: bilinear cleanup; corrections are linear x linear on each pair
     cleanup = bilinear_cleanup(g, g_cube, phase1, eps, r_len, budget)
     ledger.extend(cleanup.ledger)
-    phase2 = phase1.replace_betas({pair: mat for pair, mat in cleanup.new_betas.items()})
+    keep = {s: c for s, c in phase1.components if len(s) != 2}
+    phase2 = MultiaffineForm.make(p, n, 3, {**keep, **cleanup.new_betas})
     lin_gammas = [
         GammaTerm.from_cert_term(t, pair) for pair, cert in cleanup.certs.items() for t in cert.terms
     ]
@@ -682,7 +605,7 @@ def run_inverse_pipeline(
 
     # stage 7: octolinear identity + Gowers-Cauchy-Schwarz
     quads = {(1, 2): cleanup.quads[(1, 2)], (0, 2): cleanup.quads[(0, 2)], (0, 1): cleanup.quads[(0, 1)]}
-    linears = {s: phase3.alpha(s) for s in range(3)}
+    linears = {s: _coeffs(phase3, (s,)) for s in range(3)}
     gs = _assemble_g_table(f, P, quads, linears)
     avg = analysis.octolinear_average(gs, budget)
     oct_match = avg.mag2() == measured2.mag2()

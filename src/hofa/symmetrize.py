@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import fpspace, mforms, rank
-from .analysis import BoundedFunction, CorrValue, corner_product
+from .analysis import BoundedFunction, CorrValue, corner_product, phased_sum
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd, common_ring, ring
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
@@ -80,24 +80,17 @@ def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     R, emb = _common_exact(p, bs)
     # b1..b7 sit at the corners x, y, z, x+y, x+z, y+z, x+y+z (bitmasks over x, y, z)
     tables = dict(zip((1, 2, 4, 3, 5, 6, 7), (b.coeffs for b in emb)))
-    phase = R.roots_to_coeffs(form_cube(form, p, n) * (R.N // p))
-    prod = R.mul_arrays(corner_product(R, p, n, 3, tables), phase)
-    den = size**3
-    for b in emb:
-        den *= b.den
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den)
+    den = size**3 * math.prod(b.den for b in emb)
+    return phased_sum(R, p, corner_product(R, p, n, 3, tables), form_cube(form, p, n), den)
 
 
 def three_correlation(b1, b2, b3, A: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{u,v} b1(u) b2(v) b3(u+v) w^{A(u,v)} for bilinear A."""
     p, n = b1.p, b1.n
     R, (e1, e2, e3) = _common_exact(p, (b1, b2, b3))
-    phase = R.roots_to_coeffs(slot_cube(p, n, (0, 1), A.coeffs, k=2) * (R.N // p))
-    prod = R.mul_arrays(corner_product(R, p, n, 2, {1: e1.coeffs, 2: e2.coeffs, 3: e3.coeffs}), phase)
+    prod = corner_product(R, p, n, 2, {1: e1.coeffs, 2: e2.coeffs, 3: e3.coeffs})
     den = p ** (2 * n) * e1.den * e2.den * e3.den
-    total = prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den)
+    return phased_sum(R, p, prod, slot_cube(p, n, (0, 1), A.coeffs, k=2), den)
 
 
 def _common_exact(p: int, bs) -> tuple:

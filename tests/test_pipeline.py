@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
+from hofa.symmetrize import form_cube, slot_cube
 from hofa.torus import TorusValue
 
 
@@ -71,7 +73,7 @@ class TestDerandomize:
         # a single rank-1 gamma: the indicator argmax must keep eps / p^2
         P0, f = depth_cubic_fixture(2)
         g_cube = pl.derivative_sum_cube(f)
-        phase = pl.PhaseState(2, 2, (), (), 0)
+        phase = MultiaffineForm.make(2, 2, 3, {})
         lin = np.array([1, 0], dtype=np.int64)
         bil = np.array([[1, 0], [0, 1]], dtype=np.int64)
         gamma = pl.GammaTerm((0,), lin, (1, 2), bil)
@@ -86,7 +88,7 @@ class TestDerandomize:
     def test_noop(self):
         P0, f = depth_cubic_fixture(2)
         g_cube = pl.derivative_sum_cube(f)
-        phase = pl.PhaseState(2, 2, (), (), 0)
+        phase = MultiaffineForm.make(2, 2, 3, {})
         eps = pl.measure_state(g_cube, phase)
         c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, (), eps, 0)
         assert c is None and measured.mag2() == eps.mag2()
@@ -189,16 +191,98 @@ class TestDerandomizePinned:
     def test_pinned(self, case, expected):
         p, routine, beta, alpha, terms = case
         eps2, c_exp, xi_exp, corr2, (const, alphas, betas), ledger = expected
-        phase = pl.PhaseState(p, 2, (), (), 0).add_beta((0, 1), np.array(beta)).add_alpha(2, np.array(alpha))
+        phase = MultiaffineForm.make(
+            p, 2, 3, {(0, 1): MultilinearForm(p, 2, 2, np.array(beta)), (2,): MultilinearForm(p, 2, 1, np.array(alpha))}
+        )
         run = _pin_rank1 if routine == "rank1" else _pin_linear
         eps, (c, xi, new_phase, measured, entries) = run(_pin_g_cube(p), phase, terms)
         assert eps.mag2() == RealSurd(eps2)
         assert (c, xi) == (c_exp, xi_exp)
         assert measured.mag2() == RealSurd(corr2)
-        assert new_phase.const == const
-        assert [(s, v.tolist()) for s, v in new_phase.alphas] == alphas
-        assert [(pair, m.tolist()) for pair, m in new_phase.betas] == betas
+        assert new_phase.constant() == const
+        comps = [(tuple(sorted(s)), c.coeffs.tolist()) for s, c in new_phase.components]
+        assert [(s[0], v) for s, v in comps if len(s) == 1] == alphas
+        assert [(s, v) for s, v in comps if len(s) == 2] == betas
+        assert all(len(s) < 3 for s, _ in comps)
         assert [str(e) for e in entries] == ledger
+
+
+def _reference_derandomize(g_cube, phase, gammas):
+    """The per-candidate derandomization: each attained indicator value c and
+    each character xi measured on its own against the whole cube.  Returns
+    (c, its |corr| as printed, xi, |corr|^2, value table of the xi-phase)."""
+    R, D, den = g_cube
+    p, n = phase.p, phase.n
+    full = (p**n,) * 3
+
+    def measure(expo, mask):
+        prod = R.mul_arrays(D, R.roots_to_coeffs((expo % p) * (R.N // p)))[:, mask]
+        return an.CorrValue.from_sum(R, np.array([int(v) for v in prod.astype(object).sum(axis=1)]), den * p ** (4 * n))
+
+    base = form_cube(phase, p, n)
+    comps = [np.broadcast_to(slot_cube(p, n, *fac), full) for gt in gammas for fac in gt.factors()]
+    with_gammas = base + sum(comps[2 * i] * comps[2 * i + 1] for i in range(len(gammas)))
+    best_c = None
+    for c in itertools.product(range(p), repeat=len(comps)):
+        mask = np.all([comp == ci for comp, ci in zip(comps, c)], axis=0)
+        if mask.any():
+            val = measure(with_gammas, mask)
+            if best_c is None or val.mag2() > best_c[1].mag2():
+                best_c = (c, val)
+    c, c_val = best_c
+    best = None
+    everywhere = np.ones(full, dtype=bool)
+    for xi in itertools.product(range(p), repeat=len(comps)):
+        expo = base + sum(x * (comp - ci) for x, comp, ci in zip(xi, comps, c))
+        val = measure(expo, everywhere)
+        if best is None or val.mag2() > best[1].mag2():
+            best = (xi, val, expo % p)
+    xi, val, table = best
+    return c, f"|corr|={c_val.modulus_float():.6g}", xi, val.mag2(), table
+
+
+def _random_phase_and_gammas(rng, p, m, shape):
+    """A random phase without trilinear part and m correction terms of one shape."""
+    n = 2
+
+    def vec(k):
+        return rng.choices(range(p), k=n**k)
+
+    comps = {pair: MultilinearForm(p, n, 2, np.reshape(vec(2), (n, n))) for pair in [(0, 1), (0, 2), (1, 2)]}
+    comps.update({(s,): MultilinearForm(p, n, 1, np.array(vec(1))) for s in range(3)})
+    comps[()] = rng.randrange(p)
+    gammas = []
+    for _ in range(m):
+        if shape == "rank1":
+            s = rng.randrange(3)
+            rest = tuple(i for i in range(3) if i != s)
+            gammas.append(pl.GammaTerm((s,), np.array(vec(1)), rest, np.reshape(vec(2), (n, n))))
+        else:
+            s1, s2 = rng.sample(range(3), 2)
+            gammas.append(pl.GammaTerm((s1,), np.array(vec(1)), (s2,), np.array(vec(1))))
+    return MultiaffineForm.make(p, n, 3, comps), gammas
+
+
+class TestDerandomizeAgainstReference:
+    """The transform argmax picks the same c and xi, reaches the same exact
+    |corr|^2 and builds the same phase as measuring every candidate."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("shape", ["rank1", "linear"])
+    def test_matches_per_candidate_loop(self, p, m, shape):
+        rng = random.Random(f"derandomize {p} {m} {shape}")
+        f = an.random_unimodular_exact(rng, p, 2, 3 if p == 2 else 1)
+        g_cube = pl.derivative_sum_cube(f)
+        phase, gammas = _random_phase_and_gammas(rng, p, m, shape)
+        eps = pl.measure_state(g_cube, phase, gammas=gammas)
+        c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, gammas, eps, m)
+        c_ref, c_text, xi_ref, corr2, table = _reference_derandomize(g_cube, phase, gammas)
+        assert (c, xi) == (c_ref, xi_ref)
+        assert entries[0].measured == c_text
+        assert measured.mag2() == corr2
+        assert np.array_equal(form_cube(new_phase, p, 2), table)
+        assert all(len(s) < 3 for s, _ in new_phase.components)
 
 
 class TestPipelineP2:

@@ -337,10 +337,10 @@ class GowersNormValue:
 
     @classmethod
     def from_parts(cls, d: int, R: CycloRing, num, den: int) -> "GowersNormValue":
-        z = R.to_complex(np.asarray(num))
-        if abs(z.imag) > 1e-6 * max(1.0, abs(z.real)):  # pragma: no cover
-            raise InternalCheckError("Gowers norm power has imaginary part")
-        return cls(d, R, tuple(int(v) for v in num), den, z.real / den)
+        num = np.asarray(num)
+        if not np.array_equal(R.conj(num), num):
+            raise InternalCheckError("Gowers norm power is not real")
+        return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num).real / den)
 
     @classmethod
     def from_float(cls, d: int, value: float) -> "GowersNormValue":

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -366,12 +367,14 @@ def _canonical_rank1_terms(p: int, n: int, k: int):
     return seen
 
 
+@lru_cache(maxsize=None)
 def prank_table(p: int, n: int, k: int, budget: Budget = DEFAULT_BUDGET):
     """Exact partition rank of every form on (F_p^n)^k by layered BFS.
 
     Returns (ranks, parents) keyed by tensor bytes; parents allow
     reconstructing an optimal certificate.  Only feasible when the whole
-    tensor space (p^(n^k) forms) fits the budget.
+    tensor space (p^(n^k) forms) fits the budget.  Cached: callers share
+    the returned dicts and must not mutate them.
     """
     space = p ** (n**k)
     if space > budget.prank_space_cap:

@@ -6,7 +6,7 @@ import pytest
 
 from hofa import analysis as an
 from hofa.cyclotomic import RealSurd, ring
-from hofa.errors import BudgetExceeded
+from hofa.errors import BudgetExceeded, InternalCheckError
 from hofa.fpspace import all_vectors
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.pipeline import derivative_sum_cube
@@ -102,6 +102,13 @@ class TestGowersNorm:
             a4 = an.gowers_norm(f, 4).power_surd()
             assert a2 * a2 <= a3
             assert a3 * a3 <= a4
+
+    def test_power_must_be_exactly_real(self):
+        # 10^9 + i: the imaginary part is below a 1e-6 relative tolerance
+        with pytest.raises(InternalCheckError):
+            an.GowersNormValue.from_parts(2, ring(2, 2), np.array([10**9, 1]), 1)
+        real = an.GowersNormValue.from_parts(2, ring(2, 2), np.array([10**9, 0]), 1)
+        assert real.power_surd() == RealSurd(Fraction(10**9))
 
     def test_budget(self):
         from hofa.config import Budget

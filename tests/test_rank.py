@@ -268,6 +268,18 @@ class TestPrankSearch:
         T = MultilinearForm.from_entries(2, 2, 3, {(0, 0, 0): 1})
         assert rk.prank_search(T) == 1
 
+    def test_search_pair_builds_the_table_once(self, monkeypatch):
+        calls = []
+        terms = rk._canonical_rank1_terms
+        monkeypatch.setattr(rk, "_canonical_rank1_terms", lambda *a: calls.append(a) or terms(*a))
+        rk.prank_table.cache_clear()
+        try:
+            T = MultilinearForm.from_entries(2, 2, 3, {(0, 0, 0): 1, (1, 1, 1): 1})
+            assert rk.prank_search(T) == len(rk.prank_certificate_search(T)) == 2
+            assert calls == [(2, 2, 3)]
+        finally:
+            rk.prank_table.cache_clear()
+
     def test_census_arank_le_prank(self):
         ranks, parents = rk.prank_table(2, 2, 3)
         assert len(ranks) == 256

@@ -34,6 +34,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -315,14 +316,27 @@ def _stage_bound_mag2(p: int, eps: CorrValue, r_len: int, coeff: int) -> RealSur
 def _stage_bound_entry(
     p: int, claim: str, measured: CorrValue, eps: CorrValue, r_len: int, coeff: int
 ) -> LedgerEntry:
-    bound = _stage_bound_mag2(p, eps, r_len, coeff)
-    holds = measured.mag2() >= bound
+    holds = measured.mag2() >= _stage_bound_mag2(p, eps, r_len, coeff)
     return LedgerEntry(
         claim,
         f"|corr|={measured.modulus_float():.6g}",
-        f"eps*p^(-{coeff}r)={math.sqrt(max(float(bound), 0.0)):.6g}",
+        f"eps*p^(-{coeff}r)={_stage_bound_text(p, eps, r_len, coeff)}",
         bool(holds),
     )
+
+
+def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int) -> str:
+    """eps * p^{-coeff r} for display, in log space where its square underflows."""
+    sq = float(_stage_bound_mag2(p, eps, r_len, coeff))
+    if sq >= sys.float_info.min or eps.modulus_float() == 0:
+        return f"{math.sqrt(max(sq, 0.0)):.6g}"
+    lg = math.log10(eps.modulus_float())
+    lg = min(lg - coeff * r_len * math.log10(p), (coeff + 1) * lg)
+    e = math.floor(lg)
+    mant = f"{10 ** (lg - e):.6g}"
+    if mant == "10":
+        mant, e = "1", e + 1
+    return f"{mant}e{e:+03d}"
 
 
 # -- bilinear cleanup --
@@ -635,7 +649,7 @@ def run_inverse_pipeline(
         LedgerEntry(
             "||f w^P||_U3 >= eps p^{-290 r}",
             f"{u3_g.norm_float():.6g}",
-            f"{math.sqrt(max(float(bound290), 0.0)):.6g}",
+            _stage_bound_text(p, eps, r_len, 290),
             bool(u3_holds),
         )
     )

@@ -11,7 +11,7 @@ from hofa import analysis as an
 from hofa import mforms as mf
 from hofa import pipeline as pl
 from hofa.config import DEFAULT_BUDGET
-from hofa.cyclotomic import RealSurd
+from hofa.cyclotomic import RealSurd, ring
 from hofa.errors import BudgetExceeded, PreconditionError
 from hofa.fpspace import all_vectors, vec_index
 from hofa.instances import defect_certificates_from_terms
@@ -121,7 +121,7 @@ def _pin_linear(g_cube, phase, terms):
 
 
 _RANK1_BOUND = "[ok ] {} argmax: |corr| >= eps p^{{-2r}}: measured |corr|={}, bound eps*p^(-2r)={}"
-_LINEAR_BOUND = "[ok ] second derandomization: |corr| >= eps p^{{-290 r}}: measured |corr|={}, bound eps*p^(-290r)=0"
+_LINEAR_BOUND = "[ok ] second derandomization: |corr| >= eps p^{{-290 r}}: measured |corr|={}, bound eps*p^(-290r)={}"
 
 # (p, routine, beta(0,1), alpha(2), terms) -> (|eps|^2, c, xi, |corr|^2, new phase, ledger)
 DERANDOMIZE_PINS = [
@@ -144,13 +144,13 @@ DERANDOMIZE_PINS = [
         (2, "linear", [[1, 1], [0, 1]], [1, 1], [(1, [1, 0], 2, [0, 1])]),
         (Fraction(1, 64), (1, 0), (0, 1), Fraction(1, 64),
          (0, [(2, [1, 0])], [((0, 1), [[1, 1], [0, 1]])]),
-         [_LINEAR_BOUND.format("0.125")]),
+         [_LINEAR_BOUND.format("0.125", "1.58787e-263")]),
     ),
     (
         (2, "linear", [[0, 0], [1, 0]], [1, 1], [(1, [1, 0], 2, [1, 1]), (2, [1, 1], 0, [1, 0])]),
         (Fraction(1, 16), (0, 0, 0, 0), (0, 0, 1, 0), Fraction(1, 4),
          (0, [], [((0, 1), [[0, 0], [1, 0]])]),
-         [_LINEAR_BOUND.format("0.5")]),
+         [_LINEAR_BOUND.format("0.5", "6.31746e-176")]),
     ),
     (
         (3, "rank1", [[0, 2], [2, 0]], [1, 2], [(1, [2, 2], [[0, 2], [0, 1]])]),
@@ -170,13 +170,13 @@ DERANDOMIZE_PINS = [
         (3, "linear", [[0, 1], [1, 0]], [0, 2], [(0, [2, 0], 2, [1, 2])]),
         (Fraction(1, 729), (1, 1), (0, 2), Fraction(16, 729),
          (1, [(2, [2, 0])], [((0, 1), [[0, 1], [1, 0]])]),
-         [_LINEAR_BOUND.format("0.148148")]),
+         [_LINEAR_BOUND.format("0.148148", "2.97266e-417")]),
     ),
     (
         (3, "linear", [[0, 2], [0, 1]], [0, 1], [(1, [2, 1], 2, [1, 0]), (1, [2, 0], 2, [2, 1])]),
         (Fraction(1, 2187), (0, 0, 0, 0), (0, 2, 0, 2), Fraction(25, 729),
          (0, [], [((0, 1), [[0, 2], [0, 1]])]),
-         [_LINEAR_BOUND.format("0.185185")]),
+         [_LINEAR_BOUND.format("0.185185", "1.1272e-486")]),
     ),
 ]
 
@@ -205,6 +205,25 @@ class TestDerandomizePinned:
         assert [(s, v) for s, v in comps if len(s) == 2] == betas
         assert all(len(s) < 3 for s, _ in comps)
         assert [str(e) for e in entries] == ledger
+
+
+class TestStageBoundText:
+    """The displayed bound eps * p^{-coeff r}: the float square root while its
+    square is a normal float, log space below that, never 0 when positive.
+    Expected strings are 60-digit decimal values printed to six digits."""
+
+    @pytest.mark.parametrize(
+        "p, num, den, r_len, coeff, text",
+        [
+            (2, 1, 8, 1, 2, "0.00195312"),  # 2^-9, a tie the float path rounds to even
+            (2, 1, 8, 1, 290, "1.58787e-263"),
+            (3, 4, 27, 2, 290, "2.75657e-278"),
+            (2, 131820408025, 10**12, 2000, 2, "1e-1205"),  # 9.9999999e-1206: the mantissa carries
+        ],
+    )
+    def test_against_decimal_values(self, p, num, den, r_len, coeff, text):
+        eps = an.CorrValue.from_sum(ring(p, 1), np.array([num] + [0] * (p - 2)), den)
+        assert pl._stage_bound_text(p, eps, r_len, coeff) == text
 
 
 def _reference_derandomize(g_cube, phase, gammas):
@@ -356,7 +375,7 @@ def _fixture_report(P0):
 REPORT_DIGESTS = {
     "depth cubic p=2 n=3": "87d25d1d2dbce54551d17f40bf5d1ef79f79e61c153cf897cca9d7300f22c9f6",
     "classical cubic p=3 n=2": "61c89b88d7461c85369923148889020e442413a3bbed075d98730f8210baab9b",
-    "supplied with certificate terms": "77f0c93eecbd7c7d608d5223bfa9d4c2e7e2117b50eb1f6c04a904d6c6fae407",
+    "supplied with certificate terms": "8093d15741dfe2dc1548b06695aab670c67abc31865bda3906fab1909ed763be",
 }
 
 

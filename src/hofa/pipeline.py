@@ -174,7 +174,9 @@ def _constant_conj_at(f: BoundedFunction, x0) -> BoundedFunction:
 def _coeffs(phase: MultiaffineForm, slots) -> np.ndarray:
     """The tensor of the component on ``slots`` (sorted), zero if absent."""
     comp = phase.component(slots)
-    return np.zeros((phase.n,) * len(slots), dtype=np.int64) if comp is None else comp.coeffs.astype(np.int64)
+    if comp is None:
+        return np.zeros((phase.n,) * len(slots), dtype=np.int64)
+    return comp.coeffs.astype(np.int64)
 
 
 def _add_component(phase: MultiaffineForm, slots, coeffs) -> MultiaffineForm:
@@ -183,7 +185,8 @@ def _add_component(phase: MultiaffineForm, slots, coeffs) -> MultiaffineForm:
     comps = {s: c.coeffs.astype(np.int64) for s, c in phase.components}
     key = frozenset(slots)
     comps[key] = comps.get(key, 0) + np.asarray(coeffs, dtype=np.int64)
-    return MultiaffineForm.make(p, n, phase.k, {s: MultilinearForm(p, n, len(s), t) for s, t in comps.items()})
+    forms = {s: MultilinearForm(p, n, len(s), t) for s, t in comps.items()}
+    return MultiaffineForm.make(p, n, phase.k, forms)
 
 
 @dataclass(frozen=True)

@@ -191,9 +191,8 @@ class TestDerandomizePinned:
     def test_pinned(self, case, expected):
         p, routine, beta, alpha, terms = case
         eps2, c_exp, xi_exp, corr2, (const, alphas, betas), ledger = expected
-        phase = MultiaffineForm.make(
-            p, 2, 3, {(0, 1): MultilinearForm(p, 2, 2, np.array(beta)), (2,): MultilinearForm(p, 2, 1, np.array(alpha))}
-        )
+        comps = {(0, 1): MultilinearForm(p, 2, 2, np.array(beta)), (2,): MultilinearForm(p, 2, 1, np.array(alpha))}
+        phase = MultiaffineForm.make(p, 2, 3, comps)
         run = _pin_rank1 if routine == "rank1" else _pin_linear
         eps, (c, xi, new_phase, measured, entries) = run(_pin_g_cube(p), phase, terms)
         assert eps.mag2() == RealSurd(eps2)
@@ -236,7 +235,8 @@ def _reference_derandomize(g_cube, phase, gammas):
 
     def measure(expo, mask):
         prod = R.mul_arrays(D, R.roots_to_coeffs((expo % p) * (R.N // p)))[:, mask]
-        return an.CorrValue.from_sum(R, np.array([int(v) for v in prod.astype(object).sum(axis=1)]), den * p ** (4 * n))
+        total = np.array([int(v) for v in prod.astype(object).sum(axis=1)])
+        return an.CorrValue.from_sum(R, total, den * p ** (4 * n))
 
     base = form_cube(phase, p, n)
     comps = [np.broadcast_to(slot_cube(p, n, *fac), full) for gt in gammas for fac in gt.factors()]

@@ -186,11 +186,11 @@ class BoundedFunction:
         bound = RealSurd(Fraction(self.den**2))
         for col in range(d2.shape[1]):
             try:
-                v = RealSurd.from_ring_element(self.ring, d2[:, col])
+                if RealSurd.from_ring_element(self.ring, d2[:, col]) > bound:
+                    return False
             except ExactOrderUnsupported:
-                return bool(abs(self.ring.to_complex(d2[:, col])) <= self.den**2 + 1e-6)
-            if v > bound:
-                return False
+                if abs(self.ring.to_complex(d2[:, col])) > self.den**2 + 1e-6:
+                    return False
         return True
 
     # -- exact-mode arithmetic --
@@ -425,7 +425,7 @@ def gowers_norm(
 
     U^2 is evaluated by the character transform; U^d averages
     U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.  Pure phase functions over
-    p = 2 take an integer exponent-table fast path.
+    p = 2 with values in Z[zeta_8] take an integer exponent-table fast path.
     """
     if d < 2:
         raise PreconditionError("Gowers norms need d >= 2")
@@ -437,7 +437,7 @@ def gowers_norm(
         return GowersNormValue.from_float(d, _float_gowers_power(fn, d))
     R = fn.ring
     size = p**n
-    if p == 2 and fn.restricted_exps() is not None and d in (2, 3, 4):
+    if p == 2 and R.N <= 8 and fn.restricted_exps() is not None and d in (2, 3, 4):
         return _gowers_phase_p2(fn, d)
     if d == 2:
         num = _u2_power_batch(R, p, n, fn.coeffs)
@@ -460,84 +460,130 @@ def gowers_norm(
     return GowersNormValue.from_parts(d, R, total, den_inner * size)
 
 
-def _wht_last_inplace(a: np.ndarray, nbits: int) -> np.ndarray:
-    """Walsh-Hadamard transform over the last axis (length 2^nbits)."""
-    size = 1 << nbits
-    shape = a.shape
-    a = np.ascontiguousarray(a)
-    flat = a.reshape(-1, size)
+# transform entries per ring plane in one chunk of the p = 2 phase path; a
+# chunk's int64 intermediates then take a few hundred kB at any n
+_P2_CHUNK_ENTRIES = 1 << 15
+
+
+def _wht_dtype(n: int):
+    """Narrowest integer type for a Walsh-Hadamard transform on F_2^n.
+
+    The planes start with entries in {-1, 0, 1} and each butterfly stage at
+    most doubles the largest magnitude, so every entry stays within 2^n.
+    """
+    for dt in (np.int16, np.int32):
+        if np.iinfo(dt).max >= 1 << n:
+            return dt
+    return np.int64
+
+
+def _p2_chunk_columns(n: int, weight: int) -> int:
+    """Derivative columns per chunk of the p = 2 phase path on F_2^n.
+
+    Each column is a root-of-unity phase g with transform tau.  For every
+    Galois conjugate s, s(tau) is the transform of the phase s(g), so
+    |s(tau)| <= 2^n and sum_chi |s(tau(chi))|^2 = 4^n (Parseval), hence
+    sum_chi |s(tau(chi))|^4 <= 16^n.  With |tau|^4 = c0 + c1*sqrt2 and the
+    conjugate that negates sqrt2, c0 = A^2 + 2B^2 >= |c1|*sqrt2 entrywise and
+    each column sums c0 to at most 16^n; every product A*A, B*B, A*B is at
+    most c0.  A chunk of c columns weighted by at most ``weight`` sums to at
+    most weight * c * 16^n, which must stay below 2^63.
+    """
+    fit = (2**63 - 1) // (weight << (4 * n))
+    if fit == 0:
+        raise BudgetExceeded(f"exact |tau|^4 sums on F_2^{n} exceed int64")
+    return min(fit, max(1, _P2_CHUNK_ENTRIES >> n))
+
+
+def _wht_inplace(a: np.ndarray, nbits: int) -> np.ndarray:
+    """Walsh-Hadamard transform over axis 1 of a (planes, 2^nbits, columns) array.
+
+    The transform axis is outermost within a plane, so every butterfly
+    runs over contiguous blocks of at least one row of columns.
+    """
+    planes, size, cols = a.shape
     h = 1
     while h < size:
-        v = flat.reshape(-1, size // (2 * h), 2, h)
-        x0 = v[:, :, 0, :]
-        x1 = v[:, :, 1, :]
+        v = a.reshape(planes, size // (2 * h), 2, h * cols)
+        x0 = v[:, :, 0]
+        x1 = v[:, :, 1]
         tmp = x0 - x1
         x0 += x1
         x1[...] = tmp
         h *= 2
-    return flat.reshape(shape)
+    return a
 
 
-def _mag4_sums_p2(R: CycloRing, taus: list) -> tuple:
-    """sum |tau|^4 over everything, as ring coefficients, for p = 2 rings.
+def _mag4_sums_p2(R: CycloRing, tau: np.ndarray, weights: np.ndarray) -> tuple:
+    """Weighted sum of |tau|^4 over all columns, as ring coefficients (p = 2).
 
-    ``taus`` lists the transform of each ring-coefficient plane.  For
+    ``tau`` holds the transform of each ring-coefficient plane, shape
+    (degree, 2^n, columns); column j counts ``weights[j]`` times.  For
     Z[zeta_8], |z|^2 = A + B*sqrt2 with A = sum a_i^2 and
     B = a0 a1 + a1 a2 + a2 a3 - a0 a3, so |z|^4 = (A^2 + 2 B^2) + 2AB*sqrt2.
+    ``_p2_chunk_columns`` bounds every sum within int64.
     """
-    deg = R.degree
-    if deg == 4:
-        a0, a1, a2, a3 = taus
+    a = tau.astype(np.int64)
+
+    def col_sums(x, y):
+        return weights @ np.einsum("xc,xc->c", x, y)
+
+    if R.degree == 4:
+        a0, a1, a2, a3 = a
         A = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
         B = a0 * a1 + a1 * a2 + a2 * a3 - a0 * a3
-        # |tau| <= p^n and the chunking keeps each partial sum within int64
-        c0 = int((A * A + 2 * B * B).sum())
-        c1 = int(2 * (A * B).sum())
-        return (c0, c1, 0, -c1)
-    if deg == 2:  # Z[i]
-        A = taus[0] ** 2 + taus[1] ** 2
-        return (int((A * A).sum()), 0)
-    A = taus[0] ** 2
-    return (int((A * A).sum()),)
+        c1 = 2 * int(col_sums(A, B))
+        return (int(col_sums(A, A)) + 2 * int(col_sums(B, B)), c1, 0, -c1)
+    A = (a * a).sum(axis=0)  # Z[i] (degree 2) or Z (degree 1)
+    return (int(col_sums(A, A)),) + (0,) * (R.degree - 1)
 
 
 def _gowers_phase_p2(fn: BoundedFunction, d: int) -> GowersNormValue:
-    """Exponent-table Gowers norms for p = 2 phase functions."""
-    p, n = fn.p, fn.n
+    """Exponent-table Gowers norms for p = 2 phases with N <= 8.
+
+    Every U^2 base case is the phase zeta^E of one exponent column E over
+    F_2^n: f itself (d = 2), d_h f for each h (d = 3), and d_{h1} d_{h2} f
+    (d = 4), whose exponents e(x+h1+h2) - e(x+h1) - e(x+h2) + e(x) are
+    symmetric in (h1, h2), so only h1 <= h2 is transformed, off-diagonal
+    pairs counting twice.  Columns go through the transform in chunks, on
+    the narrowest integer planes that hold it.
+    """
+    n = fn.n
     R = fn.ring
-    N, size = R.N, p**n
+    N, size = R.N, 1 << n
     exps = fn.exps
-    sh = _shift_table(p, n)
-    luts = [np.ascontiguousarray(R._reduce[:, i]) for i in range(R.degree)]
-
-    def u2_sum(E):  # E: (..., size) exponent tables; returns summed ring coeffs
-        taus = [_wht_last_inplace(lut[E], n) for lut in luts]
-        return _mag4_sums_p2(R, taus)
-
+    step = _p2_chunk_columns(n, 2 if d == 4 else 1)
+    planes = R._reduce.T.astype(_wht_dtype(n))  # planes[i, t]: coefficient i of zeta^t
     if d == 2:
-        num = u2_sum(exps % N)
-        return GowersNormValue.from_parts(d, R, _pad_coeffs(R, num), p ** (4 * n))
-    if d == 3:
-        E1 = (exps[sh] - exps[None, :]) % N
-        num = u2_sum(E1)
-        return GowersNormValue.from_parts(d, R, _pad_coeffs(R, num), p ** (5 * n))
-    # d == 4: chunk the outer shift axis
-    total = None
-    chunk = max(1, (1 << 21) // (size * size))
-    for start in range(0, size, chunk):
-        block = sh[start : start + chunk]
-        E1 = (exps[block] - exps[None, :]) % N  # (B, size)
-        E2 = (E1[:, sh] - E1[:, None, :]) % N  # (B, size_h, size_x)
-        num = u2_sum(E2)
-        total = num if total is None else tuple(a + b for a, b in zip(total, num))
-    return GowersNormValue.from_parts(d, R, _pad_coeffs(R, total), p ** (6 * n))
+        weights = np.ones(1, dtype=np.int64)
 
+        def exponents(part):
+            return exps[:, None]
 
-def _pad_coeffs(R: CycloRing, num) -> np.ndarray:
-    out = np.zeros(R.degree, dtype=object)
-    for i, v in enumerate(num):
-        out[i] = int(v)
-    return out
+    else:
+        sh = _shift_table(2, n)
+        esh = exps[sh]  # esh[x, h] = e(x + h)
+        if d == 3:
+            weights = np.ones(size, dtype=np.int64)
+
+            def exponents(part):
+                return esh[:, part] - exps[:, None]
+
+        else:
+            h1, h2 = np.triu_indices(size)
+            weights = np.where(h1 == h2, 1, 2)
+
+            def exponents(part):
+                a, b = h1[part], h2[part]
+                return esh[:, sh[a, b]] - esh[:, a] - esh[:, b] + exps[:, None]
+
+    total = [0] * R.degree
+    for start in range(0, len(weights), step):
+        part = slice(start, start + step)
+        tau = _wht_inplace(np.take(planes, exponents(part) & (N - 1), axis=1), n)
+        for i, c in enumerate(_mag4_sums_p2(R, tau, weights[part])):
+            total[i] += c
+    return GowersNormValue.from_parts(d, R, np.array(total, dtype=object), 2 ** ((d + 2) * n))
 
 
 def _float_gowers_power(fn: BoundedFunction, d: int) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .analysis import BoundedFunction
 from .cyclotomic import ring
 from .errors import HofaError
-from .fpspace import Subspace
+from .fpspace import Subspace, check_prime
 from .mforms import MultiaffineForm, MultilinearForm
 from .ncpoly import Monomial, NcPoly
 from .rank import CertTerm, RankCertificate
@@ -185,24 +185,58 @@ def dump_function(f: BoundedFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(tok: str, parse):
+    try:
+        return parse(tok)
+    except ValueError:
+        raise FormatError(f"not a number: {tok!r}") from None
+
+
 def load_function(text: str) -> BoundedFunction:
+    """Parse a function file; a malformed or unbounded table is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    p, n, mode = int(head[0]), int(head[1]), head[2]
-    if mode == "float":
-        vals = [complex(float(ln.split()[0]), float(ln.split()[1])) for ln in lines[1:]]
-        return BoundedFunction.from_complex_values(p, n, np.array(vals))
-    opts = dict(tok.split("=") for tok in head[3:])
-    m = int(opts.get("m", 1))
-    den = int(opts.get("den", 1))
-    R = ring(p, m)
-    cols = []
-    for ln in lines[1:]:
-        cols.append([int(t) for t in ln.split()])
-    coeffs = np.array(cols, dtype=np.int64).T
-    if coeffs.shape != (R.degree, p**n):
-        raise FormatError("coefficient table has the wrong shape")
-    return BoundedFunction(p, n, R, coeffs, den)
+    head = lines[0].split() if lines else []
+    if len(head) < 3 or head[2] not in ("exact", "float"):
+        raise FormatError("function header must read 'p n exact ...' or 'p n float'")
+    p, n = (_number(t, int) for t in head[:2])
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    rows = [ln.split() for ln in lines[1:]]
+    # p >= 2 gives p^n > n, so n < len(rows) is checked before p**n
+    if not 0 <= n < len(rows) or len(rows) != p**n:
+        raise FormatError(f"expected p^n rows for p={p}, n={n}, found {len(rows)}")
+    if head[2] == "float":
+        if len(head) != 3 or any(len(r) != 2 for r in rows):
+            raise FormatError("a float table has a bare header and rows 're im'")
+        vals = np.array([complex(_number(re, float), _number(im, float)) for re, im in rows])
+        fn = BoundedFunction(p, n, None, None, 1, vals)
+    else:
+        opts = {"m": 1, "den": 1}
+        for tok in head[3:]:
+            key, eq, val = tok.partition("=")
+            if key not in opts or not eq:
+                raise FormatError(f"bad header option {tok!r}")
+            opts[key] = _number(val, int)
+        m, den = opts["m"], opts["den"]
+        if not 0 < den < 2**63:
+            raise FormatError(f"den={den} is not a positive int64")
+        table = [[_number(t, int) for t in r] for r in rows]
+        width = len(table[0])
+        # phi(p^m) >= m, so m <= width is checked before p**(m-1)
+        if any(len(r) != width for r in table) or not 0 <= m <= width or width != (
+            1 if m == 0 else p ** (m - 1) * (p - 1)
+        ):
+            raise FormatError(f"every row needs phi({p}^{m}) coefficients")
+        # check_bounded multiplies values by their conjugates in int64, where
+        # each product coefficient is at most degree^3 * max|c|^2
+        if width**3 * max(abs(c) for r in table for c in r) ** 2 >= 2**63:
+            raise FormatError("coefficients too large for exact int64 arithmetic")
+        fn = BoundedFunction(p, n, ring(p, m), np.array(table, dtype=np.int64).T, den)
+    if not fn.check_bounded():
+        raise FormatError("function exceeds sup-norm 1")
+    return fn
 
 
 # -- certificates --

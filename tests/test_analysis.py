@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofa import analysis as an
 from hofa.cyclotomic import RealSurd, ring
@@ -116,6 +118,116 @@ class TestGowersNorm:
         f = an.BoundedFunction.ones(2, 3)
         with pytest.raises(BudgetExceeded):
             an.gowers_norm(f, 4, Budget(gowers_cap=4))
+
+
+def _full_square_u4(f):
+    """Reference U^4 power of a p = 2 phase: every (h1, h2) on int64 planes.
+
+    For each h1 it transforms d_{h2} d_{h1} f for all h2 along the last axis
+    and sums |tau|^4 as Z[zeta_8] / Z[i] / Z coefficients.
+    """
+    n, R = f.n, f.ring
+    N, size = R.N, 2**n
+    sh = an._shift_table(2, n)
+    total = [0] * R.degree
+    for h1 in range(size):
+        E1 = (f.exps[sh[h1]] - f.exps) % N
+        E2 = (E1[sh] - E1[None, :]) % N  # (h2, x)
+        taus = []
+        for i in range(R.degree):
+            a = R._reduce[:, i][E2]
+            h = 1
+            while h < size:
+                v = a.reshape(size, size // (2 * h), 2, h)
+                x0, x1 = v[:, :, 0, :], v[:, :, 1, :]
+                tmp = x0 - x1
+                x0 += x1
+                x1[...] = tmp
+                h *= 2
+            taus.append(a)
+        if R.degree == 4:
+            a0, a1, a2, a3 = taus
+            A = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
+            B = a0 * a1 + a1 * a2 + a2 * a3 - a0 * a3
+            c1 = int(2 * (A * B).sum())
+            part = (int((A * A + 2 * B * B).sum()), c1, 0, -c1)
+        else:
+            A = sum(t * t for t in taus)
+            part = (int((A * A).sum()),) + (0,) * (R.degree - 1)
+        total = [t + c for t, c in zip(total, part)]
+    return tuple(total), 2 ** (6 * n)
+
+
+class TestPhaseFastPathP2:
+    def test_u4_matches_full_square_reference(self):
+        for n in range(2, 7):
+            for m in (1, 2, 3):
+                f = an.random_unimodular_exact(random.Random(100 * n + m), 2, n, m)
+                u4 = an.gowers_norm(f, 4)
+                assert (u4.power_num, u4.power_den) == _full_square_u4(f)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_u4_matches_direct_oracle(self, m):
+        f = an.random_unimodular_exact(random.Random(m), 2, 3, m)
+        assert an.gowers_norm(f, 4).power_surd() == an.direct_gowers_power(f, 4).power_surd()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 3),
+        st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, 7), min_size=2**n, max_size=2**n)),
+    )
+    def test_random_exponent_tables(self, m, exps):
+        n = len(exps).bit_length() - 1
+        f = an.BoundedFunction.from_exponents(2, n, m, exps)
+        stripped = an.BoundedFunction(2, n, f.ring, f.coeffs, 1, exps=None)
+        u4 = an.gowers_norm(f, 4)
+        assert (u4.power_num, u4.power_den) == _full_square_u4(f)
+        for d in (2, 3):
+            assert an.gowers_norm(f, d).power_surd() == an.gowers_norm(stripped, d).power_surd()
+
+    def test_phases_never_leave_the_fast_path(self, monkeypatch):
+        def generic(*args):
+            raise AssertionError("left the p = 2 phase path")
+
+        f = an.random_unimodular_exact(random.Random(5), 2, 5, 3)
+        expected = [an.gowers_norm(f, d) for d in (2, 3, 4)]
+        monkeypatch.setattr(an, "_u2_power_batch", generic)
+        assert [an.gowers_norm(f, d) for d in (2, 3, 4)] == expected
+        stripped = an.BoundedFunction(2, 5, f.ring, f.coeffs, 1, exps=None)
+        with pytest.raises(AssertionError):
+            an.gowers_norm(stripped, 2)
+
+    def test_sixteenth_roots_take_the_ring_path(self):
+        # the fast path sums |tau|^4 in Z[zeta_8] at most; Z[zeta_16] phases
+        # must still come out exact
+        f = an.random_unimodular_exact(random.Random(0), 2, 2, 4)
+        for d in (2, 3):
+            fast, direct = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
+            assert [Fraction(c, fast.power_den) for c in fast.power_num] == [
+                Fraction(c, direct.power_den) for c in direct.power_num
+            ]
+
+    @pytest.mark.parametrize(
+        "n, dtype, weight, columns",
+        [(9, np.int16, 2, 64), (14, np.int16, 2, 2), (15, np.int32, 2, 1), (15, np.int32, 1, 1)],
+    )
+    def test_transform_dtype_and_chunk_bound(self, n, dtype, weight, columns):
+        assert an._wht_dtype(n) is dtype
+        assert np.iinfo(dtype).max >= 2**n
+        cols = an._p2_chunk_columns(n, weight)
+        assert cols == columns
+        assert weight * cols * 16**n < 2**63
+
+    @pytest.mark.parametrize("n", [14, 15])
+    def test_character_u2_at_the_dtype_boundary(self, n):
+        # (-1)^{x_1} as an eighth-root phase: one transform entry reaches 2^n
+        exps = np.repeat([0, 4], 2 ** (n - 1))
+        assert an.gowers_norm(an.BoundedFunction.from_exponents(2, n, 3, exps), 2).is_one()
+
+    def test_chunk_bound_refuses_what_int64_cannot_hold(self):
+        assert an._wht_dtype(16) is np.int32
+        with pytest.raises(BudgetExceeded):
+            an._p2_chunk_columns(16, 1)
 
 
 class TestCorrelation:
@@ -315,3 +427,10 @@ class TestFloatMode:
     def test_bounded_check(self):
         with pytest.raises(Exception):
             an.BoundedFunction.from_complex_values(2, 1, np.array([2.0 + 0j, 0j]))
+
+    def test_bounded_check_reads_every_column_of_unordered_rings(self):
+        # Z[zeta_16] values have no exact order here, so each column takes the float check
+        R = ring(2, 4)
+        good = np.array([R.root(1), R.root(5)]).T
+        assert an.BoundedFunction(2, 1, R, good, 1).check_bounded()
+        assert not an.BoundedFunction(2, 1, R, good * np.array([1, 2]), 1).check_bounded()

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofa import analysis as an
 from hofa import mforms as mf
@@ -93,3 +95,76 @@ def test_format_errors():
         sz.load_poly("2 2 1\nnope 1/2^1\n")
     with pytest.raises(sz.FormatError):
         sz.load_witness_bundle("[b1]\n2 1 exact m=1 den=1\n1\n1\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "2 1\n",
+        "2 1 exakt\n1\n1\n",
+        "x 1 exact\n1\n1\n",
+        "4 1 exact m=1\n1\n1\n",
+        "2 1 exact m=1 q=2\n1\n1\n",
+        "2 1 exact m den=1\n1\n1\n",
+        "2 1 exact m=1\n",
+        "2 2 exact m=1\n1\n1\n",
+        "2 1 exact m=1\n1\n1 0\n",
+        "2 1 exact m=2\n1\n1\n",
+        "2 1 exact m=1\n1\nz\n",
+        "2 1 exact m=1\n1\n1.0\n",
+        "2 1 exact m=1\n99999999999\n1\n",
+        "2 1 float\n1 0\n0.5\n",
+        "2 1 float\n1 0\nnope 0\n",
+        "2 1 exact m=1 den=0\n1\n1\n",
+        "2 1 exact m=1 den=-2\n1\n1\n",
+        "2 1 exact m=1 den=1\n2\n1\n",
+        "2 1 exact m=3 den=2\n1 2 0 0\n0 0 0 0\n",
+        "2 1 exact m=4 den=1\n0 1 0 0 0 0 0 0\n0 2 0 0 0 0 0 0\n",
+        "2 1 float\n0.8 0.8\n0 0\n",
+        "2 1 float\nnan 0\n0 0\n",
+    ],
+)
+def test_load_function_rejects_malformed_and_unbounded(text):
+    with pytest.raises(sz.FormatError):
+        sz.load_function(text)
+
+
+@st.composite
+def _function_texts(draw):
+    """Function files near the valid format, with mistakes in every field."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 4 if p == 2 else 1))
+    m = draw(st.integers(0, 2))
+    mode = draw(st.sampled_from(["exact", "float", "exakt"]))
+    fields = [str(p), str(n), mode]
+    if mode != "float":
+        options = [f"m={m}", "den=1", "den=2", "den=0", "den=-1", "q=1", "m"]
+        fields += draw(st.lists(st.sampled_from(options), max_size=2))
+    off = draw(st.sampled_from([0, 0, 0, 1, -1]))
+    width = 2 if mode == "float" else (1 if m == 0 else p ** (m - 1) * (p - 1))
+    values = ["0.5", "-0.5", "0.8", "nan", "inf"] if mode == "float" else ["2", "-2"]
+    token = st.sampled_from(["0", "1", "-1", "0", "1", "-1", "x"] + values)
+    rows = draw(
+        st.lists(
+            st.lists(token, min_size=max(0, width + off), max_size=max(0, width + off)).map(" ".join),
+            min_size=p**n,
+            max_size=p**n,
+        )
+    )
+    return "\n".join([" ".join(fields)] + rows[: len(rows) + draw(st.sampled_from([0, 0, 0, -1]))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _function_texts()))
+def test_load_function_fuzz(text):
+    """Any text loads (and then round-trips) or raises FormatError."""
+    try:
+        f = sz.load_function(text)
+    except sz.FormatError:
+        return
+    g = sz.load_function(sz.dump_function(f))
+    if f.exact:
+        assert np.array_equal(g.coeffs, f.coeffs) and g.den == f.den
+    else:
+        assert np.array_equal(g.values, f.values)

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run the full correlation pipeline on the two reference fixtures and on a
-noise-perturbed variant, printing the ledgers.
+noise-perturbed variant, printing the ledgers.  Exits 1 if any ledger entry
+fails.
 
     python scripts/pipeline_demo.py
 """
 import random
+import sys
 from fractions import Fraction
 
 from hofa import analysis as an
@@ -23,6 +25,7 @@ def show(title, rep):
     for e in bad:
         print(f"  {e}")
     print()
+    return not bad
 
 
 def main():
@@ -32,7 +35,7 @@ def main():
     rep = pl.run_inverse_pipeline(
         f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0))
     )
-    show("p = 2, depth-2 cubic phase", rep)
+    ok = show("p = 2, depth-2 cubic phase", rep)
 
     # classical cubic on F_3^2
     P3 = NcPoly.from_classical(3, 2, {(2, 1): 1})
@@ -40,7 +43,7 @@ def main():
     rep3 = pl.run_inverse_pipeline(
         f3, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P3))
     )
-    show("p = 3, classical cubic phase", rep3)
+    ok &= show("p = 3, classical cubic phase", rep3)
 
     # perturbed copy: one point replaced by a random eighth root
     rng = random.Random(7)
@@ -54,8 +57,9 @@ def main():
     repn = pl.run_inverse_pipeline(
         noisy, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0))
     )
-    show(f"p = 2 with one corrupted point (reference bound {bound.modulus_float():.4f})", repn)
+    ok &= show(f"p = 2 with one corrupted point (reference bound {bound.modulus_float():.4f})", repn)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

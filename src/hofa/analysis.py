@@ -48,17 +48,20 @@ def _shift_table(p: int, n: int) -> np.ndarray:
     return acc
 
 
-def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict) -> np.ndarray:
+def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None) -> np.ndarray:
     """Exact prod_S tables[S](sum of the variables in S) over (F_p^n)^m.
 
     ``tables`` maps bitmasks S over m index variables (bit i = variable i)
     to (degree, p^n) coefficient arrays in ring R; the result has shape
     (degree,) + (p^n,) * m, one axis per variable.  These are the corner
-    products behind Gowers-Cauchy-Schwarz averages.
+    products behind Gowers-Cauchy-Schwarz averages.  With ``rows``, the
+    first variable runs over those indices only.
     """
     size = p**n
     sh = _shift_table(p, n)
     axes = [np.arange(size).reshape((1,) * i + (size,) + (1,) * (m - 1 - i)) for i in range(m)]
+    if rows is not None:
+        axes[0] = np.asarray(rows).reshape((-1,) + (1,) * (m - 1))
     prod = None
     for S, tab in sorted(tables.items()):
         idx = None
@@ -77,6 +80,8 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
     F_p exponent table of the same trailing shape.  With ``masks``, a list
     of the sums under each boolean mask, all from one phased product.
     """
+    if R.N % p:
+        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     prod = R.mul_arrays(prod, R.roots_to_coeffs(expo * (R.N // p)))
     parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
     vals = [
@@ -84,6 +89,42 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
         for part in parts
     ]
     return vals[0] if masks is None else vals
+
+
+def cube_corner_tables(R: CycloRing, tables: dict) -> dict:
+    """corner_product tables over (x, h1, h2, h3) for the multiplicative
+    derivative pattern: tables[S] sits at x + h_S (S a bitmask over the
+    h's), conjugated when |S| is even."""
+    return {1 | S << 1: (R.conj_arrays(t) if bin(S).count("1") % 2 == 0 else t) for S, t in tables.items()}
+
+
+def base_point_argmax(
+    R: CycloRing, p: int, n: int, m: int, tables: dict, expo, nbase: int = 1, budget: Budget = DEFAULT_BUDGET
+) -> int:
+    """Index of the first base point maximising |sum prod * omega_p^expo|^2.
+
+    ``prod`` is the corner_product of ``tables`` over m variables, summed
+    per base point: a value of the first ``nbase`` variables, indexed in
+    all_vectors order with the first variable major.  ``expo`` is an F_p
+    exponent table over the variables after the first.  The maximum is at
+    least the average over base points; ties keep the first.  The product
+    is built one value of the first variable at a time, p^{(m-1)n}
+    entries per step.
+    """
+    size = p**n
+    if size ** (m - 1) * 8 > budget.enum_cap:
+        raise BudgetExceeded("base-point argmax step too large")
+    inner = size ** (nbase - 1)
+    # the base point of each entry of one step, over the other nbase - 1 variables
+    base = np.arange(size ** (m - 1)).reshape((size,) * (m - 1)) // size ** (m - nbase)
+    best, best_i = None, None
+    for i in range(size):
+        prod = corner_product(R, p, n, m, tables, rows=[i])[:, 0]
+        for j, val in enumerate(phased_sum(R, p, prod, expo, 1, (base == j for j in range(inner)))):
+            key = val.mag2()
+            if best is None or key > best:
+                best, best_i = key, i * inner + j
+    return best_i
 
 
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
@@ -780,11 +821,7 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     emb = {S: (g.embed(R) if g.exact else None) for S, g in gs.items()}
     if any(v is None for v in emb.values()):
         raise PreconditionError("octolinear average requires exact functions")
-    # variables (x, h1, h2, h3): g_S sits at x + h_S, conjugated when |S| is even
-    tabs = {
-        1 | S << 1: (R.conj_arrays(emb[S].coeffs) if bin(S).count("1") % 2 == 0 else emb[S].coeffs)
-        for S in range(8)
-    }
+    tabs = cube_corner_tables(R, {S: emb[S].coeffs for S in range(8)})
     den = 1
     for S in range(8):
         den *= emb[S].den

@@ -7,19 +7,21 @@ Stages (each displayed inequality is recomputed exactly and ledgered):
   1. measure ||f||_U4 against the threshold;
   2. obtain a triaffine form phi with measured correlation eps against the
      third multiplicative derivative of f;
-  3. build a seven-function witness by argmax over the base point, strip
-     the affine parts of phi (Cauchy-Schwarz), and symmetrize the
-     trilinear part T into S (CSM for p >= 3, nCSM for p = 2) with a
-     verified certificate for T - S;
+  3. build the seven-function witness of d^3 f at its best base point
+     (``symmetrize.derivative_witness``), strip the affine parts of phi
+     by Cauchy-Schwarz, and symmetrize the trilinear part T into S (CSM
+     for p >= 3, nCSM for p = 2) with a verified certificate for T - S;
   4. integrate S to a cubic P and pass to g = f * e^{2 pi i P};
   5. remove the rank-1 correction terms by derandomization: an argmax
      over the indicator value c, then over the character xi, read from one
      exact transform of the indicator class sums;
-  6. clean the bilinear phases into integrable symmetric ones (defect
-     nullspaces, extension, quadratic integration), then remove the
-     linear x linear terms of the cleanup certificates; stages 5 and 6
-     share one derandomization loop (``derandomize_indicator``), each
-     with its own ledger wording and bound exponent (2 and 290);
+  6. clean the bilinear phases into integrable symmetric ones (a
+     three-function witness per pair from one base-point argmax over
+     (x0, h_fix), then its defect nullspace, extension and quadratic
+     integration), then remove the linear x linear terms of the cleanup
+     certificates; stages 5 and 6 share one derandomization loop
+     (``derandomize_indicator``), each with its own ledger wording and
+     bound exponent (2 and 290);
   7. assemble the eight g-functions, check the octolinear identity and
      the Gowers-Cauchy-Schwarz bound, concluding ||g||_U3 >= eps p^{-290 r};
   8. finish with the exhaustive quadratic inverse oracle and return
@@ -53,6 +55,7 @@ from .symmetrize import (
     LedgerEntry,
     SymmetrizationReport,
     bias_vs_delta_power,
+    corr_entry,
     multiaffine_cs,
     slot_cube,
     symmetrize_classical,
@@ -94,12 +97,10 @@ def derivative_sum_cube(f: BoundedFunction, budget: Budget = DEFAULT_BUDGET):
     p, n = f.p, f.n
     if p ** (4 * n) * 8 > budget.enum_cap:
         raise BudgetExceeded("derivative cube too large")
-    R = f.ring
-    conjed = R.conj_arrays(f.coeffs)
-    # variables (x, h1, h2, h3): f at x + h_S, conjugated when |S| is even
-    tables = {1 | S << 1: (conjed if bin(S).count("1") % 2 == 0 else f.coeffs) for S in range(8)}
+    R, (e,) = symmetrize._common_exact(p, (f,))
+    tables = analysis.cube_corner_tables(R, dict.fromkeys(range(8), e.coeffs))
     total = analysis.corner_product(R, p, n, 4, tables).sum(axis=1)  # sum over x; (deg, H1, H2, H3)
-    return R, total, f.den**8
+    return R, total, e.den**8
 
 
 def find_triaffine(
@@ -139,33 +140,12 @@ def witness_from_function(
 ) -> tuple[CorrelationWitness, LedgerEntry]:
     """Argmax base point x*: the seven-function pattern from the corners of
     the third derivative at x*; its correlation is at least eps."""
-    p, n = f.p, f.n
-    best = None
-    for x0 in all_vectors(p, n):
-        shifted = f.shift_arg(x0)
-        b1 = shifted.mul(_constant_conj_at(f, x0))
-        bs = (b1, shifted, shifted, shifted.conj(), shifted.conj(), shifted.conj(), shifted)
-        val = symmetrize.seven_correlation(bs, phi, budget)
-        if best is None or val.mag2() > best[0]:
-            best = (val.mag2(), bs, val)
-    _, bs, val = best
+    bs, val = symmetrize.derivative_witness(f, phi, budget)
     holds = val.mag2() >= eps.mag2()
-    entry = LedgerEntry(
-        "witness argmax over base point keeps |corr| >= eps",
-        f"{val.modulus_float():.6g}",
-        f"{eps.modulus_float():.6g}",
-        bool(holds),
-    )
+    entry = corr_entry("witness argmax over base point keeps |corr| >= eps", val, eps, holds)
     if not holds:  # pragma: no cover
         raise InternalCheckError("base-point argmax fell below the average")
     return CorrelationWitness(phi, bs, val), entry
-
-
-def _constant_conj_at(f: BoundedFunction, x0) -> BoundedFunction:
-    R = f.ring
-    col = R.conj(f.coeffs[:, vec_index(f.p, x0)])
-    coeffs = np.repeat(col[:, None], f.size, axis=1)
-    return BoundedFunction(f.p, f.n, R, coeffs, f.den)
 
 
 # -- phases: multiaffine forms on (h1, h2, h3) without a trilinear part --
@@ -376,16 +356,16 @@ def bilinear_cleanup(
     for pair in pairs:
         B = mforms.BilinearForm(p, n, _coeffs(phase, pair))
         fixed_slot = next(s for s in range(3) if s not in pair)
-        b1, b2, b3, loc = _cleanup_witness(g, phase, pair, fixed_slot, budget)
+        b1, b2, b3 = _cleanup_witness(g, phase, pair, fixed_slot, budget)
         res = symmetrize.gt_defect(B, b1, b2, b3, budget)
         if not res.holds:  # pragma: no cover
             raise InternalCheckError("defect bound failed on a cleanup witness")
         bound = _stage_bound_mag2(p, eps, r_len, 2) ** 8
-        holds_loc = loc.mag2() >= bound
+        holds_loc = res.delta.mag2() >= bound
         entries.append(
             LedgerEntry(
                 f"slot argmax for pair {pair}: |corr| >= eps p^{{-2r}}",
-                f"{loc.modulus_float():.6g}",
+                f"{res.delta.modulus_float():.6g}",
                 "eps*p^(-2r)",
                 bool(holds_loc),
             )
@@ -424,39 +404,25 @@ def bilinear_cleanup(
 def _cleanup_witness(g: BoundedFunction, phase: MultiaffineForm, pair, fixed_slot: int, budget: Budget):
     """Argmax (x*, h*) three-function witness whose kernel is beta(pair).
 
-    The corners of the third derivative split by dependence on the two
-    free shifts; the remaining phase factors fold in as unimodular
-    constants or single-variable phases.
+    Over (x0, hfix, u, v), u and v on the pair's slots: the corners of the
+    third derivative that move with u or v, against the phase's cube on
+    (hfix, u, v).  Its parts in hfix alone have modulus 1 per base point.
+    The winner folds the single-variable phases (the beta(fixed, free)
+    cross terms and the alphas) in from slices of that cube.
     """
     p, n = g.p, g.n
     a, b = pair
-    best = None
-    Bform = mforms.BilinearForm(p, n, _coeffs(phase, pair))
-    for x0 in all_vectors(p, n):
-        gx = g.shift_arg(x0)
-        for hfix in all_vectors(p, n):
-            gxh = g.shift_arg(fpspace.vec_add(p, x0, hfix))
-            corner = gx.mul(gxh.conj())  # shared corner product of both free shifts
-            fs = gx.conj().mul(gxh)  # function of the sum of the free shifts
-            # fold the single-variable phases: beta(fixed, free) parts and alphas
-            fa2 = _fold_phases(corner, phase, a, hfix, fixed_slot)
-            fb2 = _fold_phases(corner, phase, b, hfix, fixed_slot)
-            val = symmetrize.three_correlation(fa2, fb2, fs, Bform, budget)
-            if best is None or val.mag2() > best[3].mag2():
-                best = (fa2, fb2, fs, val)
-    return best
-
-
-def _fold_phases(fn: BoundedFunction, phase: MultiaffineForm, slot: int, hfix, fixed_slot: int):
-    """Multiply in w^{beta(h_fix, h_slot)} cross terms and w^{alpha(h_slot)}."""
-    p, n = phase.p, phase.n
-    X = np.array(all_vectors(p, n), dtype=np.int64)
-    hvec = np.asarray(hfix, dtype=np.int64)
-    mat = _coeffs(phase, sorted((slot, fixed_slot)))
-    cross = hvec @ mat @ X.T if fixed_slot < slot else X @ mat @ hvec
-    expo = (X @ _coeffs(phase, (slot,)) + cross) % p
-    phase_fn = BoundedFunction.from_exponents(p, n, 1, expo)
-    return fn.mul(phase_fn)
+    R, (e,) = symmetrize._common_exact(p, (g,))
+    tables = analysis.cube_corner_tables(R, {S: e.coeffs for S in range(8) if S & 6})
+    E = symmetrize.form_cube(phase, p, n).transpose(fixed_slot, a, b)
+    i = analysis.base_point_argmax(R, p, n, 4, tables, E, nbase=2, budget=budget)
+    X = all_vectors(p, n)
+    x0, h = X[i // p**n], i % p**n
+    gx, gxh = g.shift_arg(x0), g.shift_arg(fpspace.vec_add(p, x0, X[h]))
+    corner = gx.mul(gxh.conj())  # shared corner product of both free shifts
+    fa = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, :, 0] - E[h, 0, 0]))
+    fb = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, 0, :] - E[h, 0, 0]))
+    return fa, fb, gx.conj().mul(gxh)
 
 
 # -- the report --
@@ -582,14 +548,7 @@ def run_inverse_pipeline(
     gammas = tuple(GammaTerm.from_cert_term(t) for t in sym_report.certificate.terms)
     rewritten = measure_state(g_cube, phase0, gammas=gammas)
     same = rewritten.mag2() == eps.mag2()
-    ledger.append(
-        LedgerEntry(
-            "rewriting against g preserves |corr| = eps",
-            f"{rewritten.modulus_float():.6g}",
-            f"{eps.modulus_float():.6g}",
-            bool(same),
-        )
-    )
+    ledger.append(corr_entry("rewriting against g preserves |corr| = eps", rewritten, eps, same))
     if not same:  # pragma: no cover
         raise InternalCheckError("rewriting the correlation against g changed its value")
 
@@ -626,14 +585,8 @@ def run_inverse_pipeline(
     gs = _assemble_g_table(f, P, quads, linears)
     avg = analysis.octolinear_average(gs, budget)
     oct_match = avg.mag2() == measured2.mag2()
-    ledger.append(
-        LedgerEntry(
-            "octolinear rewrite matches the measured correlation",
-            f"{avg.modulus_float():.6g}",
-            f"{measured2.modulus_float():.6g}",
-            bool(oct_match),
-        )
-    )
+    claim = "octolinear rewrite matches the measured correlation"
+    ledger.append(corr_entry(claim, avg, measured2, oct_match))
     if not oct_match:  # pragma: no cover
         raise InternalCheckError("octolinear identity failed")
     gcs_holds, norms = analysis.gcs_check(gs, avg, budget)
@@ -664,14 +617,8 @@ def run_inverse_pipeline(
     final_poly = Q - P
     final = analysis.correlation(f, final_poly)
     final_match = final.mag2() == oracle_corr.mag2()
-    ledger.append(
-        LedgerEntry(
-            "final correlation recomputed from scratch matches the oracle",
-            f"{final.modulus_float():.6g}",
-            f"{oracle_corr.modulus_float():.6g}",
-            bool(final_match),
-        )
-    )
+    claim = "final correlation recomputed from scratch matches the oracle"
+    ledger.append(corr_entry(claim, final, oracle_corr, final_match))
     if not final_match:  # pragma: no cover
         raise InternalCheckError("final correlation mismatch")
     classical = final_poly.is_classical()

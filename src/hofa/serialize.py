@@ -24,14 +24,33 @@ from .analysis import BoundedFunction
 from .cyclotomic import ring
 from .errors import HofaError
 from .fpspace import Subspace, check_prime
-from .mforms import MultiaffineForm, MultilinearForm
-from .ncpoly import Monomial, NcPoly
+from .mforms import TENSOR_CAP, MultiaffineForm, MultilinearForm
+from .ncpoly import MAX_DEPTH, Monomial, NcPoly
 from .rank import CertTerm, RankCertificate
 from .torus import TorusValue
 
 
 class FormatError(HofaError, ValueError):
     pass
+
+
+def _number(tok: str, parse):
+    try:
+        return parse(tok)
+    except ValueError:
+        raise FormatError(f"not a number: {tok!r}") from None
+
+
+def _space(p_tok: str, n_tok: str) -> tuple:
+    """(p, n) from header tokens: a supported prime and a dimension >= 0."""
+    p, n = _number(p_tok, int), _number(n_tok, int)
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    if n < 0:
+        raise FormatError(f"negative dimension n={n}")
+    return p, n
 
 
 # -- vectors / subspaces --
@@ -78,21 +97,36 @@ def dump_poly(P: NcPoly) -> str:
 
 
 def load_poly(text: str) -> NcPoly:
+    """Parse a polynomial file; malformed text is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    p, n, _k = (int(t) for t in lines[0].split())
+    head = lines[0].split() if lines else []
+    if len(head) != 3 or len(lines) < 2:
+        raise FormatError("a polynomial file needs a 'p n k' header and a const line")
+    p, n = _space(head[0], head[1])
+    _number(head[2], int)
     const_tok = lines[1].split()
-    if const_tok[0] != "const":
-        raise FormatError("missing const line")
-    num_s, den_s = const_tok[1].split("/")
-    base_s, m_s = den_s.split("^")
-    if int(base_s) != p:
+    num_s, _, den_s = const_tok[-1].partition("/")
+    base_s, caret, m_s = den_s.partition("^")
+    if len(const_tok) != 2 or const_tok[0] != "const" or not caret:
+        raise FormatError("missing const line 'const <num>/<p>^<m>'")
+    if _number(base_s, int) != p:
         raise FormatError("constant denominator is not a power of p")
-    const = TorusValue.make(p, int(num_s), int(m_s))
+    m = _number(m_s, int)
+    if not 0 <= m <= MAX_DEPTH + 1:
+        raise FormatError(f"constant depth exponent {m} is outside 0..{MAX_DEPTH + 1}")
+    const = TorusValue.make(p, _number(num_s, int), m)
     monos = []
     for ln in lines[2:]:
-        toks = [int(t) for t in ln.split()]
+        toks = [_number(t, int) for t in ln.split()]
+        if len(toks) != n + 2 or toks[n] < 0:
+            raise FormatError(f"monomial line {ln!r} needs {n} exponents, a depth >= 0 and a coefficient")
         monos.append(Monomial(tuple(toks[:n]), toks[n], toks[n + 1]))
-    return NcPoly.make(p, n, const, monos)
+    if len({(mo.exponents, mo.depth) for mo in monos}) != len(monos):
+        raise FormatError("repeated monomial")
+    try:
+        return NcPoly.make(p, n, const, monos)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
 
 
 # -- forms --
@@ -106,25 +140,20 @@ def _slots_of(mask: int, k: int):
     return tuple(s for s in range(k) if mask >> s & 1)
 
 
+def _entry_lines(tag, form) -> list:
+    """One '<tag> <1-based indices> : <c>' line per nonzero entry of the form."""
+    return [" ".join([str(tag), *(str(j + 1) for j in idx), ":", str(c)]) for idx, c in form.entries()]
+
+
 def dump_form(T: MultilinearForm) -> str:
-    lines = [f"{T.p} {T.n} {T.k}"]
-    full = (1 << T.k) - 1
-    for idx, c in T.entries():
-        ones = " ".join(str(j + 1) for j in idx)
-        lines.append(f"{full} {ones} : {c}")
+    lines = [f"{T.p} {T.n} {T.k}"] + _entry_lines((1 << T.k) - 1, T)
     return "\n".join(lines) + "\n"
 
 
 def dump_multiaffine(phi: MultiaffineForm) -> str:
     lines = [f"{phi.p} {phi.n} {phi.k} affine"]
-    for slots, comp in phi.components:
-        mask = _mask_of(slots, phi.k)
-        if len(slots) == 0:
-            lines.append(f"0 : {int(comp.coeffs)}")
-            continue
-        for idx, c in comp.entries():
-            ones = " ".join(str(j + 1) for j in idx)
-            lines.append(f"{mask} {ones} : {c}")
+    for slots, comp in phi.components:  # the constant, if present, is nonzero
+        lines += _entry_lines(_mask_of(slots, phi.k), comp)
     return "\n".join(lines) + "\n"
 
 
@@ -132,24 +161,30 @@ def _parse_form_lines(lines, p, n, k):
     full = (1 << k) - 1
     comps: dict = {}
     for ln in lines:
-        head, _, val = ln.partition(":")
-        toks = head.split()
-        mask = int(toks[0])
-        idx = tuple(int(t) - 1 for t in toks[1:])
-        slots = _slots_of(mask, k)
-        if len(idx) != len(slots):
-            raise FormatError("index count does not match subset size")
-        c = int(val.strip())
+        head, colon, val = ln.partition(":")
+        toks = [_number(t, int) for t in head.split()]
+        if not colon or not toks or not 0 <= toks[0] <= full:
+            raise FormatError(f"form line {ln!r} needs '<subset-mask> <indices> : <c>'")
+        mask, idx = toks[0], tuple(t - 1 for t in toks[1:])
+        if len(idx) != len(_slots_of(mask, k)) or not all(0 <= i < n for i in idx):
+            raise FormatError(f"form line {ln!r} needs one index in 1..{n} per slot of its subset")
         store = comps.setdefault(mask, {})
-        store[idx] = (store.get(idx, 0) + c) % p
+        store[idx] = (store.get(idx, 0) + _number(val.strip(), int)) % p
     return comps
 
 
 def load_form(text: str) -> MultilinearForm | MultiaffineForm:
+    """Parse a form file; malformed text is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    p, n, k = int(head[0]), int(head[1]), int(head[2])
-    affine = len(head) > 3 and head[3] == "affine"
+    head = lines[0].split() if lines else []
+    if len(head) not in (3, 4) or head[3:] not in ([], ["affine"]):
+        raise FormatError("a form header reads 'p n k' or 'p n k affine'")
+    p, n = _space(head[0], head[1])
+    k = _number(head[2], int)
+    affine = len(head) == 4
+    # with n >= 2, k >= 25 already exceeds the tensor cap
+    if not 0 <= k <= (4 if affine else 24) or max(n, 2) ** k > TENSOR_CAP:
+        raise FormatError(f"arity k={k} is out of range for n={n}")
     comps = _parse_form_lines(lines[1:], p, n, k)
     if not affine:
         entries = comps.get((1 << k) - 1, {})
@@ -185,27 +220,16 @@ def dump_function(f: BoundedFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _number(tok: str, parse):
-    try:
-        return parse(tok)
-    except ValueError:
-        raise FormatError(f"not a number: {tok!r}") from None
-
-
 def load_function(text: str) -> BoundedFunction:
     """Parse a function file; a malformed or unbounded table is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
     if len(head) < 3 or head[2] not in ("exact", "float"):
         raise FormatError("function header must read 'p n exact ...' or 'p n float'")
-    p, n = (_number(t, int) for t in head[:2])
-    try:
-        check_prime(p)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    p, n = _space(head[0], head[1])
     rows = [ln.split() for ln in lines[1:]]
     # p >= 2 gives p^n > n, so n < len(rows) is checked before p**n
-    if not 0 <= n < len(rows) or len(rows) != p**n:
+    if not n < len(rows) or len(rows) != p**n:
         raise FormatError(f"expected p^n rows for p={p}, n={n}, found {len(rows)}")
     if head[2] == "float":
         if len(head) != 3 or any(len(r) != 2 for r in rows):
@@ -251,9 +275,7 @@ def dump_certificate(cert: RankCertificate) -> str:
             if factor.k == 0:
                 lines.append(f"{tag} : {int(factor.coeffs)}")
                 continue
-            for idx, c in factor.entries():
-                ones = " ".join(str(j + 1) for j in idx)
-                lines.append(f"{tag} {ones} : {c}")
+            lines += _entry_lines(tag, factor)
     return "\n".join(lines) + "\n"
 
 

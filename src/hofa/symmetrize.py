@@ -16,6 +16,7 @@ never a user-supplied number, so each ledger line is falsifiable.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import fpspace, mforms, rank
-from .analysis import BoundedFunction, CorrValue, corner_product, phased_sum
+from .analysis import (
+    BoundedFunction, CorrValue, base_point_argmax, corner_product, cube_corner_tables, phased_sum
+)
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd, common_ring, ring
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
@@ -93,6 +96,24 @@ def three_correlation(b1, b2, b3, A: MultilinearForm, budget: Budget = DEFAULT_B
     return phased_sum(R, p, prod, slot_cube(p, n, (0, 1), A.coeffs, k=2), den)
 
 
+def derivative_witness(b: BoundedFunction, form, budget: Budget = DEFAULT_BUDGET) -> tuple:
+    """The seven-function witness of d^3 b at its best base point, with its
+    exact correlation against w^{form}.
+
+    At base point s the functions are b(s + .) on the corners x, y, z, x+y,
+    x+z, y+z, x+y+z, conjugated on the pair sums, with the constant
+    conj(b(s)) folded into the first.  Their correlations average to
+    E_{s,h} (d^3 b)(s; h) w^{form(h)} over s, so the argmax is at least that.
+    """
+    p, n = b.p, b.n
+    R, (e,) = _common_exact(p, (b,))
+    tables = cube_corner_tables(R, dict.fromkeys(range(8), e.coeffs))
+    i = base_point_argmax(R, p, n, 4, tables, form_cube(form, p, n), budget=budget)
+    s = all_vectors(p, n)[i]
+    bs = _cs_witness_functions(b.shift_arg(s), b, s)
+    return bs, seven_correlation(bs, form, budget)
+
+
 def _common_exact(p: int, bs) -> tuple:
     """The witness functions embedded in one ring containing the p-th roots."""
     R = ring(p, 1)
@@ -155,16 +176,17 @@ def bias_vs_delta_power(p: int, claim: str, bias: Fraction, delta: CorrValue, po
     return LedgerEntry(claim, f"arank={arank:.4f}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
 
 
-def codim_vs_delta_power(p: int, claim: str, codim: int, delta: CorrValue, power: int) -> LedgerEntry:
-    holds = RealSurd(Fraction(1, p**codim)) ** 2 >= delta.mag2() ** power
+def int_vs_delta_power(p: int, claim: str, label: str, value: int, delta: CorrValue, power: int) -> LedgerEntry:
+    """Entry for 'value <= power * log_p(1/delta)', checked as p^{-value} >= delta^power;
+    ``label`` names the value (codim, count) in the measured column."""
+    holds = RealSurd(Fraction(1, p**value)) ** 2 >= delta.mag2() ** power
     logd = _log_inv_float(p, delta)
-    return LedgerEntry(claim, f"codim={codim}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
+    return LedgerEntry(claim, f"{label}={value}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
 
 
-def count_vs_delta_power(p: int, claim: str, count: int, delta: CorrValue, power: int) -> LedgerEntry:
-    holds = RealSurd(Fraction(1, p**count)) ** 2 >= delta.mag2() ** power
-    logd = _log_inv_float(p, delta)
-    return LedgerEntry(claim, f"count={count}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
+def corr_entry(claim: str, measured: CorrValue, bound: CorrValue, holds: bool) -> LedgerEntry:
+    """Entry comparing two exact correlations, shown by modulus."""
+    return LedgerEntry(claim, f"{measured.modulus_float():.6g}", f"{bound.modulus_float():.6g}", bool(holds))
 
 
 def delta_vs_delta_power(claim: str, out: CorrValue, base: CorrValue, power: int) -> LedgerEntry:
@@ -355,7 +377,7 @@ def ncsm_subspace_f2(
     RU = restrict(T, U)
     if not is_ncsm(RU):  # pragma: no cover
         raise InternalCheckError("restriction to the defect nullspace is not an nCSM")
-    entry = codim_vs_delta_power(2, "codim U <= 8 log2(1/delta)", U.codim, witness.delta, 8)
+    entry = int_vs_delta_power(2, "codim U <= 8 log2(1/delta)", "codim", U.codim, witness.delta, 8)
     return U, B, (entry,)
 
 
@@ -369,22 +391,12 @@ def multiaffine_cs(
 
     Three Cauchy-Schwarz steps eliminate b1..b6 and the affine parts of phi;
     the surviving witness functions are shifted copies (and conjugates) of
-    b7.  The shift sum s is chosen by deterministic argmax, and the output
-    correlation is measured exactly and checked against delta^8.
+    b7: the witness of d^3 b7 at its best base point (``derivative_witness``).
+    The output correlation is measured exactly and checked against delta^8.
     """
-    p, n = phi.p, phi.n
     delta_in = seven_correlation(bs, phi, budget)
     T = multilinear_part(phi)
-    b7 = bs[6]
-    best = None
-    for s in all_vectors(p, n):
-        shifted = b7.shift_arg(s)
-        bprime = _cs_witness_functions(shifted, b7, s)
-        val = seven_correlation(bprime, T, budget)
-        key = val.mag2()
-        if best is None or key > best[0]:
-            best = (key, s, bprime, val)
-    _, s, bprime, delta_out = best
+    bprime, delta_out = derivative_witness(bs[6], T, budget)
     entry = delta_vs_delta_power("multiaffine CS: |corr(T)| >= delta^8", delta_out, delta_in, 8)
     if not entry.holds:  # pragma: no cover
         raise InternalCheckError("Cauchy-Schwarz output correlation below delta^8")
@@ -397,16 +409,11 @@ def _cs_witness_functions(shifted: BoundedFunction, b7: BoundedFunction, s) -> t
     All are shifted copies of b7 (conjugated on the pair sums), with the
     constant conj(b7(s)) folded into the first.
     """
-    p, n = b7.p, b7.n
+    p, n, R = b7.p, b7.n, b7.ring
     sc = shifted.conj()
     # fold the constant conj(b7(s)) into b1'
-    if b7.exact:
-        R = b7.ring
-        const = R.conj(b7.coeffs[:, vec_index(p, s)])
-        c = R.mul_arrays(shifted.coeffs, const.reshape(-1, *([1] * 1)))
-        b1p = BoundedFunction(p, n, R, c, shifted.den * b7.den)
-    else:  # pragma: no cover
-        b1p = BoundedFunction(p, n, None, None, 1, shifted.values * np.conj(b7.values[vec_index(p, s)]))
+    const = R.conj(b7.coeffs[:, vec_index(p, s)])
+    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const[:, None]), shifted.den * b7.den)
     return (b1p, shifted, shifted, sc, sc, sc, shifted)
 
 
@@ -499,7 +506,7 @@ def symmetrize_nonclassical_p2(
     ledger.extend(defects.ledger)
     certs = _resolve_certs(T, certs, budget)
     U1 = symmetric_subspace(T, certs)
-    ledger.append(codim_vs_delta_power(2, "codim U <= 80 log2(1/delta)", U1.codim, delta, 80))
+    ledger.append(int_vs_delta_power(2, "codim U <= 80 log2(1/delta)", "codim", U1.codim, delta, 80))
 
     # best coset restriction of the witness to U1
     shifted_witness, coset_entry = _best_coset_witness(T, witness, U1, budget)
@@ -516,10 +523,10 @@ def symmetrize_nonclassical_p2(
     W_inner, B, inner_ledger = ncsm_subspace_f2(T_U, witness2, budget)
     ledger.extend(inner_ledger)
     ledger.append(
-        codim_vs_delta_power(2, "codim_U W <= 64 log2(1/delta)", W_inner.codim, delta, 64)
+        int_vs_delta_power(2, "codim_U W <= 64 log2(1/delta)", "codim", W_inner.codim, delta, 64)
     )
     W = fpspace.compose_subspace(U1, W_inner)
-    ledger.append(codim_vs_delta_power(2, "codim_V W <= 144 log2(1/delta)", W.codim, delta, 144))
+    ledger.append(int_vs_delta_power(2, "codim_V W <= 144 log2(1/delta)", "codim", W.codim, delta, 144))
 
     S = mforms.extend(restrict(T, W), W, fpspace.complement(W))
     if not is_ncsm(S):  # pragma: no cover
@@ -527,7 +534,7 @@ def symmetrize_nonclassical_p2(
     cert = vanishing_decomposition(T - S, W)
     ledger.append(int_bound_entry("prank(T - S) <= 3 codim_V W", len(cert), 3 * W.codim))
     ledger.append(
-        count_vs_delta_power(2, "prank(T - S) <= 432 log2(1/delta)", len(cert), delta, 432)
+        int_vs_delta_power(2, "prank(T - S) <= 432 log2(1/delta)", "count", len(cert), delta, 432)
     )
     report = SymmetrizationReport(T, S, cert, tuple(ledger), W)
     if not report.verify():  # pragma: no cover
@@ -548,37 +555,23 @@ def _best_coset_witness(
 ) -> tuple[ShiftedWitness, LedgerEntry]:
     """Argmax coset restriction: the average over coset triples equals the
     full correlation, so the best triple is at least delta."""
-    p, n = T.p, T.n
+    p = T.p
     reps = list(fpspace.enumerate_subspace(fpspace.complement(U), budget))
     phi_V = MultiaffineForm.from_multilinear(T)
     best = None
-    for x0 in reps:
-        for y0 in reps:
-            for z0 in reps:
-                phi_shift = phi_V.shifted_arguments((x0, y0, z0))
-                phi_U = restrict_multiaffine(phi_shift, U)
-                b = witness.bs
-                bs_U = (
-                    b[0].restrict_to_coset(U, x0),
-                    b[1].restrict_to_coset(U, y0),
-                    b[2].restrict_to_coset(U, z0),
-                    b[3].restrict_to_coset(U, vec_add(p, x0, y0)),
-                    b[4].restrict_to_coset(U, vec_add(p, x0, z0)),
-                    b[5].restrict_to_coset(U, vec_add(p, y0, z0)),
-                    b[6].restrict_to_coset(U, vec_add(p, vec_add(p, x0, y0), z0)),
-                )
-                val = seven_correlation(bs_U, phi_U, budget)
-                key = val.mag2()
-                if best is None or key > best[0]:
-                    best = (key, (x0, y0, z0), phi_U, bs_U, val)
+    for x0, y0, z0 in itertools.product(reps, repeat=3):
+        phi_U = restrict_multiaffine(phi_V.shifted_arguments((x0, y0, z0)), U)
+        xy = vec_add(p, x0, y0)
+        # b1..b7 restricted to the cosets of the corners x, y, z, x+y, x+z, y+z, x+y+z
+        corners = (x0, y0, z0, xy, vec_add(p, x0, z0), vec_add(p, y0, z0), vec_add(p, xy, z0))
+        bs_U = tuple(b.restrict_to_coset(U, c) for b, c in zip(witness.bs, corners))
+        val = seven_correlation(bs_U, phi_U, budget)
+        key = val.mag2()
+        if best is None or key > best[0]:
+            best = (key, (x0, y0, z0), phi_U, bs_U, val)
     key, shifts, phi_U, bs_U, val = best
     holds = key >= witness.delta.mag2()
-    entry = LedgerEntry(
-        "coset restriction keeps |corr| >= delta",
-        f"{val.modulus_float():.6g}",
-        f"{witness.delta.modulus_float():.6g}",
-        bool(holds),
-    )
+    entry = corr_entry("coset restriction keeps |corr| >= delta", val, witness.delta, holds)
     if not holds:  # pragma: no cover
         raise InternalCheckError("coset argmax fell below the average")
     return ShiftedWitness(phi_U, bs_U, val, shifts), entry

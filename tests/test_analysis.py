@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hofa import analysis as an
 from hofa.cyclotomic import RealSurd, ring
-from hofa.errors import BudgetExceeded, InternalCheckError
+from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.pipeline import derivative_sum_cube
@@ -434,3 +434,11 @@ class TestFloatMode:
         good = np.array([R.root(1), R.root(5)]).T
         assert an.BoundedFunction(2, 1, R, good, 1).check_bounded()
         assert not an.BoundedFunction(2, 1, R, good * np.array([1, 2]), 1).check_bounded()
+
+
+def test_phased_sum_needs_pth_roots():
+    """In Z (m = 0) there is no p-th root of unity to carry the phase."""
+    prod = np.ones((1, 4), dtype=np.int64)
+    with pytest.raises(PreconditionError):
+        an.phased_sum(ring(2, 0), 2, prod, np.ones(4, dtype=np.int64), 1)
+    assert an.phased_sum(ring(2, 1), 2, prod, np.ones(4, dtype=np.int64), 1).modulus_float() == 4

@@ -125,6 +125,26 @@ def test_pipeline_report_is_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_pipeline_on_integer_valued_file(tmp_path):
+    """A constant written with m=0 gives the report of the same function
+    written with m=1, apart from the input digest."""
+    reports = []
+    for m in (0, 1):
+        fpath, rpath = tmp_path / f"ones{m}.fn", tmp_path / f"report{m}.txt"
+        fpath.write_text(f"2 2 exact m={m} den=1\n1\n1\n1\n1\n")
+        assert run_cli(["pipeline", "--input", str(fpath), "--strategy", "random", "--report", str(rpath)]) == 0
+        reports.append([ln for ln in rpath.read_text().splitlines() if not ln.startswith("input digest:")])
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("cmd", ["rank", "integrate"])
+def test_empty_form_file_is_an_error_line(tmp_path, capsys, cmd):
+    path = tmp_path / "empty.mf"
+    path.write_text("")
+    assert run_cli([cmd, "--input", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_usage_error_exit_code():
     assert run_cli(["pipeline", "--strategy", "bogus"]) == 2
     assert run_cli(["norm"]) == 2

@@ -18,7 +18,7 @@ from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
-from hofa.symmetrize import form_cube, slot_cube
+from hofa.symmetrize import form_cube, seven_correlation, slot_cube
 from hofa.torus import TorusValue
 
 
@@ -42,6 +42,16 @@ class TestFindTriaffine:
         f = an.BoundedFunction.ones(2, 2)
         phi, eps = pl.find_triaffine(f, pl.FromPolynomialGuess(NcPoly.zero(2, 2)))
         assert eps.mag2_is_one()
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_integer_valued_function_keeps_the_phase(self, p):
+        """m = 0 (values in Z): the cube is measured in a ring with p-th roots."""
+        T = mf.random_form(random.Random(1), p, 2, 3)
+        ones = an.BoundedFunction.ones(p, 2)
+        assert ones.ring.N == 1
+        _, eps = pl.find_triaffine(ones, pl.SuppliedTriaffine(MultiaffineForm.from_multilinear(T)))
+        assert eps.mag2() == seven_correlation((ones,) * 7, T).mag2()
+        assert not eps.mag2_is_one()
 
     def test_exhaustive_matches_supplied_scan(self):
         P0 = random_poly(2, 2, 3, True, seed=5)

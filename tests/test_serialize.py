@@ -168,3 +168,116 @@ def test_load_function_fuzz(text):
         assert np.array_equal(g.coeffs, f.coeffs) and g.den == f.den
     else:
         assert np.array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "2 2\n",
+        "2 2 3 affin\n",
+        "2 2 3 affine extra\n",
+        "4 2 3\n",
+        "2 -1 3\n",
+        "2 2 x\n",
+        "2 2 -1\n",
+        "2 2 5 affine\n",
+        "2 2 25\n",
+        "2 5000 3\n",
+        "2 2 3\n8 1 1 1 : 1\n",
+        "2 2 3\n7 1 1 : 1\n",
+        "2 2 3\n7 1 1 3 : 1\n",
+        "2 2 3\n7 0 1 1 : 1\n",
+        "2 2 3\n7 1 1 1 1\n",
+        "2 2 3\n7 1 1 1 : x\n",
+        "2 2 3\n3 1 1 : 1\n",
+        "2 2 3\n: 1\n",
+        "2 2 3 affine\n0 1 : 1\n",
+    ],
+)
+def test_load_form_rejects_malformed(text):
+    with pytest.raises(sz.FormatError):
+        sz.load_form(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "2 2 1\n",
+        "2 2\nconst 0/2^0\n",
+        "4 2 1\nconst 0/4^0\n",
+        "2 -1 1\nconst 0/2^0\n",
+        "2 2 x\nconst 0/2^0\n",
+        "2 2 1\nconst 1/3^1\n",
+        "2 2 1\nconst 1/2\n",
+        "2 2 1\nconst 1/2^x\n",
+        "2 2 1\nconst 1/2^99999999\n",
+        "2 2 1\nconst 1/2^-1\n",
+        "2 2 1\nconst 0/2^0 extra\n",
+        "2 2 1\nconst 0/2^0\n1 0 0\n",
+        "2 2 1\nconst 0/2^0\n1 0 -1 1\n",
+        "2 2 1\nconst 0/2^0\n2 0 0 1\n",
+        "2 2 1\nconst 0/2^0\n1 0 0 3\n",
+        "2 2 1\nconst 0/2^0\n0 0 0 1\n",
+        "2 2 1\nconst 0/2^0\n1 0 9 1\n",
+        "2 2 1\nconst 0/2^0\n1 0 0 1\n1 0 0 1\n",
+        "2 2 1\nconst 0/2^0\n1 x 0 1\n",
+    ],
+)
+def test_load_poly_rejects_malformed(text):
+    with pytest.raises(sz.FormatError):
+        sz.load_poly(text)
+
+
+_TOKENS = ["0", "1", "2", "3", "4", "7", "8", "-1", "x"]
+
+
+@st.composite
+def _form_texts(draw):
+    """Form files near the valid format, with mistakes in every field."""
+    head = [draw(st.sampled_from(["2", "3", "4"])), str(draw(st.integers(-1, 3))), str(draw(st.integers(-1, 5)))]
+    head += draw(st.sampled_from([[], ["affine"], ["affin"]]))
+    line = st.builds(
+        lambda toks, sep, val: " ".join(toks) + sep + val,
+        st.lists(st.sampled_from(_TOKENS), max_size=5),
+        st.sampled_from([" : ", " : ", " "]),
+        st.sampled_from(["0", "1", "2", "-1", "x"]),
+    )
+    return "\n".join([" ".join(head)] + draw(st.lists(line, max_size=4)))
+
+
+@st.composite
+def _poly_texts(draw):
+    """Polynomial files near the valid format, with mistakes in every field."""
+    p = draw(st.sampled_from([2, 3, 4]))
+    head = f"{p} {draw(st.integers(-1, 3))} {draw(st.sampled_from(['1', '3', 'x']))}"
+    const = draw(
+        st.sampled_from(["const 0/{p}^0", "const 1/{p}^1", "const 5/{p}^2", "const 1/{p}^9", "const 1/3^1",
+                         "const 1/{p}", "nope 1/{p}^1", "const 1/{p}^-1"])
+    ).format(p=p)
+    monos = draw(st.lists(st.lists(st.sampled_from(_TOKENS), max_size=5).map(" ".join), max_size=3))
+    return "\n".join([head, const] + monos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _form_texts()))
+def test_load_form_fuzz(text):
+    """Any text loads (and then round-trips) or raises FormatError."""
+    try:
+        T = sz.load_form(text)
+    except sz.FormatError:
+        return
+    dump = sz.dump_multiaffine if isinstance(T, mf.MultiaffineForm) else sz.dump_form
+    assert sz.load_form(dump(T)) == T
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _poly_texts()))
+def test_load_poly_fuzz(text):
+    """Any text loads (and then round-trips) or raises FormatError."""
+    try:
+        P = sz.load_poly(text)
+    except sz.FormatError:
+        return
+    assert sz.load_poly(sz.dump_poly(P)) == P

@@ -1,40 +1,63 @@
 #!/usr/bin/env python3
-"""Timing survey of exact Gowers-norm computation on random phase functions.
+"""Timing survey of exact Gowers-norm computation on random functions.
 
     python scripts/u4_timing.py [max_n]
 
-Each row times U^2, U^3 and U^4 of a random eighth-root phase on F_2^n and
-ends with the process's peak RSS so far.  For n <= 3 every norm is also
-compared with the definition-chasing ``direct_gowers_power``; a mismatch
-exits with status 1.
+Each row times U^2, U^3 and U^4 of one random function and ends with the
+process's peak RSS so far.  Three kinds of rows: an eighth-root phase on
+F_2^n and a Z[i]-valued function (a + b i) / 4 on F_2^n for n = 2..max_n,
+and a cube-root phase on F_3^n for n = 2..min(max_n, 5), where the default
+budget stops U^4.  On F_2^2, F_2^3 and F_3^2 every norm is also compared
+with the definition-chasing ``direct_gowers_power`` run on object-dtype
+coefficients; a mismatch exits with status 1.
 """
 import random
 import resource
 import sys
 import time
 
+import numpy as np
+
 from hofa import analysis as an
+from hofa.cyclotomic import ring
 
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
 
 
+def gaussian_function(rng, n, den=4):
+    """A 1-bounded Z[i]-valued function (a + b i) / den on F_2^n."""
+    pts = [(a, b) for a in range(-den, den + 1) for b in range(-den, den + 1) if a * a + b * b <= den * den]
+    coeffs = np.array([pts[rng.randrange(len(pts))] for _ in range(2**n)], dtype=np.int64).T
+    return an.BoundedFunction(2, n, ring(2, 2), coeffs, den)
+
+
+# label, p, generator, largest n checked against the oracle
+KINDS = [
+    ("eighth-root phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 3), 3),
+    ("Z[i] values, den 4", 2, gaussian_function, 3),
+    ("cube-root phase", 3, lambda rng, n: an.random_unimodular_exact(rng, 3, n, 1), 2),
+]
+
+
 def main(max_n=8) -> int:
-    rng = random.Random(0)
     status = 0
-    for n in range(2, max_n + 1):
-        f = an.random_unimodular_exact(rng, 2, n, 3)
-        row = [f"n={n}"]
-        for d in (2, 3, 4):
-            t0 = time.time()
-            val = an.gowers_norm(f, d)
-            row.append(f"U^{d}={val.norm_float():.5f} ({time.time() - t0:.3f}s)")
-            if n <= 3 and val.power_surd() != an.direct_gowers_power(f, d).power_surd():
-                row.append(f"MISMATCH: U^{d} != direct_gowers_power")
-                status = 1
-        row.append(f"peak RSS {peak_rss_mb():.1f} MB")
-        print("  ".join(row))
+    for label, p, make, checked in KINDS:
+        rng = random.Random(0)
+        for n in range(2, (max_n if p == 2 else min(max_n, 5)) + 1):
+            f = make(rng, n)
+            exact = an.BoundedFunction(p, n, f.ring, f.coeffs.astype(object), f.den)
+            row = [f"{label} F_{p}^{n}"]
+            for d in (2, 3, 4):
+                t0 = time.time()
+                val = an.gowers_norm(f, d)
+                row.append(f"U^{d}={val.norm_float():.5f} ({time.time() - t0:.3f}s)")
+                if n <= checked and val.power_surd() != an.direct_gowers_power(exact, d).power_surd():
+                    row.append(f"MISMATCH: U^{d} != direct_gowers_power")
+                    status = 1
+            row.append(f"peak RSS {peak_rss_mb():.1f} MB")
+            print("  ".join(row), flush=True)
     return status
 
 

@@ -5,11 +5,13 @@ Exact mode stores a function as an integer coefficient array over
 Z[zeta_{p^m}] with a common denominator, so multiplicative derivatives,
 character sums and Gowers-norm powers are exact ring elements; magnitude
 comparisons go through ``RealSurd`` (rational or a + b*sqrt(2)) and never
-through floats.  U^2 norms use a fast character transform along each
-coordinate (a Walsh-Hadamard transform for p = 2), which makes exact U^4
-norms on F_2^8 cheap; higher norms use the inductive averaging formula
-with the transform as base case.  Float mode (complex tables) exists for
-p = 5 demonstrations only.
+through floats.  One in-place character transform serves every exact
+path (a Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on the
+coefficient planes for p = 3).  Exact U^2..U^4 norms run one column
+kernel: the transform of f, of each d_h f, or of each d_{h1} d_{h2} f
+with symmetric shifts folded together, then sum |tau|^4, on int64 only
+where a stated bound allows and on Python integers elsewhere.  Float mode
+(complex tables) exists for p = 5 demonstrations only.
 """
 from __future__ import annotations
 
@@ -394,7 +396,7 @@ class GowersNormValue:
     def power_surd(self) -> RealSurd:
         if not self.exact:
             raise ExactOrderUnsupported("float-mode norm")
-        return RealSurd.from_ring_element(self.ring, np.array(self.power_num), self.power_den)
+        return RealSurd.from_ring_element(self.ring, np.array(self.power_num, dtype=object), self.power_den)
 
     def norm_float(self) -> float:
         return max(self.float_power, 0.0) ** (1.0 / (1 << self.d))
@@ -402,7 +404,7 @@ class GowersNormValue:
     def is_one(self) -> bool:
         if not self.exact:
             return abs(self.float_power - 1.0) < 1e-9
-        num = np.array(self.power_num)
+        num = np.array(self.power_num, dtype=object)
         one = np.zeros_like(num)
         one[0] = self.power_den
         return np.array_equal(num, one)
@@ -413,131 +415,11 @@ class GowersNormValue:
 
 # -- exact character transform --
 
-
-def char_transform(fn: BoundedFunction, sign: int = -1) -> np.ndarray:
-    """tau[chi] = sum_x f_num(x) * omega_p^{sign <chi, x>}, chi in vector order."""
-    return _transform_array(fn.ring, fn.p, fn.n, fn.coeffs, sign)
+_INT64_MAX = 2**63 - 1
 
 
-def _transform_array(R: CycloRing, p: int, n: int, coeffs: np.ndarray, sign: int) -> np.ndarray:
-    d = coeffs.shape[0]
-    rest = coeffs.shape[1:]
-    size = p**n
-    arr = coeffs.reshape((d,) + rest[:-1] + (p,) * n)
-    first_field_axis = 1 + (len(rest) - 1)
-    if p == 2:
-        for axis in range(first_field_axis, arr.ndim):
-            a0 = np.take(arr, 0, axis=axis)
-            a1 = np.take(arr, 1, axis=axis)
-            arr = np.stack([a0 + a1, a0 - a1], axis=axis)
-        return arr.reshape((d,) + rest[:-1] + (size,))
-    # p = 3 (or 5 would need the full root matrices; p=5 stays float mode)
-    e = R.N // p
-    W1 = R.root_matrix((sign * e) % R.N)
-    W2 = R.root_matrix((2 * sign * e) % R.N)
-    for axis in range(first_field_axis, arr.ndim):
-        parts = [np.take(arr, t, axis=axis) for t in range(p)]
-        if p == 3:
-            y0 = parts[0] + parts[1] + parts[2]
-            w_p1 = np.einsum("ij,j...->i...", W1, parts[1])
-            w_p2 = np.einsum("ij,j...->i...", W2, parts[2])
-            w2_p1 = np.einsum("ij,j...->i...", W2, parts[1])
-            w1_p2 = np.einsum("ij,j...->i...", W1, parts[2])
-            y1 = parts[0] + w_p1 + w_p2
-            y2 = parts[0] + w2_p1 + w1_p2
-            arr = np.stack([y0, y1, y2], axis=axis)
-        else:  # pragma: no cover
-            raise PreconditionError(f"exact transform unsupported for p={p}")
-    return arr.reshape((d,) + rest[:-1] + (size,))
-
-
-def _u2_power_batch(R: CycloRing, p: int, n: int, coeffs: np.ndarray) -> np.ndarray:
-    """sum_chi |tau(chi)|^4 for a batch: coeffs shape (d, ..., p^n)."""
-    tau = _transform_array(R, p, n, coeffs, sign=-1)
-    m2 = R.mul_arrays(tau, R.conj_arrays(tau))
-    m4 = R.mul_arrays(m2, m2)
-    return m4.sum(axis=-1)
-
-
-def gowers_norm(
-    fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BUDGET
-) -> GowersNormValue:
-    """Exact U^d norm (as its 2^d-th power) via the inductive formula.
-
-    U^2 is evaluated by the character transform; U^d averages
-    U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.  Pure phase functions over
-    p = 2 with values in Z[zeta_8] take an integer exponent-table fast path.
-    """
-    if d < 2:
-        raise PreconditionError("Gowers norms need d >= 2")
-    p, n = fn.p, fn.n
-    work = p ** ((d - 2) * n) * p**n * max(n, 1)
-    if work > budget.gowers_cap:
-        raise BudgetExceeded(f"U^{d} work {work} exceeds budget {budget.gowers_cap}")
-    if not fn.exact:
-        return GowersNormValue.from_float(d, _float_gowers_power(fn, d))
-    R = fn.ring
-    size = p**n
-    if p == 2 and R.N <= 8 and fn.restricted_exps() is not None and d in (2, 3, 4):
-        return _gowers_phase_p2(fn, d)
-    if d == 2:
-        num = _u2_power_batch(R, p, n, fn.coeffs)
-        return GowersNormValue.from_parts(d, R, num, p ** (4 * n) * fn.den**4)
-    if d == 3:
-        sh = _shift_table(p, n)
-        der = R.mul_arrays(fn.coeffs[:, sh], R.conj_arrays(fn.coeffs)[:, None, :])
-        nums = _u2_power_batch(R, p, n, der)  # (d_ring, size_h)
-        total = nums.astype(object).sum(axis=-1)
-        return GowersNormValue.from_parts(d, R, total, p ** (5 * n) * fn.den**8)
-    # d >= 4: loop over the outermost shift, batch the rest
-    total = None
-    den_inner = None
-    for h in all_vectors(p, n):
-        g = fn.mult_derivative(h)
-        inner = gowers_norm(g, d - 1, budget)
-        num = np.array(inner.power_num, dtype=object)
-        total = num if total is None else total + num
-        den_inner = inner.power_den
-    return GowersNormValue.from_parts(d, R, total, den_inner * size)
-
-
-# transform entries per ring plane in one chunk of the p = 2 phase path; a
-# chunk's int64 intermediates then take a few hundred kB at any n
-_P2_CHUNK_ENTRIES = 1 << 15
-
-
-def _wht_dtype(n: int):
-    """Narrowest integer type for a Walsh-Hadamard transform on F_2^n.
-
-    The planes start with entries in {-1, 0, 1} and each butterfly stage at
-    most doubles the largest magnitude, so every entry stays within 2^n.
-    """
-    for dt in (np.int16, np.int32):
-        if np.iinfo(dt).max >= 1 << n:
-            return dt
-    return np.int64
-
-
-def _p2_chunk_columns(n: int, weight: int) -> int:
-    """Derivative columns per chunk of the p = 2 phase path on F_2^n.
-
-    Each column is a root-of-unity phase g with transform tau.  For every
-    Galois conjugate s, s(tau) is the transform of the phase s(g), so
-    |s(tau)| <= 2^n and sum_chi |s(tau(chi))|^2 = 4^n (Parseval), hence
-    sum_chi |s(tau(chi))|^4 <= 16^n.  With |tau|^4 = c0 + c1*sqrt2 and the
-    conjugate that negates sqrt2, c0 = A^2 + 2B^2 >= |c1|*sqrt2 entrywise and
-    each column sums c0 to at most 16^n; every product A*A, B*B, A*B is at
-    most c0.  A chunk of c columns weighted by at most ``weight`` sums to at
-    most weight * c * 16^n, which must stay below 2^63.
-    """
-    fit = (2**63 - 1) // (weight << (4 * n))
-    if fit == 0:
-        raise BudgetExceeded(f"exact |tau|^4 sums on F_2^{n} exceed int64")
-    return min(fit, max(1, _P2_CHUNK_ENTRIES >> n))
-
-
-def _wht_inplace(a: np.ndarray, nbits: int) -> np.ndarray:
-    """Walsh-Hadamard transform over axis 1 of a (planes, 2^nbits, columns) array.
+def _wht_inplace(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform over axis 1 of a (planes, 2^n, columns) array.
 
     The transform axis is outermost within a plane, so every butterfly
     runs over contiguous blocks of at least one row of columns.
@@ -555,76 +437,346 @@ def _wht_inplace(a: np.ndarray, nbits: int) -> np.ndarray:
     return a
 
 
-def _mag4_sums_p2(R: CycloRing, tau: np.ndarray, weights: np.ndarray) -> tuple:
-    """Weighted sum of |tau|^4 over all columns, as ring coefficients (p = 2).
+def _radix3_inplace(a: np.ndarray, sign: int) -> np.ndarray:
+    """Character transform sum_x a(x) omega^{sign <chi, x>} over axis 1 of a
+    (planes, 3^n, columns) array of Z[zeta_{3^m}] coefficient planes, m >= 1.
+
+    With e = 3^{m-1} and z = A + zeta^e B (A, B the low and high halves of
+    the planes), omega = zeta^e acts as omega z = -B + zeta^e (A - B).  Each
+    butterfly maps (x0, x1, x2) to x0 + x1 + x2, t + w and t - (v + w), with
+    v = x1 - x2, t = x0 - x2 and w = omega v; these are x0 + omega^{+-1} x1 +
+    omega^{-+1} x2.  Every intermediate is a ring element no larger in any
+    embedding than a stage output, which bounds its coefficients.
+    """
+    planes, size, cols = a.shape
+    e = planes // 2
+    h = 1
+    while h < size:
+        v3 = a.reshape(planes, size // (3 * h), 3, h * cols)
+        x0, x1, x2 = v3[:, :, 0], v3[:, :, 1], v3[:, :, 2]
+        v = x1 - x2
+        t = x0 - x2
+        w = np.empty_like(v)
+        w[:e] = -v[e:]
+        w[e:] = v[:e] - v[e:]
+        x0 += x1
+        x0 += x2
+        v += w
+        y_plus = t + w  # x0 + omega x1 + omega^2 x2
+        t -= v  # x0 + omega^2 x1 + omega x2
+        x1[...], x2[...] = (y_plus, t) if sign > 0 else (t, y_plus)
+        h *= 3
+    return a
+
+
+def _transform_inplace(R: CycloRing, p: int, a: np.ndarray, sign: int) -> np.ndarray:
+    """Exact character transform over axis 1 of (degree, p^n, columns) planes in R."""
+    if not a.flags.c_contiguous:  # the butterflies write through reshaped views
+        raise InternalCheckError("in-place transform needs a C-contiguous array")
+    if p == 2:
+        return _wht_inplace(a)
+    if p != 3:
+        raise PreconditionError(f"exact transform unsupported for p={p}")
+    if R.N % 3:
+        raise PreconditionError(f"ring Z[zeta_{R.N}] has no cube roots of unity")
+    return _radix3_inplace(a, sign)
+
+
+def char_transform(fn: BoundedFunction, sign: int = -1) -> np.ndarray:
+    """tau[chi] = sum_x f_num(x) * omega_p^{sign <chi, x>}, chi in vector order."""
+    return _transform_array(fn.ring, fn.p, fn.n, fn.coeffs, sign)
+
+
+def _transform_array(R: CycloRing, p: int, n: int, coeffs: np.ndarray, sign: int) -> np.ndarray:
+    """The character transform along the last axis of a (degree, ..., p^n) array.
+
+    An integer input stays on int64 only when every coefficient of the
+    transform fits: a value z has |s(z)| <= sum |coeff| in every embedding s,
+    its transform at most p^n times that, and each coefficient of an element
+    is at most sqrt(p - 1) times its largest embedding; otherwise the
+    transform runs on object dtype.
+    """
+    d, size = coeffs.shape[0], p**n
+    a = coeffs.reshape(d, -1, size).transpose(0, 2, 1)
+    dt = object
+    if a.dtype != object and a.size:
+        top = d * size * int(np.abs(a).max())
+        dt = np.int64 if (p - 1) * top * top <= _INT64_MAX**2 else object
+    a = np.array(a, dtype=dt, order="C")
+    _transform_inplace(R, p, a, sign)
+    return a.transpose(0, 2, 1).reshape(coeffs.shape)
+
+
+# -- exact Gowers norms: one column kernel --
+
+# transform entries per ring plane in one chunk of columns; a chunk's int64
+# intermediates then take a few hundred kB at any n
+_CHUNK_ENTRIES = 1 << 15
+
+
+def _ring_mul(R: CycloRing, a, b):
+    """Pointwise product of (degree, ...) coefficient arrays in R, any dtype.
+
+    Each plane product a_i b_j is added with sign +-1 into the coefficients
+    of zeta^{i+j} reduced mod Phi_N, so every partial sum stays within
+    degree^2 max|a_i| max|b_j|.
+    """
+    d = R.degree
+    if d == 1:
+        return a * b
+    out = np.zeros((d,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.result_type(a, b))
+    for i in range(d):
+        for j in range(d):
+            prod = a[i] * b[j]
+            row = R._reduce[(i + j) % R.N]
+            for k in np.flatnonzero(row):
+                if row[k] > 0:
+                    out[k] += prod
+                else:
+                    out[k] -= prod
+    return out
+
+
+def _modulus_bound_sq(R: CycloRing, coeffs: np.ndarray) -> int:
+    """An integer M2 with |s(z)|^2 <= M2 for every value z and embedding s.
+
+    |s(z)|^2 = s(z conj z) is at most the sum of |coefficients| of z conj z:
+    exact for Z, Z[i] and Z[omega], and 1 for roots of unity in any ring.
+    That sum stays within degree^3 (p - 1) max|coeff|^2, or runs on object
+    dtype.
+    """
+    c = coeffs
+    if c.dtype != object:
+        top = int(np.abs(c).max(initial=0))
+        if R.degree**3 * (R.p - 1) * top * top > _INT64_MAX:
+            c = c.astype(object)
+    return int(np.abs(_ring_mul(R, c, R.conj_arrays(c))).sum(axis=0).max(initial=0))
+
+
+def _derivative_orbits(p: int, n: int, d: int) -> tuple:
+    """Representative shifts of the U^d columns, with the number of shifts each stands for.
+
+    Column (h_1, ..., h_{d-2}) is d_{h_1} ... d_{h_{d-2}} f.  For d = 4 it is
+    symmetric in (h1, h2), and for every d the shifts -h give the column
+    x -> conj(g(x - h_1 - ... - h_{d-2})), whose transform has the same |tau|^2
+    values as ring elements.  So each orbit of shifts under swapping and
+    joint negation contributes its size times one column.  Returns the index
+    arrays of the representatives (one per shift, all_vectors order) and the
+    orbit sizes.
+    """
+    size = p**n
+    if d == 2:
+        return (), np.ones(1, dtype=np.int64)
+    if d == 3:
+        hs, weights = (np.arange(size),), np.ones(size, dtype=np.int64)
+    else:
+        h1, h2 = np.triu_indices(size)
+        hs, weights = (h1, h2), np.where(h1 == h2, 1, 2)
+    if p == 2:  # -h = h
+        return hs, weights
+    neg = _shift_table(p, n).argmin(axis=1)  # x + neg[x] = 0
+    key = hs[0] * size + hs[-1]
+    negs = neg[np.array(hs)]
+    nkey = negs.min(axis=0) * size + negs.max(axis=0)  # the negated shifts, sorted
+    keep = key <= nkey
+    return tuple(h[keep] for h in hs), (weights * np.where(key == nkey, 1, 2))[keep]
+
+
+def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype):
+    """Column source of a phase zeta^exps: coefficient planes of zeta^E for the
+    exponent E of each derivative column, read from one table."""
+    N = R.N
+    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
+    ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
+    if not hs:
+        return lambda part: np.take(ext, exps[:, None] + 2 * N, axis=1)
+    sh = _shift_table(p, n)
+    esh = exps[sh]  # esh[x, h] = e(x + h)
+    # the sign of e(x) in the column's exponent, plus the 2N offset into ext
+    base = (2 * N + (-1) ** len(hs) * exps)[:, None]
+
+    def columns(part):
+        if len(hs) == 1:
+            E = esh[:, hs[0][part]]
+        else:
+            a, b = hs[0][part], hs[1][part]
+            E = esh[:, sh[a, b]]
+            E -= esh[:, a]
+            E -= esh[:, b]
+        E += base
+        return np.take(ext, E, axis=1)
+
+    return columns
+
+
+def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
+    """Column source of ring values: first-derivative table D[:, x, h] =
+    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2)."""
+    if not hs:
+        return lambda part: coeffs[:, :, None]
+    sh = _shift_table(p, n)
+    cc = R.conj_arrays(coeffs)
+    if len(hs) == 1:
+        return lambda part: _ring_mul(R, np.take(coeffs, sh[:, hs[0][part]], axis=1), cc[:, :, None])
+    D = _ring_mul(R, coeffs[:, sh], cc[:, :, None])
+    Dc = R.conj_arrays(D)
+    size = p**n
+
+    def columns(part):
+        a, b = hs[0][part], hs[1][part]
+        # D(x + a, b) through one flat index: a gather with two index arrays is slower
+        return _ring_mul(R, np.take(D.reshape(R.degree, -1), sh[:, a] * size + b, axis=1), Dc[:, :, b])
+
+    return columns
+
+
+# |z|^2 for z = sum a_i zeta^i as quadratic forms in the a_i, terms (i, j, sign):
+# Z, Z[i] and Z[omega] give one integer A; Z[zeta_8] gives A + B*sqrt2
+_MAG2_FORMS = {
+    1: ([(0, 0, 1)],),
+    2: ([(0, 0, 1)],),
+    3: ([(0, 0, 1), (0, 1, -1), (1, 1, 1)],),
+    4: ([(0, 0, 1), (1, 1, 1)],),
+    8: ([(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)], [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)]),
+}
+
+
+def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tuple:
+    """Weighted sum of sum_chi |tau|^4 over all columns, as ring coefficients.
 
     ``tau`` holds the transform of each ring-coefficient plane, shape
-    (degree, 2^n, columns); column j counts ``weights[j]`` times.  For
-    Z[zeta_8], |z|^2 = A + B*sqrt2 with A = sum a_i^2 and
-    B = a0 a1 + a1 a2 + a2 a3 - a0 a3, so |z|^4 = (A^2 + 2 B^2) + 2AB*sqrt2.
-    ``_p2_chunk_columns`` bounds every sum within int64.
+    (degree, p^n, columns); column j counts ``weights[j]`` times.  |tau|^2 has
+    a closed form (``_MAG2_FORMS``) for Z, Z[i], Z[omega] and Z[zeta_8], where
+    |z|^2 = A + B*sqrt2 and |z|^4 = (A^2 + 2 B^2) + 2AB*sqrt2.  Other rings sum
+    the Gram matrix of the |tau|^2 planes and fold it with zeta^{i+j}.  Each
+    column is summed on ``dtype``, then weighted on ``weights``' dtype;
+    ``_kernel_dtypes`` bounds both.
     """
-    a = tau.astype(np.int64)
 
-    def col_sums(x, y):
-        return weights @ np.einsum("xc,xc->c", x, y)
+    def total(x, y):
+        return int(weights @ np.einsum("xc,xc->c", x, y))
 
-    if R.degree == 4:
-        a0, a1, a2, a3 = a
-        A = a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3
-        B = a0 * a1 + a1 * a2 + a2 * a3 - a0 * a3
-        c1 = 2 * int(col_sums(A, B))
-        return (int(col_sums(A, A)) + 2 * int(col_sums(B, B)), c1, 0, -c1)
-    A = (a * a).sum(axis=0)  # Z[i] (degree 2) or Z (degree 1)
-    return (int(col_sums(A, A)),) + (0,) * (R.degree - 1)
+    def form(terms):  # products cast plane by plane, accumulated in place
+        out = np.multiply(tau[terms[0][0]], tau[terms[0][1]], dtype=dtype)
+        for i, j, sign in terms[1:]:
+            (np.add if sign > 0 else np.subtract)(out, np.multiply(tau[i], tau[j], dtype=dtype), out=out)
+        return out
+
+    forms = _MAG2_FORMS.get(R.N)
+    if forms is None:
+        t = tau.astype(dtype)
+        m2 = _ring_mul(R, t, R.conj_arrays(t))
+        out = [0] * R.degree
+        for i in range(R.degree):
+            for j in range(i, R.degree):
+                g = total(m2[i], m2[j]) * (1 if i == j else 2)
+                for k, c in enumerate(R._reduce[(i + j) % R.N]):
+                    out[k] += g * int(c)
+        return tuple(out)
+    A = form(forms[0])
+    if R.N != 8:
+        return (total(A, A),) + (0,) * (R.degree - 1)
+    B = form(forms[1])
+    c1 = 2 * total(A, B)
+    return (total(A, A) + 2 * total(B, B), c1, 0, -c1)
 
 
-def _gowers_phase_p2(fn: BoundedFunction, d: int) -> GowersNormValue:
-    """Exponent-table Gowers norms for p = 2 phases with N <= 8.
+def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) -> tuple:
+    """dtypes of the column kernel: (values, transform planes, column sums, chunk sums).
 
-    Every U^2 base case is the phase zeta^E of one exponent column E over
-    F_2^n: f itself (d = 2), d_h f for each h (d = 3), and d_{h1} d_{h2} f
-    (d = 4), whose exponents e(x+h1+h2) - e(x+h1) - e(x+h2) + e(x) are
-    symmetric in (h1, h2), so only h1 <= h2 is transformed, off-diagonal
-    pairs counting twice.  Columns go through the transform in chunks, on
-    the narrowest integer planes that hold it.
+    Every column g on F_p^n has |s(g(x))|^2 <= K in every embedding s; chunks
+    hold ``step`` columns of weight at most ``weight``.  The transform has
+    |s(tau)| <= p^n sqrt K, and sum_chi |s(tau)|^4 <= p^{4n} K^2 (Parseval).
+    The trace form of Z[zeta_{p^m}] is at least p^{m-1} times the square
+    norm on the power basis, so a coefficient of an element is at most
+    sqrt(p - 1) times its largest embedding, and a column's sum of |tau|^4,
+    as closed forms or as a Gram matrix of the |tau|^2 planes, stays within
+    (p - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
+    largest coefficients of its factors, so columns, transforms and |tau|^2
+    stay within (p - 1) degree^2 p^{2n} K.  The planes take the narrowest
+    integer type that holds sqrt((p - 1) K) p^n; a stage that passes int64
+    runs on object dtype, and so does everything after it.
     """
-    n = fn.n
-    R = fn.ring
-    N, size = R.N, 1 << n
-    exps = fn.exps
-    step = _p2_chunk_columns(n, 2 if d == 4 else 1)
-    planes = R._reduce.T.astype(_wht_dtype(n))  # planes[i, t]: coefficient i of zeta^t
-    if d == 2:
-        weights = np.ones(1, dtype=np.int64)
+    size = p**n
+    if (p - 1) * degree**2 * size**2 * K > _INT64_MAX:
+        return object, object, object, object
+    top = math.isqrt((p - 1) * K * size**2) + 1
+    planes = next(dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= top)
+    col_bound = (p - 1) * size**4 * K**2
+    if col_bound > _INT64_MAX:
+        return np.int64, planes, object, object
+    return np.int64, planes, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
 
-        def exponents(part):
-            return exps[:, None]
 
+def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
+    """Exact ||f||_{U^d}^{2^d}, d in {2, 3, 4}, over one column kernel.
+
+    Every U^2 base case is one column g on F_p^n: f itself (d = 2), d_h f
+    (d = 3), or d_{h1} d_{h2} f (d = 4), one column per orbit of
+    ``_derivative_orbits``.  Columns go through the character transform in
+    chunks, in place, and sum_chi |tau|^4 is summed with the orbit sizes as
+    weights.  A phase carrying ``exps`` builds its columns from exponents,
+    anything else from ring products of its values.  With |s(f(x))|^2 <= M2
+    in every embedding s, a column has |s(g)|^2 <= M2^(2^(d-2)), which
+    ``_kernel_dtypes`` turns into the dtype of each stage.
+    """
+    p, n, R = fn.p, fn.n, fn.ring
+    size = p**n
+    exps = fn.restricted_exps()
+    M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
+    hs, weights = _derivative_orbits(p, n, d)
+    # value columns carry int64 gathers and ring products on every plane:
+    # 2 * degree times narrower chunks keep their memory near the exponent path's
+    step = max(1, _CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
+    K = M2 ** (1 << (d - 2))
+    values_dt, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
+    weights = weights.astype(acc_dt)
+    if exps is not None:
+        columns = _exponent_columns(R, p, n, exps, hs, plane_dt)
     else:
-        sh = _shift_table(2, n)
-        esh = exps[sh]  # esh[x, h] = e(x + h)
-        if d == 3:
-            weights = np.ones(size, dtype=np.int64)
-
-            def exponents(part):
-                return esh[:, part] - exps[:, None]
-
-        else:
-            h1, h2 = np.triu_indices(size)
-            weights = np.where(h1 == h2, 1, 2)
-
-            def exponents(part):
-                a, b = h1[part], h2[part]
-                return esh[:, sh[a, b]] - esh[:, a] - esh[:, b] + exps[:, None]
-
+        columns = _value_columns(R, p, n, fn.coeffs.astype(values_dt), hs)
     total = [0] * R.degree
     for start in range(0, len(weights), step):
         part = slice(start, start + step)
-        tau = _wht_inplace(np.take(planes, exponents(part) & (N - 1), axis=1), n)
-        for i, c in enumerate(_mag4_sums_p2(R, tau, weights[part])):
+        tau = _transform_inplace(R, p, np.ascontiguousarray(columns(part), dtype=plane_dt), -1)
+        for i, c in enumerate(_mag4_sums(R, tau, weights[part], sum_dt)):
             total[i] += c
-    return GowersNormValue.from_parts(d, R, np.array(total, dtype=object), 2 ** ((d + 2) * n))
+    return GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
+
+
+def _with_pth_roots(fn: BoundedFunction) -> BoundedFunction:
+    """fn in a ring with p-th roots of unity, which the transform needs for odd p."""
+    return fn.embed(common_ring(fn.ring, ring(fn.p, 1))) if fn.p % 2 and fn.ring.N % fn.p else fn
+
+
+def gowers_norm(
+    fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BUDGET
+) -> GowersNormValue:
+    """Exact U^d norm, as its 2^d-th power, for d in {2, 3, 4}.
+
+    Each power is a sum of |tau|^4 over the character transforms of one
+    column per derivative shift (``_gowers_columns``): f for U^2, d_h f for
+    U^3, d_{h1} d_{h2} f for U^4, with symmetric shifts folded together.
+    Phases carrying ``exps`` build their columns from exponent tables,
+    other exact functions from ring products.  Float-mode functions, and
+    exact ones for d > 4, average U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.
+    """
+    if d < 2:
+        raise PreconditionError("Gowers norms need d >= 2")
+    p, n = fn.p, fn.n
+    work = p ** ((d - 2) * n) * p**n * max(n, 1)
+    if work > budget.gowers_cap:
+        raise BudgetExceeded(f"U^{d} work {work} exceeds budget {budget.gowers_cap}")
+    if not fn.exact:
+        return GowersNormValue.from_float(d, _float_gowers_power(fn, d))
+    fn = _with_pth_roots(fn)
+    if d <= 4:
+        return _gowers_columns(fn, d)
+    # object coefficients keep the derivatives exact at any size
+    fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den, exps=fn.exps)
+    total = sum(np.array(gowers_norm(fn.mult_derivative(h), d - 1, budget).power_num, dtype=object)
+                for h in all_vectors(p, n))
+    return GowersNormValue.from_parts(d, fn.ring, total, p ** ((d + 2) * n) * fn.den ** (1 << d))
 
 
 def _float_gowers_power(fn: BoundedFunction, d: int) -> float:
@@ -652,10 +804,16 @@ def _float_transform(p: int, n: int, vals: np.ndarray) -> np.ndarray:
 
 
 def direct_gowers_power(fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BUDGET):
-    """Definition-chasing oracle: average the full 2^d-corner product."""
+    """Definition-chasing oracle: average the full 2^d-corner product.
+
+    Exact functions run on object (Python integer) coefficients, so no
+    product or sum can wrap.
+    """
     p, n = fn.p, fn.n
     if p ** ((d + 1) * n) > budget.enum_cap:
         raise BudgetExceeded("direct Gowers sum too large")
+    if fn.exact:
+        fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den)
 
     def rec(g: BoundedFunction, depth: int):
         if depth == 0:
@@ -705,6 +863,7 @@ def u2_inverse(fn: BoundedFunction) -> tuple[Vec, CorrValue]:
         tau = _float_transform(fn.p, fn.n, fn.values) / fn.size
         best = int(np.argmax(np.abs(tau)))
         return all_vectors(fn.p, fn.n)[best], CorrValue.from_float(tau[best])
+    fn = _with_pth_roots(fn)
     R = fn.ring
     tau = char_transform(fn, sign=-1)
     m2 = R.mul_arrays(tau, R.conj_arrays(tau))

@@ -64,14 +64,18 @@ def dump_vectors(p: int, n: int, vectors) -> str:
 
 
 def load_vectors(text: str):
+    """Parse a vectors file into (p, n, vectors); malformed text is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    p = int(head[0].split("=")[1])
-    n = int(head[1].split("=")[1])
-    vecs = [tuple(int(a) for a in ln.split()) for ln in lines[1:]]
-    for v in vecs:
-        if len(v) != n:
-            raise FormatError("vector length does not match header")
+    head = [tok.partition("=") for tok in (lines[0].split() if lines else [])]
+    if [(key, eq) for key, eq, _ in head] != [("p", "="), ("n", "=")]:
+        raise FormatError("a vectors file starts with the header 'p=<p> n=<n>'")
+    p, n = _space(head[0][2], head[1][2])
+    vecs = []
+    for ln in lines[1:]:
+        v = tuple(_number(t, int) for t in ln.split())
+        if len(v) != n or not all(0 <= a < p for a in v):
+            raise FormatError(f"vector line {ln!r} needs {n} entries in 0..{p - 1}")
+        vecs.append(v)
     return p, n, vecs
 
 
@@ -80,7 +84,11 @@ def dump_subspace(U: Subspace) -> str:
 
 
 def load_subspace(text: str) -> Subspace:
+    """Parse a subspace from its spanning vectors; malformed text is a FormatError."""
     p, n, vecs = load_vectors(text)
+    # the canonical form holds n x n entries, as a bilinear form does
+    if n * n > TENSOR_CAP:
+        raise FormatError(f"dimension n={n} is too large for a subspace")
     return Subspace.from_basis(p, n, vecs)
 
 
@@ -315,30 +323,37 @@ def load_witness_bundle(text: str):
 
 
 def load_certificate(text: str, claimed: MultilinearForm) -> RankCertificate:
+    """Parse a certificate for ``claimed``; malformed text is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    p, n, k = int(head[0]), int(head[1]), int(head[2])
+    head = lines[0].split() if lines else []
+    if len(head) != 5 or head[3] != "cert":
+        raise FormatError("a certificate header reads 'p n k cert <terms>'")
+    p, n = _space(head[0], head[1])
+    k, count = _number(head[2], int), _number(head[4], int)
     if (p, n, k) != (claimed.p, claimed.n, claimed.k):
         raise FormatError("certificate header does not match the claimed form")
-    terms = []
-    cur_mask = None
-    cur: dict = {}
-    def flush():
-        if cur_mask is None:
-            return
-        slots = _slots_of(cur_mask, k)
-        left = MultilinearForm.from_entries(p, n, len(slots), cur.get("L", {}))
-        right = MultilinearForm.from_entries(p, n, k - len(slots), cur.get("R", {}))
-        terms.append(CertTerm(slots, left, right))
+    # one [mask, L lines, R lines] per term
+    blocks = []
     for ln in lines[1:]:
-        if ln.startswith("term"):
-            flush()
-            cur_mask = int(ln.split()[1])
-            cur = {}
+        tag, _, rest = ln.strip().partition(" ")
+        if tag == "term":
+            mask = _number(rest, int)
+            if not 0 < mask < (1 << k) - 1:
+                raise FormatError(f"term line {ln!r} needs a proper nonempty subset mask")
+            blocks.append([mask, [], []])
+        elif tag in ("L", "R") and blocks:
+            blocks[-1][1 if tag == "L" else 2].append(rest)
         else:
-            tag, rest = ln.split(maxsplit=1)
-            head_part, _, val = rest.partition(":")
-            idx = tuple(int(t) - 1 for t in head_part.split())
-            cur.setdefault(tag, {})[idx] = int(val.strip())
-    flush()
+            raise FormatError(f"certificate line {ln!r} is not a term or a factor entry after one")
+    if len(blocks) != count:
+        raise FormatError(f"header announces {count} terms, found {len(blocks)}")
+    terms = []
+    for mask, left, right in blocks:
+        slots = _slots_of(mask, k)
+        factors = []
+        for arity, rows in ((len(slots), left), (k - len(slots), right)):
+            full = (1 << arity) - 1
+            entries = _parse_form_lines([f"{full} {r}" for r in rows], p, n, arity).get(full, {})
+            factors.append(MultilinearForm.from_entries(p, n, arity, entries))
+        terms.append(CertTerm(slots, *factors))
     return RankCertificate(claimed, tuple(terms))

@@ -186,20 +186,21 @@ class TestPhaseFastPathP2:
             assert an.gowers_norm(f, d).power_surd() == an.gowers_norm(stripped, d).power_surd()
 
     def test_phases_never_leave_the_fast_path(self, monkeypatch):
-        def generic(*args):
-            raise AssertionError("left the p = 2 phase path")
+        def ring_values(*args):
+            raise AssertionError("a phase with exps took the ring-value column source")
 
-        f = an.random_unimodular_exact(random.Random(5), 2, 5, 3)
-        expected = [an.gowers_norm(f, d) for d in (2, 3, 4)]
-        monkeypatch.setattr(an, "_u2_power_batch", generic)
-        assert [an.gowers_norm(f, d) for d in (2, 3, 4)] == expected
-        stripped = an.BoundedFunction(2, 5, f.ring, f.coeffs, 1, exps=None)
-        with pytest.raises(AssertionError):
-            an.gowers_norm(stripped, 2)
+        fs = [an.random_unimodular_exact(random.Random(5), p, n, m) for p, n, m in [(2, 5, 3), (3, 3, 1), (3, 2, 2)]]
+        expected = [[an.gowers_norm(f, d) for d in (2, 3, 4)] for f in fs]
+        monkeypatch.setattr(an, "_value_columns", ring_values)
+        for f, values in zip(fs, expected):
+            assert [an.gowers_norm(f, d) for d in (2, 3, 4)] == values
+            stripped = an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, 1, exps=None)
+            with pytest.raises(AssertionError):
+                an.gowers_norm(stripped, 2)
 
     def test_sixteenth_roots_take_the_ring_path(self):
-        # the fast path sums |tau|^4 in Z[zeta_8] at most; Z[zeta_16] phases
-        # must still come out exact
+        # the closed forms sum |tau|^4 in Z[zeta_8] at most; Z[zeta_16] phases
+        # take the Gram sum and must still come out exact
         f = an.random_unimodular_exact(random.Random(0), 2, 2, 4)
         for d in (2, 3):
             fast, direct = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
@@ -212,22 +213,246 @@ class TestPhaseFastPathP2:
         [(9, np.int16, 2, 64), (14, np.int16, 2, 2), (15, np.int32, 2, 1), (15, np.int32, 1, 1)],
     )
     def test_transform_dtype_and_chunk_bound(self, n, dtype, weight, columns):
-        assert an._wht_dtype(n) is dtype
-        assert np.iinfo(dtype).max >= 2**n
-        cols = an._p2_chunk_columns(n, weight)
-        assert cols == columns
-        assert weight * cols * 16**n < 2**63
+        # eighth-root phases: every column value has modulus 1 (K = 1)
+        assert max(1, an._CHUNK_ENTRIES >> n) == columns
+        values, planes, sums, chunk_sums = an._kernel_dtypes(2, n, 4, 1, columns, weight)
+        assert planes is dtype and np.iinfo(dtype).max >= 2**n
+        assert values is sums is chunk_sums is np.int64
+        assert weight * columns * 16**n < 2**63
 
-    @pytest.mark.parametrize("n", [14, 15])
+    @pytest.mark.parametrize("n", [14, 15, 16])
     def test_character_u2_at_the_dtype_boundary(self, n):
         # (-1)^{x_1} as an eighth-root phase: one transform entry reaches 2^n
         exps = np.repeat([0, 4], 2 ** (n - 1))
         assert an.gowers_norm(an.BoundedFunction.from_exponents(2, n, 3, exps), 2).is_one()
 
-    def test_chunk_bound_refuses_what_int64_cannot_hold(self):
-        assert an._wht_dtype(16) is np.int32
-        with pytest.raises(BudgetExceeded):
-            an._p2_chunk_columns(16, 1)
+    def test_sums_past_int64_run_on_object_dtype(self):
+        # at n = 16 one column's sum of |tau|^4 can reach 16^16 = 2^64
+        assert an._kernel_dtypes(2, 16, 4, 1, 1, 1) == (np.int64, np.int32, object, object)
+        # a Z[i] function with den = 2^20 passes int64 already in its values
+        assert an._kernel_dtypes(2, 2, 2, 2**160, 1, 1) == (object,) * 4
+
+
+def _ref_transform(R, p, n, coeffs):
+    """The former per-axis character transform (sign -1): np.stack butterflies,
+    einsum with the root matrices for p = 3."""
+    d = coeffs.shape[0]
+    rest = coeffs.shape[1:]
+    arr = coeffs.reshape((d,) + rest[:-1] + (p,) * n)
+    first = len(rest)
+    if p == 2:
+        for axis in range(first, arr.ndim):
+            a0, a1 = np.take(arr, 0, axis=axis), np.take(arr, 1, axis=axis)
+            arr = np.stack([a0 + a1, a0 - a1], axis=axis)
+        return arr.reshape((d,) + rest)
+    e = R.N // p
+    W1, W2 = R.root_matrix(-e % R.N), R.root_matrix(-2 * e % R.N)
+    for axis in range(first, arr.ndim):
+        x0, x1, x2 = (np.take(arr, t, axis=axis) for t in range(3))
+        y1 = x0 + np.einsum("ij,j...->i...", W1, x1) + np.einsum("ij,j...->i...", W2, x2)
+        y2 = x0 + np.einsum("ij,j...->i...", W2, x1) + np.einsum("ij,j...->i...", W1, x2)
+        arr = np.stack([x0 + x1 + x2, y1, y2], axis=axis)
+    return arr.reshape((d,) + rest)
+
+
+def _ref_u2_batch(R, p, n, coeffs):
+    tau = _ref_transform(R, p, n, coeffs)
+    m2 = R.mul_arrays(tau, R.conj_arrays(tau))
+    return R.mul_arrays(m2, m2).sum(axis=-1)
+
+
+def ref_gowers_power(f, d):
+    """The former recursive formula: U^2 by the transform, U^3 batched over
+    all shifts h, U^4 as the sum of U^3(d_h f) over h.  Returns (num, den)."""
+    R, p, n = f.ring, f.p, f.n
+    if d == 2:
+        num = _ref_u2_batch(R, p, n, f.coeffs)
+        return tuple(int(v) for v in num), p ** (4 * n) * f.den**4
+    if d == 3:
+        sh = an._shift_table(p, n)
+        der = R.mul_arrays(f.coeffs[:, sh], R.conj_arrays(f.coeffs)[:, None, :])
+        total = _ref_u2_batch(R, p, n, der).astype(object).sum(axis=-1)
+        return tuple(int(v) for v in total), p ** (5 * n) * f.den**8
+    total, den = 0, None
+    for h in all_vectors(p, n):
+        num, den = ref_gowers_power(f.mult_derivative(h), d - 1)
+        total = np.array(num, dtype=object) + total
+    return tuple(int(v) for v in total), den * p**n
+
+
+# Z, Z[zeta_2] = Z, Z[i], Z[zeta_8], Z[zeta_16], Z[omega], Z[zeta_9]
+KERNEL_RINGS = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
+
+
+def _kernel_inputs(p, m, n, seed):
+    """A phase with exps, the same phase without, and a table of small ring values over den 3."""
+    rng = random.Random(seed)
+    R = ring(p, m)
+    if m:
+        f = an.random_unimodular_exact(rng, p, n, m)
+    else:  # +-1 values in Z, without exps
+        f = an.BoundedFunction(p, n, R, an.random_mu_p_function(rng, 2, n).coeffs, 1)
+    vals = np.array([[rng.randrange(-2, 3) for _ in range(p**n)] for _ in range(R.degree)], dtype=np.int64)
+    return [f, an.BoundedFunction(p, n, R, f.coeffs, 1), an.BoundedFunction(p, n, R, vals, 3)]
+
+
+def _same_power(value, ref) -> bool:
+    """The kernel's value equals a reference (num, den) as a number."""
+    num, den = ref
+    return _same_value(value.power_num, value.power_den, num, den)
+
+
+class TestColumnKernel:
+    """The chunked half-pair column kernel against the former recursive formula."""
+
+    @pytest.mark.parametrize("p, m", KERNEL_RINGS)
+    def test_matches_recursive_reference(self, p, m):
+        # p = 3 stops at n = 4 for U^4: the reference takes ~10 s there at n = 5
+        for n in range(2, 6):
+            for k, f in enumerate(_kernel_inputs(p, m, n, 10 * n + m)):
+                for d in (2, 3, 4):
+                    if p == 3 and n == 5 and d == 4:
+                        continue
+                    value = an.gowers_norm(f, d)
+                    assert _same_power(value, ref_gowers_power(f, d)), (p, m, n, k, d)
+                    if p == 2 or m:  # the kernel keeps the ring; Z at p = 3 moves to Z[omega]
+                        assert value.ring is f.ring
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(KERNEL_RINGS),
+        st.integers(1, 3),
+        st.integers(1, 9),
+        st.randoms(use_true_random=False),
+    )
+    def test_raw_coefficient_tables(self, pm, n, den, rnd):
+        # unbounded tables too: the reference runs on Python integers
+        p, m = pm
+        R = ring(p, m)
+        n = min(n, 2) if p == 3 or R.degree > 2 else n
+        vals = np.array([[rnd.randrange(-den, den + 1) for _ in range(p**n)] for _ in range(R.degree)])
+        f = an.BoundedFunction(p, n, R, vals.astype(np.int64), den)
+        for d in (2, 3, 4):
+            assert _same_power(an.gowers_norm(f, d), ref_gowers_power(_object_copy(f), d))
+
+    @pytest.mark.parametrize("p, n, m", [(2, 2, 3), (3, 1, 1)])
+    def test_u5_recursion_matches_direct(self, p, n, m):
+        f = an.random_unimodular_exact(random.Random(n), p, n, m)
+        stripped = an.BoundedFunction(p, n, f.ring, f.coeffs, 1)
+        direct = an.direct_gowers_power(f, 5).power_surd()
+        assert an.gowers_norm(f, 5).power_surd() == an.gowers_norm(stripped, 5).power_surd() == direct
+
+    @pytest.mark.parametrize("p, n, d", [(2, 3, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4), (3, 3, 4)])
+    def test_orbits_cover_every_shift_once(self, p, n, d):
+        hs, weights = an._derivative_orbits(p, n, d)
+        size = p**n
+        assert weights.sum() == size ** (d - 2)
+        seen = set()
+        for i, rep in enumerate(zip(*hs)):
+            orbit = {tuple(rep), tuple(rep[::-1])} if d == 4 else {tuple(rep)}
+            neg = an._shift_table(p, n).argmin(axis=1)
+            orbit |= {tuple(int(neg[h]) for h in o) for o in orbit}
+            assert len(orbit) == weights[i] and not orbit & seen
+            seen |= orbit
+        assert len(seen) == size ** (d - 2)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_radix3_transform_matches_float_dft(self, m, sign):
+        rng = random.Random(m)
+        R, n = ring(3, m), 3
+        c = np.array([[[rng.randrange(-5, 6) for _ in range(27)] for _ in range(2)] for _ in range(R.degree)])
+        tau = an._transform_array(R, 3, n, c, sign)
+        roots = np.exp(2j * np.pi * np.arange(R.degree) / R.N)
+        V = np.array(all_vectors(3, n))
+        F = np.exp(sign * 2j * np.pi * (V @ V.T) / 3)
+        assert np.allclose(np.tensordot(roots, tau, 1), np.tensordot(roots, c, 1) @ F.T)
+
+    def test_transform_without_cube_roots_is_refused(self):
+        with pytest.raises(PreconditionError):
+            an._transform_array(ring(3, 0), 3, 1, np.ones((1, 3), dtype=np.int64), -1)
+        # gowers_norm and u2_inverse move Z-valued functions on F_3^n to Z[omega] first
+        ones = an.BoundedFunction.ones(3, 2)
+        for d in (2, 3, 4, 5):
+            assert an.gowers_norm(ones, d).is_one()
+        got, corr = an.u2_inverse(ones)
+        assert got == (0, 0) and corr.mag2_is_one()
+
+    @pytest.mark.parametrize(
+        "n, dtype, columns, sums",
+        [(5, np.int16, 134, np.int64), (9, np.int16, 1, np.int64), (10, np.int32, 1, object)],
+    )
+    def test_radix3_dtype_and_chunk_bound(self, n, dtype, columns, sums):
+        # cube-root phases: K = 1; coefficients of an element are at most sqrt 2 times its modulus
+        assert max(1, an._CHUNK_ENTRIES // 3**n) == columns
+        values, planes, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
+        assert planes is dtype and np.iinfo(dtype).max ** 2 >= 2 * 9**n
+        assert values is np.int64 and col_sums is chunk_sums is sums
+        if sums is np.int64:
+            assert 2 * 2 * columns * 81**n < 2**63
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_character_u2_at_the_radix3_dtype_boundary(self, n):
+        # omega^{x_1}: one transform entry reaches 3^n
+        exps = np.repeat([0, 1, 2], 3 ** (n - 1))
+        assert an.gowers_norm(an.BoundedFunction.from_exponents(3, n, 1, exps), 2).is_one()
+
+
+def _zi_function(den, n=2, seed=0):
+    """Z[i] values (a + b i) / den with 1/2 <= |value|^2 <= 1."""
+    rng = random.Random(seed)
+    cols = []
+    while len(cols) < 2**n:
+        a, b = rng.randrange(-den, den + 1), rng.randrange(-den, den + 1)
+        if den * den <= 2 * (a * a + b * b) and a * a + b * b <= den * den:
+            cols.append((a, b))
+    return an.BoundedFunction(2, n, ring(2, 2), np.array(cols, dtype=np.int64).T, den)
+
+
+def _object_copy(f):
+    return an.BoundedFunction(f.p, f.n, f.ring, f.coeffs.astype(object), f.den)
+
+
+class TestNoInt64Overflow:
+    """Large denominators: every exact route against the oracle on Python integers."""
+
+    @pytest.mark.parametrize("den", [16, 1000, 10**5])
+    def test_zi_norms_match_object_oracle(self, den):
+        f = _zi_function(den)
+        for d in (2, 3, 4):
+            oracle = an.direct_gowers_power(_object_copy(f), d)
+            assert an.gowers_norm(f, d).power_surd() == oracle.power_surd(), d
+            assert an.direct_gowers_power(f, d).power_surd() == oracle.power_surd(), d
+            assert 0.5 < oracle.norm_float() <= 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 2), st.integers(0, 2**32))
+    def test_zi_norms_over_den(self, den, n, seed):
+        f = _zi_function(den, n, seed)
+        for d in (2, 3, 4):
+            assert an.gowers_norm(f, d).power_surd() == an.direct_gowers_power(_object_copy(f), d).power_surd()
+
+    def test_weighted_chunk_sums_at_the_column_bound(self):
+        # +-9 / 9 with a quadratic sign on F_2^3: every d_{h1} d_{h2} f is a
+        # character times 9^4, so each column's sum of |tau|^4 is 8^4 * 9^16,
+        # just under 2^63, and only the weighted chunk total passes int64
+        signs = [(-1) ** (x[0] * x[1] + x[2]) for x in all_vectors(2, 3)]
+        f = an.BoundedFunction(2, 3, ring(2, 0), 9 * np.array([signs], dtype=np.int64), 9)
+        assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int64, np.int32, np.int64, object)
+        assert an.gowers_norm(f, 3).is_one() and an.gowers_norm(f, 4).is_one()
+
+    def test_power_between_int64_and_uint64_reads_back_exactly(self):
+        # numpy reads Python integers in [2^63, 2^64) as float64 unless told otherwise
+        v = an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**63 + 1, 0], dtype=object), 2**64)
+        assert v.power_surd() == RealSurd(Fraction(2**63 + 1, 2**64))
+        assert an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**64 - 1, 0], dtype=object), 2**64 - 1).is_one()
+
+    def test_transform_of_large_coefficients_is_exact(self):
+        R = ring(3, 1)
+        c = np.array([[2**61, -(2**61), 3], [1, 2**60, -(2**61)]], dtype=np.int64)
+        tau = an._transform_array(R, 3, 1, c, -1)
+        assert tau.dtype == object
+        assert np.array_equal(tau, _ref_transform(R, 3, 1, c.astype(object)))
 
 
 class TestCorrelation:

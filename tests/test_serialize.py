@@ -281,3 +281,82 @@ def test_load_poly_fuzz(text):
     except sz.FormatError:
         return
     assert sz.load_poly(sz.dump_poly(P)) == P
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "p=2\n", "p=2 n=x\n", "p=4 n=2\n", "p=2 n=-1\n", "p=2 n=2 q=1\n", "q=2 n=2\n", "p2 n2\n",
+     "p=2 n=2\n1 2\n", "p=2 n=2\n1\n", "p=2 n=2\n1 0 1\n", "p=3 n=2\n-1 0\n", "p=2 n=2\n1 x\n", "p=2 n=5000\n"],
+)
+def test_load_subspace_rejects_malformed(text):
+    with pytest.raises(sz.FormatError):
+        sz.load_subspace(text)
+
+
+def _claimed_form():
+    return mf.MultilinearForm.from_entries(2, 2, 3, {(0, 0, 0): 1, (1, 1, 1): 1})
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "2 2 3\n", "2 2 3 cert\n", "2 2 3 cart 0\n", "2 2 3 cert x\n", "3 2 3 cert 0\n", "2 3 3 cert 0\n",
+     "2 2 2 cert 0\n", "4 2 3 cert 0\n", "2 2 3 cert 1\nQ\n", "2 2 3 cert 1\nL 1 : 1\n", "2 2 3 cert 1\nterm\n",
+     "2 2 3 cert 1\nterm x\n", "2 2 3 cert 1\nterm 0\n", "2 2 3 cert 1\nterm 7\n", "2 2 3 cert 1\nterm 1 2\n",
+     "2 2 3 cert 2\nterm 1\n", "2 2 3 cert 1\nterm 1\nL 1 1 : 1\n", "2 2 3 cert 1\nterm 1\nR 1 : 1\n",
+     "2 2 3 cert 1\nterm 1\nL 3 : 1\n", "2 2 3 cert 1\nterm 1\nL 1 1\n", "2 2 3 cert 1\nterm 1\nL 1 : x\n",
+     "2 2 3 cert 1\nterm 1\nX 1 : 1\n"],
+)
+def test_load_certificate_rejects_malformed(text):
+    with pytest.raises(sz.FormatError):
+        sz.load_certificate(text, _claimed_form())
+
+
+@st.composite
+def _vector_texts(draw):
+    """Vector files near the valid format, with mistakes in every field."""
+    p, n = draw(st.sampled_from(["2", "3", "4", "x"])), draw(st.sampled_from(["0", "1", "2", "3", "-1"]))
+    head = draw(st.sampled_from([f"p={p} n={n}", f"p={p}", f"n={n} p={p}", f"p={p} n={n} q=1"]))
+    rows = st.lists(st.sampled_from(["0", "1", "2", "3", "-1", "x"]), max_size=4).map(" ".join)
+    return "\n".join([head] + draw(st.lists(rows, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _vector_texts()))
+def test_load_subspace_fuzz(text):
+    """Any text loads (and then round-trips) or raises FormatError."""
+    try:
+        p, n, vecs = sz.load_vectors(text)
+        U = sz.load_subspace(text)
+    except sz.FormatError:
+        return
+    assert sz.load_vectors(sz.dump_vectors(p, n, vecs)) == (p, n, vecs)
+    assert sz.load_subspace(sz.dump_subspace(U)) == U
+
+
+@st.composite
+def _certificate_texts(draw):
+    """Certificate files for the claimed F_2^2 trilinear form, with mistakes in every field."""
+    head = draw(st.sampled_from(["2 2 3 cert {c}", "2 2 3 cert", "2 2 3 cart {c}", "3 2 3 cert {c}", "2 2 3 cert x"]))
+    entry = st.builds(
+        lambda tag, idx, sep, val: " ".join([tag, *idx]) + sep + val,
+        st.sampled_from(["L", "R", "X"]),
+        st.lists(st.sampled_from(["1", "2", "3", "0", "x"]), max_size=3),
+        st.sampled_from([" : ", " : ", " "]),
+        st.sampled_from(["0", "1", "3", "-1", "x"]),
+    )
+    term = st.sampled_from(["term 1", "term 2", "term 4", "term 6", "term 0", "term 7", "term x", "term"])
+    body = draw(st.lists(st.one_of(term, entry), max_size=6))
+    count = sum(ln.startswith("term") for ln in body) + draw(st.sampled_from([0, 0, 0, 1]))
+    return "\n".join([head.format(c=count)] + body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=40), _certificate_texts()))
+def test_load_certificate_fuzz(text):
+    """Any text loads (and then round-trips) or raises FormatError."""
+    T = _claimed_form()
+    try:
+        cert = sz.load_certificate(text, T)
+    except sz.FormatError:
+        return
+    assert sz.load_certificate(sz.dump_certificate(cert), T) == cert

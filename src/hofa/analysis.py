@@ -32,6 +32,9 @@ from .ncpoly import NcPoly, basis_tuples
 from .torus import TorusValue
 
 
+_INT64_MAX = 2**63 - 1
+
+
 @lru_cache(maxsize=None)
 def _shift_table(p: int, n: int) -> np.ndarray:
     """SHIFT[i, j] = index of (x_i + x_j) in all_vectors order."""
@@ -58,8 +61,19 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
     (degree,) + (p^n,) * m, one axis per variable.  These are the corner
     products behind Gowers-Cauchy-Schwarz averages.  With ``rows``, the
     first variable runs over those indices only.
+
+    Each ring product stays within degree^2 times its factors' largest
+    coefficients, so the product, any sum of its entries, and one more
+    product by a root of unity (``phased_sum``) stay within degree^(2k)
+    times the k tables' largest coefficients times the number of entries.
+    Past int64 that bound moves the tables to object dtype.
     """
     size = p**n
+    bound = (size if rows is None else len(rows)) * size ** (m - 1) * R.degree ** (2 * len(tables))
+    for tab in tables.values():
+        bound *= int(np.abs(tab).max(initial=0))
+    if bound > _INT64_MAX:
+        tables = {S: tab.astype(object) for S, tab in tables.items()}
     sh = _shift_table(p, n)
     axes = [np.arange(size).reshape((1,) * i + (size,) + (1,) * (m - 1 - i)) for i in range(m)]
     if rows is not None:
@@ -80,16 +94,15 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
 
     ``prod`` is a (degree, ...) coefficient array in ring R and ``expo`` an
     F_p exponent table of the same trailing shape.  With ``masks``, a list
-    of the sums under each boolean mask, all from one phased product.
+    of the sums under each boolean mask, all from one phased product.  An
+    int64 ``prod`` must keep degree^2 max|prod| within int64, as
+    ``corner_product``'s bound does; the sums run on Python integers.
     """
     if R.N % p:
         raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     prod = R.mul_arrays(prod, R.roots_to_coeffs(expo * (R.N // p)))
     parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
-    vals = [
-        CorrValue.from_sum(R, np.array([int(v) for v in part.astype(object).sum(axis=1)]), den)
-        for part in parts
-    ]
+    vals = [CorrValue.from_sum(R, part.astype(object).sum(axis=1), den) for part in parts]
     return vals[0] if masks is None else vals
 
 
@@ -155,8 +168,13 @@ class BoundedFunction:
 
     def __post_init__(self):
         if self.ring is not None:
-            if self.coeffs.shape != (self.ring.degree, self.p**self.n):
+            R, c = self.ring, self.coeffs
+            if c.shape != (R.degree, self.p**self.n):
                 raise DimensionMismatch("coefficient array has wrong shape")
+            # a product or |.|^2 of two values stays within (p - 1) degree^2 max|coeff|^2
+            # (conjugates within (p - 1) max|coeff|); past int64 the table is kept on Python integers
+            if c.dtype != object and (R.p - 1) * R.degree**2 * int(np.abs(c).max(initial=0)) ** 2 > _INT64_MAX:
+                object.__setattr__(self, "coeffs", c.astype(object))
 
     # -- constructors --
 
@@ -225,7 +243,7 @@ class BoundedFunction:
         """Exact sup-norm check where the ring supports it, float otherwise."""
         if not self.exact:
             return bool((np.abs(self.values) <= 1 + 1e-9).all())
-        d2 = self.ring.mul_arrays(self.coeffs, self.ring.conj_arrays(self.coeffs))
+        d2 = self.ring.mag_squared(self.coeffs)
         bound = RealSurd(Fraction(self.den**2))
         for col in range(d2.shape[1]):
             try:
@@ -289,11 +307,8 @@ class BoundedFunction:
         R = common_ring(self.ring, ring(self.p, m))
         f = self.embed(R)
         tt = (t * (R.N // self.p**m)) % R.N
-        M = R.root_matrix(tt)
         new_exps = (f.exps + tt) % R.N if f.exps is not None else None
-        return BoundedFunction(
-            self.p, self.n, R, np.tensordot(M, f.coeffs, axes=([1], [0])), f.den, exps=new_exps
-        )
+        return BoundedFunction(self.p, self.n, R, R.mul_arrays(f.coeffs, R.root(tt)), f.den, exps=new_exps)
 
     def restrict_to_coset(self, U: Subspace, shift: Vec) -> "BoundedFunction":
         """The function c -> f(shift + U.basis . c) on F_p^{dim U}."""
@@ -346,12 +361,15 @@ class CorrValue:
     def exact(self) -> bool:
         return self.ring is not None
 
+    def _num_mag2(self) -> np.ndarray:
+        """|num|^2 on Python integers: the square of an int64 sum can pass int64."""
+        return self.ring.mag_squared(np.asarray(self.num, dtype=object))
+
     def mag2(self) -> RealSurd:
         """|value|^2 as an exact RealSurd; raises if the ring cannot order."""
         if not self.exact:
             raise ExactOrderUnsupported("float-mode correlation")
-        m2 = self.ring.mag_squared(self.num)
-        return RealSurd.from_ring_element(self.ring, m2, self.den**2)
+        return RealSurd.from_ring_element(self.ring, self._num_mag2(), self.den**2)
 
     def modulus_float(self) -> float:
         return abs(self.float_value)
@@ -359,10 +377,9 @@ class CorrValue:
     def mag2_is_one(self) -> bool:
         if not self.exact:
             return abs(abs(self.float_value) - 1) < 1e-9
-        m2 = self.ring.mag_squared(self.num)
-        one = self.ring.zero()
+        one = np.zeros(self.ring.degree, dtype=object)
         one[0] = self.den**2
-        return np.array_equal(m2, one)
+        return np.array_equal(self._num_mag2(), one)
 
     def __str__(self):
         return f"|{self.float_value:.6g}|"
@@ -381,7 +398,7 @@ class GowersNormValue:
     @classmethod
     def from_parts(cls, d: int, R: CycloRing, num, den: int) -> "GowersNormValue":
         num = np.asarray(num)
-        if not np.array_equal(R.conj(num), num):
+        if not np.array_equal(R.conj_arrays(num), num):
             raise InternalCheckError("Gowers norm power is not real")
         return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num).real / den)
 
@@ -414,8 +431,6 @@ class GowersNormValue:
 
 
 # -- exact character transform --
-
-_INT64_MAX = 2**63 - 1
 
 
 def _wht_inplace(a: np.ndarray) -> np.ndarray:
@@ -514,29 +529,6 @@ def _transform_array(R: CycloRing, p: int, n: int, coeffs: np.ndarray, sign: int
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _ring_mul(R: CycloRing, a, b):
-    """Pointwise product of (degree, ...) coefficient arrays in R, any dtype.
-
-    Each plane product a_i b_j is added with sign +-1 into the coefficients
-    of zeta^{i+j} reduced mod Phi_N, so every partial sum stays within
-    degree^2 max|a_i| max|b_j|.
-    """
-    d = R.degree
-    if d == 1:
-        return a * b
-    out = np.zeros((d,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=np.result_type(a, b))
-    for i in range(d):
-        for j in range(d):
-            prod = a[i] * b[j]
-            row = R._reduce[(i + j) % R.N]
-            for k in np.flatnonzero(row):
-                if row[k] > 0:
-                    out[k] += prod
-                else:
-                    out[k] -= prod
-    return out
-
-
 def _modulus_bound_sq(R: CycloRing, coeffs: np.ndarray) -> int:
     """An integer M2 with |s(z)|^2 <= M2 for every value z and embedding s.
 
@@ -550,7 +542,7 @@ def _modulus_bound_sq(R: CycloRing, coeffs: np.ndarray) -> int:
         top = int(np.abs(c).max(initial=0))
         if R.degree**3 * (R.p - 1) * top * top > _INT64_MAX:
             c = c.astype(object)
-    return int(np.abs(_ring_mul(R, c, R.conj_arrays(c))).sum(axis=0).max(initial=0))
+    return int(np.abs(R.mag_squared(c)).sum(axis=0).max(initial=0))
 
 
 def _derivative_orbits(p: int, n: int, d: int) -> tuple:
@@ -617,15 +609,15 @@ def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
     sh = _shift_table(p, n)
     cc = R.conj_arrays(coeffs)
     if len(hs) == 1:
-        return lambda part: _ring_mul(R, np.take(coeffs, sh[:, hs[0][part]], axis=1), cc[:, :, None])
-    D = _ring_mul(R, coeffs[:, sh], cc[:, :, None])
+        return lambda part: R.mul_arrays(np.take(coeffs, sh[:, hs[0][part]], axis=1), cc[:, :, None])
+    D = R.mul_arrays(coeffs[:, sh], cc[:, :, None])
     Dc = R.conj_arrays(D)
     size = p**n
 
     def columns(part):
         a, b = hs[0][part], hs[1][part]
         # D(x + a, b) through one flat index: a gather with two index arrays is slower
-        return _ring_mul(R, np.take(D.reshape(R.degree, -1), sh[:, a] * size + b, axis=1), Dc[:, :, b])
+        return R.mul_arrays(np.take(D.reshape(R.degree, -1), sh[:, a] * size + b, axis=1), Dc[:, :, b])
 
     return columns
 
@@ -664,15 +656,11 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tup
 
     forms = _MAG2_FORMS.get(R.N)
     if forms is None:
-        t = tau.astype(dtype)
-        m2 = _ring_mul(R, t, R.conj_arrays(t))
-        out = [0] * R.degree
-        for i in range(R.degree):
-            for j in range(i, R.degree):
-                g = total(m2[i], m2[j]) * (1 if i == j else 2)
-                for k, c in enumerate(R._reduce[(i + j) % R.N]):
-                    out[k] += g * int(c)
-        return tuple(out)
+        m2 = R.mag_squared(tau.astype(dtype))
+        gram = np.zeros((R.degree, R.degree), dtype=object)
+        for i, j in zip(*np.triu_indices(R.degree)):
+            gram[i, j] = gram[j, i] = total(m2[i], m2[j])
+        return tuple(int(c) for c in R._fold @ gram.ravel())  # the product's fold, zeta^{i+j}
     A = form(forms[0])
     if R.N != 8:
         return (total(A, A),) + (0,) * (R.degree - 1)
@@ -866,7 +854,10 @@ def u2_inverse(fn: BoundedFunction) -> tuple[Vec, CorrValue]:
     fn = _with_pth_roots(fn)
     R = fn.ring
     tau = char_transform(fn, sign=-1)
-    m2 = R.mul_arrays(tau, R.conj_arrays(tau))
+    # conj(tau) stays within (p - 1) max|tau|, so |tau|^2 within (p - 1) degree^2 max|tau|^2
+    if tau.dtype != object and (fn.p - 1) * R.degree**2 * int(np.abs(tau).max(initial=0)) ** 2 > _INT64_MAX:
+        tau = tau.astype(object)
+    m2 = R.mag_squared(tau)
     best, best_val = 0, RealSurd.from_ring_element(R, m2[:, 0])
     for i in range(1, m2.shape[1]):
         v = RealSurd.from_ring_element(R, m2[:, i])
@@ -900,6 +891,14 @@ def _quadratic_candidates(p: int, n: int, classical_only: bool):
     return tuples, m, tables
 
 
+def _candidate_exponents(p: int, n: int, tuples, m: int, tables):
+    """Every candidate coefficient tuple, in itertools.product order, and the
+    exponent table of its quadratic phase over Z/p^m, one row per candidate."""
+    cands = list(itertools.product(range(p), repeat=len(tuples)))
+    C = np.array(cands, dtype=np.int64).reshape(len(cands), len(tuples))
+    return cands, C @ np.array(tables, dtype=np.int64).reshape(len(tuples), p**n) % p**m
+
+
 def u3_inverse_bruteforce(
     fn: BoundedFunction,
     classical_only: bool = False,
@@ -907,32 +906,30 @@ def u3_inverse_bruteforce(
 ) -> tuple[NcPoly, CorrValue]:
     """Exact argmax over all degree-<=2 polynomials mod constants.
 
-    Enumeration over the canonical quadratic coefficient tuples; the
-    returned correlation is exact.  This is an oracle by enumeration, not
-    a proof-driven inverse theorem.
+    Enumeration over the canonical quadratic coefficient tuples; each
+    candidate's correlation sum is one ring product of f with its conjugate
+    phase, summed, and the first maximum in enumeration order wins.  This
+    is an oracle by enumeration, not a proof-driven inverse theorem.
     """
     p, n = fn.p, fn.n
     tuples, m, tables = _quadratic_candidates(p, n, classical_only)
     ncand = p ** len(tuples)
     if ncand > budget.quad_oracle_cap:
         raise BudgetExceeded(f"{ncand} quadratic candidates exceed the oracle budget")
+    cands, exps = _candidate_exponents(p, n, tuples, m, tables)
     if not fn.exact:
-        return _u3_oracle_float(fn, tuples, m, tables)
+        return _u3_oracle_float(fn, tuples, m, cands, exps)
     R = common_ring(fn.ring, ring(p, m))
     f = fn.embed(R)
-    Nq = p**m
-    step = R.N // Nq
+    coeffs = f.coeffs
+    # a candidate's sum stays within degree^2 size max|f| =: S, its conjugate
+    # within (p - 1) S, and its |.|^2 within (p - 1) degree^2 S^2
+    top = R.degree**2 * fn.size * int(np.abs(coeffs).max(initial=0))
+    if (p - 1) * R.degree**2 * top * top > _INT64_MAX:
+        coeffs = coeffs.astype(object)
     best = None
-    for cand in itertools.product(range(p), repeat=len(tuples)):
-        exps = np.zeros(fn.size, dtype=np.int64)
-        for c, tab in zip(cand, tables):
-            if c:
-                exps += c * tab
-        exps = (exps % Nq) * step
-        num = R.zero()
-        for t in np.unique(exps):
-            colsum = f.coeffs[:, exps == t].sum(axis=1)
-            num = num + np.tensordot(R.root_matrix((-t) % R.N), colsum, axes=([1], [0]))
+    for cand, e in zip(cands, exps * (R.N // p**m)):
+        num = R.mul_arrays(coeffs, R.roots_to_coeffs(-e)).sum(axis=1)
         val = RealSurd.from_ring_element(R, R.mag_squared(num))
         if best is None or val > best[0]:
             best = (val, cand, num)
@@ -948,20 +945,10 @@ def _poly_from_candidate(p, n, tuples, cand) -> NcPoly:
     return NcPoly.make(p, n, TorusValue.zero(p), monos)
 
 
-def _u3_oracle_float(fn, tuples, m, tables):
-    N = fn.p**m
-    vals = fn.to_complex_table()
-    best = None
-    for cand in itertools.product(range(fn.p), repeat=len(tuples)):
-        exps = np.zeros(fn.size, dtype=np.int64)
-        for c, tab in zip(cand, tables):
-            if c:
-                exps += c * tab
-        z = (vals * np.exp(-2j * np.pi * (exps % N) / N)).mean()
-        if best is None or abs(z) > abs(best[0]):
-            best = (z, cand)
-    z, cand = best
-    return _poly_from_candidate(fn.p, fn.n, tuples, cand), CorrValue.from_float(z)
+def _u3_oracle_float(fn, tuples, m, cands, exps):
+    z = (fn.to_complex_table() * np.exp(-2j * np.pi * exps / fn.p**m)).mean(axis=1)
+    best = int(np.argmax(np.abs(z)))  # the first maximum
+    return _poly_from_candidate(fn.p, fn.n, tuples, cands[best]), CorrValue.from_float(z[best])
 
 
 def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
@@ -986,7 +973,7 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
         den *= emb[S].den
     prod = corner_product(R, p, n, 4, tabs)
     total = prod.sum(axis=1).reshape(R.degree, -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, np.array([int(v) for v in total]), den * p ** (4 * n))
+    return CorrValue.from_sum(R, total, den * p ** (4 * n))
 
 
 def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):

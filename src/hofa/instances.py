@@ -176,7 +176,7 @@ def _constant_like(g: BoundedFunction, conj_at_zero: bool) -> BoundedFunction:
     """The constant function conj(g(0)) as a BoundedFunction."""
     R = g.ring
     idx0 = 0
-    col = R.conj(g.coeffs[:, idx0]) if conj_at_zero else g.coeffs[:, idx0]
+    col = R.conj_arrays(g.coeffs[:, idx0]) if conj_at_zero else g.coeffs[:, idx0]
     coeffs = np.repeat(col[:, None], g.p**g.n, axis=1)
     return BoundedFunction(g.p, g.n, R, coeffs, g.den)
 

@@ -258,11 +258,8 @@ def value_cube(T: MultilinearForm, budget_points: int = 1 << 20) -> np.ndarray:
     size = T.p**T.n
     if size**T.k > budget_points:
         raise PreconditionError("evaluation oracle budget exceeded")
-    X = np.array(all_vectors(T.p, T.n), dtype=np.int64)
-    cur = T.coeffs.astype(np.int64)
-    for _ in range(T.k):
-        cur = np.tensordot(cur, X, axes=([0], [1])) % T.p
-    return cur
+    X = np.array(all_vectors(T.p, T.n), dtype=np.int64).reshape(size, T.n)
+    return _pullback(T.coeffs, X.T, T.p)
 
 
 def eval_many(T: MultilinearForm, args: np.ndarray) -> np.ndarray:
@@ -383,25 +380,12 @@ def total_derivative_at(P: NcPoly, hs, x: Vec) -> TorusValue:
 # -- restriction / extension / basis change --
 
 
-def _contract_all_axes(coeffs: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
-    """Replace T by T'(y_1..y_k) = T(M^T y_1, ..) i.e. contract each axis with M.
-
-    M has shape (new_dim, old_dim); result axis order is preserved.
-    """
-    cur = coeffs.astype(np.int64)
-    k = cur.ndim
-    for _ in range(k):
-        cur = np.tensordot(cur, M, axes=([0], [1])) % p
-        # tensordot appends the new axis at the end; after k rounds order is restored
-    return cur
-
-
 def restrict(T: MultilinearForm, U: Subspace) -> MultilinearForm:
     """T restricted to U, expressed in U-basis coordinates."""
     if U.n != T.n or U.p != T.p:
         raise DimensionMismatch("subspace does not match the form's space")
     B = np.array(U.basis, dtype=np.int64).reshape(U.dim, U.n)
-    return MultilinearForm(T.p, U.dim, T.k, _contract_all_axes(T.coeffs, B, T.p))
+    return MultilinearForm(T.p, U.dim, T.k, _pullback(T.coeffs, B.T, T.p))
 
 
 def extend(S_U: MultilinearForm, U: Subspace, W: Subspace) -> MultilinearForm:

@@ -55,9 +55,7 @@ def slot_cube(p: int, n: int, slots, coeffs, k: int = 3) -> np.ndarray:
     axes ``slots`` (sorted) of a k-axis table over F_p^n; other axes have
     length 1, so parts add and multiply by broadcasting."""
     X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
-    t = np.asarray(coeffs, dtype=np.int64)
-    for _ in slots:
-        t = np.tensordot(t, X, axes=([0], [1])) % p
+    t = mforms._pullback(np.asarray(coeffs), X.T, p)
     shape = [1] * k
     for s in slots:
         shape[s] = p**n
@@ -412,8 +410,8 @@ def _cs_witness_functions(shifted: BoundedFunction, b7: BoundedFunction, s) -> t
     p, n, R = b7.p, b7.n, b7.ring
     sc = shifted.conj()
     # fold the constant conj(b7(s)) into b1'
-    const = R.conj(b7.coeffs[:, vec_index(p, s)])
-    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const[:, None]), shifted.den * b7.den)
+    const = R.conj_arrays(b7.coeffs[:, vec_index(p, s)])
+    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const), shifted.den * b7.den)
     return (b1p, shifted, shifted, sc, sc, sc, shifted)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import analysis as an
-from hofa.cyclotomic import RealSurd, ring
+from hofa.cyclotomic import RealSurd, common_ring, ring
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
+from hofa.mforms import MultilinearForm
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.pipeline import derivative_sum_cube
+from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
+from ringref import ref_conj, ref_mul, ref_roots
 
 
 def phase(P, conj=False):
@@ -235,7 +239,7 @@ class TestPhaseFastPathP2:
 
 def _ref_transform(R, p, n, coeffs):
     """The former per-axis character transform (sign -1): np.stack butterflies,
-    einsum with the root matrices for p = 3."""
+    products by the reference roots for p = 3."""
     d = coeffs.shape[0]
     rest = coeffs.shape[1:]
     arr = coeffs.reshape((d,) + rest[:-1] + (p,) * n)
@@ -246,36 +250,38 @@ def _ref_transform(R, p, n, coeffs):
             arr = np.stack([a0 + a1, a0 - a1], axis=axis)
         return arr.reshape((d,) + rest)
     e = R.N // p
-    W1, W2 = R.root_matrix(-e % R.N), R.root_matrix(-2 * e % R.N)
+    W1, W2 = ref_roots(R, -e), ref_roots(R, -2 * e)
     for axis in range(first, arr.ndim):
         x0, x1, x2 = (np.take(arr, t, axis=axis) for t in range(3))
-        y1 = x0 + np.einsum("ij,j...->i...", W1, x1) + np.einsum("ij,j...->i...", W2, x2)
-        y2 = x0 + np.einsum("ij,j...->i...", W2, x1) + np.einsum("ij,j...->i...", W1, x2)
+        y1 = x0 + ref_mul(R, W1, x1) + ref_mul(R, W2, x2)
+        y2 = x0 + ref_mul(R, W2, x1) + ref_mul(R, W1, x2)
         arr = np.stack([x0 + x1 + x2, y1, y2], axis=axis)
     return arr.reshape((d,) + rest)
 
 
 def _ref_u2_batch(R, p, n, coeffs):
     tau = _ref_transform(R, p, n, coeffs)
-    m2 = R.mul_arrays(tau, R.conj_arrays(tau))
-    return R.mul_arrays(m2, m2).sum(axis=-1)
+    m2 = ref_mul(R, tau, ref_conj(R, tau))
+    return ref_mul(R, m2, m2).sum(axis=-1)
 
 
 def ref_gowers_power(f, d):
     """The former recursive formula: U^2 by the transform, U^3 batched over
-    all shifts h, U^4 as the sum of U^3(d_h f) over h.  Returns (num, den)."""
+    all shifts h, U^4 as the sum of U^3(d_h f) over h.  Returns (num, den).
+    Every ring product and conjugate is the test-local reference."""
     R, p, n = f.ring, f.p, f.n
     if d == 2:
         num = _ref_u2_batch(R, p, n, f.coeffs)
         return tuple(int(v) for v in num), p ** (4 * n) * f.den**4
     if d == 3:
         sh = an._shift_table(p, n)
-        der = R.mul_arrays(f.coeffs[:, sh], R.conj_arrays(f.coeffs)[:, None, :])
+        der = ref_mul(R, f.coeffs[:, sh], ref_conj(R, f.coeffs)[:, None, :])
         total = _ref_u2_batch(R, p, n, der).astype(object).sum(axis=-1)
         return tuple(int(v) for v in total), p ** (5 * n) * f.den**8
     total, den = 0, None
-    for h in all_vectors(p, n):
-        num, den = ref_gowers_power(f.mult_derivative(h), d - 1)
+    for h in an._shift_table(p, n):
+        der = ref_mul(R, f.coeffs[:, h], ref_conj(R, f.coeffs))
+        num, den = ref_gowers_power(an.BoundedFunction(p, n, R, der, f.den**2), d - 1)
         total = np.array(num, dtype=object) + total
     return tuple(int(v) for v in total), den * p**n
 
@@ -447,6 +453,55 @@ class TestNoInt64Overflow:
         assert v.power_surd() == RealSurd(Fraction(2**63 + 1, 2**64))
         assert an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**64 - 1, 0], dtype=object), 2**64 - 1).is_one()
 
+    def test_seven_correlation_reproducer(self):
+        # (700 +- 700i) / 1000 is 1-bounded; its seven-function correlation
+        # against the all-ones trilinear form used to wrap in int64 (|corr| 0.0056)
+        f = an.BoundedFunction(2, 1, ring(2, 2), np.array([[700, 700], [700, -700]], dtype=np.int64), 1000)
+        assert f.check_bounded()
+        T = MultilinearForm(2, 1, 3, np.ones((1, 1, 1), dtype=np.int64))
+        corr, exact = seven_correlation((f,) * 7, T), seven_correlation((_object_copy(f),) * 7, T)
+        assert np.array_equal(corr.num, exact.num) and corr.den == exact.den
+        assert abs(corr.modulus_float() - 0.6988) < 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(1, 10**6), st.integers(1, 2), st.integers(0, 2**32))
+    def test_corner_cube_averages_over_den(self, den, n, seed):
+        f = _zi_function(den, n, seed)
+        fo = _object_copy(f)
+        T = MultilinearForm(2, n, 3, np.array(random.Random(seed).choices((0, 1), k=n**3)).reshape((n,) * 3))
+        for g, go in [(f, fo), (f.conj(), fo.conj())]:
+            bs, bos = (g, f) * 3 + (g,), (go, fo) * 3 + (go,)
+            assert np.array_equal(seven_correlation(bs, T).num, seven_correlation(bos, T).num)
+        gs = {S: f if S % 3 else f.conj() for S in range(8)}
+        assert np.array_equal(
+            an.octolinear_average(gs).num, an.octolinear_average({S: _object_copy(g) for S, g in gs.items()}).num
+        )
+        (_, D, den8), (_, Do, deno8) = derivative_sum_cube(f), derivative_sum_cube(fo)
+        assert den8 == deno8 and np.array_equal(D, Do)
+
+    def test_correlation_magnitudes_past_int64(self):
+        # (0.7 + 0.7i) and 1 at den = 10^9 and 10^10: the sums fit int64, their squares do not
+        f = an.BoundedFunction(2, 3, ring(2, 2), np.full((2, 8), 7 * 10**8, dtype=np.int64), 10**9)
+        want = RealSurd(Fraction(49, 50))
+        assert an.correlation(f, NcPoly.zero(2, 3)).mag2() == an.average(f).mag2() == want
+        assert an.u2_inverse(f)[1].mag2() == want
+        one = an.BoundedFunction(2, 3, ring(2, 2), np.array([[10**10] * 8, [0] * 8], dtype=np.int64), 10**10)
+        assert an.average(one).mag2_is_one()
+
+    def test_pairwise_products_past_int64(self):
+        # den = 4 * 10^9: products of two values pass int64, so the tables move to Python integers
+        den = 4 * 10**9
+        c = np.array([[2 * den, 7 * den // 10], [0, 7 * den // 10]], dtype=np.int64)
+        assert not an.BoundedFunction(2, 1, ring(2, 2), c, den).check_bounded()  # the value 2 at x = 0
+        g = an.BoundedFunction(2, 1, ring(2, 2), np.full((2, 2), 7 * den // 10, dtype=np.int64), den)
+        assert np.array_equal(g.mult_derivative((1,)).coeffs, _object_copy(g).mult_derivative((1,)).coeffs)
+
+    def test_phased_sum_between_int64_and_uint64(self):
+        # a sum in [2^63, 2^64) once became float64 and lost its last digits
+        prod = np.array([[2**61 + 1] * 4, [-1, 0, 0, 0]], dtype=np.int64)
+        val = an.phased_sum(ring(2, 2), 2, prod, np.zeros(4, dtype=np.int64), 1)
+        assert val.mag2() == RealSurd(Fraction(85070591730234615939630628152780259345))
+
     def test_transform_of_large_coefficients_is_exact(self):
         R = ring(3, 1)
         c = np.array([[2**61, -(2**61), 3], [1, 2**60, -(2**61)]], dtype=np.int64)
@@ -516,7 +571,62 @@ class TestU2Inverse:
             assert corr.mag2() == best
 
 
+def _ref_u3_oracle(fn, classical_only=False):
+    """The former oracle: a Python loop over the candidates in
+    itertools.product order, each summing f over the level sets of its
+    exponent table and rotating each sum by the reference root."""
+    p, n = fn.p, fn.n
+    tuples, m, tables = an._quadratic_candidates(p, n, classical_only)
+    R = common_ring(fn.ring, ring(p, m))
+    f = fn.embed(R)
+    best = None
+    for cand in itertools.product(range(p), repeat=len(tuples)):
+        exps = np.zeros(fn.size, dtype=np.int64)
+        for c, tab in zip(cand, tables):
+            exps += c * tab
+        exps = (exps % p**m) * (R.N // p**m)
+        num = np.zeros(R.degree, dtype=f.coeffs.dtype)
+        for t in np.unique(exps):
+            num = num + ref_mul(R, ref_roots(R, -t), f.coeffs[:, exps == t].sum(axis=1))
+        val = RealSurd.from_ring_element(R, ref_mul(R, num, ref_conj(R, num)))
+        if best is None or val > best[0]:
+            best = (val, cand, num)
+    _, cand, num = best
+    monos = [Monomial(e, j, c) for (e, j), c in zip(tuples, cand) if c]
+    return NcPoly.make(p, n, TorusValue.zero(p), monos), num
+
+
+def _corrupted_quadratic_phase():
+    return phase(random_poly(2, 2, 2, True, seed=13)).with_replaced_values({(0, 1): 3})
+
+
 class TestU3Oracle:
+    @pytest.mark.parametrize(
+        "fixture, classical_only",
+        [
+            (lambda: an.BoundedFunction.ones(2, 1), False),
+            (lambda: an.BoundedFunction.ones(2, 2), False),
+            (lambda: an.BoundedFunction.ones(2, 3), False),
+            (lambda: an.BoundedFunction.ones(3, 2), True),
+            (lambda: phase(random_poly(3, 2, 2, False, seed=6)), True),
+            (_corrupted_quadratic_phase, False),
+            (lambda: _zi_function(1000, 2), False),
+        ],
+    )
+    def test_matches_the_per_candidate_loop(self, fixture, classical_only):
+        f = fixture()
+        Q, corr = an.u3_inverse_bruteforce(f, classical_only=classical_only)
+        ref_Q, ref_num = _ref_u3_oracle(f, classical_only)
+        assert Q == ref_Q
+        assert corr.num.dtype == ref_num.dtype and np.array_equal(corr.num, ref_num)
+
+    def test_float_oracle_keeps_the_first_maximum(self):
+        f = _corrupted_quadratic_phase()
+        fl = an.BoundedFunction.from_complex_values(2, 2, f.to_complex_table())
+        Q, corr = an.u3_inverse_bruteforce(fl)
+        assert Q == _ref_u3_oracle(f)[0]
+        assert abs(abs(corr.float_value) ** 2 - float(an.u3_inverse_bruteforce(f)[1].mag2())) < 1e-9
+
     def test_recovers_quadratic(self):
         for seed in (3, 4, 5):
             Q0 = random_poly(2, 2, 2, True, seed=seed)
@@ -524,8 +634,10 @@ class TestU3Oracle:
             assert corr.mag2_is_one()
 
     def test_ones(self):
-        Q, corr = an.u3_inverse_bruteforce(an.BoundedFunction.ones(2, 2))
-        assert Q == NcPoly.zero(2, 2) and corr.mag2_is_one()
+        # every candidate ties, so the first one, the zero polynomial, wins
+        for p, n in [(2, 1), (2, 2), (2, 3), (3, 2)]:
+            Q, corr = an.u3_inverse_bruteforce(an.BoundedFunction.ones(p, n))
+            assert Q == NcPoly.zero(p, n) and corr.mag2_is_one()
 
     def test_classical_only_f3(self):
         Q0 = random_poly(3, 2, 2, False, seed=6)

@@ -70,7 +70,7 @@ def ref_witness_from_function(f, phi):
     best = None
     for i, x0 in enumerate(all_vectors(f.p, f.n)):
         shifted = f.shift_arg(x0)
-        col = f.ring.conj(f.coeffs[:, vec_index(f.p, x0)])
+        col = f.ring.conj_arrays(f.coeffs[:, vec_index(f.p, x0)])
         const = an.BoundedFunction(f.p, f.n, f.ring, np.repeat(col[:, None], f.size, axis=1), f.den)
         b1 = shifted.mul(const)
         bs = (b1, shifted, shifted, shifted.conj(), shifted.conj(), shifted.conj(), shifted)

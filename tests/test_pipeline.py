@@ -20,6 +20,7 @@ from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
 from hofa.symmetrize import form_cube, seven_correlation, slot_cube
 from hofa.torus import TorusValue
+from ringref import ref_mul, ref_roots
 
 
 def depth_cubic_fixture(n=3):
@@ -244,7 +245,7 @@ def _reference_derandomize(g_cube, phase, gammas):
     full = (p**n,) * 3
 
     def measure(expo, mask):
-        prod = R.mul_arrays(D, R.roots_to_coeffs((expo % p) * (R.N // p)))[:, mask]
+        prod = ref_mul(R, D, ref_roots(R, (expo % p) * (R.N // p)))[:, mask]
         total = np.array([int(v) for v in prod.astype(object).sum(axis=1)])
         return an.CorrValue.from_sum(R, total, den * p ** (4 * n))
 

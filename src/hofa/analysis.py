@@ -5,9 +5,10 @@ Exact mode stores a function as an integer coefficient array over
 Z[zeta_{p^m}] with a common denominator, so multiplicative derivatives,
 character sums and Gowers-norm powers are exact ring elements; magnitude
 comparisons go through ``RealSurd`` (rational or a + b*sqrt(2)) and never
-through floats.  One in-place character transform serves every exact
-path (a Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on the
-coefficient planes for p = 3).  Exact U^2..U^4 norms run one column
+through floats, and every argmax over candidate sums through one exact
+kernel, ``first_max``.  One in-place character transform serves every
+exact path (a Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on
+the coefficient planes for p = 3).  Exact U^2..U^4 norms run one column
 kernel: the transform of f, of each d_h f, or of each d_{h1} d_{h2} f
 with symmetric shifts folded together, then sum |tau|^4, on int64 only
 where a stated bound allows and on Python integers elsewhere.  Float mode
@@ -19,13 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 
 from . import fpspace
 from .config import DEFAULT_BUDGET, Budget
-from .cyclotomic import CycloRing, ExactOrderUnsupported, RealSurd, common_ring, ring
+from .cyclotomic import CycloRing, ExactOrderUnsupported, RealSurd, common_ring, real_parts, ring, surd_sign
 from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, PreconditionError
 from .fpspace import Subspace, Vec, all_vectors, vec_add, vec_index
 from .ncpoly import NcPoly, basis_tuples
@@ -93,17 +94,38 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
     """Exact sum of prod * omega_p^expo over all entries, divided by den.
 
     ``prod`` is a (degree, ...) coefficient array in ring R and ``expo`` an
-    F_p exponent table of the same trailing shape.  With ``masks``, a list
-    of the sums under each boolean mask, all from one phased product.  An
-    int64 ``prod`` must keep degree^2 max|prod| within int64, as
-    ``corner_product``'s bound does; the sums run on Python integers.
+    F_p exponent table of the same trailing shape.  With ``masks``, the
+    (degree, M) array of the sums under each of the M boolean masks, over
+    the same den, all from one phased product.  An int64 ``prod`` must keep
+    degree^2 max|prod| within int64, as ``corner_product``'s bound does; the
+    sums run on Python integers.
     """
     if R.N % p:
         raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     prod = R.mul_arrays(prod, R.roots_to_coeffs(expo * (R.N // p)))
-    parts = [prod.reshape(prod.shape[0], -1)] if masks is None else [prod[:, mask] for mask in masks]
-    vals = [CorrValue.from_sum(R, part.astype(object).sum(axis=1), den) for part in parts]
-    return vals[0] if masks is None else vals
+    if masks is None:
+        return CorrValue.from_sum(R, prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1), den)
+    return np.stack([prod[:, mask].astype(object).sum(axis=1) for mask in masks], axis=1)
+
+
+def first_max(R: CycloRing, sums: np.ndarray) -> int:
+    """Index of the first candidate of largest |.|^2 among the columns of a
+    (degree, C) array of exact sums in R over one shared denominator.
+
+    The squares are taken once, on Python integers, and compared exactly
+    where ``real_parts`` reads them: in Z (N <= 4, rational squares in
+    Z[zeta_9]) and in Z[sqrt 2] (N = 8).  The shared denominator does not
+    change the order.
+    """
+    if sums.shape[1] == 0:
+        raise PreconditionError("no candidates to maximise over")
+    a, b = real_parts(R, R.mag_squared(np.asarray(sums, dtype=object)))
+    if np.any(b):  # Z[zeta_8]: |z|^2 = a + b sqrt2
+        a, b = a.tolist(), b.tolist()
+        key = cmp_to_key(lambda i, j: surd_sign(a[i] - a[j], b[i] - b[j]))
+    else:
+        key = a.tolist().__getitem__
+    return max(range(sums.shape[1]), key=key)  # max keeps the first of equal keys
 
 
 def cube_corner_tables(R: CycloRing, tables: dict) -> dict:
@@ -129,17 +151,11 @@ def base_point_argmax(
     size = p**n
     if size ** (m - 1) * 8 > budget.enum_cap:
         raise BudgetExceeded("base-point argmax step too large")
-    inner = size ** (nbase - 1)
     # the base point of each entry of one step, over the other nbase - 1 variables
     base = np.arange(size ** (m - 1)).reshape((size,) * (m - 1)) // size ** (m - nbase)
-    best, best_i = None, None
-    for i in range(size):
-        prod = corner_product(R, p, n, m, tables, rows=[i])[:, 0]
-        for j, val in enumerate(phased_sum(R, p, prod, expo, 1, (base == j for j in range(inner)))):
-            key = val.mag2()
-            if best is None or key > best:
-                best, best_i = key, i * inner + j
-    return best_i
+    masks = [base == j for j in range(size ** (nbase - 1))]
+    steps = (corner_product(R, p, n, m, tables, rows=[i])[:, 0] for i in range(size))
+    return first_max(R, np.concatenate([phased_sum(R, p, prod, expo, 1, masks) for prod in steps], axis=1))
 
 
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
@@ -854,15 +870,7 @@ def u2_inverse(fn: BoundedFunction) -> tuple[Vec, CorrValue]:
     fn = _with_pth_roots(fn)
     R = fn.ring
     tau = char_transform(fn, sign=-1)
-    # conj(tau) stays within (p - 1) max|tau|, so |tau|^2 within (p - 1) degree^2 max|tau|^2
-    if tau.dtype != object and (fn.p - 1) * R.degree**2 * int(np.abs(tau).max(initial=0)) ** 2 > _INT64_MAX:
-        tau = tau.astype(object)
-    m2 = R.mag_squared(tau)
-    best, best_val = 0, RealSurd.from_ring_element(R, m2[:, 0])
-    for i in range(1, m2.shape[1]):
-        v = RealSurd.from_ring_element(R, m2[:, i])
-        if v > best_val:
-            best, best_val = i, v
+    best = first_max(R, tau)
     corr = CorrValue.from_sum(R, tau[:, best], fn.size * fn.den)
     u2 = gowers_norm(fn, 2)
     try:
@@ -906,10 +914,11 @@ def u3_inverse_bruteforce(
 ) -> tuple[NcPoly, CorrValue]:
     """Exact argmax over all degree-<=2 polynomials mod constants.
 
-    Enumeration over the canonical quadratic coefficient tuples; each
-    candidate's correlation sum is one ring product of f with its conjugate
-    phase, summed, and the first maximum in enumeration order wins.  This
-    is an oracle by enumeration, not a proof-driven inverse theorem.
+    Enumeration over the canonical quadratic coefficient tuples; every
+    candidate's correlation sum comes from one ring product of f with the
+    conjugate candidate phases, chunked by ``_CHUNK_ENTRIES``, and the first
+    maximum in enumeration order wins (``first_max``).  This is an oracle
+    by enumeration, not a proof-driven inverse theorem.
     """
     p, n = fn.p, fn.n
     tuples, m, tables = _quadratic_candidates(p, n, classical_only)
@@ -920,22 +929,19 @@ def u3_inverse_bruteforce(
     if not fn.exact:
         return _u3_oracle_float(fn, tuples, m, cands, exps)
     R = common_ring(fn.ring, ring(p, m))
-    f = fn.embed(R)
-    coeffs = f.coeffs
-    # a candidate's sum stays within degree^2 size max|f| =: S, its conjugate
-    # within (p - 1) S, and its |.|^2 within (p - 1) degree^2 S^2
-    top = R.degree**2 * fn.size * int(np.abs(coeffs).max(initial=0))
-    if (p - 1) * R.degree**2 * top * top > _INT64_MAX:
+    coeffs = fn.embed(R).coeffs
+    # a candidate's sum stays within degree^2 size max|f|
+    if R.degree**2 * fn.size * int(np.abs(coeffs).max(initial=0)) > _INT64_MAX:
         coeffs = coeffs.astype(object)
-    best = None
-    for cand, e in zip(cands, exps * (R.N // p**m)):
-        num = R.mul_arrays(coeffs, R.roots_to_coeffs(-e)).sum(axis=1)
-        val = RealSurd.from_ring_element(R, R.mag_squared(num))
-        if best is None or val > best[0]:
-            best = (val, cand, num)
-    _, cand, num = best
-    Q = _poly_from_candidate(p, n, tuples, cand)
-    return Q, CorrValue.from_sum(R, num, fn.size * fn.den)
+    exps = exps * (R.N // p**m)
+    step = max(1, _CHUNK_ENTRIES // fn.size)
+    sums = np.concatenate([
+        R.mul_arrays(coeffs[:, None], R.roots_to_coeffs(-exps[i : i + step])).sum(axis=2)
+        for i in range(0, len(cands), step)
+    ], axis=1)
+    best = first_max(R, sums)
+    Q = _poly_from_candidate(p, n, tuples, cands[best])
+    return Q, CorrValue.from_sum(R, sums[:, best], fn.size * fn.den)
 
 
 def _poly_from_candidate(p, n, tuples, cand) -> NcPoly:

@@ -164,6 +164,23 @@ def common_ring(r1: CycloRing, r2: CycloRing) -> CycloRing:
     return r1 if r1.N >= r2.N else r2
 
 
+def real_parts(rng: CycloRing, elts: np.ndarray) -> tuple:
+    """(a, b) with a + b*sqrt(2) the real (degree, ...) elements ``elts``:
+    c0 in Z, Z[i], Z[omega] and, where rational, Z[zeta_9]; c0 + c1 sqrt2 in
+    Z[zeta_8].  Raises ValueError on a non-real element and
+    ExactOrderUnsupported where no exact order is supported."""
+    N = rng.N
+    if N == 8:
+        if np.any(elts[2]) or np.any(elts[3] != -elts[1]):
+            raise ValueError("element is not real")
+        return elts[0], elts[1]
+    if N in (3, 4) and np.any(elts[1]) or N == 9 and not np.array_equal(rng.conj_arrays(elts), elts):
+        raise ValueError("element is not real")
+    if N not in (1, 2, 3, 4, 9) or np.any(elts[1:]):  # the real subfield of Q(zeta_9) is cubic
+        raise ExactOrderUnsupported(f"no exact real order on this element of Z[zeta_{N}]")
+    return elts[0], elts[0] * 0
+
+
 @dataclass(frozen=True)
 class RealSurd:
     """Exact real number a + b*sqrt(2) with rational a, b.
@@ -184,33 +201,8 @@ class RealSurd:
     @classmethod
     def from_ring_element(cls, rng: CycloRing, elt: np.ndarray, den: int = 1) -> "RealSurd":
         """Interpret a *real* ring element exactly; raises if unsupported."""
-        coeffs = [int(c) for c in elt]
-        den = Fraction(den)
-        N = rng.N
-        if N in (1, 2):
-            return cls(Fraction(coeffs[0]) / den)
-        if N == 4:  # basis 1, i
-            if coeffs[1] != 0:
-                raise ValueError("element is not real")
-            return cls(Fraction(coeffs[0]) / den)
-        if N == 3:  # basis 1, w ; real iff w-coefficient 0
-            if coeffs[1] != 0:
-                raise ValueError("element is not real")
-            return cls(Fraction(coeffs[0]) / den)
-        if N == 8:  # basis 1, z, z^2, z^3; real iff c2 = 0 and c3 = -c1
-            if coeffs[2] != 0 or coeffs[3] != -coeffs[1]:
-                raise ValueError("element is not real")
-            return cls(Fraction(coeffs[0]) / den, Fraction(coeffs[1]) / den)
-        if N == 9:  # real elements generally live in a cubic field
-            conj = rng.conj_arrays(elt)
-            if not np.array_equal(conj, elt):
-                raise ValueError("element is not real")
-            if all(c == 0 for c in coeffs[1:]):
-                return cls(Fraction(coeffs[0]) / den)
-            raise ExactOrderUnsupported(
-                "real subfield of Q(zeta_9) has no exact order support"
-            )
-        raise ExactOrderUnsupported(f"no exact real extraction for N={N}")
+        a, b = real_parts(rng, np.asarray(elt))
+        return cls(Fraction(int(a), den), Fraction(int(b), den))
 
     def __add__(self, other):
         o = RealSurd.of(other)
@@ -225,35 +217,34 @@ class RealSurd:
         return RealSurd(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
 
     def __pow__(self, k: int):
-        out = RealSurd(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if self.b == 0:  # a reduced numerator and denominator stay coprime: no gcd
+            return RealSurd(self.a**k)
+        if k < 0:
+            raise ValueError("negative powers of a + b*sqrt(2) with b != 0 are not supported")
+        # (x + y sqrt2) / d, raised on integers and reduced once at the end
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        x, y = self.a.numerator * (d // self.a.denominator), self.b.numerator * (d // self.b.denominator)
+        X, Y, e = 1, 0, k
+        while e:
+            if e & 1:
+                X, Y = X * x + 2 * Y * y, X * y + Y * x
+            x, y = x * x + 2 * y * y, 2 * x * y
+            e >>= 1
+        return RealSurd(Fraction(X, d**k), Fraction(Y, d**k))
 
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: compare a^2 with 2 b^2
-        if a > 0:  # b < 0
-            return 1 if a * a > 2 * b * b else (-1 if a * a < 2 * b * b else 0)
-        return -1 if a * a > 2 * b * b else (1 if a * a < 2 * b * b else 0)
+        return surd_sign(self.a, self.b)
 
     def __eq__(self, other):
         return self.sign_of_diff(other) == 0
 
     def sign_of_diff(self, other) -> int:
-        return (self - RealSurd.of(other)).sign()
+        o = RealSurd.of(other)
+        # the difference times the positive product of the four denominators,
+        # on integers: cross-multiplied, with no Fraction reduced
+        da = self.a.numerator * o.a.denominator - o.a.numerator * self.a.denominator
+        db = self.b.numerator * o.b.denominator - o.b.numerator * self.b.denominator
+        return surd_sign(da * self.b.denominator * o.b.denominator, db * self.a.denominator * o.a.denominator)
 
     def __ge__(self, other):
         return self.sign_of_diff(other) >= 0
@@ -279,5 +270,10 @@ class RealSurd:
         return f"{self.a} + {self.b}*sqrt(2)"
 
 
-ZERO_SURD = RealSurd(Fraction(0))
-ONE_SURD = RealSurd(Fraction(1))
+def surd_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for rational (or integer) a and b."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    d = a * a - 2 * b * b  # opposite signs: a dominates iff a^2 > 2 b^2
+    return sa * ((d > 0) - (d < 0))

@@ -185,69 +185,62 @@ def _multiplicity_classes(n: int, k: int, p: int):
     return i_of, ip_of, tuple(i_patterns)
 
 
-def _constant_on_classes(values: np.ndarray, class_ids: np.ndarray):
-    """None if constant per class, else a witness pair of flat indices."""
-    first = {}
-    for flat, cid in enumerate(class_ids):
-        c = int(values[flat])
-        if cid in first:
-            if first[cid][1] != c:
-                return (first[cid][0], flat)
-        else:
-            first[cid] = (flat, c)
-    return None
+@lru_cache(maxsize=None)
+def _class_leads(n: int, k: int, p: int):
+    """Per flat entry: the flat index of the first entry of its i-class and
+    of its i'-class, and whether its i-pattern has a multiplicity >= p."""
+    i_of, ip_of, patterns = _multiplicity_classes(n, k, p)
+    # class ids count up from 0 in C order, so unique's first indices line up with them
+    leads = tuple(np.unique(ids, return_index=True)[1][ids] for ids in (i_of, ip_of))
+    return leads + (np.array([max(pat, default=0) >= p for pat in patterns], dtype=bool)[i_of],)
+
+
+def _constant_on_classes(values: np.ndarray, lead: np.ndarray):
+    """None if every entry equals the first entry of its class (flat index
+    lead[j]), else the pair (lead[j], j) for the first j that does not."""
+    bad = values != values[lead]
+    if not bad.any():
+        return None
+    j = int(bad.argmax())
+    return int(lead[j]), j
+
+
+def _index_tuple(T: MultilinearForm, flat: int) -> tuple:
+    return tuple(int(i) for i in np.unravel_index(flat, (T.n,) * T.k))
 
 
 def is_symmetric(T: MultilinearForm) -> bool:
-    flat = T.coeffs.reshape(-1)
-    i_of, _, _ = _multiplicity_classes(T.n, T.k, T.p)
-    return _constant_on_classes(flat, i_of) is None
+    i_lead, _, _ = _class_leads(T.n, T.k, T.p)
+    return _constant_on_classes(T.coeffs.reshape(-1), i_lead) is None
 
 
 def is_ncsm(T: MultilinearForm) -> bool:
     """Non-classical symmetric multilinear: the image class of d^k on all polys."""
-    flat = T.coeffs.reshape(-1)
-    _, ip_of, _ = _multiplicity_classes(T.n, T.k, T.p)
-    return _constant_on_classes(flat, ip_of) is None
+    return ncsm_witness(T) is None
 
 
 def is_csm(T: MultilinearForm) -> bool:
     """Classical symmetric multilinear: the image class of d^k on classical polys."""
-    if not is_symmetric(T):
-        return False
-    i_of, _, patterns = _multiplicity_classes(T.n, T.k, T.p)
-    flat = T.coeffs.reshape(-1)
-    for fl, cid in enumerate(i_of):
-        if max(patterns[cid]) >= T.p and flat[fl] != 0:
-            return False
-    return True
+    return csm_witness(T) is None
 
 
 def ncsm_witness(T: MultilinearForm):
     """Index-tuple pair violating the nCSM pattern condition, or None."""
-    flat = T.coeffs.reshape(-1)
-    _, ip_of, _ = _multiplicity_classes(T.n, T.k, T.p)
-    w = _constant_on_classes(flat, ip_of)
-    if w is None:
-        return None
-    tuples = list(itertools.product(range(T.n), repeat=T.k))
-    return tuples[w[0]], tuples[w[1]]
+    _, ip_lead, _ = _class_leads(T.n, T.k, T.p)
+    w = _constant_on_classes(T.coeffs.reshape(-1), ip_lead)
+    return None if w is None else (_index_tuple(T, w[0]), _index_tuple(T, w[1]))
 
 
 def csm_witness(T: MultilinearForm):
-    if not is_symmetric(T):
-        flat = T.coeffs.reshape(-1)
-        i_of, _, _ = _multiplicity_classes(T.n, T.k, T.p)
-        w = _constant_on_classes(flat, i_of)
-        tuples = list(itertools.product(range(T.n), repeat=T.k))
-        return ("asymmetric", tuples[w[0]], tuples[w[1]])
-    i_of, _, patterns = _multiplicity_classes(T.n, T.k, T.p)
+    """("asymmetric", pair) or ("repeated-variable value nonzero", index tuple)
+    violating the CSM pattern condition, or None."""
     flat = T.coeffs.reshape(-1)
-    tuples = list(itertools.product(range(T.n), repeat=T.k))
-    for fl, cid in enumerate(i_of):
-        if max(patterns[cid]) >= T.p and flat[fl] != 0:
-            return ("repeated-variable value nonzero", tuples[fl])
-    return None
+    i_lead, _, repeated = _class_leads(T.n, T.k, T.p)
+    w = _constant_on_classes(flat, i_lead)
+    if w is not None:
+        return ("asymmetric", _index_tuple(T, w[0]), _index_tuple(T, w[1]))
+    bad = repeated & (flat != 0)
+    return ("repeated-variable value nonzero", _index_tuple(T, int(bad.argmax()))) if bad.any() else None
 
 
 # -- evaluation-based oracles for the predicates (used by tests and counts) --

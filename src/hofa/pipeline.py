@@ -128,8 +128,9 @@ def find_triaffine(
         cands = map(MultiaffineForm.from_multilinear, forms)
     else:
         raise PreconditionError(f"unknown strategy {strategy!r}")
-    scored = ((phi, measure_state(cube, phi)) for phi in cands)
-    return max(scored, key=lambda pv: pv[1].mag2(), default=None)
+    scored = [(phi, measure_state(cube, phi)) for phi in cands]
+    sums = np.array([val.num for _, val in scored], dtype=object).reshape(len(scored), cube[0].degree)
+    return scored[analysis.first_max(cube[0], sums.T)]
 
 
 # -- witness construction from f --
@@ -194,9 +195,9 @@ class GammaTerm:
 def measure_state(g_cube, phase: MultiaffineForm, gammas=(), masks=None):
     """|E_{x,h} (d^3 g)(x) w^{phase(h) + sum gammas(h)}| from the g-cube.
 
-    ``phase`` is any multiaffine form on (h1, h2, h3).  With ``masks``, a
-    list of the values under each indicator mask, all summed from one
-    phased product.
+    ``phase`` is any multiaffine form on (h1, h2, h3).  With ``masks``, the
+    (degree, M) array of the sums under each of the M indicator masks, over
+    the same denominator, all from one phased product.
     """
     R, D, den = g_cube
     p, n = phase.p, phase.n
@@ -260,27 +261,27 @@ def derandomize_indicator(
     cs = sorted(set(map(tuple, stacked.T.tolist())))
     masks = (np.all(stacked == np.array(c)[:, None], axis=0).reshape(full) for c in cs)
     sums = measure_state(g_cube, phase, masks=masks)
+    R, D, den = g_cube
+    den *= D.shape[-1] ** 4
     # argmax over the indicator value c: the corrections' root of unity leaves |S_c| alone
-    best = max(range(len(cs)), key=lambda i: sums[i].mag2())
-    c, c_val = cs[best], sums[best]
+    best = analysis.first_max(R, sums)
+    c = cs[best]
     entries = []
     if c_claim is not None:
+        c_val = CorrValue.from_sum(R, sums[:, best], den)
         entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff))
     # argmax over xi: one exact transform of the class sums
-    R, den = c_val.ring, c_val.den
     table = np.zeros((R.degree, p ** (2 * m)), dtype=object)
-    for cl, s in zip(cs, sums):
-        table[:, vec_index(p, cl)] = s.num
+    table[:, [vec_index(p, cl) for cl in cs]] = sums
     tau = analysis._transform_array(R, p, 2 * m, table, 1)
-    cands = [CorrValue.from_sum(R, tau[:, j], den) for j in range(p ** (2 * m))]
-    j = max(range(len(cands)), key=lambda j: cands[j].mag2())
+    j = analysis.first_max(R, tau)
     xi0 = all_vectors(p, 2 * m)[j]
     new_phase = _add_component(phase, (), -sum(x * cj for x, cj in zip(xi0, c)))
     for x, (slots, coeffs) in zip(xi0, factors):
         if x:
             new_phase = _add_component(new_phase, slots, x * coeffs)
     measured = measure_state(g_cube, new_phase)
-    if measured.mag2() != cands[j].mag2():  # pragma: no cover
+    if measured.mag2() != CorrValue.from_sum(R, tau[:, j], den).mag2():  # pragma: no cover
         raise InternalCheckError("the character argmax phase does not measure its transform value")
     entries.append(_stage_bound_entry(p, xi_claim, measured, eps, r_len, coeff))
     for e in entries:

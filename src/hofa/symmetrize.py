@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fpspace, mforms, rank
 from .analysis import (
-    BoundedFunction, CorrValue, base_point_argmax, corner_product, cube_corner_tables, phased_sum
+    BoundedFunction, CorrValue, base_point_argmax, corner_product, cube_corner_tables, first_max, phased_sum
 )
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd, common_ring, ring
@@ -321,19 +321,19 @@ def default_defect_certificates(
 def diagonal_linear_form(T: MultilinearForm) -> tuple:
     """The linear form x -> T(x, x, x) for symmetric trilinear T over F_3.
 
-    Linearity is asserted by exhaustive comparison against the candidate
-    built from the basis values.
+    Its coefficients are the tensor diagonal T[i, i, i]; linearity is
+    asserted on the table of T(x, x, x) over all of F_3^n.
     """
     if T.p != 3 or T.k != 3:
         raise PreconditionError("diagonal linearity needs p = 3 and k = 3")
     if not is_symmetric(T):
         raise PreconditionError("form is not symmetric")
-    n = T.n
-    coeffs = tuple(T.eval(fpspace.unit_vec(n, i), fpspace.unit_vec(n, i), fpspace.unit_vec(n, i)) for i in range(n))
-    for x in all_vectors(3, n):
-        if T.eval(x, x, x) != fpspace.dot(3, coeffs, x):  # pragma: no cover
-            raise InternalCheckError("diagonal map is not linear; form data corrupt")
-    return coeffs
+    c = T.coeffs.astype(np.int64)
+    coeffs = np.einsum("iii->i", c)
+    X = np.array(all_vectors(3, T.n), dtype=np.int64).reshape(-1, T.n)
+    if ((np.einsum("ijk,xi,xj,xk->x", c, X, X, X) - X @ coeffs) % 3).any():  # pragma: no cover
+        raise InternalCheckError("diagonal map is not linear; form data corrupt")
+    return tuple(int(v) for v in coeffs)
 
 
 def csm_subspace_f3(T: MultilinearForm) -> Subspace:
@@ -359,18 +359,16 @@ def ncsm_subspace_f2(
         raise PreconditionError("this reduction needs p = 2 and k = 3")
     if not is_symmetric(T):
         raise PreconditionError("form is not symmetric")
-    n = T.n
-    mat = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            ei, ej = fpspace.unit_vec(n, i), fpspace.unit_vec(n, j)
-            mat[i, j] = (T.eval(ei, ei, ej) - T.eval(ei, ej, ej)) % 2
-    B = BilinearForm(2, n, mat)
-    for x in all_vectors(2, n):
-        for y in all_vectors(2, n):
-            direct = (T.eval(x, x, y) - T.eval(x, y, y)) % 2
-            if direct != B.eval(x, y):  # pragma: no cover
-                raise InternalCheckError("defect kernel is not bilinear; form data corrupt")
+    c = T.coeffs.astype(np.int64)
+    # B(e_i, e_j) = T[i, i, j] - T[i, j, j]
+    mat = (np.einsum("iij->ij", c) - np.einsum("ijj->ij", c)) % 2
+    B = BilinearForm(2, T.n, mat)
+    X = np.array(all_vectors(2, T.n), dtype=np.int64).reshape(-1, T.n)
+    Tx = np.einsum("ijk,xi->xjk", c, X)  # T(x, ., .)
+    xxy = np.einsum("xjk,xj->xk", Tx, X) @ X.T
+    xyy = Tx.reshape(len(X), -1) @ np.einsum("yj,yk->jky", X, X).reshape(T.n**2, len(X))
+    if ((xxy - xyy - X @ mat @ X.T) % 2).any():  # pragma: no cover
+        raise InternalCheckError("defect kernel is not bilinear; form data corrupt")
     _, _, U = bilinear_rank(B)
     RU = restrict(T, U)
     if not is_ncsm(RU):  # pragma: no cover
@@ -556,19 +554,21 @@ def _best_coset_witness(
     p = T.p
     reps = list(fpspace.enumerate_subspace(fpspace.complement(U), budget))
     phi_V = MultiaffineForm.from_multilinear(T)
-    best = None
-    for x0, y0, z0 in itertools.product(reps, repeat=3):
-        phi_U = restrict_multiaffine(phi_V.shifted_arguments((x0, y0, z0)), U)
+
+    def restricted(shifts):
+        """phi, and b1..b7 on the cosets of the corners x, y, z, x+y, x+z, y+z, x+y+z."""
+        x0, y0, z0 = shifts
         xy = vec_add(p, x0, y0)
-        # b1..b7 restricted to the cosets of the corners x, y, z, x+y, x+z, y+z, x+y+z
         corners = (x0, y0, z0, xy, vec_add(p, x0, z0), vec_add(p, y0, z0), vec_add(p, xy, z0))
         bs_U = tuple(b.restrict_to_coset(U, c) for b, c in zip(witness.bs, corners))
-        val = seven_correlation(bs_U, phi_U, budget)
-        key = val.mag2()
-        if best is None or key > best[0]:
-            best = (key, (x0, y0, z0), phi_U, bs_U, val)
-    key, shifts, phi_U, bs_U, val = best
-    holds = key >= witness.delta.mag2()
+        return restrict_multiaffine(phi_V.shifted_arguments(shifts), U), bs_U
+
+    triples = list(itertools.product(reps, repeat=3))
+    vals = [seven_correlation(bs_U, phi_U, budget) for phi_U, bs_U in map(restricted, triples)]
+    best = first_max(vals[0].ring, np.stack([v.num for v in vals], axis=1))
+    shifts, val = triples[best], vals[best]
+    phi_U, bs_U = restricted(shifts)
+    holds = val.mag2() >= witness.delta.mag2()
     entry = corr_entry("coset restriction keeps |corr| >= delta", val, witness.delta, holds)
     if not holds:  # pragma: no cover
         raise InternalCheckError("coset argmax fell below the average")

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import analysis as an
-from hofa.cyclotomic import RealSurd, common_ring, ring
+from hofa.cyclotomic import ExactOrderUnsupported, RealSurd, common_ring, ring
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
 from hofa.mforms import MultilinearForm
@@ -508,6 +508,59 @@ class TestNoInt64Overflow:
         tau = an._transform_array(R, 3, 1, c, -1)
         assert tau.dtype == object
         assert np.array_equal(tau, _ref_transform(R, 3, 1, c.astype(object)))
+
+
+class TestFirstMax:
+    """One exact argmax: the first candidate of largest |.|^2 over a shared denominator."""
+
+    @staticmethod
+    def by_mag2(R, sums):
+        """Reference: the first maximum of the per-candidate CorrValue.mag2()."""
+        keys = [an.CorrValue.from_sum(R, sums[:, j], 1).mag2() for j in range(sums.shape[1])]
+        return next(j for j, k in enumerate(keys) if all(k >= other for other in keys))
+
+    def test_ties_keep_the_lowest_index(self):
+        sums = np.array([[0, 1, 0, -1, 1], [0, 0, 1, 0, 0]])  # 0, 1, i, -1, 1 in Z[i]
+        assert an.first_max(ring(2, 2), sums) == 1
+        assert an.first_max(ring(3, 1), np.zeros((2, 3), dtype=np.int64)) == 0
+
+    def test_squares_float64_cannot_separate(self):
+        M = 2**60
+        assert float(M) ** 2 == float(M + 1) ** 2
+        for dt in (np.int64, object):
+            assert an.first_max(ring(2, 1), np.array([[M, M + 1, -M]], dtype=dt)) == 1
+            assert an.first_max(ring(2, 2), np.array([[M, 0, M], [0, M + 1, 0]], dtype=dt)) == 1
+
+    def test_eighth_roots_order_by_the_sqrt2_part(self):
+        # |2 + zeta^3|^2 = 5 - 2 sqrt2 < |1 + zeta|^2 = 2 + sqrt2, though 5 > 2
+        sums = np.array([[2, 0, 0, 1], [1, 1, 0, 0]]).T
+        assert an.first_max(ring(2, 3), sums) == 1
+        assert an.first_max(ring(2, 3), sums[:, ::-1]) == 0
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            sums = rng.integers(-3, 4, (4, 12)) * 10**9
+            assert an.first_max(ring(2, 3), sums) == self.by_mag2(ring(2, 3), sums)
+
+    def test_den_1e9_sums_match_object_copies(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            sums = rng.integers(-8 * 10**9, 8 * 10**9, (2, 16))  # squares pass int64
+            got = an.first_max(ring(2, 2), sums)
+            assert got == an.first_max(ring(2, 2), sums.astype(object)) == self.by_mag2(ring(2, 2), sums)
+
+    def test_rings_without_an_exact_order(self):
+        R9 = ring(3, 2)
+        rational = np.zeros((R9.degree, 2), dtype=np.int64)
+        rational[0] = [1, 2]
+        assert an.first_max(R9, rational) == 1
+        with pytest.raises(ExactOrderUnsupported):
+            an.first_max(R9, R9.one()[:, None] + R9.root(1)[:, None])  # |1 + zeta_9|^2
+        with pytest.raises(ExactOrderUnsupported):
+            an.first_max(ring(2, 4), ring(2, 4).root(3)[:, None])
+
+    def test_no_candidates(self):
+        with pytest.raises(PreconditionError):
+            an.first_max(ring(2, 2), np.zeros((2, 0), dtype=np.int64))
 
 
 class TestCorrelation:

@@ -222,7 +222,8 @@ def test_kernel_matches_the_unchunked_product():
         prod = an.corner_product(R, p, n, 4, tables)
         base = np.arange(size**4).reshape((size,) * 4) // size ** (4 - nbase)
         sums = an.phased_sum(R, p, prod, expo, 1, [base == j for j in range(size**nbase)])
-        keys = [v.mag2() for v in sums]
+        assert sums.shape == (R.degree, size**nbase)
+        keys = [an.CorrValue.from_sum(R, sums[:, j], 1).mag2() for j in range(size**nbase)]
         first = next(j for j, k in enumerate(keys) if all(k >= other for other in keys))
         assert an.base_point_argmax(R, p, n, 4, tables, expo, nbase=nbase) == first
 

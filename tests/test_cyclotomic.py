@@ -1,7 +1,12 @@
+from fractions import Fraction
+from operator import eq, ge, gt, le, lt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hofa.cyclotomic import CycloRing, ring
+from hofa.cyclotomic import CycloRing, RealSurd, ring, surd_sign
 from ringref import ref_conj, ref_mul
 
 # Z, Z[zeta_2] = Z, Z[i], Z[zeta_8], Z[zeta_16], Z[omega], Z[zeta_9]
@@ -72,3 +77,57 @@ class TestOneProduct:
                 with pytest.raises((TypeError, ValueError)):  # the poisoned table
                     R.mul_arrays(a, b)
                 assert big.dtype == ring(p, m).mul_arrays(a, b).dtype == np.result_type(dtype)
+
+
+# -- RealSurd powers and comparisons against the square-and-multiply and
+# subtract-then-sign code they replaced --
+
+
+def _ref_pow(x: RealSurd, k: int) -> RealSurd:
+    out, base = RealSurd(Fraction(1)), x
+    while k:
+        if k & 1:
+            out = out * base
+        base = base * base
+        k >>= 1
+    return out
+
+
+def _ref_sign_of_diff(x: RealSurd, y: RealSurd) -> int:
+    return (x - y).sign()
+
+
+_fractions = st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
+_surds = st.builds(RealSurd, _fractions, st.one_of(st.just(Fraction(0)), _fractions))
+
+
+class TestRealSurd:
+    @settings(max_examples=60, deadline=None)
+    @given(_surds, st.integers(0, 300))
+    def test_pow_matches_square_and_multiply(self, x, k):
+        got, want = x**k, _ref_pow(x, k)
+        assert (got.a, got.b) == (want.a, want.b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_surds, _surds, st.integers(0, 300))
+    def test_sign_of_diff_matches_subtraction(self, x, y, k):
+        for u, v in ((x, y), (y, x), (x, x), (x**k, y**k), (x**k, x**k)):
+            assert u.sign_of_diff(v) == _ref_sign_of_diff(u, v)
+            assert (u == v, u < v, u <= v, u > v, u >= v) == tuple(
+                f(_ref_sign_of_diff(u, v), 0) for f in (eq, lt, le, gt, ge)
+            )
+
+    def test_negative_powers(self):
+        assert RealSurd(Fraction(-2, 3)) ** -3 == RealSurd(Fraction(-27, 8))
+        with pytest.raises(ValueError):
+            RealSurd(Fraction(1), Fraction(1)) ** -1
+
+    def test_rational_comparisons_near_equality(self):
+        big = Fraction(3**400 + 1, 2**600)
+        assert RealSurd(big) > RealSurd(Fraction(3**400, 2**600))
+        assert RealSurd(big).sign_of_diff(big) == 0 and RealSurd(big) == big
+        # 3 - 2 sqrt 2 > 0 and 99 - 70 sqrt 2 > 0 sit within 0.18 and 0.008 of zero
+        assert RealSurd(Fraction(3), Fraction(-2)).sign() == 1
+        assert RealSurd(Fraction(-99), Fraction(70)).sign() == -1
+        assert RealSurd(Fraction(0), Fraction(-1)).sign() == -1
+        assert surd_sign(-(2**80), 2**80) == 1 and surd_sign(2**80, -(2**80)) == -1

@@ -86,6 +86,44 @@ class TestPermute:
                     )
 
 
+# -- the per-entry loops the class-constancy checks replaced, kept as references --
+
+
+def _ref_constant_on_classes(values, class_ids):
+    first = {}
+    for flat, cid in enumerate(class_ids):
+        c = int(values[flat])
+        if cid in first:
+            if first[cid][1] != c:
+                return (first[cid][0], flat)
+        else:
+            first[cid] = (flat, c)
+    return None
+
+
+def _ref_witnesses(T):
+    """(ncsm_witness, csm_witness) by the former loops."""
+    tuples = list(itertools.product(range(T.n), repeat=T.k))
+    flat = T.coeffs.reshape(-1)
+    i_of, ip_of, patterns = mf._multiplicity_classes(T.n, T.k, T.p)
+    w = _ref_constant_on_classes(flat, ip_of)
+    ncsm = None if w is None else (tuples[w[0]], tuples[w[1]])
+    w = _ref_constant_on_classes(flat, i_of)
+    if w is not None:
+        return ncsm, ("asymmetric", tuples[w[0]], tuples[w[1]])
+    for fl, cid in enumerate(i_of):
+        if max(patterns[cid]) >= T.p and flat[fl] != 0:
+            return ncsm, ("repeated-variable value nonzero", tuples[fl])
+    return ncsm, None
+
+
+def _check_witnesses(T):
+    want = _ref_witnesses(T)
+    assert (mf.ncsm_witness(T), mf.csm_witness(T)) == want
+    assert (mf.is_ncsm(T), mf.is_csm(T)) == (want[0] is None, want[1] is None)
+    return want
+
+
 class TestPredicates:
     def test_zero_form(self):
         Z = MultilinearForm.zero(2, 2, 3)
@@ -110,6 +148,7 @@ class TestPredicates:
             assert s == mf.is_symmetric_eval(T)
             assert nc == mf.is_ncsm_eval(T)
             assert c == mf.is_csm_eval(T)
+            _check_witnesses(T)
             if c:
                 assert nc
             if nc:
@@ -126,6 +165,37 @@ class TestPredicates:
             T = mf.random_ncsm_form(rng, p, n, k) if t % 2 else mf.random_symmetric_form(rng, p, n, k)
             assert mf.is_ncsm(T) == mf.is_ncsm_eval(T)
             assert mf.is_csm(T) == mf.is_csm_eval(T)
+            _check_witnesses(T)
+
+
+class TestWitnesses:
+    def test_pinned_pairs(self):
+        ent = {idx: 1 for idx in set(itertools.permutations((0, 0, 1)))}
+        assert _check_witnesses(MultilinearForm.from_entries(2, 2, 3, ent)) == (
+            ((0, 0, 1), (0, 1, 1)), ("repeated-variable value nonzero", (0, 0, 1))
+        )
+        assert _check_witnesses(MultilinearForm.from_entries(3, 1, 3, {(0, 0, 0): 1})) == (
+            None, ("repeated-variable value nonzero", (0, 0, 0))
+        )
+        assert _check_witnesses(MultilinearForm.from_entries(2, 2, 3, {(0, 1, 1): 1})) == (
+            ((0, 0, 1), (0, 1, 1)), ("asymmetric", (0, 1, 1), (1, 0, 1))
+        )
+        assert _check_witnesses(MultilinearForm.zero(2, 2, 3)) == (None, None)
+
+    def test_unstructured_random_forms(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            p, n, k = rng.choice([(2, 2, 4), (3, 2, 4), (2, 3, 3), (3, 3, 2)])
+            _check_witnesses(mf.random_form(rng, p, n, k))
+
+    def test_class_order_keeps_the_random_draws(self):
+        # random_symmetric_form and random_ncsm_form index values by class id
+        i_of, ip_of, patterns = mf._multiplicity_classes(2, 3, 2)
+        assert i_of.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+        assert ip_of.tolist() == [0, 1, 1, 1, 1, 1, 1, 2]
+        assert patterns == ((3, 0), (2, 1), (1, 2), (0, 3))
+        T = mf.random_ncsm_form(random.Random(1), 3, 2, 3)
+        assert T.coeffs.reshape(-1).tolist() == [0, 2, 2, 0, 2, 0, 0, 1]
 
 
 class TestTotalDerivative:

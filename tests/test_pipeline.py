@@ -12,7 +12,7 @@ from hofa import mforms as mf
 from hofa import pipeline as pl
 from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import RealSurd, ring
-from hofa.errors import BudgetExceeded, PreconditionError
+from hofa.errors import BudgetExceeded, HofaError, PreconditionError
 from hofa.fpspace import all_vectors, vec_index
 from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
@@ -77,6 +77,11 @@ class TestFindTriaffine:
         phi, eps = pl.find_triaffine(f, pl.RandomSearch(tries=16, seed=3))
         _, eps_again = pl.find_triaffine(f, pl.SuppliedTriaffine(phi))
         assert eps.mag2() == eps_again.mag2()
+
+    def test_search_without_candidates_raises_a_hofa_error(self):
+        f = an.BoundedFunction.from_poly_phase(NcPoly.from_classical(3, 2, {(2, 1): 1}))  # x1^2 x2
+        with pytest.raises(HofaError, match="no candidates"):
+            pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.RandomSearch(tries=0)))
 
 
 class TestDerandomize:

@@ -137,6 +137,15 @@ class TestCsmSubspaceF3:
                         T.eval(s, s, s) - T.eval(x, x, x) - T.eval(y, y, y)
                     ) % 3 == 0
 
+    def test_diagonal_matches_evaluation(self):
+        rng = random.Random(17)
+        for n in (1, 2, 3, 4):
+            T = mf.random_symmetric_form(rng, 3, n, 3)
+            L = sym.diagonal_linear_form(T)
+            units = [fs.unit_vec(n, i) for i in range(n)]
+            assert L == tuple(T.eval(e, e, e) for e in units)
+            assert all(T.eval(x, x, x) == fs.dot(3, L, x) for x in fs.all_vectors(3, n))
+
     def test_random_codim_le_1(self):
         rng = random.Random(8)
         for _ in range(50):
@@ -164,6 +173,16 @@ class TestNcsmSubspaceF2:
         U, B, led = sym.ncsm_subspace_f2(T, w)
         assert B == MultilinearForm.from_entries(2, 2, 2, {(0, 1): 1, (1, 0): 1})
         assert U.dim == 0
+
+    def test_defect_matrix_matches_evaluation(self):
+        rng = random.Random(18)
+        for n in (1, 2, 3, 4):
+            T = mf.random_symmetric_form(rng, 2, n, 3)
+            _, B, _ = sym.ncsm_subspace_f2(T, sym.CorrelationWitness.all_ones(T, 2, n))
+            units = [fs.unit_vec(n, i) for i in range(n)]
+            assert B.matrix.tolist() == [[(T.eval(a, a, b) - T.eval(a, b, b)) % 2 for b in units] for a in units]
+            for x, y in itertools.product(fs.all_vectors(2, n), repeat=2):
+                assert B.eval(x, y) == (T.eval(x, x, y) - T.eval(x, y, y)) % 2
 
     def test_alternating_and_ledger(self):
         rng = random.Random(10)

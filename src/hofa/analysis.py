@@ -29,7 +29,7 @@ from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import CycloRing, ExactOrderUnsupported, RealSurd, common_ring, real_parts, ring, surd_sign
 from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, PreconditionError
 from .fpspace import Subspace, Vec, all_vectors, vec_add, vec_index
-from .ncpoly import NcPoly, basis_tuples
+from .ncpoly import Monomial, NcPoly, basis_tuples
 from .torus import TorusValue
 
 
@@ -213,13 +213,8 @@ class BoundedFunction:
     def from_poly_phase(cls, P: NcPoly, conjugate: bool = False) -> "BoundedFunction":
         """The polynomial phase e^{2 pi i P(x)} (conjugated if requested)."""
         m = max(1, P.max_depth_exponent())
-        N = P.p**m
-        exps = []
-        for x in all_vectors(P.p, P.n):
-            v = P.evaluate(x)
-            t = v.num * (N // P.p**v.m)
-            exps.append(-t if conjugate else t)
-        return cls.from_exponents(P.p, P.n, m, np.array(exps) % N)
+        t = P.table(m)
+        return cls.from_exponents(P.p, P.n, m, -t if conjugate else t)
 
     @classmethod
     def from_complex_values(cls, p: int, n: int, values) -> "BoundedFunction":
@@ -260,15 +255,23 @@ class BoundedFunction:
         if not self.exact:
             return bool((np.abs(self.values) <= 1 + 1e-9).all())
         d2 = self.ring.mag_squared(self.coeffs)
-        bound = RealSurd(Fraction(self.den**2))
-        for col in range(d2.shape[1]):
-            try:
-                if RealSurd.from_ring_element(self.ring, d2[:, col]) > bound:
-                    return False
-            except ExactOrderUnsupported:
-                if abs(self.ring.to_complex(d2[:, col])) > self.den**2 + 1e-6:
-                    return False
-        return True
+        den2 = self.den**2
+        try:
+            a, b = real_parts(self.ring, d2)  # |value|^2 = (a + b sqrt 2) / den^2, b = 0 outside Z[zeta_8]
+        except ExactOrderUnsupported:  # one column at a time, float where a column has no exact order
+            bound = RealSurd(Fraction(den2))
+            for col in range(d2.shape[1]):
+                try:
+                    if RealSurd.from_ring_element(self.ring, d2[:, col]) > bound:
+                        return False
+                except ExactOrderUnsupported:
+                    if abs(self.ring.to_complex(d2[:, col])) > den2 + 1e-6:
+                        return False
+            return True
+        rational = b == 0
+        if (a[rational] > den2).any():
+            return False
+        return all(surd_sign(int(x) - den2, int(y)) <= 0 for x, y in zip(a[~rational], b[~rational]))
 
     # -- exact-mode arithmetic --
 
@@ -886,17 +889,8 @@ def _quadratic_candidates(p: int, n: int, classical_only: bool):
     """Monomial tuples of degree <= 2 and their exponent tables, ring depth."""
     tuples = basis_tuples(p, 2, n, depth_allowed=not classical_only)
     m = 1 + max((j for _, j in tuples), default=0)
-    N = p**m
-    tables = []
-    for expts, j in tuples:
-        tab = []
-        for x in all_vectors(p, n):
-            prod = 1
-            for xi, e in zip(x, expts):
-                prod *= int(xi) ** e
-            tab.append((prod % p ** (j + 1)) * (N // p ** (j + 1)))
-        tables.append(np.array(tab, dtype=np.int64))
-    return tuples, m, tables
+    zero = TorusValue.zero(p)
+    return tuples, m, [NcPoly(p, n, zero, (Monomial(e, j, 1),)).table(m) for e, j in tuples]
 
 
 def _candidate_exponents(p: int, n: int, tuples, m: int, tables):
@@ -945,8 +939,6 @@ def u3_inverse_bruteforce(
 
 
 def _poly_from_candidate(p, n, tuples, cand) -> NcPoly:
-    from .ncpoly import Monomial
-
     monos = [Monomial(e, j, c) for (e, j), c in zip(tuples, cand) if c]
     return NcPoly.make(p, n, TorusValue.zero(p), monos)
 

@@ -101,6 +101,9 @@ def integrate_csm(T: MultilinearForm, k: int | None = None) -> NcPoly:
     return P
 
 
+BRUTE_FORCE_CAP = 1 << 17  # most symmetric tensors ncsm_count enumerates
+
+
 @dataclass(frozen=True)
 class CountReport:
     p: int
@@ -113,7 +116,7 @@ class CountReport:
     ncsm_size_matches: bool | None = None
 
 
-def ncsm_count(p: int, n: int, k: int, brute_force_cap: int = 1 << 17) -> CountReport:
+def ncsm_count(p: int, n: int, k: int) -> CountReport:
     """Count degree-exactly-k monomial tuples against realizable patterns.
 
     The monomial count C is the number of tuples (i_1..i_n, j) with
@@ -134,7 +137,7 @@ def ncsm_count(p: int, n: int, k: int, brute_force_cap: int = 1 << 17) -> CountR
     report = CountReport(p, n, k, C, D, C == D)
     # brute force |nCSM| via symmetric-tensor enumeration + evaluation oracle
     reps = _symmetric_index_reps(n, k)
-    if p ** len(reps) <= brute_force_cap and p ** (n * k) <= (1 << 16):
+    if p ** len(reps) <= BRUTE_FORCE_CAP and p ** (n * k) <= (1 << 16):
         count = 0
         for vals in itertools.product(range(p), repeat=len(reps)):
             t = np.zeros((n,) * k, dtype=np.int64)

@@ -245,11 +245,13 @@ def csm_witness(T: MultilinearForm):
 
 # -- evaluation-based oracles for the predicates (used by tests and counts) --
 
+VALUE_CUBE_POINTS = 1 << 20  # largest value cube the oracles build
 
-def value_cube(T: MultilinearForm, budget_points: int = 1 << 20) -> np.ndarray:
+
+def value_cube(T: MultilinearForm) -> np.ndarray:
     """Full value table of T over all argument tuples, axes indexed by points."""
     size = T.p**T.n
-    if size**T.k > budget_points:
+    if size**T.k > VALUE_CUBE_POINTS:
         raise PreconditionError("evaluation oracle budget exceeded")
     X = np.array(all_vectors(T.p, T.n), dtype=np.int64).reshape(size, T.n)
     return _pullback(T.coeffs, X.T, T.p)
@@ -266,8 +268,8 @@ def eval_many(T: MultilinearForm, args: np.ndarray) -> np.ndarray:
     return cur
 
 
-def is_symmetric_eval(T: MultilinearForm, budget_points: int = 1 << 20) -> bool:
-    cube = value_cube(T, budget_points)
+def is_symmetric_eval(T: MultilinearForm) -> bool:
+    cube = value_cube(T)
     return all(
         np.array_equal(cube, np.transpose(cube, pi))
         for pi in itertools.permutations(range(T.k))
@@ -292,29 +294,29 @@ def _repeated_second(cube: np.ndarray, p: int) -> np.ndarray:
     return np.einsum(f"{src}->{dst}", cube)
 
 
-def is_ncsm_eval(T: MultilinearForm, budget_points: int = 1 << 20) -> bool:
+def is_ncsm_eval(T: MultilinearForm) -> bool:
     """Direct check of symmetry plus the repeated-variable identity.
 
     The extra identity compares the form with h_1 repeated p times against
     the form with h_2 repeated p times; it needs k - p + 1 >= 2 distinct
     variables and is vacuous otherwise.
     """
-    if not is_symmetric_eval(T, budget_points):
+    if not is_symmetric_eval(T):
         return False
     r = T.k - T.p + 1
     if r < 2:
         return True
-    cube = value_cube(T, budget_points)
+    cube = value_cube(T)
     return np.array_equal(_repeated_first(cube, T.p), _repeated_second(cube, T.p))
 
 
-def is_csm_eval(T: MultilinearForm, budget_points: int = 1 << 20) -> bool:
-    if not is_symmetric_eval(T, budget_points):
+def is_csm_eval(T: MultilinearForm) -> bool:
+    if not is_symmetric_eval(T):
         return False
     r = T.k - T.p + 1
     if r < 1:
         return True
-    cube = value_cube(T, budget_points)
+    cube = value_cube(T)
     return not _repeated_first(cube, T.p).any()
 
 
@@ -325,10 +327,10 @@ def total_derivative(P: NcPoly, k: int) -> MultilinearForm:
     """d^k P as a k-linear form: the k-fold additive derivative at 0.
 
     Entry idx is the alternating sum over subsets S of P(sum_{i in S}
-    e_{idx_i}); all n^k entries are summed at once, as exact numerators
-    over the common denominator p^M.  The sum always lands on the
-    (1/p)-grid, which is identified with F_p; any off-grid value signals a
-    bug.
+    e_{idx_i}); all n^k entries are summed at once from P's value table, as
+    exact numerators over the common denominator p^M.  The sum always lands
+    on the (1/p)-grid, which is identified with F_p; any off-grid value
+    signals a bug.
     """
     if P.degree() > k:
         raise PreconditionError(f"degree {P.degree()} exceeds k = {k}")
@@ -343,9 +345,7 @@ def total_derivative(P: NcPoly, k: int) -> MultilinearForm:
     masks = range(1 << k)
     # pts[S, idx] = sum_{i in S} e_{idx_i}, a point of F_p^n
     pts = np.stack([onehot[[i for i in range(k) if S >> i & 1]].sum(axis=0) % p for S in masks])
-    uniq, where = np.unique(pts.reshape(-1, n), axis=0, return_inverse=True)
-    vals = np.array([P.evaluate(tuple(int(c) for c in x)).scaled_num(M) for x in uniq], dtype=dtype)
-    vals = vals[where.reshape(len(masks), -1)]
+    vals = P.table(M).astype(dtype)[pts @ p ** np.arange(n - 1, -1, -1)]  # by all_vectors index
     signs = np.array([(-1) ** (k - bin(S).count("1")) for S in masks], dtype=np.int64)
     total = (signs.astype(dtype) @ vals) % mod
     off = np.flatnonzero(total % (mod // p))

@@ -5,11 +5,17 @@ A polynomial is a constant plus a sum of monomials
     c * |x_1|^{i_1} ... |x_n|^{i_n} / p^{j+1}   (mod 1),
 
 with 0 <= i_l <= p-1, depth j >= 0, c in {1, ..., p-1} and |.| the standard
-map F_p -> {0, ..., p-1}.  This representation is unique, which lets every
-operation that is awkward symbolically (derivatives, shifts, sums) run on
-exact value tables and re-canonicalize by interpolation: the depth-peeling
-interpolator below recovers the unique coefficients one depth layer at a
-time, deepest first.
+map F_p -> {0, ..., p-1}.  With M = ``max_depth_exponent()`` the same
+polynomial is one integer array A of shape (p,)*n over Z/p^M,
+
+    P(x) = sum_e A[e] |x|^e / p^M   (mod 1),
+
+with A[0] the constant and the base-p digit of A[e] at p^(M-1-j) the
+coefficient of the depth-j monomial with exponents e; both forms are
+unique.  The p x p matrix V[x, e] = x^e has a unit determinant, so V along
+each axis maps A to the value table and V^{-1} mod p^M maps a table back
+(interpolation).  Sums and negations are integer operations on A; shifts
+and derivatives roll the table and interpolate.
 """
 from __future__ import annotations
 
@@ -18,9 +24,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import fpspace
 from .errors import DimensionMismatch, NotRepresentable
-from .fpspace import Vec, all_vectors, check_prime, vec_add, vec_index
+from .fpspace import Vec, all_vectors, check_prime
 from .torus import TorusValue
 
 MAX_DEPTH = 6  # depth cap: desk-scale degrees k <= 5 need j <= (k-1)/(p-1) <= 4
@@ -49,6 +57,8 @@ class NcPoly:
 
     def __post_init__(self):
         check_prime(self.p)
+        if self.constant.m > MAX_DEPTH + 1:
+            raise ValueError(f"constant depth exponent {self.constant.m} exceeds cap {MAX_DEPTH + 1}")
         for mono in self.monomials:
             if len(mono.exponents) != self.n:
                 raise DimensionMismatch("monomial exponent length != n")
@@ -80,6 +90,16 @@ class NcPoly:
         ]
         return cls.make(p, n, TorusValue.from_fp(p, constant % p), monos)
 
+    @classmethod
+    def from_coeff_array(cls, p: int, n: int, A, M: int) -> "NcPoly":
+        """The polynomial sum_e A[e] |x|^e / p^M, A of shape (p,)*n with int64 entries (any sign)."""
+        flat, pts = (np.asarray(A, dtype=np.int64) % p**M).reshape(-1).tolist(), all_vectors(p, n)
+        # the digit of A[e] at p^(M-1-j) is the depth-j coefficient; make() drops zero digits
+        monos = [
+            Monomial(pts[i], j, a // p ** (M - 1 - j) % p) for i, a in enumerate(flat) if i and a for j in range(M)
+        ]
+        return cls.make(p, n, TorusValue.make(p, flat[0], M), monos)
+
     def degree(self) -> int:
         return max((m.degree(self.p) for m in self.monomials), default=0)
 
@@ -93,7 +113,23 @@ class NcPoly:
             m = max(m, mono.depth + 1)
         return m
 
+    def coeff_array(self, M: int) -> np.ndarray:
+        """The array A over Z/p^M of the module docstring, shape (p,)*n, int64;
+        M runs from ``max_depth_exponent()`` to MAX_DEPTH + 1."""
+        if not self.max_depth_exponent() <= M <= MAX_DEPTH + 1:
+            raise ValueError(f"depth exponent {M} is outside {self.max_depth_exponent()}..{MAX_DEPTH + 1}")
+        A = np.zeros((self.p,) * self.n, dtype=np.int64)
+        A[(0,) * self.n] = self.constant.scaled_num(M)
+        for mono in self.monomials:
+            A[mono.exponents] += mono.coeff * self.p ** (M - 1 - mono.depth)
+        return A
+
+    def table(self, M: int) -> np.ndarray:
+        """P(x) * p^M mod p^M for every x in all_vectors order (int64)."""
+        return _along_axes(_vandermonde(self.p, M, False), self.coeff_array(M), self.p**M).reshape(-1)
+
     def evaluate(self, x: Vec) -> TorusValue:
+        """P at one point, monomial by monomial: the scalar reference for ``table``."""
         if len(x) != self.n:
             raise DimensionMismatch(f"point has length {len(x)}, expected {self.n}")
         total = self.constant
@@ -105,33 +141,35 @@ class NcPoly:
         return total
 
     def value_table(self) -> list:
-        return [self.evaluate(x) for x in all_vectors(self.p, self.n)]
+        M = self.max_depth_exponent()
+        return [TorusValue.make(self.p, v, M) for v in self.table(M).tolist()]
+
+    def shift(self, h: Vec) -> "NcPoly":
+        """x -> P(x + h): the table rolled by -h along each axis, re-canonicalized."""
+        if len(h) != self.n:
+            raise DimensionMismatch(f"shift has length {len(h)}, expected {self.n}")
+        M = self.max_depth_exponent()
+        table = np.roll(self.table(M).reshape((self.p,) * self.n), [-int(c) for c in h], axis=tuple(range(self.n)))
+        return _from_table(self.p, self.n, table, M)
 
     def add_derivative(self, h: Vec) -> "NcPoly":
         """Delta_h P(x) = P(x+h) - P(x), re-canonicalized."""
-        pts = all_vectors(self.p, self.n)
-        table = [self.evaluate(vec_add(self.p, x, h)) - self.evaluate(x) for x in pts]
-        return interpolate(self.p, self.n, table)
+        return self.shift(h) - self
 
-    def shift(self, h: Vec) -> "NcPoly":
-        pts = all_vectors(self.p, self.n)
-        table = [self.evaluate(vec_add(self.p, x, h)) for x in pts]
-        return interpolate(self.p, self.n, table)
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
+    def _plus(self, other: "NcPoly", sign: int) -> "NcPoly":
         if (self.p, self.n) != (other.p, other.n):
             raise DimensionMismatch("mixed ambient spaces")
-        pts = all_vectors(self.p, self.n)
-        table = [self.evaluate(x) + other.evaluate(x) for x in pts]
-        return interpolate(self.p, self.n, table)
+        M = max(self.max_depth_exponent(), other.max_depth_exponent())
+        return NcPoly.from_coeff_array(self.p, self.n, self.coeff_array(M) + sign * other.coeff_array(M), M)
+
+    def __add__(self, other: "NcPoly") -> "NcPoly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "NcPoly":
-        pts = all_vectors(self.p, self.n)
-        table = [-self.evaluate(x) for x in pts]
-        return interpolate(self.p, self.n, table)
+        return NcPoly.zero(self.p, self.n) - self
 
     def __str__(self) -> str:
         parts = [str(self.constant)] if not self.constant.is_zero() else []
@@ -146,34 +184,35 @@ class NcPoly:
 
 
 @lru_cache(maxsize=None)
-def _eval_matrix_inverse(p: int):
-    """Inverse mod p of the p x p matrix V[x, e] = x^e  (x, e in 0..p-1)."""
-    V = [[(x**e) % p for e in range(p)] for x in range(p)]
-    return fpspace.mat_inverse(p, V)
+def _vandermonde(p: int, M: int, inverse: bool) -> np.ndarray:
+    """V[x, e] = x^e mod p^M (x, e in 0..p-1), or V^{-1} mod p^M: the inverse
+    mod p lifted by Newton steps X -> X (2 - V X), each doubling the precision."""
+    mod = p**M
+    V = np.array([[x**e for e in range(p)] for x in range(p)], dtype=np.int64)
+    if not inverse:
+        return V % mod
+    X = np.array(fpspace.mat_inverse(p, (V % p).tolist()), dtype=np.int64)
+    prec = 1
+    while prec < M:
+        X = X @ ((2 * np.eye(p, dtype=np.int64) - V @ X) % mod) % mod
+        prec *= 2
+    return X % mod
 
 
-def _classical_coeffs(p: int, n: int, digits: list) -> dict:
-    """Coefficients C[i] with  w(x) = sum_i C[i] prod x_l^{i_l}  mod p.
+def _along_axes(mat: np.ndarray, arr: np.ndarray, mod: int) -> np.ndarray:
+    """``mat`` (p x p, entries in 0..mod-1) applied along every axis of ``arr``, mod ``mod``.
 
-    ``digits`` is the value table of w over all_vectors(p, n).  Works one
-    axis at a time using the inverse evaluation matrix.
+    With mod = p^M, M <= MAX_DEPTH + 1 and |arr| < mod, every axis product
+    sums p terms below p^(2M) <= 5^14, so it stays below 5^15 < 2^35 on int64.
     """
-    inv = _eval_matrix_inverse(p)
-    cur = list(digits)
-    size = p**n
-    for axis in range(n):
-        nxt = [0] * size
-        stride = p ** (n - 1 - axis)
-        for base in range(size):
-            digit = (base // stride) % p
-            if digit != 0:
-                continue
-            vals = [cur[base + t * stride] for t in range(p)]
-            for e in range(p):
-                nxt[base + e * stride] = sum(inv[e][t] * vals[t] for t in range(p)) % p
-        cur = nxt
-    # cur is indexed like all_vectors: index of exponent tuple i
-    return {all_vectors(p, n)[idx]: c for idx, c in enumerate(cur) if c}
+    for _ in range(arr.ndim):  # contract the leading axis, append the new one last
+        arr = np.tensordot(arr, mat, axes=(0, 1)) % mod
+    return arr
+
+
+def _from_table(p: int, n: int, table: np.ndarray, M: int) -> NcPoly:
+    """The polynomial with values table[x] / p^M, ``table`` of shape (p,)*n."""
+    return NcPoly.from_coeff_array(p, n, _along_axes(_vandermonde(p, M, True), table, p**M), M)
 
 
 def interpolate(p: int, n: int, table, degree_bound: int | None = None) -> NcPoly:
@@ -183,57 +222,19 @@ def interpolate(p: int, n: int, table, degree_bound: int | None = None) -> NcPol
     Raises NotRepresentable (with a nonzero higher-difference witness) if a
     degree bound is given and the table needs degree > degree_bound.
     """
-    pts = all_vectors(p, n)
-    if len(table) != len(pts):
+    if len(table) != p**n:
         raise DimensionMismatch(f"table has {len(table)} entries, expected {p}^{n}")
     M = max((tv.m for tv in table), default=0)
-    scaled = [tv.scaled_num(M) for tv in table]
-    mod = p**M
-
-    monomials = []
-    const = TorusValue.zero(p)
-    # peel depth layers deepest first: depth j lives at scale p^(M-1-j)
-    for j in range(M - 1, -1, -1):
-        scale = p ** (M - 1 - j)
-        digits = []
-        for v in scaled:
-            if v % scale != 0:
-                raise NotRepresentable("table is not a p-power torus polynomial")  # pragma: no cover
-            digits.append((v // scale) % p)
-        coeffs = _classical_coeffs(p, n, digits)
-        for expts, c in coeffs.items():
-            if sum(expts) == 0:
-                const = const + TorusValue.make(p, c, j + 1)
-                term_scaled = (c * scale) % mod
-                for idx in range(len(scaled)):
-                    scaled[idx] = (scaled[idx] - term_scaled) % mod
-            else:
-                monomials.append(Monomial(expts, j, c))
-                for idx, x in enumerate(pts):
-                    prod = c
-                    for xi, e in zip(x, expts):
-                        prod *= int(xi) ** e
-                    scaled[idx] = (scaled[idx] - (prod % mod) * scale) % mod
-    if any(scaled):
-        raise NotRepresentable("interpolation residue is nonzero")  # pragma: no cover
-
-    poly = NcPoly.make(p, n, const, monomials)
+    if M > MAX_DEPTH + 1:
+        raise ValueError(f"depth exponent {M} exceeds cap {MAX_DEPTH + 1}")
+    scaled = np.array([tv.scaled_num(M) for tv in table], dtype=np.int64).reshape((p,) * n)
+    poly = _from_table(p, n, scaled, M)
     if degree_bound is not None and poly.degree() > degree_bound:
         witness = _difference_witness(poly, degree_bound)
         raise NotRepresentable(
             f"table requires degree {poly.degree()} > bound {degree_bound}", witness=witness
         )
     return poly
-
-
-def _table_degree(p: int, n: int, table) -> int:
-    """Degree of a value table; -1 for the zero table."""
-    if all(tv.is_zero() for tv in table):
-        return -1
-    poly = interpolate(p, n, table)
-    if not poly.monomials:
-        return 0
-    return poly.degree()
 
 
 def _difference_witness(poly: NcPoly, k: int):
@@ -244,25 +245,19 @@ def _difference_witness(poly: NcPoly, k: int):
     """
     p, n = poly.p, poly.n
     pts = all_vectors(p, n)
-    table = [poly.evaluate(x) for x in pts]
+    zero = NcPoly.zero(p, n)
     shifts = []
     for _ in range(k + 1):
-        deg = _table_degree(p, n, table)
-        target = deg - 1
-        chosen = None
-        for h in pts[1:]:
-            diff = [
-                table[vec_index(p, vec_add(p, x, h))] - table[vec_index(p, x)] for x in pts
-            ]
-            if _table_degree(p, n, diff) == target:
-                chosen = (h, diff)
+        target = poly.degree() - 1  # >= 0: poly has degree > k - (shifts so far)
+        for h in pts[1:]:  # the first shift that drops the degree by one
+            diff = poly.add_derivative(h)
+            if diff != zero and diff.degree() == target:
                 break
-        if chosen is None:  # pragma: no cover
+        else:  # pragma: no cover
             raise NotRepresentable("witness search failed; table is lower degree than claimed")
-        shifts.append(chosen[0])
-        table = chosen[1]
-    x_witness = next(x for x in pts if not table[vec_index(p, x)].is_zero())
-    return tuple(shifts) + (x_witness,)
+        shifts.append(h)
+        poly = diff
+    return tuple(shifts) + (pts[int(np.flatnonzero(poly.table(poly.max_depth_exponent()))[0])],)
 
 
 def basis_tuples(p: int, k: int, n: int, depth_allowed: bool = True):

@@ -120,6 +120,7 @@ def load_poly(text: str) -> NcPoly:
     if _number(base_s, int) != p:
         raise FormatError("constant denominator is not a power of p")
     m = _number(m_s, int)
+    # NcPoly rejects deeper constants too, but only after TorusValue.make has built p**m
     if not 0 <= m <= MAX_DEPTH + 1:
         raise FormatError(f"constant depth exponent {m} is outside 0..{MAX_DEPTH + 1}")
     const = TorusValue.make(p, _number(num_s, int), m)
@@ -261,10 +262,8 @@ def load_function(text: str) -> BoundedFunction:
             1 if m == 0 else p ** (m - 1) * (p - 1)
         ):
             raise FormatError(f"every row needs phi({p}^{m}) coefficients")
-        # check_bounded multiplies values by their conjugates in int64, where
-        # each product coefficient is at most degree^3 * max|c|^2
-        if width**3 * max(abs(c) for r in table for c in r) ** 2 >= 2**63:
-            raise FormatError("coefficients too large for exact int64 arithmetic")
+        if not all(-(2**63) <= c < 2**63 for r in table for c in r):
+            raise FormatError("a coefficient is not an int64")
         fn = BoundedFunction(p, n, ring(p, m), np.array(table, dtype=np.int64).T, den)
     if not fn.check_bounded():
         raise FormatError("function exceeds sup-norm 1")

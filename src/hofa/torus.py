@@ -51,9 +51,6 @@ class TorusValue:
     def __neg__(self) -> "TorusValue":
         return TorusValue.make(self.p, -self.num, self.m)
 
-    def times(self, c: int) -> "TorusValue":
-        return TorusValue.make(self.p, c * self.num, self.m)
-
     def is_zero(self) -> bool:
         return self.m == 0
 

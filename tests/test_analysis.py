@@ -825,6 +825,19 @@ class TestFloatMode:
         assert an.BoundedFunction(2, 1, R, good, 1).check_bounded()
         assert not an.BoundedFunction(2, 1, R, good * np.array([1, 2]), 1).check_bounded()
 
+    def test_bounded_check_one_unit_over_den_squared(self):
+        # Z[i] values den + i and den: |den + i|^2 = den^2 + 1
+        den = 10**9
+        assert an.BoundedFunction(2, 1, ring(2, 2), np.array([[den, den], [0, 0]]), den).check_bounded()
+        assert not an.BoundedFunction(2, 1, ring(2, 2), np.array([[den, den], [1, 0]]), den).check_bounded()
+
+    def test_bounded_check_reads_the_sqrt2_part(self):
+        # Z[zeta_8]: |2 + 2 zeta|^2 = 8 + 4 sqrt 2 exceeds 9 only through its sqrt 2 part,
+        # |1 - zeta|^2 = 2 - sqrt 2 stays below 1 although its rational part does not
+        R = ring(2, 3)
+        assert not an.BoundedFunction(2, 1, R, np.array([[2, 2, 0, 0], [0, 0, 0, 0]]).T, 3).check_bounded()
+        assert an.BoundedFunction(2, 1, R, np.array([[1, -1, 0, 0], [1, 0, 0, 0]]).T, 1).check_bounded()
+
 
 def test_phased_sum_needs_pth_roots():
     """In Z (m = 0) there is no p-th root of unity to carry the phase."""

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hofa import analysis as an
 from hofa import fpspace as fs
 from hofa.errors import NotRepresentable
-from hofa.ncpoly import Monomial, NcPoly, basis_tuples, interpolate, random_poly
+from hofa.ncpoly import MAX_DEPTH, Monomial, NcPoly, basis_tuples, interpolate, random_poly
 from hofa.torus import TorusValue
+from polyref import ref_interpolate, ref_phase_exps, ref_quadratic_candidates
 
 
 def poly(p, n, monos, const=None):
@@ -210,3 +213,116 @@ def test_poly_algebra_consistency():
         for x in fs.all_vectors(p, n):
             assert S.evaluate(x) == A.evaluate(x) + B.evaluate(x)
         assert (S - B) == A
+
+
+def test_deep_constant_is_rejected():
+    with pytest.raises(ValueError):
+        NcPoly.make(2, 1, TorusValue.make(2, 1, 80), [])
+    assert NcPoly.make(2, 1, TorusValue.make(2, 1, MAX_DEPTH + 1), []).max_depth_exponent() == MAX_DEPTH + 1
+
+
+@st.composite
+def _space(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    return p, draw(st.integers(1, 3))
+
+
+@st.composite
+def _polys_and_shift(draw, count):
+    """``count`` sparse polynomials of any depth up to the cap on one F_p^n, and a shift."""
+    p, n = draw(_space())
+    point = st.tuples(*[st.integers(0, p - 1)] * n)
+    mono = st.tuples(point, st.integers(0, MAX_DEPTH), st.integers(1, p - 1))
+    polys = []
+    for _ in range(count):
+        monos = {(e, j): c for e, j, c in draw(st.lists(mono, max_size=8)) if any(e)}
+        const = TorusValue.make(p, draw(st.integers(0, p ** (MAX_DEPTH + 1))), draw(st.integers(0, MAX_DEPTH + 1)))
+        polys.append(NcPoly.make(p, n, const, [Monomial(e, j, c) for (e, j), c in monos.items()]))
+    return p, n, polys, draw(point)
+
+
+class TestCoefficientArrayKernel:
+    """Every table operation against ``evaluate`` at every point, p in {2, 3, 5}."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_space(), st.integers(0, MAX_DEPTH + 1), st.randoms(use_true_random=False))
+    def test_interpolate_reproduces_a_random_table(self, space, M, rnd):
+        p, n = space
+        table = [TorusValue.make(p, rnd.randrange(p**M), M) for _ in range(p**n)]
+        P = interpolate(p, n, table)
+        assert [P.evaluate(x) for x in fs.all_vectors(p, n)] == table == P.value_table()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_polys_and_shift(2))
+    def test_operations_match_torus_arithmetic(self, case):
+        p, n, (P, Q), h = case
+        S, D, N, Sh, Dh = P + Q, P - Q, -P, P.shift(h), P.add_derivative(h)
+        for x in fs.all_vectors(p, n):
+            px, pxh = P.evaluate(x), P.evaluate(fs.vec_add(p, x, h))
+            assert S.evaluate(x) == px + Q.evaluate(x)
+            assert D.evaluate(x) == px - Q.evaluate(x)
+            assert N.evaluate(x) == -px
+            assert Sh.evaluate(x) == pxh
+            assert Dh.evaluate(x) == pxh - px
+
+    @settings(max_examples=40, deadline=None)
+    @given(_polys_and_shift(1), st.integers(0, MAX_DEPTH + 1))
+    def test_coefficient_array_round_trip(self, case, M):
+        p, n, (P,), _ = case
+        M = max(M, P.max_depth_exponent())
+        assert NcPoly.from_coeff_array(p, n, P.coeff_array(M), M) == P
+        assert [TorusValue.make(p, v, M) for v in P.table(M).tolist()] == [P.evaluate(x) for x in fs.all_vectors(p, n)]
+
+    def test_depth_exponent_outside_range(self):
+        P = NcPoly.make(2, 1, TorusValue.zero(2), [Monomial((1,), 2, 1)])
+        for M in (2, MAX_DEPTH + 2):
+            with pytest.raises(ValueError):
+                P.coeff_array(M)
+        with pytest.raises(ValueError):
+            interpolate(2, 1, [TorusValue.zero(2), TorusValue.make(2, 1, MAX_DEPTH + 2)])
+
+
+SPACES = [(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 1), (5, 2)]
+
+
+class TestAgainstPointwiseReference:
+    """The kernel against depth peeling and point-by-point loops (``polyref``)."""
+
+    def test_interpolate_matches_depth_peeling(self):
+        rng = random.Random(31)
+        for p, n in SPACES:
+            for M in range(MAX_DEPTH + 2):
+                table = [TorusValue.make(p, rng.randrange(p**M), M) for _ in range(p**n)]
+                assert interpolate(p, n, table) == ref_interpolate(p, n, table)
+
+    def test_phase_exponents_match_pointwise(self):
+        for p, n in SPACES:
+            for k in range(5):
+                P = random_poly(p, n, k, True, seed=(p, n, k))
+                for conjugate in (False, True):
+                    f = an.BoundedFunction.from_poly_phase(P, conjugate)
+                    assert np.array_equal(f.exps, ref_phase_exps(P, conjugate))
+
+    def test_quadratic_candidates_match_pointwise(self):
+        for p, n in [(2, 1), (2, 3), (3, 2), (5, 2)]:
+            for classical_only in (False, True):
+                tuples, m, tables = an._quadratic_candidates(p, n, classical_only)
+                rt, rm, rtables = ref_quadratic_candidates(p, n, classical_only)
+                assert (tuples, m) == (rt, rm)
+                assert all(t.dtype == np.int64 and np.array_equal(t, r) for t, r in zip(tables, rtables, strict=True))
+
+    @pytest.mark.parametrize(
+        "p, n, M, bound, seed, witness",
+        [
+            (2, 3, 3, 2, 1, ((0, 0, 1), (0, 0, 1), (0, 0, 1), (0, 0, 0))),
+            (2, 4, 2, 3, 2, ((0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0), (0, 0, 0, 0))),
+            (3, 2, 2, 2, 3, ((0, 1), (0, 1), (0, 1), (0, 1))),
+            (5, 2, 1, 3, 4, ((0, 1), (0, 1), (0, 1), (0, 1), (0, 0))),
+        ],
+    )
+    def test_witnesses_are_pinned(self, p, n, M, bound, seed, witness):
+        rng = random.Random(seed)
+        table = [TorusValue.make(p, rng.randrange(p**M), M) for _ in range(p**n)]
+        with pytest.raises(NotRepresentable) as exc:
+            interpolate(p, n, table, degree_bound=bound)
+        assert exc.value.witness == witness

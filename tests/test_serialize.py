@@ -9,6 +9,7 @@ from hofa import analysis as an
 from hofa import mforms as mf
 from hofa import rank as rk
 from hofa import serialize as sz
+from hofa.cyclotomic import ring
 from hofa.fpspace import random_subspace
 from hofa.ncpoly import random_poly
 
@@ -128,6 +129,24 @@ def test_format_errors():
 def test_load_function_rejects_malformed_and_unbounded(text):
     with pytest.raises(sz.FormatError):
         sz.load_function(text)
+
+
+@pytest.mark.parametrize(
+    "text, match", [("2 1 exact m=1\n99999999999\n1\n", "sup-norm"), (f"2 1 exact m=1\n{2**63}\n1\n", "int64")]
+)
+def test_load_function_coefficient_errors(text, match):
+    with pytest.raises(sz.FormatError, match=match):
+        sz.load_function(text)
+
+
+def test_large_denominator_function_round_trips():
+    # den = 4 * 10^9: products of two values pass int64, so the table is kept on Python integers
+    den = 4 * 10**9
+    c = np.array([[7 * den // 10, 7 * den // 10], [-7 * den // 10, 0]]).T
+    f = an.BoundedFunction(2, 1, ring(2, 2), c, den)
+    assert f.check_bounded()
+    g = sz.load_function(sz.dump_function(f))
+    assert g == f and g.coeffs.dtype == object and np.array_equal(g.coeffs, f.coeffs)
 
 
 @st.composite

@@ -11,8 +11,12 @@ exact path (a Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on
 the coefficient planes for p = 3).  Exact U^2..U^4 norms run one column
 kernel: the transform of f, of each d_h f, or of each d_{h1} d_{h2} f
 with symmetric shifts folded together, then sum |tau|^4, on int64 only
-where a stated bound allows and on Python integers elsewhere.  Float mode
-(complex tables) exists for p = 5 demonstrations only.
+where a stated bound allows and on Python integers elsewhere.  Every phased
+sum of a corner product runs one grouped kernel, ``phased_sum``: the
+entries are summed per (label, exponent) class from one sort, and only the
+class sums meet the roots of unity; ``base_point_argmax`` feeds it chunks
+of the product with the base points as labels.  Float mode (complex tables)
+exists for p = 5 demonstrations only.
 """
 from __future__ import annotations
 
@@ -65,9 +69,9 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
 
     Each ring product stays within degree^2 times its factors' largest
     coefficients, so the product, any sum of its entries, and one more
-    product by a root of unity (``phased_sum``) stay within degree^(2k)
-    times the k tables' largest coefficients times the number of entries.
-    Past int64 that bound moves the tables to object dtype.
+    product by a root of unity stay within degree^(2k) times the k tables'
+    largest coefficients times the number of entries.  Past int64 that
+    bound moves the tables to object dtype; ``phased_sum`` checks its own.
     """
     size = p**n
     bound = (size if rows is None else len(rows)) * size ** (m - 1) * R.degree ** (2 * len(tables))
@@ -90,22 +94,42 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
     return prod
 
 
-def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: int, masks=None):
+def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: int, labels=None, groups=None):
     """Exact sum of prod * omega_p^expo over all entries, divided by den.
 
     ``prod`` is a (degree, ...) coefficient array in ring R and ``expo`` an
-    F_p exponent table of the same trailing shape.  With ``masks``, the
-    (degree, M) array of the sums under each of the M boolean masks, over
-    the same den, all from one phased product.  An int64 ``prod`` must keep
-    degree^2 max|prod| within int64, as ``corner_product``'s bound does; the
-    sums run on Python integers.
+    F_p exponent table broadcasting to its trailing shape.  With ``labels``,
+    an integer table in range(``groups``) broadcasting the same way, the
+    (degree, groups) array of the sums over each label, over the same den.
+
+    The entries are summed per class (label, expo mod p): one stable argsort
+    of the class keys, then ``np.add.reduceat`` over the runs of equal keys,
+    so memory stays O(entries).  Only the groups x p class sums are
+    multiplied by omega_p^t = zeta^{tN/p}, in one ring product, and added
+    over t.  A class sum stays within entries max|prod|, its product by a
+    root within degree^2 times that, and the sum over t within
+    p degree^2 entries max|prod|; the sums run on int64 while that bound
+    fits and on Python integers past it.
     """
     if R.N % p:
         raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
-    prod = R.mul_arrays(prod, R.roots_to_coeffs(expo * (R.N // p)))
-    if masks is None:
-        return CorrValue.from_sum(R, prod.reshape(prod.shape[0], -1).astype(object).sum(axis=1), den)
-    return np.stack([prod[:, mask].astype(object).sum(axis=1) for mask in masks], axis=1)
+    d, shape = prod.shape[0], prod.shape[1:]
+    key = np.broadcast_to(np.asarray(expo) % p, shape)
+    if labels is None:
+        groups = 1
+    else:
+        key = np.broadcast_to(labels, shape) * p + key
+    flat = prod.reshape(d, -1)
+    if flat.dtype != object and p * d * d * flat.shape[1] * int(np.abs(flat).max(initial=0)) > _INT64_MAX:
+        flat = flat.astype(object)
+    order = np.argsort(key, axis=None, kind="stable")
+    keys = key.reshape(-1)[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))  # one start per non-empty class
+    sums = np.zeros((d, groups * p), dtype=flat.dtype)
+    sums[:, keys[starts]] = np.add.reduceat(flat[:, order], starts, axis=1)
+    roots = R.roots_to_coeffs(np.arange(p) * (R.N // p))  # (degree, p)
+    sums = R.mul_arrays(sums.reshape(d, groups, p), roots[:, None, :]).sum(axis=2).astype(object)
+    return CorrValue.from_sum(R, sums[:, 0], den) if labels is None else sums
 
 
 def first_max(R: CycloRing, sums: np.ndarray) -> int:
@@ -145,17 +169,25 @@ def base_point_argmax(
     all_vectors order with the first variable major.  ``expo`` is an F_p
     exponent table over the variables after the first.  The maximum is at
     least the average over base points; ties keep the first.  The product
-    is built one value of the first variable at a time, p^{(m-1)n}
-    entries per step.
+    is built a chunk of first-variable values at a time, max(1,
+    _CHUNK_ENTRIES // p^{(m-1)n}) of them, and each chunk's base-point sums
+    come from one ``phased_sum`` with the base points as labels.
     """
     size = p**n
-    if size ** (m - 1) * 8 > budget.enum_cap:
+    step = size ** (m - 1)
+    if step * 8 > budget.enum_cap:
         raise BudgetExceeded("base-point argmax step too large")
-    # the base point of each entry of one step, over the other nbase - 1 variables
-    base = np.arange(size ** (m - 1)).reshape((size,) * (m - 1)) // size ** (m - nbase)
-    masks = [base == j for j in range(size ** (nbase - 1))]
-    steps = (corner_product(R, p, n, m, tables, rows=[i])[:, 0] for i in range(size))
-    return first_max(R, np.concatenate([phased_sum(R, p, prod, expo, 1, masks) for prod in steps], axis=1))
+    per_row = size ** (nbase - 1)
+    # the base point of each entry of one first-variable value, over the other nbase - 1 variables
+    base = np.arange(step).reshape((size,) * (m - 1)) // size ** (m - nbase)
+    rows = max(1, _CHUNK_ENTRIES // step)
+    sums = []
+    for lo in range(0, size, rows):
+        chunk = np.arange(lo, min(size, lo + rows))
+        prod = corner_product(R, p, n, m, tables, rows=chunk)
+        labels = (chunk - lo).reshape((-1,) + (1,) * (m - 1)) * per_row + base
+        sums.append(phased_sum(R, p, prod, expo, 1, labels, len(chunk) * per_row))
+    return first_max(R, np.concatenate(sums, axis=1))
 
 
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
@@ -320,14 +352,6 @@ class BoundedFunction:
     def mult_derivative(self, h: Vec) -> "BoundedFunction":
         """d_h f(x) = f(x+h) * conj(f(x)); 1-bounded, exact when f is."""
         return self.shift_arg(h).mul(self.conj())
-
-    def scale_phase(self, t: int, m: int) -> "BoundedFunction":
-        """Multiply by the global constant zeta_{p^m}^t."""
-        R = common_ring(self.ring, ring(self.p, m))
-        f = self.embed(R)
-        tt = (t * (R.N // self.p**m)) % R.N
-        new_exps = (f.exps + tt) % R.N if f.exps is not None else None
-        return BoundedFunction(self.p, self.n, R, R.mul_arrays(f.coeffs, R.root(tt)), f.den, exps=new_exps)
 
     def restrict_to_coset(self, U: Subspace, shift: Vec) -> "BoundedFunction":
         """The function c -> f(shift + U.basis . c) on F_p^{dim U}."""

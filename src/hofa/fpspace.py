@@ -35,12 +35,6 @@ def vec_add(p: int, x: Vec, y: Vec) -> Vec:
     return tuple((a + b) % p for a, b in zip(x, y))
 
 
-def vec_sub(p: int, x: Vec, y: Vec) -> Vec:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"vector lengths {len(x)} != {len(y)}")
-    return tuple((a - b) % p for a, b in zip(x, y))
-
-
 def dot(p: int, a: Vec, x: Vec) -> int:
     """Evaluate the linear form with coefficients ``a`` at ``x``."""
     if len(a) != len(x):
@@ -219,18 +213,6 @@ def enumerate_subspace(U: Subspace, budget: Budget = DEFAULT_BUDGET):
             for i in range(U.n):
                 v[i] = (v[i] + c * b[i]) % U.p
         yield tuple(v)
-
-
-def coset_shift(U: Subspace, x0: Vec, budget: Budget = DEFAULT_BUDGET):
-    """Enumerate the coset x0 + U in the enumerate_subspace order."""
-    if len(x0) != U.n:
-        raise DimensionMismatch("shift vector has wrong length")
-    for v in enumerate_subspace(U, budget):
-        yield vec_add(U.p, x0, v)
-
-
-def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
-    return Subspace.from_basis(U.p, U.n, list(U.basis) + list(W.basis))
 
 
 def subspace_intersection(U: Subspace, W: Subspace) -> Subspace:

@@ -548,20 +548,6 @@ def green_tao_average(T: MultilinearForm, check_prime_ok: bool = True) -> Multil
     return MultilinearForm(T.p, T.n, T.k, inv6 * acc)
 
 
-def alternating_slot_sum(phi: MultiaffineForm, xs, ys) -> int:
-    """sum over subsets J of {1..k} of (-1)^{|J|} phi with slot j from ys if j in J.
-
-    Equals the multilinear part evaluated at (x_1 - y_1, ..., x_k - y_k).
-    """
-    k = phi.k
-    total = 0
-    for J in range(1 << k):
-        args = [ys[i] if J >> i & 1 else xs[i] for i in range(k)]
-        v = phi.eval(*args)
-        total += -v if bin(J).count("1") % 2 else v
-    return total % phi.p
-
-
 def random_form(rng, p: int, n: int, k: int) -> MultilinearForm:
     t = np.array([rng.randrange(p) for _ in range(n**k)], dtype=np.int64).reshape((n,) * k)
     return MultilinearForm(p, n, k, t)

@@ -70,6 +70,8 @@ class NcPoly:
                 raise ValueError("constant monomials belong in the constant")
             if mono.depth > MAX_DEPTH:
                 raise ValueError(f"depth {mono.depth} exceeds cap {MAX_DEPTH}")
+        if len({(mono.exponents, mono.depth) for mono in self.monomials}) != len(self.monomials):
+            raise ValueError("repeated monomial")
 
     @classmethod
     def make(cls, p: int, n: int, constant: TorusValue, monomials) -> "NcPoly":

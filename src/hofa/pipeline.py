@@ -47,7 +47,7 @@ from .analysis import BoundedFunction, CorrValue
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd
 from .errors import BudgetExceeded, InternalCheckError, PreconditionError
-from .fpspace import all_vectors, vec_index
+from .fpspace import all_vectors
 from .mforms import MultiaffineForm, MultilinearForm, permute
 from .ncpoly import NcPoly
 from .symmetrize import (
@@ -192,12 +192,13 @@ class GammaTerm:
         return ((self.lslots, self.left), (self.rslots, self.right))
 
 
-def measure_state(g_cube, phase: MultiaffineForm, gammas=(), masks=None):
+def measure_state(g_cube, phase: MultiaffineForm, gammas=(), labels=None, groups=None):
     """|E_{x,h} (d^3 g)(x) w^{phase(h) + sum gammas(h)}| from the g-cube.
 
-    ``phase`` is any multiaffine form on (h1, h2, h3).  With ``masks``, the
-    (degree, M) array of the sums under each of the M indicator masks, over
-    the same denominator, all from one phased product.
+    ``phase`` is any multiaffine form on (h1, h2, h3).  With ``labels``, a
+    class index in range(``groups``) per point h, the (degree, groups) array
+    of the sums over each class, over the same denominator, all from one
+    ``phased_sum``.
     """
     R, D, den = g_cube
     p, n = phase.p, phase.n
@@ -205,7 +206,7 @@ def measure_state(g_cube, phase: MultiaffineForm, gammas=(), masks=None):
     for gt in gammas:
         (ls, left), (rs, right) = gt.factors()
         expo = expo + slot_cube(p, n, ls, left) * slot_cube(p, n, rs, right)
-    return analysis.phased_sum(R, p, D, expo % p, den * D.shape[-1] ** 4, masks)
+    return analysis.phased_sum(R, p, D, expo, den * D.shape[-1] ** 4, labels, groups)
 
 
 # ledger claims of one derandomization: (no-op, indicator argmax or None, character argmax)
@@ -256,11 +257,13 @@ def derandomize_indicator(
         )
     full = (p**n,) * 3
     factors = [fac for gt in gammas for fac in gt.factors()]
-    # the factors' values at every point, (2m, size^3); its distinct columns are the classes
+    # the factors' values at every point, (2m, size^3); its distinct columns, in all_vectors
+    # order, are the classes, and a point's label is its column's rank among them
     stacked = np.stack([np.broadcast_to(slot_cube(p, n, *fac), full).reshape(-1) for fac in factors])
-    cs = sorted(set(map(tuple, stacked.T.tolist())))
-    masks = (np.all(stacked == np.array(c)[:, None], axis=0).reshape(full) for c in cs)
-    sums = measure_state(g_cube, phase, masks=masks)
+    present, labels = np.unique(np.ravel_multi_index(stacked, (p,) * len(stacked)), return_inverse=True)
+    X = all_vectors(p, 2 * m)
+    cs = [X[k] for k in present.tolist()]
+    sums = measure_state(g_cube, phase, labels=labels.reshape(full), groups=len(cs))
     R, D, den = g_cube
     den *= D.shape[-1] ** 4
     # argmax over the indicator value c: the corrections' root of unity leaves |S_c| alone
@@ -272,10 +275,10 @@ def derandomize_indicator(
         entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff))
     # argmax over xi: one exact transform of the class sums
     table = np.zeros((R.degree, p ** (2 * m)), dtype=object)
-    table[:, [vec_index(p, cl) for cl in cs]] = sums
+    table[:, present] = sums
     tau = analysis._transform_array(R, p, 2 * m, table, 1)
     j = analysis.first_max(R, tau)
-    xi0 = all_vectors(p, 2 * m)[j]
+    xi0 = X[j]
     new_phase = _add_component(phase, (), -sum(x * cj for x, cj in zip(xi0, c)))
     for x, (slots, coeffs) in zip(xi0, factors):
         if x:

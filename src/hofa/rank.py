@@ -180,18 +180,6 @@ def empty_certificate(T: MultilinearForm) -> RankCertificate:
     return RankCertificate(T, ())
 
 
-def concat_certificates(claimed: MultilinearForm, *certs: RankCertificate) -> RankCertificate:
-    terms = tuple(t for c in certs for t in c.terms)
-    return RankCertificate(claimed, terms)
-
-
-def negate_certificate(cert: RankCertificate) -> RankCertificate:
-    terms = tuple(
-        CertTerm(t.slots, t.left.scale(-1), t.right) for t in cert.terms
-    )
-    return RankCertificate(-cert.claimed_form, terms)
-
-
 def certified_cube(cert: RankCertificate) -> np.ndarray:
     """Value cube of the certified sum sum_t left(x_I) right(x_{[k] \\ I}) mod p,
     axes indexed by points like ``mforms.value_cube``."""

@@ -47,3 +47,14 @@ def ref_conj(R, A):
 def ref_roots(R, exps):
     """zeta^{exps} as a (degree,) + exps.shape coefficient array."""
     return np.moveaxis(ref_reduce(R.p, R.m)[np.asarray(exps) % R.N], -1, 0)
+
+
+def ref_phased_sum(R, p, prod, expo, masks=None):
+    """Per-entry reference for ``analysis.phased_sum``: every entry times its
+    own root omega_p^expo in a full ring product, summed on Python integers,
+    over all entries or under each boolean mask; the raw (degree,) or
+    (degree, len(masks)) sums, without the denominator."""
+    prod = ref_mul(R, np.asarray(prod, dtype=object), ref_roots(R, np.asarray(expo) * (R.N // p)).astype(object))
+    if masks is None:
+        return prod.reshape(prod.shape[0], -1).sum(axis=1)
+    return np.stack([prod[:, mask].sum(axis=1) for mask in masks], axis=1)

@@ -281,6 +281,15 @@ class TestCoefficientArrayKernel:
         with pytest.raises(ValueError):
             interpolate(2, 1, [TorusValue.zero(2), TorusValue.make(2, 1, MAX_DEPTH + 2)])
 
+    def test_repeated_monomial_is_rejected(self):
+        # twice |x_1|/2 is the zero function; kept, it would compare unequal to zero with degree 1
+        mono = Monomial((1,), 0, 1)
+        with pytest.raises(ValueError, match="repeated monomial"):
+            NcPoly.make(2, 1, TorusValue.zero(2), [mono, mono])
+        with pytest.raises(ValueError, match="repeated monomial"):
+            NcPoly(3, 2, TorusValue.zero(3), (Monomial((1, 0), 1, 1), Monomial((1, 0), 1, 2)))
+        assert NcPoly.make(2, 1, TorusValue.zero(2), [mono, Monomial((1,), 1, 1)]).degree() == 2
+
 
 SPACES = [(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 1), (5, 2)]
 

@@ -15,6 +15,7 @@ from hofa.cyclotomic import RealSurd
 from hofa.errors import PreconditionError
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import random_poly
+from oracles import concat_certificates, negate_certificate
 
 
 def empty_certs(T):
@@ -301,9 +302,9 @@ class TestSymmetrizeClassical:
                     terms.append(rk.CertTerm(t.slots, t.left.scale(inv6), t.right))
             cert_avg = rk.RankCertificate(I.T - S_avg, tuple(terms))
             assert rk.verify_certificate(cert_avg).ok
-            diff_cert = rk.concat_certificates(
+            diff_cert = concat_certificates(
                 S_path - S_avg,
-                rk.negate_certificate(cert_path),
+                negate_certificate(cert_path),
                 cert_avg,
             )
             assert rk.verify_certificate(diff_cert).ok

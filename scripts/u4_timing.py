@@ -4,12 +4,14 @@
     python scripts/u4_timing.py [max_n]
 
 Each row times U^2, U^3 and U^4 of one random function and ends with the
-process's peak RSS so far.  Three kinds of rows: an eighth-root phase on
+process's peak RSS so far.  Four kinds of rows: an eighth-root phase on
 F_2^n and a Z[i]-valued function (a + b i) / 4 on F_2^n for n = 2..max_n,
-and a cube-root phase on F_3^n for n = 2..min(max_n, 5), where the default
-budget stops U^4.  On F_2^2, F_2^3 and F_3^2 every norm is also compared
-with the definition-chasing ``direct_gowers_power`` run on object-dtype
-coefficients; a mismatch exits with status 1.
+a cube-root phase on F_3^n for n = 2..min(max_n, 5), where the default
+budget stops U^4, and a fifth-root phase on F_5^n for n = 2..min(max_n, 3).
+On F_2^2, F_2^3, F_3^2 and F_5^2 every norm whose definition sums at most
+2^14 derivatives (all but U^4 on F_5^2) is also compared with the
+definition-chasing ``direct_gowers_power``, as exact ring elements; a
+mismatch exits with status 1.
 """
 import random
 import resource
@@ -33,27 +35,32 @@ def gaussian_function(rng, n, den=4):
     return an.BoundedFunction(2, n, ring(2, 2), coeffs, den)
 
 
-# label, p, generator, largest n checked against the oracle
+# label, p, generator, largest n, largest n checked against the oracle
 KINDS = [
-    ("eighth-root phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 3), 3),
-    ("Z[i] values, den 4", 2, gaussian_function, 3),
-    ("cube-root phase", 3, lambda rng, n: an.random_unimodular_exact(rng, 3, n, 1), 2),
+    ("eighth-root phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 3), None, 3),
+    ("Z[i] values, den 4", 2, gaussian_function, None, 3),
+    ("cube-root phase", 3, lambda rng, n: an.random_unimodular_exact(rng, 3, n, 1), 5, 2),
+    ("fifth-root phase", 5, lambda rng, n: an.random_unimodular_exact(rng, 5, n, 1), 3, 2),
 ]
+
+
+def same_power(a, b) -> bool:
+    """Two exact U^d powers in one ring, as elements over their denominators, are equal."""
+    return a.ring == b.ring and all(x * b.power_den == y * a.power_den for x, y in zip(a.power_num, b.power_num))
 
 
 def main(max_n=8) -> int:
     status = 0
-    for label, p, make, checked in KINDS:
+    for label, p, make, top, checked in KINDS:
         rng = random.Random(0)
-        for n in range(2, (max_n if p == 2 else min(max_n, 5)) + 1):
+        for n in range(2, min(max_n, top or max_n) + 1):
             f = make(rng, n)
-            exact = an.BoundedFunction(p, n, f.ring, f.coeffs.astype(object), f.den)
             row = [f"{label} F_{p}^{n}"]
             for d in (2, 3, 4):
                 t0 = time.time()
                 val = an.gowers_norm(f, d)
                 row.append(f"U^{d}={val.norm_float():.5f} ({time.time() - t0:.3f}s)")
-                if n <= checked and val.power_surd() != an.direct_gowers_power(exact, d).power_surd():
+                if n <= checked and p ** (n * d) <= 2**14 and not same_power(val, an.direct_gowers_power(f, d)):
                     row.append(f"MISMATCH: U^{d} != direct_gowers_power")
                     status = 1
             row.append(f"peak RSS {peak_rss_mb():.1f} MB")

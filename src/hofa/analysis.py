@@ -1,22 +1,24 @@
 """Bounded functions on F_p^n, exact Gowers norms, correlations, and the
 U^2 / U^3 inverse oracles.
 
-Exact mode stores a function as an integer coefficient array over
-Z[zeta_{p^m}] with a common denominator, so multiplicative derivatives,
-character sums and Gowers-norm powers are exact ring elements; magnitude
-comparisons go through ``RealSurd`` (rational or a + b*sqrt(2)) and never
-through floats, and every argmax over candidate sums through one exact
-kernel, ``first_max``.  One in-place character transform serves every
-exact path (a Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on
-the coefficient planes for p = 3).  Exact U^2..U^4 norms run one column
-kernel: the transform of f, of each d_h f, or of each d_{h1} d_{h2} f
-with symmetric shifts folded together, then sum |tau|^4, on int64 only
-where a stated bound allows and on Python integers elsewhere.  Every phased
+A function is an integer coefficient array over Z[zeta_{p^m}] with a
+common denominator, so multiplicative derivatives, character sums and
+Gowers-norm powers are exact ring elements for every p.  Magnitudes are
+compared exactly, never through floats: every sup-norm check, Plancherel
+check and argmax over candidate sums orders real ring elements by
+``cyclotomic.real_keys``, the argmaxes through one kernel, ``first_max``.
+One in-place character transform serves every path: a Walsh-Hadamard
+butterfly for p = 2, a radix-3 butterfly on the coefficient planes for
+p = 3, and a radix-p butterfly on them for p >= 5, where multiplying by
+omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
+one column kernel: the transform of f, of each d_h f, or of each
+d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
+on int64 only where a stated bound allows and on Python integers
+elsewhere.  Every phased
 sum of a corner product runs one grouped kernel, ``phased_sum``: the
 entries are summed per (label, exponent) class from one sort, and only the
 class sums meet the roots of unity; ``base_point_argmax`` feeds it chunks
-of the product with the base points as labels.  Float mode (complex tables)
-exists for p = 5 demonstrations only.
+of the product with the base points as labels.
 """
 from __future__ import annotations
 
@@ -24,13 +26,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import fpspace
 from .config import DEFAULT_BUDGET, Budget
-from .cyclotomic import CycloRing, ExactOrderUnsupported, RealSurd, common_ring, real_parts, ring, surd_sign
+from .cyclotomic import CycloRing, RealSurd, common_ring, real_keys, ring
 from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, PreconditionError
 from .fpspace import Subspace, Vec, all_vectors, vec_add, vec_index
 from .ncpoly import Monomial, NcPoly, basis_tuples
@@ -136,20 +138,14 @@ def first_max(R: CycloRing, sums: np.ndarray) -> int:
     """Index of the first candidate of largest |.|^2 among the columns of a
     (degree, C) array of exact sums in R over one shared denominator.
 
-    The squares are taken once, on Python integers, and compared exactly
-    where ``real_parts`` reads them: in Z (N <= 4, rational squares in
-    Z[zeta_9]) and in Z[sqrt 2] (N = 8).  The shared denominator does not
+    The squares are taken once, on Python integers, and ordered exactly in
+    every ring by ``real_keys``, whose keys tie exactly where the squares
+    do; the first of equal keys wins.  The shared denominator does not
     change the order.
     """
     if sums.shape[1] == 0:
         raise PreconditionError("no candidates to maximise over")
-    a, b = real_parts(R, R.mag_squared(np.asarray(sums, dtype=object)))
-    if np.any(b):  # Z[zeta_8]: |z|^2 = a + b sqrt2
-        a, b = a.tolist(), b.tolist()
-        key = cmp_to_key(lambda i, j: surd_sign(a[i] - a[j], b[i] - b[j]))
-    else:
-        key = a.tolist().__getitem__
-    return max(range(sums.shape[1]), key=key)  # max keeps the first of equal keys
+    return int(np.argmax(real_keys(R, R.mag_squared(np.asarray(sums, dtype=object)))))
 
 
 def cube_corner_tables(R: CycloRing, tables: dict) -> dict:
@@ -197,32 +193,28 @@ def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BoundedFunction:
-    """A table of complex values on F_p^n with sup-norm <= 1.
-
-    Exact mode: ``coeffs`` has shape (ring.degree, p^n) and value(x) =
-    (sum_i coeffs[i, x] zeta^i) / den.  Float mode: ``values`` is a
-    complex array and ``ring`` is None.
+    """A table of complex values on F_p^n with sup-norm <= 1: ``coeffs``
+    has shape (ring.degree, p^n) and value(x) = (sum_i coeffs[i, x] zeta^i)
+    / den.
     """
 
     p: int
     n: int
-    ring: CycloRing | None
-    coeffs: np.ndarray | None = field(compare=False)
+    ring: CycloRing
+    coeffs: np.ndarray = field(compare=False)
     den: int = 1
-    values: np.ndarray | None = field(default=None, compare=False)
     # exponent table when the function is a pure root-of-unity phase;
     # carried so Gowers norms can run on integer exponent arithmetic
     exps: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.ring is not None:
-            R, c = self.ring, self.coeffs
-            if c.shape != (R.degree, self.p**self.n):
-                raise DimensionMismatch("coefficient array has wrong shape")
-            # a product or |.|^2 of two values stays within (p - 1) degree^2 max|coeff|^2
-            # (conjugates within (p - 1) max|coeff|); past int64 the table is kept on Python integers
-            if c.dtype != object and (R.p - 1) * R.degree**2 * int(np.abs(c).max(initial=0)) ** 2 > _INT64_MAX:
-                object.__setattr__(self, "coeffs", c.astype(object))
+        R, c = self.ring, self.coeffs
+        if c.shape != (R.degree, self.p**self.n):
+            raise DimensionMismatch("coefficient array has wrong shape")
+        # a product or |.|^2 of two values stays within (p - 1) degree^2 max|coeff|^2
+        # (conjugates within (p - 1) max|coeff|); past int64 the table is kept on Python integers
+        if c.dtype != object and (R.p - 1) * R.degree**2 * int(np.abs(c).max(initial=0)) ** 2 > _INT64_MAX:
+            object.__setattr__(self, "coeffs", c.astype(object))
 
     # -- constructors --
 
@@ -248,34 +240,21 @@ class BoundedFunction:
         t = P.table(m)
         return cls.from_exponents(P.p, P.n, m, -t if conjugate else t)
 
-    @classmethod
-    def from_complex_values(cls, p: int, n: int, values) -> "BoundedFunction":
-        vals = np.asarray(values, dtype=np.complex128)
-        if vals.shape != (p**n,):
-            raise DimensionMismatch("value table has wrong length")
-        if (np.abs(vals) > 1 + 1e-9).any():
-            raise PreconditionError("function exceeds sup-norm 1")
-        return cls(p, n, None, None, 1, vals)
-
     # -- basic data access --
 
     @property
     def exact(self) -> bool:
-        return self.ring is not None
+        """Always True: every function is exact."""
+        return True
 
     @property
     def size(self) -> int:
         return self.p**self.n
 
     def value_complex(self, x: Vec) -> complex:
-        i = vec_index(self.p, x)
-        if self.exact:
-            return self.ring.to_complex(self.coeffs[:, i]) / self.den
-        return complex(self.values[i])
+        return self.ring.to_complex(self.coeffs[:, vec_index(self.p, x)]) / self.den
 
     def to_complex_table(self) -> np.ndarray:
-        if not self.exact:
-            return self.values.copy()
         N = self.ring.N
         roots = np.array(
             [complex(math.cos(2 * math.pi * i / N), math.sin(2 * math.pi * i / N)) for i in range(self.ring.degree)]
@@ -283,33 +262,14 @@ class BoundedFunction:
         return (roots @ self.coeffs) / self.den
 
     def check_bounded(self) -> bool:
-        """Exact sup-norm check where the ring supports it, float otherwise."""
-        if not self.exact:
-            return bool((np.abs(self.values) <= 1 + 1e-9).all())
-        d2 = self.ring.mag_squared(self.coeffs)
-        den2 = self.den**2
-        try:
-            a, b = real_parts(self.ring, d2)  # |value|^2 = (a + b sqrt 2) / den^2, b = 0 outside Z[zeta_8]
-        except ExactOrderUnsupported:  # one column at a time, float where a column has no exact order
-            bound = RealSurd(Fraction(den2))
-            for col in range(d2.shape[1]):
-                try:
-                    if RealSurd.from_ring_element(self.ring, d2[:, col]) > bound:
-                        return False
-                except ExactOrderUnsupported:
-                    if abs(self.ring.to_complex(d2[:, col])) > den2 + 1e-6:
-                        return False
-            return True
-        rational = b == 0
-        if (a[rational] > den2).any():
-            return False
-        return all(surd_sign(int(x) - den2, int(y)) <= 0 for x, y in zip(a[~rational], b[~rational]))
+        """Exact sup-norm check: den^2 - |value|^2 >= 0 at every point, signed by ``real_keys``."""
+        slack = -self.ring.mag_squared(self.coeffs).astype(object)
+        slack[0] += self.den**2
+        return bool((real_keys(self.ring, slack) >= 0).all())
 
-    # -- exact-mode arithmetic --
+    # -- arithmetic --
 
     def embed(self, target: CycloRing) -> "BoundedFunction":
-        if not self.exact:
-            raise PreconditionError("cannot embed a float-mode function")
         if target.N == self.ring.N:
             return self
         M = self.ring.embed_matrix(target)
@@ -318,39 +278,27 @@ class BoundedFunction:
         return BoundedFunction(self.p, self.n, target, (self.coeffs.T @ M).T, self.den, exps=new_exps)
 
     def conj(self) -> "BoundedFunction":
-        if self.exact:
-            new_exps = (-self.exps) % self.ring.N if self.exps is not None else None
-            return BoundedFunction(
-                self.p, self.n, self.ring, self.ring.conj_arrays(self.coeffs), self.den, exps=new_exps
-            )
-        return BoundedFunction(self.p, self.n, None, None, 1, np.conj(self.values))
+        new_exps = (-self.exps) % self.ring.N if self.exps is not None else None
+        return BoundedFunction(self.p, self.n, self.ring, self.ring.conj_arrays(self.coeffs), self.den, exps=new_exps)
 
     def shift_arg(self, h: Vec) -> "BoundedFunction":
         """x -> f(x + h)."""
         sh = shift_indices(self.p, self.n, h)
-        if self.exact:
-            new_exps = self.exps[sh] if self.exps is not None else None
-            return BoundedFunction(self.p, self.n, self.ring, self.coeffs[:, sh], self.den, exps=new_exps)
-        return BoundedFunction(self.p, self.n, None, None, 1, self.values[sh])
+        new_exps = self.exps[sh] if self.exps is not None else None
+        return BoundedFunction(self.p, self.n, self.ring, self.coeffs[:, sh], self.den, exps=new_exps)
 
     def mul(self, other: "BoundedFunction") -> "BoundedFunction":
         if (self.p, self.n) != (other.p, other.n):
             raise DimensionMismatch("functions on different spaces")
-        if self.exact and other.exact:
-            R = common_ring(self.ring, other.ring)
-            a, b = self.embed(R), other.embed(R)
-            new_exps = None
-            if a.exps is not None and b.exps is not None:
-                new_exps = (a.exps + b.exps) % R.N
-            return BoundedFunction(
-                self.p, self.n, R, R.mul_arrays(a.coeffs, b.coeffs), a.den * b.den, exps=new_exps
-            )
-        va = self.to_complex_table() if self.exact else self.values
-        vb = other.to_complex_table() if other.exact else other.values
-        return BoundedFunction(self.p, self.n, None, None, 1, va * vb)
+        R = common_ring(self.ring, other.ring)
+        a, b = self.embed(R), other.embed(R)
+        new_exps = None
+        if a.exps is not None and b.exps is not None:
+            new_exps = (a.exps + b.exps) % R.N
+        return BoundedFunction(self.p, self.n, R, R.mul_arrays(a.coeffs, b.coeffs), a.den * b.den, exps=new_exps)
 
     def mult_derivative(self, h: Vec) -> "BoundedFunction":
-        """d_h f(x) = f(x+h) * conj(f(x)); 1-bounded, exact when f is."""
+        """d_h f(x) = f(x+h) * conj(f(x)); 1-bounded and exact."""
         return self.shift_arg(h).mul(self.conj())
 
     def restrict_to_coset(self, U: Subspace, shift: Vec) -> "BoundedFunction":
@@ -359,15 +307,11 @@ class BoundedFunction:
             vec_index(self.p, vec_add(self.p, shift, fpspace.embed_from_subspace(U, c)))
             for c in all_vectors(self.p, U.dim)
         ]
-        if self.exact:
-            new_exps = self.exps[cols] if self.exps is not None else None
-            return BoundedFunction(self.p, U.dim, self.ring, self.coeffs[:, cols], self.den, exps=new_exps)
-        return BoundedFunction(self.p, U.dim, None, None, 1, self.values[cols])
+        new_exps = self.exps[cols] if self.exps is not None else None
+        return BoundedFunction(self.p, U.dim, self.ring, self.coeffs[:, cols], self.den, exps=new_exps)
 
     def with_replaced_values(self, replacements: dict) -> "BoundedFunction":
-        """Exact-mode pointwise replacement {x: exponent in current ring}."""
-        if not self.exact:
-            raise PreconditionError("float mode not supported here")
+        """Pointwise replacement {x: exponent in current ring}."""
         c = self.coeffs.copy()
         new_exps = self.exps.copy() if self.exps is not None and self.den == 1 else None
         for x, t in replacements.items():
@@ -387,8 +331,8 @@ class BoundedFunction:
 class CorrValue:
     """An exact complex average S / den with |.|^2 available exactly."""
 
-    ring: CycloRing | None
-    num: np.ndarray | None  # ring element
+    ring: CycloRing
+    num: np.ndarray  # ring element
     den: int
     float_value: complex
 
@@ -396,30 +340,19 @@ class CorrValue:
     def from_sum(cls, R: CycloRing, num: np.ndarray, den: int) -> "CorrValue":
         return cls(R, num, den, R.to_complex(num) / den)
 
-    @classmethod
-    def from_float(cls, z: complex) -> "CorrValue":
-        return cls(None, None, 1, complex(z))
-
-    @property
-    def exact(self) -> bool:
-        return self.ring is not None
-
     def _num_mag2(self) -> np.ndarray:
         """|num|^2 on Python integers: the square of an int64 sum can pass int64."""
         return self.ring.mag_squared(np.asarray(self.num, dtype=object))
 
     def mag2(self) -> RealSurd:
-        """|value|^2 as an exact RealSurd; raises if the ring cannot order."""
-        if not self.exact:
-            raise ExactOrderUnsupported("float-mode correlation")
+        """|value|^2 as an exact RealSurd; raises ExactOrderUnsupported where
+        ``RealSurd`` cannot carry it."""
         return RealSurd.from_ring_element(self.ring, self._num_mag2(), self.den**2)
 
     def modulus_float(self) -> float:
         return abs(self.float_value)
 
     def mag2_is_one(self) -> bool:
-        if not self.exact:
-            return abs(abs(self.float_value) - 1) < 1e-9
         one = np.zeros(self.ring.degree, dtype=object)
         one[0] = self.den**2
         return np.array_equal(self._num_mag2(), one)
@@ -433,7 +366,7 @@ class GowersNormValue:
     """Exact 2^d-th power of a U^d norm, with float norm for reporting."""
 
     d: int
-    ring: CycloRing | None
+    ring: CycloRing
     power_num: tuple  # ring element as a tuple of ints (real value)
     power_den: int
     float_power: float
@@ -445,25 +378,15 @@ class GowersNormValue:
             raise InternalCheckError("Gowers norm power is not real")
         return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num).real / den)
 
-    @classmethod
-    def from_float(cls, d: int, value: float) -> "GowersNormValue":
-        return cls(d, None, (), 1, float(value))
-
-    @property
-    def exact(self) -> bool:
-        return self.ring is not None
-
     def power_surd(self) -> RealSurd:
-        if not self.exact:
-            raise ExactOrderUnsupported("float-mode norm")
+        """The power as an exact RealSurd; raises ExactOrderUnsupported where
+        ``RealSurd`` cannot carry it."""
         return RealSurd.from_ring_element(self.ring, np.array(self.power_num, dtype=object), self.power_den)
 
     def norm_float(self) -> float:
         return max(self.float_power, 0.0) ** (1.0 / (1 << self.d))
 
     def is_one(self) -> bool:
-        if not self.exact:
-            return abs(self.float_power - 1.0) < 1e-9
         num = np.array(self.power_num, dtype=object)
         one = np.zeros_like(num)
         one[0] = self.power_den
@@ -527,17 +450,47 @@ def _radix3_inplace(a: np.ndarray, sign: int) -> np.ndarray:
     return a
 
 
+def _radixp_inplace(a: np.ndarray, p: int, sign: int) -> np.ndarray:
+    """Character transform sum_x a(x) omega^{sign <chi, x>} over axis 1 of a
+    (planes, p^n, columns) array of Z[zeta_{p^m}] coefficient planes, m >= 1.
+
+    With e = p^{m-1}, the planes split into p - 1 blocks of e, and z =
+    sum_j omega^j B_j with omega = zeta^e.  The butterflies work on p
+    blocks, the last one zero at the start: there omega^k z is the cyclic
+    shift of the blocks by k, so y_s = sum_t omega^{sign st} x_t is a sum of
+    shifted blocks.  Since 1 + omega + ... + omega^{p-1} = 0, the power basis
+    is read back at the end as B_j - B_{p-1}.  After each stage a block is a
+    sum of at most p^stage input blocks, within the bound on the output's
+    coefficients that the callers check.
+    """
+    planes, size, cols = a.shape
+    e = planes // (p - 1)
+    x = np.zeros((p, e, size, cols), dtype=a.dtype)
+    x[: p - 1] = a.reshape(p - 1, e, size, cols)
+    h = 1
+    while h < size:
+        v = x.reshape(p, e, size // (p * h), p, h * cols)
+        y = np.zeros_like(v)
+        for s in range(p):
+            for t in range(p):
+                k = sign * s * t % p  # y_s gains omega^k x_t: block j of x_t lands on block j + k
+                y[k:, :, :, s] += v[: p - k, :, :, t]
+                y[:k, :, :, s] += v[p - k :, :, :, t]
+        x = y.reshape(p, e, size, cols)
+        h *= p
+    np.subtract(x[: p - 1], x[p - 1], out=a.reshape(p - 1, e, size, cols))
+    return a
+
+
 def _transform_inplace(R: CycloRing, p: int, a: np.ndarray, sign: int) -> np.ndarray:
     """Exact character transform over axis 1 of (degree, p^n, columns) planes in R."""
     if not a.flags.c_contiguous:  # the butterflies write through reshaped views
         raise InternalCheckError("in-place transform needs a C-contiguous array")
     if p == 2:
         return _wht_inplace(a)
-    if p != 3:
-        raise PreconditionError(f"exact transform unsupported for p={p}")
-    if R.N % 3:
-        raise PreconditionError(f"ring Z[zeta_{R.N}] has no cube roots of unity")
-    return _radix3_inplace(a, sign)
+    if R.N % p:
+        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
+    return _radix3_inplace(a, sign) if p == 3 else _radixp_inplace(a, p, sign)
 
 
 def char_transform(fn: BoundedFunction, sign: int = -1) -> np.ndarray:
@@ -789,8 +742,8 @@ def gowers_norm(
     column per derivative shift (``_gowers_columns``): f for U^2, d_h f for
     U^3, d_{h1} d_{h2} f for U^4, with symmetric shifts folded together.
     Phases carrying ``exps`` build their columns from exponent tables,
-    other exact functions from ring products.  Float-mode functions, and
-    exact ones for d > 4, average U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.
+    other functions from ring products.  For d > 4 it averages
+    U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.
     """
     if d < 2:
         raise PreconditionError("Gowers norms need d >= 2")
@@ -798,8 +751,6 @@ def gowers_norm(
     work = p ** ((d - 2) * n) * p**n * max(n, 1)
     if work > budget.gowers_cap:
         raise BudgetExceeded(f"U^{d} work {work} exceeds budget {budget.gowers_cap}")
-    if not fn.exact:
-        return GowersNormValue.from_float(d, _float_gowers_power(fn, d))
     fn = _with_pth_roots(fn)
     if d <= 4:
         return _gowers_columns(fn, d)
@@ -810,47 +761,20 @@ def gowers_norm(
     return GowersNormValue.from_parts(d, fn.ring, total, p ** ((d + 2) * n) * fn.den ** (1 << d))
 
 
-def _float_gowers_power(fn: BoundedFunction, d: int) -> float:
-    vals = fn.to_complex_table()
-    p, n = fn.p, fn.n
-    sh = _shift_table(p, n)
-
-    def power(v, dd):
-        if dd == 2:
-            tau = _float_transform(p, n, v)
-            return float((np.abs(tau) ** 4).sum() / p ** (4 * n))
-        return float(np.mean([power(v[sh[vec_index(p, h)]] * np.conj(v), dd - 1) for h in all_vectors(p, n)]))
-
-    return power(vals, d)
-
-
-def _float_transform(p: int, n: int, vals: np.ndarray) -> np.ndarray:
-    w = np.exp(-2j * np.pi / p)
-    arr = vals.reshape((p,) * n)
-    F = np.array([[w ** (i * j) for j in range(p)] for i in range(p)])
-    for axis in range(n):
-        arr = np.tensordot(F, arr, axes=([1], [axis]))
-        arr = np.moveaxis(arr, 0, axis)
-    return arr.reshape(-1)
-
-
 def direct_gowers_power(fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BUDGET):
     """Definition-chasing oracle: average the full 2^d-corner product.
 
-    Exact functions run on object (Python integer) coefficients, so no
-    product or sum can wrap.
+    It runs on object (Python integer) coefficients, so no product or sum
+    can wrap.
     """
     p, n = fn.p, fn.n
     if p ** ((d + 1) * n) > budget.enum_cap:
         raise BudgetExceeded("direct Gowers sum too large")
-    if fn.exact:
-        fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den)
+    fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den)
 
     def rec(g: BoundedFunction, depth: int):
         if depth == 0:
-            if g.exact:
-                return g.coeffs.astype(object).sum(axis=1), g.den
-            return g.values.sum(), 1
+            return g.coeffs.astype(object).sum(axis=1), g.den
         acc = None
         den = None
         for h in all_vectors(p, n):
@@ -860,51 +784,38 @@ def direct_gowers_power(fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BU
         return acc, den * p**n
 
     num, den = rec(fn, d)
-    if fn.exact:
-        return GowersNormValue.from_parts(d, fn.ring, np.asarray(num, dtype=object), den * p**n)
-    return GowersNormValue.from_float(d, (num / (den * p**n)).real)
+    return GowersNormValue.from_parts(d, fn.ring, num, den * p**n)
 
 
 # -- correlations and inverse oracles --
 
 
 def correlation(fn: BoundedFunction, P: NcPoly) -> CorrValue:
-    """|E_x f(x) e^{-2 pi i P(x)}| data, exact for exact inputs."""
+    """E_x f(x) e^{-2 pi i P(x)}, exactly."""
     if (fn.p, fn.n) != (P.p, P.n):
         raise DimensionMismatch("function and polynomial on different spaces")
-    phase = BoundedFunction.from_poly_phase(P, conjugate=True)
-    prod = fn.mul(phase)
-    if prod.exact:
-        return CorrValue.from_sum(prod.ring, prod.coeffs.sum(axis=1), prod.den * fn.size)
-    return CorrValue.from_float(prod.values.mean())
+    return average(fn.mul(BoundedFunction.from_poly_phase(P, conjugate=True)))
 
 
 def average(fn: BoundedFunction) -> CorrValue:
-    if fn.exact:
-        return CorrValue.from_sum(fn.ring, fn.coeffs.sum(axis=1), fn.den * fn.size)
-    return CorrValue.from_float(fn.values.mean())
+    return CorrValue.from_sum(fn.ring, fn.coeffs.sum(axis=1), fn.den * fn.size)
 
 
 def u2_inverse(fn: BoundedFunction) -> tuple[Vec, CorrValue]:
     """Exact argmax character: chi maximizing |E f(x) omega^{-<chi, x>}|.
 
-    Also asserts the Plancherel bound corr^2 >= ||f||_{U^2}^4.
+    Also checks the Plancherel bound corr^2 >= ||f||_{U^2}^4 exactly, as the
+    sign of |tau|^2 power_den - power_num (size den)^2 by ``real_keys``.
     """
-    if not fn.exact:
-        tau = _float_transform(fn.p, fn.n, fn.values) / fn.size
-        best = int(np.argmax(np.abs(tau)))
-        return all_vectors(fn.p, fn.n)[best], CorrValue.from_float(tau[best])
     fn = _with_pth_roots(fn)
     R = fn.ring
     tau = char_transform(fn, sign=-1)
     best = first_max(R, tau)
     corr = CorrValue.from_sum(R, tau[:, best], fn.size * fn.den)
     u2 = gowers_norm(fn, 2)
-    try:
-        if not (corr.mag2() >= u2.power_surd()):  # pragma: no cover
-            raise InternalCheckError("Plancherel bound corr^2 >= U2^4 failed")
-    except ExactOrderUnsupported:  # pragma: no cover
-        pass
+    slack = corr._num_mag2() * u2.power_den - np.array(u2.power_num, dtype=object) * corr.den**2
+    if real_keys(R, slack) < 0:  # pragma: no cover
+        raise InternalCheckError("Plancherel bound corr^2 >= U2^4 failed")
     return all_vectors(fn.p, fn.n)[best], corr
 
 
@@ -944,8 +855,6 @@ def u3_inverse_bruteforce(
     if ncand > budget.quad_oracle_cap:
         raise BudgetExceeded(f"{ncand} quadratic candidates exceed the oracle budget")
     cands, exps = _candidate_exponents(p, n, tuples, m, tables)
-    if not fn.exact:
-        return _u3_oracle_float(fn, tuples, m, cands, exps)
     R = common_ring(fn.ring, ring(p, m))
     coeffs = fn.embed(R).coeffs
     # a candidate's sum stays within degree^2 size max|f|
@@ -967,12 +876,6 @@ def _poly_from_candidate(p, n, tuples, cand) -> NcPoly:
     return NcPoly.make(p, n, TorusValue.zero(p), monos)
 
 
-def _u3_oracle_float(fn, tuples, m, cands, exps):
-    z = (fn.to_complex_table() * np.exp(-2j * np.pi * exps / fn.p**m)).mean(axis=1)
-    best = int(np.argmax(np.abs(z)))  # the first maximum
-    return _poly_from_candidate(fn.p, fn.n, tuples, cands[best]), CorrValue.from_float(z[best])
-
-
 def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """E_{x,h1,h2,h3} of the eight-corner product of the g_S.
 
@@ -986,9 +889,7 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     R = f0.ring
     for g in gs.values():
         R = common_ring(R, g.ring)
-    emb = {S: (g.embed(R) if g.exact else None) for S, g in gs.items()}
-    if any(v is None for v in emb.values()):
-        raise PreconditionError("octolinear average requires exact functions")
+    emb = {S: g.embed(R) for S, g in gs.items()}
     tabs = cube_corner_tables(R, {S: emb[S].coeffs for S in range(8)})
     den = 1
     for S in range(8):

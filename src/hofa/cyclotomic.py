@@ -8,11 +8,12 @@ unity, their conjugates and products therefore stay exact.  One product,
 of any shape and dtype; it states the bound its partial sums stay within,
 and callers on int64 check that bound or move to object dtype.
 
-Squared magnitudes |z|^2 are real; for every ring this toolkit exercises
-with ordered comparisons they land in Z (N in {1,2,3,4}) or Z[sqrt(2)]
-(N = 8), where ``RealSurd`` compares exactly.  Deeper rings (zeta_9,
-zeta_16) still get exact equality tests; asking them for an exact *order*
-raises instead of silently rounding.
+Real elements of every ring are ordered exactly by ``real_keys``: one
+fixed-point evaluation of sum c_k cos(2 pi k / N) on Python integers, at a
+precision that the norm of a nonzero element makes decisive.  ``RealSurd``
+carries the rational and a + b*sqrt(2) values of the ledger bounds; it
+reads Z (N in {1,2,3,4}), Z[sqrt(2)] (N = 8) and rational elements of
+Z[zeta_9], and raises ``ExactOrderUnsupported`` on anything else.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .errors import HofaError
 
 
 class ExactOrderUnsupported(HofaError, NotImplementedError):
-    """Ordered comparison requested in a real subfield beyond Q(sqrt 2)."""
+    """A real value asked of ``RealSurd`` outside Q and Q(sqrt 2)."""
 
 
 @lru_cache(maxsize=None)
@@ -162,6 +163,79 @@ def common_ring(r1: CycloRing, r2: CycloRing) -> CycloRing:
             return r1
         raise ValueError("cannot mix cyclotomic rings of different primes")
     return r1 if r1.N >= r2.N else r2
+
+
+# N -> (B, cos(2 pi k / N) 2^B rounded, k < phi(N)), at the largest B built so far
+_COS_TABLES: dict = {}
+
+
+def _atan_inv(x: int, bits: int) -> int:
+    """arctan(1/x) 2^bits by its Taylor series; floor(2^bits / x^(2k+1)) is
+    exact, so each term errs by under a unit."""
+    total, power, k, x2 = 0, (1 << bits) // x, 0, x * x
+    while power:
+        total += (-1) ** k * (power // (2 * k + 1))
+        power //= x2
+        k += 1
+    return total
+
+
+def _cos_table(rng: CycloRing, bits: int) -> np.ndarray:
+    """Python integers T_k within 1 of cos(2 pi k / N) 2^bits, k < phi(N).
+
+    One table is kept per N, at B >= bits, and rounded to ``bits``; a
+    request past B rebuilds it at max(bits, 2B).  It is built at W = B + 32
+    bits and rounded: pi by Machin's formula, then the Taylor series of cos
+    at 2 pi k' / N in [0, pi], k' = min(k, N - k).  Every truncated term
+    errs by under a unit: pi by under 4W units, theta^2 by under 25W, and
+    cos, whose slope in theta^2 is at most 1/2 and whose series grows no
+    error by more than cosh(pi) < 12, by under 12W + 12J units for J < W
+    terms.  Below W = 2^25 that is within 2^30 units, so the table is within
+    1/4 + 1/2 of a unit at B bits and within 1/2 + 3/8 after rounding to
+    ``bits``.
+    """
+    N = rng.N
+    B, table = _COS_TABLES.get(N, (0, None))
+    if B < bits:
+        B = max(bits, 64, 2 * B)
+        W = B + 32
+        pi = 16 * _atan_inv(5, W) - 4 * _atan_inv(239, W)
+        table = []
+        for k in range(rng.degree):
+            theta = 2 * pi * min(k, N - k) // N
+            theta2 = theta * theta >> W
+            total = term = 1 << W
+            j = 1
+            while term:
+                term = term * theta2 // ((2 * j - 1) * 2 * j << W)
+                total += (-1) ** j * term
+                j += 1
+            table.append((total + (1 << 31)) >> 32)
+        table = np.array(table, dtype=object)
+        _COS_TABLES[N] = B, table
+    return table if B == bits else (table + (1 << (B - bits - 1))) >> (B - bits)
+
+
+def real_keys(rng: CycloRing, elts: np.ndarray) -> np.ndarray:
+    """Python integers ordered exactly as the real (degree, ...) elements
+    ``elts`` of ``rng``: equal elements get equal keys, and the sign of a
+    key, and of a difference of keys, is the sign of the element, and of
+    the difference of the elements.
+
+    A nonzero real x in Z[zeta_N] lies in the real subfield, of degree
+    e + 1 = phi(N)/2 (1 for N <= 2), where its norm is a nonzero integer;
+    each of the e other conjugates is at most L1(x), the sum of
+    |coefficients|, so |x| >= L1(x)^{-e}.  A key is sum_k c_k T_k with
+    |T_k - cos(2 pi k / N) 2^B| <= 1, which errs from x 2^B by at most L1(x).
+    With L at least twice the largest L1, bounding every element and every
+    difference, and 2^B > 2 L^{e+1}, a nonzero difference x 2^B exceeds
+    2L > L in size, so it keeps its sign; equal elements have equal
+    coefficient vectors and so equal keys.
+    """
+    elts = np.asarray(elts, dtype=object)
+    L = 2 * int(np.abs(elts.reshape(rng.degree, -1)).sum(axis=0).max(initial=0))
+    e = max(0, rng.degree // 2 - 1)
+    return np.tensordot(_cos_table(rng, (e + 1) * L.bit_length() + 2), elts, 1)
 
 
 def real_parts(rng: CycloRing, elts: np.ndarray) -> tuple:

@@ -533,11 +533,11 @@ def multilinear_part(phi: MultiaffineForm) -> MultilinearForm:
     return comp
 
 
-def green_tao_average(T: MultilinearForm, check_prime_ok: bool = True) -> MultilinearForm:
+def green_tao_average(T: MultilinearForm) -> MultilinearForm:
     """The S_3-average (1/6) sum_pi T_pi.  Requires 6 invertible, so p >= 5."""
     if T.k != 3:
         raise DimensionMismatch("S_3 averaging needs a trilinear form")
-    if check_prime_ok and T.p in (2, 3):
+    if T.p in (2, 3):
         raise PreconditionError(
             f"averaging over S_3 divides by 6, which is not invertible mod {T.p}"
         )

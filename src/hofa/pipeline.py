@@ -496,8 +496,6 @@ def run_inverse_pipeline(
         raise PreconditionError("the end-to-end pipeline supports p in {2, 3}")
     if n > 3:
         raise BudgetExceeded("the end-to-end pipeline is capped at n <= 3")
-    if not f.exact:
-        raise PreconditionError("the pipeline needs an exact-mode function")
     ledger = []
 
     # stage 1: U^4 norm gate

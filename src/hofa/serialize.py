@@ -10,8 +10,8 @@ objects always serialize to identical bytes.
   form         header ``p n k`` (plus ``affine``), lines
                ``<subset-mask> j_1 ... j_|I| : c`` with 1-based indices and
                bit (i-1) of the mask set iff slot i is in the subset
-  function     header ``p n exact m=<m> den=<den>`` or ``p n float``; one
-               line per point: ring coefficients (exact) or ``re im``
+  function     header ``p n exact m=<m> den=<den>``; one line per point:
+               its phi(p^m) coefficients over Z[zeta_{p^m}]
   certificate  header ``p n k cert <terms>``; per term a ``term <mask>``
                line followed by ``L``-prefixed and ``R``-prefixed factor
                entries in the form line syntax
@@ -214,18 +214,9 @@ def load_form(text: str) -> MultilinearForm | MultiaffineForm:
 
 
 def dump_function(f: BoundedFunction) -> str:
-    if f.exact:
-        m = 0
-        N = f.ring.N
-        while f.p**m != N:
-            m += 1
-        lines = [f"{f.p} {f.n} exact m={m} den={f.den}"]
-        for col in range(f.size):
-            lines.append(" ".join(str(int(v)) for v in f.coeffs[:, col]))
-    else:
-        lines = [f"{f.p} {f.n} float"]
-        for z in f.values:
-            lines.append(f"{float(z.real)!r} {float(z.imag)!r}")
+    lines = [f"{f.p} {f.n} exact m={f.ring.m} den={f.den}"]
+    for col in range(f.size):
+        lines.append(" ".join(str(int(v)) for v in f.coeffs[:, col]))
     return "\n".join(lines) + "\n"
 
 
@@ -233,38 +224,32 @@ def load_function(text: str) -> BoundedFunction:
     """Parse a function file; a malformed or unbounded table is a FormatError."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     head = lines[0].split() if lines else []
-    if len(head) < 3 or head[2] not in ("exact", "float"):
-        raise FormatError("function header must read 'p n exact ...' or 'p n float'")
+    if len(head) < 3 or head[2] != "exact":
+        raise FormatError("function header must read 'p n exact m=<m> den=<den>'")
     p, n = _space(head[0], head[1])
     rows = [ln.split() for ln in lines[1:]]
     # p >= 2 gives p^n > n, so n < len(rows) is checked before p**n
     if not n < len(rows) or len(rows) != p**n:
         raise FormatError(f"expected p^n rows for p={p}, n={n}, found {len(rows)}")
-    if head[2] == "float":
-        if len(head) != 3 or any(len(r) != 2 for r in rows):
-            raise FormatError("a float table has a bare header and rows 're im'")
-        vals = np.array([complex(_number(re, float), _number(im, float)) for re, im in rows])
-        fn = BoundedFunction(p, n, None, None, 1, vals)
-    else:
-        opts = {"m": 1, "den": 1}
-        for tok in head[3:]:
-            key, eq, val = tok.partition("=")
-            if key not in opts or not eq:
-                raise FormatError(f"bad header option {tok!r}")
-            opts[key] = _number(val, int)
-        m, den = opts["m"], opts["den"]
-        if not 0 < den < 2**63:
-            raise FormatError(f"den={den} is not a positive int64")
-        table = [[_number(t, int) for t in r] for r in rows]
-        width = len(table[0])
-        # phi(p^m) >= m, so m <= width is checked before p**(m-1)
-        if any(len(r) != width for r in table) or not 0 <= m <= width or width != (
-            1 if m == 0 else p ** (m - 1) * (p - 1)
-        ):
-            raise FormatError(f"every row needs phi({p}^{m}) coefficients")
-        if not all(-(2**63) <= c < 2**63 for r in table for c in r):
-            raise FormatError("a coefficient is not an int64")
-        fn = BoundedFunction(p, n, ring(p, m), np.array(table, dtype=np.int64).T, den)
+    opts = {"m": 1, "den": 1}
+    for tok in head[3:]:
+        key, eq, val = tok.partition("=")
+        if key not in opts or not eq:
+            raise FormatError(f"bad header option {tok!r}")
+        opts[key] = _number(val, int)
+    m, den = opts["m"], opts["den"]
+    if not 0 < den < 2**63:
+        raise FormatError(f"den={den} is not a positive int64")
+    table = [[_number(t, int) for t in r] for r in rows]
+    width = len(table[0])
+    # phi(p^m) >= m, so m <= width is checked before p**(m-1)
+    if any(len(r) != width for r in table) or not 0 <= m <= width or width != (
+        1 if m == 0 else p ** (m - 1) * (p - 1)
+    ):
+        raise FormatError(f"every row needs phi({p}^{m}) coefficients")
+    if not all(-(2**63) <= c < 2**63 for r in table for c in r):
+        raise FormatError("a coefficient is not an int64")
+    fn = BoundedFunction(p, n, ring(p, m), np.array(table, dtype=np.int64).T, den)
     if not fn.check_bounded():
         raise FormatError("function exceeds sup-norm 1")
     return fn

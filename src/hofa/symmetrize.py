@@ -116,8 +116,6 @@ def _common_exact(p: int, bs) -> tuple:
     """The witness functions embedded in one ring containing the p-th roots."""
     R = ring(p, 1)
     for b in bs:
-        if not b.exact:
-            raise PreconditionError("exact witness functions required")
         R = common_ring(R, b.ring)
     return R, [b.embed(R) for b in bs]
 

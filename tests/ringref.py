@@ -58,3 +58,28 @@ def ref_phased_sum(R, p, prod, expo, masks=None):
     if masks is None:
         return prod.reshape(prod.shape[0], -1).sum(axis=1)
     return np.stack([prod[:, mask].sum(axis=1) for mask in masks], axis=1)
+
+
+def ref_first_max(R, sums):
+    """The former ``analysis.first_max``, for N in {1, 2, 3, 4, 8}: each
+    |S|^2 read as a + b sqrt2 (b = 0 outside Z[zeta_8]) on Python integers,
+    the first maximum kept by a pairwise scan that signs each difference
+    from its square, a^2 against 2 b^2."""
+    if R.N not in (1, 2, 3, 4, 8):
+        raise ValueError("the reference orders Z, Z[i], Z[omega] and Z[zeta_8] only")
+    sums = np.asarray(sums, dtype=object)
+    sq = ref_mul(R, sums, ref_conj(R, sums))
+    a, b = sq[0], (sq[1] if R.N == 8 else sq[0] * 0)
+
+    def sign(x, y):  # of x + y sqrt2
+        sx, sy = (x > 0) - (x < 0), (y > 0) - (y < 0)
+        if sx * sy >= 0:
+            return sx or sy
+        d = x * x - 2 * y * y
+        return sx * ((d > 0) - (d < 0))
+
+    best = 0
+    for j in range(1, sums.shape[1]):
+        if sign(a[j] - a[best], b[j] - b[best]) > 0:
+            best = j
+    return best

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import analysis as an
-from hofa.cyclotomic import ExactOrderUnsupported, RealSurd, common_ring, ring
+from hofa.cyclotomic import RealSurd, common_ring, ring
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
 from hofa.mforms import MultilinearForm
@@ -17,7 +17,7 @@ from hofa.pipeline import derivative_sum_cube
 from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
 from oracles import scale_phase
-from ringref import ref_conj, ref_mul, ref_roots
+from ringref import ref_conj, ref_first_max, ref_mul, ref_roots
 
 
 def phase(P, conj=False):
@@ -363,17 +363,46 @@ class TestColumnKernel:
             seen |= orbit
         assert len(seen) == size ** (d - 2)
 
+    @staticmethod
+    def _check_against_float_dft(p, m, n, sign):
+        rng = random.Random(m)
+        R = ring(p, m)
+        c = np.array([[[rng.randrange(-5, 6) for _ in range(p**n)] for _ in range(2)] for _ in range(R.degree)])
+        tau = an._transform_array(R, p, n, c, sign)
+        roots = np.exp(2j * np.pi * np.arange(R.degree) / R.N)
+        V = np.array(all_vectors(p, n))
+        F = np.exp(sign * 2j * np.pi * (V @ V.T) / p)
+        assert np.allclose(np.tensordot(roots, tau, 1), np.tensordot(roots, c, 1) @ F.T)
+
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_radix3_transform_matches_float_dft(self, m, sign):
-        rng = random.Random(m)
-        R, n = ring(3, m), 3
-        c = np.array([[[rng.randrange(-5, 6) for _ in range(27)] for _ in range(2)] for _ in range(R.degree)])
-        tau = an._transform_array(R, 3, n, c, sign)
-        roots = np.exp(2j * np.pi * np.arange(R.degree) / R.N)
-        V = np.array(all_vectors(3, n))
-        F = np.exp(sign * 2j * np.pi * (V @ V.T) / 3)
-        assert np.allclose(np.tensordot(roots, tau, 1), np.tensordot(roots, c, 1) @ F.T)
+        self._check_against_float_dft(3, m, 3, sign)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_radix5_transform_matches_float_dft(self, m, sign):
+        self._check_against_float_dft(5, m, 2, sign)
+
+    def test_radix_p_butterfly_matches_radix3(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2):
+            a = rng.integers(-9, 10, (2 * 3 ** (m - 1), 81, 5))
+            for sign in (1, -1):
+                assert np.array_equal(an._radix3_inplace(a.copy(), sign), an._radixp_inplace(a.copy(), 3, sign))
+
+    @pytest.mark.parametrize("n, ds, depths", [(1, (2, 3, 4), (1, 2)), (2, (2, 3), (1,))])
+    def test_p5_norms_match_direct(self, n, ds, depths):
+        # fifth- and 25th-root phases, and Z[zeta_5] values over den 4; the oracle takes ~2 s per
+        # function at F_5^2, d = 3, and ~40 s for a 25th-root phase there
+        rng = random.Random(50 + n)
+        R = ring(5, 1)
+        vals = np.array([[rng.randrange(-1, 2) for _ in range(5**n)] for _ in range(R.degree)], dtype=np.int64)
+        for f in [an.random_unimodular_exact(rng, 5, n, m) for m in depths] + [an.BoundedFunction(5, n, R, vals, 4)]:
+            assert f.check_bounded()
+            for d in ds:
+                got, want = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
+                assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den), (d, f.ring)
 
     def test_transform_without_cube_roots_is_refused(self):
         with pytest.raises(PreconditionError):
@@ -549,15 +578,32 @@ class TestFirstMax:
             got = an.first_max(ring(2, 2), sums)
             assert got == an.first_max(ring(2, 2), sums.astype(object)) == self.by_mag2(ring(2, 2), sums)
 
-    def test_rings_without_an_exact_order(self):
-        R9 = ring(3, 2)
+    @pytest.mark.parametrize("p, m", [(2, 0), (2, 2), (3, 1), (2, 3)])
+    def test_matches_the_former_first_max(self, p, m):
+        R = ring(p, m)
+        rng = np.random.default_rng(10 * p + m)
+        for scale in (1, 10**9):
+            for _ in range(20):
+                sums = rng.integers(-2, 3, (R.degree, 24)) * scale  # small values: many ties
+                assert an.first_max(R, sums) == ref_first_max(R, sums)
+                sums = rng.integers(-8 * scale, 8 * scale + 1, (R.degree, 24))
+                assert an.first_max(R, sums) == ref_first_max(R, sums)
+
+    def test_every_ring_orders(self):
+        R9, R16 = ring(3, 2), ring(2, 4)
         rational = np.zeros((R9.degree, 2), dtype=np.int64)
         rational[0] = [1, 2]
         assert an.first_max(R9, rational) == 1
-        with pytest.raises(ExactOrderUnsupported):
-            an.first_max(R9, R9.one()[:, None] + R9.root(1)[:, None])  # |1 + zeta_9|^2
-        with pytest.raises(ExactOrderUnsupported):
-            an.first_max(ring(2, 4), ring(2, 4).root(3)[:, None])
+        # |1 + zeta_9|^2 = 2 + 2 cos(2 pi / 9) = 3.53 lies between |1 - zeta_9^3|^2 = 3 and |2|^2 = 4
+        one_plus = R9.one() + R9.root(1)
+        three, four = R9.one() - R9.root(3), 2 * R9.one()
+        assert an.first_max(R9, np.stack([three, one_plus], axis=1)) == 1
+        assert an.first_max(R9, np.stack([one_plus, four], axis=1)) == 1
+        assert an.first_max(R9, np.stack([one_plus, three, -one_plus], axis=1)) == 0
+        # Z[zeta_16]: |1 + zeta^7|^2 = 0.15 < |zeta^3|^2 = 1 < |1 + zeta|^2 = 3.85
+        sums = np.stack([R16.one() + R16.root(7), R16.root(3), R16.one() + R16.root(1), R16.root(5)], axis=1)
+        assert an.first_max(R16, sums) == 2
+        assert an.first_max(R16, sums[:, :2]) == 1
 
     def test_no_candidates(self):
         with pytest.raises(PreconditionError):
@@ -605,6 +651,24 @@ class TestU2Inverse:
     def test_ones(self):
         got, corr = an.u2_inverse(an.BoundedFunction.ones(2, 3))
         assert got == (0, 0, 0) and corr.mag2_is_one()
+
+    @pytest.mark.parametrize("p, m", [(5, 1), (3, 2), (2, 4)])
+    def test_values_in_rings_beyond_sqrt2(self, p, m):
+        # exact argmax and Plancherel check in Z[zeta_5], Z[zeta_9] and Z[zeta_16], against floats
+        R, n = ring(p, m), 2
+        rng = np.random.default_rng(p * m)
+        f = an.BoundedFunction(p, n, R, rng.integers(-1, 2, (R.degree, p**n)), R.degree)
+        got, corr = an.u2_inverse(f)
+        V = np.array(all_vectors(p, n))
+        tau = np.exp(-2j * np.pi * (V @ V.T) / p) @ f.to_complex_table() / p**n
+        assert abs(abs(corr.float_value) - np.abs(tau).max()) < 1e-12
+        assert abs(tau[all_vectors(p, n).index(got)] - corr.float_value) < 1e-12
+
+    def test_fifth_root_characters(self):
+        for chi in [(0, 0), (2, 3), (4, 1)]:
+            P = NcPoly.from_classical(5, 2, {(1, 0): chi[0], (0, 1): chi[1]})
+            got, corr = an.u2_inverse(phase(P))
+            assert got == chi and corr.mag2_is_one()
 
     def test_argmax_matches_bruteforce(self):
         rng = random.Random(10)
@@ -674,13 +738,6 @@ class TestU3Oracle:
         assert Q == ref_Q
         assert corr.num.dtype == ref_num.dtype and np.array_equal(corr.num, ref_num)
 
-    def test_float_oracle_keeps_the_first_maximum(self):
-        f = _corrupted_quadratic_phase()
-        fl = an.BoundedFunction.from_complex_values(2, 2, f.to_complex_table())
-        Q, corr = an.u3_inverse_bruteforce(fl)
-        assert Q == _ref_u3_oracle(f)[0]
-        assert abs(abs(corr.float_value) ** 2 - float(an.u3_inverse_bruteforce(f)[1].mag2())) < 1e-9
-
     def test_recovers_quadratic(self):
         for seed in (3, 4, 5):
             Q0 = random_poly(2, 2, 2, True, seed=seed)
@@ -692,6 +749,15 @@ class TestU3Oracle:
         for p, n in [(2, 1), (2, 2), (2, 3), (3, 2)]:
             Q, corr = an.u3_inverse_bruteforce(an.BoundedFunction.ones(p, n))
             assert Q == NcPoly.zero(p, n) and corr.mag2_is_one()
+
+    def test_fifth_root_quadratic_phases(self):
+        for seed in (1, 2):
+            Q0 = random_poly(5, 2, 2, True, seed=seed)
+            Q, corr = an.u3_inverse_bruteforce(phase(Q0))
+            assert corr.mag2_is_one() and not (Q - Q0).monomials  # equal up to a constant
+        L0 = random_poly(5, 1, 1, True, seed=3)
+        Q, corr = an.u3_inverse_bruteforce(phase(L0))
+        assert corr.mag2_is_one() and not (Q - L0).monomials
 
     def test_classical_only_f3(self):
         Q0 = random_poly(3, 2, 2, False, seed=6)
@@ -805,22 +871,19 @@ class TestCubeAveragesAgainstOracle:
         assert abs(avg.float_value - total.mean()) < 1e-9
 
 
-class TestFloatMode:
-    def test_float_norms_close(self):
-        rng = random.Random(16)
-        f = an.random_mu_p_function(rng, 2, 2)
-        fl = an.BoundedFunction.from_complex_values(2, 2, f.to_complex_table())
-        for d in (2, 3):
-            exact = an.gowers_norm(f, d).float_power
-            approx = an.gowers_norm(fl, d).float_power
-            assert abs(exact - approx) < 1e-9
-
+class TestBoundedCheck:
     def test_bounded_check(self):
-        with pytest.raises(Exception):
-            an.BoundedFunction.from_complex_values(2, 1, np.array([2.0 + 0j, 0j]))
+        assert not an.BoundedFunction(2, 1, ring(2, 0), np.array([[2, 0]]), 1).check_bounded()
+        # Z[zeta_5]: (D - 832040 + 1346269 (zeta + zeta^4)) / D has modulus 1 + 8e-26, as zeta + zeta^4 = 1/phi
+        R, D = ring(5, 1), 4 * 10**18
+        c = np.zeros((4, 5), dtype=np.int64)
+        c[:, 0] = [D - 832040 - 1346269, 0, -1346269, -1346269]
+        assert not an.BoundedFunction(5, 1, R, c, D).check_bounded()
+        c[0, 0] -= 1
+        assert an.BoundedFunction(5, 1, R, c, D).check_bounded()
 
     def test_bounded_check_reads_every_column_of_unordered_rings(self):
-        # Z[zeta_16] values have no exact order here, so each column takes the float check
+        # Z[zeta_16] has no closed-form order; every column is signed exactly
         R = ring(2, 4)
         good = np.array([R.root(1), R.root(5)]).T
         assert an.BoundedFunction(2, 1, R, good, 1).check_bounded()

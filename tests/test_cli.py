@@ -35,6 +35,26 @@ def test_norm_nontrivial(tmp_path, capsys):
     assert "0.7071" in out  # (1/4)^(1/4)
 
 
+def test_norm_of_a_fifth_root_phase(tmp_path, capsys):
+    f = an.random_unimodular_exact(random.Random(5), 5, 2, 1)
+    path = tmp_path / "p5.fn"
+    path.write_text(sz.dump_function(f))
+    assert path.read_text().startswith("5 2 exact m=1 den=1\n")
+    assert run_cli(["norm", "--input", str(path), "--d", "3"]) == 0
+    want = an.direct_gowers_power(f, 3)
+    num, den = capsys.readouterr().out.splitlines()[1].split(": ")[1].split(" / ")
+    num = np.array([int(c) for c in num.strip("()").split(",")], dtype=object)
+    assert np.array_equal(num * want.power_den, np.array(want.power_num, dtype=object) * int(den))
+
+
+def test_norm_on_a_float_file_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "float.fn"
+    path.write_text("2 1 float\n1 0\n0 1\n")
+    assert run_cli(["norm", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "p n exact m=<m> den=<den>" in err
+
+
 def test_rank_subcommand(tmp_path, capsys):
     T = MultilinearForm.from_entries(2, 2, 3, {(0, 0, 0): 1})
     path = tmp_path / "form.mf"

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hofa.cyclotomic import CycloRing, RealSurd, ring, surd_sign
+from hofa import cyclotomic
+from hofa.cyclotomic import CycloRing, RealSurd, real_keys, ring, surd_sign
 from ringref import ref_conj, ref_mul
 
 # Z, Z[zeta_2] = Z, Z[i], Z[zeta_8], Z[zeta_16], Z[omega], Z[zeta_9]
@@ -131,3 +132,87 @@ class TestRealSurd:
         assert RealSurd(Fraction(-99), Fraction(70)).sign() == -1
         assert RealSurd(Fraction(0), Fraction(-1)).sign() == -1
         assert surd_sign(-(2**80), 2**80) == 1 and surd_sign(2**80, -(2**80)) == -1
+
+
+# Z[zeta_5], Z[zeta_9], Z[zeta_16], Z[zeta_27]: real subfields of degree 2, 3, 4 and 9
+SIGN_RINGS = [(5, 1), (3, 2), (2, 4), (3, 3)]
+
+
+def _float_value(R, x) -> float:
+    return float(sum(int(c) * np.cos(2 * np.pi * k / R.N) for k, c in enumerate(x)))
+
+
+@st.composite
+def _real_pairs(draw):
+    """A ring, two real elements y conj y - z conj z of it, and their rotations by zeta^t."""
+    R = ring(*draw(st.sampled_from(SIGN_RINGS)))
+    elts = []
+    for _ in range(2):
+        y, z = (np.array(draw(st.lists(st.integers(-40, 40), min_size=R.degree, max_size=R.degree)), dtype=object)
+                for _ in range(2))
+        elts.append((y, z))
+    return R, elts, draw(st.integers(0, R.N - 1))
+
+
+class TestRealKeys:
+    """One exact order on the real elements of every Z[zeta_N]."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_real_pairs())
+    def test_order_matches_floats_where_the_margin_is_large(self, case):
+        R, elts, t = case
+        xs, rotated = [], []
+        for y, z in elts:
+            xs.append(R.mag_squared(y) - R.mag_squared(z))
+            ty, tz = (R.mul_arrays(R.root(t).astype(object), v) for v in (y, z))
+            rotated.append(R.mag_squared(ty) - R.mag_squared(tz))  # the same element, reached another way
+        cols = np.stack(xs + rotated + [xs[0] - rotated[0]], axis=1)
+        keys = real_keys(R, cols)
+        assert keys[0] == keys[2] and keys[1] == keys[3] and keys[4] == 0
+        vals = [_float_value(R, x) for x in xs]
+        scale = 1e-9 * max(1, *(np.abs(x).sum() for x in xs))
+        for i, v in enumerate(vals):
+            if abs(v) > scale:
+                assert (keys[i] > 0) == (v > 0)
+        if abs(vals[0] - vals[1]) > scale:
+            assert (keys[0] > keys[1]) == (vals[0] > vals[1])
+
+    @pytest.mark.parametrize("p, m", SIGN_RINGS)
+    def test_zero_only_after_reduction(self, p, m):
+        R = ring(p, m)
+        for t in range(R.N):
+            # zeta^t (1 + omega + ... + omega^{p-1}) reduces to zero
+            full = R.roots_to_coeffs(t + np.arange(p) * (R.N // p)).sum(axis=1)
+            assert not full.any() and real_keys(R, full) == 0
+        x = R.mag_squared(R.one() + R.root(1))
+        assert real_keys(R, np.stack([x, x + full, x - x], axis=1)).tolist()[:2] == [real_keys(R, x)] * 2
+
+    @pytest.mark.parametrize("p, m", SIGN_RINGS)
+    def test_powers_below_one_stay_ordered(self, p, m):
+        # u = zeta + zeta^-1 - 1 lies in (0, 1) for N >= 5 (2 cos(2 pi / 5) - 1 < 0, so N = 5 takes 1/phi):
+        # u^k shrinks like |u|^k while its coefficients grow, the worst case for the precision
+        R = ring(p, m)
+        u = (R.root(1) + R.root(-1) - (R.one() if R.N > 5 else 0)).astype(object)
+        powers = [R.one().astype(object)]
+        for _ in range(120):
+            powers.append(R.mul_arrays(powers[-1], u))
+        keys = real_keys(R, np.stack(powers, axis=1))
+        assert all(a > b > 0 for a, b in zip(keys, keys[1:]))
+        assert all(real_keys(R, a - b) > 0 and real_keys(R, b - a) < 0 for a, b in zip(powers, powers[1:]))
+
+    def test_classic_comparisons(self):
+        R9 = ring(3, 2)
+        x = R9.mag_squared(R9.one() + R9.root(1))  # 2 + 2 cos(2 pi / 9) = 3.53
+        three, four = 3 * R9.one(), 4 * R9.one()
+        assert real_keys(R9, x - three) > 0 and real_keys(R9, x - four) < 0
+
+    def test_tables_agree_across_precisions(self, monkeypatch):
+        monkeypatch.setattr(cyclotomic, "_COS_TABLES", {})
+        for p, m in SIGN_RINGS + [(2, 3), (3, 1)]:
+            R = ring(p, m)
+            low = cyclotomic._cos_table(R, 100)
+            high = cyclotomic._cos_table(R, 3000)  # a rebuild at 3000 bits
+            assert cyclotomic._COS_TABLES[R.N][0] == 3000
+            assert all(abs(a - (b >> 2900)) <= 1 for a, b in zip(low, high))
+            assert all(abs(a / 2**100 - np.cos(2 * np.pi * k / R.N)) < 1e-15 for k, a in enumerate(low))
+            assert np.array_equal(cyclotomic._cos_table(R, 100), low)  # rounded down from the 3000-bit table

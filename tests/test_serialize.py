@@ -54,10 +54,19 @@ def test_function_round_trip():
         assert g.den == f.den and g.ring.N == f.ring.N
 
 
-def test_float_function_round_trip():
-    f = an.BoundedFunction.from_complex_values(2, 1, np.array([0.5 + 0.5j, -1.0 + 0j]))
-    g = sz.load_function(sz.dump_function(f))
-    assert np.allclose(g.values, f.values)
+def test_float_function_header_is_a_format_error():
+    with pytest.raises(sz.FormatError, match="'p n exact m=<m> den=<den>'"):
+        sz.load_function("2 1 float\n0.5 0.5\n-1.0 0.0\n")
+
+
+def test_p5_function_just_past_modulus_one_is_rejected():
+    # (D - 832040 + 1346269 (zeta + zeta^4)) / D with zeta + zeta^4 = 1/phi: modulus 1 + 8e-26
+    rows = ["3999999999997821691 0 -1346269 -1346269"] + ["0 0 0 0"] * 4
+    with pytest.raises(sz.FormatError, match="sup-norm"):
+        sz.load_function("\n".join(["5 1 exact m=1 den=4000000000000000000"] + rows))
+    rows[0] = "3999999999997821690 0 -1346269 -1346269"
+    f = sz.load_function("\n".join(["5 1 exact m=1 den=4000000000000000000"] + rows))
+    assert sz.load_function(sz.dump_function(f)) == f
 
 
 def test_certificate_round_trip():
@@ -177,16 +186,14 @@ def _function_texts(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=40), _function_texts()))
 def test_load_function_fuzz(text):
-    """Any text loads (and then round-trips) or raises FormatError."""
+    """Any text loads (and then round-trips) or raises FormatError; no float table loads."""
     try:
         f = sz.load_function(text)
     except sz.FormatError:
         return
+    assert text.split()[2] == "exact"
     g = sz.load_function(sz.dump_function(f))
-    if f.exact:
-        assert np.array_equal(g.coeffs, f.coeffs) and g.den == f.den
-    else:
-        assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g.coeffs, f.coeffs) and g.den == f.den
 
 
 @pytest.mark.parametrize(

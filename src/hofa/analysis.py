@@ -14,7 +14,10 @@ omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
 one column kernel: the transform of f, of each d_h f, or of each
 d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
 on int64 only where a stated bound allows and on Python integers
-elsewhere.  Every phased
+elsewhere.  At p = 2 a U^4 column of independent shifts a, b is
+transformed on a complement of span(a, b), a quarter of the space, and
+its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
+|W - conj W|^4).  Every phased
 sum of a corner product runs one grouped kernel, ``phased_sum``: the
 entries are summed per (label, exponent) class from one sort, and only the
 class sums meet the roots of unity; ``base_point_argmax`` feeds it chunks
@@ -570,28 +573,55 @@ def _derivative_orbits(p: int, n: int, d: int) -> tuple:
     return tuple(h[keep] for h in hs), (weights * np.where(key == nkey, 1, 2))[keep]
 
 
+def _complement_rows(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows of the quarter columns at p = 2: for independent shifts a, b (one
+    pair per column), the (2^(n-2), columns) indices of C = {x : bit i = bit
+    j = 0}, in order of c.  Bit i is the lowest set bit of a, and bit j the
+    lowest set bit of b' in {b, a ^ b} with bit i clear, so F_2^n =
+    span(a, b) + C.  Row c of a column is c with a zero bit inserted at the
+    lower of the two positions, then at the higher."""
+    low_a = a & -a
+    b2 = np.where(b & low_a, a ^ b, b)
+    low_b = b2 & -b2
+    r = np.arange(1 << (n - 2))[:, None]
+    for bit in (np.minimum(low_a, low_b), np.maximum(low_a, low_b)):
+        r = (r & (bit - 1)) | ((r & -bit) << 1)
+    return r
+
+
 def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype):
     """Column source of a phase zeta^exps: coefficient planes of zeta^E for the
-    exponent E of each derivative column, read from one table."""
+    exponent E of each derivative column, read from one table.
+
+    ``columns(shifts, rows)`` takes one chunk's shift arrays; with ``rows``
+    (p = 2, d = 4 only) a column is read on those rows, x + h = x ^ h."""
     N = R.N
     # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
     ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
     if not hs:
-        return lambda part: np.take(ext, exps[:, None] + 2 * N, axis=1)
+        return lambda shifts, rows=None: np.take(ext, exps[:, None] + 2 * N, axis=1)
     sh = _shift_table(p, n)
     esh = exps[sh]  # esh[x, h] = e(x + h)
     # the sign of e(x) in the column's exponent, plus the 2N offset into ext
     base = (2 * N + (-1) ** len(hs) * exps)[:, None]
 
-    def columns(part):
-        if len(hs) == 1:
-            E = esh[:, hs[0][part]]
+    def columns(shifts, rows=None):
+        if rows is not None:
+            a, b = shifts
+            E = exps[rows ^ a ^ b]
+            E -= exps[rows ^ a]
+            E -= exps[rows ^ b]
+            E += exps[rows]
+            E += 2 * N
+        elif len(shifts) == 1:
+            E = esh[:, shifts[0]]
+            E += base
         else:
-            a, b = hs[0][part], hs[1][part]
+            a, b = shifts
             E = esh[:, sh[a, b]]
             E -= esh[:, a]
             E -= esh[:, b]
-        E += base
+            E += base
         return np.take(ext, E, axis=1)
 
     return columns
@@ -599,21 +629,26 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple,
 
 def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
     """Column source of ring values: first-derivative table D[:, x, h] =
-    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2)."""
+    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2).
+
+    ``columns(shifts, rows)`` as in ``_exponent_columns``."""
     if not hs:
-        return lambda part: coeffs[:, :, None]
+        return lambda shifts, rows=None: coeffs[:, :, None]
     sh = _shift_table(p, n)
     cc = R.conj_arrays(coeffs)
     if len(hs) == 1:
-        return lambda part: R.mul_arrays(np.take(coeffs, sh[:, hs[0][part]], axis=1), cc[:, :, None])
+        return lambda shifts, rows=None: R.mul_arrays(np.take(coeffs, sh[:, shifts[0]], axis=1), cc[:, :, None])
     D = R.mul_arrays(coeffs[:, sh], cc[:, :, None])
     Dc = R.conj_arrays(D)
     size = p**n
+    flat, cflat = D.reshape(R.degree, -1), Dc.reshape(R.degree, -1)
 
-    def columns(part):
-        a, b = hs[0][part], hs[1][part]
+    def columns(shifts, rows=None):
+        a, b = shifts
         # D(x + a, b) through one flat index: a gather with two index arrays is slower
-        return R.mul_arrays(np.take(D.reshape(R.degree, -1), sh[:, a] * size + b, axis=1), Dc[:, :, b])
+        if rows is None:
+            return R.mul_arrays(np.take(flat, sh[:, a] * size + b, axis=1), Dc[:, :, b])
+        return R.mul_arrays(np.take(flat, (rows ^ a) * size + b, axis=1), np.take(cflat, rows * size + b, axis=1))
 
     return columns
 
@@ -669,7 +704,12 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     """dtypes of the column kernel: (values, transform planes, column sums, chunk sums).
 
     Every column g on F_p^n has |s(g(x))|^2 <= K in every embedding s; chunks
-    hold ``step`` columns of weight at most ``weight``.  The transform has
+    hold ``step`` columns of weight at most ``weight``.  The quarter-size U^4
+    columns at p = 2 pass K' = ceil(K / 4) with the same n: their stacked
+    halves W +- conj W have |s(.)| <= 2^(n-1) sqrt K <= 2^n sqrt K', and
+    their sum of |.|^4, sum |tau|^4 / 16, is at most 2^(4n) K'^2, so every
+    bound below holds for them as stated (their values come from the same
+    products as the full-size columns' and keep K's dtype).  The transform has
     |s(tau)| <= p^n sqrt K, and sum_chi |s(tau)|^4 <= p^{4n} K^2 (Parseval).
     The trace form of Z[zeta_{p^m}] is at least p^{m-1} times the square
     norm on the power basis, so a coefficient of an element is at most
@@ -692,6 +732,33 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     return np.int64, planes, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
 
 
+def _conjugate_halves(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = [W + conj W ; W - conj W] along axis 1, for W in Z[zeta_{2^m}].
+
+    conj zeta^k = zeta^{-k} = -zeta^{degree - k}, so conj W is W[0] followed
+    by the negated planes W[degree - 1], ..., W[1]: two passes over the planes.
+    """
+    q = W.shape[1]
+    plus, minus = out[:, :q], out[:, q:]
+    np.add(W[0], W[0], out=plus[0])
+    minus[0] = 0
+    np.subtract(W[1:], W[:0:-1], out=plus[1:])
+    np.add(W[1:], W[:0:-1], out=minus[1:])
+    return out
+
+
+def _column_sets(p: int, n: int, d: int, R: CycloRing) -> list:
+    """The U^d columns as sets of (shifts, weights, quarter-size): one set of
+    every orbit of ``_derivative_orbits``, but at p = 2, d = 4 in
+    Z[zeta_{2^m}] the pairs a = 0 or a = b on their own and the independent
+    pairs a, b as a quarter-size set (see ``_gowers_columns``)."""
+    hs, weights = _derivative_orbits(p, n, d)
+    if not (p == 2 and d == 4 and (R.N & (R.N - 1)) == 0):
+        return [(hs, weights, False)]
+    q = (hs[0] != 0) & (hs[0] != hs[1])
+    return [(tuple(h[~q] for h in hs), weights[~q], False), (tuple(h[q] for h in hs), weights[q], True)]
+
+
 def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     """Exact ||f||_{U^d}^{2^d}, d in {2, 3, 4}, over one column kernel.
 
@@ -701,31 +768,63 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     chunks, in place, and sum_chi |tau|^4 is summed with the orbit sizes as
     weights.  A phase carrying ``exps`` builds its columns from exponents,
     anything else from ring products of its values.  With |s(f(x))|^2 <= M2
-    in every embedding s, a column has |s(g)|^2 <= M2^(2^(d-2)), which
+    in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
     ``_kernel_dtypes`` turns into the dtype of each stage.
+
+    At p = 2 the U^4 columns of independent shifts a, b (every pair but
+    a = 0 and a = b) run on a quarter of the space.  g = d_a d_b f is
+    g(x) = f(x + a + b) conj f(x + a) conj f(x + b) f(x); the shift x -> x + a
+    + b permutes these four factors, and x -> x + a swaps the conjugated pair
+    with the other, so g(x + a + b) = g(x) and g(x + a) = conj g(x).  With C
+    the complement of span(a, b) from ``_complement_rows`` and x = c + u, u in
+    {0, a, b, a + b}, the values of g on c + u are g(c), conj g(c), conj g(c)
+    and g(c), so
+        tau(chi) = sum_c (-1)^{chi.c} (g(c) (1 + (-1)^{chi.(a+b)})
+                                       + conj g(c) ((-1)^{chi.a} + (-1)^{chi.b})).
+    Both brackets vanish when chi.a != chi.b; otherwise tau(chi) = 2 (W(phi)
+    + (-1)^{chi.a} conj W(phi)), W the transform of g on C and phi = chi on
+    C, and each (phi, chi.a) is one chi.  Hence sum_chi |tau|^4 = 16 sum_phi
+    (|W + conj W|^4 + |W - conj W|^4): the quarter columns transform 2^(n-2)
+    rows, stack the two halves (``_conjugate_halves``) and fold by 16.  Each
+    half has |s(.)| <= 2^(n-1) sqrt K and they sum to sum |s(tau)|^4 / 16 <=
+    2^(4n) (K / 4)^2, so K' = ceil(K / 4) on all of F_2^n bounds their
+    dtypes.  The 2^(n+1) - 1 other columns, and every column at odd p or d
+    < 4, run on the whole space.
     """
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
     exps = fn.restricted_exps()
     M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
-    hs, weights = _derivative_orbits(p, n, d)
     # value columns carry int64 gathers and ring products on every plane:
     # 2 * degree times narrower chunks keep their memory near the exponent path's
     step = max(1, _CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
     K = M2 ** (1 << (d - 2))
-    values_dt, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
-    weights = weights.astype(acc_dt)
+    sets = _column_sets(p, n, d, R)
+    hs = sets[0][0]
+    values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, step, 1)[:2]
     if exps is not None:
-        columns = _exponent_columns(R, p, n, exps, hs, plane_dt)
+        columns = _exponent_columns(R, p, n, exps, hs, source_dt)
     else:
         columns = _value_columns(R, p, n, fn.coeffs.astype(values_dt), hs)
-    total = [0] * R.degree
-    for start in range(0, len(weights), step):
-        part = slice(start, start + step)
-        tau = _transform_inplace(R, p, np.ascontiguousarray(columns(part), dtype=plane_dt), -1)
-        for i, c in enumerate(_mag4_sums(R, tau, weights[part], sum_dt)):
-            total[i] += c
-    return GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
+    total = np.zeros(R.degree, dtype=object)
+    while sets:  # the quarter set first, so its arrays are freed before the full-size chunks
+        shifts, w, is_quarter = sets.pop()
+        if not len(w):
+            continue
+        bound = -(-K // 4) if is_quarter else K
+        _, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, bound, step, int(w.max()))
+        w = w.astype(acc_dt)
+        # one buffer for the stacked halves, reused by every chunk
+        halves = np.empty((R.degree, size // 2, step), dtype=plane_dt) if is_quarter else None
+        for start in range(0, len(w), step):
+            part = slice(start, start + step)
+            chunk = tuple(h[part] for h in shifts)
+            rows = _complement_rows(n, *chunk) if is_quarter else None
+            tau = _transform_inplace(R, p, np.ascontiguousarray(columns(chunk, rows), dtype=plane_dt), -1)
+            if is_quarter:
+                tau = _conjugate_halves(tau, halves[:, :, : tau.shape[2]])
+            total += (16 if is_quarter else 1) * np.array(_mag4_sums(R, tau, w[part], sum_dt), dtype=object)
+    return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 
 
 def _with_pth_roots(fn: BoundedFunction) -> BoundedFunction:

@@ -2,11 +2,15 @@
 
 Powers of zeta are reduced by long division by Phi_{p^m}, and products use
 an einsum over the d x d x d fold table, so the kernels under test are
-checked against arithmetic that shares none of their code.
+checked against arithmetic that shares none of their code.  The one
+exception, ``ref_column_power``, is the former full-size U^d column loop of
+``hofa.analysis``, kept as the reference for its quarter-size U^4 columns.
 """
 from functools import lru_cache
 
 import numpy as np
+
+from hofa import analysis as an
 
 
 @lru_cache(maxsize=None)
@@ -83,3 +87,31 @@ def ref_first_max(R, sums):
         if sign(a[j] - a[best], b[j] - b[best]) > 0:
             best = j
     return best
+
+
+def ref_column_power(fn, d):
+    """The former ``analysis._gowers_columns`` loop, d in {2, 3, 4}: every
+    orbit of derivative shifts transformed on all of F_p^n, its sum of
+    |tau|^4 weighted by the orbit size, with the dtypes of ``_kernel_dtypes``
+    at the columns' bound K; returns the ``GowersNormValue``."""
+    p, n, R = fn.p, fn.n, fn.ring
+    size = p**n
+    exps = fn.restricted_exps()
+    M2 = 1 if exps is not None else an._modulus_bound_sq(R, fn.coeffs)
+    hs, weights = an._derivative_orbits(p, n, d)
+    step = max(1, an._CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
+    K = M2 ** (1 << (d - 2))
+    values_dt, plane_dt, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
+    weights = weights.astype(acc_dt)
+    if exps is not None:
+        columns = an._exponent_columns(R, p, n, exps, hs, plane_dt)
+    else:
+        columns = an._value_columns(R, p, n, fn.coeffs.astype(values_dt), hs)
+    total = [0] * R.degree
+    for start in range(0, len(weights), step):
+        part = slice(start, start + step)
+        cols = np.ascontiguousarray(columns(tuple(h[part] for h in hs)), dtype=plane_dt)
+        tau = an._transform_inplace(R, p, cols, -1)
+        for i, c in enumerate(an._mag4_sums(R, tau, weights[part], sum_dt)):
+            total[i] += c
+    return an.GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +15,11 @@ from hofa.fpspace import all_vectors
 from hofa.mforms import MultilinearForm
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.pipeline import derivative_sum_cube
+from hofa.serialize import dump_function, load_function
 from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
 from oracles import scale_phase
-from ringref import ref_conj, ref_first_max, ref_mul, ref_roots
+from ringref import ref_column_power, ref_conj, ref_first_max, ref_mul, ref_roots
 
 
 def phase(P, conj=False):
@@ -538,6 +540,89 @@ class TestNoInt64Overflow:
         tau = an._transform_array(R, 3, 1, c, -1)
         assert tau.dtype == object
         assert np.array_equal(tau, _ref_transform(R, 3, 1, c.astype(object)))
+
+
+def _loaded_phase(n, seed):
+    """An eighth-root phase through dump and load: the same values, no ``exps``."""
+    f = load_function(dump_function(an.random_unimodular_exact(random.Random(seed), 2, n, 3)))
+    assert f.exps is None
+    return f
+
+
+# the five kinds of input of the quarter-size U^4 columns, by name
+QUARTER_INPUTS = {
+    **{
+        f"phase-m{m}": (lambda n, m=m: an.random_unimodular_exact(random.Random(10 * n + m), 2, n, m))
+        for m in (1, 2, 3, 4)
+    },
+    "zi-den4": lambda n: _zi_function(4, n, n),
+    "loaded-phase": lambda n: _loaded_phase(n, n),
+    "zi-den1e5": lambda n: _zi_function(10**5, n, n),
+    "mu2-zeros": lambda n: an.random_mu_p_function(random.Random(n), 2, n, zeros=True),
+}
+
+# tracemalloc peaks of one gowers_norm(f, 4) call on F_2^7 (inputs as in
+# test_u4_peak_memory) with every U^4 column on the whole space, numpy 2.4
+FULL_SIZE_PEAK_BYTES = {"phase": 1_514_452, "zi": 1_388_888}
+
+
+class TestQuarterColumns:
+    """p = 2 U^4 columns of independent shifts on a complement of span(a, b)."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("kind", list(QUARTER_INPUTS))
+    def test_matches_full_size_loop(self, kind, n):
+        f = QUARTER_INPUTS[kind](n)
+        new, ref = an.gowers_norm(f, 4), ref_column_power(f, 4)
+        assert (new.power_num, new.power_den) == (ref.power_num, ref.power_den)
+
+    def test_den_1e5_runs_on_object_dtype(self):
+        K = an._modulus_bound_sq(ring(2, 2), _zi_function(10**5, 6, 6).coeffs) ** 4
+        assert an._kernel_dtypes(2, 6, 2, -(-K // 4), 1, 2) == (object,) * 4
+
+    def test_zi_den4_on_f2_8_sums_on_int64(self):
+        # |a + b i|^2 <= 16, so K = 16^4; one full column's sum of |tau|^4 can
+        # reach 2^64, a quarter column's stacked halves 2^60
+        K, step = 16**4, an._CHUNK_ENTRIES // (2 * 2**8 * 2)
+        assert an._kernel_dtypes(2, 8, 2, K, step, 2)[2] is object
+        assert an._kernel_dtypes(2, 8, 2, -(-K // 4), step, 2)[2] is np.int64
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda n: st.tuples(st.just(n), st.integers(1, 2**n - 1), st.integers(1, 2**n - 1))
+        ).filter(lambda t: t[1] != t[2]),
+        st.integers(0, 4),
+        st.integers(0, 2**32),
+    )
+    def test_pivot_pairs(self, nab, m, seed):
+        n, a, b = nab
+        rows = an._complement_rows(n, np.array([a]), np.array([b]))
+        # span(a, b) + C is all of F_2^n
+        assert sorted(np.concatenate([(rows ^ u).ravel() for u in (0, a, b, a ^ b)])) == list(range(2**n))
+        f = an.random_unimodular_exact(random.Random(seed), 2, n, m)
+        R, shifts = f.ring, (np.array([a]), np.array([b]))
+        columns = an._value_columns(R, 2, n, f.coeffs, shifts)
+        full = an._transform_inplace(R, 2, np.ascontiguousarray(columns(shifts)), -1)
+        W = an._transform_inplace(R, 2, np.ascontiguousarray(columns(shifts, rows)), -1)
+        halves = an._conjugate_halves(W, np.empty((R.degree, 2**(n - 1), 1), dtype=W.dtype))
+        one = np.ones(1, dtype=object)
+        quarter = [16 * c for c in an._mag4_sums(R, halves, one, object)]
+        assert quarter == list(an._mag4_sums(R, full, one, object))
+        exponent_rows = an._exponent_columns(R, 2, n, f.exps, shifts, np.int64)(shifts, rows)
+        assert np.array_equal(exponent_rows, columns(shifts, rows))
+
+    @pytest.mark.parametrize("kind", ["phase", "zi"])
+    def test_u4_peak_memory(self, kind):
+        f = an.random_unimodular_exact(random.Random(7), 2, 7, 3) if kind == "phase" else _zi_function(4, 7, 7)
+        an.gowers_norm(f, 4)  # fills the shift-table cache
+        tracemalloc.start()
+        try:
+            an.gowers_norm(f, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= FULL_SIZE_PEAK_BYTES[kind]
 
 
 class TestFirstMax:

@@ -4,9 +4,10 @@ U^2 / U^3 inverse oracles.
 A function is an integer coefficient array over Z[zeta_{p^m}] with a
 common denominator, so multiplicative derivatives, character sums and
 Gowers-norm powers are exact ring elements for every p.  Magnitudes are
-compared exactly, never through floats: every sup-norm check, Plancherel
-check and argmax over candidate sums orders real ring elements by
-``cyclotomic.real_keys``, the argmaxes through one kernel, ``first_max``.
+compared exactly, never through floats: the sup-norm check and every
+argmax over candidate sums order real ring elements by
+``cyclotomic.real_keys``, the argmaxes through one kernel, ``first_max``,
+and every other comparison is one of ``cyclotomic.RealSurd``.
 One in-place character transform serves every path: a Walsh-Hadamard
 butterfly for p = 2, a radix-3 butterfly on the coefficient planes for
 p = 3, and a radix-p butterfly on them for p >= 5, where multiplying by
@@ -28,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -255,7 +255,7 @@ class BoundedFunction:
         return self.p**self.n
 
     def value_complex(self, x: Vec) -> complex:
-        return self.ring.to_complex(self.coeffs[:, vec_index(self.p, x)]) / self.den
+        return self.ring.to_complex(self.coeffs[:, vec_index(self.p, x)], self.den)
 
     def to_complex_table(self) -> np.ndarray:
         N = self.ring.N
@@ -341,24 +341,21 @@ class CorrValue:
 
     @classmethod
     def from_sum(cls, R: CycloRing, num: np.ndarray, den: int) -> "CorrValue":
-        return cls(R, num, den, R.to_complex(num) / den)
+        return cls(R, num, den, R.to_complex(num, den))
 
     def _num_mag2(self) -> np.ndarray:
         """|num|^2 on Python integers: the square of an int64 sum can pass int64."""
         return self.ring.mag_squared(np.asarray(self.num, dtype=object))
 
     def mag2(self) -> RealSurd:
-        """|value|^2 as an exact RealSurd; raises ExactOrderUnsupported where
-        ``RealSurd`` cannot carry it."""
+        """|value|^2 as an exact RealSurd."""
         return RealSurd.from_ring_element(self.ring, self._num_mag2(), self.den**2)
 
     def modulus_float(self) -> float:
         return abs(self.float_value)
 
     def mag2_is_one(self) -> bool:
-        one = np.zeros(self.ring.degree, dtype=object)
-        one[0] = self.den**2
-        return np.array_equal(self._num_mag2(), one)
+        return self.mag2() == RealSurd(1)
 
     def __str__(self):
         return f"|{self.float_value:.6g}|"
@@ -379,21 +376,14 @@ class GowersNormValue:
         num = np.asarray(num)
         if not np.array_equal(R.conj_arrays(num), num):
             raise InternalCheckError("Gowers norm power is not real")
-        return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num).real / den)
+        return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num, den).real)
 
     def power_surd(self) -> RealSurd:
-        """The power as an exact RealSurd; raises ExactOrderUnsupported where
-        ``RealSurd`` cannot carry it."""
+        """The power as an exact RealSurd."""
         return RealSurd.from_ring_element(self.ring, np.array(self.power_num, dtype=object), self.power_den)
 
     def norm_float(self) -> float:
         return max(self.float_power, 0.0) ** (1.0 / (1 << self.d))
-
-    def is_one(self) -> bool:
-        num = np.array(self.power_num, dtype=object)
-        one = np.zeros_like(num)
-        one[0] = self.power_den
-        return np.array_equal(num, one)
 
     def __str__(self):
         return f"U^{self.d} = {self.norm_float():.6g}"
@@ -903,17 +893,14 @@ def average(fn: BoundedFunction) -> CorrValue:
 def u2_inverse(fn: BoundedFunction) -> tuple[Vec, CorrValue]:
     """Exact argmax character: chi maximizing |E f(x) omega^{-<chi, x>}|.
 
-    Also checks the Plancherel bound corr^2 >= ||f||_{U^2}^4 exactly, as the
-    sign of |tau|^2 power_den - power_num (size den)^2 by ``real_keys``.
+    Also checks the Plancherel bound corr^2 >= ||f||_{U^2}^4 exactly.
     """
     fn = _with_pth_roots(fn)
     R = fn.ring
     tau = char_transform(fn, sign=-1)
     best = first_max(R, tau)
     corr = CorrValue.from_sum(R, tau[:, best], fn.size * fn.den)
-    u2 = gowers_norm(fn, 2)
-    slack = corr._num_mag2() * u2.power_den - np.array(u2.power_num, dtype=object) * corr.den**2
-    if real_keys(R, slack) < 0:  # pragma: no cover
+    if not corr.mag2() >= gowers_norm(fn, 2).power_surd():  # pragma: no cover
         raise InternalCheckError("Plancherel bound corr^2 >= U2^4 failed")
     return all_vectors(fn.p, fn.n)[best], corr
 
@@ -1002,7 +989,7 @@ def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):
     """|average| <= prod_S ||g_S||_{U^3}: returns (holds, norms)."""
     norms = {S: gowers_norm(g, 3, budget) for S, g in gs.items()}
     lhs = avg.mag2() ** 8
-    rhs = RealSurd(Fraction(1))
+    rhs = RealSurd(1)
     for S in range(8):
         rhs = rhs * norms[S].power_surd() ** 2
     return bool(lhs <= rhs), norms

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from . import analysis, integrate, mforms, pipeline, rank, serialize, symmetrize
 from .config import Budget
+from .cyclotomic import RealSurd
 from .errors import HofaError
 
 
@@ -33,7 +34,7 @@ def _budget_from(args) -> Budget:
 def cmd_norm(args) -> int:
     fn = serialize.load_function(_read(args.input))
     value = analysis.gowers_norm(fn, args.d, _budget_from(args))
-    if value.is_one():
+    if value.power_surd() == RealSurd(1):
         print("1")
     else:
         print(f"{value.norm_float():.12g}")

@@ -11,25 +11,18 @@ and callers on int64 check that bound or move to object dtype.
 Real elements of every ring are ordered exactly by ``real_keys``: one
 fixed-point evaluation of sum c_k cos(2 pi k / N) on Python integers, at a
 precision that the norm of a nonzero element makes decisive.  ``RealSurd``
-carries the rational and a + b*sqrt(2) values of the ledger bounds; it
-reads Z (N in {1,2,3,4}), Z[sqrt(2)] (N = 8) and rational elements of
-Z[zeta_9], and raises ``ExactOrderUnsupported`` on anything else.
+is the one exact real number, num / den with num a real element of any
+Z[zeta_N]: its sign and ``float()`` read the same key, at a precision that
+starts at 64 bits and doubles up to that of ``real_keys``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import cos, sin, pi, sqrt
+from functools import lru_cache, total_ordering
+from math import cos, sin, pi
 
 import numpy as np
-
-from .errors import HofaError
-
-
-class ExactOrderUnsupported(HofaError, NotImplementedError):
-    """A real value asked of ``RealSurd`` outside Q and Q(sqrt 2)."""
 
 
 @lru_cache(maxsize=None)
@@ -133,16 +126,23 @@ class CycloRing:
         """|a|^2 = a * conj(a), a real ring element (elementwise on arrays)."""
         return self.mul_arrays(a, self.conj_arrays(a))
 
-    def to_complex(self, a: np.ndarray) -> complex:
+    def to_complex(self, a: np.ndarray, den: int = 1) -> complex:
+        """sum_k a_k zeta^k / den in floating point.  Where a coefficient or
+        den passes 1023 bits, all of them are first shifted right by one
+        number of bits, to 1023 bits for the largest, so each fits a float."""
         N = self.N
+        a = [int(c) for c in a]
+        shift = max(abs(c).bit_length() for c in a + [den]) - 1023
+        if shift > 0:
+            a, den = [c >> shift for c in a], den >> shift
         return sum(
-            int(c) * complex(cos(2 * pi * i / N), sin(2 * pi * i / N))
+            c * complex(cos(2 * pi * i / N), sin(2 * pi * i / N))
             for i, c in enumerate(a)
-        )
+        ) / den
 
     def embed_matrix(self, target: "CycloRing") -> np.ndarray:
-        """Matrix embedding this ring into a larger one (same p, bigger m)."""
-        if target.p != self.p or target.N % self.N != 0:
+        """Matrix embedding this ring into a larger one (same p, bigger m; Z into any ring)."""
+        if self.N > 1 and target.p != self.p or target.N % self.N:
             raise ValueError("no embedding between these rings")
         step = target.N // self.N
         M = np.zeros((self.degree, target.degree), dtype=np.int64)
@@ -207,13 +207,19 @@ def _cos_table(rng: CycloRing, bits: int) -> np.ndarray:
             total = term = 1 << W
             j = 1
             while term:
-                term = term * theta2 // ((2 * j - 1) * 2 * j << W)
+                term = (term * theta2 >> W) // ((2 * j - 1) * 2 * j)
                 total += (-1) ** j * term
                 j += 1
             table.append((total + (1 << 31)) >> 32)
         table = np.array(table, dtype=object)
         _COS_TABLES[N] = B, table
     return table if B == bits else (table + (1 << (B - bits - 1))) >> (B - bits)
+
+
+def _bits(rng: CycloRing, L: int) -> int:
+    """A precision B at which the keys of ``real_keys`` sign every real
+    element of ``rng`` whose L1 is at most L / 2 (see there)."""
+    return (max(0, rng.degree // 2 - 1) + 1) * L.bit_length() + 2
 
 
 def real_keys(rng: CycloRing, elts: np.ndarray) -> np.ndarray:
@@ -234,120 +240,125 @@ def real_keys(rng: CycloRing, elts: np.ndarray) -> np.ndarray:
     """
     elts = np.asarray(elts, dtype=object)
     L = 2 * int(np.abs(elts.reshape(rng.degree, -1)).sum(axis=0).max(initial=0))
-    e = max(0, rng.degree // 2 - 1)
-    return np.tensordot(_cos_table(rng, (e + 1) * L.bit_length() + 2), elts, 1)
+    return np.tensordot(_cos_table(rng, _bits(rng, L)), elts, 1)
 
 
-def real_parts(rng: CycloRing, elts: np.ndarray) -> tuple:
-    """(a, b) with a + b*sqrt(2) the real (degree, ...) elements ``elts``:
-    c0 in Z, Z[i], Z[omega] and, where rational, Z[zeta_9]; c0 + c1 sqrt2 in
-    Z[zeta_8].  Raises ValueError on a non-real element and
-    ExactOrderUnsupported where no exact order is supported."""
-    N = rng.N
-    if N == 8:
-        if np.any(elts[2]) or np.any(elts[3] != -elts[1]):
-            raise ValueError("element is not real")
-        return elts[0], elts[1]
-    if N in (3, 4) and np.any(elts[1]) or N == 9 and not np.array_equal(rng.conj_arrays(elts), elts):
-        raise ValueError("element is not real")
-    if N not in (1, 2, 3, 4, 9) or np.any(elts[1:]):  # the real subfield of Q(zeta_9) is cubic
-        raise ExactOrderUnsupported(f"no exact real order on this element of Z[zeta_{N}]")
-    return elts[0], elts[0] * 0
+def _key(rng: CycloRing, num: np.ndarray, margin: int) -> tuple:
+    """(key, B): key = sum c_k T_k at B bits for the real element ``num``,
+    with |key| > L1(num) 2^margin unless num = 0.  The key then has the sign
+    of num, and key / 2^B is num within a factor 1 +- 2^(1 - margin).
+
+    B starts at 64 and doubles.  The last step is the precision of
+    ``real_keys`` for L = 2 L1(num), plus ``margin`` bits: there a nonzero
+    num has |num 2^B| > 8 L1(num) 2^margin, so every nonzero num passes and
+    the loop is exact.
+    """
+    L1 = int(np.abs(num).sum())
+    last = _bits(rng, 2 * L1) + margin
+    B = 64
+    while True:
+        B = min(B, last)
+        key = int(np.dot(_cos_table(rng, B), num))
+        if abs(key) > L1 << margin or B == last:
+            return key, B
+        B *= 2
 
 
-@dataclass(frozen=True)
+@total_ordering
 class RealSurd:
-    """Exact real number a + b*sqrt(2) with rational a, b.
+    """Exact real number num / den: num a real element of Z[zeta_N], for any
+    N, on Python integers, and den > 0 an integer.  Rationals are kept in
+    Z (N = 1), so they meet values of every ring.
 
-    Covers every real value the exact comparisons in this toolkit need:
-    rational magnitudes (b = 0) and Z[zeta_8] magnitudes.
+    ``+ - *`` and ``**`` embed both operands in their ``common_ring`` and
+    multiply by ``CycloRing.mul_arrays``; every result is reduced by the gcd
+    of den and the coefficients.  Equality is a zero test of the
+    cross-multiplied difference, exact because the power basis is a basis
+    of Q(zeta_N); the order and ``float()`` read the key of ``_key``.
     """
 
-    a: Fraction
-    b: Fraction = Fraction(0)
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, value):
+        q = Fraction(value)
+        self.ring, self.num, self.den = ring(2, 0), np.array([q.numerator], dtype=object), q.denominator
 
     @classmethod
-    def of(cls, value) -> "RealSurd":
-        if isinstance(value, RealSurd):
-            return value
-        return cls(Fraction(value))
+    def _reduced(cls, rng: CycloRing, num: np.ndarray, den: int) -> "RealSurd":
+        if not num[1:].any():  # a rational: kept in Z, which meets every ring
+            rng, num = ring(2, 0), num[:1]
+        g = math.gcd(den, *num)
+        out = cls.__new__(cls)
+        out.ring, out.num, out.den = rng, num // g, den // g
+        return out
 
     @classmethod
     def from_ring_element(cls, rng: CycloRing, elt: np.ndarray, den: int = 1) -> "RealSurd":
-        """Interpret a *real* ring element exactly; raises if unsupported."""
-        a, b = real_parts(rng, np.asarray(elt))
-        return cls(Fraction(int(a), den), Fraction(int(b), den))
+        """The real element elt / den of ``rng``; raises ValueError if elt is not real."""
+        elt = np.asarray(elt, dtype=object)
+        if not np.array_equal(rng.conj_arrays(elt), elt):
+            raise ValueError("element is not real")
+        return cls._reduced(rng, elt, den)
+
+    def _pair(self, other) -> tuple:
+        """The common ring, both numerators in it, and other as a RealSurd."""
+        o = other if isinstance(other, RealSurd) else RealSurd(other)
+        R = common_ring(self.ring, o.ring)
+        a, b = (x.num if x.ring.N == R.N else x.num @ x.ring.embed_matrix(R) for x in (self, o))
+        return R, a, b, o
 
     def __add__(self, other):
-        o = RealSurd.of(other)
-        return RealSurd(self.a + o.a, self.b + o.b)
+        R, a, b, o = self._pair(other)
+        return RealSurd._reduced(R, a * o.den + b * self.den, self.den * o.den)
 
     def __sub__(self, other):
-        o = RealSurd.of(other)
-        return RealSurd(self.a - o.a, self.b - o.b)
+        return RealSurd._reduced(*self._diff(other))
 
     def __mul__(self, other):
-        o = RealSurd.of(other)
-        return RealSurd(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+        R, a, b, o = self._pair(other)
+        return RealSurd._reduced(R, R.mul_arrays(a, b), self.den * o.den)
 
     def __pow__(self, k: int):
-        if self.b == 0:  # a reduced numerator and denominator stay coprime: no gcd
-            return RealSurd(self.a**k)
+        R, x = self.ring, self.num
         if k < 0:
-            raise ValueError("negative powers of a + b*sqrt(2) with b != 0 are not supported")
-        # (x + y sqrt2) / d, raised on integers and reduced once at the end
-        d = math.lcm(self.a.denominator, self.b.denominator)
-        x, y = self.a.numerator * (d // self.a.denominator), self.b.numerator * (d // self.b.denominator)
-        X, Y, e = 1, 0, k
+            if R.N > 1:
+                raise ValueError("negative powers of an irrational RealSurd are not supported")
+            return RealSurd(Fraction(self.den, int(x[0]))) ** -k
+        if R.N == 1:  # one integer power
+            return RealSurd._reduced(R, x**k, self.den**k)
+        out, e = R.one().astype(object), k
         while e:
             if e & 1:
-                X, Y = X * x + 2 * Y * y, X * y + Y * x
-            x, y = x * x + 2 * y * y, 2 * x * y
+                out = R.mul_arrays(out, x)
             e >>= 1
-        return RealSurd(Fraction(X, d**k), Fraction(Y, d**k))
+            if e:
+                x = R.mul_arrays(x, x)
+        return RealSurd._reduced(R, out, self.den**k)
 
     def sign(self) -> int:
-        return surd_sign(self.a, self.b)
+        key = _key(self.ring, self.num, 0)[0]
+        return (key > 0) - (key < 0)
+
+    def _diff(self, other) -> tuple:
+        """self - other as (ring, numerator, den), not reduced."""
+        R, a, b, o = self._pair(other)
+        return R, a * o.den - b * self.den, self.den * o.den
 
     def __eq__(self, other):
-        return self.sign_of_diff(other) == 0
-
-    def sign_of_diff(self, other) -> int:
-        o = RealSurd.of(other)
-        # the difference times the positive product of the four denominators,
-        # on integers: cross-multiplied, with no Fraction reduced
-        da = self.a.numerator * o.a.denominator - o.a.numerator * self.a.denominator
-        db = self.b.numerator * o.b.denominator - o.b.numerator * self.b.denominator
-        return surd_sign(da * self.b.denominator * o.b.denominator, db * self.a.denominator * o.a.denominator)
-
-    def __ge__(self, other):
-        return self.sign_of_diff(other) >= 0
-
-    def __gt__(self, other):
-        return self.sign_of_diff(other) > 0
-
-    def __le__(self, other):
-        return self.sign_of_diff(other) <= 0
+        return not self._diff(other)[1].any()
 
     def __lt__(self, other):
-        return self.sign_of_diff(other) < 0
-
-    def __hash__(self):
-        return hash((self.a, self.b))
+        R, num, _ = self._diff(other)
+        return _key(R, num, 0)[0] < 0
 
     def __float__(self):
-        return float(self.a) + float(self.b) * sqrt(2)
+        key, B = _key(self.ring, self.num, 60)
+        return key / (self.den << B)
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        return f"{self.a} + {self.b}*sqrt(2)"
+        if self.ring.N == 1:
+            return str(Fraction(int(self.num[0]), self.den))
+        return f"{list(self.num)}/{self.den} in Z[zeta_{self.ring.N}]"
 
-
-def surd_sign(a, b) -> int:
-    """Exact sign of a + b*sqrt(2) for rational (or integer) a and b."""
-    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
-    if sa * sb >= 0:
-        return sa or sb
-    d = a * a - 2 * b * b  # opposite signs: a dominates iff a^2 > 2 b^2
-    return sa * ((d > 0) - (d < 0))
+    def __repr__(self):
+        return f"RealSurd({self})"

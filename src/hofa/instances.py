@@ -18,6 +18,7 @@ import numpy as np
 from . import mforms, rank
 from .analysis import BoundedFunction
 from .config import DEFAULT_BUDGET, Budget
+from .cyclotomic import RealSurd
 from .errors import InternalCheckError
 from .mforms import MultilinearForm, S3, permute, total_derivative
 from .ncpoly import NcPoly, random_poly, stable_seed
@@ -139,15 +140,11 @@ def planted_instance(
             T = T + MultilinearForm(p, n, 3, t.tensor(3))
         certs = defect_certificates_from_terms(T, terms)
 
-    witness = None
-    if p in (2, 3):  # exact witness arithmetic is specialized to p in {2, 3}
-        witness = corner_witness(T, P, budget)
-        # cross-check: the measured correlation equals the bias of the planted part
-        expected = rank.analytic_rank(T - base, budget).bias
-        from .cyclotomic import RealSurd
-
-        if witness.delta.mag2() != RealSurd(expected) ** 2:  # pragma: no cover
-            raise InternalCheckError("witness correlation does not match the planted bias")
+    witness = corner_witness(T, P, budget)
+    # cross-check: the measured correlation equals the bias of the planted part
+    expected = rank.analytic_rank(T - base, budget).bias
+    if witness.delta.mag2() != RealSurd(expected) ** 2:  # pragma: no cover
+        raise InternalCheckError("witness correlation does not match the planted bias")
     r = max((len(c) for c in certs.values()), default=0)
     return PlantedInstance(T, base, tuple(terms), certs, witness, r)
 

@@ -3,9 +3,14 @@
 Powers of zeta are reduced by long division by Phi_{p^m}, and products use
 an einsum over the d x d x d fold table, so the kernels under test are
 checked against arithmetic that shares none of their code.  The one
-exception, ``ref_column_power``, is the former full-size U^d column loop of
-``hofa.analysis``, kept as the reference for its quarter-size U^4 columns.
+exceptions are former code kept as references: ``ref_column_power``, the
+full-size U^d column loop of ``hofa.analysis``, for its quarter-size U^4
+columns, and ``RefSurd`` with ``ref_surd_sign``, the former a + b*sqrt(2)
+``RealSurd`` of ``hofa.cyclotomic``, for the one exact real number there.
 """
+import math
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -115,3 +120,49 @@ def ref_column_power(fn, d):
         for i, c in enumerate(an._mag4_sums(R, tau, weights[part], sum_dt)):
             total[i] += c
     return an.GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
+
+
+def ref_surd_sign(a, b) -> int:
+    """Exact sign of a + b*sqrt(2) for rational (or integer) a and b."""
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sa * sb >= 0:
+        return sa or sb
+    d = a * a - 2 * b * b  # opposite signs: a dominates iff a^2 > 2 b^2
+    return sa * ((d > 0) - (d < 0))
+
+
+@dataclass(frozen=True)
+class RefSurd:
+    """The former ``RealSurd``: a + b*sqrt(2) with rational a, b, the real
+    elements of Q, Q(i), Q(omega) and Q(zeta_8)."""
+
+    a: Fraction
+    b: Fraction = Fraction(0)
+
+    def __add__(self, o):
+        return RefSurd(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return RefSurd(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return RefSurd(self.a * o.a + 2 * self.b * o.b, self.a * o.b + self.b * o.a)
+
+    def __pow__(self, k: int):
+        if self.b == 0:
+            return RefSurd(self.a**k)
+        d = math.lcm(self.a.denominator, self.b.denominator)
+        x, y = self.a.numerator * (d // self.a.denominator), self.b.numerator * (d // self.b.denominator)
+        X, Y, e = 1, 0, k
+        while e:
+            if e & 1:
+                X, Y = X * x + 2 * Y * y, X * y + Y * x
+            x, y = x * x + 2 * y * y, 2 * x * y
+            e >>= 1
+        return RefSurd(Fraction(X, d**k), Fraction(Y, d**k))
+
+    def sign(self) -> int:
+        return ref_surd_sign(self.a, self.b)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(2)

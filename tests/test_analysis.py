@@ -58,7 +58,7 @@ class TestGowersNorm:
     def test_ones(self):
         f = an.BoundedFunction.ones(2, 3)
         for d in (2, 3, 4):
-            assert an.gowers_norm(f, d).is_one()
+            assert an.gowers_norm(f, d).power_surd() == RealSurd(1)
 
     def test_quadratic_phase_u2(self):
         f = phase(NcPoly.from_classical(2, 2, {(1, 1): 1}))
@@ -68,8 +68,8 @@ class TestGowersNorm:
     def test_nonclassical_cubic_u4(self):
         P0 = NcPoly.make(2, 3, TorusValue.zero(2), [Monomial((1, 0, 0), 2, 1)])
         f = phase(P0)
-        assert an.gowers_norm(f, 4).is_one()
-        assert not an.gowers_norm(f, 3).is_one()
+        assert an.gowers_norm(f, 4).power_surd() == RealSurd(1)
+        assert not an.gowers_norm(f, 3).power_surd() == RealSurd(1)
 
     def test_inductive_equals_direct(self):
         rng = random.Random(2)
@@ -99,7 +99,7 @@ class TestGowersNorm:
             P = random_poly(p, n, rng.choice([1, 2, 3]), True, seed=trial)
             f = phase(P)
             for d in (2, 3):
-                assert an.gowers_norm(f, d).is_one() == (P.degree() <= d - 1)
+                assert (an.gowers_norm(f, d).power_surd() == RealSurd(1)) == (P.degree() <= d - 1)
 
     def test_monotonicity(self):
         rng = random.Random(5)
@@ -231,7 +231,7 @@ class TestPhaseFastPathP2:
     def test_character_u2_at_the_dtype_boundary(self, n):
         # (-1)^{x_1} as an eighth-root phase: one transform entry reaches 2^n
         exps = np.repeat([0, 4], 2 ** (n - 1))
-        assert an.gowers_norm(an.BoundedFunction.from_exponents(2, n, 3, exps), 2).is_one()
+        assert an.gowers_norm(an.BoundedFunction.from_exponents(2, n, 3, exps), 2).power_surd() == RealSurd(1)
 
     def test_sums_past_int64_run_on_object_dtype(self):
         # at n = 16 one column's sum of |tau|^4 can reach 16^16 = 2^64
@@ -406,13 +406,21 @@ class TestColumnKernel:
                 got, want = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
                 assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den), (d, f.ring)
 
+    def test_p5_power_surds_match_direct(self):
+        # U^2 of a fifth-root phase on F_5 is irrational: an element of Z[zeta_5] read by RealSurd
+        rng = random.Random(55)
+        f = an.random_unimodular_exact(rng, 5, 1, 1)
+        powers = [an.gowers_norm(f, d).power_surd() for d in (2, 3, 4)]
+        assert powers == [an.direct_gowers_power(f, d).power_surd() for d in (2, 3, 4)]
+        assert powers[0].ring.N == 5 and RealSurd(0) < powers[0] ** 2 <= powers[1] <= RealSurd(1)
+
     def test_transform_without_cube_roots_is_refused(self):
         with pytest.raises(PreconditionError):
             an._transform_array(ring(3, 0), 3, 1, np.ones((1, 3), dtype=np.int64), -1)
         # gowers_norm and u2_inverse move Z-valued functions on F_3^n to Z[omega] first
         ones = an.BoundedFunction.ones(3, 2)
         for d in (2, 3, 4, 5):
-            assert an.gowers_norm(ones, d).is_one()
+            assert an.gowers_norm(ones, d).power_surd() == RealSurd(1)
         got, corr = an.u2_inverse(ones)
         assert got == (0, 0) and corr.mag2_is_one()
 
@@ -433,7 +441,7 @@ class TestColumnKernel:
     def test_character_u2_at_the_radix3_dtype_boundary(self, n):
         # omega^{x_1}: one transform entry reaches 3^n
         exps = np.repeat([0, 1, 2], 3 ** (n - 1))
-        assert an.gowers_norm(an.BoundedFunction.from_exponents(3, n, 1, exps), 2).is_one()
+        assert an.gowers_norm(an.BoundedFunction.from_exponents(3, n, 1, exps), 2).power_surd() == RealSurd(1)
 
 
 def _zi_function(den, n=2, seed=0):
@@ -477,13 +485,24 @@ class TestNoInt64Overflow:
         signs = [(-1) ** (x[0] * x[1] + x[2]) for x in all_vectors(2, 3)]
         f = an.BoundedFunction(2, 3, ring(2, 0), 9 * np.array([signs], dtype=np.int64), 9)
         assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int64, np.int32, np.int64, object)
-        assert an.gowers_norm(f, 3).is_one() and an.gowers_norm(f, 4).is_one()
+        assert an.gowers_norm(f, 3).power_surd() == an.gowers_norm(f, 4).power_surd() == RealSurd(1)
+
+    def test_float_fields_past_the_float_range(self):
+        # a numerator and den past 2^1024 are shifted together; values that fit are unchanged
+        R = ring(2, 2)
+        big = an.CorrValue.from_sum(R, np.array([3 << 1100, -(1 << 1100)], dtype=object), 4 << 1100)
+        assert big.float_value == complex(0.75, -0.25)
+        power = an.GowersNormValue.from_parts(2, R, np.array([3 << 2000, 0], dtype=object), 5 << 2000)
+        assert power.float_power == 0.6 and power.norm_float() == pytest.approx(0.6**0.25)
+        num = np.array([2**60 + 1, -7], dtype=object)
+        assert an.CorrValue.from_sum(R, num, 3).float_value == R.to_complex(num) / 3
 
     def test_power_between_int64_and_uint64_reads_back_exactly(self):
         # numpy reads Python integers in [2^63, 2^64) as float64 unless told otherwise
         v = an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**63 + 1, 0], dtype=object), 2**64)
         assert v.power_surd() == RealSurd(Fraction(2**63 + 1, 2**64))
-        assert an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**64 - 1, 0], dtype=object), 2**64 - 1).is_one()
+        one = an.GowersNormValue.from_parts(2, ring(2, 2), np.array([2**64 - 1, 0], dtype=object), 2**64 - 1)
+        assert one.power_surd() == RealSurd(1)
 
     def test_seven_correlation_reproducer(self):
         # (700 +- 700i) / 1000 is 1-bounded; its seven-function correlation
@@ -877,7 +896,7 @@ class TestOctolinear:
         avg = an.octolinear_average(gs)
         assert avg.mag2_is_one()
         holds, norms = an.gcs_check(gs, avg)
-        assert holds and all(v.is_one() for v in norms.values())
+        assert holds and all(v.power_surd() == RealSurd(1) for v in norms.values())
 
     def test_common_quadratic_phase(self):
         g = phase(random_poly(2, 2, 2, True, seed=14))
@@ -892,6 +911,14 @@ class TestOctolinear:
             gs = {S: an.random_mu_p_function(rng, 2, 2) for S in range(8)}
             avg = an.octolinear_average(gs)
             assert an.gcs_check(gs, avg)[0]
+
+
+    def test_gcs_fifth_root_phases(self):
+        rng = random.Random(55)
+        gs = {S: an.random_unimodular_exact(rng, 5, 1, 1) for S in range(8)}
+        avg = an.octolinear_average(gs)
+        assert avg.mag2().ring.N == 5  # an irrational |avg|^2 against rational U^3 powers
+        assert an.gcs_check(gs, avg)[0]
 
 
 def _same_value(num_a, den_a, num_b, den_b) -> bool:

@@ -27,8 +27,8 @@ from hofa.mforms import MultiaffineForm
 from ringref import ref_phased_sum
 
 KINDS = ("phase1", "phase2", "mu_zeros", "gauss_den2", "ones")
-# exact order needs N in {1, 2, 3, 4, 8}: ninth roots of unity have none
-P2_ONLY = ("phase2", "gauss_den2")
+# Z[i] values meet only the phases of p = 2: Z[zeta_4] holds no odd roots of unity
+GAUSSIAN = "gauss_den2"
 
 
 def make_function(rng, p, n, kind):
@@ -60,7 +60,7 @@ def cases():
     for p, ns in ((2, (1, 2, 3)), (3, (1, 2))):
         for n in ns:
             for kind in KINDS:
-                if p == 2 or kind not in P2_ONLY:
+                if p == 2 or kind != GAUSSIAN:
                     yield p, n, kind
 
 
@@ -237,7 +237,7 @@ def test_kernel_matches_the_unchunked_product():
 )
 def test_witnesses_match_reference_hypothesis(pn, kind, seed):
     p, n = pn
-    if kind in P2_ONLY and p != 2:
+    if kind == GAUSSIAN and p != 2:
         kind = "mu_zeros"
     rng = random.Random(seed)
     f = make_function(rng, p, n, kind)

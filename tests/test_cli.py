@@ -7,6 +7,7 @@ from hofa import analysis as an
 from hofa import cli
 from hofa import mforms as mf
 from hofa import serialize as sz
+from hofa.cyclotomic import ring
 from hofa.instances import corner_witness, planted_instance
 from hofa.mforms import MultilinearForm, total_derivative
 from hofa.ncpoly import Monomial, NcPoly, random_poly
@@ -45,6 +46,26 @@ def test_norm_of_a_fifth_root_phase(tmp_path, capsys):
     num, den = capsys.readouterr().out.splitlines()[1].split(": ")[1].split(" / ")
     num = np.array([int(c) for c in num.strip("()").split(",")], dtype=object)
     assert np.array_equal(num * want.power_den, np.array(want.power_num, dtype=object) * int(den))
+
+
+def test_norm_of_a_huge_denominator_at_d5(tmp_path, capsys):
+    # Z[i] values (a + b i) / (4 * 10^9): the U^5 power's numerator and
+    # denominator pass the float range, its value does not
+    den = 4 * 10**9
+    rng = random.Random(3)
+    pts = []
+    while len(pts) < 4:
+        a, b = rng.randrange(-den, den + 1), rng.randrange(-den, den + 1)
+        if a * a + b * b <= den * den:
+            pts.append((a, b))
+    f = an.BoundedFunction(2, 2, ring(2, 2), np.array(pts, dtype=object).T, den)
+    path = tmp_path / "zi.fn"
+    path.write_text(sz.dump_function(f))
+    assert run_cli(["norm", "--input", str(path), "--d", "5"]) == 0
+    want = an.direct_gowers_power(f, 5)
+    assert want.power_den.bit_length() > 1024
+    out = capsys.readouterr().out.splitlines()
+    assert float(out[0]) == pytest.approx(float(want.power_surd()) ** (1 / 32), rel=1e-11)
 
 
 def test_norm_on_a_float_file_is_an_error_line(tmp_path, capsys):
@@ -143,6 +164,20 @@ def test_pipeline_report_is_deterministic(tmp_path):
         )
         outs.append(rpath.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_pipeline_on_a_nonclassical_p3_cubic(tmp_path):
+    # P0 = |x_1| / 9 + x_1 x_2 / 3: ninth-root values, so every ledger
+    # comparison past stage 6 is one in Z[zeta_9]
+    P0 = NcPoly.make(3, 2, TorusValue.zero(3), [Monomial((1, 0), 1, 1), Monomial((1, 1), 0, 1)])
+    fpath, ppath, rpath = tmp_path / "f.fn", tmp_path / "p0.np", tmp_path / "report.txt"
+    fpath.write_text(sz.dump_function(an.BoundedFunction.from_poly_phase(P0)))
+    ppath.write_text(sz.dump_poly(P0))
+    args = ["pipeline", "--input", str(fpath), "--strategy", "from-poly", "--poly", str(ppath)]
+    assert run_cli(args + ["--report", str(rpath)]) == 0
+    text = rpath.read_text()
+    assert "final correlation: 0.84402963" in text and "final polynomial classical: True" in text
+    assert "FAIL" not in text
 
 
 def test_pipeline_on_integer_valued_file(tmp_path):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from operator import eq, ge, gt, le, lt
 
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import cyclotomic
-from hofa.cyclotomic import CycloRing, RealSurd, real_keys, ring, surd_sign
-from ringref import ref_conj, ref_mul
+from hofa.cyclotomic import CycloRing, RealSurd, real_keys, ring
+from ringref import RefSurd, ref_conj, ref_mul
 
 # Z, Z[zeta_2] = Z, Z[i], Z[zeta_8], Z[zeta_16], Z[omega], Z[zeta_9]
 RINGS = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]
@@ -80,8 +81,29 @@ class TestOneProduct:
                 assert big.dtype == ring(p, m).mul_arrays(a, b).dtype == np.result_type(dtype)
 
 
-# -- RealSurd powers and comparisons against the square-and-multiply and
-# subtract-then-sign code they replaced --
+# -- RealSurd against the former a + b*sqrt(2) class, on the real elements of
+# Z, Z[i], Z[omega] and Z[zeta_8], and on near-ties in every ring --
+
+SURD_RINGS = [(2, 0), (2, 2), (3, 1), (2, 3)]
+
+
+def _surd(R, a: Fraction, b: Fraction) -> RealSurd:
+    """a + b sqrt2 (b = 0 outside Z[zeta_8]) as a real element of R over a common den."""
+    den = math.lcm(a.denominator, b.denominator)
+    elt = np.zeros(R.degree, dtype=object)
+    elt[0] = a.numerator * (den // a.denominator)
+    if R.N == 8:  # sqrt2 = zeta + zeta^7 = zeta - zeta^3
+        elt[1] = b.numerator * (den // b.denominator)
+        elt[3] = -elt[1]
+    return RealSurd.from_ring_element(R, elt, den)
+
+
+def _exact(x: RefSurd) -> Fraction:
+    """a + b sqrt2 within a factor 1 +- 2^-200: with B bits in a and b, a nonzero
+    a + b sqrt2 exceeds 2^(-3B), as den^2 (a^2 - 2 b^2) is a nonzero integer."""
+    bits = max(abs(q.numerator).bit_length() + q.denominator.bit_length() for q in (x.a, x.b))
+    K = 4 * bits + 200
+    return x.a + x.b * Fraction(math.isqrt(2 << (2 * K)), 1 << K)
 
 
 def _ref_pow(x: RealSurd, k: int) -> RealSurd:
@@ -94,44 +116,95 @@ def _ref_pow(x: RealSurd, k: int) -> RealSurd:
     return out
 
 
-def _ref_sign_of_diff(x: RealSurd, y: RealSurd) -> int:
-    return (x - y).sign()
-
-
 _fractions = st.fractions(max_denominator=10**6).filter(lambda q: abs(q) < 10**6)
-_surds = st.builds(RealSurd, _fractions, st.one_of(st.just(Fraction(0)), _fractions))
+
+
+@st.composite
+def _surd_pairs(draw):
+    """A ring, and one value in it both as a RealSurd and as a RefSurd."""
+    R = ring(*draw(st.sampled_from(SURD_RINGS)))
+    a = draw(_fractions)
+    b = draw(st.one_of(st.just(Fraction(0)), _fractions)) if R.N == 8 else Fraction(0)
+    return R, _surd(R, a, b), RefSurd(a, b)
+
+
+def _check_float(u, ref_u):
+    """float(u) is float(a) for rational u, else a + b sqrt2 within 2^-50; past the float range both raise."""
+    try:
+        want = float(ref_u.a) if ref_u.b == 0 else float(_exact(ref_u))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(u)
+        return
+    assert float(u) == (want if ref_u.b == 0 else pytest.approx(want, rel=2.0**-50, abs=0))
+
+
+def _check_against_reference(u, ref_u, v, ref_v):
+    s = (ref_u - ref_v).sign()
+    assert (u == v, u < v, u <= v, u > v, u >= v) == tuple(f(s, 0) for f in (eq, lt, le, gt, ge))
+    assert u.sign() == ref_u.sign()
+    _check_float(u, ref_u)
 
 
 class TestRealSurd:
     @settings(max_examples=60, deadline=None)
-    @given(_surds, st.integers(0, 300))
-    def test_pow_matches_square_and_multiply(self, x, k):
-        got, want = x**k, _ref_pow(x, k)
-        assert (got.a, got.b) == (want.a, want.b)
+    @given(_surd_pairs(), st.integers(0, 300))
+    def test_pow_matches_square_and_multiply(self, pair, k):
+        R, x, ref = pair
+        got = x**k
+        assert got == _ref_pow(x, k) == _surd(R, (ref**k).a, (ref**k).b)
+        assert got.ring is (R if got.num[1:].any() else ring(2, 0)) and math.gcd(got.den, *got.num) == 1
 
     @settings(max_examples=200, deadline=None)
-    @given(_surds, _surds, st.integers(0, 300))
+    @given(_surd_pairs(), _surd_pairs(), st.integers(0, 300))
     def test_sign_of_diff_matches_subtraction(self, x, y, k):
-        for u, v in ((x, y), (y, x), (x, x), (x**k, y**k), (x**k, x**k)):
-            assert u.sign_of_diff(v) == _ref_sign_of_diff(u, v)
-            assert (u == v, u < v, u <= v, u > v, u >= v) == tuple(
-                f(_ref_sign_of_diff(u, v), 0) for f in (eq, lt, le, gt, ge)
-            )
+        (_, u, ref_u), (_, v, ref_v) = x, y
+        for a, ref_a, b, ref_b in (
+            (u, ref_u, v, ref_v), (v, ref_v, u, ref_u), (u, ref_u, u, ref_u),
+            (u**k, ref_u**k, v**k, ref_v**k), (u**k, ref_u**k, u**k, ref_u**k),
+        ):
+            _check_against_reference(a, ref_a, b, ref_b)
+        _check_float(u + v, ref_u + ref_v)
+        R = x[0] if x[0].N == 8 else y[0]  # the other value is rational
+        assert u * v == _surd(R, (ref_u * ref_v).a, (ref_u * ref_v).b)
 
     def test_negative_powers(self):
         assert RealSurd(Fraction(-2, 3)) ** -3 == RealSurd(Fraction(-27, 8))
+        assert _surd(ring(2, 3), Fraction(5, 7), Fraction(0)) ** -2 == RealSurd(Fraction(49, 25))
         with pytest.raises(ValueError):
-            RealSurd(Fraction(1), Fraction(1)) ** -1
+            _surd(ring(2, 3), Fraction(1), Fraction(1)) ** -1
 
     def test_rational_comparisons_near_equality(self):
         big = Fraction(3**400 + 1, 2**600)
         assert RealSurd(big) > RealSurd(Fraction(3**400, 2**600))
-        assert RealSurd(big).sign_of_diff(big) == 0 and RealSurd(big) == big
+        assert (RealSurd(big) - big).sign() == 0 and RealSurd(big) == big
         # 3 - 2 sqrt 2 > 0 and 99 - 70 sqrt 2 > 0 sit within 0.18 and 0.008 of zero
-        assert RealSurd(Fraction(3), Fraction(-2)).sign() == 1
-        assert RealSurd(Fraction(-99), Fraction(70)).sign() == -1
-        assert RealSurd(Fraction(0), Fraction(-1)).sign() == -1
-        assert surd_sign(-(2**80), 2**80) == 1 and surd_sign(2**80, -(2**80)) == -1
+        R8 = ring(2, 3)
+        assert _surd(R8, Fraction(3), Fraction(-2)).sign() == 1
+        assert _surd(R8, Fraction(-99), Fraction(70)).sign() == -1
+        assert _surd(R8, Fraction(0), Fraction(-1)).sign() == -1
+        assert _surd(R8, Fraction(-(2**80)), Fraction(2**80)).sign() == 1
+        assert _surd(R8, Fraction(2**80), Fraction(-(2**80))).sign() == -1
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 100, 299, 300])
+    def test_units_near_zero(self, k):
+        # (1 - sqrt2)^k = (-1)^k (sqrt2 - 1)^k has norm +-1: the smallest nonzero
+        # value its coefficients allow, so only the last precision step signs it
+        x = _surd(ring(2, 3), Fraction(1), Fraction(-1)) ** k
+        assert x.sign() == (-1) ** k
+        assert float(x) == pytest.approx((-1) ** k * (math.sqrt(2) - 1) ** k, rel=1e-12)
+        y = _surd(ring(2, 3), Fraction(99), Fraction(-70)) ** k  # 99 - 70 sqrt2 = (sqrt2 - 1)^6
+        assert y == x**6 and RealSurd(0) < y < x * x
+
+    def test_ninth_root_magnitudes(self):
+        R9 = ring(3, 2)
+        x = RealSurd.from_ring_element(R9, R9.mag_squared(R9.one() + R9.root(1)))  # 2 + 2 cos(2 pi / 9) = 3.53
+        assert RealSurd(3) < x < RealSurd(4) and x != RealSurd(3)
+        assert float(x) == pytest.approx(2 + 2 * math.cos(2 * math.pi / 9), rel=1e-15)
+        assert x - x == RealSurd(0) and (x - 3) * RealSurd(Fraction(1, 2)) == x * Fraction(1, 2) - Fraction(3, 2)
+        assert str(RealSurd.from_ring_element(R9, 3 * R9.one(), 9)) == "1/3"
+        with pytest.raises(ValueError):
+            RealSurd.from_ring_element(R9, R9.root(1))
 
 
 # Z[zeta_5], Z[zeta_9], Z[zeta_16], Z[zeta_27]: real subfields of degree 2, 3, 4 and 9

@@ -323,7 +323,7 @@ class TestDerandomizeAgainstReference:
 class TestPipelineP2:
     def test_depth_cubic_fixture(self):
         P0, f = depth_cubic_fixture(3)
-        assert an.gowers_norm(f, 4).is_one()
+        assert an.gowers_norm(f, 4).power_surd() == RealSurd(1)
         rep = pl.run_inverse_pipeline(
             f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0))
         )
@@ -432,6 +432,24 @@ class TestPipelineP3:
             f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0))
         )
         assert rep.final_correlation.mag2_is_one() and rep.classical
+
+
+    def test_nonclassical_cubic(self):
+        # P0 = |x_1| / 9 + x_1 x_2 / 3 has U^4 = 1 and ninth-root values; the
+        # quadratic oracle, classical at p = 3, reaches |corr|^2 = 0.71239, a
+        # real element of Z[zeta_9]
+        P0 = NcPoly.make(3, 2, TorusValue.zero(3), [Monomial((1, 0), 1, 1), Monomial((1, 1), 0, 1)])
+        f = an.BoundedFunction.from_poly_phase(P0)
+        assert f.ring.N == 9 and an.gowers_norm(f, 4).power_surd() == RealSurd(1)
+        rep = pl.run_inverse_pipeline(
+            f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0))
+        )
+        assert rep.all_hold() and len(rep.ledger) == 39
+        assert rep.classical and rep.final_poly == NcPoly.from_classical(3, 2, {(1, 1): 1})
+        corr2 = rep.final_correlation.mag2()
+        assert corr2 == an.correlation(f, rep.final_poly).mag2()
+        assert corr2 == RealSurd.from_ring_element(ring(3, 2), [3, 1, -1, 0, -1, -2], 9)
+        assert float(corr2) == pytest.approx(0.84402963**2, rel=1e-7)
 
 
 class TestPipelineNoise:

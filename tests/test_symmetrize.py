@@ -283,6 +283,13 @@ class TestSymmetrizeClassical:
         rep = sym.symmetrize_classical(T, None, certs=empty_certs(T))
         assert rep.output_form == T and mf.is_csm(T)
 
+    def test_p5_planted_witness(self):
+        # the witness of a p = 5 instance is built and cross-checked exactly:
+        # |delta|^2 = bias(T - base)^2 over Z[zeta_5]
+        I = inst.planted_instance(5, 2, 0)
+        bias = rk.analytic_rank(I.T - I.base).bias
+        assert I.witness is not None and I.witness.delta.mag2() == RealSurd(bias) ** 2 > RealSurd(0)
+
     def test_p5_green_tao_consistency(self):
         # the subspace-extension output and the direct S_3 average differ by
         # a form with a short verified certificate

@@ -922,6 +922,14 @@ def _candidate_exponents(p: int, n: int, tuples, m: int, tables):
     return cands, C @ np.array(tables, dtype=np.int64).reshape(len(tuples), p**n) % p**m
 
 
+def check_oracle_budget(p: int, n: int, classical_only: bool, budget: Budget = DEFAULT_BUDGET) -> None:
+    """Raise ``BudgetExceeded`` when ``u3_inverse_bruteforce`` on F_p^n would
+    enumerate more than ``budget.quad_oracle_cap`` candidates."""
+    ncand = p ** len(basis_tuples(p, 2, n, depth_allowed=not classical_only))
+    if ncand > budget.quad_oracle_cap:
+        raise BudgetExceeded(f"{ncand} quadratic candidates exceed the oracle budget")
+
+
 def u3_inverse_bruteforce(
     fn: BoundedFunction,
     classical_only: bool = False,
@@ -936,10 +944,8 @@ def u3_inverse_bruteforce(
     by enumeration, not a proof-driven inverse theorem.
     """
     p, n = fn.p, fn.n
+    check_oracle_budget(p, n, classical_only, budget)
     tuples, m, tables = _quadratic_candidates(p, n, classical_only)
-    ncand = p ** len(tuples)
-    if ncand > budget.quad_oracle_cap:
-        raise BudgetExceeded(f"{ncand} quadratic candidates exceed the oracle budget")
     cands, exps = _candidate_exponents(p, n, tuples, m, tables)
     R = common_ring(fn.ring, ring(p, m))
     coeffs = fn.embed(R).coeffs

@@ -128,11 +128,7 @@ def cmd_pipeline(args) -> int:
     else:  # pragma: no cover
         print(f"unknown strategy {args.strategy}", file=sys.stderr)
         return 2
-    options = pipeline.PipelineOptions(
-        strategy=strategy,
-        budget=_budget_from(args),
-        classical_only=args.classical_only or None,
-    )
+    options = pipeline.PipelineOptions(strategy=strategy, budget=_budget_from(args))
     report = pipeline.run_inverse_pipeline(fn, Fraction(args.threshold), options)
     text = report.as_text()
     if args.report:
@@ -190,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_pipe.add_argument("--poly", default=None)
     p_pipe.add_argument("--phi", default=None)
     p_pipe.add_argument("--threshold", type=str, default="1/2", help="exact rational, e.g. 1/2")
-    p_pipe.add_argument("--classical-only", action="store_true")
     p_pipe.add_argument("--report", default=None)
     p_pipe.set_defaults(func=cmd_pipeline)
 

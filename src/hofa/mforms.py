@@ -490,41 +490,6 @@ class MultiaffineForm:
                 total += comp.eval(*(args[i] for i in sorted(slots)))
         return total % self.p
 
-    def shifted_arguments(self, shifts) -> "MultiaffineForm":
-        """The multiaffine form (x_1, ..) -> self(x_1 + s_1, ..., x_k + s_k)."""
-        p, n, k = self.p, self.n, self.k
-        new: dict = {}
-        for slots, comp in self.components:
-            slots = sorted(slots)
-            if not slots:
-                _acc(new, (), int(comp.coeffs), p, n)
-                continue
-            # expand each slot into (variable) or (shift value)
-            for keep in itertools.product([0, 1], repeat=len(slots)):
-                kept = tuple(s for s, kp in zip(slots, keep) if kp)
-                cur = comp.coeffs.astype(np.int64)
-                # contract dropped axes with the shift vectors, back to front
-                for pos in range(len(slots) - 1, -1, -1):
-                    if keep[pos]:
-                        continue
-                    s_vec = np.asarray(shifts[slots[pos]], dtype=np.int64)
-                    cur = np.tensordot(cur, s_vec, axes=([pos], [0])) % p
-                _acc(new, kept, cur, p, n)
-        comps = {}
-        for kept, arr in new.items():
-            if kept == ():
-                comps[()] = int(arr) % p
-            else:
-                comps[kept] = MultilinearForm(p, n, len(kept), arr)
-        return MultiaffineForm.make(p, n, k, comps)
-
-
-def _acc(store: dict, kept, arr, p: int, n: int):
-    if kept in store:
-        store[kept] = (store[kept] + arr) % p
-    else:
-        store[kept] = np.asarray(arr, dtype=np.int64) % p
-
 
 def multilinear_part(phi: MultiaffineForm) -> MultilinearForm:
     comp = phi.component(tuple(range(phi.k)))

@@ -246,9 +246,10 @@ def derandomize_indicator(
     """
     p, n = phase.p, phase.n
     noop_claim, c_claim, xi_claim = claims
+    bound = _stage_bound_mag2(p, eps, r_len, coeff)
     if not gammas:
         measured = measure_state(g_cube, phase)
-        entry = _stage_bound_entry(p, noop_claim, measured, eps, r_len, coeff)
+        entry = _stage_bound_entry(p, noop_claim, measured, eps, r_len, coeff, bound)
         return None, None, phase, measured, (entry,)
     m = len(gammas)
     if m > budget.derand_terms_cap:
@@ -272,7 +273,7 @@ def derandomize_indicator(
     entries = []
     if c_claim is not None:
         c_val = CorrValue.from_sum(R, sums[:, best], den)
-        entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff))
+        entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff, bound))
     # argmax over xi: one exact transform of the class sums
     table = np.zeros((R.degree, p ** (2 * m)), dtype=object)
     table[:, present] = sums
@@ -286,7 +287,7 @@ def derandomize_indicator(
     measured = measure_state(g_cube, new_phase)
     if measured.mag2() != CorrValue.from_sum(R, tau[:, j], den).mag2():  # pragma: no cover
         raise InternalCheckError("the character argmax phase does not measure its transform value")
-    entries.append(_stage_bound_entry(p, xi_claim, measured, eps, r_len, coeff))
+    entries.append(_stage_bound_entry(p, xi_claim, measured, eps, r_len, coeff, bound))
     for e in entries:
         if not e.holds:  # pragma: no cover
             raise InternalCheckError(f"derandomization bound failed: {e}")
@@ -301,20 +302,21 @@ def _stage_bound_mag2(p: int, eps: CorrValue, r_len: int, coeff: int) -> RealSur
 
 
 def _stage_bound_entry(
-    p: int, claim: str, measured: CorrValue, eps: CorrValue, r_len: int, coeff: int
+    p: int, claim: str, measured: CorrValue, eps: CorrValue, r_len: int, coeff: int, bound: RealSurd
 ) -> LedgerEntry:
-    holds = measured.mag2() >= _stage_bound_mag2(p, eps, r_len, coeff)
+    """'measured >= eps p^{-coeff r}', ``bound`` being ``_stage_bound_mag2``."""
     return LedgerEntry(
         claim,
         f"|corr|={measured.modulus_float():.6g}",
-        f"eps*p^(-{coeff}r)={_stage_bound_text(p, eps, r_len, coeff)}",
-        bool(holds),
+        f"eps*p^(-{coeff}r)={_stage_bound_text(p, eps, r_len, coeff, bound)}",
+        bool(measured.mag2() >= bound),
     )
 
 
-def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int) -> str:
-    """eps * p^{-coeff r} for display, in log space where its square underflows."""
-    sq = float(_stage_bound_mag2(p, eps, r_len, coeff))
+def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSurd | None = None) -> str:
+    """eps * p^{-coeff r} for display, in log space where its square underflows;
+    ``sq`` is its square from ``_stage_bound_mag2`` when already computed."""
+    sq = float(_stage_bound_mag2(p, eps, r_len, coeff) if sq is None else sq)
     if sq >= sys.float_info.min or eps.modulus_float() == 0:
         return f"{math.sqrt(max(sq, 0.0)):.6g}"
     lg = math.log10(eps.modulus_float())
@@ -357,6 +359,7 @@ def bilinear_cleanup(
     pairs = [(1, 2), (0, 2), (0, 1)]
     new_betas, quads, certs = {}, {}, {}
     entries = []
+    bound = _stage_bound_mag2(p, eps, r_len, 2) ** 8
     for pair in pairs:
         B = mforms.BilinearForm(p, n, _coeffs(phase, pair))
         fixed_slot = next(s for s in range(3) if s not in pair)
@@ -364,7 +367,6 @@ def bilinear_cleanup(
         res = symmetrize.gt_defect(B, b1, b2, b3, budget)
         if not res.holds:  # pragma: no cover
             raise InternalCheckError("defect bound failed on a cleanup witness")
-        bound = _stage_bound_mag2(p, eps, r_len, 2) ** 8
         holds_loc = res.delta.mag2() >= bound
         entries.append(
             LedgerEntry(
@@ -484,7 +486,6 @@ class PipelineOptions:
     strategy: object = None
     certs_by_perm: dict | None = None
     budget: Budget = DEFAULT_BUDGET
-    classical_only: bool | None = None  # default: p >= 3
 
 
 def run_inverse_pipeline(
@@ -494,8 +495,8 @@ def run_inverse_pipeline(
     budget = options.budget
     if p not in (2, 3):
         raise PreconditionError("the end-to-end pipeline supports p in {2, 3}")
-    if n > 3:
-        raise BudgetExceeded("the end-to-end pipeline is capped at n <= 3")
+    classical_only = p >= 3  # stage 8's oracle; its enumeration is checked before stage 1
+    analysis.check_oracle_budget(p, n, classical_only, budget)
     ledger = []
 
     # stage 1: U^4 norm gate
@@ -526,17 +527,14 @@ def run_inverse_pipeline(
     T, bprime, delta1, cs_entries = multiaffine_cs(phi, witness_phi.bs, budget)
     ledger.extend(cs_entries)
     witness_T = CorrelationWitness(T, bprime, delta1)
-    for pi in mforms.S3:
-        if pi == (0, 1, 2):
-            continue
-        bias = rank.analytic_rank(T - permute(T, pi), budget).bias
-        ledger.append(
-            bias_vs_delta_power(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128)
-        )
     if p >= 3:
         sym_report = symmetrize_classical(T, witness_T, options.certs_by_perm, budget)
     else:
         sym_report = symmetrize_nonclassical_p2(T, witness_T, options.certs_by_perm, budget)
+    ledger.extend(
+        bias_vs_delta_power(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128)
+        for pi, bias in sym_report.defect_biases.items() if pi != (0, 1, 2)
+    )
     ledger.extend(sym_report.ledger)
     S = sym_report.output_form
 
@@ -575,8 +573,9 @@ def run_inverse_pipeline(
         g_cube, phase2, lin_gammas, eps, r_len, budget, CLEANUP_CLAIMS, 290
     )
     ledger.extend(d2_entries)
+    bound290 = _stage_bound_mag2(p, eps, r_len, 290)
     ledger.append(
-        _stage_bound_entry(p, "after cleanup: |corr| >= eps p^{-290 r}", measured2, eps, r_len, 290)
+        _stage_bound_entry(p, "after cleanup: |corr| >= eps p^{-290 r}", measured2, eps, r_len, 290, bound290)
     )
     if not ledger[-1].holds:  # pragma: no cover
         raise InternalCheckError("post-cleanup correlation fell below eps p^{-290r}")
@@ -601,19 +600,17 @@ def run_inverse_pipeline(
         )
     )
     u3_g = norms[0]
-    bound290 = _stage_bound_mag2(p, eps, r_len, 290)
     u3_holds = u3_g.power_surd() ** 2 >= bound290**8
     ledger.append(
         LedgerEntry(
             "||f w^P||_U3 >= eps p^{-290 r}",
             f"{u3_g.norm_float():.6g}",
-            _stage_bound_text(p, eps, r_len, 290),
+            _stage_bound_text(p, eps, r_len, 290, bound290),
             bool(u3_holds),
         )
     )
 
     # stage 8: quadratic inverse oracle and the final polynomial
-    classical_only = options.classical_only if options.classical_only is not None else (p >= 3)
     g000 = gs[0]
     Q, oracle_corr = analysis.u3_inverse_bruteforce(g000, classical_only=classical_only, budget=budget)
     final_poly = Q - P

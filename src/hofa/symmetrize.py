@@ -75,6 +75,13 @@ def form_cube(form, p: int, n: int) -> np.ndarray:
 def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{x,y,z} b1(x)b2(y)b3(z)b4(x+y)b5(x+z)b6(y+z)b7(x+y+z) w^{form}."""
     p, n = bs[0].p, bs[0].n
+    R, prod, den = _seven_product(bs, budget)
+    return phased_sum(R, p, prod, form_cube(form, p, n), den)
+
+
+def _seven_product(bs, budget: Budget) -> tuple:
+    """The ring, corner product over (x, y, z) and denominator of the seven-function average."""
+    p, n = bs[0].p, bs[0].n
     size = p**n
     if size**3 * 8 > budget.enum_cap:
         raise fpspace.BudgetExceeded("seven-function correlation too large")  # pragma: no cover
@@ -82,7 +89,7 @@ def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     # b1..b7 sit at the corners x, y, z, x+y, x+z, y+z, x+y+z (bitmasks over x, y, z)
     tables = dict(zip((1, 2, 4, 3, 5, 6, 7), (b.coeffs for b in emb)))
     den = size**3 * math.prod(b.den for b in emb)
-    return phased_sum(R, p, corner_product(R, p, n, 3, tables), form_cube(form, p, n), den)
+    return R, corner_product(R, p, n, 3, tables), den
 
 
 def three_correlation(b1, b2, b3, A: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
@@ -421,6 +428,7 @@ class SymmetrizationReport:
     certificate: RankCertificate
     ledger: tuple
     subspace: Subspace
+    defect_biases: dict  # perm tuple -> bias of T - T_pi measured against the witness; {} without one
 
     def all_hold(self) -> bool:
         return all(e.holds for e in self.ledger)
@@ -471,7 +479,7 @@ def symmetrize_classical(
         raise InternalCheckError("classical symmetrization output is not CSM")
     cert = vanishing_decomposition(T - S, W)
     ledger.append(int_bound_entry(f"prank(T - S) <= {bound}", len(cert), bound))
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W)
+    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, {} if witness is None else defects.biases)
     if not report.verify():  # pragma: no cover
         raise InternalCheckError("symmetrization certificate failed verification")
     return report
@@ -530,7 +538,7 @@ def symmetrize_nonclassical_p2(
     ledger.append(
         int_vs_delta_power(2, "prank(T - S) <= 432 log2(1/delta)", "count", len(cert), delta, 432)
     )
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W)
+    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, defects.biases)
     if not report.verify():  # pragma: no cover
         raise InternalCheckError("symmetrization certificate failed verification")
     return report
@@ -548,36 +556,64 @@ def _best_coset_witness(
     T: MultilinearForm, witness: CorrelationWitness, U: Subspace, budget: Budget
 ) -> tuple[ShiftedWitness, LedgerEntry]:
     """Argmax coset restriction: the average over coset triples equals the
-    full correlation, so the best triple is at least delta."""
-    p = T.p
+    full correlation, so the best triple is at least delta.
+
+    Each (x, y, z) is labelled by its triple of cosets, x-coset major
+    (``itertools.product`` order), and one labelled ``phased_sum`` of the
+    full seven-function product gives every triple's sum over its
+    p^(3 dim U) points: its restricted correlation.  Ties keep the first
+    triple; only the winner is restricted.
+    """
+    p, n = T.p, T.n
     reps = list(fpspace.enumerate_subspace(fpspace.complement(U), budget))
-    phi_V = MultiaffineForm.from_multilinear(T)
-
-    def restricted(shifts):
-        """phi, and b1..b7 on the cosets of the corners x, y, z, x+y, x+z, y+z, x+y+z."""
-        x0, y0, z0 = shifts
-        xy = vec_add(p, x0, y0)
-        corners = (x0, y0, z0, xy, vec_add(p, x0, z0), vec_add(p, y0, z0), vec_add(p, xy, z0))
-        bs_U = tuple(b.restrict_to_coset(U, c) for b, c in zip(witness.bs, corners))
-        return restrict_multiaffine(phi_V.shifted_arguments(shifts), U), bs_U
-
-    triples = list(itertools.product(reps, repeat=3))
-    vals = [seven_correlation(bs_U, phi_U, budget) for phi_U, bs_U in map(restricted, triples)]
-    best = first_max(vals[0].ring, np.stack([v.num for v in vals], axis=1))
-    shifts, val = triples[best], vals[best]
-    phi_U, bs_U = restricted(shifts)
+    r = len(reps)
+    R, prod, den = _seven_product(witness.bs, budget)
+    coset = _coset_labels(U)
+    labels = (coset[:, None, None] * r + coset[None, :, None]) * r + coset[None, None, :]
+    sums = phased_sum(R, p, prod, form_cube(T, p, n), den, labels, r**3)
+    best = first_max(R, sums)
+    shifts = x0, y0, z0 = reps[best // r**2], reps[best // r % r], reps[best % r]
+    val = CorrValue.from_sum(R, sums[:, best], den // r**3)
+    xy = vec_add(p, x0, y0)
+    # b1..b7 on the cosets of the corners x, y, z, x+y, x+z, y+z, x+y+z
+    corners = (x0, y0, z0, xy, vec_add(p, x0, z0), vec_add(p, y0, z0), vec_add(p, xy, z0))
+    bs_U = tuple(b.restrict_to_coset(U, c) for b, c in zip(witness.bs, corners))
     holds = val.mag2() >= witness.delta.mag2()
     entry = corr_entry("coset restriction keeps |corr| >= delta", val, witness.delta, holds)
     if not holds:  # pragma: no cover
         raise InternalCheckError("coset argmax fell below the average")
-    return ShiftedWitness(phi_U, bs_U, val, shifts), entry
+    return ShiftedWitness(_coset_form(T, U, shifts), bs_U, val, shifts), entry
 
 
-def restrict_multiaffine(phi: MultiaffineForm, U: Subspace) -> MultiaffineForm:
+def _coset_labels(U: Subspace) -> np.ndarray:
+    """Per point of F_p^n (all_vectors order), the index of its coset of U in
+    ``enumerate_subspace(complement(U))``: x minus its U part, read off the
+    RREF rows of U, is zero on the pivots, and its free coordinates are the
+    representative's coefficients, the first most significant."""
+    p, n = U.p, U.n
+    rows, pivots = fpspace.rref(p, U.basis)
+    free = [j for j in range(n) if j not in pivots]
+    X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
+    W = (X - X[:, pivots] @ np.array(rows, dtype=np.int64).reshape(len(rows), n)) % p
+    return W[:, free] @ p ** np.arange(len(free) - 1, -1, -1)
+
+
+def _coset_form(T: MultilinearForm, U: Subspace, shifts) -> MultiaffineForm:
+    """The triaffine form (u, v, w) -> T(s_0 + B u, s_1 + B v, s_2 + B w) in
+    U-coordinates, B the basis of U.
+
+    One contraction of T with the homogeneous map [B | s_i] on each slot i;
+    the component on a slot set S reads coordinate dim U (the shift) on the
+    slots outside S.
+    """
+    p, d = T.p, U.dim
+    B = np.array(U.basis, dtype=np.int64).reshape(d, T.n)
+    H = T.coeffs.astype(np.int64)
+    for s in shifts:
+        H = np.tensordot(H, np.vstack([B, s]).T, axes=([0], [0])) % p
     comps = {}
-    for slots, comp in phi.components:
-        if len(slots) == 0:
-            comps[()] = int(comp.coeffs)
-        else:
-            comps[tuple(sorted(slots))] = restrict(comp, U)
-    return MultiaffineForm.make(phi.p, U.dim, phi.k, comps)
+    for keep in itertools.product((False, True), repeat=3):
+        part = H[tuple(slice(d) if k else d for k in keep)]
+        slots = tuple(i for i, k in enumerate(keep) if k)
+        comps[slots] = MultilinearForm(p, d, len(slots), part) if slots else int(part)
+    return MultiaffineForm.make(p, d, 3, comps)

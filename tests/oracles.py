@@ -1,9 +1,16 @@
 """Helpers only the tests use: small constructions the oracles and checks
 build from, kept out of ``hofa`` because no part of the library calls them."""
+import itertools
+
+import numpy as np
+
 from hofa import fpspace
-from hofa.analysis import BoundedFunction
+from hofa.analysis import BoundedFunction, first_max
+from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import common_ring, ring
+from hofa.mforms import MultiaffineForm, MultilinearForm, restrict
 from hofa.rank import CertTerm, RankCertificate
+from hofa.symmetrize import seven_correlation
 
 
 def vec_sub(p, x, y):
@@ -42,3 +49,54 @@ def alternating_slot_sum(phi, xs, ys):
         v = phi.eval(*(ys[i] if J >> i & 1 else xs[i] for i in range(phi.k)))
         total += -v if bin(J).count("1") % 2 else v
     return total % phi.p
+
+
+def shifted_arguments(phi, shifts):
+    """The multiaffine form (x_1, ..) -> phi(x_1 + s_1, ..., x_k + s_k): each
+    component expanded into one term per subset of its slots kept variable,
+    the other slots contracted with their shift vectors."""
+    p, n = phi.p, phi.n
+    new = {}
+    for slots, comp in phi.components:
+        slots = sorted(slots)
+        for keep in itertools.product((0, 1), repeat=len(slots)):
+            cur = comp.coeffs.astype(np.int64)
+            for pos in range(len(slots) - 1, -1, -1):  # back to front, so positions stay valid
+                if not keep[pos]:
+                    shift = np.asarray(shifts[slots[pos]], dtype=np.int64)
+                    cur = np.tensordot(cur, shift, axes=([pos], [0])) % p
+            kept = tuple(s for s, kp in zip(slots, keep) if kp)
+            new[kept] = (new.get(kept, 0) + cur) % p
+    comps = {s: MultilinearForm(p, n, len(s), a) if s else int(a) for s, a in new.items()}
+    return MultiaffineForm.make(p, n, phi.k, comps)
+
+
+def restrict_multiaffine(phi, U):
+    """Each component of phi restricted to U, in U-basis coordinates."""
+    comps = {tuple(sorted(s)): restrict(c, U) if s else int(c.coeffs) for s, c in phi.components}
+    return MultiaffineForm.make(phi.p, U.dim, phi.k, comps)
+
+
+def coset_form_reference(T, U, shifts):
+    """(u, v, w) -> T(s_0 + u, s_1 + v, s_2 + w) on U: shift, then restrict."""
+    return restrict_multiaffine(shifted_arguments(MultiaffineForm.from_multilinear(T), shifts), U)
+
+
+def best_coset_loop(T, witness, U, budget=DEFAULT_BUDGET):
+    """The per-triple coset argmax: the witness and the form restricted to each
+    coset triple and correlated on their own; the first largest wins.
+    Returns (shifts, correlation, restricted form, restricted functions)."""
+    p = T.p
+    reps = list(fpspace.enumerate_subspace(fpspace.complement(U), budget))
+
+    def restricted(shifts):
+        x0, y0, z0 = shifts
+        xy = fpspace.vec_add(p, x0, y0)
+        corners = (x0, y0, z0, xy, fpspace.vec_add(p, x0, z0), fpspace.vec_add(p, y0, z0), fpspace.vec_add(p, xy, z0))
+        bs_U = tuple(b.restrict_to_coset(U, c) for b, c in zip(witness.bs, corners))
+        return coset_form_reference(T, U, shifts), bs_U
+
+    triples = list(itertools.product(reps, repeat=3))
+    vals = [seven_correlation(bs_U, phi_U, budget) for phi_U, bs_U in map(restricted, triples)]
+    best = first_max(vals[0].ring, np.stack([v.num for v in vals], axis=1))
+    return (triples[best], vals[best]) + restricted(triples[best])

@@ -207,3 +207,21 @@ def test_usage_error_exit_code():
 
 def test_selftest_quick():
     assert run_cli(["selftest", "--quick"]) == 0
+
+
+def test_pipeline_on_an_f2_4_file(tmp_path):
+    P0 = random_poly(2, 4, 3, True, seed=1)
+    fpath, ppath, rpath = tmp_path / "f.fn", tmp_path / "p0.np", tmp_path / "report.txt"
+    fpath.write_text(sz.dump_function(an.BoundedFunction.from_poly_phase(P0)))
+    ppath.write_text(sz.dump_poly(P0))
+    args = ["pipeline", "--input", str(fpath), "--strategy", "from-poly", "--poly", str(ppath)]
+    assert run_cli(args + ["--report", str(rpath)]) == 0
+    text = rpath.read_text()
+    assert "pipeline report  p=2 n=4" in text and "final correlation: 1.00000000" in text
+    assert "FAIL" not in text
+
+
+def test_pipeline_has_no_classical_only_flag(tmp_path):
+    fpath = tmp_path / "f.fn"
+    fpath.write_text(sz.dump_function(an.BoundedFunction.ones(3, 2)))
+    assert run_cli(["pipeline", "--input", str(fpath), "--strategy", "random", "--classical-only"]) == 2

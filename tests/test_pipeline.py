@@ -10,6 +10,7 @@ import pytest
 from hofa import analysis as an
 from hofa import mforms as mf
 from hofa import pipeline as pl
+from hofa import rank as rk
 from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import RealSurd, ring
 from hofa.errors import BudgetExceeded, HofaError, PreconditionError
@@ -495,3 +496,47 @@ class TestLedgerCompleteness:
         ):
             assert needle in claims, needle
         assert rep.all_hold()
+
+
+class TestPipelineF2n4:
+    """n = 4 at p = 2 runs at the default budget: no Budget field binds."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_from_polynomial_guess(self, seed):
+        rep = _fixture_report(random_poly(2, 4, 3, True, seed=seed))
+        assert (rep.p, rep.n) == (2, 4)
+        assert rep.all_hold(), [str(e) for e in rep.ledger if not e.holds]
+        assert rep.final_correlation.mag2_is_one()
+
+    def test_supplied_with_certificate_terms(self):
+        P0 = random_poly(2, 4, 3, True, seed=2)
+        f = an.BoundedFunction.from_poly_phase(P0)
+        left = MultilinearForm(2, 4, 1, np.array([1, 0, 1, 0]))
+        right = MultilinearForm(2, 4, 2, np.array([[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 0], [0, 1, 0, 1]]))
+        term = CertTerm((0,), left, right)
+        T = -total_derivative(P0, 3) + MultilinearForm(2, 4, 3, term.tensor(3))
+        opts = pl.PipelineOptions(
+            strategy=pl.SuppliedTriaffine(MultiaffineForm.from_multilinear(T)),
+            certs_by_perm=defect_certificates_from_terms(T, [term]),
+        )
+        rep = pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+        assert rep.all_hold(), [str(e) for e in rep.ledger if not e.holds]
+        assert len(rep.sym_report.certificate) > 0 and rep.sym_report.subspace.codim > 0
+        assert "indicator argmax" in " | ".join(e.claim for e in rep.ledger)
+        # the stage-3 entries read the biases the symmetrizer measured
+        for pi, bias in rep.sym_report.defect_biases.items():
+            assert bias == rk.analytic_rank(rep.T - mf.permute(rep.T, pi)).bias
+        assert sum("128 log(1/eps)" in e.claim for e in rep.ledger) == 5
+
+
+class TestOracleBudgetFailsFast:
+    @pytest.mark.parametrize("p, n, ncand", [(3, 3, 3**9), (2, 5, 2**20)])
+    def test_raises_before_stage_1(self, monkeypatch, p, n, ncand):
+        def stage_1(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("stage 1 ran on an input over the oracle budget")
+
+        monkeypatch.setattr(an, "gowers_norm", stage_1)
+        P0 = random_poly(p, n, 3, p == 2, seed=1)
+        f = an.BoundedFunction.from_poly_phase(P0)
+        with pytest.raises(BudgetExceeded, match=f"^{ncand} quadratic candidates exceed the oracle budget$"):
+            pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0)))

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hofa import analysis as an
 from hofa import fpspace as fs
@@ -15,7 +17,7 @@ from hofa.cyclotomic import RealSurd
 from hofa.errors import PreconditionError
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import random_poly
-from oracles import concat_certificates, negate_certificate
+from oracles import best_coset_loop, concat_certificates, coset_form_reference, negate_certificate
 
 
 def empty_certs(T):
@@ -366,3 +368,70 @@ class TestWitnessMeasurement:
         w = sym.CorrelationWitness.all_ones(T, 2, 2)
         bias = rk.analytic_rank(T).bias
         assert w.delta.mag2() == RealSurd(bias) ** 2
+
+
+def _same_restricted_witness(T, witness, U):
+    """The labelled coset argmax against the per-triple loop of ``oracles``."""
+    sw, entry = sym._best_coset_witness(T, witness, U, sym.DEFAULT_BUDGET)
+    shifts, val, form, bs = best_coset_loop(T, witness, U)
+    assert sw.shifts == shifts
+    assert sw.delta.den == val.den and list(sw.delta.num) == list(val.num)
+    assert sw.form == form
+    assert all(np.array_equal(a.coeffs, b.coeffs) and a.den == b.den for a, b in zip(sw.bs, bs))
+    assert entry.holds
+    return sw
+
+
+class TestBestCosetArgmax:
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("codim", [0, 1, 2])
+    def test_planted_matches_per_triple_loop(self, p, n, codim):
+        I = inst.planted_instance(p, n, seed=(p, n, codim, "coset"))
+        U = fs.Subspace.from_basis(p, n, [fs.unit_vec(n, i) for i in range(codim, n)])
+        assert U.codim == codim
+        rng = random.Random(codim)
+        V = fs.random_subspace(rng, p, n, n - codim)  # a basis off the coordinate axes
+        for W in (U, V):
+            _same_restricted_witness(I.T, I.witness, W)
+
+    def test_random_witness_matches_per_triple_loop(self):
+        """Random functions and forms with dim U >= 1 (on U = 0 every triple
+        has modulus 1): some winning triples have x0 != z0, so the triple
+        order (x-coset major) is checked too."""
+        rng = random.Random(5)
+        winners = []
+        for p, n, codim in [(2, 3, 1), (2, 3, 2), (3, 2, 1)] * 2:
+            T = mf.random_form(rng, p, n, 3)
+            w = sym.CorrelationWitness.make(T, tuple(an.random_mu_p_function(rng, p, n) for _ in range(7)))
+            U = fs.random_subspace(rng, p, n, n - codim)
+            winners.append(_same_restricted_witness(T, w, U).shifts)
+        assert any(x0 != z0 for x0, _, z0 in winners)
+
+    def test_symmetric_subspace_of_planted_instances(self):
+        codims = set()
+        for i in range(6):
+            I = inst.planted_instance(2, 3, seed=(i, "coset-sym"), num_terms=2)
+            U = sym.symmetric_subspace(I.T, I.certs)
+            codims.add(U.codim)
+            _same_restricted_witness(I.T, I.witness, U)
+        assert max(codims) >= 2
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_all_triples_tie_and_the_zero_triple_wins(self, p):
+        T = MultilinearForm.zero(p, 3, 3)
+        w = sym.CorrelationWitness.all_ones(T, p, 3)
+        U = fs.Subspace.from_basis(p, 3, [(1, 1, 1)])
+        sw = _same_restricted_witness(T, w, U)
+        assert sw.shifts == ((0, 0, 0),) * 3
+        assert sw.delta.mag2() == RealSurd(1)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_coset_form_matches_shift_then_restrict(seed):
+    rng = random.Random(seed)
+    p, n = rng.choice((2, 3, 5)), rng.randint(1, 3)
+    T = mf.random_form(rng, p, n, 3)
+    U = fs.random_subspace(rng, p, n)
+    shifts = tuple(fs.random_vector(rng, p, n) for _ in range(3))
+    assert sym._coset_form(T, U, shifts) == coset_form_reference(T, U, shifts)

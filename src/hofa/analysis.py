@@ -18,11 +18,14 @@ on int64 only where a stated bound allows and on Python integers
 elsewhere.  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
-|W - conj W|^4).  Every phased
-sum of a corner product runs one grouped kernel, ``phased_sum``: the
-entries are summed per (label, exponent) class from one sort, and only the
-class sums meet the roots of unity; ``base_point_argmax`` feeds it chunks
-of the product with the base points as labels.
+|W - conj W|^4).  Every corner average (the seven- and three-function
+witnesses, the derivative cube, the octolinear identity) runs one kernel,
+``_corner_sums``, on two table kinds.  Phases carrying ``exps`` add their
+exponent tables and count each (label, exponent mod N) class with one
+``np.bincount``, on int64: a count is at most the number of entries, a sum
+N times that.  Other values multiply coefficient planes and sum each
+(label, exponent) class from one sort (``phased_sum``).  Only the class
+sums meet the roots of unity; ``base_point_argmax`` feeds chunks to it.
 """
 from __future__ import annotations
 
@@ -63,14 +66,30 @@ def _shift_table(p: int, n: int) -> np.ndarray:
     return acc
 
 
+def _corner_factors(p: int, n: int, m: int, tables: dict, rows=None):
+    """The factors of a corner product, of either table kind: each table at
+    the sum of the variables in its bitmask, one axis per variable."""
+    size = p**n
+    sh = _shift_table(p, n)
+    axes = [np.arange(size).reshape((1,) * i + (size,) + (1,) * (m - 1 - i)) for i in range(m)]
+    if rows is not None:
+        axes[0] = np.asarray(rows).reshape((-1,) + (1,) * (m - 1))
+    for S, tab in sorted(tables.items()):
+        idx = None
+        for i in range(m):
+            if S >> i & 1:
+                idx = axes[i] if idx is None else sh[idx, axes[i]]
+        yield tab[..., idx]
+
+
 def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None) -> np.ndarray:
     """Exact prod_S tables[S](sum of the variables in S) over (F_p^n)^m.
 
-    ``tables`` maps bitmasks S over m index variables (bit i = variable i)
-    to (degree, p^n) coefficient arrays in ring R; the result has shape
-    (degree,) + (p^n,) * m, one axis per variable.  These are the corner
-    products behind Gowers-Cauchy-Schwarz averages.  With ``rows``, the
-    first variable runs over those indices only.
+    ``tables`` maps bitmasks S over m index variables (bit i = variable i) to
+    (degree, p^n) coefficient arrays in ring R; the result has shape (degree,)
+    + (p^n,) * m, one axis per variable: the corner products of values behind
+    ``_corner_sums``, which adds the exponent tables of phases instead.  With
+    ``rows``, the first variable runs over those indices only.
 
     Each ring product stays within degree^2 times its factors' largest
     coefficients, so the product, any sum of its entries, and one more
@@ -84,17 +103,8 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
         bound *= int(np.abs(tab).max(initial=0))
     if bound > _INT64_MAX:
         tables = {S: tab.astype(object) for S, tab in tables.items()}
-    sh = _shift_table(p, n)
-    axes = [np.arange(size).reshape((1,) * i + (size,) + (1,) * (m - 1 - i)) for i in range(m)]
-    if rows is not None:
-        axes[0] = np.asarray(rows).reshape((-1,) + (1,) * (m - 1))
     prod = None
-    for S, tab in sorted(tables.items()):
-        idx = None
-        for i in range(m):
-            if S >> i & 1:
-                idx = axes[i] if idx is None else sh[idx, axes[i]]
-        factor = tab[:, idx]
+    for factor in _corner_factors(p, n, m, tables, rows):
         prod = factor if prod is None else R.mul_arrays(prod, factor)
     return prod
 
@@ -109,12 +119,13 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
 
     The entries are summed per class (label, expo mod p): one stable argsort
     of the class keys, then ``np.add.reduceat`` over the runs of equal keys,
-    so memory stays O(entries).  Only the groups x p class sums are
-    multiplied by omega_p^t = zeta^{tN/p}, in one ring product, and added
-    over t.  A class sum stays within entries max|prod|, its product by a
-    root within degree^2 times that, and the sum over t within
-    p degree^2 entries max|prod|; the sums run on int64 while that bound
-    fits and on Python integers past it.
+    so memory stays O(entries); phases skip prod, and ``_corner_sums`` counts
+    their classes (label, exponent mod N) with ``np.bincount``, exact on int64.
+    Only the groups x p class sums are multiplied by omega_p^t = zeta^{tN/p},
+    in one ring product, and added over t.  A class sum stays within entries
+    max|prod|, its product by a root within degree^2 times that, and the sum
+    over t within p degree^2 entries max|prod|; the sums run on int64 while
+    that bound fits and on Python integers past it.
     """
     if R.N % p:
         raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
@@ -137,6 +148,47 @@ def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: in
     return CorrValue.from_sum(R, sums[:, 0], den) if labels is None else sums
 
 
+def _corner_sums(R: CycloRing, p: int, n: int, m: int, tables: dict, expo, labels=0, groups: int = 1, rows=None):
+    """The (degree, groups) exact sums of corner_product(tables) * omega_p^expo
+    per label (``phased_sum``), or with ``expo`` None the product summed over
+    the first variable, one column per point of the others: the one kernel
+    of every corner average.  ``rows`` is as in ``corner_product``.
+
+    A (degree, p^n) table is a coefficient table of ring R.  A 1-D table is
+    an exponent table t in Z/N, N = R.N, of zeta^t, negated for a conjugate.
+    When every table is an exponent table, the exponents are added, plus
+    expo N/p, and one unweighted ``np.bincount`` counts the entries per
+    class (label, exponent mod N).  Only the groups x N counts meet the
+    ring, in one integer product with the coefficients of zeta^0, ...,
+    zeta^(N-1).  A count is at most the number of entries, and a sum at most
+    N times that, so both are exact on int64.
+    """
+    size = p**n
+    if any(t.ndim > 1 for t in tables.values()):
+        prod = corner_product(R, p, n, m, tables, rows=rows)
+        if expo is None:
+            return prod.sum(axis=1).reshape(R.degree, -1)
+        return phased_sum(R, p, prod, expo, 1, labels, groups)
+    N = R.N
+    shape = (size if rows is None else len(rows),) + (size,) * (m - 1)
+    key = sum(_corner_factors(p, n, m, tables, rows))
+    if expo is None:
+        labels, groups = np.arange(size ** (m - 1)).reshape(shape[1:]), size ** (m - 1)
+    elif N % p:
+        raise PreconditionError(f"ring Z[zeta_{N}] has no {p}-th roots of unity")
+    else:
+        key = key + np.asarray(expo) % p * (N // p)
+    key = np.broadcast_to(key % N + np.asarray(labels) * N, shape)
+    counts = np.bincount(key.reshape(-1), minlength=groups * N).reshape(groups, N)
+    return R.roots_to_coeffs(np.arange(N)) @ counts.T
+
+
+def _kernel_tables(fns) -> list:
+    """Exponent tables of functions in one ring when all are phases, else their coefficient arrays."""
+    exps = [f.restricted_exps() for f in fns]
+    return exps if all(e is not None for e in exps) else [f.coeffs for f in fns]
+
+
 def first_max(R: CycloRing, sums: np.ndarray) -> int:
     """Index of the first candidate of largest |.|^2 among the columns of a
     (degree, C) array of exact sums in R over one shared denominator.
@@ -154,8 +206,9 @@ def first_max(R: CycloRing, sums: np.ndarray) -> int:
 def cube_corner_tables(R: CycloRing, tables: dict) -> dict:
     """corner_product tables over (x, h1, h2, h3) for the multiplicative
     derivative pattern: tables[S] sits at x + h_S (S a bitmask over the
-    h's), conjugated when |S| is even."""
-    return {1 | S << 1: (R.conj_arrays(t) if bin(S).count("1") % 2 == 0 else t) for S, t in tables.items()}
+    h's), conjugated when |S| is even, which negates an exponent table."""
+    conj = {S: bin(S).count("1") % 2 == 0 for S in tables}
+    return {1 | S << 1: (-t if t.ndim == 1 else R.conj_arrays(t)) if conj[S] else t for S, t in tables.items()}
 
 
 def base_point_argmax(
@@ -170,7 +223,7 @@ def base_point_argmax(
     least the average over base points; ties keep the first.  The product
     is built a chunk of first-variable values at a time, max(1,
     _CHUNK_ENTRIES // p^{(m-1)n}) of them, and each chunk's base-point sums
-    come from one ``phased_sum`` with the base points as labels.
+    come from one ``_corner_sums`` with the base points as labels.
     """
     size = p**n
     step = size ** (m - 1)
@@ -183,9 +236,8 @@ def base_point_argmax(
     sums = []
     for lo in range(0, size, rows):
         chunk = np.arange(lo, min(size, lo + rows))
-        prod = corner_product(R, p, n, m, tables, rows=chunk)
         labels = (chunk - lo).reshape((-1,) + (1,) * (m - 1)) * per_row + base
-        sums.append(phased_sum(R, p, prod, expo, 1, labels, len(chunk) * per_row))
+        sums.append(_corner_sums(R, p, n, m, tables, expo, labels, len(chunk) * per_row, rows=chunk))
     return first_max(R, np.concatenate(sums, axis=1))
 
 
@@ -563,20 +615,28 @@ def _derivative_orbits(p: int, n: int, d: int) -> tuple:
     return tuple(h[keep] for h in hs), (weights * np.where(key == nkey, 1, 2))[keep]
 
 
+@lru_cache(maxsize=None)
+def _pivot_rows(n: int) -> np.ndarray:
+    """Column i n + j, i != j: the 2^(n-2) points of F_2^n with bits i and j zero,
+    row c being c with a zero bit inserted at the lower position, then the higher."""
+    i, j = np.divmod(np.arange(n * n), n)
+    r = np.arange(1 << (n - 2))[:, None]
+    for bit in (1 << np.minimum(i, j), 1 << np.maximum(i, j)):
+        r = (r & (bit - 1)) | ((r & -bit) << 1)
+    return r
+
+
 def _complement_rows(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows of the quarter columns at p = 2: for independent shifts a, b (one
     pair per column), the (2^(n-2), columns) indices of C = {x : bit i = bit
     j = 0}, in order of c.  Bit i is the lowest set bit of a, and bit j the
     lowest set bit of b' in {b, a ^ b} with bit i clear, so F_2^n =
-    span(a, b) + C.  Row c of a column is c with a zero bit inserted at the
-    lower of the two positions, then at the higher."""
+    span(a, b) + C.  A column's rows depend only on i and j (frexp reads them
+    exactly), so they are gathered from ``_pivot_rows``, built once per n."""
     low_a = a & -a
     b2 = np.where(b & low_a, a ^ b, b)
-    low_b = b2 & -b2
-    r = np.arange(1 << (n - 2))[:, None]
-    for bit in (np.minimum(low_a, low_b), np.maximum(low_a, low_b)):
-        r = (r & (bit - 1)) | ((r & -bit) << 1)
-    return r
+    i, j = np.frexp(low_a)[1] - 1, np.frexp(b2 & -b2)[1] - 1
+    return np.take(_pivot_rows(n), i * n + j, axis=1)
 
 
 def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype):
@@ -981,14 +1041,10 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     R = f0.ring
     for g in gs.values():
         R = common_ring(R, g.ring)
-    emb = {S: g.embed(R) for S, g in gs.items()}
-    tabs = cube_corner_tables(R, {S: emb[S].coeffs for S in range(8)})
-    den = 1
-    for S in range(8):
-        den *= emb[S].den
-    prod = corner_product(R, p, n, 4, tabs)
-    total = prod.sum(axis=1).reshape(R.degree, -1).astype(object).sum(axis=1)
-    return CorrValue.from_sum(R, total, den * p ** (4 * n))
+    emb = [gs[S].embed(R) for S in range(8)]
+    tabs = cube_corner_tables(R, dict(enumerate(_kernel_tables(emb))))
+    total = _corner_sums(R, p, n, 4, tabs, None).astype(object).sum(axis=1)
+    return CorrValue.from_sum(R, total, math.prod(g.den for g in emb) * p ** (4 * n))
 
 
 def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):

@@ -242,10 +242,14 @@ def random_vector(rng, p: int, n: int) -> Vec:
 
 
 def random_subspace(rng, p: int, n: int, dim: int | None = None) -> Subspace:
+    """A random subspace of dimension ``dim``, or of a random one."""
     if dim is None:
         dim = rng.randrange(n + 1)
+    if not 0 <= dim <= n:
+        raise DimensionMismatch(f"no subspace of dimension {dim} in F_{p}^{n}")
     vectors = [random_vector(rng, p, n) for _ in range(dim + 2)]
-    U = Subspace.from_basis(p, n, vectors)
+    while (U := Subspace.from_basis(p, n, vectors)).dim < dim:
+        vectors.append(random_vector(rng, p, n))
     while U.dim > dim:
         U = Subspace.from_basis(p, n, list(U.basis)[: U.dim - 1])
     return U

@@ -170,12 +170,11 @@ def corner_witness(T: MultilinearForm, P: NcPoly, budget: Budget = DEFAULT_BUDGE
 
 
 def _constant_like(g: BoundedFunction, conj_at_zero: bool) -> BoundedFunction:
-    """The constant function conj(g(0)) as a BoundedFunction."""
+    """The constant function conj(g(0)), or g(0) without ``conj_at_zero``, as a BoundedFunction."""
     R = g.ring
-    idx0 = 0
-    col = R.conj_arrays(g.coeffs[:, idx0]) if conj_at_zero else g.coeffs[:, idx0]
-    coeffs = np.repeat(col[:, None], g.p**g.n, axis=1)
-    return BoundedFunction(g.p, g.n, R, coeffs, g.den)
+    col = R.conj_arrays(g.coeffs[:, 0]) if conj_at_zero else g.coeffs[:, 0]
+    exps = None if g.exps is None else np.full(g.size, (-1 if conj_at_zero else 1) * g.exps[0] % R.N)
+    return BoundedFunction(g.p, g.n, R, np.repeat(col[:, None], g.size, axis=1), g.den, exps=exps)
 
 
 def random_symmetric_with_ones_witness(

@@ -97,10 +97,10 @@ def derivative_sum_cube(f: BoundedFunction, budget: Budget = DEFAULT_BUDGET):
     p, n = f.p, f.n
     if p ** (4 * n) * 8 > budget.enum_cap:
         raise BudgetExceeded("derivative cube too large")
-    R, (e,) = symmetrize._common_exact(p, (f,))
-    tables = analysis.cube_corner_tables(R, dict.fromkeys(range(8), e.coeffs))
-    total = analysis.corner_product(R, p, n, 4, tables).sum(axis=1)  # sum over x; (deg, H1, H2, H3)
-    return R, total, e.den**8
+    R, emb = symmetrize._common_exact(p, (f,))
+    tables = analysis.cube_corner_tables(R, dict.fromkeys(range(8), analysis._kernel_tables(emb)[0]))
+    total = analysis._corner_sums(R, p, n, 4, tables, None)  # summed over x
+    return R, total.reshape((R.degree,) + (p**n,) * 3), emb[0].den**8
 
 
 def find_triaffine(
@@ -418,8 +418,8 @@ def _cleanup_witness(g: BoundedFunction, phase: MultiaffineForm, pair, fixed_slo
     """
     p, n = g.p, g.n
     a, b = pair
-    R, (e,) = symmetrize._common_exact(p, (g,))
-    tables = analysis.cube_corner_tables(R, {S: e.coeffs for S in range(8) if S & 6})
+    R, emb = symmetrize._common_exact(p, (g,))
+    tables = analysis.cube_corner_tables(R, dict.fromkeys(range(2, 8), analysis._kernel_tables(emb)[0]))  # S & 6 != 0
     E = symmetrize.form_cube(phase, p, n).transpose(fixed_slot, a, b)
     i = analysis.base_point_argmax(R, p, n, 4, tables, E, nbase=2, budget=budget)
     X = all_vectors(p, n)

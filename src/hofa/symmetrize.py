@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fpspace, mforms, rank
 from .analysis import (
-    BoundedFunction, CorrValue, base_point_argmax, corner_product, cube_corner_tables, first_max, phased_sum
+    BoundedFunction, CorrValue, _corner_sums, _kernel_tables, base_point_argmax, cube_corner_tables, first_max
 )
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import RealSurd, common_ring, ring
@@ -75,30 +75,29 @@ def form_cube(form, p: int, n: int) -> np.ndarray:
 def seven_correlation(bs, form, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{x,y,z} b1(x)b2(y)b3(z)b4(x+y)b5(x+z)b6(y+z)b7(x+y+z) w^{form}."""
     p, n = bs[0].p, bs[0].n
-    R, prod, den = _seven_product(bs, budget)
-    return phased_sum(R, p, prod, form_cube(form, p, n), den)
+    R, tables, den = _seven_tables(bs, budget)
+    return CorrValue.from_sum(R, _corner_sums(R, p, n, 3, tables, form_cube(form, p, n))[:, 0], den)
 
 
-def _seven_product(bs, budget: Budget) -> tuple:
-    """The ring, corner product over (x, y, z) and denominator of the seven-function average."""
+def _seven_tables(bs, budget: Budget) -> tuple:
+    """The ring, corner tables over (x, y, z) and denominator of the seven-function average."""
     p, n = bs[0].p, bs[0].n
     size = p**n
     if size**3 * 8 > budget.enum_cap:
         raise fpspace.BudgetExceeded("seven-function correlation too large")  # pragma: no cover
     R, emb = _common_exact(p, bs)
     # b1..b7 sit at the corners x, y, z, x+y, x+z, y+z, x+y+z (bitmasks over x, y, z)
-    tables = dict(zip((1, 2, 4, 3, 5, 6, 7), (b.coeffs for b in emb)))
-    den = size**3 * math.prod(b.den for b in emb)
-    return R, corner_product(R, p, n, 3, tables), den
+    tables = dict(zip((1, 2, 4, 3, 5, 6, 7), _kernel_tables(emb)))
+    return R, tables, size**3 * math.prod(b.den for b in emb)
 
 
 def three_correlation(b1, b2, b3, A: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     """Exact E_{u,v} b1(u) b2(v) b3(u+v) w^{A(u,v)} for bilinear A."""
     p, n = b1.p, b1.n
-    R, (e1, e2, e3) = _common_exact(p, (b1, b2, b3))
-    prod = corner_product(R, p, n, 2, {1: e1.coeffs, 2: e2.coeffs, 3: e3.coeffs})
-    den = p ** (2 * n) * e1.den * e2.den * e3.den
-    return phased_sum(R, p, prod, slot_cube(p, n, (0, 1), A.coeffs, k=2), den)
+    R, emb = _common_exact(p, (b1, b2, b3))
+    tables = dict(zip((1, 2, 3), _kernel_tables(emb)))
+    sums = _corner_sums(R, p, n, 2, tables, slot_cube(p, n, (0, 1), A.coeffs, k=2))
+    return CorrValue.from_sum(R, sums[:, 0], p ** (2 * n) * math.prod(b.den for b in emb))
 
 
 def derivative_witness(b: BoundedFunction, form, budget: Budget = DEFAULT_BUDGET) -> tuple:
@@ -111,8 +110,8 @@ def derivative_witness(b: BoundedFunction, form, budget: Budget = DEFAULT_BUDGET
     E_{s,h} (d^3 b)(s; h) w^{form(h)} over s, so the argmax is at least that.
     """
     p, n = b.p, b.n
-    R, (e,) = _common_exact(p, (b,))
-    tables = cube_corner_tables(R, dict.fromkeys(range(8), e.coeffs))
+    R, emb = _common_exact(p, (b,))
+    tables = cube_corner_tables(R, dict.fromkeys(range(8), _kernel_tables(emb)[0]))
     i = base_point_argmax(R, p, n, 4, tables, form_cube(form, p, n), budget=budget)
     s = all_vectors(p, n)[i]
     bs = _cs_witness_functions(b.shift_arg(s), b, s)
@@ -412,9 +411,11 @@ def _cs_witness_functions(shifted: BoundedFunction, b7: BoundedFunction, s) -> t
     """
     p, n, R = b7.p, b7.n, b7.ring
     sc = shifted.conj()
-    # fold the constant conj(b7(s)) into b1'
-    const = R.conj_arrays(b7.coeffs[:, vec_index(p, s)])
-    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const), shifted.den * b7.den)
+    # fold the constant conj(b7(s)) into b1', a phase when b7 is one
+    i = vec_index(p, s)
+    const = R.conj_arrays(b7.coeffs[:, i])
+    exps = None if b7.exps is None else (shifted.exps - b7.exps[i]) % R.N
+    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const), shifted.den * b7.den, exps=exps)
     return (b1p, shifted, shifted, sc, sc, sc, shifted)
 
 
@@ -559,7 +560,7 @@ def _best_coset_witness(
     full correlation, so the best triple is at least delta.
 
     Each (x, y, z) is labelled by its triple of cosets, x-coset major
-    (``itertools.product`` order), and one labelled ``phased_sum`` of the
+    (``itertools.product`` order), and one labelled ``_corner_sums`` of the
     full seven-function product gives every triple's sum over its
     p^(3 dim U) points: its restricted correlation.  Ties keep the first
     triple; only the winner is restricted.
@@ -567,10 +568,10 @@ def _best_coset_witness(
     p, n = T.p, T.n
     reps = list(fpspace.enumerate_subspace(fpspace.complement(U), budget))
     r = len(reps)
-    R, prod, den = _seven_product(witness.bs, budget)
+    R, tables, den = _seven_tables(witness.bs, budget)
     coset = _coset_labels(U)
     labels = (coset[:, None, None] * r + coset[None, :, None]) * r + coset[None, None, :]
-    sums = phased_sum(R, p, prod, form_cube(T, p, n), den, labels, r**3)
+    sums = _corner_sums(R, p, n, 3, tables, form_cube(T, p, n), labels, r**3)
     best = first_max(R, sums)
     shifts = x0, y0, z0 = reps[best // r**2], reps[best // r % r], reps[best % r]
     val = CorrValue.from_sum(R, sums[:, best], den // r**3)

@@ -85,6 +85,17 @@ def test_complement_random_subspaces(p, nmax):
         assert U.dim + W.dim == n
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_random_subspace_has_the_dimension_asked_for(p):
+    # dim + 2 random vectors can span less than dim (25 of these seeds at p = 2, n = 3, dim 3)
+    for n in range(1, 5):
+        for dim in range(n + 1):
+            for seed in range(100):
+                assert fs.random_subspace(random.Random(seed), p, n, dim).dim == dim, (n, dim, seed)
+    with pytest.raises(DimensionMismatch):
+        fs.random_subspace(random.Random(0), p, 2, 3)
+
+
 @given(st.integers(0, 10**6), st.sampled_from([(2, 4), (3, 3)]))
 @settings(max_examples=60, deadline=None)
 def test_subspace_invariants(seed, pn):

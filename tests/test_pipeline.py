@@ -540,3 +540,59 @@ class TestOracleBudgetFailsFast:
         f = an.BoundedFunction.from_poly_phase(P0)
         with pytest.raises(BudgetExceeded, match=f"^{ncand} quadratic candidates exceed the oracle budget$"):
             pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P0)))
+
+
+def _eighth_root_noise(f, seed):
+    """f in Z[zeta_8] with about 5% of its points moved to another eighth root; still a phase."""
+    f = f.embed(ring(2, 3))
+    rng = random.Random(seed)
+    repl = {}
+    for x in rng.sample(list(all_vectors(f.p, f.n)), max(1, round(0.05 * f.size))):
+        repl[x] = (int(f.exps[vec_index(f.p, x)]) + rng.randrange(1, 8)) % 8
+    noisy = f.with_replaced_values(repl)
+    assert noisy.exps is not None
+    return noisy
+
+
+def _phase_runs():
+    """Pipeline inputs that are phases, with their options: the two guessed
+    cubics over F_2^3 (one with eighth-root noise) and F_3^2, and a supplied
+    phi with planted certificates, which runs the coset argmax."""
+    P2, f2 = depth_cubic_fixture(3)
+    P3 = NcPoly.from_classical(3, 2, {(2, 1): 1})
+    P0 = random_poly(2, 2, 3, True, seed=2)
+    term = CertTerm(
+        (0,), MultilinearForm(2, 2, 1, np.array([1, 0])), MultilinearForm(2, 2, 2, np.array([[1, 0], [1, 1]]))
+    )
+    T = -total_derivative(P0, 3) + MultilinearForm(2, 2, 3, term.tensor(3))
+    supplied = pl.PipelineOptions(
+        strategy=pl.SuppliedTriaffine(MultiaffineForm.from_multilinear(T)),
+        certs_by_perm=defect_certificates_from_terms(T, [term]),
+    )
+    return {
+        "F_2^3": (f2, pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P2))),
+        "F_2^3 noisy": (_eighth_root_noise(f2, 5), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P2))),
+        "F_3^2": (an.BoundedFunction.from_poly_phase(P3), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P3))),
+        "F_2^2 supplied": (an.BoundedFunction.from_poly_phase(P0), supplied),
+    }
+
+
+class TestPhasesSkipRingProducts:
+    """Every corner average of a phase runs on its exponent tables."""
+
+    @pytest.mark.parametrize("name", list(_phase_runs()))
+    def test_no_corner_product(self, monkeypatch, name):
+        def ring_path(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("a phase input reached the ring-product corner path")
+
+        f, opts = _phase_runs()[name]
+        monkeypatch.setattr(an, "corner_product", ring_path)
+        rep = pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+        assert rep.all_hold()
+
+    @pytest.mark.parametrize("name", list(_phase_runs()))
+    def test_stripped_exponents_give_the_same_report(self, name):
+        f, opts = _phase_runs()[name]
+        stripped = an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, f.den)
+        fast = pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()
+        assert pl.run_inverse_pipeline(stripped, Fraction(1, 2), opts).as_text() == fast

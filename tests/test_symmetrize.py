@@ -353,6 +353,31 @@ class TestSymmetrizeNonclassicalP2:
             assert needle in claims, needle
 
 
+class TestPlantedWitnessIsAPhase:
+    """The planted witness keeps its exponent tables, so symmetrization runs no ring-product corner sums."""
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)])
+    def test_symmetrize_without_corner_product(self, monkeypatch, p, n):
+        I = inst.planted_instance(p, n, seed=(1, "phase-witness"), style="general")
+        assert all(b.exps is not None for b in I.witness.bs)
+        stripped = tuple(an.BoundedFunction(b.p, b.n, b.ring, b.coeffs, b.den) for b in I.witness.bs)
+        assert np.array_equal(sym.seven_correlation(stripped, I.T).num, I.witness.delta.num)
+
+        def ring_path(*args, **kwargs):  # pragma: no cover
+            raise AssertionError("a phase witness reached the ring-product corner path")
+
+        monkeypatch.setattr(an, "corner_product", ring_path)
+        run = sym.symmetrize_nonclassical_p2 if p == 2 else sym.symmetrize_classical
+        assert run(I.T, I.witness, certs=I.certs).all_hold()
+
+    @pytest.mark.parametrize("conj_at_zero", [True, False])
+    def test_constant_carries_its_exponent(self, conj_at_zero):
+        g = an.random_unimodular_exact(random.Random(4), 3, 2, 2)
+        c = inst._constant_like(g, conj_at_zero)
+        want = an.BoundedFunction.from_exponents(3, 2, 2, [(-1 if conj_at_zero else 1) * g.exps[0]] * 9)
+        assert np.array_equal(c.exps, want.exps) and np.array_equal(c.coeffs, want.coeffs)
+
+
 class TestWitnessMeasurement:
     def test_delta_is_recomputed_from_data(self):
         rng = random.Random(18)

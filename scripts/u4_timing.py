@@ -4,16 +4,17 @@
     python scripts/u4_timing.py [max_n]
 
 Each row times U^2, U^3 and U^4 of one random function and ends with the
-process's peak RSS so far.  Five kinds of rows: an eighth-root phase on
+process's peak RSS so far.  Seven kinds of rows: an eighth-root phase on
 F_2^n, the same kind of phase written out and read back as text (so it
-carries no exponent table and takes the ring-value columns), and a
-Z[i]-valued function (a + b i) / 4 on F_2^n for n = 2..max_n, a cube-root
-phase on F_3^n for n = 2..min(max_n, 5), where the default budget stops
-U^4, and a fifth-root phase on F_5^n for n = 2..min(max_n, 3).  On F_2^2,
-F_2^3, F_3^2 and F_5^2 every norm whose definition sums at most 2^14
-derivatives (all but U^4 on F_5^2) is also compared with the
-definition-chasing ``direct_gowers_power``, as exact ring elements; a
-mismatch exits with status 1.
+carries no exponent table and takes the ring-value columns), a Z[i]-valued
+function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
+half) and a sixteenth-root phase (whose U^4 takes the Gram fold) on F_2^n
+for n = 2..max_n, a cube-root phase on F_3^n for n = 2..min(max_n, 5),
+where the default budget stops U^4, and a fifth-root phase on F_5^n for n =
+2..min(max_n, 3).  On F_2^2, F_2^3, F_3^2 and F_5^2 every norm whose
+definition sums at most 2^14 derivatives (all but U^4 on F_5^2) is also
+compared with the definition-chasing ``direct_gowers_power``, as exact ring
+elements; a mismatch exits with status 1.
 """
 import random
 import resource
@@ -48,6 +49,8 @@ KINDS = [
     ("eighth-root phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 3), None, 3),
     ("loaded eighth-root phase", 2, loaded_phase, None, 3),
     ("Z[i] values, den 4", 2, gaussian_function, None, 3),
+    ("+-1 phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 1), None, 3),
+    ("sixteenth-root phase", 2, lambda rng, n: an.random_unimodular_exact(rng, 2, n, 4), None, 3),
     ("cube-root phase", 3, lambda rng, n: an.random_unimodular_exact(rng, 3, n, 1), 5, 2),
     ("fifth-root phase", 5, lambda rng, n: an.random_unimodular_exact(rng, 5, n, 1), 3, 2),
 ]

@@ -18,14 +18,15 @@ on int64 only where a stated bound allows and on Python integers
 elsewhere.  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
-|W - conj W|^4).  Every corner average (the seven- and three-function
-witnesses, the derivative cube, the octolinear identity) runs one kernel,
-``_corner_sums``, on two table kinds.  Phases carrying ``exps`` add their
-exponent tables and count each (label, exponent mod N) class with one
-``np.bincount``, on int64: a count is at most the number of entries, a sum
-N times that.  Other values multiply coefficient planes and sum each
-(label, exponent) class from one sort (``phased_sum``).  Only the class
-sums meet the roots of unity; ``base_point_argmax`` feeds chunks to it.
+|W - conj W|^4), on the real coordinates of the two halves.  Every corner
+average (the seven- and three-function witnesses, the derivative cube, the
+octolinear identity) runs one kernel, ``_corner_sums``, on two table kinds.
+Phases carrying ``exps`` add their exponent tables and count each (label,
+exponent mod N) class with one ``np.bincount``, on int64: a count is at
+most the number of entries, a sum N times that.  Other values multiply
+coefficient planes and sum each (label, exponent) class from one sort
+(``phased_sum``).  Only the class sums meet the roots of unity;
+``base_point_argmax`` feeds chunks to it.
 """
 from __future__ import annotations
 
@@ -639,17 +640,44 @@ def _complement_rows(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.take(_pivot_rows(n), i * n + j, axis=1)
 
 
+def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The real coordinates of W + conj W and of (W - conj W) / i, for W in
+    Z[zeta_N], N = 2^m (planes on axis 0), written to ``out`` and returned.
+
+    Both are real elements, and with h = degree / 2 their coordinates are
+    taken on the basis e_0 = 1, e_k = zeta^k + zeta^-k (0 < k < h) of the
+    real subfield.  conj zeta^k = -zeta^{degree - k}, so W + conj W = 2 W_0 +
+    sum_k (W_k - W_{degree-k}) e_k, and W - conj W = 2 W_h zeta^h + sum_k
+    (W_k + W_{degree-k}) (zeta^k + zeta^{degree-k}); dividing by i = zeta^h
+    sends zeta^k + zeta^{degree-k} to e_{h-k}, so (W - conj W) / i = 2 W_h +
+    sum_k (W_{h-k} + W_{h+k}) e_k.  Plane 2k of ``out`` is coordinate k of
+    the plus half, plane 2k + 1 that of the minus half: in Z[zeta_8] (2 W_0,
+    2 W_2, W_1 - W_3, W_1 + W_3) on the basis (1, sqrt2), in Z[i] (2 W_0,
+    2 W_1).  In Z (degree 1) W is real, and the one plane is 2 W.
+    """
+    d = W.shape[0]
+    np.add(W[0], W[0], out=out[0])
+    if d > 1:
+        h = d // 2
+        np.add(W[h], W[h], out=out[1])
+        np.subtract(W[1:h], W[:h:-1], out=out[2::2])
+        np.add(W[h - 1 : 0 : -1], W[h + 1 :], out=out[3::2])
+    return out
+
+
 def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype):
     """Column source of a phase zeta^exps: coefficient planes of zeta^E for the
     exponent E of each derivative column, read from one table.
 
     ``columns(shifts, rows)`` takes one chunk's shift arrays; with ``rows``
-    (p = 2, d = 4 only) a column is read on those rows, x + h = x ^ h."""
+    (p = 2, d = 4 only) a column is read on those rows, x + h = x ^ h, as its
+    half coordinates (``_half_coordinates``), from a second table."""
     N = R.N
-    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
+    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N, half[:, t] its half coordinates
     ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
     if not hs:
         return lambda shifts, rows=None: np.take(ext, exps[:, None] + 2 * N, axis=1)
+    half = _half_coordinates(ext, np.empty_like(ext)) if p == 2 and len(hs) == 2 else None
     sh = _shift_table(p, n)
     esh = exps[sh]  # esh[x, h] = e(x + h)
     # the sign of e(x) in the column's exponent, plus the 2N offset into ext
@@ -663,7 +691,8 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple,
             E -= exps[rows ^ b]
             E += exps[rows]
             E += 2 * N
-        elif len(shifts) == 1:
+            return np.take(half, E, axis=1)
+        if len(shifts) == 1:
             E = esh[:, shifts[0]]
             E += base
         else:
@@ -679,26 +708,56 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple,
 
 def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
     """Column source of ring values: first-derivative table D[:, x, h] =
-    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2).
+    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2),
+    where conj D(x, h) = f(x) conj f(x + h) = D(x + h, -h).
 
-    ``columns(shifts, rows)`` as in ``_exponent_columns``."""
+    ``columns(shifts, rows)`` as in ``_exponent_columns``.  Gathers, the ring
+    product (``CycloRing.mul_arrays`` with ``out``) and the half coordinates
+    go to buffers kept from chunk to chunk, so a chunk loop allocates no
+    large array here: a returned column is overwritten by the next call."""
     if not hs:
         return lambda shifts, rows=None: coeffs[:, :, None]
-    sh = _shift_table(p, n)
-    cc = R.conj_arrays(coeffs)
+    size, sh = p**n, _shift_table(p, n)
+    scratch = {}
+
+    def buffer(name, shape, dtype=coeffs.dtype):
+        count = math.prod(shape)
+        if name not in scratch or scratch[name].size < count:
+            scratch[name] = np.empty(count, dtype=dtype)
+        return scratch[name][:count].reshape(shape)
+
+    def gather(name, table, at):
+        out = buffer(name, (R.degree,) + at.shape)
+        return np.take(table, at, axis=1, out=out, mode="clip")  # "clip" takes no copy; indices are in range
+
+    def shifted(rows, h):  # the index of x + h for each row x, every x of F_p^n without rows
+        at = buffer("index", (size if rows is None else len(rows), len(h)), np.int64)
+        if rows is None:
+            return np.take(sh, h, axis=1, out=at, mode="clip")
+        return np.bitwise_xor(rows, h, out=at)
+
     if len(hs) == 1:
-        return lambda shifts, rows=None: R.mul_arrays(np.take(coeffs, sh[:, shifts[0]], axis=1), cc[:, :, None])
-    D = R.mul_arrays(coeffs[:, sh], cc[:, :, None])
-    Dc = R.conj_arrays(D)
-    size = p**n
-    flat, cflat = D.reshape(R.degree, -1), Dc.reshape(R.degree, -1)
+        cc = R.conj_arrays(coeffs)[:, :, None]
+
+        def first(shifts, rows=None):
+            g = gather("x+h", coeffs, shifted(None, shifts[0]))
+            return R.mul_arrays(g, cc, out=buffer("prod", g.shape))
+
+        return first
+    D = R.mul_arrays(coeffs[:, sh], R.conj_arrays(coeffs)[:, :, None]).reshape(R.degree, -1)
+    neg = sh.argmin(axis=1)  # x + neg[x] = 0
+
+    def flat(rows, h, h2):  # D(x + h, h2) as one index into D's (x, h2) plane: faster than two index arrays
+        at = shifted(rows, h)
+        at *= size
+        at += h2
+        return at
 
     def columns(shifts, rows=None):
         a, b = shifts
-        # D(x + a, b) through one flat index: a gather with two index arrays is slower
-        if rows is None:
-            return R.mul_arrays(np.take(flat, sh[:, a] * size + b, axis=1), Dc[:, :, b])
-        return R.mul_arrays(np.take(flat, (rows ^ a) * size + b, axis=1), np.take(cflat, rows * size + b, axis=1))
+        g = gather("x+a", D, flat(rows, a, b))
+        prod = R.mul_arrays(g, gather("x", D, flat(rows, b, neg[b])), out=buffer("prod", g.shape))
+        return prod if rows is None else _half_coordinates(prod, g)
 
     return columns
 
@@ -714,6 +773,11 @@ _MAG2_FORMS = {
 }
 
 
+def _column_dot(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
+    """sum_j weights[j] sum_r x[r, j] y[r, j]."""
+    return int(weights @ np.einsum("xc,xc->c", x, y))
+
+
 def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tuple:
     """Weighted sum of sum_chi |tau|^4 over all columns, as ring coefficients.
 
@@ -726,9 +790,6 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tup
     ``_kernel_dtypes`` bounds both.
     """
 
-    def total(x, y):
-        return int(weights @ np.einsum("xc,xc->c", x, y))
-
     def form(terms):  # products cast plane by plane, accumulated in place
         out = np.multiply(tau[terms[0][0]], tau[terms[0][1]], dtype=dtype)
         for i, j, sign in terms[1:]:
@@ -740,14 +801,14 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tup
         m2 = R.mag_squared(tau.astype(dtype))
         gram = np.zeros((R.degree, R.degree), dtype=object)
         for i, j in zip(*np.triu_indices(R.degree)):
-            gram[i, j] = gram[j, i] = total(m2[i], m2[j])
+            gram[i, j] = gram[j, i] = _column_dot(weights, m2[i], m2[j])
         return tuple(int(c) for c in R._fold @ gram.ravel())  # the product's fold, zeta^{i+j}
     A = form(forms[0])
     if R.N != 8:
-        return (total(A, A),) + (0,) * (R.degree - 1)
+        return (_column_dot(weights, A, A),) + (0,) * (R.degree - 1)
     B = form(forms[1])
-    c1 = 2 * total(A, B)
-    return (total(A, A) + 2 * total(B, B), c1, 0, -c1)
+    c1 = 2 * _column_dot(weights, A, B)
+    return (_column_dot(weights, A, A) + 2 * _column_dot(weights, B, B), c1, 0, -c1)
 
 
 def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) -> tuple:
@@ -755,11 +816,15 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
 
     Every column g on F_p^n has |s(g(x))|^2 <= K in every embedding s; chunks
     hold ``step`` columns of weight at most ``weight``.  The quarter-size U^4
-    columns at p = 2 pass K' = ceil(K / 4) with the same n: their stacked
-    halves W +- conj W have |s(.)| <= 2^(n-1) sqrt K <= 2^n sqrt K', and
-    their sum of |.|^4, sum |tau|^4 / 16, is at most 2^(4n) K'^2, so every
-    bound below holds for them as stated (their values come from the same
-    products as the full-size columns' and keep K's dtype).  The transform has
+    columns at p = 2 pass K' = ceil(K / 4) with the same n.  Their half
+    coordinates are exactly the nonzero planes of the stacked halves W +-
+    conj W, up to sign and order, and the coordinates of z^2 those of |.|^2
+    on the halves; the halves have |s(.)| <= 2^(n-1) sqrt K <= 2^n sqrt K',
+    and their sum of |.|^4, sum |tau|^4 / 16, is at most 2^(4n) K'^2, so
+    every bound below holds for them as stated.  Their values come from the
+    same products as the full-size columns' and keep K's dtype; before the
+    transform the coordinates of g +- conj g are at most 2 sqrt K <= 2^(n-1)
+    sqrt K (n >= 2).  The transform has
     |s(tau)| <= p^n sqrt K, and sum_chi |s(tau)|^4 <= p^{4n} K^2 (Parseval).
     The trace form of Z[zeta_{p^m}] is at least p^{m-1} times the square
     norm on the power basis, so a coefficient of an element is at most
@@ -782,19 +847,73 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     return np.int64, planes, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
 
 
-def _conjugate_halves(W: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = [W + conj W ; W - conj W] along axis 1, for W in Z[zeta_{2^m}].
+@lru_cache(maxsize=None)
+def _real_squares(h: int) -> tuple:
+    """Squaring on the basis e_0 = 1, e_k = zeta^k + zeta^-k (0 < k < h) of
+    the real subfield of Z[zeta_{4h}]: for each j <= k, the terms (m, c) of
+    (2 if j < k else 1) e_j e_k = sum c e_m, so that (sum_j z_j e_j)^2 =
+    sum_{j <= k} z_j z_k sum c e_m.  With b_t = zeta^t + zeta^-t, e_j e_k =
+    b_{j+k} + b_{|j-k|}, where b_0 = 2, b_h = 0 and b_{2h-t} = -b_t."""
 
-    conj zeta^k = zeta^{-k} = -zeta^{degree - k}, so conj W is W[0] followed
-    by the negated planes W[degree - 1], ..., W[1]: two passes over the planes.
+    def b(t):
+        if t == h:
+            return {}
+        if t > h:
+            return {m: -c for m, c in b(2 * h - t).items()}
+        return {0: 2} if t == 0 else {t: 1}
+
+    squares = []
+    for j, k in zip(*np.triu_indices(h)):
+        j, k, terms = int(j), int(k), {}
+        for product in [{k: 1}] if j == 0 else [b(j + k), b(k - j)]:
+            for m, c in product.items():
+                terms[m] = terms.get(m, 0) + (2 if j < k else 1) * c
+        squares.append((j, k, tuple((m, c) for m, c in terms.items() if c)))
+    # in order of the last coordinate each pair reaches, so that the pairs adding to
+    # coordinate 0 come first: in Z[zeta_8] two stacked planes are alive at a time
+    return tuple(sorted(squares, key=lambda sq: (max(m for m, _ in sq[2]), sq[0], sq[1])))
+
+
+def _half_power_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tuple:
+    """Weighted sum of sum_phi (|W + conj W|^4 + |W - conj W|^4) over all
+    columns, as ring coefficients, from the transformed half coordinates
+    ``tau`` (``_half_coordinates``, shape (degree, 2^(n-2), columns)).
+
+    Both halves are real up to a factor i, so |z|^4 = z^4 for z on the basis
+    e of ``_real_squares``.  Coordinate k of both halves lies in planes 2k
+    and 2k + 1, so one view stacks the halves and one pass squares both:
+    z^2 from the products z_j z_k (j <= k), then the sum of (z^2)^2 from the
+    column sums of the products of its coordinates, each squared by the same
+    table.  In Z and Z[i] z = x and z^4 = x^4; in Z[zeta_8] z = x + y sqrt2,
+    z^2 = A + B sqrt2 with A = x^2 + 2y^2, B = 2xy, and z^4 = (A^2 + 2B^2) +
+    2AB sqrt2.  e_k is zeta^k - zeta^{degree-k} in the power basis.  The
+    coordinates of z^2 are coefficients of |.|^2 of a half, so the dtypes
+    are those of ``_mag4_sums``.
     """
-    q = W.shape[1]
-    plus, minus = out[:, :q], out[:, q:]
-    np.add(W[0], W[0], out=plus[0])
-    minus[0] = 0
-    np.subtract(W[1:], W[:0:-1], out=plus[1:])
-    np.add(W[1:], W[:0:-1], out=minus[1:])
-    return out
+    d, _, cols = tau.shape
+    h = max(d // 2, 1)
+    z = tau.reshape(h, -1, cols)  # z[k]: coordinate k of both halves, stacked
+    squares = _real_squares(h)
+    z2 = [None] * h
+    for j, k, terms in squares:
+        prod = np.multiply(z[j], z[k], dtype=dtype)
+        for m, c in terms:
+            t = prod * c if len(terms) > 1 else (prod if c == 1 else np.multiply(prod, c, out=prod))
+            if z2[m] is None:
+                z2[m] = t
+            else:
+                z2[m] += t
+        del prod, t  # before the next product is allocated
+    z4 = [0] * h
+    for j, k, terms in squares:
+        s = _column_dot(weights, z2[j], z2[k])
+        for m, c in terms:
+            z4[m] += c * s
+    out = [0] * d
+    out[0] = z4[0]
+    for m in range(1, h):
+        out[m], out[d - m] = z4[m], -z4[m]
+    return tuple(out)
 
 
 def _column_sets(p: int, n: int, d: int, R: CycloRing) -> list:
@@ -834,12 +953,17 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     Both brackets vanish when chi.a != chi.b; otherwise tau(chi) = 2 (W(phi)
     + (-1)^{chi.a} conj W(phi)), W the transform of g on C and phi = chi on
     C, and each (phi, chi.a) is one chi.  Hence sum_chi |tau|^4 = 16 sum_phi
-    (|W + conj W|^4 + |W - conj W|^4): the quarter columns transform 2^(n-2)
-    rows, stack the two halves (``_conjugate_halves``) and fold by 16.  Each
-    half has |s(.)| <= 2^(n-1) sqrt K and they sum to sum |s(tau)|^4 / 16 <=
-    2^(4n) (K / 4)^2, so K' = ceil(K / 4) on all of F_2^n bounds their
-    dtypes.  The 2^(n+1) - 1 other columns, and every column at odd p or d
-    < 4, run on the whole space.
+    (|W + conj W|^4 + |W - conj W|^4).  The transform on C has real kernels
+    +-1, so W +- conj W are the transforms of g +- conj g.  One half is a
+    real element z, the other i times one, each given by degree / 2
+    coordinates on a basis of the real subfield (``_half_coordinates``; in
+    Z, one plane and no minus half), and |z|^4 = z^4.  So the quarter
+    columns read the half coordinates of g on C (degree planes of 2^(n-2)
+    rows), transform them, sum z^4 over both halves (``_half_power_sums``)
+    and fold by 16.  Each half has |s(.)| <= 2^(n-1) sqrt K and they sum to
+    sum |s(tau)|^4 / 16 <= 2^(4n) (K / 4)^2, so K' = ceil(K / 4) on all of
+    F_2^n bounds their dtypes.  The 2^(n+1) - 1 other columns, and every
+    column at odd p or d < 4, run on the whole space.
     """
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
@@ -861,19 +985,18 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
         shifts, w, is_quarter = sets.pop()
         if not len(w):
             continue
-        bound = -(-K // 4) if is_quarter else K
-        _, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, bound, step, int(w.max()))
+        # a quarter column has a quarter of the rows; a chunk keeps the size of the value columns'
+        # buffers (4 * step) or of the exponent columns' int64 sums of stacked halves (2 * step)
+        bound, cols = (-(-K // 4), step * (2 if exps is not None else 4)) if is_quarter else (K, step)
+        _, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()))
         w = w.astype(acc_dt)
-        # one buffer for the stacked halves, reused by every chunk
-        halves = np.empty((R.degree, size // 2, step), dtype=plane_dt) if is_quarter else None
-        for start in range(0, len(w), step):
-            part = slice(start, start + step)
+        sums = _half_power_sums if is_quarter else _mag4_sums
+        for start in range(0, len(w), cols):
+            part = slice(start, start + cols)
             chunk = tuple(h[part] for h in shifts)
             rows = _complement_rows(n, *chunk) if is_quarter else None
             tau = _transform_inplace(R, p, np.ascontiguousarray(columns(chunk, rows), dtype=plane_dt), -1)
-            if is_quarter:
-                tau = _conjugate_halves(tau, halves[:, :, : tau.shape[2]])
-            total += (16 if is_quarter else 1) * np.array(_mag4_sums(R, tau, w[part], sum_dt), dtype=object)
+            total += (16 if is_quarter else 1) * np.array(sums(R, tau, w[part], sum_dt), dtype=object)
     return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 
 

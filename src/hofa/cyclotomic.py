@@ -76,7 +76,7 @@ class CycloRing:
 
     # -- operations on coefficient arrays of shape (degree, ...), 1-D elements included --
 
-    def mul_arrays(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def mul_arrays(self, A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Exact pointwise ring product of two (degree, ...) coefficient arrays.
 
         The trailing shapes broadcast as numpy aligns them (from the right);
@@ -84,29 +84,39 @@ class CycloRing:
         product is a sum of the plane products A[i] B[j] with signs +-1, and
         every partial sum stays within degree^2 max|A| max|B|: exact on
         object dtype, and on int64 wherever that bound fits, which callers
-        on int64 check.
+        on int64 check.  With ``out`` (of the result's shape and dtype, not
+        overlapping A or B) the product is written there and returned, so a
+        loop over chunks can keep one buffer.
 
         Up to 512 broadcast entries the outer product of the planes is folded
         by one (d x d^2) integer matmul; larger products add the signed plane
-        products in place.  Measured on a 2-vCPU Xeon with numpy 2.4: the
-        matmul takes 10 us per scalar product in Z[zeta_8] against 55 us for
-        the term loop, and the two cross between 512 and 1024 entries for
-        degree 2 to 6; at 32768 entries the matmul is 3 to 16 times slower.
+        products in place, through one plane of scratch per call.  Measured
+        on a 2-vCPU Xeon with numpy 2.4: the matmul takes 10 us per scalar
+        product in Z[zeta_8] against 55 us for the term loop, and the two
+        cross between 512 and 1024 entries for degree 2 to 6; at 32768
+        entries the matmul is 3 to 16 times slower.
         """
         d = self.degree
         if d == 1:
-            return A * B
+            return np.multiply(A, B, out=out)
         nd = max(A.ndim, B.ndim)
         sa = (1,) * (nd - A.ndim) + A.shape[1:]
         sb = (1,) * (nd - B.ndim) + B.shape[1:]
         shape = tuple(a if b == 1 else b for a, b in zip(sa, sb))  # numpy checks it in the product
         dt = np.result_type(A, B)
         if math.prod(shape) <= 512:
-            out = self._fold @ (A.reshape((d, 1) + sa) * B.reshape((1, d) + sb)).reshape(d * d, -1)
-            return out.astype(dt, copy=False).reshape((d,) + shape)
-        out = np.zeros((d,) + shape, dtype=dt)
+            prod = self._fold @ (A.reshape((d, 1) + sa) * B.reshape((1, d) + sb)).reshape(d * d, -1)
+            if out is None:
+                return prod.astype(dt, copy=False).reshape((d,) + shape)
+            out[...] = prod.reshape((d,) + shape)
+            return out
+        if out is None:
+            out = np.zeros((d,) + shape, dtype=dt)
+        else:
+            out[...] = 0
+        prod = None
         for i, j, terms in self._terms:
-            prod = A[i] * B[j]
+            prod = np.multiply(A[i], B[j], out=prod)
             for k, sign in terms:
                 if sign > 0:
                     out[k] += prod

@@ -622,11 +622,11 @@ class TestQuarterColumns:
         f = an.random_unimodular_exact(random.Random(seed), 2, n, m)
         R, shifts = f.ring, (np.array([a]), np.array([b]))
         columns = an._value_columns(R, 2, n, f.coeffs, shifts)
-        full = an._transform_inplace(R, 2, np.ascontiguousarray(columns(shifts)), -1)
-        W = an._transform_inplace(R, 2, np.ascontiguousarray(columns(shifts, rows)), -1)
-        halves = an._conjugate_halves(W, np.empty((R.degree, 2**(n - 1), 1), dtype=W.dtype))
+        # copies: the next call reuses the column source's buffers
+        full = an._transform_inplace(R, 2, np.array(columns(shifts)), -1)
+        W = an._transform_inplace(R, 2, np.array(columns(shifts, rows)), -1)  # half coordinates
         one = np.ones(1, dtype=object)
-        quarter = [16 * c for c in an._mag4_sums(R, halves, one, object)]
+        quarter = [16 * c for c in an._half_power_sums(R, W, one, object)]
         assert quarter == list(an._mag4_sums(R, full, one, object))
         exponent_rows = an._exponent_columns(R, 2, n, f.exps, shifts, np.int64)(shifts, rows)
         assert np.array_equal(exponent_rows, columns(shifts, rows))
@@ -642,6 +642,55 @@ class TestQuarterColumns:
         finally:
             tracemalloc.stop()
         assert peak <= FULL_SIZE_PEAK_BYTES[kind]
+
+
+def _stripped(f):
+    """f without ``exps``: the same values through the ring-value columns."""
+    return an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, f.den, exps=None)
+
+
+class TestHalfCoordinates:
+    """p = 2 U^4 quarter columns on the half coordinates of W +- conj W, against
+    every column on the whole space and the definition-chasing oracle."""
+
+    @staticmethod
+    def assert_exact(f):
+        new, ref = an.gowers_norm(f, 4), ref_column_power(f, 4)
+        assert (new.power_num, new.power_den) == (ref.power_num, ref.power_den)
+        if f.n <= 3:
+            assert new.power_surd() == an.direct_gowers_power(f, 4).power_surd()
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("m", range(5))  # N = 1, 2, 4, 8 and 16, the Gram fold
+    @pytest.mark.parametrize("source", ["exponents", "values"])
+    def test_phases(self, source, m, n):
+        f = an.random_unimodular_exact(random.Random(100 * n + m), 2, n, m)
+        self.assert_exact(f if source == "exponents" else _stripped(f))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_zi_den4(self, n):
+        self.assert_exact(_zi_function(4, n, 50 + n))
+
+    def test_the_paths_are_taken(self, monkeypatch):
+        # both column sources read quarter rows, every ring's sums run on half coordinates
+        calls, half_sums = [], an._half_power_sums
+
+        def spy(R, *args):
+            calls.append(R.N)
+            return half_sums(R, *args)
+
+        monkeypatch.setattr(an, "_half_power_sums", spy)
+        for m in range(5):
+            f = an.random_unimodular_exact(random.Random(m), 2, 4, m)
+            an.gowers_norm(f, 4)
+            an.gowers_norm(_stripped(f), 4)
+        assert sorted(set(calls)) == [1, 2, 4, 8, 16]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(0, 4), st.booleans(), st.integers(0, 2**32))
+    def test_random_phases(self, n, m, strip, seed):
+        f = an.random_unimodular_exact(random.Random(seed), 2, n, m)
+        self.assert_exact(_stripped(f) if strip else f)
 
 
 class TestFirstMax:

@@ -50,6 +50,18 @@ class TestOneProduct:
         assert np.array_equal(R.mul_arrays(B, A), want)
 
     @pytest.mark.parametrize("p, m", RINGS)
+    @pytest.mark.parametrize("sa, sb", SHAPES)
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_out_is_written_and_returned(self, p, m, sa, sb, dtype):
+        R = ring(p, m)
+        A, B = _operands(R, sa, sb, dtype, 3 * p + m)
+        want = ref_mul(R, A, B)
+        for fill in (0, 7):  # a reused buffer holds the last chunk's product
+            out = np.full(want.shape, fill, dtype=np.result_type(A, B))
+            assert R.mul_arrays(A, B, out=out) is out
+            assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("p, m", RINGS)
     def test_mag_squared_and_conj(self, p, m):
         R = ring(p, m)
         A, _ = _operands(R, (6,), (), np.int64, m)

@@ -194,13 +194,21 @@ def first_max(R: CycloRing, sums: np.ndarray) -> int:
     """Index of the first candidate of largest |.|^2 among the columns of a
     (degree, C) array of exact sums in R over one shared denominator.
 
-    The squares are taken once, on Python integers, and ordered exactly in
-    every ring by ``real_keys``, whose keys tie exactly where the squares
-    do; the first of equal keys wins.  The shared denominator does not
-    change the order.
+    The squares are taken once, on int64 where ``mul_arrays``' bound
+    degree^2 max|sums| max|conj sums| fits (conj sums at most degree
+    coefficients +-1, so degree max|sums| must fit first), else on Python
+    integers, and ordered exactly in every ring by ``real_keys``, whose keys
+    tie exactly where the squares do; the first of equal keys wins.  The
+    shared denominator does not change the order.
     """
     if sums.shape[1] == 0:
         raise PreconditionError("no candidates to maximise over")
+    if sums.dtype != object:
+        top = max(int(sums.max()), -int(sums.min()))
+        if R.degree * top <= _INT64_MAX:
+            conj = R.conj_arrays(sums)
+            if R.degree**2 * top * max(int(conj.max()), -int(conj.min())) <= _INT64_MAX:
+                return int(np.argmax(real_keys(R, R.mul_arrays(sums, conj))))
     return int(np.argmax(real_keys(R, R.mag_squared(np.asarray(sums, dtype=object)))))
 
 
@@ -391,18 +399,19 @@ class CorrValue:
     num: np.ndarray  # ring element
     den: int
     float_value: complex
+    _mag2: RealSurd | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_sum(cls, R: CycloRing, num: np.ndarray, den: int) -> "CorrValue":
         return cls(R, num, den, R.to_complex(num, den))
 
-    def _num_mag2(self) -> np.ndarray:
-        """|num|^2 on Python integers: the square of an int64 sum can pass int64."""
-        return self.ring.mag_squared(np.asarray(self.num, dtype=object))
-
     def mag2(self) -> RealSurd:
-        """|value|^2 as an exact RealSurd."""
-        return RealSurd.from_ring_element(self.ring, self._num_mag2(), self.den**2)
+        """|value|^2 as an exact RealSurd, computed once (on Python integers:
+        the square of an int64 sum can pass int64) and kept."""
+        if self._mag2 is None:
+            sq = self.ring.mag_squared(np.asarray(self.num, dtype=object))
+            object.__setattr__(self, "_mag2", RealSurd.from_ring_element(self.ring, sq, self.den**2))
+        return self._mag2
 
     def modulus_float(self) -> float:
         return abs(self.float_value)

@@ -12,6 +12,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .config import DEFAULT_BUDGET, Budget
 from .errors import BudgetExceeded, DimensionMismatch
 
@@ -90,6 +92,39 @@ def rref(p: int, rows) -> tuple[list[Vec], list[int]]:
 
 def mat_rank(p: int, rows) -> int:
     return len(rref(p, rows)[0])
+
+
+def stack_ranks(p: int, mats: np.ndarray) -> np.ndarray:
+    """Rank mod p of each matrix of a (B, rows, cols) stack, by one Gaussian
+    elimination run on the whole stack (on a copy, exact in int64).
+
+    Column by column, every matrix takes its first row at or below its rank
+    so far with a nonzero entry there, swaps it up to that rank, scales it
+    by the entry's inverse and clears the column below it; a matrix with no
+    such row is left as it is.
+    """
+    a = np.asarray(mats, dtype=np.int64) % p
+    B, nrows, ncols = a.shape
+    rank = np.zeros(B, dtype=np.int64)
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    row = np.arange(nrows)
+    mat = np.arange(B)
+    for c in range(ncols):
+        cand = (a[:, :, c] != 0) & (row >= rank[:, None])
+        found = cand.any(axis=1)
+        if not found.any():
+            continue
+        r = np.minimum(rank, nrows - 1)
+        piv = np.where(found, cand.argmax(axis=1), r)
+        top = a[mat, r]
+        a[mat, r] = a[mat, piv]
+        a[mat, piv] = top
+        pivot = a[mat, r] * np.where(found, inv[a[mat, r, c]], 1)[:, None] % p
+        a[mat, r] = pivot
+        below = a[:, :, c] * ((row > r[:, None]) & found[:, None])
+        a = (a - below[:, :, None] * pivot[:, None, :]) % p
+        rank += found
+    return rank
 
 
 def nullspace_basis(p: int, rows, n: int) -> list[Vec]:

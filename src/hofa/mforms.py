@@ -405,12 +405,17 @@ def extend(S_U: MultilinearForm, U: Subspace, W: Subspace) -> MultilinearForm:
 
 
 def _pullback(coeffs: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
-    """Tensor of (x_1..x_k) -> S(M x_1, ..., M x_k); M shape (dim_S, n)."""
+    """Tensor of (x_1..x_k) -> S(M x_1, ..., M x_k); M shape (dim_S, n).
+
+    One matmul per slot: the leading axis is contracted with M and the new
+    axis goes last, so after k slots the axes are back in slot order.  The
+    shapes are explicit, so dim_S = 0 or n = 0 give zero-size axes."""
+    d, n = M.shape
     cur = coeffs.astype(np.int64)
     k = cur.ndim
-    for _ in range(k):
-        cur = np.tensordot(cur, M, axes=([0], [0])) % p
-    return cur
+    for i in range(k):
+        cur = (cur.reshape(d, d ** (k - 1 - i) * n**i).T @ M) % p
+    return cur.reshape((n,) * k)
 
 
 def change_of_dual_basis(T: MultilinearForm, A_rows) -> np.ndarray:

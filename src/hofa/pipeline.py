@@ -54,7 +54,7 @@ from .symmetrize import (
     CorrelationWitness,
     LedgerEntry,
     SymmetrizationReport,
-    bias_vs_delta_power,
+    bias_entry,
     corr_entry,
     multiaffine_cs,
     slot_cube,
@@ -531,8 +531,9 @@ def run_inverse_pipeline(
         sym_report = symmetrize_classical(T, witness_T, options.certs_by_perm, budget)
     else:
         sym_report = symmetrize_nonclassical_p2(T, witness_T, options.certs_by_perm, budget)
+    bound128 = eps.mag2() ** 128
     ledger.extend(
-        bias_vs_delta_power(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128)
+        bias_entry(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128, bound128)
         for pi, bias in sym_report.defect_biases.items() if pi != (0, 1, 2)
     )
     ledger.extend(sym_report.ledger)

@@ -170,9 +170,12 @@ class LedgerEntry:
         return f"[{flag}] {self.claim}: measured {self.measured}, bound {self.bound}"
 
 
-def bias_vs_delta_power(p: int, claim: str, bias: Fraction, delta: CorrValue, power: int) -> LedgerEntry:
-    """Entry for 'arank(X) <= power * log_p(1/delta)', checked as bias >= delta^power."""
-    holds = RealSurd(bias) ** 2 >= delta.mag2() ** power
+def bias_entry(p: int, claim: str, bias: Fraction, delta: CorrValue, power: int, bound: RealSurd) -> LedgerEntry:
+    """Entry for 'arank(X) <= power * log_p(1/delta)', checked as bias >= delta^power.
+
+    ``bound`` is |delta|^(2 power), which a caller checking several biases
+    against one power computes once."""
+    holds = RealSurd(bias) ** 2 >= bound
     arank = math.inf if bias == 0 else -math.log(bias) / math.log(p)
     logd = _log_inv_float(p, delta)
     return LedgerEntry(claim, f"arank={arank:.4f}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
@@ -262,19 +265,17 @@ def permutation_defects(
     if not witness.delta_positive():
         raise PreconditionError("witness correlation is zero")
     delta = witness.delta
+    bound16 = delta.mag2() ** 16
+    bound8 = delta.mag2() ** 8
     biases = {}
     entries = []
     for pi in S3:
         defect = T - permute(T, pi)
         bias = analytic_rank(defect, budget).bias
         biases[pi] = bias
-        entries.append(
-            bias_vs_delta_power(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, delta, 16)
-        )
+        entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, delta, 16, bound16))
         if pi in TRANSPOSITIONS_3:
-            entries.append(
-                bias_vs_delta_power(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, delta, 8)
-            )
+            entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, delta, 8, bound8))
     return PermutationDefects(biases, tuple(entries))
 
 

@@ -1,6 +1,7 @@
 """Helpers only the tests use: small constructions the oracles and checks
 build from, kept out of ``hofa`` because no part of the library calls them."""
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -11,6 +12,30 @@ from hofa.cyclotomic import common_ring, ring
 from hofa.mforms import MultiaffineForm, MultilinearForm, restrict
 from hofa.rank import CertTerm, RankCertificate
 from hofa.symmetrize import seven_correlation
+
+
+def analytic_rank_loop(T):
+    """The former per-head ``rank.analytic_rank`` for k >= 2: contract the
+    first k-2 slots with one head tuple of points at a time, take each
+    bilinear slice's rank with ``fpspace.mat_rank``, and average p^{-rank}."""
+    p, n, k = T.p, T.n, T.k
+    total = Fraction(0)
+    for head in itertools.product(fpspace.all_vectors(p, n), repeat=k - 2):
+        cur = T.coeffs.astype(np.int64)
+        for x in head:
+            cur = np.tensordot(cur, np.asarray(x, dtype=np.int64), axes=([0], [0])) % p
+        r = fpspace.mat_rank(p, [tuple(int(c) for c in row) for row in cur])
+        total += Fraction(1, p**r)
+    return total / p ** (n * (k - 2))
+
+
+def pullback_tensordot(coeffs, M, p):
+    """The former ``mforms._pullback``: k ``np.tensordot`` contractions of
+    the leading axis with M, each mod p."""
+    cur = coeffs.astype(np.int64)
+    for _ in range(cur.ndim):
+        cur = np.tensordot(cur, M, axes=([0], [0])) % p
+    return cur
 
 
 def vec_sub(p, x, y):

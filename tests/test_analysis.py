@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import analysis as an
-from hofa.cyclotomic import RealSurd, common_ring, ring
+from hofa.cyclotomic import RealSurd, common_ring, real_keys, ring
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
 from hofa.mforms import MultilinearForm
@@ -763,6 +764,70 @@ class TestFirstMax:
             an.first_max(ring(2, 2), np.zeros((2, 0), dtype=np.int64))
 
 
+EVERY_RING = [(2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)]  # N = 1, 2, 4, 8, 16, 3, 9, 5
+
+
+class TestFirstMaxInt64:
+    """The int64 squares of ``first_max`` against its Python-integer squares."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """first_max that also reports the dtype of the squares it ordered."""
+        seen = []
+
+        def keys(R, elts):
+            seen.append(np.asarray(elts).dtype)
+            return real_keys(R, elts)
+
+        monkeypatch.setattr(an, "real_keys", keys)
+
+        def run(R, sums):
+            seen.clear()
+            return an.first_max(R, sums), seen[0]
+
+        return run
+
+    @pytest.mark.parametrize("p, m", EVERY_RING)
+    def test_random_sums(self, monkeypatch, p, m):
+        run, R = self.spied(monkeypatch), ring(p, m)
+        rng = np.random.default_rng(100 * p + m)
+        for scale in (1, 10**6):
+            for _ in range(10):
+                sums = rng.integers(-3 * scale, 3 * scale + 1, (R.degree, 20))
+                got, dt = run(R, sums)
+                assert dt == np.int64
+                assert got == run(R, sums.astype(object))[0]
+
+    @pytest.mark.parametrize("p, m", EVERY_RING)
+    def test_ties_keep_the_first(self, monkeypatch, p, m):
+        run, R = self.spied(monkeypatch), ring(p, m)
+        rng = np.random.default_rng(7 * p + m)
+        sums = rng.integers(-1, 2, (R.degree, 9))  # |.| <= degree < 100
+        x = 100 * R.one()
+        sums[:, 2], sums[:, 5], sums[:, 7] = x, R.mul_arrays(x, R.root(1)), -x  # equal |.|^2
+        assert run(R, sums) == (2, np.int64)
+        assert run(R, sums[:, 3:]) == (2, np.int64)  # zeta x at 5 - 3 first
+        assert run(R, sums.astype(object))[0] == 2
+
+    @pytest.mark.parametrize("p, m", EVERY_RING)
+    def test_sums_at_the_int64_bound(self, monkeypatch, p, m):
+        run, R = self.spied(monkeypatch), ring(p, m)
+        rng = np.random.default_rng(11 * p + m)
+        for _ in range(5):
+            A = rng.integers(-2, 3, (R.degree, 12)).astype(object)
+            A[0, 0] = 2  # not all zero
+            a, c = int(np.abs(A).max()), int(np.abs(R.conj_arrays(A)).max())
+            t = math.isqrt(an._INT64_MAX // (R.degree**2 * a * c))
+            for scale, dt in ((t, np.int64), (t + 1, object)):
+                sums = (A * scale).astype(np.int64)
+                got, seen = run(R, sums)
+                assert seen == dt
+                assert got == run(R, sums.astype(object))[0]
+        huge = np.zeros((R.degree, 3), dtype=np.int64)
+        huge[0] = [2**62, -(2**63), 2**63 - 1]  # past the bound in every ring
+        assert run(R, huge) == (1, object)
+
+
 class TestCorrelation:
     def test_self_phase(self):
         P = random_poly(2, 2, 2, True, seed=7)
@@ -778,6 +843,18 @@ class TestCorrelation:
         P0 = NcPoly.make(2, 1, TorusValue.zero(2), [Monomial((1,), 1, 1)])  # |x|/4
         c = an.correlation(phase(P0), NcPoly.zero(2, 1))
         assert c.mag2() == RealSurd(Fraction(1, 2))
+
+    @pytest.mark.parametrize("p, m", EVERY_RING)
+    def test_mag2_is_kept_and_equals_a_fresh_square(self, p, m):
+        R = ring(p, m)
+        rng = np.random.default_rng(p * 10 + m)
+        for den in (1, 3, 2**40):
+            num = rng.integers(-(2**40), 2**40, R.degree)
+            c = an.CorrValue.from_sum(R, num, den)
+            fresh = RealSurd.from_ring_element(R, R.mag_squared(num.astype(object)), den**2)
+            first = c.mag2()
+            assert first == fresh and c.mag2() == fresh
+            assert c.mag2() is first
 
     def test_global_constant_invariance(self):
         rng = random.Random(8)

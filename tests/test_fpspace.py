@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,3 +126,28 @@ def test_matrix_helpers():
     assert inv == [(1, 2), (0, 1)]
     sol = fs.solve_linear(3, [(1, 1), (0, 1)], (2, 1))
     assert sol is not None and fs.dot(3, (1, 1), sol) == 2 and fs.dot(3, (0, 1), sol) == 1
+
+
+@st.composite
+def matrix_stacks(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    b, r, c = draw(st.integers(1, 6)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = draw(st.lists(st.integers(0, p - 1), min_size=b * r * c, max_size=b * r * c))
+    return p, np.array(entries, dtype=np.int64).reshape(b, r, c)
+
+
+@given(matrix_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stack_ranks_match_mat_rank(case):
+    p, mats = case
+    expected = [fs.mat_rank(p, [tuple(int(v) for v in row) for row in m]) for m in mats]
+    assert fs.stack_ranks(p, mats).tolist() == expected
+
+
+def test_stack_ranks_need_swaps_and_inverses():
+    # the pivot of column 0 sits in the last row; at p = 3 and 5 the pivots are not 1
+    mats = np.array([[[0, 1, 1], [0, 2, 2], [2, 1, 0]], [[0, 0, 0], [0, 3, 1], [4, 2, 3]]])
+    assert fs.stack_ranks(3, mats[:1]).tolist() == [2]
+    assert fs.stack_ranks(5, mats).tolist() == [2, 2]
+    assert fs.stack_ranks(5, mats[:, :, :1]).tolist() == [1, 1]
+    assert fs.stack_ranks(2, np.zeros((3, 0, 4))).tolist() == [0, 0, 0]

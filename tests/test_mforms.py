@@ -12,7 +12,7 @@ from hofa.errors import PreconditionError
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.torus import TorusValue
-from oracles import alternating_slot_sum, vec_sub
+from oracles import alternating_slot_sum, pullback_tensordot, vec_sub
 
 
 class TestEval:
@@ -317,6 +317,43 @@ class TestRestrictExtend:
             S_U = mf.random_ncsm_form(rng, 2, U.dim, 3)
             ext = mf.extend(S_U, U, W)
             assert mf.is_ncsm(ext)
+
+
+@st.composite
+def pullback_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    k, d, n = draw(st.integers(0, 4)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=d**k, max_size=d**k))
+    M = draw(st.lists(st.integers(0, p - 1), min_size=d * n, max_size=d * n))
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    return p, np.array(coeffs, dtype=np.int8).reshape((d,) * k), np.array(M, dtype=dtype).reshape(d, n)
+
+
+class TestPullback:
+    """One matmul per slot against the former k tensordot contractions."""
+
+    @given(pullback_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_tensordot(self, case):
+        p, coeffs, M = case
+        got, ref = mf._pullback(coeffs, M, p), pullback_tensordot(coeffs, M, p)
+        assert got.shape == ref.shape and got.dtype == ref.dtype == np.int64
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("d, n", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_size_axes(self, d, n, k):
+        coeffs = np.zeros((d,) * k, dtype=np.int8)
+        M = np.ones((d, n), dtype=np.int64)
+        got = mf._pullback(coeffs, M, 3)
+        assert got.shape == (n,) * k and not got.any()
+        assert np.array_equal(got, pullback_tensordot(coeffs, M, 3))
+
+    def test_int8_coefficients_do_not_wrap(self):
+        # each slot sums 8 products 4 * 4, to 128: past the int8 range
+        coeffs = np.full((8, 8, 8), 4, dtype=np.int8)
+        M = np.full((8, 2), 4, dtype=np.int8)
+        assert np.array_equal(mf._pullback(coeffs, M, 5), pullback_tensordot(coeffs, M, 5))
 
 
 class TestMultiaffine:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from hofa import fpspace as fs
 from hofa import mforms as mf
 from hofa import rank as rk
-from hofa.errors import InternalCheckError, PreconditionError
+from hofa.config import Budget
+from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.mforms import MultilinearForm
+from oracles import analytic_rank_loop
 
 
 class TestAnalyticRank:
@@ -60,6 +63,82 @@ class TestAnalyticRank:
             assert rk.analytic_rank(S + T).bias >= (
                 rk.analytic_rank(S).bias * rk.analytic_rank(T).bias
             )
+
+
+# (p, n, k) with p in {2, 3, 5}, n <= 3, k <= 4; the per-head loop cannot
+# afford (5, 3, 4), 5^6 slices per form
+BATCH_SHAPES = [
+    (p, n, k) for p in (2, 3, 5) for n in range(4) for k in range(1, 5) if (p, n, k) != (5, 3, 4)
+]
+
+
+@st.composite
+def small_forms(draw):
+    p, n, k = draw(st.sampled_from(BATCH_SHAPES))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n**k, max_size=n**k))
+    return MultilinearForm(p, n, k, np.array(coeffs, dtype=np.int64).reshape((n,) * k))
+
+
+class TestBatchedAnalyticRank:
+    """The stacked slice ranks against the per-head loop and the character sum."""
+
+    @given(small_forms())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_loop_and_naive_bias(self, T):
+        bias = rk.analytic_rank(T).bias
+        if T.k >= 2:
+            assert bias == analytic_rank_loop(T)
+        if T.p ** (T.n * T.k) <= 1 << 10:
+            assert bias == rk.naive_bias(T)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 40])
+    def test_chunk_boundaries_do_not_matter(self, monkeypatch, chunk):
+        # stacks of one head, and of 4 to 10 heads, which cut across the p^n points of a slot
+        monkeypatch.setattr(rk, "_CHUNK_ENTRIES", chunk)
+        rng = random.Random(chunk)
+        for p, n, k in [(2, 2, 4), (3, 2, 3), (3, 2, 4), (2, 3, 3)]:
+            T = mf.random_form(rng, p, n, k)
+            assert rk.analytic_rank(T).bias == analytic_rank_loop(T)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_space_has_bias_one(self, p, k):
+        T = MultilinearForm(p, 0, k, np.zeros((0,) * k, dtype=np.int64))
+        assert rk.analytic_rank(T) == rk.RankResult(Fraction(1), 0.0)
+        full = mf.random_form(random.Random(k), p, 2, k)
+        assert rk.analytic_rank(mf.restrict(full, fs.Subspace.zero_space(p, 2))).bias == 1
+
+    @staticmethod
+    def product_form(p, k):
+        """x_1 x_2 ... x_k on F_p^1: a slice has rank 1 exactly when every head
+        coordinate is nonzero, so bias = 1 - ((p - 1) / p)^(k - 1)."""
+        return MultilinearForm(p, 1, k, np.ones((1,) * k, dtype=np.int64))
+
+    @pytest.mark.parametrize("p, k", [(2, 18), (3, 13)])
+    def test_more_slices_than_one_chunk(self, p, k):
+        outer = p ** (k - 2)
+        assert outer > rk._CHUNK_ENTRIES
+        bias = rk.analytic_rank(self.product_form(p, k)).bias
+        assert bias == 1 - Fraction(p - 1, p) ** (k - 1)
+
+    def test_memory_stays_bounded(self):
+        # 2^18 slices: unchunked, the stack and its temporaries take about 28 MB
+        T = self.product_form(2, 20)
+        rk.analytic_rank(T)  # warm the point table
+        tracemalloc.start()
+        try:
+            bias = rk.analytic_rank(T).bias
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bias == 1 - Fraction(1, 2**19)
+        assert peak < 8 << 20
+
+    def test_budget_message_is_kept(self):
+        T = mf.random_form(random.Random(3), 2, 3, 3)
+        with pytest.raises(BudgetExceeded, match="slice enumeration exceeds budget"):
+            rk.analytic_rank(T, Budget(enum_cap=8 * 27 - 1))
+        assert rk.analytic_rank(T, Budget(enum_cap=8 * 27)).bias == rk.naive_bias(T)
 
 
 class TestBilinearRank:

@@ -79,6 +79,27 @@ class TestPermutationDefects:
             pd = sym.permutation_defects(I.T, I.witness)
             assert pd.all_hold()
 
+    def test_each_delta_power_is_computed_once(self, monkeypatch):
+        I = inst.planted_instance(3, 2, seed=(4, "pd-test"), style="general")
+        expected = sym.permutation_defects(I.T, I.witness)
+        delta = I.witness.delta
+        exps = []
+        pow_ = RealSurd.__pow__
+
+        def spy(self, k):
+            if self is delta.mag2():
+                exps.append(k)
+            return pow_(self, k)
+
+        monkeypatch.setattr(RealSurd, "__pow__", spy)
+        pd = sym.permutation_defects(I.T, I.witness)
+        assert sorted(exps) == [8, 16]
+        assert pd == expected
+        for e in pd.ledger:  # the former per-entry check
+            bias = pd.biases[next(pi for pi in pd.biases if f"T_{pi})" in e.claim)]
+            power = 16 if "<= 16" in e.claim else 8
+            assert e.holds == (RealSurd(bias) ** 2 >= delta.mag2() ** power)
+
     def test_rejects_zero_witness(self):
         T = MultilinearForm.zero(2, 2, 3)
         zero_fn = an.BoundedFunction(2, 2, an.ring(2, 1), np.zeros((1, 4), dtype=np.int64), 1)

@@ -18,15 +18,17 @@ on int64 only where a stated bound allows and on Python integers
 elsewhere.  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
-|W - conj W|^4), on the real coordinates of the two halves.  Every corner
-average (the seven- and three-function witnesses, the derivative cube, the
-octolinear identity) runs one kernel, ``_corner_sums``, on two table kinds.
-Phases carrying ``exps`` add their exponent tables and count each (label,
-exponent mod N) class with one ``np.bincount``, on int64: a count is at
-most the number of entries, a sum N times that.  Other values multiply
-coefficient planes and sum each (label, exponent) class from one sort
-(``phased_sum``).  Only the class sums meet the roots of unity;
-``base_point_argmax`` feeds chunks to it.
+|W - conj W|^4), on the real coordinates of the two halves.  Every
+measurement of a function against a phase sums through one kernel,
+``phased_sum``: the corner averages (the seven- and three-function
+witnesses, the derivative cube, the octolinear identity, all through
+``_corner_sums``), the pipeline's g-cube measurements, the U^3 oracle and
+``correlation``.  Its phases are exponents of zeta_N, N the ring's order,
+on two table kinds: a phase carrying ``exps`` is an exponent table (a
+corner product adds them), whose (label, exponent mod N) classes one
+``np.bincount`` counts; other values are coefficient planes, summed per
+class by ``np.add.at``.  Only the class sums meet the roots of unity, in
+one integer contraction; ``base_point_argmax`` feeds chunks to it.
 """
 from __future__ import annotations
 
@@ -93,10 +95,10 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
     ``rows``, the first variable runs over those indices only.
 
     Each ring product stays within degree^2 times its factors' largest
-    coefficients, so the product, any sum of its entries, and one more
-    product by a root of unity stay within degree^(2k) times the k tables'
-    largest coefficients times the number of entries.  Past int64 that
-    bound moves the tables to object dtype; ``phased_sum`` checks its own.
+    coefficients, so the product and any sum of its entries stay within
+    degree^(2k) times the k tables' largest coefficients times the number
+    of entries.  Past int64 that bound moves the tables to object dtype;
+    ``phased_sum`` checks its own.
     """
     size = p**n
     bound = (size if rows is None else len(rows)) * size ** (m - 1) * R.degree ** (2 * len(tables))
@@ -110,78 +112,63 @@ def corner_product(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None
     return prod
 
 
-def phased_sum(R: CycloRing, p: int, prod: np.ndarray, expo: np.ndarray, den: int, labels=None, groups=None):
-    """Exact sum of prod * omega_p^expo over all entries, divided by den.
+def phased_sum(R: CycloRing, prod, expo, labels=0, groups: int = 1) -> np.ndarray:
+    """The (degree, groups) exact sums of prod * zeta^expo per label, N = R.N.
 
-    ``prod`` is a (degree, ...) coefficient array in ring R and ``expo`` an
-    F_p exponent table broadcasting to its trailing shape.  With ``labels``,
-    an integer table in range(``groups``) broadcasting the same way, the
-    (degree, groups) array of the sums over each label, over the same den.
+    ``prod`` is a (degree, ...) coefficient array in ring R, or None for 1 at
+    every entry; ``expo`` is an exponent table in Z/N and ``labels`` an
+    integer table in range(``groups``), all three broadcasting to one shape
+    of entries.
 
-    The entries are summed per class (label, expo mod p): one stable argsort
-    of the class keys, then ``np.add.reduceat`` over the runs of equal keys,
-    so memory stays O(entries); phases skip prod, and ``_corner_sums`` counts
-    their classes (label, exponent mod N) with ``np.bincount``, exact on int64.
-    Only the groups x p class sums are multiplied by omega_p^t = zeta^{tN/p},
-    in one ring product, and added over t.  A class sum stays within entries
-    max|prod|, its product by a root within degree^2 times that, and the sum
-    over t within p degree^2 entries max|prod|; the sums run on int64 while
-    that bound fits and on Python integers past it.
+    A phase's classes (label, expo mod N) are counted by one ``np.bincount``;
+    coefficient planes are summed per class by ``np.add.at``, one plane at a
+    time.  Both fold with zeta^0, ..., zeta^(N-1) once, one integer
+    contraction with the coefficients of zeta^(i+t) for plane i and class t,
+    each 0 or +-1.  A class sum stays within entries max|prod|, and a folded
+    coefficient within degree entries max|prod| (the classes split the
+    entries); the sums run on int64 while that bound fits and on Python
+    integers past it.
     """
-    if R.N % p:
-        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
-    d, shape = prod.shape[0], prod.shape[1:]
-    key = np.broadcast_to(np.asarray(expo) % p, shape)
-    if labels is None:
-        groups = 1
+    N, d = R.N, 1 if prod is None else prod.shape[0]
+    key = np.asarray(expo) % N + np.asarray(labels) * N
+    if prod is None:
+        sums = np.bincount(key.reshape(-1), minlength=groups * N)[None]
     else:
-        key = np.broadcast_to(labels, shape) * p + key
-    flat = prod.reshape(d, -1)
-    if flat.dtype != object and p * d * d * flat.shape[1] * int(np.abs(flat).max(initial=0)) > _INT64_MAX:
-        flat = flat.astype(object)
-    order = np.argsort(key, axis=None, kind="stable")
-    keys = key.reshape(-1)[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))  # one start per non-empty class
-    sums = np.zeros((d, groups * p), dtype=flat.dtype)
-    sums[:, keys[starts]] = np.add.reduceat(flat[:, order], starts, axis=1)
-    roots = R.roots_to_coeffs(np.arange(p) * (R.N // p))  # (degree, p)
-    sums = R.mul_arrays(sums.reshape(d, groups, p), roots[:, None, :]).sum(axis=2).astype(object)
-    return CorrValue.from_sum(R, sums[:, 0], den) if labels is None else sums
+        shape = np.broadcast_shapes(key.shape, prod.shape[1:])
+        key = np.broadcast_to(key, shape).reshape(-1)
+        lead = (1,) * (len(shape) + 1 - prod.ndim)  # the trailing shapes align from the right
+        flat = np.broadcast_to(prod.reshape((d,) + lead + prod.shape[1:]), (d,) + shape).reshape(d, -1)
+        if flat.dtype != object and d * flat.shape[1] * int(np.abs(flat).max(initial=0)) > _INT64_MAX:
+            flat = flat.astype(object)
+        sums = np.zeros((d, groups * N), dtype=flat.dtype)
+        for plane, row in zip(sums, flat):
+            np.add.at(plane, key, row)
+    fold = R._reduce[np.add.outer(np.arange(d), np.arange(N)).ravel() % N]  # row i N + t: zeta^(i+t)
+    return (sums.reshape(d, groups, N).transpose(1, 0, 2).reshape(groups, d * N) @ fold).T
 
 
 def _corner_sums(R: CycloRing, p: int, n: int, m: int, tables: dict, expo, labels=0, groups: int = 1, rows=None):
     """The (degree, groups) exact sums of corner_product(tables) * omega_p^expo
-    per label (``phased_sum``), or with ``expo`` None the product summed over
-    the first variable, one column per point of the others: the one kernel
-    of every corner average.  ``rows`` is as in ``corner_product``.
+    per label, or with ``expo`` None the product summed over the first
+    variable, one column per point of the others: the one kernel of every
+    corner average.  ``rows`` is as in ``corner_product``.
 
     A (degree, p^n) table is a coefficient table of ring R.  A 1-D table is
     an exponent table t in Z/N, N = R.N, of zeta^t, negated for a conjugate.
-    When every table is an exponent table, the exponents are added, plus
-    expo N/p, and one unweighted ``np.bincount`` counts the entries per
-    class (label, exponent mod N).  Only the groups x N counts meet the
-    ring, in one integer product with the coefficients of zeta^0, ...,
-    zeta^(N-1).  A count is at most the number of entries, and a sum at most
-    N times that, so both are exact on int64.
+    The corner product, the sum of the exponent tables when every table is
+    one and else ``corner_product``, goes to ``phased_sum`` with the F_p
+    exponent ``expo`` scaled by N/p.
     """
     size = p**n
-    if any(t.ndim > 1 for t in tables.values()):
-        prod = corner_product(R, p, n, m, tables, rows=rows)
-        if expo is None:
-            return prod.sum(axis=1).reshape(R.degree, -1)
-        return phased_sum(R, p, prod, expo, 1, labels, groups)
-    N = R.N
-    shape = (size if rows is None else len(rows),) + (size,) * (m - 1)
-    key = sum(_corner_factors(p, n, m, tables, rows))
     if expo is None:
-        labels, groups = np.arange(size ** (m - 1)).reshape(shape[1:]), size ** (m - 1)
-    elif N % p:
-        raise PreconditionError(f"ring Z[zeta_{N}] has no {p}-th roots of unity")
+        expo, labels, groups = 0, np.arange(size ** (m - 1)).reshape((size,) * (m - 1)), size ** (m - 1)
+    elif R.N % p:
+        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     else:
-        key = key + np.asarray(expo) % p * (N // p)
-    key = np.broadcast_to(key % N + np.asarray(labels) * N, shape)
-    counts = np.bincount(key.reshape(-1), minlength=groups * N).reshape(groups, N)
-    return R.roots_to_coeffs(np.arange(N)) @ counts.T
+        expo = np.asarray(expo) * (R.N // p)
+    if any(t.ndim > 1 for t in tables.values()):
+        return phased_sum(R, corner_product(R, p, n, m, tables, rows=rows), expo, labels, groups)
+    return phased_sum(R, None, sum(_corner_factors(p, n, m, tables, rows)) + expo, labels, groups)
 
 
 def _kernel_tables(fns) -> list:
@@ -1072,10 +1059,20 @@ def direct_gowers_power(fn: BoundedFunction, d: int, budget: Budget = DEFAULT_BU
 
 
 def correlation(fn: BoundedFunction, P: NcPoly) -> CorrValue:
-    """E_x f(x) e^{-2 pi i P(x)}, exactly."""
+    """E_x f(x) e^{-2 pi i P(x)}, exactly: one ``phased_sum`` against -P's exponent table."""
     if (fn.p, fn.n) != (P.p, P.n):
         raise DimensionMismatch("function and polynomial on different spaces")
-    return average(fn.mul(BoundedFunction.from_poly_phase(P, conjugate=True)))
+    m = max(1, P.max_depth_exponent())
+    R = common_ring(fn.ring, ring(P.p, m))
+    sums = _function_sums(R, fn.embed(R), -P.table(m) * (R.N // P.p**m))
+    return CorrValue.from_sum(R, sums[:, 0], fn.den * fn.size)
+
+
+def _function_sums(R: CycloRing, f: BoundedFunction, expo, labels=0, groups: int = 1) -> np.ndarray:
+    """``phased_sum`` of f, a function in ring R, times zeta^expo: on f's
+    exponent table when f is a phase (``_kernel_tables``), else on its coefficients."""
+    t = _kernel_tables([f])[0]
+    return phased_sum(R, None, t + expo, labels, groups) if t.ndim == 1 else phased_sum(R, t, expo, labels, groups)
 
 
 def average(fn: BoundedFunction) -> CorrValue:
@@ -1106,14 +1103,6 @@ def _quadratic_candidates(p: int, n: int, classical_only: bool):
     return tuples, m, [NcPoly(p, n, zero, (Monomial(e, j, 1),)).table(m) for e, j in tuples]
 
 
-def _candidate_exponents(p: int, n: int, tuples, m: int, tables):
-    """Every candidate coefficient tuple, in itertools.product order, and the
-    exponent table of its quadratic phase over Z/p^m, one row per candidate."""
-    cands = list(itertools.product(range(p), repeat=len(tuples)))
-    C = np.array(cands, dtype=np.int64).reshape(len(cands), len(tuples))
-    return cands, C @ np.array(tables, dtype=np.int64).reshape(len(tuples), p**n) % p**m
-
-
 def check_oracle_budget(p: int, n: int, classical_only: bool, budget: Budget = DEFAULT_BUDGET) -> None:
     """Raise ``BudgetExceeded`` when ``u3_inverse_bruteforce`` on F_p^n would
     enumerate more than ``budget.quad_oracle_cap`` candidates."""
@@ -1129,35 +1118,27 @@ def u3_inverse_bruteforce(
 ) -> tuple[NcPoly, CorrValue]:
     """Exact argmax over all degree-<=2 polynomials mod constants.
 
-    Enumeration over the canonical quadratic coefficient tuples; every
-    candidate's correlation sum comes from one ring product of f with the
-    conjugate candidate phases, chunked by ``_CHUNK_ENTRIES``, and the first
-    maximum in enumeration order wins (``first_max``).  This is an oracle
-    by enumeration, not a proof-driven inverse theorem.
+    Enumeration over the canonical quadratic coefficient tuples; the
+    candidates' correlation sums come from ``phased_sum`` of f against the
+    conjugate candidate phases, a chunk of max(1, ``_CHUNK_ENTRIES`` // p^n)
+    candidates at a time as labels, and the first maximum in enumeration
+    order wins (``first_max``).  This is an oracle by enumeration, not a
+    proof-driven inverse theorem.
     """
     p, n = fn.p, fn.n
     check_oracle_budget(p, n, classical_only, budget)
     tuples, m, tables = _quadratic_candidates(p, n, classical_only)
-    cands, exps = _candidate_exponents(p, n, tuples, m, tables)
-    R = common_ring(fn.ring, ring(p, m))
-    coeffs = fn.embed(R).coeffs
-    # a candidate's sum stays within degree^2 size max|f|
-    if R.degree**2 * fn.size * int(np.abs(coeffs).max(initial=0)) > _INT64_MAX:
-        coeffs = coeffs.astype(object)
-    exps = exps * (R.N // p**m)
-    step = max(1, _CHUNK_ENTRIES // fn.size)
-    sums = np.concatenate([
-        R.mul_arrays(coeffs[:, None], R.roots_to_coeffs(-exps[i : i + step])).sum(axis=2)
-        for i in range(0, len(cands), step)
-    ], axis=1)
+    # every candidate coefficient tuple, in itertools.product order, and its phase's exponent table over Z/p^m
+    cands = list(itertools.product(range(p), repeat=len(tuples)))
+    C = np.array(cands, dtype=np.int64).reshape(len(cands), len(tuples))
+    exps = C @ np.array(tables, dtype=np.int64).reshape(len(tuples), p**n)
+    R, step = common_ring(fn.ring, ring(p, m)), max(1, _CHUNK_ENTRIES // fn.size)
+    chunks = (-exps[i : i + step] * (R.N // p**m) for i in range(0, len(cands), step))
+    f = fn.embed(R)
+    sums = np.concatenate([_function_sums(R, f, c, np.arange(len(c))[:, None], len(c)) for c in chunks], axis=1)
     best = first_max(R, sums)
-    Q = _poly_from_candidate(p, n, tuples, cands[best])
+    Q = NcPoly.make(p, n, TorusValue.zero(p), [Monomial(e, j, c) for (e, j), c in zip(tuples, cands[best]) if c])
     return Q, CorrValue.from_sum(R, sums[:, best], fn.size * fn.den)
-
-
-def _poly_from_candidate(p, n, tuples, cand) -> NcPoly:
-    monos = [Monomial(e, j, c) for (e, j), c in zip(tuples, cand) if c]
-    return NcPoly.make(p, n, TorusValue.zero(p), monos)
 
 
 def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
@@ -1182,11 +1163,9 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
 def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):
     """|average| <= prod_S ||g_S||_{U^3}: returns (holds, norms)."""
     norms = {S: gowers_norm(g, 3, budget) for S, g in gs.items()}
-    lhs = avg.mag2() ** 8
-    rhs = RealSurd(1)
-    for S in range(8):
-        rhs = rhs * norms[S].power_surd() ** 2
-    return bool(lhs <= rhs), norms
+    squares = {v: v.power_surd() ** 2 for v in set(norms.values())}  # equal norm powers squared once
+    rhs = math.prod((squares[norms[S]] for S in range(8)), start=RealSurd(1))
+    return bool(avg.mag2() ** 8 <= rhs), norms
 
 
 # -- random generators for tests --

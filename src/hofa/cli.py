@@ -1,7 +1,8 @@
 """Command-line surface: norm, rank, integrate, symmetrize, pipeline, selftest.
 
-Exit status: 0 on success, 1 on a failed check or assertion, 2 on usage
-errors (argparse's convention).
+Exit status: 0 on success, 1 on a failed check, an error or a path that
+cannot be read or written (one ``error:`` line), 2 on usage errors
+(argparse's convention).
 """
 from __future__ import annotations
 
@@ -16,13 +17,28 @@ from .errors import HofaError
 
 
 def _read(path: str) -> str:
-    with open(path) as fh:
-        return fh.read()
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise HofaError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise HofaError(f"cannot read {path}: not a text file") from None
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise HofaError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
 
 
 def _budget_from(args) -> Budget:
@@ -122,14 +138,14 @@ def cmd_pipeline(args) -> int:
             phi = mforms.MultiaffineForm.from_multilinear(phi)
         strategy = pipeline.SuppliedTriaffine(phi)
     elif args.strategy == "random":
-        strategy = pipeline.RandomSearch(seed=args.seed or 0)
+        strategy = pipeline.RandomSearch(seed=args.seed)
     elif args.strategy == "exhaustive":
         strategy = pipeline.ExhaustiveTrilinear()
     else:  # pragma: no cover
         print(f"unknown strategy {args.strategy}", file=sys.stderr)
         return 2
     options = pipeline.PipelineOptions(strategy=strategy, budget=_budget_from(args))
-    report = pipeline.run_inverse_pipeline(fn, Fraction(args.threshold), options)
+    report = pipeline.run_inverse_pipeline(fn, args.threshold, options)
     text = report.as_text()
     if args.report:
         _write(args.report, text)
@@ -156,40 +172,41 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hofa", description="exact Gowers-norm toolkit over F_p^n")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None)
+    # --budget only where a budget is read, --seed only on pipeline (--strategy random)
+    budgeted = argparse.ArgumentParser(add_help=False)
+    budgeted.add_argument("--budget", type=int, default=None)
 
-    p_norm = sub.add_parser("norm", parents=[common], help="exact Gowers norms of a function file")
+    p_norm = sub.add_parser("norm", parents=[budgeted], help="exact Gowers norms of a function file")
     p_norm.add_argument("--input", required=True)
     p_norm.add_argument("--d", type=int, default=4)
     p_norm.set_defaults(func=cmd_norm)
 
-    p_rank = sub.add_parser("rank", parents=[common], help="bias / analytic rank / certificate length")
+    p_rank = sub.add_parser("rank", parents=[budgeted], help="bias / analytic rank / certificate length")
     p_rank.add_argument("--input", required=True)
     p_rank.set_defaults(func=cmd_rank)
 
-    p_int = sub.add_parser("integrate", parents=[common], help="solve d^k P = T")
+    p_int = sub.add_parser("integrate", help="solve d^k P = T")
     p_int.add_argument("--input", required=True)
     p_int.add_argument("--output", default=None)
     p_int.add_argument("--classical-only", action="store_true")
     p_int.set_defaults(func=cmd_integrate)
 
-    p_sym = sub.add_parser("symmetrize", parents=[common], help="symmetrize a witnessed trilinear form")
+    p_sym = sub.add_parser("symmetrize", parents=[budgeted], help="symmetrize a witnessed trilinear form")
     p_sym.add_argument("--witness", required=True, help="witness bundle file")
     p_sym.add_argument("--report", default=None)
     p_sym.set_defaults(func=cmd_symmetrize)
 
-    p_pipe = sub.add_parser("pipeline", parents=[common], help="full correlation pipeline")
+    p_pipe = sub.add_parser("pipeline", parents=[budgeted], help="full correlation pipeline")
     p_pipe.add_argument("--input", required=True)
     p_pipe.add_argument("--strategy", choices=["from-poly", "supplied", "random", "exhaustive"], required=True)
     p_pipe.add_argument("--poly", default=None)
     p_pipe.add_argument("--phi", default=None)
-    p_pipe.add_argument("--threshold", type=str, default="1/2", help="exact rational, e.g. 1/2")
+    p_pipe.add_argument("--threshold", type=_fraction, default="1/2", help="exact rational, e.g. 1/2")
+    p_pipe.add_argument("--seed", type=int, default=0, help="seed of --strategy random")
     p_pipe.add_argument("--report", default=None)
     p_pipe.set_defaults(func=cmd_pipeline)
 
-    p_self = sub.add_parser("selftest", parents=[common], help="run the acceptance checks")
+    p_self = sub.add_parser("selftest", help="run the acceptance checks")
     p_self.add_argument("--quick", action="store_true")
     p_self.set_defaults(func=cmd_selftest)
     return ap

@@ -120,9 +120,6 @@ class BilinearForm(MultilinearForm):
     def matrix(self) -> np.ndarray:
         return self.coeffs
 
-    def transpose(self) -> "BilinearForm":
-        return BilinearForm(self.p, self.n, self.coeffs.T)
-
 
 def as_bilinear(T: MultilinearForm) -> BilinearForm:
     if T.k != 2:

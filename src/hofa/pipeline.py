@@ -206,7 +206,9 @@ def measure_state(g_cube, phase: MultiaffineForm, gammas=(), labels=None, groups
     for gt in gammas:
         (ls, left), (rs, right) = gt.factors()
         expo = expo + slot_cube(p, n, ls, left) * slot_cube(p, n, rs, right)
-    return analysis.phased_sum(R, p, D, expo, den * D.shape[-1] ** 4, labels, groups)
+    if labels is not None:
+        return analysis.phased_sum(R, D, expo * (R.N // p), labels, groups)
+    return CorrValue.from_sum(R, analysis.phased_sum(R, D, expo * (R.N // p))[:, 0], den * D.shape[-1] ** 4)
 
 
 # ledger claims of one derandomization: (no-op, indicator argmax or None, character argmax)
@@ -228,6 +230,7 @@ def derandomize_indicator(
     gammas,
     eps: CorrValue,
     r_len: int,
+    bound: RealSurd,
     budget: Budget = DEFAULT_BUDGET,
     claims=RANK1_CLAIMS,
     coeff: int = 2,
@@ -235,8 +238,9 @@ def derandomize_indicator(
     """Replace the pending rank-1 phases by an exhaustive (c, xi_0) argmax.
 
     Returns (c, xi0, new_phase, measured, ledger entries).  The measured
-    correlations are checked against eps * p^{-coeff r}; ``claims`` words
-    the stage's ledger entries.
+    correlations are checked against eps * p^{-coeff r}, whose square
+    ``bound`` is ``_stage_bound_mag2(p, eps, r_len, coeff)``, computed once
+    by the caller; ``claims`` words the stage's ledger entries.
 
     Both argmaxes read the class sums S_c' of one phased product D w^phase
     over the classes c' in F_p^{2m} of the correction factors' values.  The
@@ -246,7 +250,6 @@ def derandomize_indicator(
     """
     p, n = phase.p, phase.n
     noop_claim, c_claim, xi_claim = claims
-    bound = _stage_bound_mag2(p, eps, r_len, coeff)
     if not gammas:
         measured = measure_state(g_cube, phase)
         entry = _stage_bound_entry(p, noop_claim, measured, eps, r_len, coeff, bound)
@@ -313,10 +316,10 @@ def _stage_bound_entry(
     )
 
 
-def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSurd | None = None) -> str:
+def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSurd) -> str:
     """eps * p^{-coeff r} for display, in log space where its square underflows;
-    ``sq`` is its square from ``_stage_bound_mag2`` when already computed."""
-    sq = float(_stage_bound_mag2(p, eps, r_len, coeff) if sq is None else sq)
+    ``sq`` is its square from ``_stage_bound_mag2``."""
+    sq = float(sq)
     if sq >= sys.float_info.min or eps.modulus_float() == 0:
         return f"{math.sqrt(max(sq, 0.0)):.6g}"
     lg = math.log10(eps.modulus_float())
@@ -340,14 +343,12 @@ class CleanupResult:
 
 
 def bilinear_cleanup(
-    g: BoundedFunction,
-    g_cube,
-    phase: MultiaffineForm,
-    eps: CorrValue,
-    r_len: int,
-    budget: Budget = DEFAULT_BUDGET,
+    g: BoundedFunction, phase: MultiaffineForm, bound: RealSurd, budget: Budget = DEFAULT_BUDGET
 ) -> CleanupResult:
     """Replace each bilinear phase kernel by a symmetric (nCSM) one.
+
+    ``bound`` is stage 5's (eps p^{-2r})^2, ``_stage_bound_mag2(p, eps,
+    r_len, 2)``.
 
     For each pair, an argmax over the base point and the fixed slot value
     produces a three-function instance whose kernel is that bilinear form;
@@ -359,7 +360,7 @@ def bilinear_cleanup(
     pairs = [(1, 2), (0, 2), (0, 1)]
     new_betas, quads, certs = {}, {}, {}
     entries = []
-    bound = _stage_bound_mag2(p, eps, r_len, 2) ** 8
+    bound = bound**8
     for pair in pairs:
         B = mforms.BilinearForm(p, n, _coeffs(phase, pair))
         fixed_slot = next(s for s in range(3) if s not in pair)
@@ -557,13 +558,14 @@ def run_inverse_pipeline(
     # r = max(certificate length, log_p(1/eps)); the bound helper takes the
     # certificate length and applies the log branch exactly via min().
     r_len = len(sym_report.certificate)
+    bound2, bound290 = (_stage_bound_mag2(p, eps, r_len, coeff) for coeff in (2, 290))
     c0, xi0, phase1, measured1, d_entries = derandomize_indicator(
-        g_cube, phase0, gammas, eps, r_len, budget
+        g_cube, phase0, gammas, eps, r_len, bound2, budget
     )
     ledger.extend(d_entries)
 
     # stage 6: bilinear cleanup; corrections are linear x linear on each pair
-    cleanup = bilinear_cleanup(g, g_cube, phase1, eps, r_len, budget)
+    cleanup = bilinear_cleanup(g, phase1, bound2, budget)
     ledger.extend(cleanup.ledger)
     keep = {s: c for s, c in phase1.components if len(s) != 2}
     phase2 = MultiaffineForm.make(p, n, 3, {**keep, **cleanup.new_betas})
@@ -571,10 +573,9 @@ def run_inverse_pipeline(
         GammaTerm.from_cert_term(t, pair) for pair, cert in cleanup.certs.items() for t in cert.terms
     ]
     c1, xi1, phase3, measured2, d2_entries = derandomize_indicator(
-        g_cube, phase2, lin_gammas, eps, r_len, budget, CLEANUP_CLAIMS, 290
+        g_cube, phase2, lin_gammas, eps, r_len, bound290, budget, CLEANUP_CLAIMS, 290
     )
     ledger.extend(d2_entries)
-    bound290 = _stage_bound_mag2(p, eps, r_len, 290)
     ledger.append(
         _stage_bound_entry(p, "after cleanup: |corr| >= eps p^{-290 r}", measured2, eps, r_len, 290, bound290)
     )
@@ -582,9 +583,8 @@ def run_inverse_pipeline(
         raise InternalCheckError("post-cleanup correlation fell below eps p^{-290r}")
 
     # stage 7: octolinear identity + Gowers-Cauchy-Schwarz
-    quads = {(1, 2): cleanup.quads[(1, 2)], (0, 2): cleanup.quads[(0, 2)], (0, 1): cleanup.quads[(0, 1)]}
     linears = {s: _coeffs(phase3, (s,)) for s in range(3)}
-    gs = _assemble_g_table(f, P, quads, linears)
+    gs = _assemble_g_table(f, P, cleanup.quads, linears)
     avg = analysis.octolinear_average(gs, budget)
     oct_match = avg.mag2() == measured2.mag2()
     claim = "octolinear rewrite matches the measured correlation"
@@ -601,7 +601,7 @@ def run_inverse_pipeline(
         )
     )
     u3_g = norms[0]
-    u3_holds = u3_g.power_surd() ** 2 >= bound290**8
+    u3_holds = u3_g.power_surd() >= bound290**4  # ||g||_U3^8 >= (eps p^{-290 r})^8
     ledger.append(
         LedgerEntry(
             "||f w^P||_U3 >= eps p^{-290 r}",
@@ -639,7 +639,7 @@ def run_inverse_pipeline(
         S,
         sym_report,
         P,
-        quads,
+        cleanup.quads,
         linears,
         Q,
         final_poly,

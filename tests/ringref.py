@@ -58,15 +58,19 @@ def ref_roots(R, exps):
     return np.moveaxis(ref_reduce(R.p, R.m)[np.asarray(exps) % R.N], -1, 0)
 
 
-def ref_phased_sum(R, p, prod, expo, masks=None):
+def ref_phased_sum(R, prod, expo, masks=None):
     """Per-entry reference for ``analysis.phased_sum``: every entry times its
-    own root omega_p^expo in a full ring product, summed on Python integers,
-    over all entries or under each boolean mask; the raw (degree,) or
-    (degree, len(masks)) sums, without the denominator."""
-    prod = ref_mul(R, np.asarray(prod, dtype=object), ref_roots(R, np.asarray(expo) * (R.N // p)).astype(object))
+    own root zeta_N^expo (N = R.N) in a full ring product, ``prod`` None
+    standing for 1 at every entry, summed on Python integers, over all
+    entries or under each boolean mask; the raw (degree,) or (degree,
+    len(masks)) sums."""
+    roots = ref_roots(R, expo).astype(object)
+    if prod is None:
+        prod = ref_roots(R, np.zeros(np.shape(expo), dtype=np.int64))
+    prod = ref_mul(R, np.asarray(prod, dtype=object), roots)
     if masks is None:
         return prod.reshape(prod.shape[0], -1).sum(axis=1)
-    return np.stack([prod[:, mask].sum(axis=1) for mask in masks], axis=1)
+    return np.stack([prod[:, np.broadcast_to(mask, prod.shape[1:])].sum(axis=1) for mask in masks], axis=1)
 
 
 def ref_first_max(R, sums):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -551,7 +552,8 @@ class TestNoInt64Overflow:
     def test_phased_sum_between_int64_and_uint64(self):
         # a sum in [2^63, 2^64) once became float64 and lost its last digits
         prod = np.array([[2**61 + 1] * 4, [-1, 0, 0, 0]], dtype=np.int64)
-        val = an.phased_sum(ring(2, 2), 2, prod, np.zeros(4, dtype=np.int64), 1)
+        sums = an.phased_sum(ring(2, 2), prod, np.zeros(4, dtype=np.int64))
+        val = an.CorrValue.from_sum(ring(2, 2), sums[:, 0], 1)
         assert val.mag2() == RealSurd(Fraction(85070591730234615939630628152780259345))
 
     def test_transform_of_large_coefficients_is_exact(self):
@@ -856,6 +858,29 @@ class TestCorrelation:
             assert first == fresh and c.mag2() == fresh
             assert c.mag2() is first
 
+    @pytest.mark.parametrize(
+        "kind, p, n",
+        [("phase", 2, 3), ("phase", 3, 2), ("phase", 5, 1), ("stripped", 2, 3), ("zi", 2, 2), ("ninth", 3, 2)],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_the_product_with_the_conjugate_phase(self, kind, p, n, seed):
+        """One ``phased_sum`` against -P's table equals the average of f times
+        conj e(P): the same ring, numerator and denominator."""
+        rng = random.Random(f"corr {kind} {p} {n} {seed}")
+        if kind == "zi":
+            f = _zi_function(1000, n, seed)
+        elif kind == "ninth":
+            f = an.random_unimodular_exact(rng, p, n, 2)
+        else:
+            f = an.random_unimodular_exact(rng, p, n, 3 if p == 2 else 1)
+            if kind == "stripped":
+                f = an.BoundedFunction(p, n, f.ring, f.coeffs, f.den)
+        P = random_poly(p, n, 3, p == 2, seed=seed)
+        got = an.correlation(f, P)
+        want = an.average(f.mul(phase(P, conj=True)))
+        assert got.ring.N == want.ring.N and got.den == want.den
+        assert np.array_equal(got.num, want.num)
+
     def test_global_constant_invariance(self):
         rng = random.Random(8)
         f = an.random_mu_p_function(rng, 2, 2)
@@ -944,6 +969,11 @@ def _ref_u3_oracle(fn, classical_only=False):
     return NcPoly.make(p, n, TorusValue.zero(p), monos), num
 
 
+def _stripped(f):
+    """f without its exponent table: the same values on the coefficient path."""
+    return an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, f.den)
+
+
 def _corrupted_quadratic_phase():
     return phase(random_poly(2, 2, 2, True, seed=13)).with_replaced_values({(0, 1): 3})
 
@@ -967,6 +997,43 @@ class TestU3Oracle:
         ref_Q, ref_num = _ref_u3_oracle(f, classical_only)
         assert Q == ref_Q
         assert corr.num.dtype == ref_num.dtype and np.array_equal(corr.num, ref_num)
+
+    @pytest.mark.parametrize(
+        "fixture, classical_only",
+        [
+            (_corrupted_quadratic_phase, False),
+            (lambda: _stripped(_corrupted_quadratic_phase()), False),
+            (lambda: _zi_function(1000, 2), False),
+            (lambda: phase(random_poly(3, 2, 2, False, seed=6)), True),
+            (lambda: an.random_unimodular_exact(random.Random(4), 5, 1, 1), False),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_candidate_chunks_match_the_per_candidate_loop(self, monkeypatch, fixture, classical_only, chunk):
+        """Chunks of ``chunk`` candidates, the last one short, labelled from 0
+        within each chunk: phases on their exponents, values on their planes."""
+        f = fixture()
+        monkeypatch.setattr(an, "_CHUNK_ENTRIES", chunk * f.size + 1)
+        Q, corr = an.u3_inverse_bruteforce(f, classical_only=classical_only)
+        ref_Q, ref_num = _ref_u3_oracle(f, classical_only)
+        assert Q == ref_Q and np.array_equal(corr.num, ref_num)
+
+    def test_sums_take_no_ring_product(self, monkeypatch):
+        """On Z[i] values the candidates' sums take no ``mul_arrays``; only
+        ``first_max`` squares them."""
+        callers = []
+        mul = type(ring(2, 2)).mul_arrays
+
+        def spy(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return mul(*args, **kwargs)
+
+        f = _zi_function(1000, 2)
+        ref_Q, ref_num = _ref_u3_oracle(f)
+        monkeypatch.setattr(type(f.ring), "mul_arrays", spy)
+        Q, corr = an.u3_inverse_bruteforce(f)
+        assert Q == ref_Q and np.array_equal(corr.num, ref_num)
+        assert set(callers) == {"first_max"}
 
     def test_recovers_quadratic(self):
         for seed in (3, 4, 5):
@@ -1038,6 +1105,27 @@ class TestOctolinear:
             avg = an.octolinear_average(gs)
             assert an.gcs_check(gs, avg)[0]
 
+
+    def test_gcs_squares_each_distinct_norm_power_once(self, monkeypatch):
+        g, h = phase(NcPoly.from_classical(2, 3, {(1, 1, 1): 1})), an.BoundedFunction.ones(2, 3)
+        gs = {S: (g if S % 3 else h) for S in range(8)}
+        avg = an.octolinear_average(gs)
+        want = an.gcs_check(gs, avg)
+        exps = []
+        pow_ = RealSurd.__pow__
+
+        def spy(self, k):
+            exps.append(k)
+            return pow_(self, k)
+
+        monkeypatch.setattr(RealSurd, "__pow__", spy)
+        holds, norms = an.gcs_check(gs, avg)
+        distinct = {(v.power_num, v.power_den) for v in norms.values()}
+        assert len(distinct) == 2 and sorted(exps) == [2, 2, 8]
+        rhs = RealSurd(1)
+        for S in range(8):  # the former product, one square per function
+            rhs = rhs * norms[S].power_surd() ** 2
+        assert holds == want[0] == (avg.mag2() ** 8 <= rhs)
 
     def test_gcs_fifth_root_phases(self):
         rng = random.Random(55)
@@ -1141,9 +1229,11 @@ class TestBoundedCheck:
         assert an.BoundedFunction(2, 1, R, np.array([[1, -1, 0, 0], [1, 0, 0, 0]]).T, 1).check_bounded()
 
 
-def test_phased_sum_needs_pth_roots():
-    """In Z (m = 0) there is no p-th root of unity to carry the phase."""
-    prod = np.ones((1, 4), dtype=np.int64)
+def test_corner_sums_need_pth_roots():
+    """In Z (m = 0) there is no p-th root of unity to carry the phase of a corner sum."""
+    tables = {1: np.ones((1, 4), dtype=np.int64), 3: np.ones((1, 4), dtype=np.int64)}
     with pytest.raises(PreconditionError):
-        an.phased_sum(ring(2, 0), 2, prod, np.ones(4, dtype=np.int64), 1)
-    assert an.phased_sum(ring(2, 1), 2, prod, np.ones(4, dtype=np.int64), 1).modulus_float() == 4
+        an._corner_sums(ring(2, 0), 2, 2, 2, tables, np.ones(4, dtype=np.int64))
+    tables = {S: np.array([[1] * 4, [0] * 4]) for S in tables}
+    sums = an._corner_sums(ring(2, 2), 2, 2, 2, tables, np.ones(4, dtype=np.int64))
+    assert an.CorrValue.from_sum(ring(2, 2), sums[:, 0], 1).modulus_float() == 16

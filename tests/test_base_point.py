@@ -222,7 +222,7 @@ def test_kernel_matches_the_unchunked_product():
         expo = np.array([rng.randrange(p) for _ in range(size**3)]).reshape((size,) * 3)
         prod = an.corner_product(R, p, n, 4, tables)
         base = np.arange(size**4).reshape((size,) * 4) // size ** (4 - nbase)
-        sums = ref_phased_sum(R, p, prod, expo, [base == j for j in range(size**nbase)])
+        sums = ref_phased_sum(R, prod, expo * (R.N // p), [base == j for j in range(size**nbase)])
         assert sums.shape == (R.degree, size**nbase)
         keys = [an.CorrValue.from_sum(R, sums[:, j], 1).mag2() for j in range(size**nbase)]
         first = next(j for j, k in enumerate(keys) if all(k >= other for other in keys))

@@ -225,3 +225,78 @@ def test_pipeline_has_no_classical_only_flag(tmp_path):
     fpath = tmp_path / "f.fn"
     fpath.write_text(sz.dump_function(an.BoundedFunction.ones(3, 2)))
     assert run_cli(["pipeline", "--input", str(fpath), "--strategy", "random", "--classical-only"]) == 2
+
+
+def _valid_files(tmp_path):
+    """One valid file of each kind the path cases read: a function, a cubic
+    guess, a triaffine form and a witness bundle."""
+    f = tmp_path / "ones.fn"
+    f.write_text(sz.dump_function(an.BoundedFunction.ones(2, 2)))
+    poly = tmp_path / "p0.np"
+    poly.write_text(sz.dump_poly(NcPoly.zero(2, 2)))
+    form = tmp_path / "form.mf"
+    form.write_text(sz.dump_form(mf.random_ncsm_form(random.Random(0), 2, 2, 3)))
+    inst = planted_instance(2, 2, seed=505, style="general")
+    wb = tmp_path / "witness.wb"
+    wb.write_text(sz.dump_witness_bundle(inst.T, inst.witness.bs))
+    return {"fn": str(f), "poly": str(poly), "form": str(form), "wb": str(wb)}
+
+
+MISSING = "{tmp}/missing/file"
+DIRECTORY = "{tmp}"
+BINARY = "{tmp}/binary.fn"
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["norm", "--input", MISSING], MISSING),
+        (["norm", "--input", DIRECTORY], DIRECTORY),
+        (["norm", "--input", BINARY], BINARY),
+        (["integrate", "--input", "{form}", "--output", MISSING], MISSING),
+        (["symmetrize", "--witness", MISSING], MISSING),
+        (["symmetrize", "--witness", "{wb}", "--report", MISSING], MISSING),
+        (["pipeline", "--input", "{fn}", "--strategy", "random", "--report", DIRECTORY], DIRECTORY),
+        (["pipeline", "--input", "{fn}", "--strategy", "from-poly", "--poly", MISSING], MISSING),
+        (["pipeline", "--input", "{fn}", "--strategy", "supplied", "--phi", DIRECTORY], DIRECTORY),
+    ],
+    ids=["input-missing", "input-directory", "input-binary", "output", "witness", "symmetrize-report",
+         "pipeline-report", "poly", "phi"],
+)
+def test_an_unusable_path_is_one_error_line(tmp_path, capsys, argv, bad):
+    names = dict(_valid_files(tmp_path), tmp=str(tmp_path))
+    (tmp_path / "binary.fn").write_bytes(bytes(range(256)))
+    assert run_cli([a.format(**names) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and bad.format(**names) in err
+
+
+@pytest.mark.parametrize("threshold", ["abc", "1/0", ""])
+def test_a_malformed_threshold_is_a_usage_error(tmp_path, capsys, threshold):
+    names = _valid_files(tmp_path)
+    assert run_cli(["pipeline", "--input", names["fn"], "--strategy", "random", "--threshold", threshold]) == 2
+    assert "argument --threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["selftest", "--quick", "--budget", "1", "--seed", "9"],
+        ["selftest", "--quick", "--seed", "9"],
+        ["integrate", "--input", "{form}", "--budget", "5"],
+        ["norm", "--input", "{fn}", "--seed", "1"],
+        ["rank", "--input", "{form}", "--seed", "1"],
+        ["symmetrize", "--witness", "{wb}", "--seed", "1"],
+    ],
+    ids=["selftest-budget", "selftest-seed", "integrate-budget", "norm-seed", "rank-seed", "symmetrize-seed"],
+)
+def test_an_option_a_subcommand_does_not_read_is_a_usage_error(tmp_path, argv):
+    names = _valid_files(tmp_path)
+    assert run_cli([a.format(**names) for a in argv]) == 2
+
+
+def test_pipeline_reads_seed_and_budget(tmp_path):
+    names = _valid_files(tmp_path)
+    argv = ["pipeline", "--input", names["fn"], "--strategy", "random", "--report", str(tmp_path / "r.txt")]
+    assert run_cli(argv + ["--seed", "3", "--budget", str(1 << 20)]) == 0
+    assert run_cli(argv + ["--budget", "1"]) == 1  # the budget is read: too small for the U^4 norm

@@ -49,9 +49,9 @@ def _reference(R, p, n, m, coeffs, expo, labels=None, groups=1):
     """The sums from ``corner_product`` and ``ref_phased_sum``, one column per label."""
     prod = an.corner_product(R, p, n, m, coeffs)
     if labels is None:
-        return ref_phased_sum(R, p, prod, expo)[:, None]
+        return ref_phased_sum(R, prod, np.asarray(expo) * (R.N // p))[:, None]
     full = np.broadcast_to(labels, prod.shape[1:])
-    return ref_phased_sum(R, p, prod, expo, [full == g for g in range(groups)])
+    return ref_phased_sum(R, prod, np.asarray(expo) * (R.N // p), [full == g for g in range(groups)])
 
 
 def _check(R, p, n, m, exps, coeffs, expo, labels=None, groups=1, rows=None):

@@ -97,7 +97,7 @@ class TestDerandomize:
         eps = pl.measure_state(g_cube, phase, gammas=(gamma,))
         if eps.mag2() > RealSurd(Fraction(0)):
             c, xi, new_phase, measured, entries = pl.derandomize_indicator(
-                g_cube, phase, (gamma,), eps, 1
+                g_cube, phase, (gamma,), eps, 1, pl._stage_bound_mag2(2, eps, 1, 2)
             )
             assert all(e.holds for e in entries)
             assert measured.mag2() * RealSurd(Fraction(16)) >= eps.mag2()
@@ -107,7 +107,7 @@ class TestDerandomize:
         g_cube = pl.derivative_sum_cube(f)
         phase = MultiaffineForm.make(2, 2, 3, {})
         eps = pl.measure_state(g_cube, phase)
-        c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, (), eps, 0)
+        c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, (), eps, 0, pl._stage_bound_mag2(2, eps, 0, 2))
         assert c is None and measured.mag2() == eps.mag2()
 
 
@@ -125,15 +125,17 @@ def _pin_rank1(g_cube, phase, terms):
         for s, lin, bil in terms
     )
     eps = pl.measure_state(g_cube, phase, gammas=gammas)
-    return eps, pl.derandomize_indicator(g_cube, phase, gammas, eps, len(terms))
+    bound = pl._stage_bound_mag2(phase.p, eps, len(terms), 2)
+    return eps, pl.derandomize_indicator(g_cube, phase, gammas, eps, len(terms), bound)
 
 
 def _pin_linear(g_cube, phase, terms):
     """Stage-6 derandomization of linear(h_s1) x linear(h_s2) terms."""
     gammas = [pl.GammaTerm((s1,), np.array(v1), (s2,), np.array(v2)) for s1, v1, s2, v2 in terms]
     eps = pl.measure_state(g_cube, phase, gammas=gammas)
+    bound = pl._stage_bound_mag2(phase.p, eps, len(terms), 290)
     return eps, pl.derandomize_indicator(
-        g_cube, phase, gammas, eps, len(terms), DEFAULT_BUDGET, pl.CLEANUP_CLAIMS, 290
+        g_cube, phase, gammas, eps, len(terms), bound, DEFAULT_BUDGET, pl.CLEANUP_CLAIMS, 290
     )
 
 
@@ -239,7 +241,7 @@ class TestStageBoundText:
     )
     def test_against_decimal_values(self, p, num, den, r_len, coeff, text):
         eps = an.CorrValue.from_sum(ring(p, 1), np.array([num] + [0] * (p - 2)), den)
-        assert pl._stage_bound_text(p, eps, r_len, coeff) == text
+        assert pl._stage_bound_text(p, eps, r_len, coeff, pl._stage_bound_mag2(p, eps, r_len, coeff)) == text
 
 
 def _reference_derandomize(g_cube, phase, gammas):
@@ -312,7 +314,7 @@ class TestDerandomizeAgainstReference:
         g_cube = pl.derivative_sum_cube(f)
         phase, gammas = _random_phase_and_gammas(rng, p, m, shape)
         eps = pl.measure_state(g_cube, phase, gammas=gammas)
-        c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, gammas, eps, m)
+        c, xi, new_phase, measured, entries = pl.derandomize_indicator(g_cube, phase, gammas, eps, m, pl._stage_bound_mag2(p, eps, m, 2))
         c_ref, c_text, xi_ref, corr2, table = _reference_derandomize(g_cube, phase, gammas)
         assert (c, xi) == (c_ref, xi_ref)
         assert entries[0].measured == c_text
@@ -496,6 +498,30 @@ class TestLedgerCompleteness:
         ):
             assert needle in claims, needle
         assert rep.all_hold()
+
+
+    @pytest.mark.parametrize("name", ["F_2^3 noisy", "F_3^2", "F_2^2 supplied"])
+    def test_each_stage_bound_is_computed_once(self, monkeypatch, name):
+        """One eps p^{-2r} and one eps p^{-290 r} per run, each raised once by
+        the powers its checks take: the same report as before."""
+        f, opts = _phase_runs()[name]
+        want = pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()
+        built, raised = [], []
+        stage_bound, pow_ = pl._stage_bound_mag2, RealSurd.__pow__
+
+        def spy_bound(*args):
+            built.append((args[3], stage_bound(*args)))
+            return built[-1][1]
+
+        def spy_pow(self, k):
+            raised.extend(coeff for coeff, b in built if b is self)
+            return pow_(self, k)
+
+        monkeypatch.setattr(pl, "_stage_bound_mag2", spy_bound)
+        monkeypatch.setattr(RealSurd, "__pow__", spy_pow)
+        assert pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text() == want
+        assert [coeff for coeff, _ in built] == [2, 290]
+        assert sorted(raised) == [2, 290]  # bound2^8 in the cleanup, bound290^4 for ||f w^P||_U3
 
 
 class TestPipelineF2n4:

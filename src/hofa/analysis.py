@@ -49,6 +49,7 @@ from .torus import TorusValue
 
 
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 
 
 @lru_cache(maxsize=None)
@@ -438,24 +439,50 @@ class GowersNormValue:
         return f"U^{self.d} = {self.norm_float():.6g}"
 
 
+def _scratch():
+    """``buffer(name, shape, dtype)`` for one column-kernel call: the named
+    scratch array of that shape and dtype, reallocated only when a request
+    needs another dtype or more entries than it has, so a chunk loop
+    allocates no large array.  It is overwritten by the next request of its
+    name; the column sources, the sum routines and the transform use
+    distinct names.  The last view of each name is kept, so a request like
+    the last one costs two lookups."""
+    arrays, views = {}, {}
+
+    def buffer(name, shape, dtype):
+        last = views.get(name)
+        if last is not None and last[0] == shape and last[1] is dtype:
+            return last[2]
+        count = math.prod(shape)
+        if name not in arrays or arrays[name].dtype != dtype or arrays[name].size < count:
+            views[name] = arrays[name] = None  # no longer kept: freed once its last view is dropped
+            arrays[name] = np.empty(count, dtype=dtype)
+        views[name] = (shape, dtype, arrays[name][:count].reshape(shape))
+        return views[name][2]
+
+    return buffer
+
+
 # -- exact character transform --
 
 
-def _wht_inplace(a: np.ndarray) -> np.ndarray:
+def _wht_inplace(a: np.ndarray, buffer=None) -> np.ndarray:
     """Walsh-Hadamard transform over axis 1 of a (planes, 2^n, columns) array.
 
     The transform axis is outermost within a plane, so every butterfly
-    runs over contiguous blocks of at least one row of columns.
+    runs over contiguous blocks of at least one row of columns.  The
+    differences go through one array of ``buffer`` (``_scratch``).
     """
     planes, size, cols = a.shape
+    tmp = (buffer or _scratch())("transform", (a.size // 2,), a.dtype)
     h = 1
     while h < size:
         v = a.reshape(planes, size // (2 * h), 2, h * cols)
         x0 = v[:, :, 0]
         x1 = v[:, :, 1]
-        tmp = x0 - x1
+        diff = np.subtract(x0, x1, out=tmp.reshape(x0.shape))
         x0 += x1
-        x1[...] = tmp
+        x1[...] = diff
         h *= 2
     return a
 
@@ -524,12 +551,13 @@ def _radixp_inplace(a: np.ndarray, p: int, sign: int) -> np.ndarray:
     return a
 
 
-def _transform_inplace(R: CycloRing, p: int, a: np.ndarray, sign: int) -> np.ndarray:
-    """Exact character transform over axis 1 of (degree, p^n, columns) planes in R."""
+def _transform_inplace(R: CycloRing, p: int, a: np.ndarray, sign: int, buffer=None) -> np.ndarray:
+    """Exact character transform over axis 1 of (degree, p^n, columns) planes
+    in R; at p = 2 through the scratch of ``buffer`` (``_scratch``) if given."""
     if not a.flags.c_contiguous:  # the butterflies write through reshaped views
         raise InternalCheckError("in-place transform needs a C-contiguous array")
     if p == 2:
-        return _wht_inplace(a)
+        return _wht_inplace(a, buffer)
     if R.N % p:
         raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     return _radix3_inplace(a, sign) if p == 3 else _radixp_inplace(a, p, sign)
@@ -623,17 +651,18 @@ def _pivot_rows(n: int) -> np.ndarray:
     return r
 
 
-def _complement_rows(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _complement_rows(n: int, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rows of the quarter columns at p = 2: for independent shifts a, b (one
     pair per column), the (2^(n-2), columns) indices of C = {x : bit i = bit
     j = 0}, in order of c.  Bit i is the lowest set bit of a, and bit j the
     lowest set bit of b' in {b, a ^ b} with bit i clear, so F_2^n =
     span(a, b) + C.  A column's rows depend only on i and j (frexp reads them
-    exactly), so they are gathered from ``_pivot_rows``, built once per n."""
+    exactly), so they are gathered from ``_pivot_rows``, built once per n,
+    into ``out`` if given."""
     low_a = a & -a
     b2 = np.where(b & low_a, a ^ b, b)
     i, j = np.frexp(low_a)[1] - 1, np.frexp(b2 & -b2)[1] - 1
-    return np.take(_pivot_rows(n), i * n + j, axis=1)
+    return np.take(_pivot_rows(n), i * n + j, axis=1, out=out, mode="clip")  # "clip" takes no copy
 
 
 def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -661,73 +690,99 @@ def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype):
+def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype, buffer=None):
     """Column source of a phase zeta^exps: coefficient planes of zeta^E for the
-    exponent E of each derivative column, read from one table.
+    exponent E of each derivative column, read from one table of roots.
 
-    ``columns(shifts, rows)`` takes one chunk's shift arrays; with ``rows``
-    (p = 2, d = 4 only) a column is read on those rows, x + h = x ^ h, as its
-    half coordinates (``_half_coordinates``), from a second table."""
-    N = R.N
-    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N, half[:, t] its half coordinates
+    ``columns(shifts, quarter)`` takes one chunk's shift arrays; a quarter
+    column (p = 2, d = 4 only) is read on the rows of ``_complement_rows``
+    as its half coordinates (``_half_coordinates``).  At p = 2 (N = 2^m)
+    every exponent comes from the first-derivative table De[x 2^n + h] =
+    e(x + h) - e(x) mod N, one uint8 table of 4^n entries (int64 past N =
+    256) built once per call: E(x) = De[x 2^n + h] for d_h f, and E(x) =
+    De[(x ^ a) 2^n + b] - De[x 2^n + b] for d_a d_b f, on all x or on the
+    rows, masked by N - 1 and read from zeta^0..zeta^(N-1).  That is two
+    gathers of bytes where the exponents would take four of int64.  At odd
+    p E is summed from esh[x, h] = e(x + h) and read from the coefficients
+    of zeta^(t - 2N), 0 <= t < 4N.  Index sums, gathers and planes go to
+    arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no large
+    array here: a returned column is overwritten by the next call."""
+    buffer = buffer or _scratch()
+    N, size = R.N, p**n
+    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
     ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
     if not hs:
-        return lambda shifts, rows=None: np.take(ext, exps[:, None] + 2 * N, axis=1)
-    half = _half_coordinates(ext, np.empty_like(ext)) if p == 2 and len(hs) == 2 else None
+        return lambda shifts, quarter=False: np.take(ext, exps[:, None] + 2 * N, axis=1)
     sh = _shift_table(p, n)
+    if p == 2:
+        roots = ext[:, 2 * N : 3 * N]
+        half = _half_coordinates(roots, np.empty_like(roots)) if len(hs) == 2 else None
+        e = (exps & (N - 1)).astype(np.uint8 if N <= 256 else np.int64)
+        De = e[sh]
+        De -= e[:, None]  # on uint8 mod 256, which N divides
+        De = De.ravel()
+        x_rows = np.arange(size)[:, None] << n
+
+        def columns(shifts, quarter=False):
+            b = shifts[-1]
+            shape = (size // 4 if quarter else size, len(b))
+            at = buffer("index", shape, np.intp)
+            if quarter:
+                _complement_rows(n, *shifts, out=at)
+                at <<= n
+                at |= b
+            else:
+                np.bitwise_or(x_rows, b, out=at)
+            E = np.take(De, at, out=buffer("gather", shape, De.dtype), mode="clip")  # "clip" takes no copy
+            if len(shifts) == 2:
+                at ^= shifts[0] << n
+                E = np.subtract(np.take(De, at, out=buffer("gather 2", shape, De.dtype), mode="clip"), E, out=E)
+            E = np.bitwise_and(E, N - 1, out=at)  # mod N, also where the difference wrapped
+            out = buffer("planes", (R.degree,) + shape, dtype)
+            return np.take(half if quarter else roots, E, axis=1, out=out, mode="clip")
+
+        return columns
     esh = exps[sh]  # esh[x, h] = e(x + h)
     # the sign of e(x) in the column's exponent, plus the 2N offset into ext
     base = (2 * N + (-1) ** len(hs) * exps)[:, None]
 
-    def columns(shifts, rows=None):
-        if rows is not None:
-            a, b = shifts
-            E = exps[rows ^ a ^ b]
-            E -= exps[rows ^ a]
-            E -= exps[rows ^ b]
-            E += exps[rows]
-            E += 2 * N
-            return np.take(half, E, axis=1)
+    def odd_columns(shifts, quarter=False):
+        shape = (size, len(shifts[0]))
+        E = buffer("index", shape, esh.dtype)
         if len(shifts) == 1:
-            E = esh[:, shifts[0]]
-            E += base
+            np.take(esh, shifts[0], axis=1, out=E, mode="clip")
         else:
             a, b = shifts
-            E = esh[:, sh[a, b]]
-            E -= esh[:, a]
-            E -= esh[:, b]
-            E += base
-        return np.take(ext, E, axis=1)
+            np.take(esh, sh[a, b], axis=1, out=E, mode="clip")
+            e = buffer("index 2", shape, esh.dtype)
+            E -= np.take(esh, a, axis=1, out=e, mode="clip")
+            E -= np.take(esh, b, axis=1, out=e, mode="clip")
+        E += base
+        return np.take(ext, E, axis=1, out=buffer("planes", (R.degree,) + shape, dtype), mode="clip")
 
-    return columns
+    return odd_columns
 
 
-def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
+def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple, buffer=None):
     """Column source of ring values: first-derivative table D[:, x, h] =
     f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2),
     where conj D(x, h) = f(x) conj f(x + h) = D(x + h, -h).
 
-    ``columns(shifts, rows)`` as in ``_exponent_columns``.  Gathers, the ring
+    ``columns(shifts, quarter)`` as in ``_exponent_columns``.  Gathers, the ring
     product (``CycloRing.mul_arrays`` with ``out``) and the half coordinates
-    go to buffers kept from chunk to chunk, so a chunk loop allocates no
+    go to arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no
     large array here: a returned column is overwritten by the next call."""
+    buffer = buffer or _scratch()
     if not hs:
-        return lambda shifts, rows=None: coeffs[:, :, None]
+        return lambda shifts, quarter=False: coeffs[:, :, None]
     size, sh = p**n, _shift_table(p, n)
-    scratch = {}
-
-    def buffer(name, shape, dtype=coeffs.dtype):
-        count = math.prod(shape)
-        if name not in scratch or scratch[name].size < count:
-            scratch[name] = np.empty(count, dtype=dtype)
-        return scratch[name][:count].reshape(shape)
 
     def gather(name, table, at):
-        out = buffer(name, (R.degree,) + at.shape)
+        out = buffer(name, (R.degree,) + at.shape, coeffs.dtype)
         return np.take(table, at, axis=1, out=out, mode="clip")  # "clip" takes no copy; indices are in range
 
     def shifted(rows, h):  # the index of x + h for each row x, every x of F_p^n without rows
-        at = buffer("index", (size if rows is None else len(rows), len(h)), np.int64)
+        at = buffer("index", (size if rows is None else len(rows), len(h)), np.intp)
         if rows is None:
             return np.take(sh, h, axis=1, out=at, mode="clip")
         return np.bitwise_xor(rows, h, out=at)
@@ -735,9 +790,9 @@ def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
     if len(hs) == 1:
         cc = R.conj_arrays(coeffs)[:, :, None]
 
-        def first(shifts, rows=None):
-            g = gather("x+h", coeffs, shifted(None, shifts[0]))
-            return R.mul_arrays(g, cc, out=buffer("prod", g.shape))
+        def first(shifts, quarter=False):
+            g = gather("gather", coeffs, shifted(None, shifts[0]))
+            return R.mul_arrays(g, cc, out=buffer("product", g.shape, coeffs.dtype))
 
         return first
     D = R.mul_arrays(coeffs[:, sh], R.conj_arrays(coeffs)[:, :, None]).reshape(R.degree, -1)
@@ -749,11 +804,13 @@ def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple):
         at += h2
         return at
 
-    def columns(shifts, rows=None):
+    def columns(shifts, quarter=False):
         a, b = shifts
-        g = gather("x+a", D, flat(rows, a, b))
-        prod = R.mul_arrays(g, gather("x", D, flat(rows, b, neg[b])), out=buffer("prod", g.shape))
-        return prod if rows is None else _half_coordinates(prod, g)
+        rows = _complement_rows(n, a, b, out=buffer("rows", (size // 4, len(a)), np.intp)) if quarter else None
+        g = gather("gather", D, flat(rows, a, b))  # D(x + a, b)
+        conj_d = gather("gather 2", D, flat(rows, b, neg[b]))  # conj D(x, b) = D(x + b, -b)
+        prod = R.mul_arrays(g, conj_d, out=buffer("product", g.shape, coeffs.dtype))
+        return _half_coordinates(prod, g) if quarter else prod
 
     return columns
 
@@ -770,26 +827,31 @@ _MAG2_FORMS = {
 
 
 def _column_dot(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
-    """sum_j weights[j] sum_r x[r, j] y[r, j]."""
-    return int(weights @ np.einsum("xc,xc->c", x, y))
+    """sum_j weights[j] sum_r x[r, j] y[r, j]; int32 columns are summed on int64."""
+    return int(weights @ np.einsum("xc,xc->c", x, y, dtype=np.int64 if x.dtype == np.int32 else None))
 
 
-def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tuple:
+def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None) -> tuple:
     """Weighted sum of sum_chi |tau|^4 over all columns, as ring coefficients.
 
     ``tau`` holds the transform of each ring-coefficient plane, shape
     (degree, p^n, columns); column j counts ``weights[j]`` times.  |tau|^2 has
     a closed form (``_MAG2_FORMS``) for Z, Z[i], Z[omega] and Z[zeta_8], where
     |z|^2 = A + B*sqrt2 and |z|^4 = (A^2 + 2 B^2) + 2AB*sqrt2.  Other rings sum
-    the Gram matrix of the |tau|^2 planes and fold it with zeta^{i+j}.  Each
-    column is summed on ``dtype``, then weighted on ``weights``' dtype;
-    ``_kernel_dtypes`` bounds both.
+    the Gram matrix of the |tau|^2 planes and fold it with zeta^{i+j}.  The
+    products are formed on ``dtype`` in arrays of ``buffer`` (``_scratch``),
+    each column summed on it (on int64 for int32 products), then weighted on
+    ``weights``' dtype; ``_kernel_dtypes`` bounds all three.
     """
+    buffer = buffer or _scratch()
+    shape = tau.shape[1:]
 
-    def form(terms):  # products cast plane by plane, accumulated in place
-        out = np.multiply(tau[terms[0][0]], tau[terms[0][1]], dtype=dtype)
-        for i, j, sign in terms[1:]:
-            (np.add if sign > 0 else np.subtract)(out, np.multiply(tau[i], tau[j], dtype=dtype), out=out)
+    def form(out, terms):  # products cast plane by plane, accumulated in place
+        (i, j, _), rest = terms[0], terms[1:]
+        np.multiply(tau[i], tau[j], dtype=dtype, out=out)
+        prod = buffer("square terms", shape, dtype) if rest else None
+        for i, j, sign in rest:
+            (np.add if sign > 0 else np.subtract)(out, np.multiply(tau[i], tau[j], dtype=dtype, out=prod), out=out)
         return out
 
     forms = _MAG2_FORMS.get(R.N)
@@ -799,16 +861,18 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tup
         for i, j in zip(*np.triu_indices(R.degree)):
             gram[i, j] = gram[j, i] = _column_dot(weights, m2[i], m2[j])
         return tuple(int(c) for c in R._fold @ gram.ravel())  # the product's fold, zeta^{i+j}
-    A = form(forms[0])
+    squares = buffer("squares", (len(forms),) + shape, dtype)
+    A = form(squares[0], forms[0])
     if R.N != 8:
         return (_column_dot(weights, A, A),) + (0,) * (R.degree - 1)
-    B = form(forms[1])
+    B = form(squares[1], forms[1])
     c1 = 2 * _column_dot(weights, A, B)
     return (_column_dot(weights, A, A) + 2 * _column_dot(weights, B, B), c1, 0, -c1)
 
 
 def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) -> tuple:
-    """dtypes of the column kernel: (values, transform planes, column sums, chunk sums).
+    """dtypes of the column kernel: (values, transform planes, squares, column
+    sums, chunk sums).
 
     Every column g on F_p^n has |s(g(x))|^2 <= K in every embedding s; chunks
     hold ``step`` columns of weight at most ``weight``.  The quarter-size U^4
@@ -831,16 +895,25 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     stay within (p - 1) degree^2 p^{2n} K.  The planes take the narrowest
     integer type that holds sqrt((p - 1) K) p^n; a stage that passes int64
     runs on object dtype, and so does everything after it.
+
+    The squares, that is the |tau|^2 coordinates of the closed forms and the
+    z^2 coordinates of ``_half_power_sums``, are sums of at most degree^2
+    products of two plane coefficients, so they and every partial sum
+    forming them also stay within (p - 1) degree^2 p^{2n} K.  Where that
+    fits int32 they are formed on int32 and each column summed on int64
+    (then (p - 1) p^{4n} K^2 < 2^62); past it on the dtype of the column sums.
     """
     size = p**n
-    if (p - 1) * degree**2 * size**2 * K > _INT64_MAX:
-        return object, object, object, object
+    square_bound = (p - 1) * degree**2 * size**2 * K
+    if square_bound > _INT64_MAX:
+        return (object,) * 5
     top = math.isqrt((p - 1) * K * size**2) + 1
-    planes = next(dt for dt in (np.int16, np.int32, np.int64) if np.iinfo(dt).max >= top)
+    planes = np.int16 if top < 2**15 else np.int32 if top <= _INT32_MAX else np.int64
     col_bound = (p - 1) * size**4 * K**2
     if col_bound > _INT64_MAX:
-        return np.int64, planes, object, object
-    return np.int64, planes, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
+        return np.int64, planes, object, object, object
+    squares = np.int32 if square_bound <= _INT32_MAX else np.int64
+    return np.int64, planes, squares, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
 
 
 @lru_cache(maxsize=None)
@@ -870,7 +943,7 @@ def _real_squares(h: int) -> tuple:
     return tuple(sorted(squares, key=lambda sq: (max(m for m, _ in sq[2]), sq[0], sq[1])))
 
 
-def _half_power_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) -> tuple:
+def _half_power_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None) -> tuple:
     """Weighted sum of sum_phi (|W + conj W|^4 + |W - conj W|^4) over all
     columns, as ring coefficients, from the transformed half coordinates
     ``tau`` (``_half_coordinates``, shape (degree, 2^(n-2), columns)).
@@ -884,22 +957,32 @@ def _half_power_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype) 
     z^2 = A + B sqrt2 with A = x^2 + 2y^2, B = 2xy, and z^4 = (A^2 + 2B^2) +
     2AB sqrt2.  e_k is zeta^k - zeta^{degree-k} in the power basis.  The
     coordinates of z^2 are coefficients of |.|^2 of a half, so the dtypes
-    are those of ``_mag4_sums``.
+    are those of ``_mag4_sums``, and so is the use of ``buffer``.
     """
+    buffer = buffer or _scratch()
     d, _, cols = tau.shape
     h = max(d // 2, 1)
     z = tau.reshape(h, -1, cols)  # z[k]: coordinate k of both halves, stacked
     squares = _real_squares(h)
-    z2 = [None] * h
+    z2 = buffer("squares", z.shape, dtype)
+    started = set()  # coordinates of z^2 holding their first term
     for j, k, terms in squares:
-        prod = np.multiply(z[j], z[k], dtype=dtype)
+        (m, c), single = terms[0], len(terms) == 1
+        if single and m not in started:  # the product is its coordinate's first term
+            np.multiply(z[j], z[k], dtype=dtype, out=z2[m])
+            if c != 1:
+                z2[m] *= c
+            started.add(m)
+            continue
+        prod = np.multiply(z[j], z[k], dtype=dtype, out=buffer("square terms", z.shape[1:], dtype))
         for m, c in terms:
-            t = prod * c if len(terms) > 1 else (prod if c == 1 else np.multiply(prod, c, out=prod))
-            if z2[m] is None:
-                z2[m] = t
-            else:
+            scaled = prod if single else buffer("scaled terms", prod.shape, dtype)
+            t = prod if c == 1 else np.multiply(prod, c, out=scaled)
+            if m in started:
                 z2[m] += t
-        del prod, t  # before the next product is allocated
+            else:
+                z2[m] = t
+                started.add(m)
     z4 = [0] * h
     for j, k, terms in squares:
         s = _column_dot(weights, z2[j], z2[k])
@@ -934,7 +1017,9 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     weights.  A phase carrying ``exps`` builds its columns from exponents,
     anything else from ring products of its values.  With |s(f(x))|^2 <= M2
     in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
-    ``_kernel_dtypes`` turns into the dtype of each stage.
+    ``_kernel_dtypes`` turns into the dtype of each stage.  The column
+    source, the transform and the sums keep their arrays in one scratch per
+    call (``_scratch``), so no chunk allocates a large array.
 
     At p = 2 the U^4 columns of independent shifts a, b (every pair but
     a = 0 and a = b) run on a quarter of the space.  g = d_a d_b f is
@@ -965,34 +1050,43 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     size = p**n
     exps = fn.restricted_exps()
     M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
-    # value columns carry int64 gathers and ring products on every plane:
-    # 2 * degree times narrower chunks keep their memory near the exponent path's
-    step = max(1, _CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
+    # a chunk's transform holds _CHUNK_ENTRIES entries per plane.  Value columns carry int64
+    # gathers and ring products on every plane: 2 * degree times narrower chunks keep their
+    # memory near the exponent path's.  At p = 2 the exponent columns keep int64 index sums
+    # beside int16 planes, in half-size chunks whose scratch the quarter columns share
+    if exps is None:
+        step = max(1, _CHUNK_ENTRIES // (2 * size * R.degree))
+    else:
+        step = max(1, _CHUNK_ENTRIES // (2 * size if p == 2 else size))
     K = M2 ** (1 << (d - 2))
     sets = _column_sets(p, n, d, R)
     hs = sets[0][0]
     values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, step, 1)[:2]
+    buffer = _scratch()  # one call's scratch: the column source's, the transform's and the sums'
     if exps is not None:
-        columns = _exponent_columns(R, p, n, exps, hs, source_dt)
+        columns = _exponent_columns(R, p, n, exps, hs, source_dt, buffer)
     else:
-        columns = _value_columns(R, p, n, fn.coeffs.astype(values_dt), hs)
+        columns = _value_columns(R, p, n, fn.coeffs.astype(values_dt), hs, buffer)
     total = np.zeros(R.degree, dtype=object)
-    while sets:  # the quarter set first, so its arrays are freed before the full-size chunks
+    while sets:  # the quarter set first, so its shift arrays are freed before the full-size chunks
         shifts, w, is_quarter = sets.pop()
         if not len(w):
             continue
-        # a quarter column has a quarter of the rows; a chunk keeps the size of the value columns'
-        # buffers (4 * step) or of the exponent columns' int64 sums of stacked halves (2 * step)
-        bound, cols = (-(-K // 4), step * (2 if exps is not None else 4)) if is_quarter else (K, step)
-        _, plane_dt, sum_dt, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()))
+        # a quarter column has a quarter of the rows: 4 * step of them fill a chunk's scratch
+        bound, cols = (-(-K // 4), 4 * step) if is_quarter else (K, step)
+        _, plane_dt, square_dt, _, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()))
         w = w.astype(acc_dt)
         sums = _half_power_sums if is_quarter else _mag4_sums
         for start in range(0, len(w), cols):
             part = slice(start, start + cols)
             chunk = tuple(h[part] for h in shifts)
-            rows = _complement_rows(n, *chunk) if is_quarter else None
-            tau = _transform_inplace(R, p, np.ascontiguousarray(columns(chunk, rows), dtype=plane_dt), -1)
-            total += (16 if is_quarter else 1) * np.array(sums(R, tau, w[part], sum_dt), dtype=object)
+            g = columns(chunk, is_quarter)
+            if g.dtype != plane_dt:  # value columns keep K's dtype up to the transform, within plane_dt
+                planes = buffer("planes", g.shape, plane_dt)
+                planes[...] = g
+                g = planes
+            tau = _transform_inplace(R, p, g, -1, buffer)
+            total += (16 if is_quarter else 1) * np.array(sums(R, tau, w[part], square_dt, buffer), dtype=object)
     return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 
 

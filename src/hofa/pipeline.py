@@ -382,7 +382,7 @@ def bilinear_cleanup(
                 f"arank(beta{pair} - transpose) <= 8(2r + log(1/eps))",
                 f"bias={float(res.defect_bias):.6g}",
                 "(eps p^{-2r})^8",
-                bool(RealSurd(res.defect_bias) ** 2 >= bound),
+                bool(res.defect_bias_sq >= bound),
             )
         )
         defect = B - permute(B, (1, 0))
@@ -532,9 +532,9 @@ def run_inverse_pipeline(
         sym_report = symmetrize_classical(T, witness_T, options.certs_by_perm, budget)
     else:
         sym_report = symmetrize_nonclassical_p2(T, witness_T, options.certs_by_perm, budget)
-    bound128 = eps.mag2() ** 128
+    bound128, squares = eps.mag2() ** 128, sym_report.defect_squares
     ledger.extend(
-        bias_entry(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128, bound128)
+        bias_entry(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, squares[pi], eps, 128, bound128)
         for pi, bias in sym_report.defect_biases.items() if pi != (0, 1, 2)
     )
     ledger.extend(sym_report.ledger)

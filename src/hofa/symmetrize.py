@@ -170,12 +170,15 @@ class LedgerEntry:
         return f"[{flag}] {self.claim}: measured {self.measured}, bound {self.bound}"
 
 
-def bias_entry(p: int, claim: str, bias: Fraction, delta: CorrValue, power: int, bound: RealSurd) -> LedgerEntry:
+def bias_entry(
+    p: int, claim: str, bias: Fraction, square: RealSurd, delta: CorrValue, power: int, bound: RealSurd
+) -> LedgerEntry:
     """Entry for 'arank(X) <= power * log_p(1/delta)', checked as bias >= delta^power.
 
-    ``bound`` is |delta|^(2 power), which a caller checking several biases
-    against one power computes once."""
-    holds = RealSurd(bias) ** 2 >= bound
+    ``square`` is bias^2 and ``bound`` is |delta|^(2 power), which a caller
+    checking one bias against several powers, or several biases against one
+    power, computes once."""
+    holds = square >= bound
     arank = math.inf if bias == 0 else -math.log(bias) / math.log(p)
     logd = _log_inv_float(p, delta)
     return LedgerEntry(claim, f"arank={arank:.4f}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
@@ -220,6 +223,7 @@ def _log_inv_float(p: int, delta: CorrValue) -> float:
 class DefectResult:
     delta: CorrValue
     defect_bias: Fraction
+    defect_bias_sq: RealSurd  # defect_bias^2, squared once for every check against it
     holds: bool
 
 
@@ -237,8 +241,8 @@ def gt_defect(A: MultilinearForm, b1, b2, b3, budget: Budget = DEFAULT_BUDGET) -
     delta = three_correlation(b1, b2, b3, A, budget)
     defect = A - permute(A, (1, 0))
     bias = analytic_rank(defect, budget).bias
-    holds = RealSurd(bias) ** 2 >= delta.mag2() ** 8
-    return DefectResult(delta, bias, bool(holds))
+    square = RealSurd(bias) ** 2
+    return DefectResult(delta, bias, square, bool(square >= delta.mag2() ** 8))
 
 
 # -- permutation defects for trilinear forms --
@@ -247,6 +251,7 @@ def gt_defect(A: MultilinearForm, b1, b2, b3, budget: Budget = DEFAULT_BUDGET) -
 @dataclass(frozen=True)
 class PermutationDefects:
     biases: dict  # perm tuple -> Fraction bias of T - T_pi
+    squares: dict  # perm tuple -> its bias^2, squared once per distinct bias
     ledger: tuple
 
     def all_hold(self) -> bool:
@@ -267,16 +272,18 @@ def permutation_defects(
     delta = witness.delta
     bound16 = delta.mag2() ** 16
     bound8 = delta.mag2() ** 8
-    biases = {}
+    biases, squares, by_value = {}, {}, {}
     entries = []
     for pi in S3:
         defect = T - permute(T, pi)
-        bias = analytic_rank(defect, budget).bias
-        biases[pi] = bias
-        entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, delta, 16, bound16))
+        bias = biases[pi] = analytic_rank(defect, budget).bias
+        if bias not in by_value:
+            by_value[bias] = RealSurd(bias) ** 2
+        square = squares[pi] = by_value[bias]
+        entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, square, delta, 16, bound16))
         if pi in TRANSPOSITIONS_3:
-            entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, delta, 8, bound8))
-    return PermutationDefects(biases, tuple(entries))
+            entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, square, delta, 8, bound8))
+    return PermutationDefects(biases, squares, tuple(entries))
 
 
 # -- symmetric subspace from certificates --
@@ -431,6 +438,7 @@ class SymmetrizationReport:
     ledger: tuple
     subspace: Subspace
     defect_biases: dict  # perm tuple -> bias of T - T_pi measured against the witness; {} without one
+    defect_squares: dict  # perm tuple -> that bias^2, as ``PermutationDefects.squares``
 
     def all_hold(self) -> bool:
         return all(e.holds for e in self.ledger)
@@ -481,7 +489,8 @@ def symmetrize_classical(
         raise InternalCheckError("classical symmetrization output is not CSM")
     cert = vanishing_decomposition(T - S, W)
     ledger.append(int_bound_entry(f"prank(T - S) <= {bound}", len(cert), bound))
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, {} if witness is None else defects.biases)
+    biases, squares = ({}, {}) if witness is None else (defects.biases, defects.squares)
+    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, biases, squares)
     if not report.verify():  # pragma: no cover
         raise InternalCheckError("symmetrization certificate failed verification")
     return report
@@ -540,7 +549,7 @@ def symmetrize_nonclassical_p2(
     ledger.append(
         int_vs_delta_power(2, "prank(T - S) <= 432 log2(1/delta)", "count", len(cert), delta, 432)
     )
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, defects.biases)
+    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, defects.biases, defects.squares)
     if not report.verify():  # pragma: no cover
         raise InternalCheckError("symmetrization certificate failed verification")
     return report

@@ -5,8 +5,10 @@ an einsum over the d x d x d fold table, so the kernels under test are
 checked against arithmetic that shares none of their code.  The one
 exceptions are former code kept as references: ``ref_column_power``, the
 full-size U^d column loop of ``hofa.analysis``, for its quarter-size U^4
-columns, and ``RefSurd`` with ``ref_surd_sign``, the former a + b*sqrt(2)
-``RealSurd`` of ``hofa.cyclotomic``, for the one exact real number there.
+columns, ``ref_quarter_exponents``, the former four-gather quarter rows of
+its exponent columns, for their first-derivative table, and ``RefSurd``
+with ``ref_surd_sign``, the former a + b*sqrt(2) ``RealSurd`` of
+``hofa.cyclotomic``, for the one exact real number there.
 """
 import math
 from dataclasses import dataclass
@@ -110,7 +112,7 @@ def ref_column_power(fn, d):
     hs, weights = an._derivative_orbits(p, n, d)
     step = max(1, an._CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
     K = M2 ** (1 << (d - 2))
-    values_dt, plane_dt, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
+    values_dt, plane_dt, _, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
     weights = weights.astype(acc_dt)
     if exps is not None:
         columns = an._exponent_columns(R, p, n, exps, hs, plane_dt)
@@ -124,6 +126,17 @@ def ref_column_power(fn, d):
         for i, c in enumerate(an._mag4_sums(R, tau, weights[part], sum_dt)):
             total[i] += c
     return an.GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
+
+
+def ref_quarter_exponents(R, n, exps, a, b):
+    """The former quarter rows of ``analysis._exponent_columns``: on the rows
+    c of ``_complement_rows``, E(c) = e(c ^ a ^ b) - e(c ^ a) - e(c ^ b) +
+    e(c) from four gathers of the exponents, and the half coordinates of
+    zeta^E (``_half_coordinates``), shape (degree, 2^(n-2), columns)."""
+    rows = an._complement_rows(n, a, b)
+    E = exps[rows ^ a ^ b] - exps[rows ^ a] - exps[rows ^ b] + exps[rows]
+    roots = ref_roots(R, E)
+    return an._half_coordinates(roots, np.empty_like(roots))
 
 
 def ref_surd_sign(a, b) -> int:

@@ -21,7 +21,7 @@ from hofa.serialize import dump_function, load_function
 from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
 from oracles import scale_phase
-from ringref import ref_column_power, ref_conj, ref_first_max, ref_mul, ref_roots
+from ringref import ref_column_power, ref_conj, ref_first_max, ref_mul, ref_quarter_exponents, ref_roots
 
 
 def phase(P, conj=False):
@@ -224,9 +224,11 @@ class TestPhaseFastPathP2:
     def test_transform_dtype_and_chunk_bound(self, n, dtype, weight, columns):
         # eighth-root phases: every column value has modulus 1 (K = 1)
         assert max(1, an._CHUNK_ENTRIES >> n) == columns
-        values, planes, sums, chunk_sums = an._kernel_dtypes(2, n, 4, 1, columns, weight)
+        values, planes, squares, sums, chunk_sums = an._kernel_dtypes(2, n, 4, 1, columns, weight)
         assert planes is dtype and np.iinfo(dtype).max >= 2**n
         assert values is sums is chunk_sums is np.int64
+        # the squares' bound 16 * 4^n K fits int32 up to n = 13
+        assert squares is (np.int32 if n <= 13 else np.int64)
         assert weight * columns * 16**n < 2**63
 
     @pytest.mark.parametrize("n", [14, 15, 16])
@@ -237,9 +239,9 @@ class TestPhaseFastPathP2:
 
     def test_sums_past_int64_run_on_object_dtype(self):
         # at n = 16 one column's sum of |tau|^4 can reach 16^16 = 2^64
-        assert an._kernel_dtypes(2, 16, 4, 1, 1, 1) == (np.int64, np.int32, object, object)
+        assert an._kernel_dtypes(2, 16, 4, 1, 1, 1) == (np.int64, np.int32, object, object, object)
         # a Z[i] function with den = 2^20 passes int64 already in its values
-        assert an._kernel_dtypes(2, 2, 2, 2**160, 1, 1) == (object,) * 4
+        assert an._kernel_dtypes(2, 2, 2, 2**160, 1, 1) == (object,) * 5
 
 
 def _ref_transform(R, p, n, coeffs):
@@ -433,9 +435,11 @@ class TestColumnKernel:
     def test_radix3_dtype_and_chunk_bound(self, n, dtype, columns, sums):
         # cube-root phases: K = 1; coefficients of an element are at most sqrt 2 times its modulus
         assert max(1, an._CHUNK_ENTRIES // 3**n) == columns
-        values, planes, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
+        values, planes, squares, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
         assert planes is dtype and np.iinfo(dtype).max ** 2 >= 2 * 9**n
         assert values is np.int64 and col_sums is chunk_sums is sums
+        # the squares' bound 2 * 4 * 9^n K fits int32 up to n = 8
+        assert squares is (np.int32 if n <= 8 else sums)
         if sums is np.int64:
             assert 2 * 2 * columns * 81**n < 2**63
 
@@ -486,7 +490,7 @@ class TestNoInt64Overflow:
         # just under 2^63, and only the weighted chunk total passes int64
         signs = [(-1) ** (x[0] * x[1] + x[2]) for x in all_vectors(2, 3)]
         f = an.BoundedFunction(2, 3, ring(2, 0), 9 * np.array([signs], dtype=np.int64), 9)
-        assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int64, np.int32, np.int64, object)
+        assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int64, np.int32, np.int64, np.int64, object)
         assert an.gowers_norm(f, 3).power_surd() == an.gowers_norm(f, 4).power_surd() == RealSurd(1)
 
     def test_float_fields_past_the_float_range(self):
@@ -564,6 +568,33 @@ class TestNoInt64Overflow:
         assert np.array_equal(tau, _ref_transform(R, 3, 1, c.astype(object)))
 
 
+def _constant(n, c):
+    """The constant c / c on F_2^n in Z: every Gowers norm is 1, and every
+    transform entry at 0 meets the kernel's bounds exactly."""
+    return an.BoundedFunction(2, n, ring(2, 0), np.full((1, 2**n), c, dtype=np.int64), c)
+
+
+class TestInt32Squares:
+    """The squares run on int32 up to their bound (p - 1) degree^2 p^(2n) K and
+    on int64 past it.  In Z a constant reaches the bound: on F_2^10 its U^2
+    column has |tau(0)|^2 = 4^10 c^2, and a U^4 quarter column on F_2^4 has
+    a half (g + conj g) = 2 c^4 on 4 rows, so z^2 = 64 c^8, the bound 4^4 K'
+    with K' = ceil(c^8 / 4) up to its rounding."""
+
+    @pytest.mark.parametrize("c, squares", [(45, np.int32), (46, np.int64)])
+    def test_u2_squares_at_the_int32_bound(self, c, squares):
+        assert (4**10 * c * c <= 2**31 - 1) == (squares is np.int32)
+        assert an._kernel_dtypes(2, 10, 1, c * c, 32, 1)[2:4] == (squares, np.int64)
+        assert an.gowers_norm(_constant(10, c), 2).power_surd() == RealSurd(1)
+
+    @pytest.mark.parametrize("c, squares", [(8, np.int32), (9, np.int64)])
+    def test_u4_quarter_squares_at_the_int32_bound(self, c, squares):
+        K = -(-(c**8) // 4)
+        assert (4**4 * K <= 2**31 - 1) == (squares is np.int32)
+        assert an._kernel_dtypes(2, 4, 1, K, 256, 2)[2:4] == (squares, np.int64)
+        assert an.gowers_norm(_constant(4, c), 4).power_surd() == RealSurd(1)
+
+
 def _loaded_phase(n, seed):
     """An eighth-root phase through dump and load: the same values, no ``exps``."""
     f = load_function(dump_function(an.random_unimodular_exact(random.Random(seed), 2, n, 3)))
@@ -600,14 +631,14 @@ class TestQuarterColumns:
 
     def test_den_1e5_runs_on_object_dtype(self):
         K = an._modulus_bound_sq(ring(2, 2), _zi_function(10**5, 6, 6).coeffs) ** 4
-        assert an._kernel_dtypes(2, 6, 2, -(-K // 4), 1, 2) == (object,) * 4
+        assert an._kernel_dtypes(2, 6, 2, -(-K // 4), 1, 2) == (object,) * 5
 
     def test_zi_den4_on_f2_8_sums_on_int64(self):
         # |a + b i|^2 <= 16, so K = 16^4; one full column's sum of |tau|^4 can
         # reach 2^64, a quarter column's stacked halves 2^60
         K, step = 16**4, an._CHUNK_ENTRIES // (2 * 2**8 * 2)
-        assert an._kernel_dtypes(2, 8, 2, K, step, 2)[2] is object
-        assert an._kernel_dtypes(2, 8, 2, -(-K // 4), step, 2)[2] is np.int64
+        assert an._kernel_dtypes(2, 8, 2, K, step, 2)[3] is object
+        assert an._kernel_dtypes(2, 8, 2, -(-K // 4), step, 2)[3] is np.int64
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -627,12 +658,14 @@ class TestQuarterColumns:
         columns = an._value_columns(R, 2, n, f.coeffs, shifts)
         # copies: the next call reuses the column source's buffers
         full = an._transform_inplace(R, 2, np.array(columns(shifts)), -1)
-        W = an._transform_inplace(R, 2, np.array(columns(shifts, rows)), -1)  # half coordinates
+        W = an._transform_inplace(R, 2, np.array(columns(shifts, True)), -1)  # half coordinates
         one = np.ones(1, dtype=object)
         quarter = [16 * c for c in an._half_power_sums(R, W, one, object)]
         assert quarter == list(an._mag4_sums(R, full, one, object))
-        exponent_rows = an._exponent_columns(R, 2, n, f.exps, shifts, np.int64)(shifts, rows)
-        assert np.array_equal(exponent_rows, columns(shifts, rows))
+        # the first-derivative table's rows (N = 1..16) against the four gathers of the exponents
+        exponent_rows = an._exponent_columns(R, 2, n, f.exps, shifts, np.int64)(shifts, True)
+        assert np.array_equal(exponent_rows, ref_quarter_exponents(R, n, f.exps, *shifts))
+        assert np.array_equal(exponent_rows, columns(shifts, True))
 
     @pytest.mark.parametrize("kind", ["phase", "zi"])
     def test_u4_peak_memory(self, kind):
@@ -645,6 +678,32 @@ class TestQuarterColumns:
         finally:
             tracemalloc.stop()
         assert peak <= FULL_SIZE_PEAK_BYTES[kind]
+
+    @pytest.mark.parametrize("kind", ["phase", "zi"])
+    def test_chunks_reuse_the_scratch(self, monkeypatch, kind):
+        # no chunk allocates a scratch array: every name of a call's scratch
+        # is allocated at most once per column set, however many chunks run
+        f = an.random_unimodular_exact(random.Random(7), 2, 7, 3) if kind == "phase" else _zi_function(4, 7, 7)
+        requests, arrays, scratch = [], {}, an._scratch
+
+        def spy():
+            buffer = scratch()
+
+            def counted(name, shape, dtype):
+                out = buffer(name, shape, dtype)
+                requests.append(name)
+                base = out
+                while base.base is not None:
+                    base = base.base
+                arrays.setdefault(name, []).append(base)  # kept alive, so ids stay distinct
+                return out
+
+            return counted
+
+        monkeypatch.setattr(an, "_scratch", spy)
+        an.gowers_norm(f, 4)
+        assert len(requests) > 100
+        assert max(len({id(base) for base in bases}) for bases in arrays.values()) <= 2
 
 
 def _stripped(f):

@@ -3,6 +3,7 @@ import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -522,6 +523,56 @@ class TestLedgerCompleteness:
         assert pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text() == want
         assert [coeff for coeff, _ in built] == [2, 290]
         assert sorted(raised) == [2, 290]  # bound2^8 in the cleanup, bound290^4 for ||f w^P||_U3
+
+    def test_each_bias_is_squared_once(self, monkeypatch):
+        """One seed-1 pass of the benchmark's pipeline workload raises RealSurd
+        152 times, with its report text unchanged: gt_defect squares each
+        defect bias for bilinear_cleanup, and permutation_defects each
+        distinct bias for all its entries and stage 3's (242 when every
+        check squared its bias anew)."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        ops = workloads.build("pipeline", 1).ops
+        calls, pow_ = [], RealSurd.__pow__
+
+        def spy_pow(self, k):
+            calls.append(k)
+            return pow_(self, k)
+
+        monkeypatch.setattr(RealSurd, "__pow__", spy_pow)
+        texts = [op.canon(op.run()) for op in ops]
+        assert workloads.digest(texts) == "14a60cf0f678d0526e0e01f79ee7869d9bb77b065684a5ad1a242dbb84e66a54"
+        assert len(calls) == 152
+
+
+class TestLinearDerandomization:
+    """Stage 6 end to end: phi = -d^3 P0 plus the asymmetric bilinear x_1 y_2 on
+    slots (0, 1) leaves beta(0, 1) non-symmetric, so its cleanup certificate
+    has terms and the linear x linear corrections run the second
+    derandomization."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+    def test_cleanup_terms_are_derandomized(self, monkeypatch, p, n, seed):
+        P0 = random_poly(p, n, 3, p == 2, seed=seed)
+        f = an.BoundedFunction.from_poly_phase(P0)
+        x1y2 = np.zeros((n, n), dtype=np.int64)
+        x1y2[0, 1] = 1
+        comps = {(0, 1, 2): -total_derivative(P0, 3), (0, 1): MultilinearForm(p, n, 2, x1y2)}
+        phi = MultiaffineForm.make(p, n, 3, comps)
+        cleanups, cleanup = [], pl.bilinear_cleanup
+
+        def spy(*args, **kwargs):
+            cleanups.append(cleanup(*args, **kwargs))
+            return cleanups[-1]
+
+        monkeypatch.setattr(pl, "bilinear_cleanup", spy)
+        rep = pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.SuppliedTriaffine(phi)))
+        assert len(cleanups) == 1 and len(cleanups[0].certs[(0, 1)]) > 0
+        assert "second derandomization: |corr| >= eps p^{-290 r}" in [e.claim for e in rep.ledger]
+        assert rep.all_hold(), [str(e) for e in rep.ledger if not e.holds]
+        assert rep.final_correlation.mag2() == RealSurd(1)
 
 
 class TestPipelineF2n4:

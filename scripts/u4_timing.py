@@ -8,10 +8,10 @@ process's peak RSS so far.  Seven kinds of rows: an eighth-root phase on
 F_2^n, the same kind of phase written out and read back as text (so it
 carries no exponent table and takes the ring-value columns), a Z[i]-valued
 function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
-half) and a sixteenth-root phase (whose U^4 takes the Gram fold) on F_2^n
-for n = 2..max_n, a cube-root phase on F_3^n for n = 2..min(max_n, 5),
-where the default budget stops U^4, and a fifth-root phase on F_5^n for n =
-2..min(max_n, 3).  On F_2^2, F_2^3, F_3^2 and F_5^2 every norm whose
+half) and a sixteenth-root phase (the largest ring of the generated |tau|^2
+terms) on F_2^n for n = 2..max_n, a cube-root phase on F_3^n for n =
+2..min(max_n, 5), where the default budget stops U^4, and a fifth-root
+phase (whose sums take the Gram fold) on F_5^n for n = 2..min(max_n, 3).  On F_2^2, F_2^3, F_3^2 and F_5^2 every norm whose
 definition sums at most 2^14 derivatives (all but U^4 on F_5^2) is also
 compared with the definition-chasing ``direct_gowers_power``, as exact ring
 elements; a mismatch exits with status 1.

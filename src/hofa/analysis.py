@@ -15,10 +15,14 @@ omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
 one column kernel: the transform of f, of each d_h f, or of each
 d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
 on int64 only where a stated bound allows and on Python integers
-elsewhere.  At p = 2 a U^4 column of independent shifts a, b is
+elsewhere.  Ring values and phases in Z[zeta_{2^m}] read those columns
+from one first-derivative table T(x, h) = f(x + h) conj f(x), other
+phases, every one at odd p, from their exponents.  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
-|W - conj W|^4), on the real coordinates of the two halves.  Every
+|W - conj W|^4), on the real coordinates of the two halves.  Both sums
+square each entry to a real element w and sum w^2, through one table of
+products on the real subfield.  Every
 measurement of a function against a phase sums through one kernel,
 ``phased_sum``: the corner averages (the seven- and three-function
 witnesses, the derivative cube, the octolinear identity, all through
@@ -444,8 +448,8 @@ def _scratch():
     scratch array of that shape and dtype, reallocated only when a request
     needs another dtype or more entries than it has, so a chunk loop
     allocates no large array.  It is overwritten by the next request of its
-    name; the column sources, the sum routines and the transform use
-    distinct names.  The last view of each name is kept, so a request like
+    name; the column sources, the sum and the transform use distinct
+    names.  The last view of each name is kept, so a request like
     the last one costs two lookups."""
     arrays, views = {}, {}
 
@@ -690,63 +694,27 @@ def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple, dtype, buffer=None):
-    """Column source of a phase zeta^exps: coefficient planes of zeta^E for the
-    exponent E of each derivative column, read from one table of roots.
+def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, d: int, dtype, buffer=None):
+    """Column source of the U^3 and U^4 columns of a phase zeta^exps whose
+    order N = R.N is not a power of two (every phase at odd p): coefficient
+    planes of zeta^E for the exponent E of each derivative column, summed
+    from the gathers esh[x, h] = e(x + h) and read from the coefficients of
+    zeta^(t - 2N), 0 <= t < 4N.
 
-    ``columns(shifts, quarter)`` takes one chunk's shift arrays; a quarter
-    column (p = 2, d = 4 only) is read on the rows of ``_complement_rows``
-    as its half coordinates (``_half_coordinates``).  At p = 2 (N = 2^m)
-    every exponent comes from the first-derivative table De[x 2^n + h] =
-    e(x + h) - e(x) mod N, one uint8 table of 4^n entries (int64 past N =
-    256) built once per call: E(x) = De[x 2^n + h] for d_h f, and E(x) =
-    De[(x ^ a) 2^n + b] - De[x 2^n + b] for d_a d_b f, on all x or on the
-    rows, masked by N - 1 and read from zeta^0..zeta^(N-1).  That is two
-    gathers of bytes where the exponents would take four of int64.  At odd
-    p E is summed from esh[x, h] = e(x + h) and read from the coefficients
-    of zeta^(t - 2N), 0 <= t < 4N.  Index sums, gathers and planes go to
-    arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no large
-    array here: a returned column is overwritten by the next call."""
+    ``columns(shifts)`` takes one chunk's shift arrays.  Index sums, gathers
+    and planes go to arrays of ``buffer`` (``_scratch``), so a chunk loop
+    allocates no large array here: a returned column is overwritten by the
+    next call."""
     buffer = buffer or _scratch()
     N, size = R.N, p**n
     # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
     ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
-    if not hs:
-        return lambda shifts, quarter=False: np.take(ext, exps[:, None] + 2 * N, axis=1)
     sh = _shift_table(p, n)
-    if p == 2:
-        roots = ext[:, 2 * N : 3 * N]
-        half = _half_coordinates(roots, np.empty_like(roots)) if len(hs) == 2 else None
-        e = (exps & (N - 1)).astype(np.uint8 if N <= 256 else np.int64)
-        De = e[sh]
-        De -= e[:, None]  # on uint8 mod 256, which N divides
-        De = De.ravel()
-        x_rows = np.arange(size)[:, None] << n
-
-        def columns(shifts, quarter=False):
-            b = shifts[-1]
-            shape = (size // 4 if quarter else size, len(b))
-            at = buffer("index", shape, np.intp)
-            if quarter:
-                _complement_rows(n, *shifts, out=at)
-                at <<= n
-                at |= b
-            else:
-                np.bitwise_or(x_rows, b, out=at)
-            E = np.take(De, at, out=buffer("gather", shape, De.dtype), mode="clip")  # "clip" takes no copy
-            if len(shifts) == 2:
-                at ^= shifts[0] << n
-                E = np.subtract(np.take(De, at, out=buffer("gather 2", shape, De.dtype), mode="clip"), E, out=E)
-            E = np.bitwise_and(E, N - 1, out=at)  # mod N, also where the difference wrapped
-            out = buffer("planes", (R.degree,) + shape, dtype)
-            return np.take(half if quarter else roots, E, axis=1, out=out, mode="clip")
-
-        return columns
     esh = exps[sh]  # esh[x, h] = e(x + h)
     # the sign of e(x) in the column's exponent, plus the 2N offset into ext
-    base = (2 * N + (-1) ** len(hs) * exps)[:, None]
+    base = (2 * N + (-1) ** d * exps)[:, None]
 
-    def odd_columns(shifts, quarter=False):
+    def columns(shifts, quarter=False):
         shape = (size, len(shifts[0]))
         E = buffer("index", shape, esh.dtype)
         if len(shifts) == 1:
@@ -760,70 +728,83 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, hs: tuple,
         E += base
         return np.take(ext, E, axis=1, out=buffer("planes", (R.degree,) + shape, dtype), mode="clip")
 
-    return odd_columns
-
-
-def _value_columns(R: CycloRing, p: int, n: int, coeffs: np.ndarray, hs: tuple, buffer=None):
-    """Column source of ring values: first-derivative table D[:, x, h] =
-    f(x + h) conj f(x), and d_{h1} d_{h2} f(x) = D(x + h1, h2) conj D(x, h2),
-    where conj D(x, h) = f(x) conj f(x + h) = D(x + h, -h).
-
-    ``columns(shifts, quarter)`` as in ``_exponent_columns``.  Gathers, the ring
-    product (``CycloRing.mul_arrays`` with ``out``) and the half coordinates
-    go to arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no
-    large array here: a returned column is overwritten by the next call."""
-    buffer = buffer or _scratch()
-    if not hs:
-        return lambda shifts, quarter=False: coeffs[:, :, None]
-    size, sh = p**n, _shift_table(p, n)
-
-    def gather(name, table, at):
-        out = buffer(name, (R.degree,) + at.shape, coeffs.dtype)
-        return np.take(table, at, axis=1, out=out, mode="clip")  # "clip" takes no copy; indices are in range
-
-    def shifted(rows, h):  # the index of x + h for each row x, every x of F_p^n without rows
-        at = buffer("index", (size if rows is None else len(rows), len(h)), np.intp)
-        if rows is None:
-            return np.take(sh, h, axis=1, out=at, mode="clip")
-        return np.bitwise_xor(rows, h, out=at)
-
-    if len(hs) == 1:
-        cc = R.conj_arrays(coeffs)[:, :, None]
-
-        def first(shifts, quarter=False):
-            g = gather("gather", coeffs, shifted(None, shifts[0]))
-            return R.mul_arrays(g, cc, out=buffer("product", g.shape, coeffs.dtype))
-
-        return first
-    D = R.mul_arrays(coeffs[:, sh], R.conj_arrays(coeffs)[:, :, None]).reshape(R.degree, -1)
-    neg = sh.argmin(axis=1)  # x + neg[x] = 0
-
-    def flat(rows, h, h2):  # D(x + h, h2) as one index into D's (x, h2) plane: faster than two index arrays
-        at = shifted(rows, h)
-        at *= size
-        at += h2
-        return at
-
-    def columns(shifts, quarter=False):
-        a, b = shifts
-        rows = _complement_rows(n, a, b, out=buffer("rows", (size // 4, len(a)), np.intp)) if quarter else None
-        g = gather("gather", D, flat(rows, a, b))  # D(x + a, b)
-        conj_d = gather("gather 2", D, flat(rows, b, neg[b]))  # conj D(x, b) = D(x + b, -b)
-        prod = R.mul_arrays(g, conj_d, out=buffer("product", g.shape, coeffs.dtype))
-        return _half_coordinates(prod, g) if quarter else prod
-
     return columns
 
 
-# |z|^2 for z = sum a_i zeta^i as quadratic forms in the a_i, terms (i, j, sign):
-# Z, Z[i] and Z[omega] give one integer A; Z[zeta_8] gives A + B*sqrt2
-_MAG2_FORMS = {
-    1: ([(0, 0, 1)],),
-    2: ([(0, 0, 1)],),
-    3: ([(0, 0, 1), (0, 1, -1), (1, 1, 1)],),
-    4: ([(0, 0, 1), (1, 1, 1)],),
-    8: ([(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)], [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)]),
-}
+def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dtype, buffer=None):
+    """Column source of ring values (``f`` their (degree, p^n) coefficients)
+    and of phases (``f`` their exponent table; past U^2 only those in
+    Z[zeta_{2^m}]): f itself for U^2, else one first-derivative table T(x,
+    h) = f(x + h) conj f(x), read as d_h f(x) = T(x, h) and d_a d_b f(x) =
+    T(x + a, b) conj T(x, b), where conj T(x, b) = T(x + b, -b).
+
+    ``columns(shifts, quarter)`` takes one chunk's shift arrays; a quarter
+    column (p = 2, d = 4 only) is read on the rows of ``_complement_rows`` as
+    its half coordinates (``_half_coordinates``).  One routine indexes T at
+    (x + s) p^n + h: x + s is x ^ s at p = 2, where it moves the index of
+    T(x + a, b) to that of T(x + b, b) in place, and a shift-table entry at
+    odd p.  For a phase T is the table De = e(x + h) - e(x) mod N of 4^n bytes
+    (int64 past N = 256), a product of two entries their sum, masked by
+    N - 1 and read from zeta^0..zeta^(N-1): two byte gathers where the
+    exponents would take four of int64.  For values T is the coefficient
+    table D and a product the ring product (``CycloRing.mul_arrays``); at
+    d = 3 D is not built, each column being f(x + h) conj f(x) from one
+    gather and one product.  Index sums, gathers, products and planes go to
+    arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no large
+    array here: a returned column is overwritten by the next call."""
+    buffer = buffer or _scratch()
+    size, phase, N = p**n, f.ndim == 1, R.N
+    roots = R._reduce.T.astype(dtype)  # roots[:, t]: the coefficients of zeta^t
+    if d == 2:
+        return lambda shifts, quarter=False: (np.take(roots, f, axis=1) if phase else f)[:, :, None]
+    sh = _shift_table(p, n)
+    neg = sh.argmin(axis=1) if p > 2 else None  # x + neg[x] = 0
+    x_rows = np.arange(size)[:, None] * size
+    if phase:
+        half = _half_coordinates(roots, np.empty_like(roots)) if d == 4 else None
+        e = (f & (N - 1)).astype(np.uint8 if N <= 256 else np.int64)
+        T = e[sh]
+        T -= e[:, None]  # on uint8 mod 256, which N divides
+        T = T.ravel()
+    elif d == 4:
+        T = R.mul_arrays(f[:, sh], R.conj_arrays(f)[:, :, None]).reshape(R.degree, -1)
+    else:
+        T, cc = f, R.conj_arrays(f)[:, :, None]
+
+    def index(rows, s, h):  # the flat index (x + s) p^n + h of T for each row x, where rows hold x p^n
+        if p == 2:  # any flat index (y, k) moves to (y + s, k + h), also in place
+            step = (s << n) | h
+            return np.bitwise_xor(rows, step, out=buffer("index", (len(rows), len(step)), np.intp))
+        at = np.take(sh, s, axis=1, out=buffer("index", (size, len(s)), np.intp), mode="clip")  # all rows x
+        at *= size
+        at += h
+        return at
+
+    def gather(name, at):
+        return np.take(T, at, axis=-1, out=buffer(name, T.shape[:-1] + at.shape, T.dtype), mode="clip")
+
+    def columns(shifts, quarter=False):
+        b = shifts[-1]
+        if d == 3 and not phase:  # f(x + h) conj f(x)
+            g = gather("gather", np.take(sh, b, axis=1, out=buffer("index", (size, len(b)), np.intp), mode="clip"))
+            return R.mul_arrays(g, cc, out=buffer("product", g.shape, T.dtype))
+        a, rows = shifts[0] if d == 4 else 0, x_rows
+        if quarter:
+            rows = _complement_rows(n, *shifts, out=buffer("index", (size // 4, len(b)), np.intp))
+            rows <<= n
+        at = index(rows, a, b)  # in place on the quarter rows
+        g = gather("gather", at)
+        if d == 4:  # conj T(x, b) = T(x + b, -b): at p = 2, (x + a, b) moved by (a + b, 0)
+            conj = gather("gather 2", index(at, a ^ b, 0) if p == 2 else index(rows, b, neg[b]))
+            if not phase:
+                prod = R.mul_arrays(g, conj, out=buffer("product", g.shape, T.dtype))
+                return _half_coordinates(prod, g) if quarter else prod
+            g = np.add(g, conj, out=g)
+        E = np.bitwise_and(g, N - 1, out=buffer("index", g.shape, np.intp))  # mod N, also where the sum wrapped
+        out = buffer("planes", (R.degree,) + E.shape, dtype)
+        return np.take(half if quarter else roots, E, axis=1, out=out, mode="clip")
+
+    return columns
 
 
 def _column_dot(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
@@ -831,43 +812,104 @@ def _column_dot(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
     return int(weights @ np.einsum("xc,xc->c", x, y, dtype=np.int64 if x.dtype == np.int32 else None))
 
 
-def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None) -> tuple:
-    """Weighted sum of sum_chi |tau|^4 over all columns, as ring coefficients.
+def _real_cos(h: int, t: int) -> dict:
+    """b_t = zeta^t + zeta^-t in Z[zeta_{4h}] on the basis e_0 = 1, e_k =
+    zeta^k + zeta^-k (0 < k < h) of the real subfield, as {k: coefficient}:
+    b_0 = 2, b_h = 0 and b_t = -b_{2h-t} for h < t < 2h."""
+    if t == h:
+        return {}
+    return {0: 2} if t == 0 else {t: 1} if t < h else {2 * h - t: -1}
+
+
+@lru_cache(maxsize=None)
+def _real_squares(h: int) -> tuple:
+    """Squaring on the basis e of ``_real_cos``: for each j <= k, the terms
+    (m, c) of (2 if j < k else 1) e_j e_k = sum c e_m, so that (sum_j z_j
+    e_j)^2 = sum_{j <= k} z_j z_k sum c e_m; e_j e_k = b_{j+k} + b_{|j-k|}."""
+    squares = []
+    for j, k in zip(*np.triu_indices(h)):
+        j, k, terms = int(j), int(k), {}
+        for product in [{k: 1}] if j == 0 else [_real_cos(h, j + k), _real_cos(h, k - j)]:
+            for m, c in product.items():
+                terms[m] = terms.get(m, 0) + (2 if j < k else 1) * c
+        squares.append((j, k, tuple((m, c) for m, c in terms.items() if c)))
+    # in order of the last coordinate each pair reaches, so that the pairs adding to
+    # coordinate 0 come first: in Z[zeta_8] two stacked planes are alive at a time
+    return tuple(sorted(squares, key=lambda sq: (max(m for m, _ in sq[2]), sq[0], sq[1])))
+
+
+@lru_cache(maxsize=None)
+def _mag2_terms(N: int) -> tuple | None:
+    """|z|^2 for z = sum_i z_i zeta^i in Z[zeta_N] as the terms (i, j, ((m,
+    c), ...)) of sum_{i <= j} z_i z_j sum c e_m, on the basis e of
+    ``_real_cos``: in Z[zeta_{2^m}], |z|^2 = sum_i z_i^2 + sum_{i < j} z_i
+    z_j b_{j-i}, and in Z[omega] the one coordinate z_0^2 - z_0 z_1 + z_1^2.
+    None in other rings."""
+    if N == 3:
+        return ((0, 0, ((0, 1),)), (0, 1, ((0, -1),)), (1, 1, ((0, 1),)))
+    if N & (N - 1):
+        return None
+    degree = max(N // 2, 1)
+    terms = ((int(i), int(j), {0: 1} if i == j else _real_cos(max(degree // 2, 1), j - i))
+             for i, j in zip(*np.triu_indices(degree)))
+    return tuple((i, j, tuple(c.items())) for i, j, c in terms if c)
+
+
+def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None, half: bool = False) -> tuple:
+    """Weighted sum of sum_chi |tau|^4 over all columns, or with ``half`` of
+    sum_phi (|W + conj W|^4 + |W - conj W|^4), as ring coefficients.
 
     ``tau`` holds the transform of each ring-coefficient plane, shape
-    (degree, p^n, columns); column j counts ``weights[j]`` times.  |tau|^2 has
-    a closed form (``_MAG2_FORMS``) for Z, Z[i], Z[omega] and Z[zeta_8], where
-    |z|^2 = A + B*sqrt2 and |z|^4 = (A^2 + 2 B^2) + 2AB*sqrt2.  Other rings sum
-    the Gram matrix of the |tau|^2 planes and fold it with zeta^{i+j}.  The
+    (degree, rows, columns), or with ``half`` that of the half coordinates
+    (``_half_coordinates``); column j counts ``weights[j]`` times.  Each
+    entry squares to a real element w with h = degree / 2 coordinates on the
+    basis e of ``_real_cos``: w = |tau|^2 by ``_mag2_terms``, or w = z^2 by
+    ``_real_squares`` for z a half, real up to a factor i, so that |z|^4 =
+    z^4.  Coordinate k of both halves lies in planes 2k and 2k + 1, so one
+    view stacks the halves and one pass squares both.  Then sum w^2 comes
+    from the column sums of the products of the coordinates of w, squared by
+    ``_real_squares``.  Rings other than Z[zeta_{2^m}] and Z[omega] sum the
+    Gram matrix of the |tau|^2 planes and fold it with zeta^(i+j).  The
     products are formed on ``dtype`` in arrays of ``buffer`` (``_scratch``),
     each column summed on it (on int64 for int32 products), then weighted on
     ``weights``' dtype; ``_kernel_dtypes`` bounds all three.
     """
     buffer = buffer or _scratch()
-    shape = tau.shape[1:]
-
-    def form(out, terms):  # products cast plane by plane, accumulated in place
-        (i, j, _), rest = terms[0], terms[1:]
-        np.multiply(tau[i], tau[j], dtype=dtype, out=out)
-        prod = buffer("square terms", shape, dtype) if rest else None
-        for i, j, sign in rest:
-            (np.add if sign > 0 else np.subtract)(out, np.multiply(tau[i], tau[j], dtype=dtype, out=prod), out=out)
-        return out
-
-    forms = _MAG2_FORMS.get(R.N)
-    if forms is None:
+    d, cols = tau.shape[0], tau.shape[-1]
+    h = max(d // 2, 1)
+    terms = _real_squares(h) if half else _mag2_terms(R.N)
+    if terms is None:
         m2 = R.mag_squared(tau.astype(dtype))
-        gram = np.zeros((R.degree, R.degree), dtype=object)
-        for i, j in zip(*np.triu_indices(R.degree)):
+        gram = np.zeros((d, d), dtype=object)
+        for i, j in zip(*np.triu_indices(d)):
             gram[i, j] = gram[j, i] = _column_dot(weights, m2[i], m2[j])
         return tuple(int(c) for c in R._fold @ gram.ravel())  # the product's fold, zeta^{i+j}
-    squares = buffer("squares", (len(forms),) + shape, dtype)
-    A = form(squares[0], forms[0])
-    if R.N != 8:
-        return (_column_dot(weights, A, A),) + (0,) * (R.degree - 1)
-    B = form(squares[1], forms[1])
-    c1 = 2 * _column_dot(weights, A, B)
-    return (_column_dot(weights, A, A) + 2 * _column_dot(weights, B, B), c1, 0, -c1)
+    z = tau.reshape(h, -1, cols) if half else tau  # with half, z[k]: coordinate k of both halves, stacked
+    shape, prod, started = z.shape[1:], None, set()  # started: coordinates of w holding their first term
+    z, w = list(z), list(buffer("squares", (h,) + shape, dtype))  # the plane views, taken once
+    for j, k, coords in terms:
+        (m, c), single = coords[0], len(coords) == 1
+        if single and m not in started:  # the product is its coordinate's first term
+            np.multiply(z[j], z[k], dtype=dtype, out=w[m])
+            if c != 1:
+                w[m] *= c
+            started.add(m)
+            continue
+        prod = np.multiply(z[j], z[k], dtype=dtype, out=buffer("square terms", shape, dtype) if prod is None else prod)
+        for m, c in coords:
+            if m not in started:
+                np.multiply(prod, c, out=w[m])
+                started.add(m)
+                continue
+            t = prod if abs(c) == 1 else np.multiply(
+                prod, abs(c), out=prod if single else buffer("scaled terms", shape, dtype))
+            (np.add if c > 0 else np.subtract)(w[m], t, out=w[m])
+    w4 = [0] * h
+    for j, k, coords in _real_squares(h):
+        s = _column_dot(weights, w[j], w[k])
+        for m, c in coords:
+            w4[m] += c * s
+    return tuple(w4 + [0] * (d > 1) + [-c for c in w4[:0:-1]])  # e_k = zeta^k - zeta^(degree-k)
 
 
 def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) -> tuple:
@@ -889,19 +931,19 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     The trace form of Z[zeta_{p^m}] is at least p^{m-1} times the square
     norm on the power basis, so a coefficient of an element is at most
     sqrt(p - 1) times its largest embedding, and a column's sum of |tau|^4,
-    as closed forms or as a Gram matrix of the |tau|^2 planes, stays within
-    (p - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
+    on the coordinates of |tau|^2 or as a Gram matrix of its planes, stays
+    within (p - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
     largest coefficients of its factors, so columns, transforms and |tau|^2
     stay within (p - 1) degree^2 p^{2n} K.  The planes take the narrowest
     integer type that holds sqrt((p - 1) K) p^n; a stage that passes int64
     runs on object dtype, and so does everything after it.
 
-    The squares, that is the |tau|^2 coordinates of the closed forms and the
-    z^2 coordinates of ``_half_power_sums``, are sums of at most degree^2
-    products of two plane coefficients, so they and every partial sum
-    forming them also stay within (p - 1) degree^2 p^{2n} K.  Where that
-    fits int32 they are formed on int32 and each column summed on int64
-    (then (p - 1) p^{4n} K^2 < 2^62); past it on the dtype of the column sums.
+    The squares, the coordinates of w = |tau|^2 or w = z^2 in ``_mag4_sums``,
+    are sums of at most degree^2 products of two plane coefficients, so they
+    and every partial sum forming them also stay within (p - 1) degree^2
+    p^{2n} K.  Where that fits int32 they are formed on int32 and each column
+    summed on int64 (then (p - 1) p^{4n} K^2 < 2^62); past it on the dtype of
+    the column sums.
     """
     size = p**n
     square_bound = (p - 1) * degree**2 * size**2 * K
@@ -917,94 +959,21 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
 
 
 @lru_cache(maxsize=None)
-def _real_squares(h: int) -> tuple:
-    """Squaring on the basis e_0 = 1, e_k = zeta^k + zeta^-k (0 < k < h) of
-    the real subfield of Z[zeta_{4h}]: for each j <= k, the terms (m, c) of
-    (2 if j < k else 1) e_j e_k = sum c e_m, so that (sum_j z_j e_j)^2 =
-    sum_{j <= k} z_j z_k sum c e_m.  With b_t = zeta^t + zeta^-t, e_j e_k =
-    b_{j+k} + b_{|j-k|}, where b_0 = 2, b_h = 0 and b_{2h-t} = -b_t."""
-
-    def b(t):
-        if t == h:
-            return {}
-        if t > h:
-            return {m: -c for m, c in b(2 * h - t).items()}
-        return {0: 2} if t == 0 else {t: 1}
-
-    squares = []
-    for j, k in zip(*np.triu_indices(h)):
-        j, k, terms = int(j), int(k), {}
-        for product in [{k: 1}] if j == 0 else [b(j + k), b(k - j)]:
-            for m, c in product.items():
-                terms[m] = terms.get(m, 0) + (2 if j < k else 1) * c
-        squares.append((j, k, tuple((m, c) for m, c in terms.items() if c)))
-    # in order of the last coordinate each pair reaches, so that the pairs adding to
-    # coordinate 0 come first: in Z[zeta_8] two stacked planes are alive at a time
-    return tuple(sorted(squares, key=lambda sq: (max(m for m, _ in sq[2]), sq[0], sq[1])))
-
-
-def _half_power_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None) -> tuple:
-    """Weighted sum of sum_phi (|W + conj W|^4 + |W - conj W|^4) over all
-    columns, as ring coefficients, from the transformed half coordinates
-    ``tau`` (``_half_coordinates``, shape (degree, 2^(n-2), columns)).
-
-    Both halves are real up to a factor i, so |z|^4 = z^4 for z on the basis
-    e of ``_real_squares``.  Coordinate k of both halves lies in planes 2k
-    and 2k + 1, so one view stacks the halves and one pass squares both:
-    z^2 from the products z_j z_k (j <= k), then the sum of (z^2)^2 from the
-    column sums of the products of its coordinates, each squared by the same
-    table.  In Z and Z[i] z = x and z^4 = x^4; in Z[zeta_8] z = x + y sqrt2,
-    z^2 = A + B sqrt2 with A = x^2 + 2y^2, B = 2xy, and z^4 = (A^2 + 2B^2) +
-    2AB sqrt2.  e_k is zeta^k - zeta^{degree-k} in the power basis.  The
-    coordinates of z^2 are coefficients of |.|^2 of a half, so the dtypes
-    are those of ``_mag4_sums``, and so is the use of ``buffer``.
-    """
-    buffer = buffer or _scratch()
-    d, _, cols = tau.shape
-    h = max(d // 2, 1)
-    z = tau.reshape(h, -1, cols)  # z[k]: coordinate k of both halves, stacked
-    squares = _real_squares(h)
-    z2 = buffer("squares", z.shape, dtype)
-    started = set()  # coordinates of z^2 holding their first term
-    for j, k, terms in squares:
-        (m, c), single = terms[0], len(terms) == 1
-        if single and m not in started:  # the product is its coordinate's first term
-            np.multiply(z[j], z[k], dtype=dtype, out=z2[m])
-            if c != 1:
-                z2[m] *= c
-            started.add(m)
-            continue
-        prod = np.multiply(z[j], z[k], dtype=dtype, out=buffer("square terms", z.shape[1:], dtype))
-        for m, c in terms:
-            scaled = prod if single else buffer("scaled terms", prod.shape, dtype)
-            t = prod if c == 1 else np.multiply(prod, c, out=scaled)
-            if m in started:
-                z2[m] += t
-            else:
-                z2[m] = t
-                started.add(m)
-    z4 = [0] * h
-    for j, k, terms in squares:
-        s = _column_dot(weights, z2[j], z2[k])
-        for m, c in terms:
-            z4[m] += c * s
-    out = [0] * d
-    out[0] = z4[0]
-    for m in range(1, h):
-        out[m], out[d - m] = z4[m], -z4[m]
-    return tuple(out)
-
-
-def _column_sets(p: int, n: int, d: int, R: CycloRing) -> list:
-    """The U^d columns as sets of (shifts, weights, quarter-size): one set of
-    every orbit of ``_derivative_orbits``, but at p = 2, d = 4 in
-    Z[zeta_{2^m}] the pairs a = 0 or a = b on their own and the independent
-    pairs a, b as a quarter-size set (see ``_gowers_columns``)."""
+def _column_sets(p: int, n: int, d: int, N: int) -> tuple:
+    """The U^d columns as sets of (shifts, weights, quarter-size), built once
+    per (p, n, d, N) and read-only: one set of every orbit of
+    ``_derivative_orbits``, but at p = 2, d = 4 in Z[zeta_N], N = 2^m, the
+    independent pairs a, b as a quarter-size set (see ``_gowers_columns``),
+    first, and the pairs a = 0 or a = b on their own."""
     hs, weights = _derivative_orbits(p, n, d)
-    if not (p == 2 and d == 4 and (R.N & (R.N - 1)) == 0):
-        return [(hs, weights, False)]
-    q = (hs[0] != 0) & (hs[0] != hs[1])
-    return [(tuple(h[~q] for h in hs), weights[~q], False), (tuple(h[q] for h in hs), weights[q], True)]
+    sets = ((hs, weights, False),)
+    if p == 2 and d == 4 and (N & (N - 1)) == 0:
+        q = (hs[0] != 0) & (hs[0] != hs[1])
+        sets = ((tuple(h[q] for h in hs), weights[q], True), (tuple(h[~q] for h in hs), weights[~q], False))
+    for shifts, w, _ in sets:
+        for a in shifts + (w,):
+            a.setflags(write=False)
+    return sets
 
 
 def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
@@ -1014,8 +983,11 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     (d = 3), or d_{h1} d_{h2} f (d = 4), one column per orbit of
     ``_derivative_orbits``.  Columns go through the character transform in
     chunks, in place, and sum_chi |tau|^4 is summed with the orbit sizes as
-    weights.  A phase carrying ``exps`` builds its columns from exponents,
-    anything else from ring products of its values.  With |s(f(x))|^2 <= M2
+    weights (``_mag4_sums``).  Ring values and phases in Z[zeta_{2^m}] read
+    their derivative columns from one first-derivative table
+    (``_derivative_columns``), other phases, every one at odd p, from
+    gathers of their exponents (``_exponent_columns``).
+    With |s(f(x))|^2 <= M2
     in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
     ``_kernel_dtypes`` turns into the dtype of each stage.  The column
     source, the transform and the sums keep their arrays in one scratch per
@@ -1040,11 +1012,11 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     coordinates on a basis of the real subfield (``_half_coordinates``; in
     Z, one plane and no minus half), and |z|^4 = z^4.  So the quarter
     columns read the half coordinates of g on C (degree planes of 2^(n-2)
-    rows), transform them, sum z^4 over both halves (``_half_power_sums``)
-    and fold by 16.  Each half has |s(.)| <= 2^(n-1) sqrt K and they sum to
-    sum |s(tau)|^4 / 16 <= 2^(4n) (K / 4)^2, so K' = ceil(K / 4) on all of
-    F_2^n bounds their dtypes.  The 2^(n+1) - 1 other columns, and every
-    column at odd p or d < 4, run on the whole space.
+    rows), transform them, sum z^4 over both halves (``_mag4_sums`` with
+    ``half``) and fold by 16.  Each half has |s(.)| <= 2^(n-1) sqrt K and
+    they sum to sum |s(tau)|^4 / 16 <= 2^(4n) (K / 4)^2, so K' = ceil(K / 4)
+    on all of F_2^n bounds their dtypes.  The 2^(n+1) - 1 other columns, and
+    every column at odd p or d < 4, run on the whole space.
     """
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
@@ -1054,29 +1026,23 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     # gathers and ring products on every plane: 2 * degree times narrower chunks keep their
     # memory near the exponent path's.  At p = 2 the exponent columns keep int64 index sums
     # beside int16 planes, in half-size chunks whose scratch the quarter columns share
-    if exps is None:
-        step = max(1, _CHUNK_ENTRIES // (2 * size * R.degree))
-    else:
-        step = max(1, _CHUNK_ENTRIES // (2 * size if p == 2 else size))
+    step = max(1, _CHUNK_ENTRIES // (size * (2 * R.degree if exps is None else 2 if p == 2 else 1)))
     K = M2 ** (1 << (d - 2))
-    sets = _column_sets(p, n, d, R)
-    hs = sets[0][0]
     values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, step, 1)[:2]
     buffer = _scratch()  # one call's scratch: the column source's, the transform's and the sums'
-    if exps is not None:
-        columns = _exponent_columns(R, p, n, exps, hs, source_dt, buffer)
+    if exps is not None and d > 2 and R.N & (R.N - 1):  # the table's exponents are masked by N - 1
+        columns = _exponent_columns(R, p, n, exps, d, source_dt, buffer)
     else:
-        columns = _value_columns(R, p, n, fn.coeffs.astype(values_dt), hs, buffer)
+        table = fn.coeffs.astype(values_dt) if exps is None else exps
+        columns = _derivative_columns(R, p, n, table, d, source_dt, buffer)
     total = np.zeros(R.degree, dtype=object)
-    while sets:  # the quarter set first, so its shift arrays are freed before the full-size chunks
-        shifts, w, is_quarter = sets.pop()
+    for shifts, w, is_quarter in _column_sets(p, n, d, R.N):
         if not len(w):
             continue
         # a quarter column has a quarter of the rows: 4 * step of them fill a chunk's scratch
         bound, cols = (-(-K // 4), 4 * step) if is_quarter else (K, step)
         _, plane_dt, square_dt, _, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()))
-        w = w.astype(acc_dt)
-        sums = _half_power_sums if is_quarter else _mag4_sums
+        w = w.astype(acc_dt, copy=False)
         for start in range(0, len(w), cols):
             part = slice(start, start + cols)
             chunk = tuple(h[part] for h in shifts)
@@ -1086,7 +1052,8 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
                 planes[...] = g
                 g = planes
             tau = _transform_inplace(R, p, g, -1, buffer)
-            total += (16 if is_quarter else 1) * np.array(sums(R, tau, w[part], square_dt, buffer), dtype=object)
+            sums = _mag4_sums(R, tau, w[part], square_dt, buffer, is_quarter)
+            total += (16 if is_quarter else 1) * np.array(sums, dtype=object)
     return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 
 

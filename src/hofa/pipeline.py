@@ -525,7 +525,7 @@ def run_inverse_pipeline(
     # stage 3: witness, Cauchy-Schwarz, symmetrization
     witness_phi, w_entry = witness_from_function(f, phi, eps, budget)
     ledger.append(w_entry)
-    T, bprime, delta1, cs_entries = multiaffine_cs(phi, witness_phi.bs, budget)
+    T, bprime, delta1, cs_entries = multiaffine_cs(witness_phi, budget)
     ledger.extend(cs_entries)
     witness_T = CorrelationWitness(T, bprime, delta1)
     if p >= 3:

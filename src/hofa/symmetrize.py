@@ -392,20 +392,20 @@ def ncsm_subspace_f2(
 # -- Cauchy-Schwarz removal of the lower-order multiaffine parts --
 
 
-def multiaffine_cs(
-    phi: MultiaffineForm, bs, budget: Budget = DEFAULT_BUDGET
-) -> tuple[MultilinearForm, tuple, CorrValue, tuple]:
+def multiaffine_cs(witness, budget: Budget = DEFAULT_BUDGET) -> tuple[MultilinearForm, tuple, CorrValue, tuple]:
     """From a triaffine correlation to a trilinear one at cost delta -> delta^8.
 
-    Three Cauchy-Schwarz steps eliminate b1..b6 and the affine parts of phi;
-    the surviving witness functions are shifted copies (and conjugates) of
-    b7: the witness of d^3 b7 at its best base point (``derivative_witness``).
-    The output correlation is measured exactly and checked against delta^8.
+    ``witness`` has a triaffine ``form`` phi, seven functions ``bs`` and
+    their measured correlation ``delta`` (a ``CorrelationWitness`` or a
+    ``ShiftedWitness``).  Three Cauchy-Schwarz steps eliminate b1..b6 and
+    the affine parts of phi; the surviving witness functions are shifted
+    copies (and conjugates) of b7: the witness of d^3 b7 at its best base
+    point (``derivative_witness``).  The output correlation is measured
+    exactly and checked against delta^8.
     """
-    delta_in = seven_correlation(bs, phi, budget)
-    T = multilinear_part(phi)
-    bprime, delta_out = derivative_witness(bs[6], T, budget)
-    entry = delta_vs_delta_power("multiaffine CS: |corr(T)| >= delta^8", delta_out, delta_in, 8)
+    T = multilinear_part(witness.form)
+    bprime, delta_out = derivative_witness(witness.bs[6], T, budget)
+    entry = delta_vs_delta_power("multiaffine CS: |corr(T)| >= delta^8", delta_out, witness.delta, 8)
     if not entry.holds:  # pragma: no cover
         raise InternalCheckError("Cauchy-Schwarz output correlation below delta^8")
     return T, bprime, delta_out, (entry,)
@@ -526,7 +526,7 @@ def symmetrize_nonclassical_p2(
     ledger.append(coset_entry)
 
     # strip the affine parts produced by the coset shift
-    T_U, bprime, delta2, cs_ledger = multiaffine_cs(shifted_witness.form, shifted_witness.bs, budget)
+    T_U, bprime, delta2, cs_ledger = multiaffine_cs(shifted_witness, budget)
     ledger.extend(cs_ledger)
     if T_U != restrict(T, U1):  # pragma: no cover
         raise InternalCheckError("trilinear part after coset shift is not the restriction")

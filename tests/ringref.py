@@ -114,10 +114,10 @@ def ref_column_power(fn, d):
     K = M2 ** (1 << (d - 2))
     values_dt, plane_dt, _, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
     weights = weights.astype(acc_dt)
-    if exps is not None:
-        columns = an._exponent_columns(R, p, n, exps, hs, plane_dt)
+    if exps is not None and d > 2 and R.N & (R.N - 1):
+        columns = an._exponent_columns(R, p, n, exps, d, plane_dt)
     else:
-        columns = an._value_columns(R, p, n, fn.coeffs.astype(values_dt), hs)
+        columns = an._derivative_columns(R, p, n, fn.coeffs.astype(values_dt) if exps is None else exps, d, plane_dt)
     total = [0] * R.degree
     for start in range(0, len(weights), step):
         part = slice(start, start + step)
@@ -129,7 +129,7 @@ def ref_column_power(fn, d):
 
 
 def ref_quarter_exponents(R, n, exps, a, b):
-    """The former quarter rows of ``analysis._exponent_columns``: on the rows
+    """The former quarter rows of the exponent column source: on the rows
     c of ``_complement_rows``, E(c) = e(c ^ a ^ b) - e(c ^ a) - e(c ^ b) +
     e(c) from four gathers of the exponents, and the half coordinates of
     zeta^E (``_half_coordinates``), shape (degree, 2^(n-2), columns)."""

@@ -195,21 +195,37 @@ class TestPhaseFastPathP2:
             assert an.gowers_norm(f, d).power_surd() == an.gowers_norm(stripped, d).power_surd()
 
     def test_phases_never_leave_the_fast_path(self, monkeypatch):
-        def ring_values(*args):
-            raise AssertionError("a phase with exps took the ring-value column source")
+        source = an._derivative_columns
+
+        def exponents_only(R, p, n, f, *args):
+            if f.ndim != 1:
+                raise AssertionError("a phase with exps took the ring-value branch of the column source")
+            return source(R, p, n, f, *args)
 
         fs = [an.random_unimodular_exact(random.Random(5), p, n, m) for p, n, m in [(2, 5, 3), (3, 3, 1), (3, 2, 2)]]
         expected = [[an.gowers_norm(f, d) for d in (2, 3, 4)] for f in fs]
-        monkeypatch.setattr(an, "_value_columns", ring_values)
+        monkeypatch.setattr(an, "_derivative_columns", exponents_only)
         for f, values in zip(fs, expected):
             assert [an.gowers_norm(f, d) for d in (2, 3, 4)] == values
             stripped = an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, 1, exps=None)
             with pytest.raises(AssertionError):
                 an.gowers_norm(stripped, 2)
 
+    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2)])
+    def test_phases_of_odd_order(self, p, m):
+        # a phase on F_2^n in Z[zeta_N], N odd, cannot take the exponent differences
+        # mod 256: it reads its exponents like a phase at odd p, and comes out exact
+        R, rng = ring(p, m), random.Random(10 * p + m)
+        for n in (2, 3):
+            exps = np.array([rng.randrange(R.N) for _ in range(2**n)])
+            f = an.BoundedFunction(2, n, R, R.roots_to_coeffs(exps).astype(np.int64), 1, exps=exps)
+            for d in (2, 3, 4):
+                assert an.gowers_norm(f, d).power_surd() == an.direct_gowers_power(f, d).power_surd()
+                assert an.gowers_norm(f, d) == an.gowers_norm(_stripped(f), d)
+
     def test_sixteenth_roots_take_the_ring_path(self):
-        # the closed forms sum |tau|^4 in Z[zeta_8] at most; Z[zeta_16] phases
-        # take the Gram sum and must still come out exact
+        # Z[zeta_16] phases sum |tau|^4 on the generated |tau|^2 terms of
+        # _mag2_terms, which no hand-written form covers, and must come out exact
         f = an.random_unimodular_exact(random.Random(0), 2, 2, 4)
         for d in (2, 3):
             fast, direct = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
@@ -655,15 +671,15 @@ class TestQuarterColumns:
         assert sorted(np.concatenate([(rows ^ u).ravel() for u in (0, a, b, a ^ b)])) == list(range(2**n))
         f = an.random_unimodular_exact(random.Random(seed), 2, n, m)
         R, shifts = f.ring, (np.array([a]), np.array([b]))
-        columns = an._value_columns(R, 2, n, f.coeffs, shifts)
+        columns = an._derivative_columns(R, 2, n, f.coeffs, 4, np.int64)  # the ring-value branch
         # copies: the next call reuses the column source's buffers
         full = an._transform_inplace(R, 2, np.array(columns(shifts)), -1)
         W = an._transform_inplace(R, 2, np.array(columns(shifts, True)), -1)  # half coordinates
         one = np.ones(1, dtype=object)
-        quarter = [16 * c for c in an._half_power_sums(R, W, one, object)]
+        quarter = [16 * c for c in an._mag4_sums(R, W, one, object, half=True)]
         assert quarter == list(an._mag4_sums(R, full, one, object))
         # the first-derivative table's rows (N = 1..16) against the four gathers of the exponents
-        exponent_rows = an._exponent_columns(R, 2, n, f.exps, shifts, np.int64)(shifts, True)
+        exponent_rows = an._derivative_columns(R, 2, n, f.exps, 4, np.int64)(shifts, True)
         assert np.array_equal(exponent_rows, ref_quarter_exponents(R, n, f.exps, *shifts))
         assert np.array_equal(exponent_rows, columns(shifts, True))
 
@@ -734,14 +750,15 @@ class TestHalfCoordinates:
         self.assert_exact(_zi_function(4, n, 50 + n))
 
     def test_the_paths_are_taken(self, monkeypatch):
-        # both column sources read quarter rows, every ring's sums run on half coordinates
-        calls, half_sums = [], an._half_power_sums
+        # both branches of the column source read quarter rows, every ring's sums run on half coordinates
+        calls, sums = [], an._mag4_sums
 
         def spy(R, *args):
-            calls.append(R.N)
-            return half_sums(R, *args)
+            if args[-1]:  # half
+                calls.append(R.N)
+            return sums(R, *args)
 
-        monkeypatch.setattr(an, "_half_power_sums", spy)
+        monkeypatch.setattr(an, "_mag4_sums", spy)
         for m in range(5):
             f = an.random_unimodular_exact(random.Random(m), 2, 4, m)
             an.gowers_norm(f, 4)
@@ -753,6 +770,73 @@ class TestHalfCoordinates:
     def test_random_phases(self, n, m, strip, seed):
         f = an.random_unimodular_exact(random.Random(seed), 2, n, m)
         self.assert_exact(_stripped(f) if strip else f)
+
+
+class TestColumnSource:
+    """What a U^3 or U^4 call builds besides its scratch."""
+
+    def test_orbits_are_built_once(self, monkeypatch):
+        # the shift orbits and the quarter/full split are cached and read-only
+        f = an.random_unimodular_exact(random.Random(7), 2, 6, 3)
+        calls, orbits = [], an._derivative_orbits
+
+        def spy(*args):
+            calls.append(args)
+            return orbits(*args)
+
+        an._column_sets.cache_clear()
+        monkeypatch.setattr(an, "_derivative_orbits", spy)
+        first = an.gowers_norm(f, 4)
+        assert an.gowers_norm(f, 4) == first
+        assert calls == [(2, 6, 4)]
+        for shifts, weights, _ in an._column_sets(2, 6, 4, 8):
+            assert not any(a.flags.writeable for a in shifts + (weights,))
+
+    def test_u3_of_values_builds_no_square_table(self):
+        # each U^3 column of ring values is one gather and one product: no
+        # first-derivative table of p^(2n) entries per plane is built
+        n, R = 9, ring(2, 2)
+        f = an.BoundedFunction(2, n, R, np.random.default_rng(9).integers(-2, 3, (2, 2**n)), 4)
+        first = an.gowers_norm(f, 3)  # fills the shift-table cache
+        tracemalloc.start()
+        try:
+            assert an.gowers_norm(f, 3) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < R.degree * 4**n * 8 // 2
+
+
+# the former hand-written |tau|^2 forms, terms (i, j, sign) per coordinate on (1, sqrt2)
+FORMER_MAG2_FORMS = {
+    1: ([(0, 0, 1)],),
+    2: ([(0, 0, 1)],),
+    3: ([(0, 0, 1), (0, 1, -1), (1, 1, 1)],),
+    4: ([(0, 0, 1), (1, 1, 1)],),
+    8: ([(0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)], [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, -1)]),
+}
+
+
+class TestFourthPowerSum:
+    """One table-driven sum of |tau|^4 and of z^4 on the half coordinates."""
+
+    @pytest.mark.parametrize("N", sorted(FORMER_MAG2_FORMS))
+    def test_generated_terms_match_the_former_forms(self, N):
+        forms = [set() for _ in FORMER_MAG2_FORMS[N]]
+        for i, j, coords in an._mag2_terms(N):
+            for m, c in coords:
+                forms[m].add((i, j, c))
+        assert forms == [set(form) for form in FORMER_MAG2_FORMS[N]]
+
+    @pytest.mark.parametrize("p, n, m, ds", [(5, 1, 1, (2, 3, 4)), (3, 2, 2, (2, 3))])
+    def test_gram_fold(self, p, n, m, ds):
+        # Z[zeta_5] and Z[zeta_9] have no generated forms: their sums fold the
+        # Gram matrix of the |tau|^2 planes
+        f = an.random_unimodular_exact(random.Random(p * n * m), p, n, m)
+        assert an._mag2_terms(f.ring.N) is None
+        for g in (f, _stripped(f)):
+            for d in ds:
+                assert an.gowers_norm(g, d).power_surd() == an.direct_gowers_power(g, d).power_surd()
 
 
 class TestFirstMax:

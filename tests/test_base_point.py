@@ -157,11 +157,14 @@ def check_witness(f, phi):
     assert got == [i]
     assert_same_functions(w.bs, bs)
     assert w.delta.mag2() == val.mag2()
+    # multiaffine_cs reads this delta instead of measuring the witness again
+    again = sym.seven_correlation(w.bs, phi)
+    assert (w.delta.ring, w.delta.den, list(w.delta.num)) == (again.ring, again.den, list(again.num))
 
 
 def check_cs(phi, bs):
     with chosen_points() as got:
-        _, bprime, delta, _ = sym.multiaffine_cs(phi, bs)
+        _, bprime, delta, _ = sym.multiaffine_cs(sym.CorrelationWitness.make(phi, bs))
     i, ref_bs, val = ref_multiaffine_cs(phi, bs)
     assert got == [i]
     assert_same_functions(bprime, ref_bs)

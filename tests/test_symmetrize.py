@@ -231,7 +231,7 @@ class TestMultiaffineCs:
         T = mf.random_form(rng, 2, 2, 3)
         phi = MultiaffineForm.from_multilinear(T)
         bs = tuple(an.BoundedFunction.ones(2, 2) for _ in range(7))
-        T2, bprime, dout, led = sym.multiaffine_cs(phi, bs)
+        T2, bprime, dout, led = sym.multiaffine_cs(sym.CorrelationWitness.make(phi, bs))
         assert T2 == T and all(e.holds for e in led)
 
     def test_strips_affine_parts(self):
@@ -246,7 +246,7 @@ class TestMultiaffineCs:
             }
             phi = MultiaffineForm.make(p, n, 3, comps)
             bs = tuple(an.random_mu_p_function(rng, p, n) for _ in range(7))
-            T2, bprime, dout, led = sym.multiaffine_cs(phi, bs)
+            T2, bprime, dout, led = sym.multiaffine_cs(sym.CorrelationWitness.make(phi, bs))
             assert T2 == mf.multilinear_part(phi)
             assert all(e.holds for e in led)
             # output functions are shifted copies / conjugates of b7
@@ -259,7 +259,7 @@ class TestMultiaffineCs:
         T = mf.random_form(rng, p, n, 3)
         phi = MultiaffineForm.from_multilinear(T)
         bs = tuple(an.random_mu_p_function(rng, p, n) for _ in range(7))
-        _, bprime, _, _ = sym.multiaffine_cs(phi, bs)
+        _, bprime, _, _ = sym.multiaffine_cs(sym.CorrelationWitness.make(phi, bs))
         b7 = bs[6]
         shifted_tables = {
             s: b7.shift_arg(s).coeffs.tobytes() for s in fs.all_vectors(p, n)

@@ -4,10 +4,12 @@
     python scripts/u4_timing.py [max_n]
 
 Each row times U^2, U^3 and U^4 of one random function and ends with the
-process's peak RSS so far.  Seven kinds of rows: an eighth-root phase on
-F_2^n, the same kind of phase written out and read back as text (so it
-carries no exponent table and takes the ring-value columns), a Z[i]-valued
-function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
+largest per-call peak of traced memory (each call run once more under
+``tracemalloc``, after the timed call has filled the caches, so it is the
+call's own scratch) next to the process's peak RSS so far.  Seven kinds of
+rows: an eighth-root phase on F_2^n, the same kind of phase written out and
+read back as text (so it carries no exponent table and takes the ring-value
+columns), a Z[i]-valued function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
 half) and a sixteenth-root phase (the largest ring of the generated |tau|^2
 terms) on F_2^n for n = 2..max_n, a cube-root phase on F_3^n for n =
 2..min(max_n, 5), where the default budget stops U^4, and a fifth-root
@@ -20,6 +22,7 @@ import random
 import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -30,6 +33,16 @@ from hofa.serialize import dump_function, load_function
 
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kB on Linux
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced memory of one call of fn, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def gaussian_function(rng, n, den=4):
@@ -67,15 +80,16 @@ def main(max_n=8) -> int:
         rng = random.Random(0)
         for n in range(2, min(max_n, top or max_n) + 1):
             f = make(rng, n)
-            row = [f"{label} F_{p}^{n}"]
+            row, peak = [f"{label} F_{p}^{n}"], 0.0
             for d in (2, 3, 4):
                 t0 = time.time()
                 val = an.gowers_norm(f, d)
                 row.append(f"U^{d}={val.norm_float():.5f} ({time.time() - t0:.3f}s)")
+                peak = max(peak, traced_peak_mb(lambda: an.gowers_norm(f, d)))
                 if n <= checked and p ** (n * d) <= 2**14 and not same_power(val, an.direct_gowers_power(f, d)):
                     row.append(f"MISMATCH: U^{d} != direct_gowers_power")
                     status = 1
-            row.append(f"peak RSS {peak_rss_mb():.1f} MB")
+            row.append(f"tracemalloc peak {peak:.2f} MB  peak RSS {peak_rss_mb():.1f} MB")
             print("  ".join(row), flush=True)
     return status
 

@@ -14,8 +14,8 @@ p = 3, and a radix-p butterfly on them for p >= 5, where multiplying by
 omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
 one column kernel: the transform of f, of each d_h f, or of each
 d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
-on int64 only where a stated bound allows and on Python integers
-elsewhere.  Ring values and phases in Z[zeta_{2^m}] read those columns
+each stage on the narrowest fixed-width integers a stated bound allows
+and on Python integers past it.  Ring values and phases in Z[zeta_{2^m}] read those columns
 from one first-derivative table T(x, h) = f(x + h) conj f(x), other
 phases, every one at odd p, from their exponents.  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
@@ -54,13 +54,20 @@ from .torus import TorusValue
 
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
+_VALUE_DTYPES = ((np.int16, 2**15 - 1), (np.int32, _INT32_MAX), (np.int64, _INT64_MAX))
 
 
 @lru_cache(maxsize=None)
 def _shift_table(p: int, n: int) -> np.ndarray:
-    """SHIFT[i, j] = index of (x_i + x_j) in all_vectors order."""
+    """SHIFT[i, j] = index of (x_i + x_j) in all_vectors order.
+
+    At p = 2 the index bits are the coordinates, so the table is one XOR of
+    the indices and takes no temporary of its size; at odd p it recombines
+    the digit-wise sums."""
     size = p**n
     idx = np.arange(size)
+    if p == 2:
+        return np.bitwise_xor.outer(idx, idx)
     digits = np.empty((n, size), dtype=np.int64)
     rem = idx.copy()
     for a in range(n - 1, -1, -1):
@@ -655,18 +662,22 @@ def _pivot_rows(n: int) -> np.ndarray:
     return r
 
 
-def _complement_rows(n: int, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the quarter columns at p = 2: for independent shifts a, b (one
-    pair per column), the (2^(n-2), columns) indices of C = {x : bit i = bit
-    j = 0}, in order of c.  Bit i is the lowest set bit of a, and bit j the
-    lowest set bit of b' in {b, a ^ b} with bit i clear, so F_2^n =
-    span(a, b) + C.  A column's rows depend only on i and j (frexp reads them
-    exactly), so they are gathered from ``_pivot_rows``, built once per n,
-    into ``out`` if given."""
+def _pivot_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The column i n + j of ``_pivot_rows`` for each pair of independent
+    shifts a, b at p = 2: bit i is the lowest set bit of a, and bit j the
+    lowest set bit of b' in {b, a ^ b} with bit i clear (frexp reads both
+    exactly), so C = {x : bit i = bit j = 0} has F_2^n = span(a, b) + C."""
     low_a = a & -a
     b2 = np.where(b & low_a, a ^ b, b)
-    i, j = np.frexp(low_a)[1] - 1, np.frexp(b2 & -b2)[1] - 1
-    return np.take(_pivot_rows(n), i * n + j, axis=1, out=out, mode="clip")  # "clip" takes no copy
+    return (np.frexp(low_a)[1] - 1) * n + np.frexp(b2 & -b2)[1] - 1
+
+
+def _complement_rows(n: int, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the quarter columns at p = 2: for independent shifts a, b (one
+    pair per column), the (2^(n-2), columns) indices of C of ``_pivot_keys``,
+    in order of c, gathered from ``_pivot_rows`` into ``out`` if given.  The
+    U^4 kernel caches the keys with its column sets (``_column_sets``)."""
+    return np.take(_pivot_rows(n), _pivot_keys(n, a, b), axis=1, out=out, mode="clip")  # "clip" takes no copy
 
 
 def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -682,15 +693,17 @@ def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     sum_k (W_{h-k} + W_{h+k}) e_k.  Plane 2k of ``out`` is coordinate k of
     the plus half, plane 2k + 1 that of the minus half: in Z[zeta_8] (2 W_0,
     2 W_2, W_1 - W_3, W_1 + W_3) on the basis (1, sqrt2), in Z[i] (2 W_0,
-    2 W_1).  In Z (degree 1) W is real, and the one plane is 2 W.
+    2 W_1).  In Z (degree 1) W is real, and the one plane is 2 W.  The sums
+    are formed on the dtype of ``out``, which may be wider than W's, or
+    narrower where the caller's bound allows (object W on integer planes).
     """
-    d = W.shape[0]
-    np.add(W[0], W[0], out=out[0])
+    d, kw = W.shape[0], {"dtype": out.dtype, "casting": "unsafe"}
+    np.add(W[0], W[0], out=out[0], **kw)
     if d > 1:
         h = d // 2
-        np.add(W[h], W[h], out=out[1])
-        np.subtract(W[1:h], W[:h:-1], out=out[2::2])
-        np.add(W[h - 1 : 0 : -1], W[h + 1 :], out=out[3::2])
+        np.add(W[h], W[h], out=out[1], **kw)
+        np.subtract(W[1:h], W[:h:-1], out=out[2::2], **kw)
+        np.add(W[h - 1 : 0 : -1], W[h + 1 :], out=out[3::2], **kw)
     return out
 
 
@@ -714,7 +727,7 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, d: int, dt
     # the sign of e(x) in the column's exponent, plus the 2N offset into ext
     base = (2 * N + (-1) ** d * exps)[:, None]
 
-    def columns(shifts, quarter=False):
+    def columns(shifts, pivots=None):
         shape = (size, len(shifts[0]))
         E = buffer("index", shape, esh.dtype)
         if len(shifts) == 1:
@@ -731,45 +744,54 @@ def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, d: int, dt
     return columns
 
 
-def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dtype, buffer=None):
+def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dtype, buffer=None, quarter_dtype=None):
     """Column source of ring values (``f`` their (degree, p^n) coefficients)
     and of phases (``f`` their exponent table; past U^2 only those in
     Z[zeta_{2^m}]): f itself for U^2, else one first-derivative table T(x,
     h) = f(x + h) conj f(x), read as d_h f(x) = T(x, h) and d_a d_b f(x) =
     T(x + a, b) conj T(x, b), where conj T(x, b) = T(x + b, -b).
 
-    ``columns(shifts, quarter)`` takes one chunk's shift arrays; a quarter
-    column (p = 2, d = 4 only) is read on the rows of ``_complement_rows`` as
-    its half coordinates (``_half_coordinates``).  One routine indexes T at
-    (x + s) p^n + h: x + s is x ^ s at p = 2, where it moves the index of
-    T(x + a, b) to that of T(x + b, b) in place, and a shift-table entry at
-    odd p.  For a phase T is the table De = e(x + h) - e(x) mod N of 4^n bytes
-    (int64 past N = 256), a product of two entries their sum, masked by
-    N - 1 and read from zeta^0..zeta^(N-1): two byte gathers where the
-    exponents would take four of int64.  For values T is the coefficient
-    table D and a product the ring product (``CycloRing.mul_arrays``); at
-    d = 3 D is not built, each column being f(x + h) conj f(x) from one
-    gather and one product.  Index sums, gathers, products and planes go to
-    arrays of ``buffer`` (``_scratch``), so a chunk loop allocates no large
-    array here: a returned column is overwritten by the next call."""
+    ``columns(shifts, pivots)`` takes one chunk's shift arrays and returns
+    its transform planes on ``dtype``.  A quarter column (p = 2, d = 4 only)
+    comes with its pivot key (``_pivot_keys``, cached by ``_column_sets``):
+    it is read on the rows of ``_pivot_rows`` that the key selects, one
+    gather, as its half coordinates (``_half_coordinates``) on
+    ``quarter_dtype`` (default ``dtype``).  One routine indexes T at (x + s)
+    p^n + h: x + s is x ^ s at p = 2, where it moves the index of T(x + a, b)
+    to that of T(x + b, b) in place, and a shift-table entry at odd p.  For a
+    phase T is the table De = e(x + h) - e(x) mod N of 4^n bytes (int64 past
+    N = 256), a product of two entries their sum, masked by N - 1 and read
+    from zeta^0..zeta^(N-1): two byte gathers where the exponents would take
+    four.  For values T is the coefficient table D and a product the ring
+    product (``CycloRing.mul_arrays``), on the dtype of ``f``, which
+    ``_kernel_dtypes`` chooses to hold every coefficient of f, T and their
+    products and every partial sum forming them; full columns are
+    multiplied straight into planes at least as wide, quarter columns into
+    one product array whose half coordinates go to the planes.  At d = 3 D is not built,
+    each column being f(x + h) conj f(x) from one gather and one product.
+    Index sums, gathers, products and planes go to arrays of ``buffer``
+    (``_scratch``), so a chunk loop allocates no large array here: a
+    returned column is overwritten by the next call."""
     buffer = buffer or _scratch()
     size, phase, N = p**n, f.ndim == 1, R.N
+    quarter_dtype = quarter_dtype or dtype
     roots = R._reduce.T.astype(dtype)  # roots[:, t]: the coefficients of zeta^t
-    if d == 2:
-        return lambda shifts, quarter=False: (np.take(roots, f, axis=1) if phase else f)[:, :, None]
+    if d == 2:  # a new C-contiguous array per call, which the transform overwrites
+        return lambda shifts, pivots=None: (np.take(roots, f, axis=1) if phase else np.array(f, dtype, order="C"))[:, :, None]
     sh = _shift_table(p, n)
     neg = sh.argmin(axis=1) if p > 2 else None  # x + neg[x] = 0
     x_rows = np.arange(size)[:, None] * size
     if phase:
-        half = _half_coordinates(roots, np.empty_like(roots)) if d == 4 else None
+        if d == 4:
+            quarter_roots = R._reduce.T.astype(quarter_dtype)
+            half = _half_coordinates(quarter_roots, np.empty_like(quarter_roots))
         e = (f & (N - 1)).astype(np.uint8 if N <= 256 else np.int64)
         T = e[sh]
         T -= e[:, None]  # on uint8 mod 256, which N divides
         T = T.ravel()
-    elif d == 4:
-        T = R.mul_arrays(f[:, sh], R.conj_arrays(f)[:, :, None]).reshape(R.degree, -1)
     else:
-        T, cc = f, R.conj_arrays(f)[:, :, None]
+        cc = R.conj_arrays(f).astype(f.dtype)[:, :, None]
+        T = R.mul_arrays(f[:, sh], cc).reshape(R.degree, -1) if d == 4 else f
 
     def index(rows, s, h):  # the flat index (x + s) p^n + h of T for each row x, where rows hold x p^n
         if p == 2:  # any flat index (y, k) moves to (y + s, k + h), also in place
@@ -783,25 +805,34 @@ def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dty
     def gather(name, at):
         return np.take(T, at, axis=-1, out=buffer(name, T.shape[:-1] + at.shape, T.dtype), mode="clip")
 
-    def columns(shifts, quarter=False):
-        b = shifts[-1]
+    def product(g, h, quarter):  # the planes of the ring product g h, or with quarter its half coordinates
+        if not quarter and np.can_cast(T.dtype, dtype):  # the planes hold every partial sum
+            return R.mul_arrays(g, h, out=buffer("planes", g.shape, dtype))
+        prod = R.mul_arrays(g, h, out=buffer("product", g.shape, T.dtype))
+        planes = buffer("planes", g.shape, quarter_dtype if quarter else dtype)
+        if quarter:
+            return _half_coordinates(prod, planes)
+        planes[...] = prod
+        return planes
+
+    def columns(shifts, pivots=None):
+        b, quarter = shifts[-1], pivots is not None
         if d == 3 and not phase:  # f(x + h) conj f(x)
             g = gather("gather", np.take(sh, b, axis=1, out=buffer("index", (size, len(b)), np.intp), mode="clip"))
-            return R.mul_arrays(g, cc, out=buffer("product", g.shape, T.dtype))
+            return product(g, cc, False)
         a, rows = shifts[0] if d == 4 else 0, x_rows
         if quarter:
-            rows = _complement_rows(n, *shifts, out=buffer("index", (size // 4, len(b)), np.intp))
+            rows = np.take(_pivot_rows(n), pivots, axis=1, out=buffer("index", (size // 4, len(b)), np.intp), mode="clip")
             rows <<= n
         at = index(rows, a, b)  # in place on the quarter rows
         g = gather("gather", at)
         if d == 4:  # conj T(x, b) = T(x + b, -b): at p = 2, (x + a, b) moved by (a + b, 0)
             conj = gather("gather 2", index(at, a ^ b, 0) if p == 2 else index(rows, b, neg[b]))
             if not phase:
-                prod = R.mul_arrays(g, conj, out=buffer("product", g.shape, T.dtype))
-                return _half_coordinates(prod, g) if quarter else prod
+                return product(g, conj, quarter)
             g = np.add(g, conj, out=g)
         E = np.bitwise_and(g, N - 1, out=buffer("index", g.shape, np.intp))  # mod N, also where the sum wrapped
-        out = buffer("planes", (R.degree,) + E.shape, dtype)
+        out = buffer("planes", (R.degree,) + E.shape, quarter_dtype if quarter else dtype)
         return np.take(half if quarter else roots, E, axis=1, out=out, mode="clip")
 
     return columns
@@ -912,7 +943,7 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer
     return tuple(w4 + [0] * (d > 1) + [-c for c in w4[:0:-1]])  # e_k = zeta^k - zeta^(degree-k)
 
 
-def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) -> tuple:
+def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, q: int | None = None) -> tuple:
     """dtypes of the column kernel: (values, transform planes, squares, column
     sums, chunk sums).
 
@@ -928,50 +959,80 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int) 
     transform the coordinates of g +- conj g are at most 2 sqrt K <= 2^(n-1)
     sqrt K (n >= 2).  The transform has
     |s(tau)| <= p^n sqrt K, and sum_chi |s(tau)|^4 <= p^{4n} K^2 (Parseval).
-    The trace form of Z[zeta_{p^m}] is at least p^{m-1} times the square
+    The ring is Z[zeta_{q^m}], q = p unless ``q`` says otherwise (a ring of
+    odd order at p = 2).  Its trace form is at least q^{m-1} times the square
     norm on the power basis, so a coefficient of an element is at most
-    sqrt(p - 1) times its largest embedding, and a column's sum of |tau|^4,
+    sqrt(q - 1) times its largest embedding, and a column's sum of |tau|^4,
     on the coordinates of |tau|^2 or as a Gram matrix of its planes, stays
-    within (p - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
+    within (q - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
     largest coefficients of its factors, so columns, transforms and |tau|^2
-    stay within (p - 1) degree^2 p^{2n} K.  The planes take the narrowest
-    integer type that holds sqrt((p - 1) K) p^n; a stage that passes int64
+    stay within (q - 1) degree^2 p^{2n} K.  The planes take the narrowest
+    integer type that holds sqrt((q - 1) K) p^n; a stage that passes int64
     runs on object dtype, and so does everything after it.
+
+    The values are f, the first-derivative table T and the ring products
+    that form T and the columns (``_derivative_columns``).  Every such
+    product has two factors with |s(.)|^2 <= sqrt K: values of f, whose
+    |s(f)|^2 <= M2 is sqrt K at d = 3 and K^(1/4) at d = 4, or entries of T,
+    with |s(T)|^2 <= M2^2 = sqrt K at d = 4.  A coefficient is at most
+    sqrt(q - 1) <= sqrt(degree) times the largest embedding, so
+    every coefficient of a factor is at most (degree^2 K)^(1/4), and every
+    partial sum of a product at most V = degree^3 sqrt K, which also holds
+    f's own coefficients at d = 2 (K = M2).  The values take the narrowest
+    of int16, int32 and int64 that holds V.
 
     The squares, the coordinates of w = |tau|^2 or w = z^2 in ``_mag4_sums``,
     are sums of at most degree^2 products of two plane coefficients, so they
-    and every partial sum forming them also stay within (p - 1) degree^2
+    and every partial sum forming them also stay within (q - 1) degree^2
     p^{2n} K.  Where that fits int32 they are formed on int32 and each column
-    summed on int64 (then (p - 1) p^{4n} K^2 < 2^62); past it on the dtype of
+    summed on int64 (then (q - 1) p^{4n} K^2 < 2^62); past it on the dtype of
     the column sums.
     """
-    size = p**n
-    square_bound = (p - 1) * degree**2 * size**2 * K
-    if square_bound > _INT64_MAX:
+    size, q = p**n, q or p
+    square_bound = (q - 1) * degree**2 * size**2 * K
+    value_sq = degree**6 * K  # V^2
+    values = next((dt for dt, top in _VALUE_DTYPES if value_sq <= top * top), None)
+    if square_bound > _INT64_MAX or values is None:
         return (object,) * 5
-    top = math.isqrt((p - 1) * K * size**2) + 1
+    top = math.isqrt((q - 1) * K * size**2) + 1
     planes = np.int16 if top < 2**15 else np.int32 if top <= _INT32_MAX else np.int64
-    col_bound = (p - 1) * size**4 * K**2
+    col_bound = (q - 1) * size**4 * K**2
     if col_bound > _INT64_MAX:
-        return np.int64, planes, object, object, object
+        return values, planes, object, object, object
     squares = np.int32 if square_bound <= _INT32_MAX else np.int64
-    return np.int64, planes, squares, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
+    return values, planes, squares, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
+
+
+def _chunk_divisor(p: int, degree: int, values) -> int:
+    """How many times narrower than ``_CHUNK_ENTRIES`` entries per plane a
+    chunk of whole-space columns is; quarter columns take four times as
+    many.  Exponent columns (``values`` None) at p = 2 keep int64 index sums
+    beside their planes, in half-size chunks.  Value columns keep index sums
+    too, and gathers and products of ``degree`` planes on ``values``: their
+    chunks are narrower again by the bytes of those planes over 8, those of
+    the index sums."""
+    if values is None:
+        return 2 if p == 2 else 1
+    return 2 * max(1, degree * np.dtype(values).itemsize // 8)
 
 
 @lru_cache(maxsize=None)
 def _column_sets(p: int, n: int, d: int, N: int) -> tuple:
-    """The U^d columns as sets of (shifts, weights, quarter-size), built once
+    """The U^d columns as sets of (shifts, weights, pivot keys), built once
     per (p, n, d, N) and read-only: one set of every orbit of
     ``_derivative_orbits``, but at p = 2, d = 4 in Z[zeta_N], N = 2^m, the
     independent pairs a, b as a quarter-size set (see ``_gowers_columns``),
-    first, and the pairs a = 0 or a = b on their own."""
+    first, with the key of each pair's complement rows (``_pivot_keys``),
+    and the pairs a = 0 or a = b on their own.  A set of whole-space
+    columns has no keys (None)."""
     hs, weights = _derivative_orbits(p, n, d)
-    sets = ((hs, weights, False),)
+    sets = ((hs, weights, None),)
     if p == 2 and d == 4 and (N & (N - 1)) == 0:
         q = (hs[0] != 0) & (hs[0] != hs[1])
-        sets = ((tuple(h[q] for h in hs), weights[q], True), (tuple(h[~q] for h in hs), weights[~q], False))
-    for shifts, w, _ in sets:
-        for a in shifts + (w,):
+        quarter = tuple(h[q] for h in hs)
+        sets = ((quarter, weights[q], _pivot_keys(n, *quarter)), (tuple(h[~q] for h in hs), weights[~q], None))
+    for shifts, w, keys in sets:
+        for a in shifts + (w,) + (() if keys is None else (keys,)):
             a.setflags(write=False)
     return sets
 
@@ -989,16 +1050,23 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     gathers of their exponents (``_exponent_columns``).
     With |s(f(x))|^2 <= M2
     in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
-    ``_kernel_dtypes`` turns into the dtype of each stage.  The column
-    source, the transform and the sums keep their arrays in one scratch per
-    call (``_scratch``), so no chunk allocates a large array.
+    ``_kernel_dtypes`` turns into the dtype of each stage: ring values, their
+    first-derivative table and its products on the narrowest integer dtype
+    that holds V = degree^3 sqrt K.  The chunk width follows from the dtypes
+    (``_chunk_divisor``): a chunk of whole-space columns holds
+    ``_CHUNK_ENTRIES`` entries per plane, over 2 for phases at p = 2 and
+    over 2 max(1, degree bytes(values) / 8) for values, so int16 values in
+    Z[i] or Z[zeta_8] take the chunks of phases at p = 2, and int64 values
+    chunks 2 degree times narrower.  The column source, the transform and
+    the sums keep their arrays in one scratch per call (``_scratch``), so no
+    chunk allocates a large array.
 
     At p = 2 the U^4 columns of independent shifts a, b (every pair but
     a = 0 and a = b) run on a quarter of the space.  g = d_a d_b f is
     g(x) = f(x + a + b) conj f(x + a) conj f(x + b) f(x); the shift x -> x + a
     + b permutes these four factors, and x -> x + a swaps the conjugated pair
     with the other, so g(x + a + b) = g(x) and g(x + a) = conj g(x).  With C
-    the complement of span(a, b) from ``_complement_rows`` and x = c + u, u in
+    the complement of span(a, b) of ``_pivot_keys`` and x = c + u, u in
     {0, a, b, a + b}, the values of g on c + u are g(c), conj g(c), conj g(c)
     and g(c), so
         tau(chi) = sum_c (-1)^{chi.c} (g(c) (1 + (-1)^{chi.(a+b)})
@@ -1022,38 +1090,31 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     size = p**n
     exps = fn.restricted_exps()
     M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
-    # a chunk's transform holds _CHUNK_ENTRIES entries per plane.  Value columns carry int64
-    # gathers and ring products on every plane: 2 * degree times narrower chunks keep their
-    # memory near the exponent path's.  At p = 2 the exponent columns keep int64 index sums
-    # beside int16 planes, in half-size chunks whose scratch the quarter columns share
-    step = max(1, _CHUNK_ENTRIES // (size * (2 * R.degree if exps is None else 2 if p == 2 else 1)))
     K = M2 ** (1 << (d - 2))
-    values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, step, 1)[:2]
+    values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, 1, 1, R.p)[:2]
+    quarter_dt = _kernel_dtypes(p, n, R.degree, -(-K // 4), 1, 1, R.p)[1]
+    step = max(1, _CHUNK_ENTRIES // (size * _chunk_divisor(p, R.degree, None if exps is not None else values_dt)))
     buffer = _scratch()  # one call's scratch: the column source's, the transform's and the sums'
     if exps is not None and d > 2 and R.N & (R.N - 1):  # the table's exponents are masked by N - 1
         columns = _exponent_columns(R, p, n, exps, d, source_dt, buffer)
     else:
         table = fn.coeffs.astype(values_dt) if exps is None else exps
-        columns = _derivative_columns(R, p, n, table, d, source_dt, buffer)
+        columns = _derivative_columns(R, p, n, table, d, source_dt, buffer, quarter_dt)
     total = np.zeros(R.degree, dtype=object)
-    for shifts, w, is_quarter in _column_sets(p, n, d, R.N):
+    for shifts, w, keys in _column_sets(p, n, d, R.N):
         if not len(w):
             continue
         # a quarter column has a quarter of the rows: 4 * step of them fill a chunk's scratch
-        bound, cols = (-(-K // 4), 4 * step) if is_quarter else (K, step)
-        _, plane_dt, square_dt, _, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()))
+        quarter = keys is not None
+        bound, cols = (-(-K // 4), 4 * step) if quarter else (K, step)
+        square_dt, _, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()), R.p)[2:]
         w = w.astype(acc_dt, copy=False)
         for start in range(0, len(w), cols):
             part = slice(start, start + cols)
-            chunk = tuple(h[part] for h in shifts)
-            g = columns(chunk, is_quarter)
-            if g.dtype != plane_dt:  # value columns keep K's dtype up to the transform, within plane_dt
-                planes = buffer("planes", g.shape, plane_dt)
-                planes[...] = g
-                g = planes
+            g = columns(tuple(h[part] for h in shifts), keys[part] if quarter else None)
             tau = _transform_inplace(R, p, g, -1, buffer)
-            sums = _mag4_sums(R, tau, w[part], square_dt, buffer, is_quarter)
-            total += (16 if is_quarter else 1) * np.array(sums, dtype=object)
+            sums = _mag4_sums(R, tau, w[part], square_dt, buffer, quarter)
+            total += (16 if quarter else 1) * np.array(sums, dtype=object)
     return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 
 

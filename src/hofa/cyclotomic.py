@@ -83,10 +83,12 @@ class CycloRing:
         the result has dtype np.result_type(A, B).  Each coefficient of a
         product is a sum of the plane products A[i] B[j] with signs +-1, and
         every partial sum stays within degree^2 max|A| max|B|: exact on
-        object dtype, and on int64 wherever that bound fits, which callers
-        on int64 check.  With ``out`` (of the result's shape and dtype, not
-        overlapping A or B) the product is written there and returned, so a
-        loop over chunks can keep one buffer.
+        object dtype, and on an integer dtype wherever that bound fits, which
+        callers on integer dtypes check.  With ``out`` (of the result's shape,
+        not overlapping A or B) the product is written there and returned, so
+        a loop over chunks can keep one buffer; the plane products are formed
+        on the result's dtype and summed on that of ``out``, which may be
+        wider.
 
         Up to 512 broadcast entries the outer product of the planes is folded
         by one (d x d^2) integer matmul; larger products add the signed plane

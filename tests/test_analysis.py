@@ -242,7 +242,8 @@ class TestPhaseFastPathP2:
         assert max(1, an._CHUNK_ENTRIES >> n) == columns
         values, planes, squares, sums, chunk_sums = an._kernel_dtypes(2, n, 4, 1, columns, weight)
         assert planes is dtype and np.iinfo(dtype).max >= 2**n
-        assert values is sums is chunk_sums is np.int64
+        # the values' bound degree^3 sqrt K = 64 fits int16
+        assert values is np.int16 and sums is chunk_sums is np.int64
         # the squares' bound 16 * 4^n K fits int32 up to n = 13
         assert squares is (np.int32 if n <= 13 else np.int64)
         assert weight * columns * 16**n < 2**63
@@ -255,7 +256,7 @@ class TestPhaseFastPathP2:
 
     def test_sums_past_int64_run_on_object_dtype(self):
         # at n = 16 one column's sum of |tau|^4 can reach 16^16 = 2^64
-        assert an._kernel_dtypes(2, 16, 4, 1, 1, 1) == (np.int64, np.int32, object, object, object)
+        assert an._kernel_dtypes(2, 16, 4, 1, 1, 1) == (np.int16, np.int32, object, object, object)
         # a Z[i] function with den = 2^20 passes int64 already in its values
         assert an._kernel_dtypes(2, 2, 2, 2**160, 1, 1) == (object,) * 5
 
@@ -453,7 +454,7 @@ class TestColumnKernel:
         assert max(1, an._CHUNK_ENTRIES // 3**n) == columns
         values, planes, squares, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
         assert planes is dtype and np.iinfo(dtype).max ** 2 >= 2 * 9**n
-        assert values is np.int64 and col_sums is chunk_sums is sums
+        assert values is np.int16 and col_sums is chunk_sums is sums  # degree^3 sqrt K = 8
         # the squares' bound 2 * 4 * 9^n K fits int32 up to n = 8
         assert squares is (np.int32 if n <= 8 else sums)
         if sums is np.int64:
@@ -506,7 +507,7 @@ class TestNoInt64Overflow:
         # just under 2^63, and only the weighted chunk total passes int64
         signs = [(-1) ** (x[0] * x[1] + x[2]) for x in all_vectors(2, 3)]
         f = an.BoundedFunction(2, 3, ring(2, 0), 9 * np.array([signs], dtype=np.int64), 9)
-        assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int64, np.int32, np.int64, np.int64, object)
+        assert an._kernel_dtypes(2, 3, 1, 9**8, 2048, 2) == (np.int16, np.int32, np.int64, np.int64, object)
         assert an.gowers_norm(f, 3).power_surd() == an.gowers_norm(f, 4).power_surd() == RealSurd(1)
 
     def test_float_fields_past_the_float_range(self):
@@ -611,6 +612,174 @@ class TestInt32Squares:
         assert an.gowers_norm(_constant(4, c), 4).power_surd() == RealSurd(1)
 
 
+def _digit_shift_table(p, n):
+    """The digit construction of ``_shift_table``: index of x_i + x_j, first coordinate most significant."""
+    idx = np.arange(p**n)
+    digits = [(idx // p ** (n - 1 - a)) % p for a in range(n)]
+    acc = np.zeros((p**n, p**n), dtype=np.int64)
+    for a in range(n):
+        acc = acc * p + (digits[a][:, None] + digits[a][None, :]) % p
+    return acc
+
+
+class TestShiftTable:
+    @pytest.mark.parametrize("p, top", [(2, 6), (3, 3), (5, 2)])
+    def test_matches_the_digit_construction(self, p, top):
+        for n in range(1, top + 1):
+            table = an._shift_table.__wrapped__(p, n)
+            assert table.dtype == np.int64 and np.array_equal(table, _digit_shift_table(p, n))
+
+    def test_p2_builds_no_temporary_of_its_size(self):
+        # F_2^10: an 8 MB table; the digit construction peaked at 32 MB, four times it
+        tracemalloc.start()
+        try:
+            table = an._shift_table.__wrapped__(2, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table.nbytes
+
+
+class TestPivotKeys:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_cached_keys_give_the_complement_rows(self, n):
+        # every independent pair a < b of F_2^n is one quarter column, and its
+        # rows from the cached key equal _complement_rows(n, a, b)
+        (a, b), _, keys = an._column_sets(2, n, 4, 8)[0]
+        assert len(a) == (2**n - 1) * (2**n - 2) // 2 and (a < b).all() and (a != 0).all()
+        rows = np.take(an._pivot_rows(n), keys, axis=1)
+        assert np.array_equal(rows, an._complement_rows(n, a, b))
+        # span(a, b) + C is all of F_2^n for every pair
+        cover = np.sort(np.concatenate([rows, rows ^ a, rows ^ b, rows ^ a ^ b]), axis=0)
+        assert (cover == np.arange(2**n)[:, None]).all()
+        assert not keys.flags.writeable and an._column_sets(2, n, 4, 8)[1][2] is None
+
+
+def _value_dtype(p, n, degree, d, c):
+    """The kernel's value dtype for U^d of a function with M2 = c^2."""
+    return an._kernel_dtypes(p, n, degree, c ** (1 << (d - 1)), 1, 1)[0]
+
+
+def _last_c(degree, d, top):
+    """The largest c with degree^3 c^(2^(d-2)) <= top."""
+    e = 1 << (d - 2)
+    c = int((top / degree**3) ** (1 / e))
+    while degree**3 * (c + 1) ** e <= top:
+        c += 1
+    while degree**3 * c**e > top:
+        c -= 1
+    return c
+
+
+def _switch_cs(degree, d):
+    """den 1, den 4, and c at the int16 and int32 switches and one past each."""
+    c16, c32 = _last_c(degree, d, 2**15 - 1), _last_c(degree, d, 2**31 - 1)
+    return sorted({1, 4, c16, c16 + 1, c32, c32 + 1})
+
+
+def _values_at(p, n, m, c, seed):
+    """Values of Z[zeta_{p^m}] over den c with f(0) = c and |s(f(x))|^2 <= c^2
+    elsewhere: the kernel's bound M2 is exactly c^2.  Three points in four
+    take c zeta^k, so that products of values at the bound are common."""
+    R, rng = ring(p, m), random.Random(seed)
+    r = max(1, c // R.degree)
+    cols = [[c] + [0] * (R.degree - 1)]
+    while len(cols) < p**n:
+        v = [rng.randint(-r, r) for _ in range(R.degree)]
+        if rng.random() < 0.75:
+            v = [c * int(t) for t in R._reduce[rng.randrange(R.N)]]
+        if an._modulus_bound_sq(R, np.array([v], dtype=object).T) <= c * c:
+            cols.append(v)
+    f = an.BoundedFunction(p, n, R, np.array(cols, dtype=object).T, c)
+    assert an._modulus_bound_sq(R, f.coeffs) == c * c and f.check_bounded()
+    return f
+
+
+def _all_object_power(monkeypatch, f, d):
+    """U^d of the kernel with every stage on Python integers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(an, "_kernel_dtypes", lambda *args: (object,) * 5)
+        return an.gowers_norm(f, d)
+
+
+class TestValueDtypes:
+    """Ring values, their first-derivative table and its products run on the
+    narrowest of int16, int32 and int64 that holds V = degree^3 sqrt K, and
+    value chunks are as wide as those dtypes allow."""
+
+    @pytest.mark.parametrize(
+        "degree, c, values",
+        [(2, 7, np.int16), (2, 8, np.int32), (2, 127, np.int32), (2, 128, np.int64),
+         (4, 4, np.int16), (4, 5, np.int32), (4, 76, np.int32), (4, 77, np.int64)],
+    )
+    def test_u4_value_bound(self, degree, c, values):
+        # Z[i] and Z[zeta_8] on F_2^2 with M2 = c^2: K = c^8, V = degree^3 c^4
+        V = degree**3 * c**4
+        assert (V <= 2**15 - 1) == (values is np.int16) and (V <= 2**31 - 1) == (values is not np.int64)
+        assert _value_dtype(2, 2, degree, 4, c) is values
+
+    def test_the_workloads_values_are_int16(self):
+        # Z[i] over den 4 (M2 <= 16) and a phase read back from text (M2 = 1)
+        assert an._kernel_dtypes(2, 7, 2, 16**4, 1, 1)[0] is np.int16
+        assert an._kernel_dtypes(2, 6, 4, 1, 1, 1)[0] is np.int16
+
+    @pytest.mark.parametrize(
+        "p, degree, values, divisor",
+        [(2, 2, np.int16, 2), (2, 2, np.int32, 2), (2, 2, np.int64, 4), (2, 4, np.int16, 2),
+         (2, 4, np.int32, 4), (2, 4, np.int64, 8), (3, 2, np.int64, 4), (5, 4, object, 8),
+         (2, 4, None, 2), (3, 2, None, 1)],
+    )
+    def test_chunk_divisor(self, p, degree, values, divisor):
+        # int64 values keep the former 2 * degree; phases (None) keep theirs
+        assert an._chunk_divisor(p, degree, values) == divisor
+
+    def test_odd_order_ring_on_f2(self):
+        # Z[omega] values on F_2^14: a coefficient can reach 2 / sqrt 3 times the
+        # modulus, past the sqrt(p - 1) = 1 of Z[zeta_{2^m}], so the planes' bound
+        # takes the ring's prime: the constant (2 + omega) / 2 has tau(0) = 2^15
+        assert an._kernel_dtypes(2, 14, 2, 3, 1, 1, 3)[1] is np.int32
+        assert an._kernel_dtypes(2, 14, 2, 3, 1, 1)[1] is np.int16
+        f = an.BoundedFunction(2, 14, ring(3, 1), np.array([[2] * 2**14, [1] * 2**14]), 2)
+        assert an.gowers_norm(f, 2).power_surd() == RealSurd(Fraction(9, 16))
+
+    @pytest.mark.parametrize("m", [0, 2, 3])  # Z, Z[i], Z[zeta_8]
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_f2_values_at_the_switches(self, m, d):
+        R, dtypes = ring(2, m), set()
+        for c in _switch_cs(R.degree, d):
+            f = _values_at(2, 2, m, c, 100 * c + d)
+            dtypes.add(_value_dtype(2, 2, R.degree, d, c))
+            got, want = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
+            assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den), c
+        # Z reaches object dtype where Z[i] and Z[zeta_8] still hold int64 values
+        assert dtypes >= {np.int16, np.int32} and (np.int64 in dtypes) == (m > 0)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_f2_den4_quarter_columns(self, m):
+        # F_2^3: quarter and whole-space U^4 columns over several chunks
+        f = _values_at(2, 3, m, 4, m)
+        assert _value_dtype(2, 3, f.ring.degree, 4, 4) is np.int16
+        got, want = an.gowers_norm(f, 4), an.direct_gowers_power(f, 4)
+        assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_z_omega_values_on_f3(self, d):
+        for c in _switch_cs(2, d):
+            f = _values_at(3, 2, 1, c, 10 * c + d)
+            got, want = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
+            assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den), c
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_z_zeta5_values_on_f5(self, monkeypatch, d):
+        # the Gram fold; the definition-chasing oracle takes seconds past U^2 on F_5^2,
+        # so U^3 and U^4 compare with the kernel on Python integers
+        for c in _switch_cs(4, d):
+            f = _values_at(5, 2, 1, c, 10 * c + d)
+            got = an.gowers_norm(f, d)
+            want = an.direct_gowers_power(f, d) if d == 2 else _all_object_power(monkeypatch, f, d)
+            assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den), c
+
+
 def _loaded_phase(n, seed):
     """An eighth-root phase through dump and load: the same values, no ``exps``."""
     f = load_function(dump_function(an.random_unimodular_exact(random.Random(seed), 2, n, 3)))
@@ -674,14 +843,15 @@ class TestQuarterColumns:
         columns = an._derivative_columns(R, 2, n, f.coeffs, 4, np.int64)  # the ring-value branch
         # copies: the next call reuses the column source's buffers
         full = an._transform_inplace(R, 2, np.array(columns(shifts)), -1)
-        W = an._transform_inplace(R, 2, np.array(columns(shifts, True)), -1)  # half coordinates
+        keys = an._pivot_keys(n, *shifts)
+        W = an._transform_inplace(R, 2, np.array(columns(shifts, keys)), -1)  # half coordinates
         one = np.ones(1, dtype=object)
         quarter = [16 * c for c in an._mag4_sums(R, W, one, object, half=True)]
         assert quarter == list(an._mag4_sums(R, full, one, object))
         # the first-derivative table's rows (N = 1..16) against the four gathers of the exponents
-        exponent_rows = an._derivative_columns(R, 2, n, f.exps, 4, np.int64)(shifts, True)
+        exponent_rows = an._derivative_columns(R, 2, n, f.exps, 4, np.int64)(shifts, keys)
         assert np.array_equal(exponent_rows, ref_quarter_exponents(R, n, f.exps, *shifts))
-        assert np.array_equal(exponent_rows, columns(shifts, True))
+        assert np.array_equal(exponent_rows, columns(shifts, keys))
 
     @pytest.mark.parametrize("kind", ["phase", "zi"])
     def test_u4_peak_memory(self, kind):

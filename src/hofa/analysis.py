@@ -909,8 +909,10 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer
     d, cols = tau.shape[0], tau.shape[-1]
     h = max(d // 2, 1)
     terms = _real_squares(h) if half else _mag2_terms(R.N)
-    if terms is None:
-        m2 = R.mag_squared(tau.astype(dtype))
+    if terms is None:  # |tau|^2 = tau conj(tau), conj(tau) from one matmul of the planes, both in the scratch
+        planes = tau.reshape(d, -1)
+        conj = np.matmul(R._conj.T.astype(dtype), planes, out=buffer("gram conj", planes.shape, dtype))
+        m2 = R.mul_arrays(tau, conj.reshape(tau.shape), out=buffer("gram squares", tau.shape, dtype))
         gram = np.zeros((d, d), dtype=object)
         for i, j in zip(*np.triu_indices(d)):
             gram[i, j] = gram[j, i] = _column_dot(weights, m2[i], m2[j])

@@ -50,6 +50,14 @@ def all_vectors(p: int, n: int) -> tuple[Vec, ...]:
     return tuple(itertools.product(range(p), repeat=n))
 
 
+@lru_cache(maxsize=None)
+def points(p: int, n: int) -> np.ndarray:
+    """``all_vectors(p, n)`` as a read-only (p^n, n) int64 matrix, one row per point."""
+    X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
+    X.flags.writeable = False
+    return X
+
+
 def vec_index(p: int, x: Vec) -> int:
     """Position of ``x`` in the ``all_vectors`` order."""
     idx = 0
@@ -95,34 +103,30 @@ def mat_rank(p: int, rows) -> int:
 
 
 def stack_ranks(p: int, mats: np.ndarray) -> np.ndarray:
-    """Rank mod p of each matrix of a (B, rows, cols) stack, by one Gaussian
-    elimination run on the whole stack (on a copy, exact in int64).
+    """Rank mod p of each matrix of a (B, rows, cols) stack, by one
+    Gauss-Jordan elimination run on the whole stack (on a copy, exact in
+    int64).
 
-    Column by column, every matrix takes its first row at or below its rank
-    so far with a nonzero entry there, swaps it up to that rank, scales it
-    by the entry's inverse and clears the column below it; a matrix with no
-    such row is left as it is.
+    Column by column, every matrix takes its first row not yet used as a
+    pivot with a nonzero entry there, and clears that column in every other
+    row with the entry's inverse; a matrix with no such row is left as it
+    is.  Pivot rows are marked, not moved, and the rank counts them.
     """
     a = np.asarray(mats, dtype=np.int64) % p
     B, nrows, ncols = a.shape
     rank = np.zeros(B, dtype=np.int64)
+    used = np.zeros((B, nrows), dtype=bool)
     inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    row = np.arange(nrows)
     mat = np.arange(B)
-    for c in range(ncols):
-        cand = (a[:, :, c] != 0) & (row >= rank[:, None])
-        found = cand.any(axis=1)
-        if not found.any():
-            continue
-        r = np.minimum(rank, nrows - 1)
-        piv = np.where(found, cand.argmax(axis=1), r)
-        top = a[mat, r]
-        a[mat, r] = a[mat, piv]
-        a[mat, piv] = top
-        pivot = a[mat, r] * np.where(found, inv[a[mat, r, c]], 1)[:, None] % p
-        a[mat, r] = pivot
-        below = a[:, :, c] * ((row > r[:, None]) & found[:, None])
-        a = (a - below[:, :, None] * pivot[:, None, :]) % p
+    for c in range(ncols if nrows else 0):
+        col = a[:, :, c]
+        cand = (col != 0) & ~used
+        piv = cand.argmax(axis=1)
+        found = cand[mat, piv]
+        factor = col * inv[col[mat, piv]][:, None] % p  # zero where no pivot was found
+        factor[mat, piv] = 0
+        a = (a - factor[:, :, None] * a[mat, piv][:, None, :]) % p
+        used[mat, piv] |= found
         rank += found
     return rank
 

@@ -62,10 +62,9 @@ def defect_certificates_from_terms(T: MultilinearForm, terms) -> dict:
             cert_terms.append(t)
             pt = perm_cert_term(t, pi, 3)
             cert_terms.append(CertTerm(pt.slots, pt.left.scale(-1), pt.right))
-        cert = RankCertificate(D, tuple(cert_terms))
-        if not rank.verify_certificate(cert).ok:  # pragma: no cover
-            raise InternalCheckError("planted defect certificate failed to verify")
-        certs[pi] = cert
+        certs[pi] = RankCertificate(D, tuple(cert_terms))
+    if not all(rank.verify_certificates(list(certs.values()))):  # pragma: no cover
+        raise InternalCheckError("planted defect certificate failed to verify")
     return certs
 
 
@@ -123,10 +122,10 @@ def planted_instance(
         }
         for pi, t in one_term.items():
             D = T - permute(T, pi)
-            cert = rank.empty_certificate(D) if t is None else RankCertificate(D, (t,))
-            if not rank.verify_certificate(cert).ok:  # pragma: no cover
+            certs[pi] = rank.empty_certificate(D) if t is None else RankCertificate(D, (t,))
+        for pi, res in zip(certs, rank.verify_certificates(list(certs.values()))):
+            if not res.ok:  # pragma: no cover
                 raise InternalCheckError(f"single-linear certificate failed for {pi}")
-            certs[pi] = cert
     else:
         for _ in range(num_terms):
             slot = rng.randrange(3)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fpspace
 from .errors import DimensionMismatch, InternalCheckError, PreconditionError
-from .fpspace import Subspace, Vec, all_vectors, check_prime
+from .fpspace import Subspace, Vec, check_prime
 from .ncpoly import NcPoly
 from .torus import TorusValue
 
@@ -250,8 +250,7 @@ def value_cube(T: MultilinearForm) -> np.ndarray:
     size = T.p**T.n
     if size**T.k > VALUE_CUBE_POINTS:
         raise PreconditionError("evaluation oracle budget exceeded")
-    X = np.array(all_vectors(T.p, T.n), dtype=np.int64).reshape(size, T.n)
-    return _pullback(T.coeffs, X.T, T.p)
+    return _pullback(T.coeffs, fpspace.points(T.p, T.n).T, T.p)
 
 
 def eval_many(T: MultilinearForm, args: np.ndarray) -> np.ndarray:
@@ -402,17 +401,25 @@ def extend(S_U: MultilinearForm, U: Subspace, W: Subspace) -> MultilinearForm:
 
 
 def _pullback(coeffs: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
-    """Tensor of (x_1..x_k) -> S(M x_1, ..., M x_k); M shape (dim_S, n).
+    """Tensor of (x_1..x_k) -> S(M x_1, ..., M x_k); M shape (dim_S, n):
+    ``_pullbacks`` of one tensor."""
+    return _pullbacks(np.asarray(coeffs)[..., None], M, p)[0]
 
-    One matmul per slot: the leading axis is contracted with M and the new
-    axis goes last, so after k slots the axes are back in slot order.  The
-    shapes are explicit, so dim_S = 0 or n = 0 give zero-size axes."""
+
+def _pullbacks(stack: np.ndarray, M: np.ndarray, p: int) -> np.ndarray:
+    """``_pullback`` of every tensor of a (dim_S, ..., dim_S, B) stack, the
+    stack axis last; the result has shape (B, n, ..., n).
+
+    One matmul per slot contracts the leading slot axis with M and puts the
+    new axis last: after k slots the stack axis leads and the new axes
+    follow in slot order.  The shapes are explicit, so dim_S = 0 or n = 0
+    give zero-size axes."""
     d, n = M.shape
-    cur = coeffs.astype(np.int64)
-    k = cur.ndim
+    cur = np.asarray(stack, dtype=np.int64)
+    B, k = cur.shape[-1], cur.ndim - 1
     for i in range(k):
-        cur = (cur.reshape(d, d ** (k - 1 - i) * n**i).T @ M) % p
-    return cur.reshape((n,) * k)
+        cur = (cur.reshape(d, d ** (k - 1 - i) * n**i * B).T @ M) % p
+    return cur.reshape((B,) + (n,) * k)
 
 
 def change_of_dual_basis(T: MultilinearForm, A_rows) -> np.ndarray:

@@ -354,18 +354,21 @@ def bilinear_cleanup(
     produces a three-function instance whose kernel is that bilinear form;
     the Cauchy-Schwarz defect bound then caps the rank of beta - beta^T.
     beta' extends the restriction of beta to the defect nullspace, and
-    integrates to an explicit quadratic polynomial.
+    integrates to an explicit quadratic polynomial.  The three defect biases
+    come from one ``symmetrize.gt_defects`` call, the three certificates for
+    beta - beta' from one ``rank.vanishing_decompositions`` call.
     """
     p, n = phase.p, phase.n
     pairs = [(1, 2), (0, 2), (0, 1)]
-    new_betas, quads, certs = {}, {}, {}
-    entries = []
+    kernels = [mforms.BilinearForm(p, n, _coeffs(phase, pair)) for pair in pairs]
+    witnesses = [_cleanup_witness(g, phase, pair, 3 - sum(pair), budget) for pair in pairs]  # the fixed slot
+    defects = symmetrize.gt_defects(list(zip(kernels, witnesses)), budget)
+    nullspaces = [rank.bilinear_rank(mforms.as_bilinear(B - permute(B, (1, 0))))[2] for B in kernels]
+    primes = [mforms.extend(mforms.restrict(B, U), U, fpspace.complement(U)) for B, U in zip(kernels, nullspaces)]
+    certs = rank.vanishing_decompositions([(B - beta, U) for B, beta, U in zip(kernels, primes, nullspaces)])
+    quads, entries = {}, []
     bound = bound**8
-    for pair in pairs:
-        B = mforms.BilinearForm(p, n, _coeffs(phase, pair))
-        fixed_slot = next(s for s in range(3) if s not in pair)
-        b1, b2, b3 = _cleanup_witness(g, phase, pair, fixed_slot, budget)
-        res = symmetrize.gt_defect(B, b1, b2, b3, budget)
+    for pair, res, U, beta_prime, cert in zip(pairs, defects, nullspaces, primes, certs):
         if not res.holds:  # pragma: no cover
             raise InternalCheckError("defect bound failed on a cleanup witness")
         holds_loc = res.delta.mag2() >= bound
@@ -385,12 +388,8 @@ def bilinear_cleanup(
                 bool(res.defect_bias_sq >= bound),
             )
         )
-        defect = B - permute(B, (1, 0))
-        _, _, U = rank.bilinear_rank(mforms.as_bilinear(defect))
-        beta_prime = mforms.extend(mforms.restrict(B, U), U, fpspace.complement(U))
         if not mforms.is_symmetric(beta_prime):  # pragma: no cover
             raise InternalCheckError("cleanup output kernel is not symmetric")
-        cert = rank.vanishing_decomposition(B - beta_prime, U)
         entries.append(
             symmetrize.int_bound_entry(
                 f"prank(beta{pair} - beta'{pair}) <= 2 codim", len(cert), 2 * U.codim
@@ -402,10 +401,8 @@ def bilinear_cleanup(
             Q = integrate.integrate_csm(beta_prime, 2)
         if mforms.total_derivative(Q, 2) != beta_prime:  # pragma: no cover
             raise InternalCheckError("quadratic integration failed to reproduce the kernel")
-        new_betas[pair] = beta_prime
         quads[pair] = Q
-        certs[pair] = cert
-    return CleanupResult(new_betas, quads, certs, tuple(entries))
+    return CleanupResult(dict(zip(pairs, primes)), quads, dict(zip(pairs, certs)), tuple(entries))
 
 
 def _cleanup_witness(g: BoundedFunction, phase: MultiaffineForm, pair, fixed_slot: int, budget: Budget):
@@ -653,27 +650,34 @@ def _assemble_g_table(f: BoundedFunction, P: NcPoly, quads: dict, linears: dict)
     """The eight functions g_S = f w^{P + selected quadratics + linears}.
 
     Bitmask S over (h1, h2, h3); the quadratic attached to h_i's bit pairs
-    the other two shifts, the linear forms enter on the pair sums.
+    the other two shifts, the linear forms enter on the pair sums.  The
+    seven phases P, Q1..Q3, L0..L2 are tabled once over p^M, M their
+    largest depth exponent; each g_S adds its tables mod p^M and takes the
+    least m >= 1 with every sum a multiple of p^(M - m), the depth exponent
+    of the summed polynomial, so that its phase is the one
+    ``BoundedFunction.from_poly_phase`` builds from that polynomial.
     """
     p, n = f.p, f.n
-    Q1, Q2, Q3 = quads[(1, 2)], quads[(0, 2)], quads[(0, 1)]
-    L = {s: _linear_poly(p, n, linears[s]) for s in range(3)}
+    polys = [P, quads[(1, 2)], quads[(0, 2)], quads[(0, 1)]] + [_linear_poly(p, n, linears[s]) for s in range(3)]
+    M = max(1, *(q.max_depth_exponent() for q in polys))
+    P_t, q1, q2, q3, l0, l1, l2 = (q.table(M) for q in polys)
     combos = {
         0: [],
-        1: [Q1],
-        2: [Q2],
-        3: [Q1, Q2, L[2]],
-        4: [Q3],
-        5: [Q1, Q3, L[1]],
-        6: [Q2, Q3, L[0]],
-        7: [Q1, Q2, Q3, L[0], L[1], L[2]],
+        1: [q1],
+        2: [q2],
+        3: [q1, q2, l2],
+        4: [q3],
+        5: [q1, q3, l1],
+        6: [q2, q3, l0],
+        7: [q1, q2, q3, l0, l1, l2],
     }
     gs = {}
     for S, extras in combos.items():
-        total = P
-        for e in extras:
-            total = total + e
-        gs[S] = f.mul(BoundedFunction.from_poly_phase(total))
+        t = sum(extras, P_t) % p**M
+        m = M
+        while m > 1 and not (t % p ** (M - m + 1)).any():
+            m -= 1
+        gs[S] = f.mul(BoundedFunction.from_exponents(p, n, m, t // p ** (M - m)))
     return gs
 
 

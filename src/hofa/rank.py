@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -74,38 +75,59 @@ def bilinear_rank(B: MultilinearForm) -> tuple[int, Subspace, Subspace]:
 
 
 def analytic_rank(T: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> RankResult:
-    """Exact bias / analytic rank via bilinear slice ranks.
+    """Exact bias / analytic rank of T: ``analytic_ranks`` of one form."""
+    return analytic_ranks([T], budget)[0]
+
+
+def analytic_ranks(forms, budget: Budget = DEFAULT_BUDGET) -> list:
+    """Exact bias / analytic rank of each form via bilinear slice ranks.
 
     Contracts the first k-2 slots with every head tuple of points and uses
     E omega^{B} = p^{-rank B} on each bilinear slice B: bias = sum_r count_r
-    p^{-r} / p^{n(k-2)}.  Stacks of max(1, _CHUNK_ENTRIES // n^(k-1)) heads
-    are contracted by one batched matmul per slot and ranked by
-    ``fpspace.stack_ranks``.  For k = 1 the bias is 1 or 0, at n = 0 it is 1.
+    p^{-r} / p^{n(k-2)}.  The nonzero forms of one (p, n, k) are stacked
+    along the head axis: chunks of max(1, _CHUNK_ENTRIES // (F n^(k-1)))
+    heads of all F of them are contracted by one batched matmul per slot,
+    ranked by one ``fpspace.stack_ranks`` and counted per form by one
+    bincount.  For k = 1 the bias is 1 or 0; at n = 0, and for the zero
+    form, it is 1.
     """
-    p, n, k = T.p, T.n, T.k
-    if k == 0:
-        return RankResult.from_bias(p, Fraction(1) if int(T.coeffs) % p == 0 else Fraction(0))
-    if k == 1:
-        return RankResult.from_bias(p, Fraction(1) if T.is_zero() else Fraction(0))
-    outer = p ** (n * (k - 2))
-    if outer * (n**3) > budget.enum_cap:
-        raise BudgetExceeded("slice enumeration exceeds budget")
-    if n == 0:  # one empty slice, of rank 0
-        return RankResult.from_bias(p, Fraction(1))
-    size = p**n
-    X = np.array(all_vectors(p, n), dtype=np.int64)
-    flat = T.coeffs.astype(np.int64).reshape(-1)
-    step = max(1, _CHUNK_ENTRIES // n ** (k - 1))
-    counts = np.zeros(n + 1, dtype=np.int64)
+    results, stacks = [None] * len(forms), {}
+    for i, T in enumerate(forms):
+        p, n, k = T.p, T.n, T.k
+        if k <= 1:
+            zero = int(T.coeffs) % p == 0 if k == 0 else T.is_zero()
+            results[i] = RankResult.from_bias(p, Fraction(int(zero)))
+            continue
+        if p ** (n * (k - 2)) * n**3 > budget.enum_cap:
+            raise BudgetExceeded("slice enumeration exceeds budget")
+        if T.is_zero():  # every slice has rank 0, also the empty one at n = 0
+            results[i] = RankResult.from_bias(p, Fraction(1))
+        else:
+            stacks.setdefault((p, n, k), []).append(i)
+    for (p, n, k), idx in stacks.items():
+        stack = np.array([forms[i].coeffs for i in idx], dtype=np.int64)
+        for i, bias in zip(idx, _stacked_biases(p, n, k, stack)):
+            results[i] = RankResult.from_bias(p, bias)
+    return results
+
+
+def _stacked_biases(p: int, n: int, k: int, stack: np.ndarray) -> list:
+    """The bias of each form of an (F,) + (n,)*k coefficient stack, k >= 2, n >= 1."""
+    F, outer, size = len(stack), p ** (n * (k - 2)), p**n
+    X = fpspace.points(p, n)
+    flat = stack.reshape(F, 1, n**k)
+    step = max(1, _CHUNK_ENTRIES // (F * n ** (k - 1)))
+    counts = np.zeros(F * (n + 1), dtype=np.int64)
     for lo in range(0, outer, step):
         heads = np.arange(lo, min(outer, lo + step))
-        cur = np.broadcast_to(flat, (len(heads), n**k))
+        cur = np.broadcast_to(flat, (F, len(heads), n**k))
         for i in range(k - 2):  # slot i takes digit i of the head index, first slot major
             H = X[heads // size ** (k - 3 - i) % size]
-            cur = (H[:, None, :] @ cur.reshape(len(heads), n, -1))[:, 0] % p
-        counts += np.bincount(fpspace.stack_ranks(p, cur.reshape(-1, n, n)), minlength=n + 1)
-    total = sum(int(c) * p ** (n - r) for r, c in enumerate(counts))
-    return RankResult.from_bias(p, Fraction(total, outer * size))
+            cur = (H[:, None, :] @ cur.reshape(F, len(heads), n, -1))[:, :, 0] % p
+        ranks = fpspace.stack_ranks(p, cur.reshape(-1, n, n)).reshape(F, len(heads))
+        counts += np.bincount((ranks + np.arange(0, F * (n + 1), n + 1)[:, None]).ravel(), minlength=F * (n + 1))
+    counts = counts.reshape(F, n + 1).tolist()
+    return [Fraction(sum(c * p ** (n - r) for r, c in enumerate(row)), outer * size) for row in counts]
 
 
 def arank_ceil(p: int, bias: Fraction) -> int:
@@ -162,10 +184,7 @@ class RankCertificate:
 
     def reconstruct(self) -> MultilinearForm:
         f = self.claimed_form
-        acc = np.zeros((f.n,) * f.k, dtype=np.int64)
-        for t in self.terms:
-            acc = (acc + t.tensor(f.k)) % f.p
-        return MultilinearForm(f.p, f.n, f.k, acc)
+        return MultilinearForm(f.p, f.n, f.k, _term_sums([self], False)[0].reshape((f.n,) * f.k))
 
     def linear_factors(self):
         """All single-slot factors appearing in the terms, as coefficient rows."""
@@ -192,16 +211,61 @@ def empty_certificate(T: MultilinearForm) -> RankCertificate:
     return RankCertificate(T, ())
 
 
+def _term_sums(certs, values: bool) -> list:
+    """Per certificate, its certified sum sum_t left(x_I) right(x_{[k] \\ I})
+    mod p as a flat row of coefficients (n^k entries) and, with ``values``,
+    as one of values at every argument tuple (p^(nk) entries, axes indexed
+    by points like ``mforms.value_cube``): the list of those one or two
+    (certificates, entries) arrays.  All certificates share one (p, n, k).
+
+    The terms of all certificates are grouped by slot set I, and the factors
+    stacked by arity, as flat coefficients and as value tables from one
+    batched pullback per arity; each group's factors are one slice of those
+    stacks.  Per group the terms' outer products are formed at once and
+    transposed to slot order; one one-hot matmul adds each term to its
+    certificate's row.
+    """
+    f = certs[0].claimed_form
+    p, n, k = f.p, f.n, f.k
+    sizes = [n, p**n] if values else [n]
+    groups = {}
+    for c, cert in enumerate(certs):
+        for t in cert.terms:
+            groups.setdefault(t.slots, []).append((c, t))
+    if not groups:  # no certificate has a term
+        return [np.zeros((len(certs), m**k), dtype=np.int64) for m in sizes]
+    stacks, spans = {}, []  # arity -> factor coefficients; per group, its factors' slices and axes in slot order
+    for slots, items in groups.items():
+        span = []
+        for forms in ([t.left for _, t in items], [t.right for _, t in items]):
+            rows = stacks.setdefault(forms[0].k, [])
+            span.append(slice(len(rows), len(rows) + len(forms)))
+            rows += [g.coeffs for g in forms]
+        order = list(slots) + [i for i in range(k) if i not in slots]
+        spans.append((*span, [0] + [1 + order.index(i) for i in range(k)]))
+    tables = [{a: np.array(rows, dtype=np.int64).reshape(len(rows), -1) for a, rows in stacks.items()}]
+    if values:
+        X = fpspace.points(p, n)
+        tables.append({
+            a: mforms._pullbacks(st.T.reshape((n,) * a + (len(st),)), X.T, p).reshape(len(st), -1)
+            for a, st in tables[0].items()
+        })
+    owners = np.arange(len(certs))[:, None] == [c for items in groups.values() for c, _ in items]
+    sums = []
+    for m, table in zip(sizes, tables):
+        blocks = []
+        for (slots, items), (left, right, axes) in zip(groups.items(), spans):
+            prod = table[len(slots)][left, :, None] * table[k - len(slots)][right, None, :]
+            blocks.append(prod.reshape((len(items),) + (m,) * k).transpose(axes))
+        sums.append(owners @ np.concatenate(blocks).reshape(len(owners[0]), m**k) % p)
+    return sums
+
+
 def certified_cube(cert: RankCertificate) -> np.ndarray:
     """Value cube of the certified sum sum_t left(x_I) right(x_{[k] \\ I}) mod p,
     axes indexed by points like ``mforms.value_cube``."""
     f = cert.claimed_form
-    p, k = f.p, f.k
-    acc = np.zeros((p**f.n,) * k, dtype=np.int64)
-    for t in cert.terms:
-        prod = np.multiply.outer(mforms.value_cube(t.left), mforms.value_cube(t.right))
-        acc = (acc + np.moveaxis(prod, range(k), t.slot_order(k))) % p
-    return acc
+    return _term_sums([cert], True)[1].reshape((f.p**f.n,) * f.k)
 
 
 def certified_values(cert: RankCertificate, args: np.ndarray) -> np.ndarray:
@@ -222,33 +286,73 @@ def verify_certificate(
     budget: Budget = DEFAULT_BUDGET,
     rng=None,
 ) -> VerifyResult:
-    """Re-evaluate the certified sum against the claimed form.
+    """Re-evaluate the certified sum against the claimed form:
+    ``verify_certificates`` of one certificate."""
+    return verify_certificates([cert], sample_points, budget, rng)[0]
+
+
+def verify_certificates(
+    certs,
+    sample_points: int = 10_000,
+    budget: Budget = DEFAULT_BUDGET,
+    rng=None,
+) -> list:
+    """Re-evaluate each certified sum against its claimed form.
 
     Tensor reconstruction is always compared exactly; on small spaces the
     certified sum is also evaluated at every argument tuple (as one value
-    cube), otherwise at a seeded sample of tuples and the result is flagged
-    as sampled.  The witness is the first failing tuple in
-    ``itertools.product`` order, or in sample order.
+    cube), otherwise at a seeded sample of tuples (``rng``, by default a
+    fresh ``random.Random(0)`` per certificate) and the result is flagged as
+    sampled.  The witness is the first failing index or tuple in
+    ``itertools.product`` order, or in sample order.  Certificates of one
+    (p, n, k) are reconstructed, and on small spaces evaluated, together:
+    two ``_term_sums`` compared against their stacked claimed tensors and
+    value cubes.  Sampled certificates draw from ``rng`` in list order, one
+    after another.
     """
+    results, shapes, sampled = [None] * len(certs), {}, []
+    for i, cert in enumerate(certs):
+        f = cert.claimed_form
+        shapes.setdefault((f.p, f.n, f.k), []).append(i)
+    for (p, n, k), idx in shapes.items():
+        group = [certs[i] for i in idx]
+        exhaustive = p ** (n * k) <= min(budget.enum_cap, 1 << 16)
+        sums = _term_sums(group, exhaustive)
+        claimed = np.array([c.claimed_form.coeffs for c in group]).reshape(len(group), -1)
+        valued = [None] * len(group)
+        if exhaustive:
+            cubes = np.array([mforms.value_cube(c.claimed_form) for c in group]).reshape(len(group), -1)
+            valued = _first_mismatches(sums[1], cubes)
+        vecs = all_vectors(p, n)
+        for i, bad, pos in zip(idx, _first_mismatches(sums[0], claimed), valued):
+            if bad is not None:
+                results[i] = VerifyResult(False, "exhaustive", tuple(int(j) for j in np.unravel_index(bad, (n,) * k)))
+            elif not exhaustive:
+                sampled.append(i)
+            else:
+                witness = None if pos is None else tuple(vecs[j] for j in np.unravel_index(pos, (len(vecs),) * k))
+                results[i] = VerifyResult(pos is None, "exhaustive", witness)
+    for i in sorted(sampled):
+        results[i] = _verify_sampled(certs[i], sample_points, rng or random.Random(0))
+    return results
+
+
+def _first_mismatches(rows: np.ndarray, claimed: np.ndarray) -> list:
+    """Per row, the first flat position where it differs from ``claimed``, or None."""
+    diff = rows != claimed
+    if not diff.any():
+        return [None] * len(diff)
+    return [j if bad else None for j, bad in zip(diff.argmax(axis=1).tolist(), diff.any(axis=1).tolist())]
+
+
+def _verify_sampled(cert: RankCertificate, sample_points: int, rng) -> VerifyResult:
+    """The sampled branch of ``verify_certificates`` for one certificate."""
     f = cert.claimed_form
-    if cert.reconstruct() != f:
-        diff = (cert.reconstruct().coeffs.astype(np.int64) - f.coeffs) % f.p
-        idx = tuple(int(i) for i in np.argwhere(diff)[0])
-        return VerifyResult(False, "exhaustive", witness=idx)
     p, n, k = f.p, f.n, f.k
     vecs = all_vectors(p, n)
-    if p ** (n * k) <= min(budget.enum_cap, 1 << 16):
-        bad = np.flatnonzero(certified_cube(cert) != mforms.value_cube(f))
-        if len(bad):
-            pos = np.unravel_index(bad[0], (len(vecs),) * k)
-            return VerifyResult(False, "exhaustive", witness=tuple(vecs[int(i)] for i in pos))
-        return VerifyResult(True, "exhaustive")
-    import random as _random
-
-    rng = rng or _random.Random(0)
     picks = [rng.randrange(len(vecs)) for _ in range(sample_points * k)]
     picks = np.array(picks, dtype=np.int64).reshape(sample_points, k)
-    X = np.array(vecs, dtype=np.int64)
+    X = fpspace.points(p, n)
     # chunks keep the (samples x n^(k-1)) contraction intermediates small
     step = max(1, (1 << 20) // n ** (k - 1))
     for lo in range(0, sample_points, step):
@@ -261,7 +365,28 @@ def verify_certificate(
 
 
 def vanishing_decomposition(T: MultilinearForm, U: Subspace) -> RankCertificate:
-    """Certificate with <= k*codim(U) terms for a form vanishing on U^k.
+    """Certificate with <= k*codim(U) terms for a form vanishing on U^k:
+    ``vanishing_decompositions`` of one pair."""
+    return vanishing_decompositions([(T, U)])[0]
+
+
+def vanishing_decompositions(pairs) -> list:
+    """For each pair (T, U), a certificate with <= k*codim(U) terms for the
+    form T vanishing on U^k (``_vanishing_certificate``).  The nonempty
+    certificates are verified by one ``verify_certificates`` call and their
+    bounds checked by one ``assert_certificates_bound_arank`` call; an empty
+    one is only made for the zero form."""
+    certs = [_vanishing_certificate(T, U) for T, U in pairs]
+    nonempty = [cert for cert in certs if len(cert)]
+    for res in verify_certificates(nonempty):
+        if not res.ok:  # pragma: no cover
+            raise PreconditionError("vanishing decomposition failed verification", witness=res.witness)
+    assert_certificates_bound_arank(nonempty)
+    return certs
+
+
+def _vanishing_certificate(T: MultilinearForm, U: Subspace) -> RankCertificate:
+    """The certificate of ``vanishing_decompositions`` for one pair, unverified.
 
     Uses a dual basis alpha_1..alpha_n with the first r = codim(U) forms
     cutting U out; expressing T in that basis kills every coefficient whose
@@ -308,27 +433,21 @@ def vanishing_decomposition(T: MultilinearForm, U: Subspace) -> RankCertificate:
             right = MultilinearForm(p, n, k - 1, mforms._pullback(beta_full, A_arr, p))
             left = MultilinearForm(p, n, 1, A_arr[ell] % p)
             terms.append(CertTerm((slot,), left, right))
-    cert = RankCertificate(T, tuple(terms))
-    res = verify_certificate(cert)
-    if not res.ok:  # pragma: no cover
-        raise PreconditionError("vanishing decomposition failed verification", witness=res.witness)
-    assert_certificate_bounds_arank(cert)
-    return cert
+    return RankCertificate(T, tuple(terms))
 
 
-def assert_certificate_bounds_arank(cert: RankCertificate, budget: Budget = DEFAULT_BUDGET):
+def assert_certificates_bound_arank(certs, budget: Budget = DEFAULT_BUDGET):
     """Every verified certificate upper-bounds the analytic rank: the bias of
-    the claimed form must be at least p^{-length}.  Failing here would
-    falsify the certificate machinery, never the input."""
-    T = cert.claimed_form
+    each claimed form, all from one ``analytic_ranks`` call, must be at
+    least p^{-length}.  Failing here would falsify the certificate
+    machinery, never the input."""
     try:
-        bias = analytic_rank(T, budget).bias
+        results = analytic_ranks([cert.claimed_form for cert in certs], budget)
     except BudgetExceeded:  # pragma: no cover
         return
-    if bias < Fraction(1, T.p ** len(cert)):  # pragma: no cover
-        raise PreconditionError(
-            f"certificate of length {len(cert)} contradicts bias {bias}"
-        )
+    for cert, res in zip(certs, results):
+        if res.bias < Fraction(1, cert.claimed_form.p ** len(cert)):  # pragma: no cover
+            raise PreconditionError(f"certificate of length {len(cert)} contradicts bias {res.bias}")
 
 
 # -- exhaustive partition-rank search at tiny sizes --
@@ -426,10 +545,18 @@ def prank_search(T: MultilinearForm, cap: int = 8, budget: Budget = DEFAULT_BUDG
 
 
 def prank_certificate_search(T: MultilinearForm, budget: Budget = DEFAULT_BUDGET) -> RankCertificate:
-    """Optimal certificate by exhaustive search; tiny instances only."""
-    if T.is_zero():
-        return empty_certificate(T)
-    _, parents = prank_table(T.p, T.n, T.k, budget)
-    cert = certificate_from_table(T, parents)
-    assert_certificate_bounds_arank(cert, budget)
-    return cert
+    """Optimal certificate by exhaustive search; tiny instances only:
+    ``prank_certificate_searches`` of one form."""
+    return prank_certificate_searches([T], budget)[0]
+
+
+def prank_certificate_searches(forms, budget: Budget = DEFAULT_BUDGET) -> list:
+    """Optimal certificates by exhaustive search, tiny instances only: empty
+    for a zero form, else read from ``prank_table``; the nonempty ones have
+    their bounds checked by one ``assert_certificates_bound_arank`` call."""
+    certs = [
+        empty_certificate(T) if T.is_zero() else certificate_from_table(T, prank_table(T.p, T.n, T.k, budget)[1])
+        for T in forms
+    ]
+    assert_certificates_bound_arank([cert for cert in certs if len(cert)], budget)
+    return certs

@@ -37,6 +37,7 @@ from .mforms import (
     MultilinearForm,
     S3,
     TRANSPOSITIONS_3,
+    compose_perms,
     is_csm,
     is_ncsm,
     is_symmetric,
@@ -44,7 +45,7 @@ from .mforms import (
     permute,
     restrict,
 )
-from .rank import RankCertificate, analytic_rank, bilinear_rank, vanishing_decomposition
+from .rank import RankCertificate, bilinear_rank, vanishing_decomposition
 
 
 # -- exact seven-function correlations --
@@ -54,8 +55,7 @@ def slot_cube(p: int, n: int, slots, coeffs, k: int = 3) -> np.ndarray:
     """F_p values of the form with tensor ``coeffs`` whose arguments are the
     axes ``slots`` (sorted) of a k-axis table over F_p^n; other axes have
     length 1, so parts add and multiply by broadcasting."""
-    X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
-    t = mforms._pullback(np.asarray(coeffs), X.T, p)
+    t = mforms._pullback(np.asarray(coeffs), fpspace.points(p, n).T, p)
     shape = [1] * k
     for s in slots:
         shape[s] = p**n
@@ -233,16 +233,25 @@ def gt_defect(A: MultilinearForm, b1, b2, b3, budget: Budget = DEFAULT_BUDGET) -
     Four Cauchy-Schwarz applications guarantee the inequality for any
     1-bounded b's; it is recomputed exactly here rather than trusted.
     """
-    if A.k != 2:
-        raise DimensionMismatch("defect bound needs a bilinear kernel")
-    for b in (b1, b2, b3):
-        if not b.check_bounded():
-            raise PreconditionError("witness function exceeds sup-norm 1")
-    delta = three_correlation(b1, b2, b3, A, budget)
-    defect = A - permute(A, (1, 0))
-    bias = analytic_rank(defect, budget).bias
-    square = RealSurd(bias) ** 2
-    return DefectResult(delta, bias, square, bool(square >= delta.mag2() ** 8))
+    return gt_defects([(A, (b1, b2, b3))], budget)[0]
+
+
+def gt_defects(instances, budget: Budget = DEFAULT_BUDGET) -> list:
+    """``gt_defect`` of each (A, (b1, b2, b3)), the biases of all defects
+    A - A^T from one ``rank.analytic_ranks`` call."""
+    for A, bs in instances:
+        if A.k != 2:
+            raise DimensionMismatch("defect bound needs a bilinear kernel")
+        for b in bs:
+            if not b.check_bounded():
+                raise PreconditionError("witness function exceeds sup-norm 1")
+    ranks = rank.analytic_ranks([A - permute(A, (1, 0)) for A, _ in instances], budget)
+    results = []
+    for (A, bs), res in zip(instances, ranks):
+        delta = three_correlation(*bs, A, budget)
+        square = RealSurd(res.bias) ** 2
+        results.append(DefectResult(delta, res.bias, square, bool(square >= delta.mag2() ** 8)))
+    return results
 
 
 # -- permutation defects for trilinear forms --
@@ -274,9 +283,8 @@ def permutation_defects(
     bound8 = delta.mag2() ** 8
     biases, squares, by_value = {}, {}, {}
     entries = []
-    for pi in S3:
-        defect = T - permute(T, pi)
-        bias = biases[pi] = analytic_rank(defect, budget).bias
+    for pi, res in zip(S3, rank.analytic_ranks([T - permute(T, pi) for pi in S3], budget)):
+        bias = biases[pi] = res.bias
         if bias not in by_value:
             by_value[bias] = RealSurd(bias) ** 2
         square = squares[pi] = by_value[bias]
@@ -292,15 +300,28 @@ def permutation_defects(
 def symmetric_subspace(T: MultilinearForm, certs: dict) -> Subspace:
     """Common kernel of the single-slot linear factors of the certificates.
 
-    ``certs`` maps each non-identity permutation to a verified certificate
-    for T - T_pi; the form restricted to the result is symmetric.
+    ``certs`` maps permutations of the three slots that generate S_3 to
+    certificates for T - T_pi, all verified by one
+    ``rank.verify_certificates`` call.  Every term of a certificate has a
+    single-slot factor, so each T - T_pi vanishes on the result, and the
+    restriction of T, fixed by generators of S_3, is symmetric.
     """
+    invalid = [pi for pi in certs if pi not in S3]
+    if invalid:
+        raise PreconditionError(f"certificate keys {invalid} are not permutations of the three slots")
+    reached = {S3[0]}
+    while len(grown := reached | {compose_perms(a, pi) for a in reached for pi in certs}) > len(reached):
+        reached = grown
+    if len(reached) < len(S3):
+        missing = [pi for pi in S3 if pi not in reached]
+        raise PreconditionError(
+            f"certificates for {sorted(certs)} do not generate S_3: no certificate reaches {missing}"
+        )
     forms = []
-    for pi, cert in certs.items():
-        expected = T - permute(T, pi)
-        if cert.claimed_form != expected:
+    for (pi, cert), res in zip(certs.items(), rank.verify_certificates(list(certs.values()))):
+        if cert.claimed_form != T - permute(T, pi):
             raise PreconditionError(f"certificate for {pi} is for the wrong form")
-        if not rank.verify_certificate(cert).ok:
+        if not res.ok:
             raise PreconditionError(f"certificate for {pi} does not verify")
         forms.extend(cert.linear_factors())
     U = fpspace.kernel(T.p, T.n, forms)
@@ -315,16 +336,8 @@ def default_defect_certificates(
 ) -> dict:
     """Certificates for every T - T_pi: trivial when the defect vanishes,
     otherwise by exhaustive search (tiny instances only)."""
-    certs = {}
-    for pi in S3:
-        if pi == tuple(range(3)):
-            continue
-        D = T - permute(T, pi)
-        if D.is_zero():
-            certs[pi] = rank.empty_certificate(D)
-        else:
-            certs[pi] = rank.prank_certificate_search(D, budget)
-    return certs
+    defects = [T - permute(T, pi) for pi in S3[1:]]
+    return dict(zip(S3[1:], rank.prank_certificate_searches(defects, budget)))
 
 
 # -- p = 3 classical reduction --
@@ -342,7 +355,7 @@ def diagonal_linear_form(T: MultilinearForm) -> tuple:
         raise PreconditionError("form is not symmetric")
     c = T.coeffs.astype(np.int64)
     coeffs = np.einsum("iii->i", c)
-    X = np.array(all_vectors(3, T.n), dtype=np.int64).reshape(-1, T.n)
+    X = fpspace.points(3, T.n)
     if ((np.einsum("ijk,xi,xj,xk->x", c, X, X, X) - X @ coeffs) % 3).any():  # pragma: no cover
         raise InternalCheckError("diagonal map is not linear; form data corrupt")
     return tuple(int(v) for v in coeffs)
@@ -375,7 +388,7 @@ def ncsm_subspace_f2(
     # B(e_i, e_j) = T[i, i, j] - T[i, j, j]
     mat = (np.einsum("iij->ij", c) - np.einsum("ijj->ij", c)) % 2
     B = BilinearForm(2, T.n, mat)
-    X = np.array(all_vectors(2, T.n), dtype=np.int64).reshape(-1, T.n)
+    X = fpspace.points(2, T.n)
     Tx = np.einsum("ijk,xi->xjk", c, X)  # T(x, ., .)
     xxy = np.einsum("xjk,xj->xk", Tx, X) @ X.T
     xyy = Tx.reshape(len(X), -1) @ np.einsum("yj,yk->jky", X, X).reshape(T.n**2, len(X))
@@ -604,7 +617,7 @@ def _coset_labels(U: Subspace) -> np.ndarray:
     p, n = U.p, U.n
     rows, pivots = fpspace.rref(p, U.basis)
     free = [j for j in range(n) if j not in pivots]
-    X = np.array(all_vectors(p, n), dtype=np.int64).reshape(p**n, n)
+    X = fpspace.points(p, n)
     W = (X - X[:, pivots] @ np.array(rows, dtype=np.int64).reshape(len(rows), n)) % p
     return W[:, free] @ p ** np.arange(len(free) - 1, -1, -1)
 

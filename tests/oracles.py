@@ -1,16 +1,19 @@
 """Helpers only the tests use: small constructions the oracles and checks
 build from, kept out of ``hofa`` because no part of the library calls them."""
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 
-from hofa import fpspace
+from hofa import fpspace, mforms
 from hofa.analysis import BoundedFunction, first_max
 from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import common_ring, ring
+from hofa.errors import BudgetExceeded
 from hofa.mforms import MultiaffineForm, MultilinearForm, restrict
-from hofa.rank import CertTerm, RankCertificate
+from hofa.ncpoly import NcPoly
+from hofa.rank import CertTerm, RankCertificate, VerifyResult
 from hofa.symmetrize import seven_correlation
 
 
@@ -27,6 +30,87 @@ def analytic_rank_loop(T):
         r = fpspace.mat_rank(p, [tuple(int(c) for c in row) for row in cur])
         total += Fraction(1, p**r)
     return total / p ** (n * (k - 2))
+
+
+def analytic_rank_reference(T, budget=DEFAULT_BUDGET):
+    """The former one-form ``rank.analytic_rank``: chunks of heads of T alone
+    contracted slot by slot, ranked by ``fpspace.stack_ranks`` and counted
+    by one bincount each."""
+    p, n, k = T.p, T.n, T.k
+    if k == 0:
+        return Fraction(1) if int(T.coeffs) % p == 0 else Fraction(0)
+    if k == 1:
+        return Fraction(1) if T.is_zero() else Fraction(0)
+    outer = p ** (n * (k - 2))
+    if outer * (n**3) > budget.enum_cap:
+        raise BudgetExceeded("slice enumeration exceeds budget")
+    if n == 0:
+        return Fraction(1)
+    size = p**n
+    X = np.array(fpspace.all_vectors(p, n), dtype=np.int64)
+    flat = T.coeffs.astype(np.int64).reshape(-1)
+    step = max(1, (1 << 15) // n ** (k - 1))
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, outer, step):
+        heads = np.arange(lo, min(outer, lo + step))
+        cur = np.broadcast_to(flat, (len(heads), n**k))
+        for i in range(k - 2):
+            H = X[heads // size ** (k - 3 - i) % size]
+            cur = (H[:, None, :] @ cur.reshape(len(heads), n, -1))[:, 0] % p
+        counts += np.bincount(fpspace.stack_ranks(p, cur.reshape(-1, n, n)), minlength=n + 1)
+    return Fraction(sum(int(c) * p ** (n - r) for r, c in enumerate(counts)), outer * size)
+
+
+def verify_certificate_reference(cert, sample_points=10_000, budget=DEFAULT_BUDGET, rng=None):
+    """The former one-certificate ``rank.verify_certificate``, term by term:
+    the reconstruction adds each term's tensor, the value cube each term's
+    outer product of factor value cubes, the sampled branch evaluates each
+    term's factors at the drawn tuples.  It reads ``mforms.value_cube`` and
+    ``mforms.eval_many`` from the module, so tests that patch them corrupt
+    both sides alike."""
+    f = cert.claimed_form
+    p, n, k = f.p, f.n, f.k
+    acc = np.zeros((n,) * k, dtype=np.int64)
+    for t in cert.terms:
+        acc = (acc + t.tensor(k)) % p
+    diff = (acc - f.coeffs) % p
+    if diff.any():
+        return VerifyResult(False, "exhaustive", witness=tuple(int(i) for i in np.argwhere(diff)[0]))
+    vecs = fpspace.all_vectors(p, n)
+    if p ** (n * k) <= min(budget.enum_cap, 1 << 16):
+        cube = np.zeros((p**n,) * k, dtype=np.int64)
+        for t in cert.terms:
+            prod = np.multiply.outer(mforms.value_cube(t.left), mforms.value_cube(t.right))
+            cube = (cube + np.moveaxis(prod, range(k), t.slot_order(k))) % p
+        bad = np.flatnonzero(cube != mforms.value_cube(f))
+        if len(bad):
+            pos = np.unravel_index(bad[0], (len(vecs),) * k)
+            return VerifyResult(False, "exhaustive", witness=tuple(vecs[int(i)] for i in pos))
+        return VerifyResult(True, "exhaustive")
+    rng = rng or random.Random(0)
+    picks = np.array([rng.randrange(len(vecs)) for _ in range(sample_points * k)]).reshape(sample_points, k)
+    args = np.array(vecs, dtype=np.int64).reshape(-1, n)[picks]
+    vals = np.zeros(sample_points, dtype=np.int64)
+    for t in cert.terms:
+        order = t.slot_order(k)
+        vals = (vals + mforms.eval_many(t.left, args[:, order[: len(t.slots)]])
+                * mforms.eval_many(t.right, args[:, order[len(t.slots):]])) % p
+    bad = np.flatnonzero(vals != mforms.eval_many(f, args))
+    if len(bad):
+        return VerifyResult(False, "sampled", witness=tuple(vecs[int(i)] for i in picks[bad[0]]))
+    return VerifyResult(True, "sampled")
+
+
+def g_table_reference(f, P, quads, linears):
+    """The former stage-7 g table: each g_S = f w^{P + ...} from the NcPoly sum
+    of its phases, made a phase by ``BoundedFunction.from_poly_phase``."""
+    p, n = f.p, f.n
+    Q1, Q2, Q3 = quads[(1, 2)], quads[(0, 2)], quads[(0, 1)]
+    L = [NcPoly.from_classical(p, n, {fpspace.unit_vec(n, i): int(v[i]) for i in range(n)}) for v in
+         (linears[0], linears[1], linears[2])]
+    combos = {0: [], 1: [Q1], 2: [Q2], 3: [Q1, Q2, L[2]], 4: [Q3], 5: [Q1, Q3, L[1]], 6: [Q2, Q3, L[0]],
+              7: [Q1, Q2, Q3, L[0], L[1], L[2]]}
+    return {S: f.mul(BoundedFunction.from_poly_phase(sum(extras, P))) for S, extras in combos.items()}
 
 
 def pullback_tensordot(coeffs, M, p):

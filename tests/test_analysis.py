@@ -1009,6 +1009,28 @@ class TestFourthPowerSum:
                 assert an.gowers_norm(g, d).power_surd() == an.direct_gowers_power(g, d).power_surd()
 
 
+    def test_gram_fold_keeps_its_arrays_in_the_scratch(self, monkeypatch):
+        """The Gram-fold branch forms conj(tau) by one matmul and |tau|^2 in
+        the call's scratch: one warm U^4 of a fifth-root phase on F_5^3 peaks
+        at 2.67 MB under tracemalloc (numpy 2.4), against 3.87 MB when each
+        chunk made a widened copy of tau, its conjugate and |tau|^2 anew."""
+        f = an.random_unimodular_exact(random.Random(0), 5, 3, 1)
+        an.gowers_norm(f, 4)  # fills the shift-table cache
+        tracemalloc.start()
+        try:
+            value = an.gowers_norm(f, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+        # the value the copies gave, and the kernel's on Python integers
+        assert (value.power_num, value.power_den) == ((120432585625, 0, -16860000, -16860000), 3814697265625)
+        assert value.power_surd() == _all_object_power(monkeypatch, f, 4).power_surd()
+        g = an.random_unimodular_exact(random.Random(1), 5, 2, 1)
+        for d in (2, 3):
+            assert an.gowers_norm(g, d).power_surd() == an.direct_gowers_power(g, d).power_surd()
+
+
 class TestFirstMax:
     """One exact argmax: the first candidate of largest |.|^2 over a shared denominator."""
 

@@ -151,3 +151,24 @@ def test_stack_ranks_need_swaps_and_inverses():
     assert fs.stack_ranks(5, mats).tolist() == [2, 2]
     assert fs.stack_ranks(5, mats[:, :, :1]).tolist() == [1, 1]
     assert fs.stack_ranks(2, np.zeros((3, 0, 4))).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p, n", [(2, 0), (2, 3), (3, 2), (5, 1)])
+def test_points_is_one_read_only_matrix(p, n):
+    X = fs.points(p, n)
+    assert X is fs.points(p, n)
+    assert X.shape == (p**n, n) and X.dtype == np.int64
+    assert [tuple(row) for row in X.tolist()] == list(fs.all_vectors(p, n))
+    with pytest.raises(ValueError):
+        X[0] = 1
+
+
+def test_stack_ranks_on_dependent_rows():
+    # each pivot row is cleared from every other row, also from earlier pivot rows
+    rng = random.Random(3)
+    for p in (2, 3, 5):
+        base = np.array([[rng.randrange(p) for _ in range(4)] for _ in range(2)])
+        mats = np.array([[(a * base[0] + b * base[1]) % p for a, b in combo]
+                         for combo in ([(1, 0), (0, 1), (1, 1), (2, 1)], [(0, 0), (1, 1), (2, 2), (1, 0)])])
+        expected = [fs.mat_rank(p, [tuple(int(v) for v in row) for row in m]) for m in mats]
+        assert fs.stack_ranks(p, mats).tolist() == expected

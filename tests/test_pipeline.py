@@ -22,6 +22,7 @@ from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
 from hofa.symmetrize import form_cube, seven_correlation, slot_cube
 from hofa.torus import TorusValue
+from oracles import g_table_reference
 from ringref import ref_mul, ref_roots
 
 
@@ -367,9 +368,9 @@ class TestPipelineP2:
         assert again.mag2() == rep.final_correlation.mag2()
 
 
-def _supplied_planted_report():
-    """Supplied phi = -d^3 P0 + x_1 * B(y, z) with planted defect certificates:
-    the symmetrization certificate is non-empty, so stage 5 removes real terms."""
+def _supplied_planted_options(certs_by_perm=None):
+    """Supplied phi = -d^3 P0 + x_1 * B(y, z) with planted defect certificates,
+    or the map ``certs_by_perm`` makes of them."""
     P0 = random_poly(2, 2, 3, True, seed=2)
     f = an.BoundedFunction.from_poly_phase(P0)
     term = CertTerm(
@@ -378,10 +379,18 @@ def _supplied_planted_report():
         MultilinearForm(2, 2, 2, np.array([[1, 0], [1, 1]])),
     )
     T = -total_derivative(P0, 3) + MultilinearForm(2, 2, 3, term.tensor(3))
+    certs = defect_certificates_from_terms(T, [term])
     opts = pl.PipelineOptions(
         strategy=pl.SuppliedTriaffine(MultiaffineForm.from_multilinear(T)),
-        certs_by_perm=defect_certificates_from_terms(T, [term]),
+        certs_by_perm=certs if certs_by_perm is None else certs_by_perm(certs),
     )
+    return f, opts
+
+
+def _supplied_planted_report():
+    """The planted certificates' run: the symmetrization certificate is
+    non-empty, so stage 5 removes real terms."""
+    f, opts = _supplied_planted_options()
     return pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
 
 
@@ -673,3 +682,95 @@ class TestPhasesSkipRingProducts:
         stripped = an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, f.den)
         fast = pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()
         assert pl.run_inverse_pipeline(stripped, Fraction(1, 2), opts).as_text() == fast
+
+
+class TestCertificateMaps:
+    """A supplied certificate map that cannot certify symmetry stops the
+    pipeline with a PreconditionError naming the permutations."""
+
+    @pytest.mark.parametrize("keep, missing", [
+        ([], [(0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]),
+        ([(1, 0, 2)], [(0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)]),
+        ([(1, 2, 0)], [(0, 2, 1), (1, 0, 2), (2, 1, 0)]),
+    ])
+    def test_maps_that_do_not_generate(self, keep, missing):
+        f, opts = _supplied_planted_options(lambda certs: {pi: certs[pi] for pi in keep})
+        with pytest.raises(PreconditionError, match="do not generate S_3") as exc:
+            pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+        assert str(missing) in str(exc.value)
+
+    def test_keys_that_are_not_permutations(self):
+        f, opts = _supplied_planted_options(lambda certs: {**certs, (0, 1): certs[(1, 0, 2)]})
+        with pytest.raises(PreconditionError, match=r"keys \[\(0, 1\)\] are not permutations"):
+            pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+
+    def test_the_generating_map_runs(self):
+        f, opts = _supplied_planted_options()
+        assert pl.run_inverse_pipeline(f, Fraction(1, 2), opts).all_hold()
+
+
+class TestStackedCleanup:
+    @pytest.mark.parametrize("p, n", [(2, 2), (3, 2)])
+    def test_one_bias_call_and_one_verification_for_three_pairs(self, monkeypatch, p, n):
+        """bilinear_cleanup ranks the three defects beta - beta^T together and
+        verifies and bounds its nonempty certificates for beta - beta'
+        together: phi = -d^3 P0 plus x_1 y_2 on every pair of slots leaves
+        all three betas asymmetric."""
+        P0 = random_poly(p, n, 3, p == 2, seed=1)
+        f = an.BoundedFunction.from_poly_phase(P0)
+        x1y2 = np.zeros((n, n), dtype=np.int64)
+        x1y2[0, 1] = 1
+        comps = {(0, 1, 2): -total_derivative(P0, 3)}
+        comps.update({pair: MultilinearForm(p, n, 2, x1y2) for pair in [(0, 1), (0, 2), (1, 2)]})
+        opts = pl.PipelineOptions(strategy=pl.SuppliedTriaffine(MultiaffineForm.make(p, n, 3, comps)))
+        want = pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()
+        ranked, verified, cleanups, inside = [], [], [], []
+        ranks, verify, cleanup = rk.analytic_ranks, rk.verify_certificates, pl.bilinear_cleanup
+
+        def spy_cleanup(*args, **kwargs):
+            inside.append(True)
+            try:
+                cleanups.append(cleanup(*args, **kwargs))
+                return cleanups[-1]
+            finally:
+                inside.pop()
+
+        def spy(log, real):
+            return lambda items, *a: (log.append(list(items)) if inside else None) or real(items, *a)
+
+        monkeypatch.setattr(rk, "analytic_ranks", spy(ranked, ranks))
+        monkeypatch.setattr(rk, "verify_certificates", spy(verified, verify))
+        monkeypatch.setattr(pl, "bilinear_cleanup", spy_cleanup)
+        assert pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text() == want
+        certs = list(cleanups[0].certs.values())
+        assert all(len(cert) for cert in certs)
+        assert [len(forms) for forms in ranked] == [3, 3]
+        assert all(T.k == 2 for T in ranked[0])
+        assert verified == [certs] and ranked[1] == [cert.claimed_form for cert in certs]
+
+
+class TestGTableFromPhaseTables:
+    @pytest.mark.parametrize("seed", [1, 5, 12])
+    def test_matches_the_polynomial_sums(self, monkeypatch, seed):
+        """Every g_S equals f times the phase of its summed polynomial: the same
+        ring, denominator, coefficients and exponents, on every input of the
+        benchmark's pipeline workload."""
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        seen, real = [], pl._assemble_g_table
+
+        def spy(f, P, quads, linears):
+            gs, ref = real(f, P, quads, linears), g_table_reference(f, P, quads, linears)
+            for S in range(8):
+                a, b = gs[S], ref[S]
+                assert (a.ring, a.den, a.exps is None) == (b.ring, b.den, b.exps is None)
+                assert np.array_equal(a.coeffs, b.coeffs)
+                assert a.exps is None or np.array_equal(a.exps, b.exps)
+            seen.append(sorted({g.ring.N for g in gs.values()}))
+            return gs
+
+        monkeypatch.setattr(pl, "_assemble_g_table", spy)
+        for op in workloads.build("pipeline", seed).ops:
+            op.run()
+        assert len(seen) == 6

@@ -15,7 +15,7 @@ from hofa import rank as rk
 from hofa.config import Budget
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.mforms import MultilinearForm
-from oracles import analytic_rank_loop
+from oracles import analytic_rank_loop, analytic_rank_reference, verify_certificate_reference
 
 
 class TestAnalyticRank:
@@ -139,6 +139,151 @@ class TestBatchedAnalyticRank:
         with pytest.raises(BudgetExceeded, match="slice enumeration exceeds budget"):
             rk.analytic_rank(T, Budget(enum_cap=8 * 27 - 1))
         assert rk.analytic_rank(T, Budget(enum_cap=8 * 27)).bias == rk.naive_bias(T)
+
+
+# (p, n, k) of the stacked analytic ranks: k >= 2, n <= 3, the character sum
+# affordable up to p^(nk) = 2^12 and the one-form reference everywhere
+STACK_SHAPES = [(p, n, k) for p in (2, 3, 5) for n in range(4) for k in (2, 3, 4)]
+
+
+@st.composite
+def form_stacks(draw):
+    """A stack of 1 to 6 forms of one (p, n, k), some of them zero, some repeated."""
+    p, n, k = draw(st.sampled_from(STACK_SHAPES))
+    forms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "repeat"]))
+        if kind == "zero" or n == 0:
+            forms.append(MultilinearForm.zero(p, n, k))
+        elif kind == "repeat" and forms:
+            forms.append(draw(st.sampled_from(forms)))
+        else:
+            coeffs = draw(st.lists(st.integers(0, p - 1), min_size=n**k, max_size=n**k))
+            forms.append(MultilinearForm(p, n, k, np.array(coeffs).reshape((n,) * k)))
+    return forms
+
+
+class TestStackedAnalyticRanks:
+    """``analytic_ranks`` on stacks against the character sum and the one-form reference."""
+
+    @given(form_stacks(), st.sampled_from([1, 7, 40, 1 << 15]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_bias_across_chunks(self, forms, chunk):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rk, "_CHUNK_ENTRIES", chunk)
+            got = [res.bias for res in rk.analytic_ranks(forms)]
+        assert got == [analytic_rank_reference(T) for T in forms]
+        T = forms[0]
+        if T.p ** (T.n * T.k) <= 1 << 12:
+            assert got == [rk.naive_bias(T) for T in forms]
+
+    def test_mixed_shapes_and_arities_keep_their_places(self):
+        rng = random.Random(8)
+        forms = [mf.random_form(rng, p, n, k) for p, n, k in
+                 [(2, 2, 3), (3, 2, 2), (2, 2, 1), (5, 1, 4), (2, 2, 3), (3, 0, 3), (2, 3, 0)]]
+        forms.append(MultilinearForm.zero(2, 2, 1))
+        assert rk.analytic_ranks(forms) == [rk.analytic_rank(T) for T in forms]
+        assert [r.bias for r in rk.analytic_ranks(forms)] == [rk.naive_bias(T) for T in forms]
+
+    def test_one_elimination_per_chunk_for_the_whole_stack(self, monkeypatch):
+        rng = random.Random(9)
+        forms = [mf.random_form(rng, 3, 2, 3) for _ in range(6)]
+        calls, real = [], fs.stack_ranks
+        monkeypatch.setattr(fs, "stack_ranks", lambda p, mats: calls.append(len(mats)) or real(p, mats))
+        rk.analytic_ranks(forms)
+        assert calls == [6 * 9]  # 9 heads of each of the six forms
+
+    def test_budget_message_is_kept(self):
+        forms = [MultilinearForm.zero(2, 3, 3), mf.random_form(random.Random(3), 2, 3, 3)]
+        with pytest.raises(BudgetExceeded, match="slice enumeration exceeds budget"):
+            rk.analytic_ranks(forms, Budget(enum_cap=8 * 27 - 1))
+
+
+def _corrupt_claimed_cubes(monkeypatch, corruptions):
+    """Make mforms.value_cube flip the values at the given flat positions of
+    each claimed form in ``corruptions`` (form object -> positions)."""
+    real = mf.value_cube
+
+    def patched(T, *a, **kw):
+        cube = real(T, *a, **kw)
+        for form, positions in corruptions:
+            if T is form:
+                flat = cube.reshape(-1)
+                flat[positions] = (flat[positions] + 1) % T.p
+        return cube
+
+    monkeypatch.setattr(mf, "value_cube", patched)
+
+
+class TestStackedVerification:
+    """``verify_certificates`` against the term-by-term reference: the same ok,
+    mode and first failing witness for every certificate of a mixed stack."""
+
+    @staticmethod
+    def mixed_stack(rng, shapes):
+        certs = []
+        for p, n, k in shapes:
+            good = _random_certificate(rng, p, n, k, rng.randrange(1, 4))
+            wrong = rk.RankCertificate(good.claimed_form + mf.random_form(rng, p, n, k), good.terms)
+            empty = rk.empty_certificate(MultilinearForm.zero(p, n, k))
+            empty_wrong = rk.empty_certificate(mf.random_form(rng, p, n, k))
+            certs += [good, wrong, empty, _random_certificate(rng, p, n, k, 2), empty_wrong]
+        rng.shuffle(certs)
+        return certs
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_stacks_match_the_reference(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        certs = self.mixed_stack(rng, [(2, 2, 3), (3, 2, 2), (2, 1, 4), (5, 1, 3)])
+        # value cubes that disagree with reconstructions that match: the cube branch's witness
+        targets = [c for c in certs if len(c) and rk.verify_certificate(c).ok]
+        corruptions = []
+        for cert in targets[: len(targets) // 2]:
+            size = cert.claimed_form.p ** (cert.claimed_form.n * cert.claimed_form.k)
+            corruptions.append((cert.claimed_form, sorted(rng.sample(range(size), 2))))
+        _corrupt_claimed_cubes(monkeypatch, corruptions)
+        got = rk.verify_certificates(certs)
+        assert got == [verify_certificate_reference(c) for c in certs]
+        assert got == [rk.verify_certificate(c) for c in certs]
+        assert {r.ok for r in got} == {True, False}
+        assert {r.mode for r in got} == {"exhaustive"}
+        # failing reconstructions name a coefficient index, failing value cubes a tuple of points
+        assert {type(r.witness[0]) for r in got if not r.ok} == {int, tuple}
+
+    def test_sampled_branch_matches_the_reference(self, monkeypatch):
+        rng = random.Random(21)
+        p, n, k = 2, 6, 3  # p^(nk) = 2^18 > 2^16
+        certs = self.mixed_stack(rng, [(p, n, k)]) + self.mixed_stack(rng, [(2, 2, 3)])
+        target = next(c for c in certs if c.claimed_form.n == n and len(c) and rk.verify_certificate(c, 500).ok)
+        real = mf.eval_many
+
+        def patched(T, block):
+            out = np.array(real(T, block))
+            if T is target.claimed_form:
+                hit = block[:, 1, 0] == 1
+                out[hit] = (out[hit] + 1) % T.p
+            return out
+
+        monkeypatch.setattr(mf, "eval_many", patched)
+        got = rk.verify_certificates(certs, sample_points=500)
+        assert got == [verify_certificate_reference(c, 500) for c in certs]
+        assert rk.verify_certificates([target], 500)[0].mode == "sampled"
+        assert not got[certs.index(target)].ok
+        # one shared rng is drawn from in list order, as by one call per certificate
+        shared, ref_rng = random.Random(5), random.Random(5)
+        assert rk.verify_certificates(certs, 500, rng=shared) == [
+            verify_certificate_reference(c, 500, rng=ref_rng) for c in certs
+        ]
+
+    def test_one_value_cube_contraction_per_arity(self, monkeypatch):
+        rng = random.Random(4)
+        certs = [_random_certificate(rng, 2, 2, 3, 3) for _ in range(5)]
+        calls, real = [], mf._pullbacks
+        monkeypatch.setattr(mf, "_pullbacks", lambda st, M, p: calls.append(st.shape) or real(st, M, p))
+        monkeypatch.setattr(mf, "value_cube", lambda T: real(T.coeffs[..., None], fs.points(T.p, T.n).T, T.p)[0])
+        assert all(r.ok for r in rk.verify_certificates(certs))
+        assert sorted(len(shape) - 1 for shape in calls) == [1, 2]  # the linear and the bilinear factors
+        assert sum(shape[-1] for shape in calls) == 2 * sum(len(c) for c in certs)
 
 
 class TestBilinearRank:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -132,6 +133,86 @@ class TestSymmetricSubspace:
         if any(not (I.T - mf.permute(I.T, pi)).is_zero() for pi in I.certs):
             with pytest.raises(PreconditionError):
                 sym.symmetric_subspace(I.T, wrong)
+
+
+class TestCertificateMaps:
+    """A certificate map must have permutations of the three slots as keys,
+    and they must generate S_3, or no restriction is certified symmetric."""
+
+    @staticmethod
+    def run(I, certs):
+        if I.T.p == 2:
+            return sym.symmetrize_nonclassical_p2(I.T, I.witness, certs)
+        return sym.symmetrize_classical(I.T, I.witness, certs)
+
+    @pytest.mark.parametrize("p, n, style", [(2, 3, "general"), (3, 2, "single_linear")])
+    def test_maps_that_do_not_generate_name_the_missing_permutations(self, p, n, style):
+        I = inst.planted_instance(p, n, seed=("algebra corpus", p), style=style)
+        one = {(1, 0, 2): I.certs[(1, 0, 2)]}
+        for certs, missing in [({}, mf.S3[1:]), (one, [(0, 2, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0)])]:
+            for call in (lambda: sym.symmetric_subspace(I.T, certs), lambda: self.run(I, certs)):
+                with pytest.raises(PreconditionError, match="do not generate S_3") as exc:
+                    call()
+                assert str(list(missing)) in str(exc.value)
+
+    def test_two_transpositions_are_enough(self):
+        I = inst.planted_instance(3, 2, seed=("algebra corpus", 3), style="single_linear")
+        certs = {pi: I.certs[pi] for pi in [(1, 0, 2), (0, 2, 1)]}
+        U = sym.symmetric_subspace(I.T, certs)
+        assert mf.is_symmetric(mf.restrict(I.T, U))
+        assert self.run(I, certs).all_hold()
+
+    @pytest.mark.parametrize("p, n, style", [(2, 3, "general"), (3, 2, "single_linear")])
+    def test_keys_that_are_not_permutations_are_named(self, p, n, style):
+        I = inst.planted_instance(p, n, seed=("algebra corpus", p), style=style)
+        certs = {**I.certs, (0, 1): I.certs[(1, 0, 2)], (0, 1, 1): I.certs[(1, 0, 2)]}
+        for call in (lambda: sym.symmetric_subspace(I.T, certs), lambda: self.run(I, certs)):
+            with pytest.raises(PreconditionError, match=r"keys \[\(0, 1\), \(0, 1, 1\)\] are not permutations"):
+                call()
+
+    def test_the_first_failing_permutation_is_named(self):
+        I = inst.planted_instance(2, 3, seed=("algebra corpus", 2), style="general")
+        bad = [pi for pi in I.certs if len(I.certs[pi])]
+        certs = dict(I.certs)
+        for pi in bad[1:]:
+            certs[pi] = rk.RankCertificate(certs[pi].claimed_form, certs[pi].terms[:-1])
+        with pytest.raises(PreconditionError, match=re.escape(f"certificate for {bad[1]} does not verify")):
+            sym.symmetric_subspace(I.T, certs)
+
+
+def _spy(monkeypatch, name):
+    """Record the list passed to each call of ``rank.<name>``."""
+    log, real = [], getattr(rk, name)
+    monkeypatch.setattr(rk, name, lambda items, *a: log.append(list(items)) or real(items, *a))
+    return log
+
+
+class TestStackedCalls:
+    """Each symmetrization ranks its six defects in one stacked call and
+    verifies the supplied certificates in one stacked call."""
+
+    @pytest.mark.parametrize("p, n, style", [(2, 3, "general"), (3, 2, "single_linear")])
+    def test_one_bias_call_and_one_verification(self, monkeypatch, p, n, style):
+        I = inst.planted_instance(p, n, seed=("algebra corpus", p), style=style)
+        ranked, verified = _spy(monkeypatch, "analytic_ranks"), _spy(monkeypatch, "verify_certificates")
+        rep = TestCertificateMaps.run(I, I.certs)
+        defects = [I.T - mf.permute(I.T, pi) for pi in mf.S3]
+        # the six defects, then the bound check of the certificate for T - S
+        assert ranked == [defects, [rep.input_form - rep.output_form]]
+        # the supplied certificates, then the certificate for T - S twice (built, reported)
+        assert [len(certs) for certs in verified] == [5, 1, 1]
+        assert all(a is b for a, b in zip(verified[0], I.certs.values()))
+        assert verified[1] == verified[2] == [rep.certificate]
+
+    def test_default_certificates_check_their_bounds_together(self, monkeypatch):
+        rng = random.Random(12)
+        T = mf.random_form(rng, 2, 2, 3)
+        ranked = _spy(monkeypatch, "analytic_ranks")
+        certs = sym.default_defect_certificates(T)
+        assert list(certs) == list(mf.S3[1:])
+        assert ranked == [[c.claimed_form for c in certs.values() if len(c)]]
+        for pi, cert in certs.items():
+            assert cert == rk.prank_certificate_search(T - mf.permute(T, pi))
 
 
 class TestCsmSubspaceF3:

@@ -431,6 +431,7 @@ class GowersNormValue:
     power_num: tuple  # ring element as a tuple of ints (real value)
     power_den: int
     float_power: float
+    _power: RealSurd | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_parts(cls, d: int, R: CycloRing, num, den: int) -> "GowersNormValue":
@@ -440,8 +441,12 @@ class GowersNormValue:
         return cls(d, R, tuple(int(v) for v in num), den, R.to_complex(num, den).real)
 
     def power_surd(self) -> RealSurd:
-        """The power as an exact RealSurd."""
-        return RealSurd.from_ring_element(self.ring, np.array(self.power_num, dtype=object), self.power_den)
+        """The power as an exact RealSurd, made once and kept (with the
+        enclosure its comparisons read)."""
+        if self._power is None:
+            power = RealSurd.from_ring_element(self.ring, np.array(self.power_num, dtype=object), self.power_den)
+            object.__setattr__(self, "_power", power)
+        return self._power
 
     def norm_float(self) -> float:
         return max(self.float_power, 0.0) ** (1.0 / (1 << self.d))
@@ -1285,10 +1290,12 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
 
 
 def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):
-    """|average| <= prod_S ||g_S||_{U^3}: returns (holds, norms)."""
+    """|average| <= prod_S ||g_S||_{U^3}: returns (holds, norms).
+
+    Checked exactly as |average|^16 <= prod_S (||g_S||_{U^3}^8)^2, both
+    sides unexpanded ``SurdPower`` products."""
     norms = {S: gowers_norm(g, 3, budget) for S, g in gs.items()}
-    squares = {v: v.power_surd() ** 2 for v in set(norms.values())}  # equal norm powers squared once
-    rhs = math.prod((squares[norms[S]] for S in range(8)), start=RealSurd(1))
+    rhs = math.prod((norms[S].power_surd() ** 2 for S in range(8)), start=RealSurd(1))
     return bool(avg.mag2() ** 8 <= rhs), norms
 
 

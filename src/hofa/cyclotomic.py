@@ -13,11 +13,14 @@ fixed-point evaluation of sum c_k cos(2 pi k / N) on Python integers, at a
 precision that the norm of a nonzero element makes decisive.  ``RealSurd``
 is the one exact real number, num / den with num a real element of any
 Z[zeta_N]: its sign and ``float()`` read the same key, at a precision that
-starts at 64 bits and doubles up to that of ``real_keys``.
+starts at 64 bits and doubles up to that of ``real_keys``.  Its powers are
+``SurdPower`` products, kept unexpanded: each is ordered by a dyadic
+enclosure where that decides, and expanded exactly where it does not.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import cos, sin, pi
@@ -276,24 +279,75 @@ def _key(rng: CycloRing, num: np.ndarray, margin: int) -> tuple:
         B *= 2
 
 
+# mantissa bits of an enclosure's ends, and the margin of the key it is read from
+_P = 64
+_ONE = Fraction(1)
+
+
+def _round(m: int, e: int, up: bool) -> tuple:
+    """m 2^e, m >= 0, to at most _P mantissa bits, rounded up or down."""
+    s = m.bit_length() - _P
+    if s <= 0:
+        return m, e
+    return (-(-m >> s) if up else m >> s), e + s
+
+
+def _quotient(num: int, den: int, up: bool) -> tuple:
+    """num / den, den > 0, as m 2^e: exact where den is a power of two, else
+    with about _P bits in m, rounded up or down."""
+    if not den & (den - 1):
+        return num, 1 - den.bit_length()
+    t = _P + den.bit_length() - num.bit_length()
+    if t >= 0:
+        num <<= t
+    else:
+        den <<= -t
+    return (-(-num // den) if up else num // den), -t
+
+
+def _dyadic_pow(m: int, e: int, k: int, up: bool) -> tuple:
+    """(m 2^e)^k, m >= 0: exact for 0 and powers of two, else by repeated
+    squaring, every product rounded up or down."""
+    if not m & (m - 1):
+        return (1, (e + m.bit_length() - 1) * k) if m else (0, 0)
+    out = 1, 0
+    while k:
+        if k & 1:
+            out = _round(out[0] * m, out[1] + e, up)
+        k >>= 1
+        if k:
+            m, e = _round(m * m, 2 * e, up)
+    return out
+
+
+def _dyadic_lt(a: tuple, b: tuple) -> bool:
+    """m 2^e < m' 2^e' for a = (m, e), b = (m', e')."""
+    (m, e), (n, f) = a, b
+    g = min(e, f)
+    return m << (e - g) < n << (f - g)
+
+
 @total_ordering
 class RealSurd:
     """Exact real number num / den: num a real element of Z[zeta_N], for any
     N, on Python integers, and den > 0 an integer.  Rationals are kept in
     Z (N = 1), so they meet values of every ring.
 
-    ``+ - *`` and ``**`` embed both operands in their ``common_ring`` and
-    multiply by ``CycloRing.mul_arrays``; every result is reduced by the gcd
-    of den and the coefficients.  Equality is a zero test of the
-    cross-multiplied difference, exact because the power basis is a basis
-    of Q(zeta_N); the order and ``float()`` read the key of ``_key``.
+    ``+ - *`` embed both operands in their ``common_ring`` and multiply by
+    ``CycloRing.mul_arrays``; every result is reduced by the gcd of den and
+    the coefficients.  ``**`` returns an unexpanded ``SurdPower``.
+    Equality is a zero test of the cross-multiplied difference, exact
+    because the power basis is a basis of Q(zeta_N); the order and
+    ``float()`` read the key of ``_key``.  Each value keeps one dyadic
+    enclosure, from which the ``SurdPower`` comparisons start.
     """
 
-    __slots__ = ("ring", "num", "den")
+    __slots__ = ("ring", "num", "den", "_encl")
 
     def __init__(self, value):
         q = Fraction(value)
         self.ring, self.num, self.den = ring(2, 0), np.array([q.numerator], dtype=object), q.denominator
+        self._encl = None
 
     @classmethod
     def _reduced(cls, rng: CycloRing, num: np.ndarray, den: int) -> "RealSurd":
@@ -301,7 +355,7 @@ class RealSurd:
             rng, num = ring(2, 0), num[:1]
         g = math.gcd(den, *num)
         out = cls.__new__(cls)
-        out.ring, out.num, out.den = rng, num // g, den // g
+        out.ring, out.num, out.den, out._encl = rng, num // g, den // g, None
         return out
 
     @classmethod
@@ -327,28 +381,41 @@ class RealSurd:
         return RealSurd._reduced(*self._diff(other))
 
     def __mul__(self, other):
+        if isinstance(other, SurdPower):
+            return NotImplemented
         R, a, b, o = self._pair(other)
         return RealSurd._reduced(R, R.mul_arrays(a, b), self.den * o.den)
 
-    def __pow__(self, k: int):
-        R, x = self.ring, self.num
+    def __pow__(self, k: int) -> "SurdPower":
+        """self^k, unexpanded; a negative k only for a nonzero rational.  A
+        negative base moves its sign into the coefficient."""
         if k < 0:
-            if R.N > 1:
+            if self.ring.N > 1:
                 raise ValueError("negative powers of an irrational RealSurd are not supported")
-            return RealSurd(Fraction(self.den, int(x[0]))) ** -k
-        if R.N == 1:  # one integer power
-            return RealSurd._reduced(R, x**k, self.den**k)
-        out, e = R.one().astype(object), k
-        while e:
-            if e & 1:
-                out = R.mul_arrays(out, x)
-            e >>= 1
-            if e:
-                x = R.mul_arrays(x, x)
-        return RealSurd._reduced(R, out, self.den**k)
+            return RealSurd(Fraction(self.den, int(self.num[0]))) ** -k
+        if k and self._enclosure()[1][0] < 0:
+            return SurdPower(Fraction((-1) ** k), ((RealSurd._reduced(self.ring, -self.num, self.den), k),))
+        return SurdPower(_ONE, ((self, k),) if k else ())
+
+    def _enclosure(self) -> tuple:
+        """((m, e), (m', e')) with m 2^e <= self <= m' 2^e', kept once made:
+        [key - L1(num), key + L1(num)] / (den 2^B) for the key of ``_key``
+        at margin _P, which is num 2^B within L1(num) (a rational's key is
+        num itself, exact, at B = 0), rounded outward.  Zero gets [0, 0];
+        any other value an interval within a factor 1 +- 2^(2 - _P) of it,
+        which excludes 0."""
+        if self._encl is None:
+            if self.ring.N == 1:
+                key, B, err = int(self.num[0]), 0, 0
+            else:
+                key, B = _key(self.ring, self.num, _P)
+                err = int(np.abs(self.num).sum())
+            (lo, e), (hi, f) = _quotient(key - err, self.den, False), _quotient(key + err, self.den, True)
+            self._encl = (lo, e - B), (hi, f - B)
+        return self._encl
 
     def sign(self) -> int:
-        key = _key(self.ring, self.num, 0)[0]
+        key = int(self.num[0]) if self.ring.N == 1 else _key(self.ring, self.num, 0)[0]
         return (key > 0) - (key < 0)
 
     def _diff(self, other) -> tuple:
@@ -357,9 +424,13 @@ class RealSurd:
         return R, a * o.den - b * self.den, self.den * o.den
 
     def __eq__(self, other):
+        if isinstance(other, SurdPower):
+            return NotImplemented
         return not self._diff(other)[1].any()
 
     def __lt__(self, other):
+        if isinstance(other, SurdPower):
+            return NotImplemented
         R, num, _ = self._diff(other)
         return _key(R, num, 0)[0] < 0
 
@@ -374,3 +445,125 @@ class RealSurd:
 
     def __repr__(self):
         return f"RealSurd({self})"
+
+
+def _ordered(test):
+    """A SurdPower comparison: ``test`` of the sign of self - other, for other
+    a RealSurd, a SurdPower or a rational."""
+    def method(self, other):
+        if not isinstance(other, (RealSurd, SurdPower)):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = RealSurd(other)
+        return test(self._cmp(other), 0)
+    return method
+
+
+class SurdPower:
+    """Exact real number c * prod b_i^k_i, kept unexpanded: c a rational, each
+    base b_i a non-negative ``RealSurd`` and k_i >= 1.  ``RealSurd.__pow__``
+    makes one; ``*`` with RealSurds, rationals and SurdPowers and ``**``
+    keep the form, a base met twice (the same object) adding its exponents.
+
+    Order and equality against all three: the dyadic enclosures of both
+    sides (``_enclosure``) decide when they are disjoint; otherwise both
+    sides are expanded by ``exact()`` and compared by ``RealSurd``, so
+    ties stay exact.  ``float()`` is the nearest double where both ends of
+    the enclosure round to it, and the expanded value's ``float()``
+    otherwise.
+    """
+
+    __slots__ = ("coeff", "factors", "_encl")
+
+    def __init__(self, coeff, factors=()):
+        self.coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+        self.factors = tuple(factors)  # ((base, k), ...)
+        self._encl = None
+
+    def exact(self) -> RealSurd:
+        """The product expanded: the one place a power is expanded.  Rational
+        bases are raised as Fractions, the others by repeated squaring in
+        their ring."""
+        n, d, out = self.coeff.numerator, self.coeff.denominator, None
+        for b, k in self.factors:
+            R, x = b.ring, b.num
+            if R.N == 1:
+                n, d = n * int(x[0]) ** k, d * b.den**k
+                continue
+            acc, e = R.one().astype(object), k
+            while e:
+                if e & 1:
+                    acc = R.mul_arrays(acc, x)
+                e >>= 1
+                if e:
+                    x = R.mul_arrays(x, x)
+            power = RealSurd._reduced(R, acc, b.den**k)
+            out = power if out is None else out * power
+        rational = RealSurd._reduced(ring(2, 0), np.array([n], dtype=object), d)
+        return rational if out is None else out * rational
+
+    def _enclosure(self) -> tuple:
+        """Dyadic bounds as ``RealSurd._enclosure``: |c| and each base's
+        power, lower ends multiplied rounding down and upper ends rounding
+        up (all ends are >= 0), then the sign of c."""
+        if self._encl is None:
+            n, d = abs(self.coeff.numerator), self.coeff.denominator
+            lo, hi = _quotient(n, d, False), _quotient(n, d, True)
+            for b, k in self.factors:
+                (bl, el), (bh, eh) = b._enclosure()
+                pl, ph = _dyadic_pow(bl, el, k, False), _dyadic_pow(bh, eh, k, True)
+                lo, hi = _round(lo[0] * pl[0], lo[1] + pl[1], False), _round(hi[0] * ph[0], hi[1] + ph[1], True)
+            self._encl = (lo, hi) if self.coeff.numerator >= 0 else ((-hi[0], hi[1]), (-lo[0], lo[1]))
+        return self._encl
+
+    def __mul__(self, other):
+        if isinstance(other, RealSurd):
+            other = other**1
+        elif isinstance(other, (int, Fraction)):
+            other = SurdPower(other)
+        elif not isinstance(other, SurdPower):
+            return NotImplemented
+        merged = {}
+        for b, k in self.factors + other.factors:
+            merged[id(b)] = b, merged.get(id(b), (b, 0))[1] + k
+        return SurdPower(self.coeff * other.coeff, merged.values())
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int) -> "SurdPower":
+        if k < 0:
+            raise ValueError("negative powers of a SurdPower are not supported")
+        return SurdPower(self.coeff**k, ((b, e * k) for b, e in self.factors if k))
+
+    def _cmp(self, other) -> int:
+        """The sign of self - other (a RealSurd or a SurdPower): on the
+        enclosures when they are disjoint, else on the expanded values."""
+        (alo, ahi), (blo, bhi) = self._enclosure(), other._enclosure()
+        if _dyadic_lt(ahi, blo):
+            return -1
+        if _dyadic_lt(bhi, alo):
+            return 1
+        a, b = self.exact(), other.exact() if isinstance(other, SurdPower) else other
+        return 0 if a == b else (a - b).sign()
+
+    __eq__, __lt__, __le__ = _ordered(operator.eq), _ordered(operator.lt), _ordered(operator.le)
+    __gt__, __ge__ = _ordered(operator.gt), _ordered(operator.ge)
+    __hash__ = None
+
+    def sign(self) -> int:
+        return self._cmp(RealSurd(0))
+
+    def __float__(self):
+        try:  # each end m 2^e rounded to the nearest double, as an int quotient is
+            lo, hi = (float(m << e) if e >= 0 else m / (1 << -e) for m, e in self._enclosure())
+            if lo == hi:
+                return lo
+        except OverflowError:  # an end past the float range: the value decides
+            pass
+        return float(self.exact())
+
+    def __str__(self):
+        return " * ".join([str(self.coeff)] + [f"({b})^{k}" for b, k in self.factors])
+
+    def __repr__(self):
+        return f"SurdPower({self})"

@@ -45,7 +45,7 @@ import numpy as np
 from . import analysis, fpspace, integrate, mforms, rank, serialize, symmetrize
 from .analysis import BoundedFunction, CorrValue
 from .config import DEFAULT_BUDGET, Budget
-from .cyclotomic import RealSurd
+from .cyclotomic import RealSurd, SurdPower
 from .errors import BudgetExceeded, InternalCheckError, PreconditionError
 from .fpspace import all_vectors
 from .mforms import MultiaffineForm, MultilinearForm, permute
@@ -297,15 +297,18 @@ def derandomize_indicator(
     return c, xi0, new_phase, measured, tuple(entries)
 
 
-def _stage_bound_mag2(p: int, eps: CorrValue, r_len: int, coeff: int) -> RealSurd:
-    """(eps * p^{-coeff * r})^2 with r = max(r_len, log_p(1/eps)), exactly."""
+def _stage_bound_mag2(p: int, eps: CorrValue, r_len: int, coeff: int) -> RealSurd | SurdPower:
+    """(eps * p^{-coeff * r})^2 with r = max(r_len, log_p(1/eps)), exactly:
+    the lesser of |eps|^2 p^{-2 coeff r_len} and the unexpanded power
+    |eps|^{2 (coeff + 1)}, so a check against it, or against a power of it,
+    forms no power of eps."""
     cand1 = eps.mag2() * RealSurd(Fraction(1, p ** (2 * coeff * r_len)))
     cand2 = eps.mag2() ** (coeff + 1)
     return cand1 if cand1 <= cand2 else cand2
 
 
 def _stage_bound_entry(
-    p: int, claim: str, measured: CorrValue, eps: CorrValue, r_len: int, coeff: int, bound: RealSurd
+    p: int, claim: str, measured: CorrValue, eps: CorrValue, r_len: int, coeff: int, bound: RealSurd | SurdPower
 ) -> LedgerEntry:
     """'measured >= eps p^{-coeff r}', ``bound`` being ``_stage_bound_mag2``."""
     return LedgerEntry(
@@ -316,7 +319,7 @@ def _stage_bound_entry(
     )
 
 
-def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSurd) -> str:
+def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSurd | SurdPower) -> str:
     """eps * p^{-coeff r} for display, in log space where its square underflows;
     ``sq`` is its square from ``_stage_bound_mag2``."""
     sq = float(sq)
@@ -343,7 +346,7 @@ class CleanupResult:
 
 
 def bilinear_cleanup(
-    g: BoundedFunction, phase: MultiaffineForm, bound: RealSurd, budget: Budget = DEFAULT_BUDGET
+    g: BoundedFunction, phase: MultiaffineForm, bound: RealSurd | SurdPower, budget: Budget = DEFAULT_BUDGET
 ) -> CleanupResult:
     """Replace each bilinear phase kernel by a symmetric (nCSM) one.
 
@@ -367,11 +370,11 @@ def bilinear_cleanup(
     primes = [mforms.extend(mforms.restrict(B, U), U, fpspace.complement(U)) for B, U in zip(kernels, nullspaces)]
     certs = rank.vanishing_decompositions([(B - beta, U) for B, beta, U in zip(kernels, primes, nullspaces)])
     quads, entries = {}, []
-    bound = bound**8
+    bound8 = bound**8  # (eps p^{-2r})^16
     for pair, res, U, beta_prime, cert in zip(pairs, defects, nullspaces, primes, certs):
         if not res.holds:  # pragma: no cover
             raise InternalCheckError("defect bound failed on a cleanup witness")
-        holds_loc = res.delta.mag2() >= bound
+        holds_loc = res.delta.mag2() >= bound8
         entries.append(
             LedgerEntry(
                 f"slot argmax for pair {pair}: |corr| >= eps p^{{-2r}}",
@@ -385,7 +388,7 @@ def bilinear_cleanup(
                 f"arank(beta{pair} - transpose) <= 8(2r + log(1/eps))",
                 f"bias={float(res.defect_bias):.6g}",
                 "(eps p^{-2r})^8",
-                bool(res.defect_bias_sq >= bound),
+                bool(RealSurd(res.defect_bias) ** 2 >= bound8),
             )
         )
         if not mforms.is_symmetric(beta_prime):  # pragma: no cover
@@ -529,9 +532,8 @@ def run_inverse_pipeline(
         sym_report = symmetrize_classical(T, witness_T, options.certs_by_perm, budget)
     else:
         sym_report = symmetrize_nonclassical_p2(T, witness_T, options.certs_by_perm, budget)
-    bound128, squares = eps.mag2() ** 128, sym_report.defect_squares
     ledger.extend(
-        bias_entry(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, squares[pi], eps, 128, bound128)
+        bias_entry(p, f"arank(T - T_{pi}) <= 128 log(1/eps)", bias, eps, 128)
         for pi, bias in sym_report.defect_biases.items() if pi != (0, 1, 2)
     )
     ledger.extend(sym_report.ledger)

@@ -170,15 +170,11 @@ class LedgerEntry:
         return f"[{flag}] {self.claim}: measured {self.measured}, bound {self.bound}"
 
 
-def bias_entry(
-    p: int, claim: str, bias: Fraction, square: RealSurd, delta: CorrValue, power: int, bound: RealSurd
-) -> LedgerEntry:
-    """Entry for 'arank(X) <= power * log_p(1/delta)', checked as bias >= delta^power.
-
-    ``square`` is bias^2 and ``bound`` is |delta|^(2 power), which a caller
-    checking one bias against several powers, or several biases against one
-    power, computes once."""
-    holds = square >= bound
+def bias_entry(p: int, claim: str, bias: Fraction, delta: CorrValue, power: int) -> LedgerEntry:
+    """Entry for 'arank(X) <= power * log_p(1/delta)', checked exactly as
+    bias^2 >= |delta|^(2 power); both sides are unexpanded powers, so the
+    check forms neither unless they tie."""
+    holds = RealSurd(bias) ** 2 >= delta.mag2() ** power
     arank = math.inf if bias == 0 else -math.log(bias) / math.log(p)
     logd = _log_inv_float(p, delta)
     return LedgerEntry(claim, f"arank={arank:.4f}", f"{power}*log_p(1/delta)={power * logd:.4f}", bool(holds))
@@ -223,7 +219,6 @@ def _log_inv_float(p: int, delta: CorrValue) -> float:
 class DefectResult:
     delta: CorrValue
     defect_bias: Fraction
-    defect_bias_sq: RealSurd  # defect_bias^2, squared once for every check against it
     holds: bool
 
 
@@ -249,8 +244,7 @@ def gt_defects(instances, budget: Budget = DEFAULT_BUDGET) -> list:
     results = []
     for (A, bs), res in zip(instances, ranks):
         delta = three_correlation(*bs, A, budget)
-        square = RealSurd(res.bias) ** 2
-        results.append(DefectResult(delta, res.bias, square, bool(square >= delta.mag2() ** 8)))
+        results.append(DefectResult(delta, res.bias, bool(RealSurd(res.bias) ** 2 >= delta.mag2() ** 8)))
     return results
 
 
@@ -260,7 +254,6 @@ def gt_defects(instances, budget: Budget = DEFAULT_BUDGET) -> list:
 @dataclass(frozen=True)
 class PermutationDefects:
     biases: dict  # perm tuple -> Fraction bias of T - T_pi
-    squares: dict  # perm tuple -> its bias^2, squared once per distinct bias
     ledger: tuple
 
     def all_hold(self) -> bool:
@@ -279,19 +272,13 @@ def permutation_defects(
     if not witness.delta_positive():
         raise PreconditionError("witness correlation is zero")
     delta = witness.delta
-    bound16 = delta.mag2() ** 16
-    bound8 = delta.mag2() ** 8
-    biases, squares, by_value = {}, {}, {}
-    entries = []
+    biases, entries = {}, []
     for pi, res in zip(S3, rank.analytic_ranks([T - permute(T, pi) for pi in S3], budget)):
         bias = biases[pi] = res.bias
-        if bias not in by_value:
-            by_value[bias] = RealSurd(bias) ** 2
-        square = squares[pi] = by_value[bias]
-        entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, square, delta, 16, bound16))
+        entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 16 log(1/delta)", bias, delta, 16))
         if pi in TRANSPOSITIONS_3:
-            entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, square, delta, 8, bound8))
-    return PermutationDefects(biases, squares, tuple(entries))
+            entries.append(bias_entry(T.p, f"arank(T - T_{pi}) <= 8 log(1/delta)", bias, delta, 8))
+    return PermutationDefects(biases, tuple(entries))
 
 
 # -- symmetric subspace from certificates --
@@ -451,12 +438,13 @@ class SymmetrizationReport:
     ledger: tuple
     subspace: Subspace
     defect_biases: dict  # perm tuple -> bias of T - T_pi measured against the witness; {} without one
-    defect_squares: dict  # perm tuple -> that bias^2, as ``PermutationDefects.squares``
 
     def all_hold(self) -> bool:
         return all(e.holds for e in self.ledger)
 
     def verify(self) -> bool:
+        """Verify the certificate for T - S anew (the symmetrizers verified
+        it once, when ``rank.vanishing_decomposition`` built it)."""
         return bool(rank.verify_certificate(self.certificate).ok)
 
 
@@ -502,11 +490,7 @@ def symmetrize_classical(
         raise InternalCheckError("classical symmetrization output is not CSM")
     cert = vanishing_decomposition(T - S, W)
     ledger.append(int_bound_entry(f"prank(T - S) <= {bound}", len(cert), bound))
-    biases, squares = ({}, {}) if witness is None else (defects.biases, defects.squares)
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, biases, squares)
-    if not report.verify():  # pragma: no cover
-        raise InternalCheckError("symmetrization certificate failed verification")
-    return report
+    return SymmetrizationReport(T, S, cert, tuple(ledger), W, {} if witness is None else defects.biases)
 
 
 def symmetrize_nonclassical_p2(
@@ -562,10 +546,7 @@ def symmetrize_nonclassical_p2(
     ledger.append(
         int_vs_delta_power(2, "prank(T - S) <= 432 log2(1/delta)", "count", len(cert), delta, 432)
     )
-    report = SymmetrizationReport(T, S, cert, tuple(ledger), W, defects.biases, defects.squares)
-    if not report.verify():  # pragma: no cover
-        raise InternalCheckError("symmetrization certificate failed verification")
-    return report
+    return SymmetrizationReport(T, S, cert, tuple(ledger), W, defects.biases)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 from hofa import fpspace, mforms
 from hofa.analysis import BoundedFunction, first_max
 from hofa.config import DEFAULT_BUDGET
-from hofa.cyclotomic import common_ring, ring
+from hofa.cyclotomic import RealSurd, common_ring, ring
 from hofa.errors import BudgetExceeded
 from hofa.mforms import MultiaffineForm, MultilinearForm, restrict
 from hofa.ncpoly import NcPoly
@@ -99,6 +99,26 @@ def verify_certificate_reference(cert, sample_points=10_000, budget=DEFAULT_BUDG
     if len(bad):
         return VerifyResult(False, "sampled", witness=tuple(vecs[int(i)] for i in picks[bad[0]]))
     return VerifyResult(True, "sampled")
+
+
+def expanded_pow(x, k):
+    """The former ``RealSurd.__pow__``: x^k expanded at once, a RealSurd,
+    by repeated squaring in x's ring (one integer power for a rational)."""
+    R, num = x.ring, x.num
+    if k < 0:
+        if R.N > 1:
+            raise ValueError("negative powers of an irrational RealSurd are not supported")
+        return expanded_pow(RealSurd(Fraction(x.den, int(num[0]))), -k)
+    if R.N == 1:
+        return RealSurd._reduced(R, num**k, x.den**k)
+    out, e = R.one().astype(object), k
+    while e:
+        if e & 1:
+            out = R.mul_arrays(out, num)
+        e >>= 1
+        if e:
+            num = R.mul_arrays(num, num)
+    return RealSurd._reduced(R, out, x.den**k)
 
 
 def g_table_reference(f, P, quads, linears):

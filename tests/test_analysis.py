@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hofa.pipeline import derivative_sum_cube
 from hofa.serialize import dump_function, load_function
 from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
-from oracles import scale_phase
+from oracles import expanded_pow, scale_phase
 from ringref import ref_column_power, ref_conj, ref_first_max, ref_mul, ref_quarter_exponents, ref_roots
 
 
@@ -120,6 +121,13 @@ class TestGowersNorm:
             an.GowersNormValue.from_parts(2, ring(2, 2), np.array([10**9, 1]), 1)
         real = an.GowersNormValue.from_parts(2, ring(2, 2), np.array([10**9, 0]), 1)
         assert real.power_surd() == RealSurd(Fraction(10**9))
+
+    def test_power_surd_is_made_once(self):
+        v = an.gowers_norm(an.random_unimodular_exact(random.Random(3), 2, 3, 3), 3)
+        assert v.power_surd() is v.power_surd()
+        assert v.power_surd() == RealSurd.from_ring_element(v.ring, np.array(v.power_num, dtype=object), v.power_den)
+        doubled = replace(v, power_den=v.power_den * 2)  # a changed value makes its own power
+        assert doubled.power_surd() * 2 == v.power_surd() and doubled == replace(v, power_den=v.power_den * 2)
 
     def test_budget(self):
         from hofa.config import Budget
@@ -1441,26 +1449,23 @@ class TestOctolinear:
             assert an.gcs_check(gs, avg)[0]
 
 
-    def test_gcs_squares_each_distinct_norm_power_once(self, monkeypatch):
+    def test_gcs_matches_the_expanded_product(self):
+        """The check on unexpanded powers holds exactly when |avg|^16 <= prod_S
+        (||g_S||_U3^8)^2 with every power expanded (the former arithmetic)."""
         g, h = phase(NcPoly.from_classical(2, 3, {(1, 1, 1): 1})), an.BoundedFunction.ones(2, 3)
-        gs = {S: (g if S % 3 else h) for S in range(8)}
-        avg = an.octolinear_average(gs)
-        want = an.gcs_check(gs, avg)
-        exps = []
-        pow_ = RealSurd.__pow__
-
-        def spy(self, k):
-            exps.append(k)
-            return pow_(self, k)
-
-        monkeypatch.setattr(RealSurd, "__pow__", spy)
-        holds, norms = an.gcs_check(gs, avg)
-        distinct = {(v.power_num, v.power_den) for v in norms.values()}
-        assert len(distinct) == 2 and sorted(exps) == [2, 2, 8]
-        rhs = RealSurd(1)
-        for S in range(8):  # the former product, one square per function
-            rhs = rhs * norms[S].power_surd() ** 2
-        assert holds == want[0] == (avg.mag2() ** 8 <= rhs)
+        rng = random.Random(16)
+        for gs in (
+            {S: (g if S % 3 else h) for S in range(8)},
+            {S: an.random_mu_p_function(rng, 2, 2) for S in range(8)},
+            {S: an.random_unimodular_exact(rng, 2, 2, 3) for S in range(8)},
+        ):
+            avg = an.octolinear_average(gs)
+            holds, norms = an.gcs_check(gs, avg)
+            rhs = RealSurd(1)
+            for S in range(8):
+                rhs = rhs * expanded_pow(norms[S].power_surd(), 2)
+            assert holds == (expanded_pow(avg.mag2(), 8) <= rhs)
+            assert all(norms[S].power_surd() is norms[S].power_surd() for S in range(8))  # made once
 
     def test_gcs_fifth_root_phases(self):
         rng = random.Random(55)

@@ -163,8 +163,9 @@ class TestRealSurd:
     @given(_surd_pairs(), st.integers(0, 300))
     def test_pow_matches_square_and_multiply(self, pair, k):
         R, x, ref = pair
-        got = x**k
-        assert got == _ref_pow(x, k) == _surd(R, (ref**k).a, (ref**k).b)
+        power = x**k
+        got = power.exact()
+        assert power == got == _ref_pow(x, k) == _surd(R, (ref**k).a, (ref**k).b)
         assert got.ring is (R if got.num[1:].any() else ring(2, 0)) and math.gcd(got.den, *got.num) == 1
 
     @settings(max_examples=200, deadline=None)
@@ -217,6 +218,110 @@ class TestRealSurd:
         assert str(RealSurd.from_ring_element(R9, 3 * R9.one(), 9)) == "1/3"
         with pytest.raises(ValueError):
             RealSurd.from_ring_element(R9, R9.root(1))
+
+
+# -- SurdPower: unexpanded powers against their expansion --
+
+POWER_RINGS = [(2, 0), (2, 2), (2, 3), (3, 1), (3, 2)]  # Z, Z[i], Z[zeta_8], Z[omega], Z[zeta_9]
+_dens = st.one_of(st.sampled_from([1, 2, 1024]), st.integers(1, 10**4))
+
+
+@st.composite
+def _bases(draw, R):
+    """A non-negative RealSurd of R: |a|^2 / den (zero for a = 0), or a rational."""
+    if draw(st.integers(0, 3)) == 0:
+        return RealSurd(draw(st.fractions(min_value=0, max_value=10**3, max_denominator=10**4)))
+    a = np.array(draw(st.lists(st.integers(-6, 6), min_size=R.degree, max_size=R.degree)), dtype=object)
+    return RealSurd.from_ring_element(R, R.mag_squared(a), draw(_dens))
+
+
+@st.composite
+def _products(draw, R, max_k=1200):
+    """q * prod b_i^k_i with up to three bases of R, and its factors."""
+    factors = draw(st.lists(st.tuples(_bases(R), st.integers(0, max_k)), min_size=1, max_size=3))
+    q = draw(st.fractions(min_value=Fraction(1, 10**3), max_value=10**3, max_denominator=10**3))
+    return math.prod((b**k for b, k in factors), start=q), factors
+
+
+def _ring_pairs(max_k=1200):
+    return st.sampled_from(POWER_RINGS).flatmap(
+        lambda pm: st.tuples(_products(ring(*pm), max_k), _products(ring(*pm), max_k))
+    )
+
+
+def _dyadic(end) -> RealSurd:
+    m, e = end
+    return RealSurd(Fraction(m) * Fraction(2) ** e)
+
+
+class TestSurdPower:
+    """Each comparison and float() of an unexpanded power agrees with its
+    expansion: enclosures decide only where they are disjoint, so ties and
+    near-ties expand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ring_pairs())
+    def test_order_matches_the_expanded_values(self, pair):
+        (x, _), (y, _) = pair
+        ex, ey = x.exact(), y.exact()
+        for f in (eq, lt, le, gt, ge):
+            want = f(ex, ey)
+            assert f(x, y) == f(x, ey) == f(ex, y) == want
+        assert x.sign() == ex.sign() and (x * y) == ex * ey
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ring_pairs())
+    def test_enclosures_contain_the_values(self, pair):
+        for x, factors in pair:
+            lo, hi = x._enclosure()
+            assert _dyadic(lo) <= x.exact() <= _dyadic(hi)
+            for b, _ in factors:
+                lo, hi = b._enclosure()
+                assert _dyadic(lo) <= b <= _dyadic(hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(POWER_RINGS).flatmap(lambda pm: st.tuples(_bases(ring(*pm)), _bases(ring(*pm)))),
+           st.integers(1, 1200), st.integers(0, 1200))
+    def test_ties_and_near_ties(self, bases, k, j):
+        y, z = bases
+        x = (y**k).exact()
+        for tied in (x, y**k * 1, (y**k).exact() ** 1):
+            assert y**k == tied and y**k <= tied and y**k >= tied and not y**k < tied and not y**k > tied
+        twin = RealSurd.from_ring_element(y.ring, y.num, y.den)  # equal to y, not the same object
+        assert y**k * z**j == z**j * twin**k
+        if x != 0:
+            above, below = x * Fraction(2**200 + 1, 2**200), x * Fraction(2**200 - 1, 2**200)
+            assert y**k < above and y**k > below and above > y**k and below < y**k
+            if z != 0:
+                assert y**k * z**j < above * z**j and y**k * z**j > z**j * below
+
+    @pytest.mark.parametrize("p, m", POWER_RINGS)
+    def test_zero_bases(self, p, m):
+        R = ring(p, m)
+        zero = RealSurd.from_ring_element(R, R.zero().astype(object))
+        y = RealSurd.from_ring_element(R, R.mag_squared(R.one() + R.root(1)), 3)
+        assert zero**5 == 0 and zero**5 * y**7 == zero and zero**0 == 1
+        assert zero**5 < y**1000 and y**1000 * zero**3 <= Fraction(0) and (zero**4).sign() == 0
+        assert float(zero**9 * y**9) == 0.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(_ring_pairs(max_k=300))
+    def test_float_is_the_nearest_double(self, pair):
+        for x, _ in pair:
+            ex = x.exact()
+            try:
+                want = float(ex)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    float(x)
+                continue
+            got = float(x)
+            assert abs(got - want) <= math.ulp(want)
+            if got == 0.0:
+                assert ex <= RealSurd(Fraction(1, 2**1075))
+            else:  # within half a unit of the last place, checked exactly
+                below, above = (Fraction(math.nextafter(got, t)) for t in (-math.inf, math.inf))
+                assert RealSurd((below + Fraction(got)) / 2) <= ex <= RealSurd((above + Fraction(got)) / 2)
 
 
 # Z[zeta_5], Z[zeta_9], Z[zeta_16], Z[zeta_27]: real subfields of degree 2, 3, 4 and 9

@@ -13,7 +13,7 @@ from hofa import mforms as mf
 from hofa import pipeline as pl
 from hofa import rank as rk
 from hofa.config import DEFAULT_BUDGET
-from hofa.cyclotomic import RealSurd, ring
+from hofa.cyclotomic import RealSurd, SurdPower, ring
 from hofa.errors import BudgetExceeded, HofaError, PreconditionError
 from hofa.fpspace import all_vectors, vec_index
 from hofa.instances import defect_certificates_from_terms
@@ -22,7 +22,7 @@ from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
 from hofa.symmetrize import form_cube, seven_correlation, slot_cube
 from hofa.torus import TorusValue
-from oracles import g_table_reference
+from oracles import expanded_pow, g_table_reference
 from ringref import ref_mul, ref_roots
 
 
@@ -513,46 +513,62 @@ class TestLedgerCompleteness:
     @pytest.mark.parametrize("name", ["F_2^3 noisy", "F_3^2", "F_2^2 supplied"])
     def test_each_stage_bound_is_computed_once(self, monkeypatch, name):
         """One eps p^{-2r} and one eps p^{-290 r} per run, each raised once by
-        the powers its checks take: the same report as before."""
+        the powers its checks take: the same report as before.  A bound is a
+        RealSurd or, where |eps|^{2 (coeff + 1)} is the lesser, a SurdPower."""
         f, opts = _phase_runs()[name]
         want = pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()
         built, raised = [], []
-        stage_bound, pow_ = pl._stage_bound_mag2, RealSurd.__pow__
+        stage_bound = pl._stage_bound_mag2
 
         def spy_bound(*args):
             built.append((args[3], stage_bound(*args)))
             return built[-1][1]
 
-        def spy_pow(self, k):
-            raised.extend(coeff for coeff, b in built if b is self)
-            return pow_(self, k)
+        def spy_pow(pow_):
+            def spy(self, k):
+                raised.extend(coeff for coeff, b in built if b is self)
+                return pow_(self, k)
+            return spy
 
         monkeypatch.setattr(pl, "_stage_bound_mag2", spy_bound)
-        monkeypatch.setattr(RealSurd, "__pow__", spy_pow)
+        for cls in (RealSurd, SurdPower):
+            monkeypatch.setattr(cls, "__pow__", spy_pow(cls.__pow__))
         assert pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text() == want
         assert [coeff for coeff, _ in built] == [2, 290]
         assert sorted(raised) == [2, 290]  # bound2^8 in the cleanup, bound290^4 for ||f w^P||_U3
 
-    def test_each_bias_is_squared_once(self, monkeypatch):
-        """One seed-1 pass of the benchmark's pipeline workload raises RealSurd
-        152 times, with its report text unchanged: gt_defect squares each
-        defect bias for bilinear_cleanup, and permutation_defects each
-        distinct bias for all its entries and stage 3's (242 when every
-        check squared its bias anew)."""
+    def test_a_seed1_pass_expands_only_ties(self, monkeypatch):
+        """One seed-1 pass of the benchmark's pipeline workload, its digest
+        unchanged, expands a power only where a comparison ties: 144
+        expansions, at eps = 1 or in a Gowers-Cauchy-Schwarz equality, none
+        with a coefficient or denominator past 161 bits (the former
+        bound290**4 alone had 22 419-bit coefficients)."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
         ops = workloads.build("pipeline", 1).ops
-        calls, pow_ = [], RealSurd.__pow__
+        expanded, in_ties = [], []
+        exact, cmp_ = SurdPower.exact, SurdPower._cmp
 
-        def spy_pow(self, k):
-            calls.append(k)
-            return pow_(self, k)
+        def spy_exact(self):
+            expanded.append(exact(self))
+            return expanded[-1]
 
-        monkeypatch.setattr(RealSurd, "__pow__", spy_pow)
+        def spy_cmp(self, other):
+            before = len(expanded)
+            sign = cmp_(self, other)
+            if len(expanded) > before:
+                assert sign == 0, "an untied comparison expanded"
+                in_ties.append(len(expanded) - before)
+            return sign
+
+        monkeypatch.setattr(SurdPower, "exact", spy_exact)
+        monkeypatch.setattr(SurdPower, "_cmp", spy_cmp)
         texts = [op.canon(op.run()) for op in ops]
         assert workloads.digest(texts) == "14a60cf0f678d0526e0e01f79ee7869d9bb77b065684a5ad1a242dbb84e66a54"
-        assert len(calls) == 152
+        assert len(expanded) == sum(in_ties) == 144
+        assert max(max(abs(int(c)).bit_length() for c in x.num) for x in expanded) <= 154
+        assert max(x.den.bit_length() for x in expanded) <= 161
 
 
 class TestLinearDerandomization:
@@ -661,6 +677,35 @@ def _phase_runs():
         "F_3^2": (an.BoundedFunction.from_poly_phase(P3), pl.PipelineOptions(strategy=pl.FromPolynomialGuess(P3))),
         "F_2^2 supplied": (an.BoundedFunction.from_poly_phase(P0), supplied),
     }
+
+
+class TestExpandedReference:
+    """Every report keeps its text when each power is expanded as soon as it
+    is formed, as the former ``RealSurd.__pow__`` did
+    (``oracles.expanded_pow``): only the cost of the ledger changed."""
+
+    @staticmethod
+    def _texts(monkeypatch, runs) -> tuple:
+        fast = [run() for run in runs]
+        with monkeypatch.context() as m:
+            m.setattr(RealSurd, "__pow__", expanded_pow)
+            slow = [run() for run in runs]
+        return fast, slow
+
+    @pytest.mark.parametrize("name", list(_phase_runs()))
+    def test_phase_runs(self, monkeypatch, name):
+        f, opts = _phase_runs()[name]
+        fast, slow = self._texts(monkeypatch, [lambda: pl.run_inverse_pipeline(f, Fraction(1, 2), opts).as_text()])
+        assert fast == slow
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_benchmark_seeds(self, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        ops = workloads.build("pipeline", seed).ops
+        fast, slow = self._texts(monkeypatch, [lambda op=op: op.canon(op.run()) for op in ops])
+        assert fast == slow
 
 
 class TestPhasesSkipRingProducts:

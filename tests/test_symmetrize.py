@@ -18,7 +18,7 @@ from hofa.cyclotomic import RealSurd
 from hofa.errors import PreconditionError
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
 from hofa.ncpoly import random_poly
-from oracles import best_coset_loop, concat_certificates, coset_form_reference, negate_certificate
+from oracles import best_coset_loop, concat_certificates, coset_form_reference, expanded_pow, negate_certificate
 
 
 def empty_certs(T):
@@ -80,26 +80,18 @@ class TestPermutationDefects:
             pd = sym.permutation_defects(I.T, I.witness)
             assert pd.all_hold()
 
-    def test_each_delta_power_is_computed_once(self, monkeypatch):
-        I = inst.planted_instance(3, 2, seed=(4, "pd-test"), style="general")
-        expected = sym.permutation_defects(I.T, I.witness)
-        delta = I.witness.delta
-        exps = []
-        pow_ = RealSurd.__pow__
-
-        def spy(self, k):
-            if self is delta.mag2():
-                exps.append(k)
-            return pow_(self, k)
-
-        monkeypatch.setattr(RealSurd, "__pow__", spy)
-        pd = sym.permutation_defects(I.T, I.witness)
-        assert sorted(exps) == [8, 16]
-        assert pd == expected
-        for e in pd.ledger:  # the former per-entry check
-            bias = pd.biases[next(pi for pi in pd.biases if f"T_{pi})" in e.claim)]
-            power = 16 if "<= 16" in e.claim else 8
-            assert e.holds == (RealSurd(bias) ** 2 >= delta.mag2() ** power)
+    def test_entries_match_the_expanded_checks(self):
+        """Each entry holds exactly when bias^2 >= |delta|^(2 power) with both
+        powers expanded (the former arithmetic)."""
+        for seed, (p, n) in itertools.product(range(4), [(2, 2), (2, 3), (3, 2)]):
+            I = inst.planted_instance(p, n, seed=(seed, "pd-test"), style="general")
+            pd = sym.permutation_defects(I.T, I.witness)
+            delta = I.witness.delta
+            assert len(pd.ledger) == 9
+            for e in pd.ledger:
+                bias = pd.biases[next(pi for pi in pd.biases if f"T_{pi})" in e.claim)]
+                power = 16 if "<= 16" in e.claim else 8
+                assert e.holds == (expanded_pow(RealSurd(bias), 2) >= expanded_pow(delta.mag2(), power))
 
     def test_rejects_zero_witness(self):
         T = MultilinearForm.zero(2, 2, 3)
@@ -199,10 +191,25 @@ class TestStackedCalls:
         defects = [I.T - mf.permute(I.T, pi) for pi in mf.S3]
         # the six defects, then the bound check of the certificate for T - S
         assert ranked == [defects, [rep.input_form - rep.output_form]]
-        # the supplied certificates, then the certificate for T - S twice (built, reported)
-        assert [len(certs) for certs in verified] == [5, 1, 1]
+        # the supplied certificates, then the certificate for T - S once, as it is built
+        assert [len(certs) for certs in verified] == [5, 1]
         assert all(a is b for a, b in zip(verified[0], I.certs.values()))
-        assert verified[1] == verified[2] == [rep.certificate]
+        assert verified[1] == [rep.certificate]
+        assert rep.verify()
+
+    @pytest.mark.parametrize("p, n, style", [(2, 3, "general"), (3, 2, "single_linear")])
+    def test_a_corrupted_certificate_for_t_minus_s_still_raises(self, monkeypatch, p, n, style):
+        """The one verification left catches a wrong certificate for T - S."""
+        I = inst.planted_instance(p, n, seed=("algebra corpus", p), style=style)
+        build = rk._vanishing_certificate
+
+        def corrupted(T, U):
+            cert = build(T, U)
+            return rk.RankCertificate(cert.claimed_form, cert.terms[:-1]) if len(cert) else cert
+
+        monkeypatch.setattr(rk, "_vanishing_certificate", corrupted)
+        with pytest.raises(PreconditionError, match="vanishing decomposition failed verification"):
+            TestCertificateMaps.run(I, I.certs)
 
     def test_default_certificates_check_their_bounds_together(self, monkeypatch):
         rng = random.Random(12)

@@ -32,7 +32,8 @@ on two table kinds: a phase carrying ``exps`` is an exponent table (a
 corner product adds them), whose (label, exponent mod N) classes one
 ``np.bincount`` counts; other values are coefficient planes, summed per
 class by ``np.add.at``.  Only the class sums meet the roots of unity, in
-one integer contraction; ``base_point_argmax`` feeds chunks to it.
+one integer contraction; ``base_point_argmax`` feeds chunks to it, one
+corner product per chunk for several phases.
 """
 from __future__ import annotations
 
@@ -167,20 +168,32 @@ def _corner_sums(R: CycloRing, p: int, n: int, m: int, tables: dict, expo, label
 
     A (degree, p^n) table is a coefficient table of ring R.  A 1-D table is
     an exponent table t in Z/N, N = R.N, of zeta^t, negated for a conjugate.
-    The corner product, the sum of the exponent tables when every table is
-    one and else ``corner_product``, goes to ``phased_sum`` with the F_p
-    exponent ``expo`` scaled by N/p.
+    The corner product (``_corner_terms``) goes to ``phased_sum`` with the
+    F_p exponent ``expo`` scaled by N/p.
     """
     size = p**n
     if expo is None:
         expo, labels, groups = 0, np.arange(size ** (m - 1)).reshape((size,) * (m - 1)), size ** (m - 1)
-    elif R.N % p:
-        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
     else:
-        expo = np.asarray(expo) * (R.N // p)
+        expo = _zeta_exponent(R, p, expo)
+    prod, summed = _corner_terms(R, p, n, m, tables, rows)
+    return phased_sum(R, prod, summed + expo, labels, groups)
+
+
+def _zeta_exponent(R: CycloRing, p: int, expo) -> np.ndarray:
+    """An F_p exponent table of omega_p as one of zeta_N, N = R.N."""
+    if R.N % p:
+        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
+    return np.asarray(expo) * (R.N // p)
+
+
+def _corner_terms(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None) -> tuple:
+    """The corner product of ``tables`` as ``phased_sum``'s (prod, expo): None
+    and the sum of the exponent tables when every table is one, else
+    ``corner_product`` and 0."""
     if any(t.ndim > 1 for t in tables.values()):
-        return phased_sum(R, corner_product(R, p, n, m, tables, rows=rows), expo, labels, groups)
-    return phased_sum(R, None, sum(_corner_factors(p, n, m, tables, rows)) + expo, labels, groups)
+        return corner_product(R, p, n, m, tables, rows=rows), 0
+    return None, sum(_corner_factors(p, n, m, tables, rows))
 
 
 def _kernel_tables(fns) -> list:
@@ -220,18 +233,20 @@ def cube_corner_tables(R: CycloRing, tables: dict) -> dict:
 
 
 def base_point_argmax(
-    R: CycloRing, p: int, n: int, m: int, tables: dict, expo, nbase: int = 1, budget: Budget = DEFAULT_BUDGET
-) -> int:
-    """Index of the first base point maximising |sum prod * omega_p^expo|^2.
+    R: CycloRing, p: int, n: int, m: int, tables: dict, expos, nbase: int = 1, budget: Budget = DEFAULT_BUDGET
+) -> list:
+    """Per table of ``expos``, the index of the first base point maximising
+    |sum prod * omega_p^expo|^2.
 
     ``prod`` is the corner_product of ``tables`` over m variables, summed
     per base point: a value of the first ``nbase`` variables, indexed in
-    all_vectors order with the first variable major.  ``expo`` is an F_p
-    exponent table over the variables after the first.  The maximum is at
-    least the average over base points; ties keep the first.  The product
-    is built a chunk of first-variable values at a time, max(1,
-    _CHUNK_ENTRIES // p^{(m-1)n}) of them, and each chunk's base-point sums
-    come from one ``_corner_sums`` with the base points as labels.
+    all_vectors order with the first variable major.  Each of ``expos`` is
+    an F_p exponent table over the variables after the first.  The maximum
+    is at least the average over base points; ties keep the first.  The
+    product is built a chunk of first-variable values at a time, max(1,
+    _CHUNK_ENTRIES // p^{(m-1)n}) of them, once per chunk for all tables
+    (``_corner_terms``), and each table's base-point sums come from one
+    ``phased_sum`` with the base points as labels.
     """
     size = p**n
     step = size ** (m - 1)
@@ -241,12 +256,15 @@ def base_point_argmax(
     # the base point of each entry of one first-variable value, over the other nbase - 1 variables
     base = np.arange(step).reshape((size,) * (m - 1)) // size ** (m - nbase)
     rows = max(1, _CHUNK_ENTRIES // step)
-    sums = []
+    expos = [_zeta_exponent(R, p, expo) for expo in expos]
+    sums = [[] for _ in expos]
     for lo in range(0, size, rows):
         chunk = np.arange(lo, min(size, lo + rows))
         labels = (chunk - lo).reshape((-1,) + (1,) * (m - 1)) * per_row + base
-        sums.append(_corner_sums(R, p, n, m, tables, expo, labels, len(chunk) * per_row, rows=chunk))
-    return first_max(R, np.concatenate(sums, axis=1))
+        prod, summed = _corner_terms(R, p, n, m, tables, rows=chunk)
+        for out, expo in zip(sums, expos):
+            out.append(phased_sum(R, prod, summed + expo, labels, len(chunk) * per_row))
+    return [first_max(R, np.concatenate(out, axis=1)) for out in sums]
 
 
 def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
@@ -1289,14 +1307,16 @@ def octolinear_average(gs: dict, budget: Budget = DEFAULT_BUDGET) -> CorrValue:
     return CorrValue.from_sum(R, total, math.prod(g.den for g in emb) * p ** (4 * n))
 
 
-def gcs_check(gs: dict, avg: CorrValue, budget: Budget = DEFAULT_BUDGET):
-    """|average| <= prod_S ||g_S||_{U^3}: returns (holds, norms).
+def gcs_check(avg: CorrValue, norms: dict) -> bool:
+    """|average| <= prod_S ||g_S||_{U^3}, ``norms`` mapping each of the eight
+    bitmasks S to ||g_S||_{U^3} (a ``GowersNormValue``).
 
     Checked exactly as |average|^16 <= prod_S (||g_S||_{U^3}^8)^2, both
-    sides unexpanded ``SurdPower`` products."""
-    norms = {S: gowers_norm(g, 3, budget) for S, g in gs.items()}
+    sides unexpanded ``SurdPower`` products.  The pipeline passes one norm
+    for all eight: each g_S is g w^{R_S} with deg R_S <= 2, and
+    d^3 R_S = 0 leaves every U^3 norm equal to ||g||_{U^3}."""
     rhs = math.prod((norms[S].power_surd() ** 2 for S in range(8)), start=RealSurd(1))
-    return bool(avg.mag2() ** 8 <= rhs), norms
+    return bool(avg.mag2() ** 8 <= rhs)
 
 
 # -- random generators for tests --

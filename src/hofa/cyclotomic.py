@@ -466,7 +466,8 @@ class SurdPower:
     keep the form, a base met twice (the same object) adding its exponents.
 
     Order and equality against all three: the dyadic enclosures of both
-    sides (``_enclosure``) decide when they are disjoint; otherwise both
+    sides (``_enclosure``) decide when they are disjoint or both single
+    points, as for rationals with power-of-two denominators; otherwise both
     sides are expanded by ``exact()`` and compared by ``RealSurd``, so
     ties stay exact.  ``float()`` is the nearest double where both ends of
     the enclosure round to it, and the expanded value's ``float()``
@@ -537,12 +538,15 @@ class SurdPower:
 
     def _cmp(self, other) -> int:
         """The sign of self - other (a RealSurd or a SurdPower): on the
-        enclosures when they are disjoint, else on the expanded values."""
+        enclosures when they are disjoint or both single points (which are
+        then equal), else on the expanded values."""
         (alo, ahi), (blo, bhi) = self._enclosure(), other._enclosure()
         if _dyadic_lt(ahi, blo):
             return -1
         if _dyadic_lt(bhi, alo):
             return 1
+        if not (_dyadic_lt(alo, ahi) or _dyadic_lt(blo, bhi)):
+            return 0
         a, b = self.exact(), other.exact() if isinstance(other, SurdPower) else other
         return 0 if a == b else (a - b).sign()
 

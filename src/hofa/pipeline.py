@@ -11,19 +11,21 @@ Stages (each displayed inequality is recomputed exactly and ledgered):
      (``symmetrize.derivative_witness``), strip the affine parts of phi
      by Cauchy-Schwarz, and symmetrize the trilinear part T into S (CSM
      for p >= 3, nCSM for p = 2) with a verified certificate for T - S;
-  4. integrate S to a cubic P and pass to g = f * e^{2 pi i P};
+  4. integrate S to a cubic P and pass to g = f * e^{2 pi i P}, whose
+     derivative cube is f's times w^{S(h)}, as d^3 P = S;
   5. remove the rank-1 correction terms by derandomization: an argmax
      over the indicator value c, then over the character xi, read from one
      exact transform of the indicator class sums;
   6. clean the bilinear phases into integrable symmetric ones (a
-     three-function witness per pair from one base-point argmax over
-     (x0, h_fix), then its defect nullspace, extension and quadratic
-     integration), then remove the linear x linear terms of the cleanup
-     certificates; stages 5 and 6 share one derandomization loop
-     (``derandomize_indicator``), each with its own ledger wording and
-     bound exponent (2 and 290);
-  7. assemble the eight g-functions, check the octolinear identity and
-     the Gowers-Cauchy-Schwarz bound, concluding ||g||_U3 >= eps p^{-290 r};
+     three-function witness per pair from a base-point argmax over
+     (x0, h_fix), one corner table for all three pairs, then its defect
+     nullspace, extension and quadratic integration), then remove the
+     linear x linear terms of the cleanup certificates; stages 5 and 6
+     share one derandomization loop (``derandomize_indicator``), each
+     with its own ledger wording and bound exponent (2 and 290);
+  7. assemble the eight g-functions g_S = g w^{R_S}, deg R_S <= 2, so one
+     U^3 norm serves all eight; check the octolinear identity and the
+     Gowers-Cauchy-Schwarz bound, concluding ||g||_U3 >= eps p^{-290 r};
   8. finish with the exhaustive quadratic inverse oracle and return
      P_final = Q - P, whose correlation against f is re-measured exactly.
 
@@ -93,7 +95,9 @@ class ExhaustiveTrilinear:
 
 
 def derivative_sum_cube(f: BoundedFunction, budget: Budget = DEFAULT_BUDGET):
-    """D[h1,h2,h3] = sum_x (d_{h1} d_{h2} d_{h3} f)(x), exact ring elements."""
+    """D[h1,h2,h3] = sum_x (d_{h1} d_{h2} d_{h3} f)(x), exact ring elements:
+    (ring, D, den^8), a p^(4n) corner sum.  The pipeline forms it for f only;
+    g's cube follows from it (``_phased_cube``)."""
     p, n = f.p, f.n
     if p ** (4 * n) * 8 > budget.enum_cap:
         raise BudgetExceeded("derivative cube too large")
@@ -110,8 +114,11 @@ def find_triaffine(
 
     The search strategies keep the first candidate of largest correlation.
     """
-    p, n = f.p, f.n
-    cube = derivative_sum_cube(f, budget)
+    return _best_triaffine(derivative_sum_cube(f, budget), f.p, f.n, strategy, budget)
+
+
+def _best_triaffine(cube, p: int, n: int, strategy, budget: Budget) -> tuple[MultiaffineForm, CorrValue]:
+    """``find_triaffine`` on the derivative cube ``cube`` of a function on F_p^n."""
     if isinstance(strategy, SuppliedTriaffine):
         cands = [strategy.phi]
     elif isinstance(strategy, FromPolynomialGuess):
@@ -131,6 +138,26 @@ def find_triaffine(
     scored = [(phi, measure_state(cube, phi)) for phi in cands]
     sums = np.array([val.num for _, val in scored], dtype=object).reshape(len(scored), cube[0].degree)
     return scored[analysis.first_max(cube[0], sums.T)]
+
+
+def _phased_cube(f_cube, g: BoundedFunction, S: MultilinearForm):
+    """The derivative cube of g = f w^P from f's, where d^3 P = S.
+
+    d^3 g(x; h) = d^3 f(x; h) w^{S(h)} at every x, so D_g[h] = D_f[h]
+    w^{S(h)}: f's cube embedded in g's ring (``symmetrize._common_exact``),
+    times one root of unity per entry, over g's denominator den^8.  The
+    products run on Python integers where ``mul_arrays``' bound passes
+    int64.
+    """
+    p, n = g.p, g.n
+    R0, D, _ = f_cube
+    R, _ = symmetrize._common_exact(p, (g,))
+    if D.dtype != object and R0.degree * R.degree**2 * int(np.abs(D).max(initial=0)) > analysis._INT64_MAX:
+        D = D.astype(object)
+    if R.N != R0.N:
+        D = np.moveaxis(np.tensordot(D, R0.embed_matrix(R), axes=([0], [0])), -1, 0)
+    omega = R.roots_to_coeffs(symmetrize.form_cube(S, p, n) * (R.N // p))
+    return R, R.mul_arrays(D, omega), g.den**8
 
 
 # -- witness construction from f --
@@ -337,6 +364,10 @@ def _stage_bound_text(p: int, eps: CorrValue, r_len: int, coeff: int, sq: RealSu
 # -- bilinear cleanup --
 
 
+# the cleanup's pairs of slots; the third slot of each is the fixed one
+CLEANUP_PAIRS = ((1, 2), (0, 2), (0, 1))
+
+
 @dataclass(frozen=True)
 class CleanupResult:
     new_betas: dict  # pair -> the nCSM replacement form
@@ -354,7 +385,8 @@ def bilinear_cleanup(
     r_len, 2)``.
 
     For each pair, an argmax over the base point and the fixed slot value
-    produces a three-function instance whose kernel is that bilinear form;
+    produces a three-function instance whose kernel is that bilinear form
+    (``_cleanup_witnesses``, one corner table for the three pairs);
     the Cauchy-Schwarz defect bound then caps the rank of beta - beta^T.
     beta' extends the restriction of beta to the defect nullspace, and
     integrates to an explicit quadratic polynomial.  The three defect biases
@@ -362,9 +394,9 @@ def bilinear_cleanup(
     beta - beta' from one ``rank.vanishing_decompositions`` call.
     """
     p, n = phase.p, phase.n
-    pairs = [(1, 2), (0, 2), (0, 1)]
+    pairs = CLEANUP_PAIRS
     kernels = [mforms.BilinearForm(p, n, _coeffs(phase, pair)) for pair in pairs]
-    witnesses = [_cleanup_witness(g, phase, pair, 3 - sum(pair), budget) for pair in pairs]  # the fixed slot
+    witnesses = _cleanup_witnesses(g, phase, budget)
     defects = symmetrize.gt_defects(list(zip(kernels, witnesses)), budget)
     nullspaces = [rank.bilinear_rank(mforms.as_bilinear(B - permute(B, (1, 0))))[2] for B in kernels]
     primes = [mforms.extend(mforms.restrict(B, U), U, fpspace.complement(U)) for B, U in zip(kernels, nullspaces)]
@@ -398,38 +430,39 @@ def bilinear_cleanup(
                 f"prank(beta{pair} - beta'{pair}) <= 2 codim", len(cert), 2 * U.codim
             )
         )
-        if p == 2:
-            Q = integrate.integrate_ncsm(beta_prime, 2)
-        else:
-            Q = integrate.integrate_csm(beta_prime, 2)
-        if mforms.total_derivative(Q, 2) != beta_prime:  # pragma: no cover
-            raise InternalCheckError("quadratic integration failed to reproduce the kernel")
-        quads[pair] = Q
+        # the integrators verify d^2 Q = beta' before returning
+        quads[pair] = integrate.integrate_ncsm(beta_prime, 2) if p == 2 else integrate.integrate_csm(beta_prime, 2)
     return CleanupResult(dict(zip(pairs, primes)), quads, dict(zip(pairs, certs)), tuple(entries))
 
 
-def _cleanup_witness(g: BoundedFunction, phase: MultiaffineForm, pair, fixed_slot: int, budget: Budget):
-    """Argmax (x*, h*) three-function witness whose kernel is beta(pair).
+def _cleanup_witnesses(g: BoundedFunction, phase: MultiaffineForm, budget: Budget) -> list:
+    """Per pair of ``CLEANUP_PAIRS``, the argmax (x*, h*) three-function
+    witness whose kernel is beta(pair).
 
-    Over (x0, hfix, u, v), u and v on the pair's slots: the corners of the
-    third derivative that move with u or v, against the phase's cube on
-    (hfix, u, v).  Its parts in hfix alone have modulus 1 per base point.
-    The winner folds the single-variable phases (the beta(fixed, free)
-    cross terms and the alphas) in from slices of that cube.
+    Over (x0, hfix, u, v), u and v on the pair's slots and hfix on the
+    third: the corners of the third derivative that move with u or v,
+    against the phase's cube on (hfix, u, v).  Its parts in hfix alone have
+    modulus 1 per base point.  The six corner tables are the same for every
+    pair, which only transposes the phase cube, so one ``base_point_argmax``
+    serves all three.  Each winner folds the single-variable phases (the
+    beta(fixed, free) cross terms and the alphas) in from slices of its
+    cube.
     """
     p, n = g.p, g.n
-    a, b = pair
     R, emb = symmetrize._common_exact(p, (g,))
     tables = analysis.cube_corner_tables(R, dict.fromkeys(range(2, 8), analysis._kernel_tables(emb)[0]))  # S & 6 != 0
-    E = symmetrize.form_cube(phase, p, n).transpose(fixed_slot, a, b)
-    i = analysis.base_point_argmax(R, p, n, 4, tables, E, nbase=2, budget=budget)
+    cube = symmetrize.form_cube(phase, p, n)
+    Es = [cube.transpose(3 - a - b, a, b) for a, b in CLEANUP_PAIRS]  # (fixed slot, a, b)
     X = all_vectors(p, n)
-    x0, h = X[i // p**n], i % p**n
-    gx, gxh = g.shift_arg(x0), g.shift_arg(fpspace.vec_add(p, x0, X[h]))
-    corner = gx.mul(gxh.conj())  # shared corner product of both free shifts
-    fa = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, :, 0] - E[h, 0, 0]))
-    fb = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, 0, :] - E[h, 0, 0]))
-    return fa, fb, gx.conj().mul(gxh)
+    out = []
+    for i, E in zip(analysis.base_point_argmax(R, p, n, 4, tables, Es, nbase=2, budget=budget), Es):
+        x0, h = X[i // p**n], i % p**n
+        gx, gxh = g.shift_arg(x0), g.shift_arg(fpspace.vec_add(p, x0, X[h]))
+        corner = gx.mul(gxh.conj())  # shared corner product of both free shifts
+        fa = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, :, 0] - E[h, 0, 0]))
+        fb = corner.mul(BoundedFunction.from_exponents(p, n, 1, E[h, 0, :] - E[h, 0, 0]))
+        out.append((fa, fb, gx.conj().mul(gxh)))
+    return out
 
 
 # -- the report --
@@ -515,7 +548,8 @@ def run_inverse_pipeline(
     # stage 2: triaffine certificate
     if options.strategy is None:
         raise PreconditionError("a triaffine strategy is required")
-    phi, eps = find_triaffine(f, options.strategy, budget)
+    f_cube = derivative_sum_cube(f, budget)
+    phi, eps = _best_triaffine(f_cube, p, n, options.strategy, budget)
     if not (eps.mag2() > RealSurd(Fraction(0))):
         raise PreconditionError("triaffine correlation is zero")
     ledger.append(
@@ -542,7 +576,7 @@ def run_inverse_pipeline(
     # stage 4: integrate and pass to g
     P = integrate.integrate_csm(S, 3) if p >= 3 else integrate.integrate_ncsm(S, 3)
     g = f.mul(BoundedFunction.from_poly_phase(P))
-    g_cube = derivative_sum_cube(g, budget)
+    g_cube = _phased_cube(f_cube, g, S)  # d^3 P = S, verified by the integrator
 
     # the rewritten correlation must equal eps exactly
     phase0 = MultiaffineForm.make(p, n, 3, {s: c for s, c in phi.components if len(s) < 3})
@@ -583,14 +617,17 @@ def run_inverse_pipeline(
 
     # stage 7: octolinear identity + Gowers-Cauchy-Schwarz
     linears = {s: _coeffs(phase3, (s,)) for s in range(3)}
-    gs = _assemble_g_table(f, P, cleanup.quads, linears)
+    gs, extras = _assemble_g_table(f, P, cleanup.quads, linears)
+    if any(R_S.degree() > 2 for R_S in extras.values()):
+        raise InternalCheckError("a g_S phase R_S has degree above 2, so its U^3 norm may differ from g's")
     avg = analysis.octolinear_average(gs, budget)
     oct_match = avg.mag2() == measured2.mag2()
     claim = "octolinear rewrite matches the measured correlation"
     ledger.append(corr_entry(claim, avg, measured2, oct_match))
     if not oct_match:  # pragma: no cover
         raise InternalCheckError("octolinear identity failed")
-    gcs_holds, norms = analysis.gcs_check(gs, avg, budget)
+    u3_g = analysis.gowers_norm(gs[0], 3, budget)  # ||g_S||_U3 = ||g||_U3 for every S, as d^3 R_S = 0
+    gcs_holds = analysis.gcs_check(avg, dict.fromkeys(range(8), u3_g))
     ledger.append(
         LedgerEntry(
             "Gowers-Cauchy-Schwarz: |avg| <= prod ||g_S||_U3",
@@ -599,7 +636,6 @@ def run_inverse_pipeline(
             bool(gcs_holds),
         )
     )
-    u3_g = norms[0]
     u3_holds = u3_g.power_surd() >= bound290**4  # ||g||_U3^8 >= (eps p^{-290 r})^8
     ledger.append(
         LedgerEntry(
@@ -648,39 +684,34 @@ def run_inverse_pipeline(
     )
 
 
-def _assemble_g_table(f: BoundedFunction, P: NcPoly, quads: dict, linears: dict) -> dict:
-    """The eight functions g_S = f w^{P + selected quadratics + linears}.
+def _assemble_g_table(f: BoundedFunction, P: NcPoly, quads: dict, linears: dict) -> tuple:
+    """The eight functions g_S = f w^{P + R_S}, with the R_S: (gs, extras).
 
-    Bitmask S over (h1, h2, h3); the quadratic attached to h_i's bit pairs
-    the other two shifts, the linear forms enter on the pair sums.  The
-    seven phases P, Q1..Q3, L0..L2 are tabled once over p^M, M their
-    largest depth exponent; each g_S adds its tables mod p^M and takes the
-    least m >= 1 with every sum a multiple of p^(M - m), the depth exponent
-    of the summed polynomial, so that its phase is the one
-    ``BoundedFunction.from_poly_phase`` builds from that polynomial.
+    Bitmask S over (h1, h2, h3); R_S sums the selected quadratics and
+    linears: the quadratic attached to h_i's bit pairs the other two
+    shifts, the linear forms enter on the pair sums.  Each R_S has degree
+    <= 2, which the pipeline checks.  The seven phases P, Q1..Q3, L0..L2
+    are tabled once over p^M, M their largest depth exponent; each g_S adds
+    its tables mod p^M and takes the least m >= 1 with every sum a multiple
+    of p^(M - m), the depth exponent of the summed polynomial, so that its
+    phase is the one ``BoundedFunction.from_poly_phase`` builds from that
+    polynomial.
     """
     p, n = f.p, f.n
     polys = [P, quads[(1, 2)], quads[(0, 2)], quads[(0, 1)]] + [_linear_poly(p, n, linears[s]) for s in range(3)]
     M = max(1, *(q.max_depth_exponent() for q in polys))
-    P_t, q1, q2, q3, l0, l1, l2 = (q.table(M) for q in polys)
-    combos = {
-        0: [],
-        1: [q1],
-        2: [q2],
-        3: [q1, q2, l2],
-        4: [q3],
-        5: [q1, q3, l1],
-        6: [q2, q3, l0],
-        7: [q1, q2, q3, l0, l1, l2],
-    }
-    gs = {}
-    for S, extras in combos.items():
-        t = sum(extras, P_t) % p**M
+    tables = [q.table(M) for q in polys]
+    # indices into polys of the extras of each S: Q1..Q3 are 1..3, L0..L2 are 4..6
+    combos = {0: (), 1: (1,), 2: (2,), 3: (1, 2, 6), 4: (3,), 5: (1, 3, 5), 6: (2, 3, 4), 7: (1, 2, 3, 4, 5, 6)}
+    gs, extras = {}, {}
+    for S, idx in combos.items():
+        t = sum((tables[i] for i in idx), tables[0]) % p**M
         m = M
         while m > 1 and not (t % p ** (M - m + 1)).any():
             m -= 1
         gs[S] = f.mul(BoundedFunction.from_exponents(p, n, m, t // p ** (M - m)))
-    return gs
+        extras[S] = sum((polys[i] for i in idx), NcPoly.zero(p, n))
+    return gs, extras
 
 
 def _linear_poly(p: int, n: int, vec) -> NcPoly:

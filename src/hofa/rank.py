@@ -85,13 +85,14 @@ def analytic_ranks(forms, budget: Budget = DEFAULT_BUDGET) -> list:
     Contracts the first k-2 slots with every head tuple of points and uses
     E omega^{B} = p^{-rank B} on each bilinear slice B: bias = sum_r count_r
     p^{-r} / p^{n(k-2)}.  The nonzero forms of one (p, n, k) are stacked
-    along the head axis: chunks of max(1, _CHUNK_ENTRIES // (F n^(k-1)))
+    along the head axis, each distinct coefficient tensor once (its result
+    shared by its repeats): chunks of max(1, _CHUNK_ENTRIES // (F n^(k-1)))
     heads of all F of them are contracted by one batched matmul per slot,
     ranked by one ``fpspace.stack_ranks`` and counted per form by one
     bincount.  For k = 1 the bias is 1 or 0; at n = 0, and for the zero
     form, it is 1.
     """
-    results, stacks = [None] * len(forms), {}
+    results, stacks = [None] * len(forms), {}  # (p, n, k) -> coefficient bytes -> list positions
     for i, T in enumerate(forms):
         p, n, k = T.p, T.n, T.k
         if k <= 1:
@@ -103,12 +104,19 @@ def analytic_ranks(forms, budget: Budget = DEFAULT_BUDGET) -> list:
         if T.is_zero():  # every slice has rank 0, also the empty one at n = 0
             results[i] = RankResult.from_bias(p, Fraction(1))
         else:
-            stacks.setdefault((p, n, k), []).append(i)
-    for (p, n, k), idx in stacks.items():
-        stack = np.array([forms[i].coeffs for i in idx], dtype=np.int64)
-        for i, bias in zip(idx, _stacked_biases(p, n, k, stack)):
-            results[i] = RankResult.from_bias(p, bias)
+            stacks.setdefault((p, n, k), {}).setdefault(_tensor_key(T), []).append(i)
+    for (p, n, k), repeats in stacks.items():
+        stack = np.array([forms[same[0]].coeffs for same in repeats.values()], dtype=np.int64)
+        for same, bias in zip(repeats.values(), _stacked_biases(p, n, k, stack)):
+            res = RankResult.from_bias(p, bias)
+            for i in same:
+                results[i] = res
     return results
+
+
+def _tensor_key(T: MultilinearForm) -> bytes:
+    """The bytes of T's int64 coefficient tensor: equal keys within one (p, n, k) are equal forms."""
+    return np.asarray(T.coeffs, dtype=np.int64).tobytes()
 
 
 def _stacked_biases(p: int, n: int, k: int, stack: np.ndarray) -> list:
@@ -307,15 +315,17 @@ def verify_certificates(
     ``itertools.product`` order, or in sample order.  Certificates of one
     (p, n, k) are reconstructed, and on small spaces evaluated, together:
     two ``_term_sums`` compared against their stacked claimed tensors and
-    value cubes.  Sampled certificates draw from ``rng`` in list order, one
-    after another.
+    value cubes, each distinct certificate once (its result shared by its
+    repeats).  Sampled certificates draw from ``rng`` in list order, one
+    after another, repeats included.
     """
-    results, shapes, sampled = [None] * len(certs), {}, []
+    results, shapes, sampled = [None] * len(certs), {}, []  # (p, n, k) -> certificate key -> list positions
     for i, cert in enumerate(certs):
         f = cert.claimed_form
-        shapes.setdefault((f.p, f.n, f.k), []).append(i)
-    for (p, n, k), idx in shapes.items():
-        group = [certs[i] for i in idx]
+        key = (_tensor_key(f),) + tuple((t.slots, _tensor_key(t.left), _tensor_key(t.right)) for t in cert.terms)
+        shapes.setdefault((f.p, f.n, f.k), {}).setdefault(key, []).append(i)
+    for (p, n, k), repeats in shapes.items():
+        group = [certs[same[0]] for same in repeats.values()]
         exhaustive = p ** (n * k) <= min(budget.enum_cap, 1 << 16)
         sums = _term_sums(group, exhaustive)
         claimed = np.array([c.claimed_form.coeffs for c in group]).reshape(len(group), -1)
@@ -324,14 +334,17 @@ def verify_certificates(
             cubes = np.array([mforms.value_cube(c.claimed_form) for c in group]).reshape(len(group), -1)
             valued = _first_mismatches(sums[1], cubes)
         vecs = all_vectors(p, n)
-        for i, bad, pos in zip(idx, _first_mismatches(sums[0], claimed), valued):
+        for same, bad, pos in zip(repeats.values(), _first_mismatches(sums[0], claimed), valued):
             if bad is not None:
-                results[i] = VerifyResult(False, "exhaustive", tuple(int(j) for j in np.unravel_index(bad, (n,) * k)))
+                res = VerifyResult(False, "exhaustive", tuple(int(j) for j in np.unravel_index(bad, (n,) * k)))
             elif not exhaustive:
-                sampled.append(i)
+                sampled += same
+                continue
             else:
                 witness = None if pos is None else tuple(vecs[j] for j in np.unravel_index(pos, (len(vecs),) * k))
-                results[i] = VerifyResult(pos is None, "exhaustive", witness)
+                res = VerifyResult(pos is None, "exhaustive", witness)
+            for i in same:
+                results[i] = res
     for i in sorted(sampled):
         results[i] = _verify_sampled(certs[i], sample_points, rng or random.Random(0))
     return results

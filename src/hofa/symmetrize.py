@@ -112,7 +112,7 @@ def derivative_witness(b: BoundedFunction, form, budget: Budget = DEFAULT_BUDGET
     p, n = b.p, b.n
     R, emb = _common_exact(p, (b,))
     tables = cube_corner_tables(R, dict.fromkeys(range(8), _kernel_tables(emb)[0]))
-    i = base_point_argmax(R, p, n, 4, tables, form_cube(form, p, n), budget=budget)
+    (i,) = base_point_argmax(R, p, n, 4, tables, [form_cube(form, p, n)], budget=budget)
     s = all_vectors(p, n)[i]
     bs = _cs_witness_functions(b.shift_arg(s), b, s)
     return bs, seven_correlation(bs, form, budget)

@@ -121,16 +121,21 @@ def expanded_pow(x, k):
     return RealSurd._reduced(R, out, x.den**k)
 
 
-def g_table_reference(f, P, quads, linears):
-    """The former stage-7 g table: each g_S = f w^{P + ...} from the NcPoly sum
-    of its phases, made a phase by ``BoundedFunction.from_poly_phase``."""
-    p, n = f.p, f.n
+def g_extras_reference(p, n, quads, linears):
+    """The phases R_S that stage 7 adds to P for each g_S, as NcPoly sums."""
     Q1, Q2, Q3 = quads[(1, 2)], quads[(0, 2)], quads[(0, 1)]
     L = [NcPoly.from_classical(p, n, {fpspace.unit_vec(n, i): int(v[i]) for i in range(n)}) for v in
          (linears[0], linears[1], linears[2])]
     combos = {0: [], 1: [Q1], 2: [Q2], 3: [Q1, Q2, L[2]], 4: [Q3], 5: [Q1, Q3, L[1]], 6: [Q2, Q3, L[0]],
               7: [Q1, Q2, Q3, L[0], L[1], L[2]]}
-    return {S: f.mul(BoundedFunction.from_poly_phase(sum(extras, P))) for S, extras in combos.items()}
+    return {S: sum(extras, NcPoly.zero(p, n)) for S, extras in combos.items()}
+
+
+def g_table_reference(f, P, quads, linears):
+    """The former stage-7 g table: each g_S = f w^{P + R_S} from the NcPoly sum
+    of its phases, made a phase by ``BoundedFunction.from_poly_phase``."""
+    extras = g_extras_reference(f.p, f.n, quads, linears)
+    return {S: f.mul(BoundedFunction.from_poly_phase(P + R_S)) for S, R_S in extras.items()}
 
 
 def pullback_tensordot(coeffs, M, p):

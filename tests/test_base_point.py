@@ -4,7 +4,9 @@ The three reference loops below measure one witness per base point, exactly
 as the stage-3 witness, the Cauchy-Schwarz step and the stage-6 cleanup did
 before they shared ``analysis.base_point_argmax``.  The kernel must choose
 the same base point (the first maximum), and the witnesses built from it
-must have identical coefficients, denominators and exact correlations.
+must have identical coefficients, denominators and exact correlations.  The
+cleanup's three pairs read one corner table in one kernel call, each pair
+its own transpose of the phase cube.
 """
 import random
 from contextlib import contextmanager
@@ -128,7 +130,7 @@ def ref_cleanup_witness(g, phase, pair, fixed_slot):
 
 @contextmanager
 def chosen_points():
-    """Record every index base_point_argmax returns while the block runs."""
+    """Record every index list base_point_argmax returns while the block runs."""
     got = []
     kernel = an.base_point_argmax
 
@@ -154,7 +156,7 @@ def check_witness(f, phi):
     with chosen_points() as got:  # eps = 0, so the ledger entry holds for any witness
         w, _ = pl.witness_from_function(f, phi, an.CorrValue.from_sum(R, R.zero(), 1))
     i, bs, val = ref_witness_from_function(f, phi)
-    assert got == [i]
+    assert got == [[i]]
     assert_same_functions(w.bs, bs)
     assert w.delta.mag2() == val.mag2()
     # multiaffine_cs reads this delta instead of measuring the witness again
@@ -166,17 +168,18 @@ def check_cs(phi, bs):
     with chosen_points() as got:
         _, bprime, delta, _ = sym.multiaffine_cs(sym.CorrelationWitness.make(phi, bs))
     i, ref_bs, val = ref_multiaffine_cs(phi, bs)
-    assert got == [i]
+    assert got == [[i]]
     assert_same_functions(bprime, ref_bs)
     assert delta.mag2() == val.mag2()
 
 
 def check_cleanup(g, phase):
-    for pair, fixed in (((1, 2), 0), ((0, 2), 1), ((0, 1), 2)):
-        with chosen_points() as got:
-            new = pl._cleanup_witness(g, phase, pair, fixed, Budget())
-        i, ref, val = ref_cleanup_witness(g, phase, pair, fixed)
-        assert got == [i]
+    with chosen_points() as got:
+        witnesses = pl._cleanup_witnesses(g, phase, Budget())
+    assert len(got) == 1 and len(witnesses) == 3
+    for k, (pair, new) in enumerate(zip(pl.CLEANUP_PAIRS, witnesses)):
+        i, ref, val = ref_cleanup_witness(g, phase, pair, 3 - sum(pair))
+        assert got[0][k] == i
         assert_same_functions(new, ref)
         B = mf.BilinearForm(g.p, g.n, pl._coeffs(phase, pair))
         assert sym.three_correlation(*new, B).mag2() == val.mag2()
@@ -210,8 +213,8 @@ def test_constant_one_ties_pick_the_first_base_point():
         R = ring(p, 1)
         tables = an.cube_corner_tables(R, dict.fromkeys(range(8), ones.embed(R).coeffs))
         zero = np.zeros((p**n,) * 3, dtype=np.int64)
-        assert an.base_point_argmax(R, p, n, 4, tables, zero) == 0
-        assert an.base_point_argmax(R, p, n, 4, tables, zero, nbase=2) == 0
+        assert an.base_point_argmax(R, p, n, 4, tables, [zero]) == [0]
+        assert an.base_point_argmax(R, p, n, 4, tables, [zero, zero], nbase=2) == [0, 0]
 
 
 def test_kernel_matches_the_unchunked_product():
@@ -229,7 +232,7 @@ def test_kernel_matches_the_unchunked_product():
         assert sums.shape == (R.degree, size**nbase)
         keys = [an.CorrValue.from_sum(R, sums[:, j], 1).mag2() for j in range(size**nbase)]
         first = next(j for j, k in enumerate(keys) if all(k >= other for other in keys))
-        assert an.base_point_argmax(R, p, n, 4, tables, expo, nbase=nbase) == first
+        assert an.base_point_argmax(R, p, n, 4, tables, [expo], nbase=nbase) == [first]
 
 
 @settings(max_examples=20, deadline=None)
@@ -261,8 +264,8 @@ def test_budget_exceeded_where_seven_correlation_raises():
     with pytest.raises(BudgetExceeded):
         sym.derivative_witness(f, phi, tight)
     with pytest.raises(BudgetExceeded):
-        pl._cleanup_witness(f, phase, (1, 2), 0, tight)
+        pl._cleanup_witnesses(f, phase, tight)
     exact = Budget(enum_cap=step)
     bs, val = sym.derivative_witness(f, phi, exact)
     assert val.mag2() == sym.seven_correlation(bs, phi).mag2()
-    pl._cleanup_witness(f, phase, (1, 2), 0, exact)
+    pl._cleanup_witnesses(f, phase, exact)

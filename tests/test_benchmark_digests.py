@@ -1,9 +1,10 @@
-"""The benchmark's outputs at seed 1, pinned.
+"""The benchmark's outputs at seed 1, and the pipeline's at seeds 5 and 12, pinned.
 
-Each workload of ``perfbench/workloads.py`` is built at seed 1, one pass of
-its operations runs, every output passes the workload's own check, and the
-digest of the canonical texts equals the one ``perfbench/run.py`` prints for
-that seed.  A change that moves a digest on purpose updates its pin here.
+Each workload of ``perfbench/workloads.py`` is built at the seed, one pass
+of its operations runs, every output passes the workload's own check, and
+the digest of the canonical texts equals the one ``perfbench/run.py``
+prints for that seed.  A change that moves a digest on purpose updates its
+pin here.
 """
 import sys
 from pathlib import Path
@@ -19,14 +20,27 @@ SEED1_DIGESTS = {
     "norms-ring": "7dbb1ef3419a9f28cb7ea3caa8da5c582922b7c6ec7e3c596729f957623c83ae",
     "algebra": "72d8139e1f878778a53c4141db20de33babc433cbc64b338ee2864b046b98586",
 }
+PIPELINE_DIGESTS = {
+    5: "550928e990f74220464bfd5902cf77fdca8fa12094d4c46795a82569d546ef32",
+    12: "7c970b3a9a3f647f317eb9cdadb6950ba5016ca0afcbe98df37aed9493f95e58",
+}
 
 
-@pytest.mark.parametrize("name", list(SEED1_DIGESTS))
-def test_seed1_pass_matches_the_pinned_digest(name):
-    wl = workloads.build(name, 1)
+def _pass_digest(name, seed):
+    wl = workloads.build(name, seed)
     texts = []
     for op in wl.ops:
         out = op.run()
         assert op.check(out) is None, op.kind
         texts.append(op.canon(out))
-    assert workloads.digest(texts) == SEED1_DIGESTS[name]
+    return workloads.digest(texts)
+
+
+@pytest.mark.parametrize("name", list(SEED1_DIGESTS))
+def test_seed1_pass_matches_the_pinned_digest(name):
+    assert _pass_digest(name, 1) == SEED1_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed", list(PIPELINE_DIGESTS))
+def test_pipeline_pass_matches_the_pinned_digest(seed):
+    assert _pass_digest("pipeline", seed) == PIPELINE_DIGESTS[seed]

@@ -111,20 +111,25 @@ def test_row_chunks_with_chunk_labels(p, m, n, chunk):
 @pytest.mark.parametrize("p, m, n", PHASES)
 @pytest.mark.parametrize("nbase", [1, 2])
 def test_base_point_argmax_over_chunks(monkeypatch, p, m, n, nbase):
-    """In chunks of 2 rows, exponent tables pick the base point that the
-    coefficient tables and the first maximum of the reference sums pick."""
+    """In chunks of 2 rows, exponent tables pick, for each of three phase
+    cubes, the base point that the coefficient tables and the first maximum
+    of the reference sums pick."""
     rng = random.Random(f"argmax {p} {m} {n} {nbase}")
     R, fns = _phases(rng, p, n, m, range(8))
     exps, coeffs = _both_kinds(R, fns, True)
     size = p**n
     expo = np.array([rng.randrange(p) for _ in range(size**3)]).reshape((size,) * 3)
+    expos = [expo, expo.transpose(2, 0, 1), (expo + 1) % p]
     base = np.arange(size**4).reshape((size,) * 4) // size ** (4 - nbase)
-    ref = _reference(R, p, n, 4, coeffs, expo, base, size**nbase)
+    firsts = []
+    for e in expos:
+        ref = _reference(R, p, n, 4, coeffs, e, base, size**nbase)
+        keys = [an.CorrValue.from_sum(R, ref[:, j], 1).mag2() for j in range(ref.shape[1])]
+        firsts.append(next(j for j, k in enumerate(keys) if all(k >= other for other in keys)))
     monkeypatch.setattr(an, "_CHUNK_ENTRIES", 2 * size**3)
-    got = an.base_point_argmax(R, p, n, 4, exps, expo, nbase=nbase)
-    keys = [an.CorrValue.from_sum(R, ref[:, j], 1).mag2() for j in range(ref.shape[1])]
-    first = next(j for j, k in enumerate(keys) if all(k >= other for other in keys))
-    assert got == an.base_point_argmax(R, p, n, 4, coeffs, expo, nbase=nbase) == first
+    got = an.base_point_argmax(R, p, n, 4, exps, expos, nbase=nbase)
+    assert got == an.base_point_argmax(R, p, n, 4, coeffs, expos, nbase=nbase) == firsts
+    assert [an.base_point_argmax(R, p, n, 4, exps, [e], nbase=nbase)[0] for e in expos] == firsts
 
 
 @pytest.mark.parametrize("p, m, n", PHASES)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hofa import cyclotomic
-from hofa.cyclotomic import CycloRing, RealSurd, real_keys, ring
+from hofa.cyclotomic import CycloRing, RealSurd, SurdPower, real_keys, ring
 from ringref import RefSurd, ref_conj, ref_mul
 
 # Z, Z[zeta_2] = Z, Z[i], Z[zeta_8], Z[zeta_16], Z[omega], Z[zeta_9]
@@ -254,10 +254,59 @@ def _dyadic(end) -> RealSurd:
     return RealSurd(Fraction(m) * Fraction(2) ** e)
 
 
+@st.composite
+def _point_powers(draw):
+    """c b^k with c and b dyadic rationals small enough that the enclosure is
+    the value itself (at most 64 mantissa bits at every step), and its value."""
+    c = Fraction(draw(st.integers(-2**10, 2**10)), 2 ** draw(st.integers(0, 30)))
+    b = Fraction(draw(st.integers(0, 2**15)), 2 ** draw(st.integers(0, 30)))
+    k = draw(st.integers(1, 3))
+    x = c * RealSurd(b) ** k
+    lo, hi = x._enclosure()
+    assert _dyadic(lo) == _dyadic(hi) == RealSurd(c * b**k)
+    return x, c * b**k
+
+
+def _sqrt2() -> RealSurd:
+    """sqrt 2 = zeta_8 + zeta_8^-1, whose enclosure is never a point."""
+    return RealSurd.from_ring_element(ring(2, 3), np.array([0, 1, 0, -1], dtype=object))
+
+
 class TestSurdPower:
     """Each comparison and float() of an unexpanded power agrees with its
-    expansion: enclosures decide only where they are disjoint, so ties and
-    near-ties expand."""
+    expansion: enclosures decide where they are disjoint or both single
+    points, so other ties and near-ties expand."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_point_powers(), st.integers(0, 7), st.integers(40, 100), st.booleans())
+    def test_point_enclosures(self, xv, kind, t, up):
+        """A point against a tie, a dyadic point, or a neighbour whose enclosure
+        overlaps it but is no point: every comparison as on the expanded
+        values, and point-vs-point comparisons expand nothing."""
+        x, v = xv
+        sign = 1 if up else -1
+        y = [
+            RealSurd(v),  # the same point, as a rational
+            x * 1,  # the same point, as a power
+            SurdPower(v / 4) * RealSurd(2) ** 2,  # the same value, as another power
+            RealSurd(v + sign * Fraction(1, 2**t)),  # a nearby dyadic point
+            RealSurd(v * (1 + Fraction(sign, 3 * 2**t))) if v else RealSurd(Fraction(sign, 3 * 2**t)),
+            _sqrt2() * RealSurd(Fraction(sign, 2**t)) + v,  # an irrational neighbour
+            RealSurd(v + sign * Fraction(1, 3 * 2**t)) ** 1,  # a non-dyadic neighbour, as a power
+            (_sqrt2() * RealSurd(Fraction(sign, 2**t)) + v) ** 1,
+        ][kind]
+        ex, ey = x.exact(), y.exact() if isinstance(y, SurdPower) else y
+        points = kind < 4
+        expanded = []
+        exact = SurdPower.exact
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SurdPower, "exact", lambda self: expanded.append(1) or exact(self))
+            for f in (eq, lt, le, gt, ge):
+                assert f(x, y) == f(ex, ey), (f, x, y)
+                assert f(y, x) == f(ey, ex), (f, y, x)
+        if points:
+            assert expanded == []
+
 
     @settings(max_examples=80, deadline=None)
     @given(_ring_pairs())

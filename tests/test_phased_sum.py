@@ -142,7 +142,9 @@ def test_uneven_chunks_keep_the_first_maximum(monkeypatch, p, n, chunk_rows, nba
 
     monkeypatch.setattr(an, "_CHUNK_ENTRIES", chunk_rows * size**3 + 1 if chunk_rows > 1 else 1)
     monkeypatch.setattr(an, "corner_product", spy)
-    assert an.base_point_argmax(R, p, n, 4, tables, expo, nbase=nbase) == first
+    # a second phase cube reads the same chunks: one corner product per chunk
+    got = an.base_point_argmax(R, p, n, 4, tables, [expo, expo.transpose(0, 2, 1)], nbase=nbase)
+    assert got[0] == first
     assert chunks == [chunk_rows] * (size // chunk_rows) + [size % chunk_rows] * (size % chunk_rows > 0)
 
 

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from hofa import analysis as an
+from hofa import integrate
 from hofa import mforms as mf
 from hofa import pipeline as pl
 from hofa import rank as rk
 from hofa.config import DEFAULT_BUDGET
 from hofa.cyclotomic import RealSurd, SurdPower, ring
-from hofa.errors import BudgetExceeded, HofaError, PreconditionError
+from hofa.errors import BudgetExceeded, HofaError, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors, vec_index
 from hofa.instances import defect_certificates_from_terms
 from hofa.mforms import MultiaffineForm, MultilinearForm, total_derivative
@@ -22,7 +23,7 @@ from hofa.ncpoly import Monomial, NcPoly, random_poly
 from hofa.rank import CertTerm
 from hofa.symmetrize import form_cube, seven_correlation, slot_cube
 from hofa.torus import TorusValue
-from oracles import expanded_pow, g_table_reference
+from oracles import expanded_pow, g_extras_reference, g_table_reference
 from ringref import ref_mul, ref_roots
 
 
@@ -539,10 +540,13 @@ class TestLedgerCompleteness:
 
     def test_a_seed1_pass_expands_only_ties(self, monkeypatch):
         """One seed-1 pass of the benchmark's pipeline workload, its digest
-        unchanged, expands a power only where a comparison ties: 144
-        expansions, at eps = 1 or in a Gowers-Cauchy-Schwarz equality, none
-        with a coefficient or denominator past 161 bits (the former
-        bound290**4 alone had 22 419-bit coefficients)."""
+        unchanged, expands a power only where a comparison ties and the
+        enclosures are not both points: 4 expansions, the two sides of two
+        Gowers-Cauchy-Schwarz equalities (an irrational one in Z[zeta_8] and
+        a rational one over 3^k), none with a coefficient or denominator past
+        161 bits (the former bound290**4 alone had 22 419-bit coefficients).
+        Deciding ties between point enclosures left 4 of the former 144
+        expansions, the others being ties at eps = 1 and dyadic rationals."""
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
         import workloads
 
@@ -566,7 +570,7 @@ class TestLedgerCompleteness:
         monkeypatch.setattr(SurdPower, "_cmp", spy_cmp)
         texts = [op.canon(op.run()) for op in ops]
         assert workloads.digest(texts) == "14a60cf0f678d0526e0e01f79ee7869d9bb77b065684a5ad1a242dbb84e66a54"
-        assert len(expanded) == sum(in_ties) == 144
+        assert len(expanded) == sum(in_ties) == 4
         assert max(max(abs(int(c)).bit_length() for c in x.num) for x in expanded) <= 154
         assert max(x.den.bit_length() for x in expanded) <= 161
 
@@ -577,15 +581,20 @@ class TestLinearDerandomization:
     has terms and the linear x linear corrections run the second
     derandomization."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
-    def test_cleanup_terms_are_derandomized(self, monkeypatch, p, n, seed):
+    @staticmethod
+    def inputs(p, n, seed):
+        """The function and the options of one run."""
         P0 = random_poly(p, n, 3, p == 2, seed=seed)
-        f = an.BoundedFunction.from_poly_phase(P0)
         x1y2 = np.zeros((n, n), dtype=np.int64)
         x1y2[0, 1] = 1
         comps = {(0, 1, 2): -total_derivative(P0, 3), (0, 1): MultilinearForm(p, n, 2, x1y2)}
         phi = MultiaffineForm.make(p, n, 3, comps)
+        return an.BoundedFunction.from_poly_phase(P0), pl.PipelineOptions(strategy=pl.SuppliedTriaffine(phi))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+    def test_cleanup_terms_are_derandomized(self, monkeypatch, p, n, seed):
+        f, opts = self.inputs(p, n, seed)
         cleanups, cleanup = [], pl.bilinear_cleanup
 
         def spy(*args, **kwargs):
@@ -593,11 +602,41 @@ class TestLinearDerandomization:
             return cleanups[-1]
 
         monkeypatch.setattr(pl, "bilinear_cleanup", spy)
-        rep = pl.run_inverse_pipeline(f, Fraction(1, 2), pl.PipelineOptions(strategy=pl.SuppliedTriaffine(phi)))
+        rep = pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
         assert len(cleanups) == 1 and len(cleanups[0].certs[(0, 1)]) > 0
         assert "second derandomization: |corr| >= eps p^{-290 r}" in [e.claim for e in rep.ledger]
         assert rep.all_hold(), [str(e) for e in rep.ledger if not e.holds]
         assert rep.final_correlation.mag2() == RealSurd(1)
+
+    @pytest.mark.parametrize("p, n", [(2, 2), (3, 2)])
+    def test_a_wrong_quadratic_integration_raises(self, monkeypatch, p, n):
+        """The cleanup does not re-test d^2 Q = beta' itself: a wrong solution
+        of the quadratic integration's linear system stops the run at the
+        integrator's own postcondition."""
+        f, opts = self.inputs(p, n, 0)
+        inside, wrong = [], []
+        cleanup, solve = pl.bilinear_cleanup, integrate._solve_mod_p
+
+        def spy_cleanup(*args, **kwargs):
+            inside.append(True)
+            try:
+                return cleanup(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def wrong_solve(q, matrix, rhs):
+            sol = solve(q, matrix, rhs)
+            if inside and sol:
+                sol = [(sol[0] + 1) % q] + list(sol[1:])
+                assert [sum(a * x for a, x in zip(row, sol)) % q for row in matrix] != [b % q for b in rhs]
+                wrong.append(sol)
+            return sol
+
+        monkeypatch.setattr(pl, "bilinear_cleanup", spy_cleanup)
+        monkeypatch.setattr(integrate, "_solve_mod_p", wrong_solve)
+        with pytest.raises(InternalCheckError, match="integration postcondition failed"):
+            pl.run_inverse_pipeline(f, Fraction(1, 2), opts)
+        assert len(wrong) == 1
 
 
 class TestPipelineF2n4:
@@ -806,16 +845,122 @@ class TestGTableFromPhaseTables:
         seen, real = [], pl._assemble_g_table
 
         def spy(f, P, quads, linears):
-            gs, ref = real(f, P, quads, linears), g_table_reference(f, P, quads, linears)
+            (gs, extras), ref = real(f, P, quads, linears), g_table_reference(f, P, quads, linears)
+            assert extras == g_extras_reference(f.p, f.n, quads, linears)
+            assert all(R_S.degree() <= 2 for R_S in extras.values())
             for S in range(8):
                 a, b = gs[S], ref[S]
                 assert (a.ring, a.den, a.exps is None) == (b.ring, b.den, b.exps is None)
                 assert np.array_equal(a.coeffs, b.coeffs)
                 assert a.exps is None or np.array_equal(a.exps, b.exps)
             seen.append(sorted({g.ring.N for g in gs.values()}))
-            return gs
+            return gs, extras
 
         monkeypatch.setattr(pl, "_assemble_g_table", spy)
         for op in workloads.build("pipeline", seed).ops:
             op.run()
         assert len(seen) == 6
+
+
+def _identity_runs(monkeypatch):
+    """Every pipeline input the identity checks run on: ``_phase_runs()``, the
+    ``TestLinearDerandomization`` inputs and the benchmark's pipeline seeds 1-8."""
+    runs = [lambda f=f, opts=opts: pl.run_inverse_pipeline(f, Fraction(1, 2), opts) for f, opts in _phase_runs().values()]
+    for p, n in [(2, 2), (2, 3), (3, 2)]:
+        for seed in range(6):
+            f, opts = TestLinearDerandomization.inputs(p, n, seed)
+            runs.append(lambda f=f, opts=opts: pl.run_inverse_pipeline(f, Fraction(1, 2), opts))
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    for seed in range(1, 9):
+        runs += [op.run for op in workloads.build("pipeline", seed).ops]
+    return runs
+
+
+class TestReusedIdentities:
+    """Stage 4's g-cube comes from f's cube and stage 7 measures one U^3 norm
+    for the eight g_S: both against the quantities they replace."""
+
+    def test_g_cube_and_u3_norms_match_the_direct_computation(self, monkeypatch):
+        phased, assemble, gowers = pl._phased_cube, pl._assemble_g_table, an.gowers_norm
+        cubes, tables, u3_calls = [], [], []
+
+        def spy_cube(f_cube, g, S):
+            R, D, den = phased(f_cube, g, S)
+            R0, D0, den0 = pl.derivative_sum_cube(g)
+            assert (R.N, den) == (R0.N, den0) and D.shape == D0.shape
+            assert np.array_equal(D.astype(object), D0.astype(object))
+            cubes.append((f_cube[0].N, R.N))
+            return R, D, den
+
+        def spy_table(*args):
+            gs, extras = assemble(*args)
+            u3 = [gowers(gs[S], 3).power_surd() for S in range(8)]
+            assert all(v == u3[0] for v in u3)
+            tables.append(len(gs))
+            return gs, extras
+
+        def spy_gowers(fn, d, *args):
+            u3_calls.append(d)
+            return gowers(fn, d, *args)
+
+        monkeypatch.setattr(pl, "_phased_cube", spy_cube)
+        monkeypatch.setattr(pl, "_assemble_g_table", spy_table)
+        runs = _identity_runs(monkeypatch)
+        monkeypatch.setattr(an, "gowers_norm", spy_gowers)
+        for run in runs:
+            rep = run()
+            assert rep.all_hold()
+        assert len(cubes) == len(tables) == len(runs) == 4 + 18 + 48
+        assert u3_calls == [4, 3] * len(runs)  # stage 1's U^4, stage 7's one U^3
+        assert {(3, 3), (4, 4), (4, 8), (8, 8)} <= set(cubes)  # (4, 8): f's cube embedded in g's ring
+
+    @pytest.mark.parametrize("kind", ["phase", "mu_zeros", "gauss_den2", "object"])
+    @pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+    def test_phased_cube_is_the_derivative_cube(self, kind, p, n):
+        """D_f w^{S} equals derivative_sum_cube(f w^P) for a cubic P with
+        d^3 P = S, in ring, denominator and every entry, P with depth at p = 2."""
+        rng = random.Random(f"cube {kind} {p} {n}")
+        f = {
+            "phase": lambda: an.random_unimodular_exact(rng, p, n, 1),
+            "mu_zeros": lambda: an.random_mu_p_function(rng, p, n, zeros=True),
+            "gauss_den2": lambda: an.BoundedFunction(p, n, ring(2, 2), np.array(
+                [[rng.choice([-1, 0, 1]) for _ in range(p**n)] for _ in range(2)], dtype=np.int64), 2),
+            "object": lambda: an.BoundedFunction(p, n, ring(p, 1), np.array(
+                an.random_mu_p_function(rng, p, n).coeffs, dtype=object) * 2**40, 2**40),
+        }[kind if p == 2 or kind != "gauss_den2" else "mu_zeros"]()
+        for seed in range(3):
+            P = random_poly(p, n, 3, p == 2, seed=(kind, p, n, seed))
+            g = f.mul(an.BoundedFunction.from_poly_phase(P))
+            R, D, den = pl._phased_cube(pl.derivative_sum_cube(f), g, total_derivative(P, 3))
+            R0, D0, den0 = pl.derivative_sum_cube(g)
+            assert (R.N, den, D.shape) == (R0.N, den0, D0.shape)
+            assert np.array_equal(D.astype(object), D0.astype(object))
+
+    @pytest.mark.parametrize("p, n, m, depth", [(2, 3, 1, False), (2, 3, 3, True), (3, 2, 1, False), (5, 2, 2, False)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_degree_2_phase_keeps_the_u3_norm(self, p, n, m, depth, seed):
+        """||g w^R||_U3 = ||g||_U3 for deg R <= 2, also with depth at p = 2, on
+        phases and on the same functions without exponent tables."""
+        rng = random.Random(f"u3 {p} {n} {m} {seed}")
+        g = an.random_unimodular_exact(rng, p, n, m)
+        R = random_poly(p, n, 2, depth, seed=(p, n, seed))
+        if depth:  # plus |x_1| / 4, of degree 2 at depth 1
+            R = R + NcPoly.make(2, n, TorusValue.zero(2), [Monomial((1,) + (0,) * (n - 1), 1, 1)])
+        assert R.degree() <= 2 and R.is_classical() != depth
+        gR = g.mul(an.BoundedFunction.from_poly_phase(R))
+        for a, b in ((g, gR), (an.BoundedFunction(p, n, g.ring, g.coeffs, g.den),
+                               an.BoundedFunction(p, n, gR.ring, gR.coeffs, gR.den))):
+            assert an.gowers_norm(a, 3).power_surd() == an.gowers_norm(b, 3).power_surd()
+        mu = an.random_mu_p_function(rng, p, n, zeros=True)
+        assert an.gowers_norm(mu, 3).power_surd() == an.gowers_norm(mu.mul(an.BoundedFunction.from_poly_phase(R)), 3).power_surd()
+
+    def test_a_cubic_extra_phase_is_caught(self, monkeypatch):
+        """The degree check that lets one U^3 norm stand for all eight."""
+        f, opts = _phase_runs()["F_2^3"]
+        assemble = pl._assemble_g_table
+        monkeypatch.setattr(pl, "_assemble_g_table", lambda f, P, quads, linears: assemble(
+            f, P, {**quads, (1, 2): quads[(1, 2)] + P}, linears))
+        with pytest.raises(InternalCheckError, match="degree above 2"):
+            pl.run_inverse_pipeline(f, Fraction(1, 2), opts)

@@ -16,6 +16,7 @@ from hofa.config import Budget
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.mforms import MultilinearForm
 from oracles import analytic_rank_loop, analytic_rank_reference, verify_certificate_reference
+from test_benchmark_digests import SEED1_DIGESTS, workloads
 
 
 class TestAnalyticRank:
@@ -193,6 +194,18 @@ class TestStackedAnalyticRanks:
         rk.analytic_ranks(forms)
         assert calls == [6 * 9]  # 9 heads of each of the six forms
 
+    def test_each_distinct_form_is_ranked_once(self, monkeypatch):
+        """Repeats, the same object or an equal tensor, share one stacked row."""
+        rng = random.Random(10)
+        a, b = mf.random_form(rng, 3, 2, 3), mf.random_form(rng, 2, 2, 3)
+        twin = MultilinearForm(3, 2, 3, a.coeffs.copy())
+        forms = [a, b, twin, MultilinearForm.zero(3, 2, 3), a, b, mf.random_form(rng, 3, 2, 3)]
+        rows, real = [], rk._stacked_biases
+        monkeypatch.setattr(rk, "_stacked_biases", lambda p, n, k, st: rows.append((p, len(st))) or real(p, n, k, st))
+        got = rk.analytic_ranks(forms)
+        assert sorted(rows) == [(2, 1), (3, 2)]
+        assert [r.bias for r in got] == [analytic_rank_reference(T) for T in forms]
+
     def test_budget_message_is_kept(self):
         forms = [MultilinearForm.zero(2, 3, 3), mf.random_form(random.Random(3), 2, 3, 3)]
         with pytest.raises(BudgetExceeded, match="slice enumeration exceeds budget"):
@@ -201,13 +214,15 @@ class TestStackedAnalyticRanks:
 
 def _corrupt_claimed_cubes(monkeypatch, corruptions):
     """Make mforms.value_cube flip the values at the given flat positions of
-    each claimed form in ``corruptions`` (form object -> positions)."""
+    each claimed form in ``corruptions`` (form -> positions), and of every
+    form equal to it: ``verify_certificates`` verifies equal certificates
+    once."""
     real = mf.value_cube
 
     def patched(T, *a, **kw):
         cube = real(T, *a, **kw)
         for form, positions in corruptions:
-            if T is form:
+            if (T.p, T.n, T.k) == (form.p, form.n, form.k) and np.array_equal(T.coeffs, form.coeffs):
                 flat = cube.reshape(-1)
                 flat[positions] = (flat[positions] + 1) % T.p
         return cube
@@ -274,6 +289,28 @@ class TestStackedVerification:
         assert rk.verify_certificates(certs, 500, rng=shared) == [
             verify_certificate_reference(c, 500, rng=ref_rng) for c in certs
         ]
+
+    def test_repeats_are_verified_once(self, monkeypatch):
+        """Equal certificates, the same object or equal tensors, are reconstructed
+        and evaluated once on the exhaustive branch; on the sampled branch each
+        still draws its own points from the shared rng, in list order."""
+        rng = random.Random(30)
+        small, big = self.mixed_stack(rng, [(2, 2, 3)]), self.mixed_stack(rng, [(2, 6, 3)])
+
+        def twin(c):
+            f = c.claimed_form
+            return rk.RankCertificate(MultilinearForm(f.p, f.n, f.k, f.coeffs.copy()), c.terms)
+
+        certs = small + big + [twin(c) for c in small] + small[:2] + [twin(c) for c in big[:3]]
+        rng.shuffle(certs)
+        seen, real = [], rk._term_sums
+        monkeypatch.setattr(rk, "_term_sums", lambda cs, values: seen.append((len(cs), values)) or real(cs, values))
+        shared, ref_rng = random.Random(5), random.Random(5)
+        got = rk.verify_certificates(certs, 200, rng=shared)
+        assert sorted(seen) == [(5, False), (5, True)]  # five distinct certificates of each shape
+        assert got == [verify_certificate_reference(c, 200, rng=ref_rng) for c in certs]
+        assert {r.mode for r in got} == {"exhaustive", "sampled"}
+        assert shared.random() == ref_rng.random()
 
     def test_one_value_cube_contraction_per_arity(self, monkeypatch):
         rng = random.Random(4)
@@ -524,3 +561,41 @@ class TestPrankSearch:
         assert rk.arank_ceil(2, Fraction(1)) == 0
         assert rk.arank_ceil(2, Fraction(3, 4)) == 1
         assert rk.arank_ceil(2, Fraction(1, 4)) == 2
+
+
+class TestRepeatsInBenchmarkPasses:
+    @pytest.mark.parametrize("name, forms, certs", [
+        ("pipeline", (21, 17), (43, 29)),
+        ("algebra", (47, 41), (52, 44)),
+    ])
+    def test_each_distinct_object_is_ranked_and_verified_once_per_call(self, monkeypatch, name, forms, certs):
+        """Over one seed-1 pass of a benchmark workload, its digest unchanged:
+        the nonzero forms of arity >= 2 given to ``analytic_ranks`` against the
+        forms it ranks, and the certificates given to ``verify_certificates``
+        on its exhaustive branch against those it evaluates."""
+        given_, done = {"forms": 0, "certs": 0}, {"forms": 0, "certs": 0}
+        ranks, verify, biases, sums = rk.analytic_ranks, rk.verify_certificates, rk._stacked_biases, rk._term_sums
+
+        def spy_ranks(fs_, *a, **kw):
+            given_["forms"] += sum(T.k >= 2 and not T.is_zero() for T in fs_)
+            return ranks(fs_, *a, **kw)
+
+        def spy_verify(cs, *a, **kw):
+            given_["certs"] += sum(c.claimed_form.p ** (c.claimed_form.n * c.claimed_form.k) <= 1 << 16 for c in cs)
+            return verify(cs, *a, **kw)
+
+        def spy_biases(p, n, k, stack):
+            done["forms"] += len(stack)
+            return biases(p, n, k, stack)
+
+        def spy_sums(cs, values):
+            done["certs"] += len(cs) if values else 0
+            return sums(cs, values)
+
+        for attr, spy in (("analytic_ranks", spy_ranks), ("verify_certificates", spy_verify),
+                          ("_stacked_biases", spy_biases), ("_term_sums", spy_sums)):
+            monkeypatch.setattr(rk, attr, spy)
+        texts = [op.canon(op.run()) for op in workloads.build(name, 1).ops]
+        assert workloads.digest(texts) == SEED1_DIGESTS[name]
+        assert (given_["forms"], done["forms"]) == forms
+        assert (given_["certs"], done["certs"]) == certs

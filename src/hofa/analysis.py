@@ -15,9 +15,9 @@ omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
 one column kernel: the transform of f, of each d_h f, or of each
 d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
 each stage on the narrowest fixed-width integers a stated bound allows
-and on Python integers past it.  Ring values and phases in Z[zeta_{2^m}] read those columns
-from one first-derivative table T(x, h) = f(x + h) conj f(x), other
-phases, every one at odd p, from their exponents.  At p = 2 a U^4 column of independent shifts a, b is
+and on Python integers past it.  Ring values and phases read those columns
+from one first-derivative table T(x, h) = f(x + h) conj f(x).  At p = 2 a
+U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
 |W - conj W|^4), on the real coordinates of the two halves.  Both sums
@@ -695,14 +695,6 @@ def _pivot_keys(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (np.frexp(low_a)[1] - 1) * n + np.frexp(b2 & -b2)[1] - 1
 
 
-def _complement_rows(n: int, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the quarter columns at p = 2: for independent shifts a, b (one
-    pair per column), the (2^(n-2), columns) indices of C of ``_pivot_keys``,
-    in order of c, gathered from ``_pivot_rows`` into ``out`` if given.  The
-    U^4 kernel caches the keys with its column sets (``_column_sets``)."""
-    return np.take(_pivot_rows(n), _pivot_keys(n, a, b), axis=1, out=out, mode="clip")  # "clip" takes no copy
-
-
 def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The real coordinates of W + conj W and of (W - conj W) / i, for W in
     Z[zeta_N], N = 2^m (planes on axis 0), written to ``out`` and returned.
@@ -730,49 +722,19 @@ def _half_coordinates(W: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exponent_columns(R: CycloRing, p: int, n: int, exps: np.ndarray, d: int, dtype, buffer=None):
-    """Column source of the U^3 and U^4 columns of a phase zeta^exps whose
-    order N = R.N is not a power of two (every phase at odd p): coefficient
-    planes of zeta^E for the exponent E of each derivative column, summed
-    from the gathers esh[x, h] = e(x + h) and read from the coefficients of
-    zeta^(t - 2N), 0 <= t < 4N.
-
-    ``columns(shifts)`` takes one chunk's shift arrays.  Index sums, gathers
-    and planes go to arrays of ``buffer`` (``_scratch``), so a chunk loop
-    allocates no large array here: a returned column is overwritten by the
-    next call."""
-    buffer = buffer or _scratch()
-    N, size = R.N, p**n
-    # ext[:, t] holds the coefficients of zeta^(t - 2N) for 0 <= t < 4N
-    ext = R._reduce[np.arange(-2 * N, 2 * N) % N].T.astype(dtype)
-    sh = _shift_table(p, n)
-    esh = exps[sh]  # esh[x, h] = e(x + h)
-    # the sign of e(x) in the column's exponent, plus the 2N offset into ext
-    base = (2 * N + (-1) ** d * exps)[:, None]
-
-    def columns(shifts, pivots=None):
-        shape = (size, len(shifts[0]))
-        E = buffer("index", shape, esh.dtype)
-        if len(shifts) == 1:
-            np.take(esh, shifts[0], axis=1, out=E, mode="clip")
-        else:
-            a, b = shifts
-            np.take(esh, sh[a, b], axis=1, out=E, mode="clip")
-            e = buffer("index 2", shape, esh.dtype)
-            E -= np.take(esh, a, axis=1, out=e, mode="clip")
-            E -= np.take(esh, b, axis=1, out=e, mode="clip")
-        E += base
-        return np.take(ext, E, axis=1, out=buffer("planes", (R.degree,) + shape, dtype), mode="clip")
-
-    return columns
+@lru_cache(maxsize=None)
+def _root_rows(R: CycloRing, length: int) -> np.ndarray:
+    """Row t: the coefficients of zeta^(t mod N), 0 <= t < length; read-only."""
+    rows = R._reduce[np.arange(length) % R.N]
+    rows.setflags(write=False)
+    return rows
 
 
 def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dtype, buffer=None, quarter_dtype=None):
     """Column source of ring values (``f`` their (degree, p^n) coefficients)
-    and of phases (``f`` their exponent table; past U^2 only those in
-    Z[zeta_{2^m}]): f itself for U^2, else one first-derivative table T(x,
-    h) = f(x + h) conj f(x), read as d_h f(x) = T(x, h) and d_a d_b f(x) =
-    T(x + a, b) conj T(x, b), where conj T(x, b) = T(x + b, -b).
+    and of phases (``f`` their exponent table): f itself for U^2, else one
+    first-derivative table T(x, h) = f(x + h) conj f(x), read as d_h f(x) =
+    T(x, h) and d_a d_b f(x) = T(x + a, b) conj T(x, b).
 
     ``columns(shifts, pivots)`` takes one chunk's shift arrays and returns
     its transform planes on ``dtype``.  A quarter column (p = 2, d = 4 only)
@@ -781,46 +743,59 @@ def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dty
     gather, as its half coordinates (``_half_coordinates``) on
     ``quarter_dtype`` (default ``dtype``).  One routine indexes T at (x + s)
     p^n + h: x + s is x ^ s at p = 2, where it moves the index of T(x + a, b)
-    to that of T(x + b, b) in place, and a shift-table entry at odd p.  For a
-    phase T is the table De = e(x + h) - e(x) mod N of 4^n bytes (int64 past
-    N = 256), a product of two entries their sum, masked by N - 1 and read
-    from zeta^0..zeta^(N-1): two byte gathers where the exponents would take
-    four.  For values T is the coefficient table D and a product the ring
-    product (``CycloRing.mul_arrays``), on the dtype of ``f``, which
-    ``_kernel_dtypes`` chooses to hold every coefficient of f, T and their
-    products and every partial sum forming them; full columns are
-    multiplied straight into planes at least as wide, quarter columns into
-    one product array whose half coordinates go to the planes.  At d = 3 D is not built,
-    each column being f(x + h) conj f(x) from one gather and one product.
-    Index sums, gathers, products and planes go to arrays of ``buffer``
-    (``_scratch``), so a chunk loop allocates no large array here: a
-    returned column is overwritten by the next call."""
+    to that of T(x + b, b) = conj T(x, b) in place, and a shift-table entry
+    at odd p.  For a phase T is the table De = e(x + h) - e(x) mod N, a
+    product of two entries their sum, read from one table of roots whose
+    entry t is zeta^(t mod N).  T is on uint8 where the sum of two entries
+    stays in range(256) or wraps by a multiple of N (N <= 128, T reduced
+    mod N, or N | 256), with 256 roots, else on uint64, reduced, with 2N
+    roots; d_h f is one column of T, and at odd p conj T(x, b) = -T(x, b)
+    one column of the negated table.  For values T is the coefficient table
+    D and a product the ring product (``CycloRing.mul_arrays``), on the
+    dtype of ``f``, which ``_kernel_dtypes`` chooses to hold every
+    coefficient of f, T and their products and every partial sum forming
+    them; conj T(x, b) = T(x + b, -b) at odd p; full columns are multiplied
+    straight into planes at least as wide, quarter columns into one product
+    array whose half coordinates go to the planes.  At d = 3 D is not
+    built, each column being f(x + h) conj f(x) from one gather and one
+    product.  Index sums, gathers, products and planes go to arrays of
+    ``buffer`` (``_scratch``), so a chunk loop allocates no large array
+    here: a returned column is overwritten by the next call."""
     buffer = buffer or _scratch()
     size, phase, N = p**n, f.ndim == 1, R.N
     quarter_dtype = quarter_dtype or dtype
-    roots = R._reduce.T.astype(dtype)  # roots[:, t]: the coefficients of zeta^t
+    wraps = N <= 128 or 256 % N == 0  # a phase's table on uint8
+    root_rows = _root_rows(R, 256 if wraps else 2 * N)
+    roots = root_rows.T.astype(dtype)  # roots[:, t]: the coefficients of zeta^(t mod N)
     if d == 2:  # a new C-contiguous array per call, which the transform overwrites
         return lambda shifts, pivots=None: (np.take(roots, f, axis=1) if phase else np.array(f, dtype, order="C"))[:, :, None]
     sh = _shift_table(p, n)
-    neg = sh.argmin(axis=1) if p > 2 else None  # x + neg[x] = 0
     x_rows = np.arange(size)[:, None] * size
     if phase:
         if d == 4:
-            quarter_roots = R._reduce.T.astype(quarter_dtype)
+            quarter_roots = root_rows.T.astype(quarter_dtype)
             half = _half_coordinates(quarter_roots, np.empty_like(quarter_roots))
-        e = (f & (N - 1)).astype(np.uint8 if N <= 256 else np.int64)
-        T = e[sh]
-        T -= e[:, None]  # on uint8 mod 256, which N divides
-        T = T.ravel()
+        dt = np.uint8 if wraps else np.uint64  # unsigned: t - N wraps past t where t < N
+        T2 = np.take((f % N).astype(dt), sh)
+        T2 += ((-f) % N).astype(dt)[:, None]
+        if 256 % N:  # reduced mod N: two entries sum below 2N, which the roots cover
+            np.minimum(T2, T2 - N, out=T2)
+        T = T2.ravel()
+        if p > 2 and d == 4:  # conj T = -T: N - T lies in (0, N], T being reduced as N is odd
+            neg_T = N - T2
     else:
+        neg = sh.argmin(axis=1) if p > 2 else None  # x + neg[x] = 0
         cc = R.conj_arrays(f).astype(f.dtype)[:, :, None]
         T = R.mul_arrays(f[:, sh], cc).reshape(R.degree, -1) if d == 4 else f
+
+    def column(name, table, h):  # the columns h of a (p^n, p^n) table
+        return np.take(table, h, axis=1, out=buffer(name, (size, len(h)), table.dtype), mode="clip")
 
     def index(rows, s, h):  # the flat index (x + s) p^n + h of T for each row x, where rows hold x p^n
         if p == 2:  # any flat index (y, k) moves to (y + s, k + h), also in place
             step = (s << n) | h
             return np.bitwise_xor(rows, step, out=buffer("index", (len(rows), len(step)), np.intp))
-        at = np.take(sh, s, axis=1, out=buffer("index", (size, len(s)), np.intp), mode="clip")  # all rows x
+        at = column("index", sh, s)  # all rows x
         at *= size
         at += h
         return at
@@ -841,20 +816,27 @@ def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dty
     def columns(shifts, pivots=None):
         b, quarter = shifts[-1], pivots is not None
         if d == 3 and not phase:  # f(x + h) conj f(x)
-            g = gather("gather", np.take(sh, b, axis=1, out=buffer("index", (size, len(b)), np.intp), mode="clip"))
-            return product(g, cc, False)
-        a, rows = shifts[0] if d == 4 else 0, x_rows
-        if quarter:
-            rows = np.take(_pivot_rows(n), pivots, axis=1, out=buffer("index", (size // 4, len(b)), np.intp), mode="clip")
-            rows <<= n
-        at = index(rows, a, b)  # in place on the quarter rows
-        g = gather("gather", at)
-        if d == 4:  # conj T(x, b) = T(x + b, -b): at p = 2, (x + a, b) moved by (a + b, 0)
-            conj = gather("gather 2", index(at, a ^ b, 0) if p == 2 else index(rows, b, neg[b]))
+            return product(gather("gather", column("index", sh, b)), cc, False)
+        if d == 3:  # T(x, b)
+            g = column("gather", T2, b)
+        else:
+            a, rows = shifts[0], x_rows
+            if quarter:
+                rows = np.take(_pivot_rows(n), pivots, axis=1, out=buffer("index", (size // 4, len(b)), np.intp), mode="clip")
+                rows <<= n
+            at = index(rows, a, b)  # in place on the quarter rows
+            g = gather("gather", at)
+            if p == 2:  # conj T(x, b) = T(x + b, b): (x + a, b) moved by (a + b, 0)
+                conj = gather("gather 2", index(at, a ^ b, 0))
+            elif phase:  # conj T(x, b) = -T(x, b)
+                conj = column("gather 2", neg_T, b)
+            else:  # conj T(x, b) = T(x + b, -b)
+                conj = gather("gather 2", index(rows, b, neg[b]))
             if not phase:
                 return product(g, conj, quarter)
             g = np.add(g, conj, out=g)
-        E = np.bitwise_and(g, N - 1, out=buffer("index", g.shape, np.intp))  # mod N, also where the sum wrapped
+        E = buffer("index", g.shape, np.intp)
+        E[...] = g
         out = buffer("planes", (R.degree,) + E.shape, quarter_dtype if quarter else dtype)
         return np.take(half if quarter else roots, E, axis=1, out=out, mode="clip")
 
@@ -1031,11 +1013,13 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, 
 def _chunk_divisor(p: int, degree: int, values) -> int:
     """How many times narrower than ``_CHUNK_ENTRIES`` entries per plane a
     chunk of whole-space columns is; quarter columns take four times as
-    many.  Exponent columns (``values`` None) at p = 2 keep int64 index sums
-    beside their planes, in half-size chunks.  Value columns keep index sums
-    too, and gathers and products of ``degree`` planes on ``values``: their
-    chunks are narrower again by the bytes of those planes over 8, those of
-    the index sums."""
+    many.  Phase columns (``values`` None) keep int64 index sums beside
+    their planes, in half-size chunks at p = 2; at odd p they keep whole
+    chunks, as a radix-p butterfly stage works on runs of p^stage times the
+    columns and slows down on shorter runs (U^4 on F_3^5 takes 15% longer
+    in half-size chunks).  Value columns keep index sums too, and gathers and
+    products of ``degree`` planes on ``values``: their chunks are narrower
+    again by the bytes of those planes over 8, those of the index sums."""
     if values is None:
         return 2 if p == 2 else 1
     return 2 * max(1, degree * np.dtype(values).itemsize // 8)
@@ -1069,10 +1053,8 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     (d = 3), or d_{h1} d_{h2} f (d = 4), one column per orbit of
     ``_derivative_orbits``.  Columns go through the character transform in
     chunks, in place, and sum_chi |tau|^4 is summed with the orbit sizes as
-    weights (``_mag4_sums``).  Ring values and phases in Z[zeta_{2^m}] read
-    their derivative columns from one first-derivative table
-    (``_derivative_columns``), other phases, every one at odd p, from
-    gathers of their exponents (``_exponent_columns``).
+    weights (``_mag4_sums``).  Ring values and phases read their derivative
+    columns from one first-derivative table (``_derivative_columns``).
     With |s(f(x))|^2 <= M2
     in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
     ``_kernel_dtypes`` turns into the dtype of each stage: ring values, their
@@ -1120,11 +1102,8 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     quarter_dt = _kernel_dtypes(p, n, R.degree, -(-K // 4), 1, 1, R.p)[1]
     step = max(1, _CHUNK_ENTRIES // (size * _chunk_divisor(p, R.degree, None if exps is not None else values_dt)))
     buffer = _scratch()  # one call's scratch: the column source's, the transform's and the sums'
-    if exps is not None and d > 2 and R.N & (R.N - 1):  # the table's exponents are masked by N - 1
-        columns = _exponent_columns(R, p, n, exps, d, source_dt, buffer)
-    else:
-        table = fn.coeffs.astype(values_dt) if exps is None else exps
-        columns = _derivative_columns(R, p, n, table, d, source_dt, buffer, quarter_dt)
+    table = fn.coeffs.astype(values_dt) if exps is None else exps
+    columns = _derivative_columns(R, p, n, table, d, source_dt, buffer, quarter_dt)
     total = np.zeros(R.degree, dtype=object)
     for shifts, w, keys in _column_sets(p, n, d, R.N):
         if not len(w):

@@ -4,10 +4,13 @@ Powers of zeta are reduced by long division by Phi_{p^m}, and products use
 an einsum over the d x d x d fold table, so the kernels under test are
 checked against arithmetic that shares none of their code.  The one
 exceptions are former code kept as references: ``ref_column_power``, the
-full-size U^d column loop of ``hofa.analysis``, for its quarter-size U^4
-columns, ``ref_quarter_exponents``, the former four-gather quarter rows of
-its exponent columns, for their first-derivative table, and ``RefSurd``
-with ``ref_surd_sign``, the former a + b*sqrt(2) ``RealSurd`` of
+full-size U^d column loop of ``hofa.analysis``, its phase columns from
+gathers of the exponents, for its quarter-size U^4 columns and the
+first-derivative table, ``ref_quarter_exponents``, the former four-gather
+quarter rows of its exponent columns, for that table's quarter rows,
+``ref_complement_rows``, the former ``analysis._complement_rows``, for the
+pivot keys cached with the column sets, and ``RefSurd`` with
+``ref_surd_sign``, the former a + b*sqrt(2) ``RealSurd`` of
 ``hofa.cyclotomic``, for the one exact real number there.
 """
 import math
@@ -104,7 +107,9 @@ def ref_column_power(fn, d):
     """The former ``analysis._gowers_columns`` loop, d in {2, 3, 4}: every
     orbit of derivative shifts transformed on all of F_p^n, its sum of
     |tau|^4 weighted by the orbit size, with the dtypes of ``_kernel_dtypes``
-    at the columns' bound K; returns the ``GowersNormValue``."""
+    at the columns' bound K; returns the ``GowersNormValue``.  A phase's
+    column is zeta^E for E(x) = e(x + a + b) - e(x + a) - e(x + b) + e(x)
+    (d = 4; e(x + h) - e(x) for d = 3), from gathers of its exponents."""
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
     exps = fn.restricted_exps()
@@ -114,10 +119,18 @@ def ref_column_power(fn, d):
     K = M2 ** (1 << (d - 2))
     values_dt, plane_dt, _, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
     weights = weights.astype(acc_dt)
-    if exps is not None and d > 2 and R.N & (R.N - 1):
-        columns = an._exponent_columns(R, p, n, exps, d, plane_dt)
+    if exps is None:
+        columns = an._derivative_columns(R, p, n, fn.coeffs.astype(values_dt), d, plane_dt)
     else:
-        columns = an._derivative_columns(R, p, n, fn.coeffs.astype(values_dt) if exps is None else exps, d, plane_dt)
+        sh, x = an._shift_table(p, n), np.arange(size)[:, None]
+
+        def columns(shifts):
+            if d == 2:
+                return ref_roots(R, exps[x])
+            if d == 3:
+                return ref_roots(R, exps[sh[x, shifts[0]]] - exps[x])
+            xa, xb = sh[x, shifts[0]], sh[x, shifts[1]]
+            return ref_roots(R, exps[sh[xa, shifts[1]]] - exps[xa] - exps[xb] + exps[x])
     total = [0] * R.degree
     for start in range(0, len(weights), step):
         part = slice(start, start + step)
@@ -128,12 +141,20 @@ def ref_column_power(fn, d):
     return an.GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
 
 
+def ref_complement_rows(n, a, b):
+    """The former ``analysis._complement_rows``: rows of the quarter columns
+    at p = 2, for independent shifts a, b (one pair per column), the
+    (2^(n-2), columns) indices of C of ``_pivot_keys``, in order of c,
+    gathered from ``_pivot_rows``."""
+    return np.take(an._pivot_rows(n), an._pivot_keys(n, a, b), axis=1)
+
+
 def ref_quarter_exponents(R, n, exps, a, b):
     """The former quarter rows of the exponent column source: on the rows
-    c of ``_complement_rows``, E(c) = e(c ^ a ^ b) - e(c ^ a) - e(c ^ b) +
+    c of ``ref_complement_rows``, E(c) = e(c ^ a ^ b) - e(c ^ a) - e(c ^ b) +
     e(c) from four gathers of the exponents, and the half coordinates of
     zeta^E (``_half_coordinates``), shape (degree, 2^(n-2), columns)."""
-    rows = an._complement_rows(n, a, b)
+    rows = ref_complement_rows(n, a, b)
     E = exps[rows ^ a ^ b] - exps[rows ^ a] - exps[rows ^ b] + exps[rows]
     roots = ref_roots(R, E)
     return an._half_coordinates(roots, np.empty_like(roots))

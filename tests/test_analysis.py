@@ -22,7 +22,7 @@ from hofa.serialize import dump_function, load_function
 from hofa.symmetrize import seven_correlation
 from hofa.torus import TorusValue
 from oracles import expanded_pow, scale_phase
-from ringref import ref_column_power, ref_conj, ref_first_max, ref_mul, ref_quarter_exponents, ref_roots
+from ringref import ref_column_power, ref_complement_rows, ref_conj, ref_first_max, ref_mul, ref_quarter_exponents, ref_roots
 
 
 def phase(P, conj=False):
@@ -203,33 +203,50 @@ class TestPhaseFastPathP2:
             assert an.gowers_norm(f, d).power_surd() == an.gowers_norm(stripped, d).power_surd()
 
     def test_phases_never_leave_the_fast_path(self, monkeypatch):
-        source = an._derivative_columns
+        # every phase carrying exps, at every p and ring order, reaches the one
+        # column source with its 1-D exponent table at d = 2, 3 and 4
+        source, seen = an._derivative_columns, []
 
-        def exponents_only(R, p, n, f, *args):
-            if f.ndim != 1:
-                raise AssertionError("a phase with exps took the ring-value branch of the column source")
-            return source(R, p, n, f, *args)
+        def spy(R, p, n, f, d, *args):
+            seen.append((d, f.ndim))
+            return source(R, p, n, f, d, *args)
 
-        fs = [an.random_unimodular_exact(random.Random(5), p, n, m) for p, n, m in [(2, 5, 3), (3, 3, 1), (3, 2, 2)]]
-        expected = [[an.gowers_norm(f, d) for d in (2, 3, 4)] for f in fs]
-        monkeypatch.setattr(an, "_derivative_columns", exponents_only)
-        for f, values in zip(fs, expected):
-            assert [an.gowers_norm(f, d) for d in (2, 3, 4)] == values
-            stripped = an.BoundedFunction(f.p, f.n, f.ring, f.coeffs, 1, exps=None)
-            with pytest.raises(AssertionError):
-                an.gowers_norm(stripped, 2)
+        # (p, n, ring prime, m): N = 2, 8, 256, 512 and 3, 9, 243 and 5 at their own p,
+        # and Z[zeta_3], Z[zeta_5] phases on F_2
+        cases = [(2, 4, 2, 1), (2, 4, 2, 3), (2, 3, 2, 8), (2, 2, 2, 9), (3, 3, 3, 1), (3, 2, 3, 2), (3, 1, 3, 5),
+                 (5, 2, 5, 1), (2, 3, 3, 1), (2, 3, 5, 1)]
+        monkeypatch.setattr(an, "_derivative_columns", spy)
+        for p, n, q, m in cases:
+            R, rng = ring(q, m), random.Random(p * n * m)
+            exps = np.array([rng.randrange(R.N) for _ in range(p**n)])
+            f = an.BoundedFunction(p, n, R, R.roots_to_coeffs(exps).astype(np.int64), 1, exps=exps)
+            seen.clear()
+            for d in (2, 3, 4):
+                an.gowers_norm(f, d)
+            assert seen == [(2, 1), (3, 1), (4, 1)], f.ring
+            seen.clear()
+            an.gowers_norm(_stripped(f), 2)
+            assert seen == [(2, 2)]
 
-    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2)])
+    @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (3, 2), (2, 7), (2, 8), (3, 5), (2, 9)])
     def test_phases_of_odd_order(self, p, m):
-        # a phase on F_2^n in Z[zeta_N], N odd, cannot take the exponent differences
-        # mod 256: it reads its exponents like a phase at odd p, and comes out exact
+        # a phase on F_2^n in Z[zeta_N] at each side of the table's dtype: N odd and
+        # N = 128 on uint8 reduced mod N (no sum wraps), N = 256 on uint8 wrapping by
+        # N, N = 243 and 512 on uint64 with 2N roots.  Small rings come out equal to
+        # the oracle and the ring-value columns; past degree 6 their object products
+        # take seconds per call, and the reference's own exponent gathers stand in
         R, rng = ring(p, m), random.Random(10 * p + m)
-        for n in (2, 3):
+        small = R.degree <= 6
+        for n in (2, 3) if small else (2,):
             exps = np.array([rng.randrange(R.N) for _ in range(2**n)])
             f = an.BoundedFunction(2, n, R, R.roots_to_coeffs(exps).astype(np.int64), 1, exps=exps)
             for d in (2, 3, 4):
-                assert an.gowers_norm(f, d).power_surd() == an.direct_gowers_power(f, d).power_surd()
-                assert an.gowers_norm(f, d) == an.gowers_norm(_stripped(f), d)
+                got = an.gowers_norm(f, d)
+                if small:
+                    assert got.power_surd() == an.direct_gowers_power(f, d).power_surd()
+                    assert got == an.gowers_norm(_stripped(f), d)
+                else:
+                    assert got.power_surd() == ref_column_power(f, d).power_surd()
 
     def test_sixteenth_roots_take_the_ring_path(self):
         # Z[zeta_16] phases sum |tau|^4 on the generated |tau|^2 terms of
@@ -652,11 +669,11 @@ class TestPivotKeys:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_cached_keys_give_the_complement_rows(self, n):
         # every independent pair a < b of F_2^n is one quarter column, and its
-        # rows from the cached key equal _complement_rows(n, a, b)
+        # rows from the cached key equal ref_complement_rows(n, a, b)
         (a, b), _, keys = an._column_sets(2, n, 4, 8)[0]
         assert len(a) == (2**n - 1) * (2**n - 2) // 2 and (a < b).all() and (a != 0).all()
         rows = np.take(an._pivot_rows(n), keys, axis=1)
-        assert np.array_equal(rows, an._complement_rows(n, a, b))
+        assert np.array_equal(rows, ref_complement_rows(n, a, b))
         # span(a, b) + C is all of F_2^n for every pair
         cover = np.sort(np.concatenate([rows, rows ^ a, rows ^ b, rows ^ a ^ b]), axis=0)
         assert (cover == np.arange(2**n)[:, None]).all()
@@ -843,7 +860,7 @@ class TestQuarterColumns:
     )
     def test_pivot_pairs(self, nab, m, seed):
         n, a, b = nab
-        rows = an._complement_rows(n, np.array([a]), np.array([b]))
+        rows = ref_complement_rows(n, np.array([a]), np.array([b]))
         # span(a, b) + C is all of F_2^n
         assert sorted(np.concatenate([(rows ^ u).ravel() for u in (0, a, b, a ^ b)])) == list(range(2**n))
         f = an.random_unimodular_exact(random.Random(seed), 2, n, m)

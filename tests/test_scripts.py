@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("argv", [["pipeline_demo.py"], ["rank_census.py"], ["u4_timing.py", "3"]])
+@pytest.mark.parametrize("argv", [["pipeline_demo.py"], ["rank_census.py"], ["u4_timing.py", "5"]])
 def test_script_exits_zero(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(

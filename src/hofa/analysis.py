@@ -781,7 +781,7 @@ def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dty
         if 256 % N:  # reduced mod N: two entries sum below 2N, which the roots cover
             np.minimum(T2, T2 - N, out=T2)
         T = T2.ravel()
-        if p > 2 and d == 4:  # conj T = -T: N - T lies in (0, N], T being reduced as N is odd
+        if p > 2 and d == 4:  # conj T = -T as N - T, in (0, N] (T is reduced, N odd): sums stay below 2N
             neg_T = N - T2
     else:
         neg = sh.argmin(axis=1) if p > 2 else None  # x + neg[x] = 0

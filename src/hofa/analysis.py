@@ -8,16 +8,17 @@ compared exactly, never through floats: the sup-norm check and every
 argmax over candidate sums order real ring elements by
 ``cyclotomic.real_keys``, the argmaxes through one kernel, ``first_max``,
 and every other comparison is one of ``cyclotomic.RealSurd``.
-One in-place character transform serves every path: a Walsh-Hadamard
-butterfly for p = 2, a radix-3 butterfly on the coefficient planes for
-p = 3, and a radix-p butterfly on them for p >= 5, where multiplying by
-omega = zeta^{p^{m-1}} shifts blocks of planes.  Exact U^2..U^4 norms run
-one column kernel: the transform of f, of each d_h f, or of each
-d_{h1} d_{h2} f with symmetric shifts folded together, then sum |tau|^4,
-each stage on the narrowest fixed-width integers a stated bound allows
-and on Python integers past it.  Ring values and phases read those columns
-from one first-derivative table T(x, h) = f(x + h) conj f(x).  At p = 2 a
-U^4 column of independent shifts a, b is
+One in-place character transform of ``transform`` serves every path: a
+Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on the coefficient
+planes for p = 3, and a radix-p butterfly on them for p >= 5.  Exact
+U^2..U^4 norms run one column kernel: the transform of f, of each d_h f,
+or of each d_{h1} d_{h2} f with symmetric shifts folded together, then sum
+|tau|^4, each stage on the narrowest fixed-width integers a stated bound
+allows and on Python integers past it; the column sums of the squares are
+float64 BLAS dots wherever a chunk's bound shows every partial sum an
+integer of at most 2^53, and integer sums past it.  Ring values and phases
+read those columns from one first-derivative table T(x, h) = f(x + h)
+conj f(x).  At p = 2 a U^4 column of independent shifts a, b is
 transformed on a complement of span(a, b), a quarter of the space, and
 its sum of |tau|^4 read from that transform W as 16 sum (|W + conj W|^4 +
 |W - conj W|^4), on the real coordinates of the two halves.  Both sums
@@ -51,10 +52,12 @@ from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, Preco
 from .fpspace import Subspace, Vec, all_vectors, vec_add, vec_index
 from .ncpoly import Monomial, NcPoly, basis_tuples
 from .torus import TorusValue
+from .transform import _scratch, _transform_inplace
 
 
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
+_FLOAT_EXACT = 2**53  # float64 holds every integer of at most this absolute value
 _VALUE_DTYPES = ((np.int16, 2**15 - 1), (np.int32, _INT32_MAX), (np.int64, _INT64_MAX))
 
 
@@ -473,128 +476,7 @@ class GowersNormValue:
         return f"U^{self.d} = {self.norm_float():.6g}"
 
 
-def _scratch():
-    """``buffer(name, shape, dtype)`` for one column-kernel call: the named
-    scratch array of that shape and dtype, reallocated only when a request
-    needs another dtype or more entries than it has, so a chunk loop
-    allocates no large array.  It is overwritten by the next request of its
-    name; the column sources, the sum and the transform use distinct
-    names.  The last view of each name is kept, so a request like
-    the last one costs two lookups."""
-    arrays, views = {}, {}
-
-    def buffer(name, shape, dtype):
-        last = views.get(name)
-        if last is not None and last[0] == shape and last[1] is dtype:
-            return last[2]
-        count = math.prod(shape)
-        if name not in arrays or arrays[name].dtype != dtype or arrays[name].size < count:
-            views[name] = arrays[name] = None  # no longer kept: freed once its last view is dropped
-            arrays[name] = np.empty(count, dtype=dtype)
-        views[name] = (shape, dtype, arrays[name][:count].reshape(shape))
-        return views[name][2]
-
-    return buffer
-
-
 # -- exact character transform --
-
-
-def _wht_inplace(a: np.ndarray, buffer=None) -> np.ndarray:
-    """Walsh-Hadamard transform over axis 1 of a (planes, 2^n, columns) array.
-
-    The transform axis is outermost within a plane, so every butterfly
-    runs over contiguous blocks of at least one row of columns.  The
-    differences go through one array of ``buffer`` (``_scratch``).
-    """
-    planes, size, cols = a.shape
-    tmp = (buffer or _scratch())("transform", (a.size // 2,), a.dtype)
-    h = 1
-    while h < size:
-        v = a.reshape(planes, size // (2 * h), 2, h * cols)
-        x0 = v[:, :, 0]
-        x1 = v[:, :, 1]
-        diff = np.subtract(x0, x1, out=tmp.reshape(x0.shape))
-        x0 += x1
-        x1[...] = diff
-        h *= 2
-    return a
-
-
-def _radix3_inplace(a: np.ndarray, sign: int) -> np.ndarray:
-    """Character transform sum_x a(x) omega^{sign <chi, x>} over axis 1 of a
-    (planes, 3^n, columns) array of Z[zeta_{3^m}] coefficient planes, m >= 1.
-
-    With e = 3^{m-1} and z = A + zeta^e B (A, B the low and high halves of
-    the planes), omega = zeta^e acts as omega z = -B + zeta^e (A - B).  Each
-    butterfly maps (x0, x1, x2) to x0 + x1 + x2, t + w and t - (v + w), with
-    v = x1 - x2, t = x0 - x2 and w = omega v; these are x0 + omega^{+-1} x1 +
-    omega^{-+1} x2.  Every intermediate is a ring element no larger in any
-    embedding than a stage output, which bounds its coefficients.
-    """
-    planes, size, cols = a.shape
-    e = planes // 2
-    h = 1
-    while h < size:
-        v3 = a.reshape(planes, size // (3 * h), 3, h * cols)
-        x0, x1, x2 = v3[:, :, 0], v3[:, :, 1], v3[:, :, 2]
-        v = x1 - x2
-        t = x0 - x2
-        w = np.empty_like(v)
-        w[:e] = -v[e:]
-        w[e:] = v[:e] - v[e:]
-        x0 += x1
-        x0 += x2
-        v += w
-        y_plus = t + w  # x0 + omega x1 + omega^2 x2
-        t -= v  # x0 + omega^2 x1 + omega x2
-        x1[...], x2[...] = (y_plus, t) if sign > 0 else (t, y_plus)
-        h *= 3
-    return a
-
-
-def _radixp_inplace(a: np.ndarray, p: int, sign: int) -> np.ndarray:
-    """Character transform sum_x a(x) omega^{sign <chi, x>} over axis 1 of a
-    (planes, p^n, columns) array of Z[zeta_{p^m}] coefficient planes, m >= 1.
-
-    With e = p^{m-1}, the planes split into p - 1 blocks of e, and z =
-    sum_j omega^j B_j with omega = zeta^e.  The butterflies work on p
-    blocks, the last one zero at the start: there omega^k z is the cyclic
-    shift of the blocks by k, so y_s = sum_t omega^{sign st} x_t is a sum of
-    shifted blocks.  Since 1 + omega + ... + omega^{p-1} = 0, the power basis
-    is read back at the end as B_j - B_{p-1}.  After each stage a block is a
-    sum of at most p^stage input blocks, within the bound on the output's
-    coefficients that the callers check.
-    """
-    planes, size, cols = a.shape
-    e = planes // (p - 1)
-    x = np.zeros((p, e, size, cols), dtype=a.dtype)
-    x[: p - 1] = a.reshape(p - 1, e, size, cols)
-    h = 1
-    while h < size:
-        v = x.reshape(p, e, size // (p * h), p, h * cols)
-        y = np.zeros_like(v)
-        for s in range(p):
-            for t in range(p):
-                k = sign * s * t % p  # y_s gains omega^k x_t: block j of x_t lands on block j + k
-                y[k:, :, :, s] += v[: p - k, :, :, t]
-                y[:k, :, :, s] += v[p - k :, :, :, t]
-        x = y.reshape(p, e, size, cols)
-        h *= p
-    np.subtract(x[: p - 1], x[p - 1], out=a.reshape(p - 1, e, size, cols))
-    return a
-
-
-def _transform_inplace(R: CycloRing, p: int, a: np.ndarray, sign: int, buffer=None) -> np.ndarray:
-    """Exact character transform over axis 1 of (degree, p^n, columns) planes
-    in R; at p = 2 through the scratch of ``buffer`` (``_scratch``) if given."""
-    if not a.flags.c_contiguous:  # the butterflies write through reshaped views
-        raise InternalCheckError("in-place transform needs a C-contiguous array")
-    if p == 2:
-        return _wht_inplace(a, buffer)
-    if R.N % p:
-        raise PreconditionError(f"ring Z[zeta_{R.N}] has no {p}-th roots of unity")
-    return _radix3_inplace(a, sign) if p == 3 else _radixp_inplace(a, p, sign)
 
 
 def char_transform(fn: BoundedFunction, sign: int = -1) -> np.ndarray:
@@ -843,9 +725,47 @@ def _derivative_columns(R: CycloRing, p: int, n: int, f: np.ndarray, d: int, dty
     return columns
 
 
-def _column_dot(weights: np.ndarray, x: np.ndarray, y: np.ndarray) -> int:
-    """sum_j weights[j] sum_r x[r, j] y[r, j]; int32 columns are summed on int64."""
-    return int(weights @ np.einsum("xc,xc->c", x, y, dtype=np.int64 if x.dtype == np.int32 else None))
+# float64 entries of a block of ``_pair_sums``: the bytes of a chunk's index
+# sums at p = 2
+_FLOAT_BLOCK = _CHUNK_ENTRIES // 2
+
+
+def _pair_sums(planes: np.ndarray, pairs, runs, dtypes, buffer) -> list:
+    """sum over ``runs`` (weight, start, stop) of weight sum_{r, start <= c <
+    stop} planes[j, r, c] planes[k, r, c], for each (j, k) of ``pairs``, as
+    Python integers; ``dtypes`` are the (squares, column sums, chunk sums)
+    of ``_kernel_dtypes``.
+
+    On float64 column sums each run is copied to float64 a block of rows at
+    a time, about ``_FLOAT_BLOCK`` entries, into bytes the column
+    source's index sums and the transform have left (``_SHARED_SCRATCH`` of
+    ``transform``), and each run and pair of a block is one BLAS dot.
+    ``_kernel_dtypes`` takes that tier only where every entry, every product
+    and every partial sum of every pair is an integer of absolute value at
+    most 2^53, so each dot is exact in any summation order, with or without
+    fused multiply-adds, and converts back to an integer exactly.  Otherwise
+    each column is summed on the column sums' dtype (int32 squares on int64)
+    and the columns of a run on the chunk sums'.  The weights multiply Python
+    integers.
+    """
+    _, column_dt, chunk_dt = dtypes
+    sums = [0] * len(pairs)
+    if column_dt is not np.float64:
+        for i, (j, k) in enumerate(pairs):
+            col = np.einsum("xc,xc->c", planes[j], planes[k], dtype=column_dt)
+            sums[i] = sum(weight * int(col[start:stop].sum(dtype=chunk_dt)) for weight, start, stop in runs)
+        return sums
+    count, rows, cols = planes.shape
+    block = buffer("float block", (min(planes.size, max(_FLOAT_BLOCK, count * cols)),), np.float64)
+    for weight, start, stop in runs:
+        step = max(1, _FLOAT_BLOCK // (count * (stop - start)))  # rows per block
+        for lo in range(0, rows, step):
+            part = planes[:, lo : lo + step, start:stop]
+            run = block[: part.size].reshape(part.shape)
+            np.copyto(run, part)
+            for i, (j, k) in enumerate(pairs):
+                sums[i] += weight * int(np.vdot(run[j], run[k]))
+    return sums
 
 
 def _real_cos(h: int, t: int) -> dict:
@@ -891,26 +811,29 @@ def _mag2_terms(N: int) -> tuple | None:
     return tuple((i, j, tuple(c.items())) for i, j, c in terms if c)
 
 
-def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer=None, half: bool = False) -> tuple:
+def _mag4_sums(R: CycloRing, tau: np.ndarray, runs, dtypes, buffer=None, half: bool = False) -> tuple:
     """Weighted sum of sum_chi |tau|^4 over all columns, or with ``half`` of
     sum_phi (|W + conj W|^4 + |W - conj W|^4), as ring coefficients.
 
     ``tau`` holds the transform of each ring-coefficient plane, shape
     (degree, rows, columns), or with ``half`` that of the half coordinates
-    (``_half_coordinates``); column j counts ``weights[j]`` times.  Each
-    entry squares to a real element w with h = degree / 2 coordinates on the
-    basis e of ``_real_cos``: w = |tau|^2 by ``_mag2_terms``, or w = z^2 by
+    (``_half_coordinates``); ``runs`` (weight, start, stop) cover its
+    columns, each of which counts ``weight`` times.  Each entry squares to
+    a real element w with h = degree / 2 coordinates on the basis e of
+    ``_real_cos``: w = |tau|^2 by ``_mag2_terms``, or w = z^2 by
     ``_real_squares`` for z a half, real up to a factor i, so that |z|^4 =
     z^4.  Coordinate k of both halves lies in planes 2k and 2k + 1, so one
     view stacks the halves and one pass squares both.  Then sum w^2 comes
-    from the column sums of the products of the coordinates of w, squared by
-    ``_real_squares``.  Rings other than Z[zeta_{2^m}] and Z[omega] sum the
-    Gram matrix of the |tau|^2 planes and fold it with zeta^(i+j).  The
-    products are formed on ``dtype`` in arrays of ``buffer`` (``_scratch``),
-    each column summed on it (on int64 for int32 products), then weighted on
-    ``weights``' dtype; ``_kernel_dtypes`` bounds all three.
+    from the weighted sums of the products of pairs of coordinates of w
+    (``_pair_sums``), squared by ``_real_squares``.  Rings other than
+    Z[zeta_{2^m}] and Z[omega] sum the Gram matrix of the |tau|^2 planes the
+    same way and fold it with zeta^(i+j).  ``dtypes`` are the (squares,
+    column sums, chunk sums) of ``_kernel_dtypes``: the products are formed
+    on the squares' dtype in arrays of ``buffer`` (``_scratch``) and summed
+    by ``_pair_sums``.
     """
     buffer = buffer or _scratch()
+    dtype = dtypes[0]
     d, cols = tau.shape[0], tau.shape[-1]
     h = max(d // 2, 1)
     terms = _real_squares(h) if half else _mag2_terms(R.N)
@@ -918,13 +841,15 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer
         planes = tau.reshape(d, -1)
         conj = np.matmul(R._conj.T.astype(dtype), planes, out=buffer("gram conj", planes.shape, dtype))
         m2 = R.mul_arrays(tau, conj.reshape(tau.shape), out=buffer("gram squares", tau.shape, dtype))
+        pairs = list(zip(*np.triu_indices(d)))
         gram = np.zeros((d, d), dtype=object)
-        for i, j in zip(*np.triu_indices(d)):
-            gram[i, j] = gram[j, i] = _column_dot(weights, m2[i], m2[j])
+        for (i, j), s in zip(pairs, _pair_sums(m2, pairs, runs, dtypes, buffer)):
+            gram[i, j] = gram[j, i] = s
         return tuple(int(c) for c in R._fold @ gram.ravel())  # the product's fold, zeta^{i+j}
     z = tau.reshape(h, -1, cols) if half else tau  # with half, z[k]: coordinate k of both halves, stacked
     shape, prod, started = z.shape[1:], None, set()  # started: coordinates of w holding their first term
-    z, w = list(z), list(buffer("squares", (h,) + shape, dtype))  # the plane views, taken once
+    squares = buffer("squares", (h,) + shape, dtype)
+    z, w = list(z), list(squares)  # the plane views, taken once
     for j, k, coords in terms:
         (m, c), single = coords[0], len(coords) == 1
         if single and m not in started:  # the product is its coordinate's first term
@@ -943,13 +868,14 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, weights: np.ndarray, dtype, buffer
                 prod, abs(c), out=prod if single else buffer("scaled terms", shape, dtype))
             (np.add if c > 0 else np.subtract)(w[m], t, out=w[m])
     w4 = [0] * h
-    for j, k, coords in _real_squares(h):
-        s = _column_dot(weights, w[j], w[k])
+    squared = _real_squares(h)
+    for (_, _, coords), s in zip(squared, _pair_sums(squares, [(j, k) for j, k, _ in squared], runs, dtypes, buffer)):
         for m, c in coords:
             w4[m] += c * s
     return tuple(w4 + [0] * (d > 1) + [-c for c in w4[:0:-1]])  # e_k = zeta^k - zeta^(degree-k)
 
 
+@lru_cache(maxsize=4096)
 def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, q: int | None = None) -> tuple:
     """dtypes of the column kernel: (values, transform planes, squares, column
     sums, chunk sums).
@@ -991,9 +917,33 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, 
     The squares, the coordinates of w = |tau|^2 or w = z^2 in ``_mag4_sums``,
     are sums of at most degree^2 products of two plane coefficients, so they
     and every partial sum forming them also stay within (q - 1) degree^2
-    p^{2n} K.  Where that fits int32 they are formed on int32 and each column
-    summed on int64 (then (q - 1) p^{4n} K^2 < 2^62); past it on the dtype of
-    the column sums.
+    p^{2n} K.  Where that fits int32 they are formed on int32, past it on
+    int64.
+
+    The column sums are sum_x w_j(x) w_k(x) over a chunk for pairs (j, k) of
+    planes (``_pair_sums``): of the coordinates of w on the basis e of
+    ``_real_cos`` in Z[zeta_{2^m}] and Z[omega], or of |tau|^2 on the power
+    basis (the Gram fold).  Each column bounds the absolute sum, not only
+    the signed one: sum_x |w_j w_k| <= sum_x (w_j^2 + w_k^2) / 2 <= sum_x
+    sum_l w_l^2, and that stays within (q - 1) p^{4n} K^2 on both bases.
+    On the power basis the trace form gives sum_l w_l^2 <= q^{1-m} sum_s
+    s(w)^2, and s(|tau|^2) = |s(tau)|^2, so a column's sum is at most
+    q^{1-m} degree p^{4n} K^2 = (q - 1) p^{4n} K^2.  On the basis e a real
+    w = w_0 + sum_k w_k (zeta^k - zeta^{degree-k}) has power coefficients
+    w_0 and +-w_k, so sum_l w_l^2 is at most their sum of squares, which is
+    sum_s s(w)^2 / degree in Z[zeta_{2^m}]; there s(w) = |s(tau)|^2, or for
+    the half coordinates s(w) = s(z)^2 with sum_s s(z)^4 over both halves
+    sum_s |s(tau)|^4 / 16, so the column stays within p^{4n} K^2, or 2^(4n)
+    K'^2 on the halves.  In Z[omega] w = |tau|^2 is its own one coordinate
+    and its value in either embedding, so the column stays within p^{4n}
+    K^2 there too.  So where the chunk's bound step weight (q - 1) p^{4n}
+    K^2 is at most 2^53, every square, every product w_j w_k and every
+    partial sum of them in any order is an integer of absolute value at most
+    2^53, which float64 holds exactly: the column sums run on float64 (BLAS
+    dots) and the weighted chunk sums on int64.  Past it each column is
+    summed on int64 where (q - 1) p^{4n} K^2 fits (int32 squares on int64),
+    and the weighted chunk on int64 while step weight times that fits, else
+    on Python integers.
     """
     size, q = p**n, q or p
     square_bound = (q - 1) * degree**2 * size**2 * K
@@ -1007,7 +957,10 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, 
     if col_bound > _INT64_MAX:
         return values, planes, object, object, object
     squares = np.int32 if square_bound <= _INT32_MAX else np.int64
-    return values, planes, squares, np.int64, np.int64 if step * weight * col_bound <= _INT64_MAX else object
+    chunk_bound = step * weight * col_bound
+    if chunk_bound <= _FLOAT_EXACT:
+        return values, planes, squares, np.float64, np.int64
+    return values, planes, squares, np.int64, np.int64 if chunk_bound <= _INT64_MAX else object
 
 
 def _chunk_divisor(p: int, degree: int, values) -> int:
@@ -1027,23 +980,34 @@ def _chunk_divisor(p: int, degree: int, values) -> int:
 
 @lru_cache(maxsize=None)
 def _column_sets(p: int, n: int, d: int, N: int) -> tuple:
-    """The U^d columns as sets of (shifts, weights, pivot keys), built once
-    per (p, n, d, N) and read-only: one set of every orbit of
-    ``_derivative_orbits``, but at p = 2, d = 4 in Z[zeta_N], N = 2^m, the
-    independent pairs a, b as a quarter-size set (see ``_gowers_columns``),
-    first, with the key of each pair's complement rows (``_pivot_keys``),
-    and the pairs a = 0 or a = b on their own.  A set of whole-space
-    columns has no keys (None)."""
+    """The U^d columns as sets of (shifts, runs, pivot keys), built once per
+    (p, n, d, N) and read-only: the orbits of ``_derivative_orbits``, but at
+    p = 2, d = 4 in Z[zeta_N], N = 2^m, the independent pairs a, b as a
+    quarter-size set (see ``_gowers_columns``), first, with the key of each
+    pair's complement rows (``_pivot_keys``), and the pairs a = 0 or a = b
+    on their own.  Each set is sorted by orbit size, stably, into runs
+    (weight, start, stop) of columns that all count ``weight`` times, an
+    integer: at p = 2 the quarter columns are one run of weight 2 and the
+    others runs of weights 1 and 2; at odd p the weights are 1, 2 and 4.  A
+    set of whole-space columns has no keys (None); at d = 2 the one column
+    of f has no shifts either."""
     hs, weights = _derivative_orbits(p, n, d)
-    sets = ((hs, weights, None),)
-    if p == 2 and d == 4 and (N & (N - 1)) == 0:
-        q = (hs[0] != 0) & (hs[0] != hs[1])
-        quarter = tuple(h[q] for h in hs)
-        sets = ((quarter, weights[q], _pivot_keys(n, *quarter)), (tuple(h[~q] for h in hs), weights[~q], None))
-    for shifts, w, keys in sets:
-        for a in shifts + (w,) + (() if keys is None else (keys,)):
+    quarter = p == 2 and d == 4 and (N & (N - 1)) == 0
+    q = (hs[0] != 0) & (hs[0] != hs[1]) if quarter else np.zeros(len(weights), dtype=bool)
+    sets = []
+    for part, keyed in ((q, True), (~q, False)):
+        idx = np.flatnonzero(part)
+        if not len(idx):
+            continue
+        if (weights[idx[1:]] < weights[idx[:-1]]).any():  # one copy of each array, in order of weight
+            idx = idx[np.argsort(weights[idx], kind="stable")]
+        shifts, w = tuple(h[idx] for h in hs), weights[idx]
+        keys = _pivot_keys(n, *shifts) if keyed else None
+        for a in shifts + (() if keys is None else (keys,)):
             a.setflags(write=False)
-    return sets
+        cuts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
+        sets.append((shifts, tuple((int(w[a]), a, b) for a, b in zip(cuts, cuts[1:])), keys))
+    return tuple(sets)
 
 
 def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
@@ -1052,11 +1016,11 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     Every U^2 base case is one column g on F_p^n: f itself (d = 2), d_h f
     (d = 3), or d_{h1} d_{h2} f (d = 4), one column per orbit of
     ``_derivative_orbits``.  Columns go through the character transform in
-    chunks, in place, and sum_chi |tau|^4 is summed with the orbit sizes as
-    weights (``_mag4_sums``).  Ring values and phases read their derivative
-    columns from one first-derivative table (``_derivative_columns``).
-    With |s(f(x))|^2 <= M2
-    in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
+    chunks, in place, and sum_chi |tau|^4 is summed per chunk
+    (``_mag4_sums``), each run of one orbit size in ``_column_sets`` weighted
+    by that size.  Ring values and phases read their derivative columns from
+    one first-derivative table (``_derivative_columns``).  With |s(f(x))|^2
+    <= M2 in every embedding s, a column has |s(g)|^2 <= K = M2^(2^(d-2)), which
     ``_kernel_dtypes`` turns into the dtype of each stage: ring values, their
     first-derivative table and its products on the narrowest integer dtype
     that holds V = degree^3 sqrt K.  The chunk width follows from the dtypes
@@ -1105,19 +1069,19 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     table = fn.coeffs.astype(values_dt) if exps is None else exps
     columns = _derivative_columns(R, p, n, table, d, source_dt, buffer, quarter_dt)
     total = np.zeros(R.degree, dtype=object)
-    for shifts, w, keys in _column_sets(p, n, d, R.N):
-        if not len(w):
-            continue
+    for shifts, runs, keys in _column_sets(p, n, d, R.N):
         # a quarter column has a quarter of the rows: 4 * step of them fill a chunk's scratch
         quarter = keys is not None
         bound, cols = (-(-K // 4), 4 * step) if quarter else (K, step)
-        square_dt, _, acc_dt = _kernel_dtypes(p, n, R.degree, bound, cols, int(w.max()), R.p)[2:]
-        w = w.astype(acc_dt, copy=False)
-        for start in range(0, len(w), cols):
+        dtypes = _kernel_dtypes(p, n, R.degree, bound, cols, max(w for w, _, _ in runs), R.p)[2:]
+        for start in range(0, runs[-1][2], cols):
             part = slice(start, start + cols)
             g = columns(tuple(h[part] for h in shifts), keys[part] if quarter else None)
             tau = _transform_inplace(R, p, g, -1, buffer)
-            sums = _mag4_sums(R, tau, w[part], square_dt, buffer, quarter)
+            # the chunk's columns as runs of one weight
+            within = tuple((w, max(a, start) - start, min(b, start + cols) - start)
+                           for w, a, b in runs if start < b and a < start + cols)
+            sums = _mag4_sums(R, tau, within, dtypes, buffer, quarter)
             total += (16 if quarter else 1) * np.array(sums, dtype=object)
     return GowersNormValue.from_parts(d, R, total, size ** (d + 2) * fn.den ** (1 << d))
 

@@ -107,7 +107,8 @@ def ref_column_power(fn, d):
     """The former ``analysis._gowers_columns`` loop, d in {2, 3, 4}: every
     orbit of derivative shifts transformed on all of F_p^n, its sum of
     |tau|^4 weighted by the orbit size, with the dtypes of ``_kernel_dtypes``
-    at the columns' bound K; returns the ``GowersNormValue``.  A phase's
+    at the columns' bound K but the column sums always on integers; returns
+    the ``GowersNormValue``.  A phase's
     column is zeta^E for E(x) = e(x + a + b) - e(x + a) - e(x + b) + e(x)
     (d = 4; e(x + h) - e(x) for d = 3), from gathers of its exponents."""
     p, n, R = fn.p, fn.n, fn.ring
@@ -118,7 +119,7 @@ def ref_column_power(fn, d):
     step = max(1, an._CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
     K = M2 ** (1 << (d - 2))
     values_dt, plane_dt, _, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))
-    weights = weights.astype(acc_dt)
+    sum_dt = object if sum_dt is object else np.int64  # integer squares and column sums, never the float tier
     if exps is None:
         columns = an._derivative_columns(R, p, n, fn.coeffs.astype(values_dt), d, plane_dt)
     else:
@@ -136,7 +137,8 @@ def ref_column_power(fn, d):
         part = slice(start, start + step)
         cols = np.ascontiguousarray(columns(tuple(h[part] for h in hs)), dtype=plane_dt)
         tau = an._transform_inplace(R, p, cols, -1)
-        for i, c in enumerate(an._mag4_sums(R, tau, weights[part], sum_dt)):
+        runs = tuple((int(w), c, c + 1) for c, w in enumerate(weights[part]))  # each column its own run
+        for i, c in enumerate(an._mag4_sums(R, tau, runs, (sum_dt, sum_dt, acc_dt))):
             total[i] += c
     return an.GowersNormValue.from_parts(d, R, np.array(total, dtype=object), size ** (d + 2) * fn.den ** (1 << d))
 

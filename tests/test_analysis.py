@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hofa import analysis as an
+from hofa import analysis as an, transform
 from hofa.cyclotomic import RealSurd, common_ring, real_keys, ring
 from hofa.errors import BudgetExceeded, InternalCheckError, PreconditionError
 from hofa.fpspace import all_vectors
@@ -268,10 +268,13 @@ class TestPhaseFastPathP2:
         values, planes, squares, sums, chunk_sums = an._kernel_dtypes(2, n, 4, 1, columns, weight)
         assert planes is dtype and np.iinfo(dtype).max >= 2**n
         # the values' bound degree^3 sqrt K = 64 fits int16
-        assert values is np.int16 and sums is chunk_sums is np.int64
+        assert values is np.int16 and chunk_sums is np.int64
         # the squares' bound 16 * 4^n K fits int32 up to n = 13
         assert squares is (np.int32 if n <= 13 else np.int64)
         assert weight * columns * 16**n < 2**63
+        # the column sums take float64 where the chunk's bound fits 2^53: at n = 9, not past it
+        assert sums is (np.float64 if n == 9 else np.int64)
+        assert (weight * columns * 16**n <= 2**53) == (n == 9)
 
     @pytest.mark.parametrize("n", [14, 15, 16])
     def test_character_u2_at_the_dtype_boundary(self, n):
@@ -437,7 +440,8 @@ class TestColumnKernel:
         for m in (1, 2):
             a = rng.integers(-9, 10, (2 * 3 ** (m - 1), 81, 5))
             for sign in (1, -1):
-                assert np.array_equal(an._radix3_inplace(a.copy(), sign), an._radixp_inplace(a.copy(), 3, sign))
+                radix3, radixp = transform._radix3_inplace(a.copy(), sign), transform._radixp_inplace(a.copy(), 3, sign)
+                assert np.array_equal(radix3, radixp)
 
     @pytest.mark.parametrize("n, ds, depths", [(1, (2, 3, 4), (1, 2)), (2, (2, 3), (1,))])
     def test_p5_norms_match_direct(self, n, ds, depths):
@@ -479,11 +483,14 @@ class TestColumnKernel:
         assert max(1, an._CHUNK_ENTRIES // 3**n) == columns
         values, planes, squares, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
         assert planes is dtype and np.iinfo(dtype).max ** 2 >= 2 * 9**n
-        assert values is np.int16 and col_sums is chunk_sums is sums  # degree^3 sqrt K = 8
+        assert values is np.int16 and chunk_sums is sums  # degree^3 sqrt K = 8
         # the squares' bound 2 * 4 * 9^n K fits int32 up to n = 8
         assert squares is (np.int32 if n <= 8 else sums)
         if sums is np.int64:
             assert 2 * 2 * columns * 81**n < 2**63
+        # the column sums take float64 where the chunk's bound fits 2^53: at n = 5
+        assert col_sums is (np.float64 if 2 * 2 * columns * 81**n <= 2**53 else sums)
+        assert (col_sums is np.float64) == (n == 5)
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_character_u2_at_the_radix3_dtype_boundary(self, n):
@@ -870,9 +877,9 @@ class TestQuarterColumns:
         full = an._transform_inplace(R, 2, np.array(columns(shifts)), -1)
         keys = an._pivot_keys(n, *shifts)
         W = an._transform_inplace(R, 2, np.array(columns(shifts, keys)), -1)  # half coordinates
-        one = np.ones(1, dtype=object)
-        quarter = [16 * c for c in an._mag4_sums(R, W, one, object, half=True)]
-        assert quarter == list(an._mag4_sums(R, full, one, object))
+        one = ((1, 0, 1),)  # one column of weight 1
+        quarter = [16 * c for c in an._mag4_sums(R, W, one, (object,) * 3, half=True)]
+        assert quarter == list(an._mag4_sums(R, full, one, (object,) * 3))
         # the first-derivative table's rows (N = 1..16) against the four gathers of the exponents
         exponent_rows = an._derivative_columns(R, 2, n, f.exps, 4, np.int64)(shifts, keys)
         assert np.array_equal(exponent_rows, ref_quarter_exponents(R, n, f.exps, *shifts))
@@ -984,8 +991,25 @@ class TestColumnSource:
         first = an.gowers_norm(f, 4)
         assert an.gowers_norm(f, 4) == first
         assert calls == [(2, 6, 4)]
-        for shifts, weights, _ in an._column_sets(2, 6, 4, 8):
-            assert not any(a.flags.writeable for a in shifts + (weights,))
+        for shifts, runs, keys in an._column_sets(2, 6, 4, 8):
+            arrays = shifts + (() if keys is None else (keys,))
+            assert all(type(w) is int for w, _, _ in runs) and not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("p, n, peak_bytes", [(3, 5, 900_000), (5, 3, 2_150_000)])
+    def test_odd_p_u4_peak_memory(self, p, n, peak_bytes):
+        # the radix-3 and radix-p temporaries live in the call's scratch, in
+        # bytes the index sums have left; a warm U^4 peaked at 1,102,102 bytes
+        # on F_3^5 and 2,388,918 on F_5^3 under tracemalloc (numpy 2.4) when
+        # every butterfly stage allocated its own arrays
+        f = an.random_unimodular_exact(random.Random(0), p, n, 1)
+        an.gowers_norm(f, 4)  # fills the shift-table cache
+        tracemalloc.start()
+        try:
+            an.gowers_norm(f, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < peak_bytes
 
     def test_u3_of_values_builds_no_square_table(self):
         # each U^3 column of ring values is one gather and one product: no
@@ -1000,6 +1024,126 @@ class TestColumnSource:
         finally:
             tracemalloc.stop()
         assert peak < R.degree * 4**n * 8 // 2
+
+
+# exact U^2..U^4 powers of seeded phases at sizes past the n <= 3 reach of
+# the definition-chasing oracle, as the int64 column sums gave them before
+# the float64 tier: (p, n, m, seed) of random_unimodular_exact -> {d: (power_num, power_den)}
+PINNED_POWERS = {
+    (2, 8, 3, 1): {
+        2: ((34734592, 513024, 0, -513024), 4294967296),
+        3: ((17034750976, -140107776, 0, 140107776), 1099511627776),
+        4: ((8683045113856, 8656650240, 0, -8656650240), 281474976710656),
+    },
+    (2, 8, 3, 2): {
+        2: ((34469888, 2048, 0, -2048), 4294967296),
+        3: ((17129275392, -24281088, 0, 24281088), 1099511627776),
+        4: ((8668034203648, -15557197824, 0, 15557197824), 281474976710656),
+    },
+    (3, 5, 1, 1): {
+        2: ((28122633, 0), 3486784401),
+        3: ((10522210311, 0), 847288609443),
+        4: ((3447806923737, 0), 205891132094649),
+    },
+}
+
+
+def _zi_top(n, top, den, seed):
+    """Z[i] values (a + b i) / den on F_2^n with f(0) = ``top`` and |a + b i|^2
+    <= |top|^2 elsewhere, so that the kernel's bound M2 is exactly |top|^2."""
+    rng, M2 = random.Random(seed), top[0] ** 2 + top[1] ** 2
+    pts = [(a, b) for a in range(-den, den + 1) for b in range(-den, den + 1) if a * a + b * b <= M2]
+    cols = [top] + [rng.choice(pts) for _ in range(2**n - 1)]
+    return an.BoundedFunction(2, n, ring(2, 2), np.array(cols, dtype=np.int64).T, den)
+
+
+def _sum_tiers(monkeypatch):
+    """A list that records (half, weights of the runs, column sums' dtype) of
+    every ``_mag4_sums`` call."""
+    calls, sums = [], an._mag4_sums
+
+    def spy(R, tau, runs, dtypes, buffer=None, half=False):
+        calls.append((half, tuple(w for w, _, _ in runs), dtypes[1]))
+        return sums(R, tau, runs, dtypes, buffer, half)
+
+    monkeypatch.setattr(an, "_mag4_sums", spy)
+    return calls
+
+
+class TestFloatColumnSums:
+    """Column sums as exact float64 BLAS dots where a chunk's bound fits 2^53."""
+
+    @pytest.mark.parametrize(
+        "n, d, top, den, weight, float_tier",
+        [
+            # U^4 on F_2^2, M2 = 16: K = 2^16, and the whole-space columns of
+            # weight 2 fill a chunk of 4096, so 4096 * 2 * 2^8 * K^2 = 2^53
+            (2, 4, (4, 0), 4, 2, True),
+            (2, 4, (4, 1), 5, 2, False),  # M2 = 17
+            # U^2 on F_2^3, M2 = K = 2^15: 2048 * 1 * 2^12 * K^2 = 2^53
+            (3, 2, (128, 128), 182, 1, True),
+            (3, 2, (181, 3), 182, 1, False),  # M2 = 2^15 + 2
+        ],
+    )
+    def test_at_the_bound(self, monkeypatch, n, d, top, den, weight, float_tier):
+        f = _zi_top(n, top, den, n + d)
+        K = an._modulus_bound_sq(f.ring, f.coeffs) ** (1 << (d - 2))
+        assert K == (top[0] ** 2 + top[1] ** 2) ** (1 << (d - 2))
+        assert an._kernel_dtypes(2, n, 2, K, 1, 1)[0] is np.int16
+        step = an._CHUNK_ENTRIES // (2**n * an._chunk_divisor(2, 2, np.int16))
+        bound = step * weight * 2 ** (4 * n) * K * K
+        assert (bound == 2**53) == float_tier and (bound > 2**53) != float_tier
+        assert an._kernel_dtypes(2, n, 2, K, step, weight)[3:] == ((np.float64 if float_tier else np.int64), np.int64)
+        calls = _sum_tiers(monkeypatch)
+        got, want = an.gowers_norm(f, d), an.direct_gowers_power(f, d)
+        assert _same_value(got.power_num, got.power_den, want.power_num, want.power_den)
+        assert any(not half and weight in weights and tier is (np.float64 if float_tier else np.int64)
+                   for half, weights, tier in calls)
+
+    def test_which_sums_take_the_float_tier(self, monkeypatch):
+        calls = _sum_tiers(monkeypatch)
+        # an eighth-root phase on F_2^7 (a quarter chunk's bound 2^38), a
+        # cube-root phase on F_3^4 and a phase loaded from text on F_2^6
+        for f in (an.random_unimodular_exact(random.Random(7), 2, 7, 3),
+                  an.random_unimodular_exact(random.Random(7), 3, 4, 1), _loaded_phase(6, 6)):
+            calls.clear()
+            an.gowers_norm(f, 4)
+            assert any(half for half, _, _ in calls) == (f.p == 2)
+            assert {tier for _, _, tier in calls} == {np.float64}
+        # Z[i] values over den 4 on F_2^7: a quarter chunk's bound reaches 2^66
+        calls.clear()
+        an.gowers_norm(_zi_function(4, 7, 7), 4)
+        assert {tier for half, _, tier in calls if half} == {np.int64}
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_weight_runs_hold_the_orbits(self, p, n, d):
+        hs, weights = an._derivative_orbits(p, n, d)
+        want = sorted(zip(*(h.tolist() for h in hs), weights.tolist()))
+        for N in (8, 3) if p == 2 else (p,):  # at p = 2 Z[omega] keeps every U^4 column whole
+            sets = an._column_sets(p, n, d, N)
+            got = sorted(s + (w,) for shifts, runs, _ in sets for w, a, b in runs
+                         for s in zip(*(h[a:b].tolist() for h in shifts)))
+            assert got == want
+            for shifts, runs, keys in sets:
+                # runs of distinct integer weights, in order, cover the set
+                assert [a for _, a, _ in runs] == [0] + [b for _, _, b in runs[:-1]] and runs[-1][2] == len(shifts[0])
+                weights = [w for w, _, _ in runs]
+                assert all(type(w) is int and a < b for w, a, b in runs) and sorted(set(weights)) == weights
+                assert (keys is not None) == (p == 2 and d == 4 and N == 8 and bool((shifts[0] != 0).all()))
+                if keys is not None:
+                    assert [w for w, _, _ in runs] == [2] and np.array_equal(keys, an._pivot_keys(n, *shifts))
+            assert {w for _, runs, _ in sets for w, _, _ in runs} <= ({1, 2} if p == 2 else {1, 2, 4})
+
+    @pytest.mark.parametrize("key", sorted(PINNED_POWERS))
+    def test_pinned_values_past_the_oracle(self, monkeypatch, key):
+        p, n, m, seed = key
+        f = an.random_unimodular_exact(random.Random(seed), p, n, m)
+        calls = _sum_tiers(monkeypatch)
+        for d, pinned in PINNED_POWERS[key].items():
+            value = an.gowers_norm(f, d)
+            assert (value.power_num, value.power_den) == pinned, d
+        assert {tier for _, _, tier in calls} == {np.float64}
 
 
 # the former hand-written |tau|^2 forms, terms (i, j, sign) per coordinate on (1, sqrt2)

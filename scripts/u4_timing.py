@@ -3,7 +3,9 @@
 
     python scripts/u4_timing.py [max_n]
 
-Each row times U^2, U^3 and U^4 of one random function and ends with the
+Each row times U^2, U^3 and U^4 of one random function, each as the median
+of ``REPEATS`` ``time.perf_counter`` timings after one warm call, with their
+min-max spread beside it, and ends with the
 largest per-call peak of traced memory (each call run once more under
 ``tracemalloc``, after the timed call has filled the caches, so it is the
 call's own scratch) next to the process's peak RSS so far.  Seven kinds of
@@ -20,6 +22,7 @@ elements; a mismatch exits with status 1.
 """
 import random
 import resource
+import statistics
 import sys
 import time
 import tracemalloc
@@ -29,6 +32,19 @@ import numpy as np
 from hofa import analysis as an
 from hofa.cyclotomic import ring
 from hofa.serialize import dump_function, load_function
+
+
+REPEATS = 5  # timed calls per norm, after the warm one
+
+
+def timed(fn) -> tuple:
+    """fn's median time over ``REPEATS`` calls and their min and max, in s."""
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), min(times), max(times)
 
 
 def peak_rss_mb() -> float:
@@ -82,9 +98,9 @@ def main(max_n=8) -> int:
             f = make(rng, n)
             row, peak = [f"{label} F_{p}^{n}"], 0.0
             for d in (2, 3, 4):
-                t0 = time.time()
-                val = an.gowers_norm(f, d)
-                row.append(f"U^{d}={val.norm_float():.5f} ({time.time() - t0:.3f}s)")
+                val = an.gowers_norm(f, d)  # the warm call
+                med, lo, hi = timed(lambda: an.gowers_norm(f, d))
+                row.append(f"U^{d}={val.norm_float():.5f} ({med:.4f}s, {lo:.4f}-{hi:.4f})")
                 peak = max(peak, traced_peak_mb(lambda: an.gowers_norm(f, d)))
                 if n <= checked and p ** (n * d) <= 2**14 and not same_power(val, an.direct_gowers_power(f, d)):
                     row.append(f"MISMATCH: U^{d} != direct_gowers_power")

@@ -1,9 +1,16 @@
 """Bounded functions on F_p^n, exact Gowers norms, correlations, and the
 U^2 / U^3 inverse oracles.
 
-A function is an integer coefficient array over Z[zeta_{p^m}] with a
-common denominator, so multiplicative derivatives, character sums and
-Gowers-norm powers are exact ring elements for every p.  Magnitudes are
+A function has one of two representations, fixed by its input.  A phase
+(``from_exponents``, ``from_poly_phase``, ``ones``) is an exponent table of
+zeta_{p^m}, and products, conjugates, shifts, embeddings and restrictions
+of phases are exponent arithmetic.  Any other function (loaded from text,
+Z[i] values, a copy without ``exps``) is an integer coefficient array over
+Z[zeta_{p^m}] with a common denominator, combined by ring products.  A
+phase's coefficient planes are derived on their first read and kept; the
+kernels read its exponent table instead.  Either way multiplicative
+derivatives, character sums and Gowers-norm powers are exact ring elements
+for every p.  Magnitudes are
 compared exactly, never through floats: the sup-norm check and every
 argmax over candidate sums order real ring elements by
 ``cyclotomic.real_keys``, the argmaxes through one kernel, ``first_max``,
@@ -49,7 +56,7 @@ from . import fpspace
 from .config import DEFAULT_BUDGET, Budget
 from .cyclotomic import CycloRing, RealSurd, common_ring, real_keys, ring
 from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, PreconditionError
-from .fpspace import Subspace, Vec, all_vectors, vec_add, vec_index
+from .fpspace import Subspace, Vec, all_vectors, vec_index
 from .ncpoly import Monomial, NcPoly, basis_tuples
 from .torus import TorusValue
 from .transform import _scratch, _transform_inplace
@@ -201,7 +208,7 @@ def _corner_terms(R: CycloRing, p: int, n: int, m: int, tables: dict, rows=None)
 
 def _kernel_tables(fns) -> list:
     """Exponent tables of functions in one ring when all are phases, else their coefficient arrays."""
-    exps = [f.restricted_exps() for f in fns]
+    exps = [f.exps for f in fns]
     return exps if all(e is not None for e in exps) else [f.coeffs for f in fns]
 
 
@@ -275,47 +282,73 @@ def shift_indices(p: int, n: int, h: Vec) -> np.ndarray:
     return _shift_table(p, n)[vec_index(p, h)]
 
 
-@dataclass(frozen=True)
+def _phase_coeffs(R: CycloRing, exps: np.ndarray) -> np.ndarray:
+    """The (degree, p^n) coefficient planes of the phase zeta^exps: the one
+    place a phase's planes are derived from its exponent table."""
+    return R.roots_to_coeffs(exps).astype(np.int64)
+
+
+@dataclass(frozen=True, init=False)
 class BoundedFunction:
-    """A table of complex values on F_p^n with sup-norm <= 1: ``coeffs``
-    has shape (ring.degree, p^n) and value(x) = (sum_i coeffs[i, x] zeta^i)
-    / den.
+    """A table of complex values on F_p^n with sup-norm <= 1, in one of two
+    representations, chosen by the constructor's input.
+
+    * A *phase* is an exponent table ``exps`` at den 1: value(x) =
+      zeta^{exps[x]}, zeta = zeta_N, N = ring.N.  ``from_exponents``,
+      ``from_poly_phase``, ``ones`` and every operation on phases keep it as
+      that table alone, by exponent arithmetic.  Its ``coeffs`` are derived
+      from ``exps`` (``_phase_coeffs``) on their first read and then kept; no
+      kernel reads them.
+    * A *value table* is ``coeffs`` of shape (ring.degree, p^n) over a
+      common denominator ``den``: value(x) = (sum_i coeffs[i, x] zeta^i) /
+      den.  Loaded files, Z[i] values and copies without ``exps`` are
+      value tables, and ring products combine them.
+
+    Given both at den 1, ``coeffs`` must equal the phase's planes, and the
+    function is kept as the phase; given at another den, ``exps`` is dropped.
     """
 
     p: int
     n: int
     ring: CycloRing
-    coeffs: np.ndarray = field(compare=False)
     den: int = 1
-    # exponent table when the function is a pure root-of-unity phase;
-    # carried so Gowers norms can run on integer exponent arithmetic
+    # the exponent table of a phase, None for a value table
     exps: np.ndarray | None = field(default=None, compare=False)
+    _coeffs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
-    def __post_init__(self):
-        R, c = self.ring, self.coeffs
-        if c.shape != (R.degree, self.p**self.n):
+    def __init__(self, p: int, n: int, ring: CycloRing, coeffs: np.ndarray | None = None, den: int = 1, exps=None):
+        R, size = ring, p**n
+        if den != 1:
+            exps = None
+        if exps is not None:
+            exps = np.asarray(exps)
+            if exps.shape != (size,):
+                raise DimensionMismatch("exponent table has wrong length")
+            if coeffs is not None and not np.array_equal(coeffs, _phase_coeffs(R, exps)):
+                raise PreconditionError("coefficients and exponent table give different values")
+            coeffs = None
+        elif coeffs is None:
+            raise PreconditionError("a function needs coefficients, or an exponent table at den 1")
+        elif coeffs.shape != (R.degree, size):
             raise DimensionMismatch("coefficient array has wrong shape")
         # a product or |.|^2 of two values stays within (p - 1) degree^2 max|coeff|^2
         # (conjugates within (p - 1) max|coeff|); past int64 the table is kept on Python integers
-        if c.dtype != object and (R.p - 1) * R.degree**2 * int(np.abs(c).max(initial=0)) ** 2 > _INT64_MAX:
-            object.__setattr__(self, "coeffs", c.astype(object))
+        elif coeffs.dtype != object and (R.p - 1) * R.degree**2 * int(np.abs(coeffs).max(initial=0)) ** 2 > _INT64_MAX:
+            coeffs = coeffs.astype(object)
+        for name, value in (("p", p), ("n", n), ("ring", R), ("den", den), ("exps", exps), ("_coeffs", coeffs)):
+            object.__setattr__(self, name, value)
 
     # -- constructors --
 
     @classmethod
     def ones(cls, p: int, n: int) -> "BoundedFunction":
-        R = ring(p, 0)
-        c = np.ones((1, p**n), dtype=np.int64)
-        return cls(p, n, R, c, 1, exps=np.zeros(p**n, dtype=np.int64))
+        return cls(p, n, ring(p, 0), exps=np.zeros(p**n, dtype=np.int64))
 
     @classmethod
     def from_exponents(cls, p: int, n: int, m: int, exps) -> "BoundedFunction":
         """Unimodular function zeta_{p^m}^{exps[x]}."""
         R = ring(p, m)
-        exps = np.asarray(exps, dtype=np.int64) % R.N
-        if exps.shape != (p**n,):
-            raise DimensionMismatch("exponent table has wrong length")
-        return cls(p, n, R, R.roots_to_coeffs(exps).astype(np.int64), 1, exps=exps)
+        return cls(p, n, R, exps=np.asarray(exps, dtype=np.int64) % R.N)
 
     @classmethod
     def from_poly_phase(cls, P: NcPoly, conjugate: bool = False) -> "BoundedFunction":
@@ -324,7 +357,18 @@ class BoundedFunction:
         t = P.table(m)
         return cls.from_exponents(P.p, P.n, m, -t if conjugate else t)
 
+    def _phase(self, exps: np.ndarray, R: CycloRing | None = None) -> "BoundedFunction":
+        """The phase zeta^exps on this function's space, in R or this ring."""
+        return BoundedFunction(self.p, self.n, self.ring if R is None else R, exps=exps)
+
     # -- basic data access --
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The (degree, p^n) coefficient planes; a phase's are derived on first read and kept."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", _phase_coeffs(self.ring, self.exps))
+        return self._coeffs
 
     @property
     def exact(self) -> bool:
@@ -346,66 +390,77 @@ class BoundedFunction:
         return (roots @ self.coeffs) / self.den
 
     def check_bounded(self) -> bool:
-        """Exact sup-norm check: den^2 - |value|^2 >= 0 at every point, signed by ``real_keys``."""
+        """Exact sup-norm check: den^2 - |value|^2 >= 0 at every point, signed
+        by ``real_keys``; a phase holds by construction, its values being
+        roots of unity."""
+        if self.exps is not None:
+            return True
         slack = -self.ring.mag_squared(self.coeffs).astype(object)
         slack[0] += self.den**2
         return bool((real_keys(self.ring, slack) >= 0).all())
 
-    # -- arithmetic --
+    # -- arithmetic: exponent arithmetic on phases, ring arithmetic on value tables --
 
     def embed(self, target: CycloRing) -> "BoundedFunction":
         if target.N == self.ring.N:
             return self
+        if self.exps is not None:
+            return self._phase(self.exps * (target.N // self.ring.N), target)
         M = self.ring.embed_matrix(target)
-        step = target.N // self.ring.N
-        new_exps = (self.exps * step) % target.N if self.exps is not None else None
-        return BoundedFunction(self.p, self.n, target, (self.coeffs.T @ M).T, self.den, exps=new_exps)
+        return BoundedFunction(self.p, self.n, target, (self.coeffs.T @ M).T, self.den)
 
     def conj(self) -> "BoundedFunction":
-        new_exps = (-self.exps) % self.ring.N if self.exps is not None else None
-        return BoundedFunction(self.p, self.n, self.ring, self.ring.conj_arrays(self.coeffs), self.den, exps=new_exps)
+        if self.exps is not None:
+            return self._phase(-self.exps % self.ring.N)
+        return BoundedFunction(self.p, self.n, self.ring, self.ring.conj_arrays(self.coeffs), self.den)
 
     def shift_arg(self, h: Vec) -> "BoundedFunction":
         """x -> f(x + h)."""
-        sh = shift_indices(self.p, self.n, h)
-        new_exps = self.exps[sh] if self.exps is not None else None
-        return BoundedFunction(self.p, self.n, self.ring, self.coeffs[:, sh], self.den, exps=new_exps)
+        return self._take(shift_indices(self.p, self.n, h), self.n)
+
+    def _take(self, idx: np.ndarray, n: int) -> "BoundedFunction":
+        """The function i -> f(idx[i]) on F_p^n."""
+        if self.exps is not None:
+            return BoundedFunction(self.p, n, self.ring, exps=self.exps[idx])
+        return BoundedFunction(self.p, n, self.ring, self.coeffs[:, idx], self.den)
 
     def mul(self, other: "BoundedFunction") -> "BoundedFunction":
         if (self.p, self.n) != (other.p, other.n):
             raise DimensionMismatch("functions on different spaces")
         R = common_ring(self.ring, other.ring)
         a, b = self.embed(R), other.embed(R)
-        new_exps = None
         if a.exps is not None and b.exps is not None:
-            new_exps = (a.exps + b.exps) % R.N
-        return BoundedFunction(self.p, self.n, R, R.mul_arrays(a.coeffs, b.coeffs), a.den * b.den, exps=new_exps)
+            return self._phase((a.exps + b.exps) % R.N, R)
+        return BoundedFunction(self.p, self.n, R, R.mul_arrays(a.coeffs, b.coeffs), a.den * b.den)
 
     def mult_derivative(self, h: Vec) -> "BoundedFunction":
         """d_h f(x) = f(x+h) * conj(f(x)); 1-bounded and exact."""
         return self.shift_arg(h).mul(self.conj())
 
     def restrict_to_coset(self, U: Subspace, shift: Vec) -> "BoundedFunction":
-        """The function c -> f(shift + U.basis . c) on F_p^{dim U}."""
-        cols = [
-            vec_index(self.p, vec_add(self.p, shift, fpspace.embed_from_subspace(U, c)))
-            for c in all_vectors(self.p, U.dim)
-        ]
-        new_exps = self.exps[cols] if self.exps is not None else None
-        return BoundedFunction(self.p, U.dim, self.ring, self.coeffs[:, cols], self.den, exps=new_exps)
+        """The function c -> f(shift + U.basis . c) on F_p^{dim U}: one
+        contraction of the coefficient vectors c with the basis, read as
+        ``all_vectors`` indices."""
+        p, n = self.p, self.n
+        basis = np.array(U.basis, dtype=np.int64).reshape(U.dim, n)
+        pts = (fpspace.points(p, U.dim) @ basis + np.asarray(shift, dtype=np.int64)) % p
+        return self._take(pts @ p ** np.arange(n - 1, -1, -1), U.dim)
 
     def with_replaced_values(self, replacements: dict) -> "BoundedFunction":
         """Pointwise replacement {x: exponent in current ring}."""
+        if self.exps is not None:
+            exps = self.exps.copy()
+            for x, t in replacements.items():
+                exps[vec_index(self.p, x)] = t % self.ring.N
+            return self._phase(exps)
         c = self.coeffs.copy()
-        new_exps = self.exps.copy() if self.exps is not None and self.den == 1 else None
         for x, t in replacements.items():
             c[:, vec_index(self.p, x)] = self.ring.root(t) * self.den
-            if new_exps is not None:
-                new_exps[vec_index(self.p, x)] = t % self.ring.N
-        return BoundedFunction(self.p, self.n, self.ring, c, self.den, exps=new_exps)
+        return BoundedFunction(self.p, self.n, self.ring, c, self.den)
 
     def restricted_exps(self) -> np.ndarray | None:
-        return self.exps if (self.exps is not None and self.den == 1) else None
+        """``exps``, under the name ``perfbench/layertrace.py`` reads."""
+        return self.exps
 
 
 # -- exact scalar results --
@@ -1059,7 +1114,7 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     """
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
-    exps = fn.restricted_exps()
+    exps = fn.exps
     M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
     K = M2 ** (1 << (d - 2))
     values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, 1, 1, R.p)[:2]
@@ -1112,8 +1167,8 @@ def gowers_norm(
     fn = _with_pth_roots(fn)
     if d <= 4:
         return _gowers_columns(fn, d)
-    # object coefficients keep the derivatives exact at any size
-    fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den, exps=fn.exps)
+    if fn.exps is None:  # object coefficients keep the derivatives of values exact at any size
+        fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den)
     total = sum(np.array(gowers_norm(fn.mult_derivative(h), d - 1, budget).power_num, dtype=object)
                 for h in all_vectors(p, n))
     return GowersNormValue.from_parts(d, fn.ring, total, p ** ((d + 2) * n) * fn.den ** (1 << d))

@@ -304,8 +304,9 @@ def derandomize_indicator(
     if c_claim is not None:
         c_val = CorrValue.from_sum(R, sums[:, best], den)
         entries.append(_stage_bound_entry(p, c_claim, c_val, eps, r_len, coeff, bound))
-    # argmax over xi: one exact transform of the class sums
-    table = np.zeros((R.degree, p ** (2 * m)), dtype=object)
+    # argmax over xi: one exact transform of the class sums, on their dtype (int64 or
+    # Python integers); the transform and first_max move to Python integers past int64
+    table = np.zeros((R.degree, p ** (2 * m)), dtype=sums.dtype)
     table[:, present] = sums
     tau = analysis._transform_array(R, p, 2 * m, table, 1)
     j = analysis.first_max(R, tau)

@@ -419,11 +419,13 @@ def _cs_witness_functions(shifted: BoundedFunction, b7: BoundedFunction, s) -> t
     """
     p, n, R = b7.p, b7.n, b7.ring
     sc = shifted.conj()
-    # fold the constant conj(b7(s)) into b1', a phase when b7 is one
+    # fold the constant conj(b7(s)) into b1': an exponent shift when b7 is a phase
     i = vec_index(p, s)
-    const = R.conj_arrays(b7.coeffs[:, i])
-    exps = None if b7.exps is None else (shifted.exps - b7.exps[i]) % R.N
-    b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const), shifted.den * b7.den, exps=exps)
+    if b7.exps is not None:
+        b1p = BoundedFunction(p, n, R, exps=(shifted.exps - b7.exps[i]) % R.N)
+    else:
+        const = R.conj_arrays(b7.coeffs[:, i])
+        b1p = BoundedFunction(p, n, R, R.mul_arrays(shifted.coeffs, const), shifted.den * b7.den)
     return (b1p, shifted, shifted, sc, sc, sc, shifted)
 
 

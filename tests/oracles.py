@@ -234,3 +234,14 @@ def best_coset_loop(T, witness, U, budget=DEFAULT_BUDGET):
     vals = [seven_correlation(bs_U, phi_U, budget) for phi_U, bs_U in map(restricted, triples)]
     best = first_max(vals[0].ring, np.stack([v.num for v in vals], axis=1))
     return (triples[best], vals[best]) + restricted(triples[best])
+
+
+def coset_indices_reference(U, shift):
+    """The ``all_vectors`` index of shift + U.basis . c for each c in
+    ``all_vectors(p, dim U)``, one point at a time: the loop that
+    ``BoundedFunction.restrict_to_coset`` replaced by one contraction."""
+    p = U.p
+    return [
+        fpspace.vec_index(p, fpspace.vec_add(p, shift, fpspace.embed_from_subspace(U, c)))
+        for c in fpspace.all_vectors(p, U.dim)
+    ]

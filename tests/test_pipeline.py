@@ -326,6 +326,46 @@ class TestDerandomizeAgainstReference:
         assert all(len(s) < 3 for s, _ in new_phase.components)
 
 
+class TestDerandomizeSumDtypes:
+    """The class table keeps the dtype of the class sums: int64 sums run the
+    transform and argmaxes on int64 where their bounds allow it, on Python
+    integers past it, and give what object sums give."""
+
+    @staticmethod
+    def _run(g_cube, phase, gammas, spy):
+        eps = pl.measure_state(g_cube, phase, gammas=gammas)
+        out = pl.derandomize_indicator(g_cube, phase, gammas, eps, len(gammas), pl._stage_bound_mag2(phase.p, eps, len(gammas), 2))
+        return out, spy.pop()
+
+    # m = 3 terms: the largest scale that keeps the class sums on int64 (checked in
+    # phased_sum) puts the 64- or 729-entry class table's transform past it
+    @pytest.mark.parametrize("p, m, shape", [(2, 3, "rank1"), (3, 3, "rank1"), (2, 2, "linear"), (3, 2, "linear")])
+    def test_int64_and_object_sums_agree(self, monkeypatch, p, m, shape):
+        rng = random.Random(f"sum dtypes {p} {shape}")
+        R, D, den = pl.derivative_sum_cube(an.random_unimodular_exact(rng, p, 2, 3 if p == 2 else 1))
+        phase, gammas = _random_phase_and_gammas(rng, p, m, shape)
+        transform, seen = an._transform_array, []
+
+        def spy(R, p, n, table, sign):
+            out = transform(R, p, n, table, sign)
+            seen.append((table.dtype, out.dtype))
+            return out
+
+        monkeypatch.setattr(an, "_transform_array", spy)
+        cases = [(1, (np.int64, np.int64))]
+        if m == 3:
+            big = an._INT64_MAX // (R.degree * D[0].size * int(np.abs(D).max()))
+            cases.append((big, (np.int64, object)))
+        for scale, dtypes in cases:
+            cube = (R, D * scale, den)
+            got, got_dt = self._run(cube, phase, gammas, seen)
+            want, want_dt = self._run((R, cube[1].astype(object), den), phase, gammas, seen)
+            assert got_dt == dtypes and want_dt == (object, object)
+            c, xi, new_phase, measured, ledger = got
+            assert (c, xi, new_phase, ledger) == (want[0], want[1], want[2], want[4])
+            assert np.array_equal(measured.num, want[3].num) and measured.den == want[3].den
+
+
 class TestPipelineP2:
     def test_depth_cubic_fixture(self):
         P0, f = depth_cubic_fixture(3)

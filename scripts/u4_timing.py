@@ -8,7 +8,9 @@ of ``REPEATS`` ``time.perf_counter`` timings after one warm call, with their
 min-max spread beside it, and ends with the
 largest per-call peak of traced memory (each call run once more under
 ``tracemalloc``, after the timed call has filled the caches, so it is the
-call's own scratch) next to the process's peak RSS so far.  Seven kinds of
+call's own scratch) next to the process's peak RSS so far.  Each U^4 entry
+names the dtypes (transform planes / squares) its quarter-size and
+whole-space chunks ran on, read from the warm call.  Seven kinds of
 rows: an eighth-root phase on F_2^n, the same kind of phase written out and
 read back as text (so it carries no exponent table and takes the ring-value
 columns), a Z[i]-valued function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
@@ -61,6 +63,23 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def chunk_dtypes(fn) -> str:
+    """Call fn once with ``analysis._mag4_sums`` wrapped, and name the
+    (transform planes / squares) dtypes of its quarter and whole-space chunks."""
+    seen, sums = {}, an._mag4_sums
+
+    def recorded(R, tau, runs, dtypes, buffer=None, half=False):
+        seen.setdefault("quarter" if half else "whole", set()).add(f"{tau.dtype}/{np.dtype(dtypes[0])}")
+        return sums(R, tau, runs, dtypes, buffer, half)
+
+    an._mag4_sums = recorded
+    try:
+        fn()
+    finally:
+        an._mag4_sums = sums
+    return "; ".join(f"{kind} {','.join(sorted(seen[kind]))}" for kind in ("quarter", "whole") if kind in seen)
+
+
 def gaussian_function(rng, n, den=4):
     """A 1-bounded Z[i]-valued function (a + b i) / den on F_2^n."""
     pts = [(a, b) for a in range(-den, den + 1) for b in range(-den, den + 1) if a * a + b * b <= den * den]
@@ -98,9 +117,10 @@ def main(max_n=8) -> int:
             f = make(rng, n)
             row, peak = [f"{label} F_{p}^{n}"], 0.0
             for d in (2, 3, 4):
-                val = an.gowers_norm(f, d)  # the warm call
+                tiers = chunk_dtypes(lambda: an.gowers_norm(f, d)) if d == 4 else ""  # the warm call
+                val = an.gowers_norm(f, d)
                 med, lo, hi = timed(lambda: an.gowers_norm(f, d))
-                row.append(f"U^{d}={val.norm_float():.5f} ({med:.4f}s, {lo:.4f}-{hi:.4f})")
+                row.append(f"U^{d}={val.norm_float():.5f} ({med:.4f}s, {lo:.4f}-{hi:.4f}{', ' * bool(tiers)}{tiers})")
                 peak = max(peak, traced_peak_mb(lambda: an.gowers_norm(f, d)))
                 if n <= checked and p ** (n * d) <= 2**14 and not same_power(val, an.direct_gowers_power(f, d)):
                     row.append(f"MISMATCH: U^{d} != direct_gowers_power")

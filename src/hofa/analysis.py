@@ -21,7 +21,9 @@ planes for p = 3, and a radix-p butterfly on them for p >= 5.  Exact
 U^2..U^4 norms run one column kernel: the transform of f, of each d_h f,
 or of each d_{h1} d_{h2} f with symmetric shifts folded together, then sum
 |tau|^4, each stage on the narrowest fixed-width integers a stated bound
-allows and on Python integers past it; the column sums of the squares are
+allows (transform planes from int8, squares from int16) and on Python
+integers past it; a phase's constant columns (first shift 0) are counted,
+not built; the column sums of the squares are
 float64 BLAS dots wherever a chunk's bound shows every partial sum an
 integer of at most 2^53, and integer sums past it.  Ring values and phases
 read those columns from one first-derivative table T(x, h) = f(x + h)
@@ -59,13 +61,14 @@ from .errors import BudgetExceeded, DimensionMismatch, InternalCheckError, Preco
 from .fpspace import Subspace, Vec, all_vectors, vec_index
 from .ncpoly import Monomial, NcPoly, basis_tuples
 from .torus import TorusValue
-from .transform import _scratch, _transform_inplace
+from .transform import _coordinate_weight, _scratch, _transform_inplace
 
 
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
 _FLOAT_EXACT = 2**53  # float64 holds every integer of at most this absolute value
-_VALUE_DTYPES = ((np.int16, 2**15 - 1), (np.int32, _INT32_MAX), (np.int64, _INT64_MAX))
+_INT_DTYPES = ((np.int8, 2**7 - 1), (np.int16, 2**15 - 1), (np.int32, _INT32_MAX), (np.int64, _INT64_MAX))
+_VALUE_DTYPES = _INT_DTYPES[1:]
 
 
 @lru_cache(maxsize=None)
@@ -931,32 +934,44 @@ def _mag4_sums(R: CycloRing, tau: np.ndarray, runs, dtypes, buffer=None, half: b
 
 
 @lru_cache(maxsize=4096)
-def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, q: int | None = None) -> tuple:
+def _kernel_dtypes(
+    p: int, n: int, degree: int, K: int, step: int, weight: int, q: int | None = None, quarter: bool = False
+) -> tuple:
     """dtypes of the column kernel: (values, transform planes, squares, column
     sums, chunk sums).
 
     Every column g on F_p^n has |s(g(x))|^2 <= K in every embedding s; chunks
-    hold ``step`` columns of weight at most ``weight``.  The quarter-size U^4
-    columns at p = 2 pass K' = ceil(K / 4) with the same n.  Their half
-    coordinates are exactly the nonzero planes of the stacked halves W +-
-    conj W, up to sign and order, and the coordinates of z^2 those of |.|^2
-    on the halves; the halves have |s(.)| <= 2^(n-1) sqrt K <= 2^n sqrt K',
-    and their sum of |.|^4, sum |tau|^4 / 16, is at most 2^(4n) K'^2, so
-    every bound below holds for them as stated.  Their values come from the
-    same products as the full-size columns' and keep K's dtype; before the
-    transform the coordinates of g +- conj g are at most 2 sqrt K <= 2^(n-1)
-    sqrt K (n >= 2).  The transform has
-    |s(tau)| <= p^n sqrt K, and sum_chi |s(tau)|^4 <= p^{4n} K^2 (Parseval).
-    The ring is Z[zeta_{q^m}], q = p unless ``q`` says otherwise (a ring of
-    odd order at p = 2).  Its trace form is at least q^{m-1} times the square
-    norm on the power basis, so a coefficient of an element is at most
-    sqrt(q - 1) times its largest embedding, and a column's sum of |tau|^4,
-    on the coordinates of |tau|^2 or as a Gram matrix of its planes, stays
-    within (q - 1) p^{4n} K^2.  A ring product stays within degree^2 times the
-    largest coefficients of its factors, so columns, transforms and |tau|^2
-    stay within (q - 1) degree^2 p^{2n} K.  The planes take the narrowest
-    integer type that holds sqrt((q - 1) K) p^n; a stage that passes int64
-    runs on object dtype, and so does everything after it.
+    hold ``step`` columns of weight at most ``weight``.  The ring is
+    Z[zeta_{q^m}], q = p unless ``q`` says otherwise (a ring of odd order at
+    p = 2).  Its trace form is at least q^{m-1} times the square norm on the
+    power basis, so a coefficient of an element is at most sqrt(q - 1) times
+    its largest embedding.
+
+    The planes.  A whole-space column's transform has |s(tau)| <= p^n sqrt
+    K, and so has every array a butterfly stage writes (``transform``), so
+    each plane coefficient is at most B = sqrt((q - 1) K) p^n.  With
+    ``quarter`` the columns are the U^4 quarter columns at p = 2 in
+    Z[zeta_{2^m}] (``_gowers_columns``): the half coordinates of g +- conj g
+    on 2^(n-2) rows, |s(g +- conj g)| <= 2 sqrt K.  The Walsh-Hadamard
+    stages keep the halves within 2^(n-1) sqrt K, and a coordinate on the
+    basis e of ``_real_cos`` is a power-basis coefficient up to sign, at
+    most the largest embedding, so B = 2^(n-1) sqrt K (n >= 2).  Before the
+    transform a coefficient of g or of its halves is at most 2 sqrt K <= B.
+    The planes take the narrowest of int8, int16, int32 and int64 that holds
+    floor(B), the largest integer within B.
+
+    The squares are the coordinates of w = |tau|^2 (``_mag2_terms``) or w =
+    z^2 on the halves (``_real_squares``) in ``_mag4_sums``, each coordinate
+    summed from its terms c z_j z_k with |z_j z_k| <= B^2, so every product
+    and partial sum forming it stays within S = B^2 times the coordinate's
+    sum of |c| (``_coordinate_weight``).  In Z[omega] the one coordinate is
+    summed in order, z_0^2, z_0^2 - z_0 z_1 = |z|^2 - z_1^2, |z|^2, and
+    |z|^2 = |s(tau)|^2 <= p^{2n} K, so there S = max(B^2, p^{2n} K).  They
+    take the narrowest of int16, int32 and int64 that holds S.  Other rings
+    sum a Gram matrix of the planes of |tau|^2, sums of at most degree^2
+    products of two plane coefficients: within degree^2 B^2, on int32 where
+    that fits, past it on int64.  Where degree^2 B^2 passes int64 every
+    stage runs on object dtype.
 
     The values are f, the first-derivative table T and the ring products
     that form T and the columns (``_derivative_columns``).  Every such
@@ -967,13 +982,8 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, 
     every coefficient of a factor is at most (degree^2 K)^(1/4), and every
     partial sum of a product at most V = degree^3 sqrt K, which also holds
     f's own coefficients at d = 2 (K = M2).  The values take the narrowest
-    of int16, int32 and int64 that holds V.
-
-    The squares, the coordinates of w = |tau|^2 or w = z^2 in ``_mag4_sums``,
-    are sums of at most degree^2 products of two plane coefficients, so they
-    and every partial sum forming them also stay within (q - 1) degree^2
-    p^{2n} K.  Where that fits int32 they are formed on int32, past it on
-    int64.
+    of int16, int32 and int64 that holds V; quarter columns are formed by
+    the same products.
 
     The column sums are sum_x w_j(x) w_k(x) over a chunk for pairs (j, k) of
     planes (``_pair_sums``): of the coordinates of w on the basis e of
@@ -982,36 +992,42 @@ def _kernel_dtypes(p: int, n: int, degree: int, K: int, step: int, weight: int, 
     the signed one: sum_x |w_j w_k| <= sum_x (w_j^2 + w_k^2) / 2 <= sum_x
     sum_l w_l^2, and that stays within (q - 1) p^{4n} K^2 on both bases.
     On the power basis the trace form gives sum_l w_l^2 <= q^{1-m} sum_s
-    s(w)^2, and s(|tau|^2) = |s(tau)|^2, so a column's sum is at most
-    q^{1-m} degree p^{4n} K^2 = (q - 1) p^{4n} K^2.  On the basis e a real
+    s(w)^2, and s(|tau|^2) = |s(tau)|^2, with sum_chi |s(tau)|^4 <= p^{4n}
+    K^2 (Parseval), so a column's sum is at most q^{1-m} degree p^{4n} K^2
+    = (q - 1) p^{4n} K^2.  On the basis e a real
     w = w_0 + sum_k w_k (zeta^k - zeta^{degree-k}) has power coefficients
     w_0 and +-w_k, so sum_l w_l^2 is at most their sum of squares, which is
     sum_s s(w)^2 / degree in Z[zeta_{2^m}]; there s(w) = |s(tau)|^2, or for
     the half coordinates s(w) = s(z)^2 with sum_s s(z)^4 over both halves
     sum_s |s(tau)|^4 / 16, so the column stays within p^{4n} K^2, or 2^(4n)
-    K'^2 on the halves.  In Z[omega] w = |tau|^2 is its own one coordinate
-    and its value in either embedding, so the column stays within p^{4n}
-    K^2 there too.  So where the chunk's bound step weight (q - 1) p^{4n}
-    K^2 is at most 2^53, every square, every product w_j w_k and every
-    partial sum of them in any order is an integer of absolute value at most
-    2^53, which float64 holds exactly: the column sums run on float64 (BLAS
-    dots) and the weighted chunk sums on int64.  Past it each column is
-    summed on int64 where (q - 1) p^{4n} K^2 fits (int32 squares on int64),
-    and the weighted chunk on int64 while step weight times that fits, else
-    on Python integers.
+    K^2 / 16 on the halves.  In Z[omega] w = |tau|^2 is its own one
+    coordinate and its value in either embedding, so the column stays
+    within p^{4n} K^2 there too.  So where the chunk's bound step weight
+    times a column's is at most 2^53, every square, every product w_j w_k
+    and every partial sum of them in any order is an integer of absolute
+    value at most 2^53, which float64 holds exactly: the column sums run on
+    float64 (BLAS dots) and the weighted chunk sums on int64.  Past it each
+    column is summed on int64 where its bound fits, and the weighted chunk
+    on int64 while step weight times that fits, else on Python integers.
     """
     size, q = p**n, q or p
-    square_bound = (q - 1) * degree**2 * size**2 * K
-    value_sq = degree**6 * K  # V^2
-    values = next((dt for dt, top in _VALUE_DTYPES if value_sq <= top * top), None)
+    plane_sq = K * 4**n // 4 if quarter else (q - 1) * K * size**2  # B^2
+    square_bound = degree**2 * plane_sq
+    values = next((dt for dt, top in _VALUE_DTYPES if degree**6 * K <= top * top), None)
     if square_bound > _INT64_MAX or values is None:
         return (object,) * 5
-    top = math.isqrt((q - 1) * K * size**2) + 1
-    planes = np.int16 if top < 2**15 else np.int32 if top <= _INT32_MAX else np.int64
-    col_bound = (q - 1) * size**4 * K**2
+    B = math.isqrt(plane_sq)
+    planes = next(dt for dt, top in _INT_DTYPES if B <= top)
+    col_bound = size**4 * K**2 // 16 if quarter else (q - 1) * size**4 * K**2
     if col_bound > _INT64_MAX:
         return values, planes, object, object, object
-    squares = np.int32 if square_bound <= _INT32_MAX else np.int64
+    N = degree * q // (q - 1)  # the ring's order, up to Z = Z[zeta_2]
+    terms = _real_squares(max(degree // 2, 1)) if quarter else _mag2_terms(N)
+    if terms is None:
+        squares = np.int32 if square_bound <= _INT32_MAX else np.int64
+    else:
+        S = max(B * B, size**2 * K) if N == 3 else B * B * _coordinate_weight(terms)
+        squares = next(dt for dt, top in _VALUE_DTYPES if S <= top)
     chunk_bound = step * weight * col_bound
     if chunk_bound <= _FLOAT_EXACT:
         return values, planes, squares, np.float64, np.int64
@@ -1034,23 +1050,27 @@ def _chunk_divisor(p: int, degree: int, values) -> int:
 
 
 @lru_cache(maxsize=None)
-def _column_sets(p: int, n: int, d: int, N: int) -> tuple:
+def _column_sets(p: int, n: int, d: int, N: int, phase: bool = False) -> tuple:
     """The U^d columns as sets of (shifts, runs, pivot keys), built once per
-    (p, n, d, N) and read-only: the orbits of ``_derivative_orbits``, but at
-    p = 2, d = 4 in Z[zeta_N], N = 2^m, the independent pairs a, b as a
-    quarter-size set (see ``_gowers_columns``), first, with the key of each
-    pair's complement rows (``_pivot_keys``), and the pairs a = 0 or a = b
-    on their own.  Each set is sorted by orbit size, stably, into runs
+    (p, n, d, N, phase) and read-only: the orbits of ``_derivative_orbits``,
+    but at p = 2, d = 4 in Z[zeta_N], N = 2^m, the independent pairs a, b as
+    a quarter-size set (see ``_gowers_columns``), first, with the key of
+    each pair's complement rows (``_pivot_keys``), and the pairs a = 0 or a
+    = b on their own.  Each set is sorted by orbit size, stably, into runs
     (weight, start, stop) of columns that all count ``weight`` times, an
     integer: at p = 2 the quarter columns are one run of weight 2 and the
     others runs of weights 1 and 2; at odd p the weights are 1, 2 and 4.  A
     set of whole-space columns has no keys (None); at d = 2 the one column
-    of f has no shifts either."""
+    of f has no shifts either.  For a ``phase`` (d >= 3) the columns of
+    first shift 0 are the constant 1, as d_0 g = |g|^2 = 1, and are not
+    built: they come last, as the set (None, ((their total weight, 0, 1),),
+    None)."""
     hs, weights = _derivative_orbits(p, n, d)
     quarter = p == 2 and d == 4 and (N & (N - 1)) == 0
     q = (hs[0] != 0) & (hs[0] != hs[1]) if quarter else np.zeros(len(weights), dtype=bool)
+    const = (hs[0] == 0) if phase and d > 2 else np.zeros(len(weights), dtype=bool)
     sets = []
-    for part, keyed in ((q, True), (~q, False)):
+    for part, keyed in ((q, True), (~q & ~const, False)):
         idx = np.flatnonzero(part)
         if not len(idx):
             continue
@@ -1062,6 +1082,8 @@ def _column_sets(p: int, n: int, d: int, N: int) -> tuple:
             a.setflags(write=False)
         cuts = [0, *(np.flatnonzero(w[1:] != w[:-1]) + 1).tolist(), len(w)]
         sets.append((shifts, tuple((int(w[a]), a, b) for a, b in zip(cuts, cuts[1:])), keys))
+    if const.any():
+        sets.append((None, ((int(weights[const].sum()), 0, 1),), None))
     return tuple(sets)
 
 
@@ -1108,9 +1130,13 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     columns read the half coordinates of g on C (degree planes of 2^(n-2)
     rows), transform them, sum z^4 over both halves (``_mag4_sums`` with
     ``half``) and fold by 16.  Each half has |s(.)| <= 2^(n-1) sqrt K and
-    they sum to sum |s(tau)|^4 / 16 <= 2^(4n) (K / 4)^2, so K' = ceil(K / 4)
-    on all of F_2^n bounds their dtypes.  The 2^(n+1) - 1 other columns, and
-    every column at odd p or d < 4, run on the whole space.
+    they sum to sum |s(tau)|^4 / 16 <= 2^(4n) K^2 / 16, the bounds of
+    ``_kernel_dtypes`` with ``quarter``.  The 2^(n+1) - 1 other columns, and
+    every column at odd p or d < 4, run on the whole space.  A phase's
+    columns of first shift 0 are the constant 1 (d_0 g = |g|^2), whose
+    transform is p^n at chi = 0 and 0 elsewhere: they add p^{4n} times their
+    total weight without being built (``_column_sets``): at p = 2 the 2^n
+    U^4 columns a = 0 of those 2^(n+1) - 1.
     """
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
@@ -1118,17 +1144,20 @@ def _gowers_columns(fn: BoundedFunction, d: int) -> GowersNormValue:
     M2 = 1 if exps is not None else _modulus_bound_sq(R, fn.coeffs)
     K = M2 ** (1 << (d - 2))
     values_dt, source_dt = _kernel_dtypes(p, n, R.degree, K, 1, 1, R.p)[:2]
-    quarter_dt = _kernel_dtypes(p, n, R.degree, -(-K // 4), 1, 1, R.p)[1]
+    quarter_dt = _kernel_dtypes(p, n, R.degree, K, 1, 1, R.p, True)[1]
     step = max(1, _CHUNK_ENTRIES // (size * _chunk_divisor(p, R.degree, None if exps is not None else values_dt)))
     buffer = _scratch()  # one call's scratch: the column source's, the transform's and the sums'
     table = fn.coeffs.astype(values_dt) if exps is None else exps
     columns = _derivative_columns(R, p, n, table, d, source_dt, buffer, quarter_dt)
     total = np.zeros(R.degree, dtype=object)
-    for shifts, runs, keys in _column_sets(p, n, d, R.N):
+    for shifts, runs, keys in _column_sets(p, n, d, R.N, exps is not None):
+        if shifts is None:  # a phase's constant columns: tau is p^n at chi = 0 and 0 elsewhere
+            total[0] += runs[0][0] * size**4
+            continue
         # a quarter column has a quarter of the rows: 4 * step of them fill a chunk's scratch
         quarter = keys is not None
-        bound, cols = (-(-K // 4), 4 * step) if quarter else (K, step)
-        dtypes = _kernel_dtypes(p, n, R.degree, bound, cols, max(w for w, _, _ in runs), R.p)[2:]
+        cols = 4 * step if quarter else step
+        dtypes = _kernel_dtypes(p, n, R.degree, K, cols, max(w for w, _, _ in runs), R.p, quarter)[2:]
         for start in range(0, runs[-1][2], cols):
             part = slice(start, start + cols)
             g = columns(tuple(h[part] for h in shifts), keys[part] if quarter else None)

@@ -59,12 +59,26 @@ def _scratch():
     return buffer
 
 
+def _coordinate_weight(terms) -> int:
+    """The largest sum of |c| over the terms (j, k, ((m, c), ...)) that add c
+    z_j z_k to one coordinate m: with every |z_j| <= B, each product and
+    each partial sum of a coordinate stays within B^2 times it."""
+    weight = {}
+    for _, _, coords in terms:
+        for m, c in coords:
+            weight[m] = weight.get(m, 0) + abs(c)
+    return max(weight.values())
+
+
 def _wht_inplace(a: np.ndarray, buffer=None) -> np.ndarray:
     """Walsh-Hadamard transform over axis 1 of a (planes, 2^n, columns) array.
 
     The transform axis is outermost within a plane, so every butterfly
     runs over contiguous blocks of at least one row of columns.  The
-    differences go through one array of ``buffer`` (``_scratch``).
+    differences go through one array of ``buffer`` (``_scratch``).  Every
+    array a stage writes, the differences too, holds transforms over 2^stage
+    points, within 2^stage times the input's largest embedding, so no entry
+    passes the bound the callers check for the output.
     """
     planes, size, cols = a.shape
     tmp = (buffer or _scratch())("transform", (a.size // 2,), a.dtype)

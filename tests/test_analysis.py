@@ -269,8 +269,9 @@ class TestPhaseFastPathP2:
         assert planes is dtype and np.iinfo(dtype).max >= 2**n
         # the values' bound degree^3 sqrt K = 64 fits int16
         assert values is np.int16 and chunk_sums is np.int64
-        # the squares' bound 16 * 4^n K fits int32 up to n = 13
-        assert squares is (np.int32 if n <= 13 else np.int64)
+        # the squares' bound 4 B^2 = 4 * 4^n K (four terms add to each coordinate of
+        # |tau|^2 in Z[zeta_8]) fits int32 up to n = 14
+        assert squares is (np.int32 if n <= 14 else np.int64)
         assert weight * columns * 16**n < 2**63
         # the column sums take float64 where the chunk's bound fits 2^53: at n = 9, not past it
         assert sums is (np.float64 if n == 9 else np.int64)
@@ -484,8 +485,8 @@ class TestColumnKernel:
         values, planes, squares, col_sums, chunk_sums = an._kernel_dtypes(3, n, 2, 1, columns, 2)
         assert planes is dtype and np.iinfo(dtype).max ** 2 >= 2 * 9**n
         assert values is np.int16 and chunk_sums is sums  # degree^3 sqrt K = 8
-        # the squares' bound 2 * 4 * 9^n K fits int32 up to n = 8
-        assert squares is (np.int32 if n <= 8 else sums)
+        # the squares' bound max(B^2, 9^n K), B = floor(sqrt(2 * 9^n K)), fits int32 up to n = 9
+        assert squares is (np.int32 if n <= 9 else sums)
         if sums is np.int64:
             assert 2 * 2 * columns * 81**n < 2**63
         # the column sums take float64 where the chunk's bound fits 2^53: at n = 5
@@ -617,18 +618,18 @@ class TestNoInt64Overflow:
         assert np.array_equal(tau, _ref_transform(R, 3, 1, c.astype(object)))
 
 
-def _constant(n, c):
-    """The constant c / c on F_2^n in Z: every Gowers norm is 1, and every
-    transform entry at 0 meets the kernel's bounds exactly."""
-    return an.BoundedFunction(2, n, ring(2, 0), np.full((1, 2**n), c, dtype=np.int64), c)
+def _constant(n, c, p=2):
+    """The constant c / c on F_p^n in Z: every Gowers norm is 1, and at p = 2
+    every transform entry at 0 meets the kernel's bounds exactly."""
+    return an.BoundedFunction(p, n, ring(p, 0), np.full((1, p**n), c, dtype=np.int64), c)
 
 
 class TestInt32Squares:
-    """The squares run on int32 up to their bound (p - 1) degree^2 p^(2n) K and
-    on int64 past it.  In Z a constant reaches the bound: on F_2^10 its U^2
-    column has |tau(0)|^2 = 4^10 c^2, and a U^4 quarter column on F_2^4 has
-    a half (g + conj g) = 2 c^4 on 4 rows, so z^2 = 64 c^8, the bound 4^4 K'
-    with K' = ceil(c^8 / 4) up to its rounding."""
+    """The squares run on int32 up to their bound and on int64 past it.  In Z
+    the bound is B^2, and a constant reaches it: on F_2^10 its U^2 column has
+    |tau(0)|^2 = 4^10 c^2, and a U^4 quarter column on F_2^4 has a half (g +
+    conj g) = 2 c^4 on 4 rows, so z^2 = 64 c^8, the quarter bound B^2 = 4^3 K
+    with K = c^8."""
 
     @pytest.mark.parametrize("c, squares", [(45, np.int32), (46, np.int64)])
     def test_u2_squares_at_the_int32_bound(self, c, squares):
@@ -638,10 +639,140 @@ class TestInt32Squares:
 
     @pytest.mark.parametrize("c, squares", [(8, np.int32), (9, np.int64)])
     def test_u4_quarter_squares_at_the_int32_bound(self, c, squares):
-        K = -(-(c**8) // 4)
-        assert (4**4 * K <= 2**31 - 1) == (squares is np.int32)
-        assert an._kernel_dtypes(2, 4, 1, K, 256, 2)[2:4] == (squares, np.int64)
+        K = c**8
+        assert (4**3 * K <= 2**31 - 1) == (squares is np.int32)
+        assert an._kernel_dtypes(2, 4, 1, K, 256, 2, quarter=True)[2:4] == (squares, np.int64)
         assert an.gowers_norm(_constant(4, c), 4).power_surd() == RealSurd(1)
+
+
+def _zi_constant(n, a, b, den):
+    """The constant (a + b i) / den on F_2^n."""
+    return an.BoundedFunction(2, n, ring(2, 2), np.array([[a] * 2**n, [b] * 2**n], dtype=np.int64), den)
+
+
+def _chunk_tiers(monkeypatch):
+    """A set that collects (half, planes' dtype, squares' dtype) of every ``_mag4_sums`` call."""
+    seen, sums = set(), an._mag4_sums
+
+    def spy(R, tau, runs, dtypes, buffer=None, half=False):
+        seen.add((half, tau.dtype.type, dtypes[0]))
+        return sums(R, tau, runs, dtypes, buffer, half)
+
+    monkeypatch.setattr(an, "_mag4_sums", spy)
+    return seen
+
+
+i8, i16, i32, i64 = np.int8, np.int16, np.int32, np.int64
+
+# name -> (function, d, {half: (planes, squares)} of its chunks).  Z constants c / c
+# reach the bounds: B = 2^n c for a whole-space column, B = 2^(n-1) c^4 for a
+# quarter one, and S = B^2 both ways
+TIER_CASES = {
+    "Z F_2^1 c=63": (lambda: _constant(1, 63), 2, {False: (i8, i16)}),  # B = 126
+    "Z F_2^1 c=64": (lambda: _constant(1, 64), 2, {False: (i16, i16)}),  # B = 128
+    "Z F_2^1 c=90": (lambda: _constant(1, 90), 2, {False: (i16, i16)}),  # S = 180^2 = 32400
+    "Z F_2^1 c=91": (lambda: _constant(1, 91), 2, {False: (i16, i32)}),  # S = 182^2 = 33124
+    # M2 = 4033 and 4096: B = floor(2 sqrt M2) = 127 and 128, S = 2 B^2 = 32258 and 32768
+    "Z[i] F_2^1 (63+8i)/64": (lambda: _zi_constant(1, 63, 8, 64), 2, {False: (i8, i16)}),
+    "Z[i] F_2^1 64/64": (lambda: _zi_constant(1, 64, 0, 64), 2, {False: (i16, i32)}),
+    # U^4: quarter B = 64 and 128 at c = 2, whole-space B = 128 and 256
+    "Z F_2^3 c=2 U^4": (lambda: _constant(3, 2), 4, {True: (i8, i16), False: (i16, i16)}),
+    "Z F_2^4 c=2 U^4": (lambda: _constant(4, 2), 4, {True: (i16, i16), False: (i16, i32)}),
+    # quarter S = (2 c^4)^2: 26244 at c = 3, 262144 at c = 4
+    "Z F_2^2 c=3 U^4": (lambda: _constant(2, 3), 4, {True: (i16, i16), False: (i16, i32)}),
+    "Z F_2^2 c=4 U^4": (lambda: _constant(2, 4), 4, {True: (i16, i32), False: (i16, i32)}),
+    # Z[omega] on F_3^2: B = floor(sqrt(162 c^2)) and S = max(B^2, 81 c^2) = B^2
+    "Z F_3^2 c=10": (lambda: _constant(2, 10, 3), 2, {False: (i8, i16)}),  # B = 127
+    "Z F_3^2 c=11": (lambda: _constant(2, 11, 3), 2, {False: (i16, i16)}),  # B = 140
+    "Z F_3^2 c=14": (lambda: _constant(2, 14, 3), 2, {False: (i16, i16)}),  # S = 178^2 = 31684
+    "Z F_3^2 c=15": (lambda: _constant(2, 15, 3), 2, {False: (i16, i32)}),  # S = 190^2 = 36100
+}
+
+# exact U^2..U^4 of the kinds of input the benchmark's norms take, as the
+# kernel gave them with int16 planes and int32 squares: name -> {d: (power_num, power_den)}
+NARROW_PINNED = {
+    "eighth-root F_2^7": {
+        2: ((4032000, -96256, 0, 96256), 268435456),
+        3: ((1096550400, 9043968, 0, -9043968), 34359738368),
+        4: ((268261113856, -1838678016, 0, 1838678016), 4398046511104),
+    },
+    "cube-root F_3^4": {
+        2: ((833247, 0), 43046721),
+        3: ((128470941, 0), 3486784401),
+        4: ((14318103105, 0), 282429536481),
+    },
+    "loaded F_2^6": {
+        2: ((536320, -3072, 0, 3072), 16777216),
+        3: ((68678656, 491520, 0, -491520), 1073741824),
+        4: ((8139956224, 115605504, 0, -115605504), 68719476736),
+    },
+}
+
+
+class TestNarrowTiers:
+    """Transform planes on int8 while their bound B is at most 127, and squares
+    on int16 while every partial sum of a coordinate of w fits int16."""
+
+    @pytest.mark.parametrize("name", list(TIER_CASES))
+    def test_tiers_at_the_bounds(self, monkeypatch, name):
+        make, d, want = TIER_CASES[name]
+        f = make()
+        seen = _chunk_tiers(monkeypatch)
+        got = an.gowers_norm(f, d)
+        assert seen == {(half, *tiers) for half, tiers in want.items()}
+        ref = an.direct_gowers_power(f, d) if f.p ** ((d + 1) * f.n) <= 2**15 else ref_column_power(f, d)
+        # a constant's U^d power is |value|^(2^d)
+        mag2 = Fraction(an._modulus_bound_sq(f.ring, f.coeffs), f.den**2)
+        assert got.power_surd() == ref.power_surd() == RealSurd(mag2 ** (1 << (d - 1)))
+
+    def test_bounds_at_each_switch(self):
+        # planes: B = floor(2 sqrt K) on F_2^1 and floor(2 sqrt K) for the quarter columns
+        # of F_2^2 is 127 at K = 4033 and 128 at 4096; in Z[omega] on F_3^1 floor(sqrt(18 K))
+        # is 127 at K = 910 and 128 at 911
+        for K, planes in ((4033, i8), (4096, i16)):
+            assert an._kernel_dtypes(2, 1, 2, K, 1, 1)[1] is planes
+            assert an._kernel_dtypes(2, 2, 4, K, 1, 1, quarter=True)[1] is planes
+        assert [an._kernel_dtypes(3, 1, 2, K, 1, 1)[1] for K in (910, 911)] == [i8, i16]
+        # squares: in Z[i] S = 2 B^2 is 32258 at K = 4095 and 32768 at 4096 (F_2^1); on
+        # Z[zeta_8] quarter columns S = 3 B^2 is 32448 at B = 104 (K = 2704) and 33075 at
+        # B = 105 (K = 2757) (F_2^2); in Z[omega] S = B^2 is 181^2 at K = 1840 and 182^2
+        # at 1841 (F_3^1)
+        assert [an._kernel_dtypes(2, 1, 2, K, 1, 1)[2] for K in (4095, 4096)] == [i16, i32]
+        assert [an._kernel_dtypes(2, 2, 4, K, 1, 1, quarter=True)[2] for K in (2704, 2757)] == [i16, i32]
+        assert [an._kernel_dtypes(3, 1, 2, K, 1, 1)[2] for K in (1840, 1841)] == [i16, i32]
+        # the Gram fold keeps int32 squares: Z[zeta_5] on F_5^1 with K = 1
+        assert an._kernel_dtypes(5, 1, 4, 1, 1, 1)[1:3] == (i8, i32)
+
+    def test_which_tiers_the_workload_inputs_take(self, monkeypatch):
+        inputs = {
+            "eighth-root F_2^7": (an.random_unimodular_exact(random.Random(7), 2, 7, 3),
+                                  {(True, i8, i16), (False, i16, i32)}),
+            "cube-root F_3^4": (an.random_unimodular_exact(random.Random(7), 3, 4, 1), {(False, i8, i16)}),
+            "loaded F_2^6": (_loaded_phase(6, 6), {(True, i8, i16), (False, i8, i16)}),
+            # as with int16 planes and int32 squares throughout: quarter B = 2^14
+            "Z[i] den 4 F_2^7": (_zi_function(4, 7, 7), {(True, i16, i32), (False, i32, i64)}),
+        }
+        seen = _chunk_tiers(monkeypatch)
+        for name, (f, tiers) in inputs.items():
+            for d in (2, 3, 4):
+                seen.clear()
+                value = an.gowers_norm(f, d)
+                if name in NARROW_PINNED:
+                    assert (value.power_num, value.power_den) == NARROW_PINNED[name][d], (name, d)
+            assert seen == tiers, name
+
+    @pytest.mark.parametrize("p, sizes", [(2, (5, 6)), (3, (3, 4)), (5, (2,))])
+    def test_int8_butterflies_match_int64(self, p, sizes):
+        # roots of unity: every transform coefficient within B <= 127 (64, 114 and 50 at the
+        # largest n), so the int8 butterflies give the int64 transform entry for entry
+        R = ring(p, 3 if p == 2 else 1)
+        rng = np.random.default_rng(p)
+        for n in sizes:
+            planes = R.roots_to_coeffs(rng.integers(0, R.N, (p**n, 3)))
+            wide = an._transform_inplace(R, p, np.ascontiguousarray(planes, dtype=i64), -1)
+            narrow = an._transform_inplace(R, p, np.ascontiguousarray(planes, dtype=i8), -1)
+            assert an._kernel_dtypes(p, n, R.degree, 1, 1, 1)[1] is i8
+            assert np.abs(wide).max() <= 127 and np.array_equal(narrow, wide)
 
 
 def _digit_shift_table(p, n):
@@ -848,14 +979,14 @@ class TestQuarterColumns:
 
     def test_den_1e5_runs_on_object_dtype(self):
         K = an._modulus_bound_sq(ring(2, 2), _zi_function(10**5, 6, 6).coeffs) ** 4
-        assert an._kernel_dtypes(2, 6, 2, -(-K // 4), 1, 2) == (object,) * 5
+        assert an._kernel_dtypes(2, 6, 2, K, 1, 2, quarter=True) == (object,) * 5
 
     def test_zi_den4_on_f2_8_sums_on_int64(self):
         # |a + b i|^2 <= 16, so K = 16^4; one full column's sum of |tau|^4 can
         # reach 2^64, a quarter column's stacked halves 2^60
         K, step = 16**4, an._CHUNK_ENTRIES // (2 * 2**8 * 2)
         assert an._kernel_dtypes(2, 8, 2, K, step, 2)[3] is object
-        assert an._kernel_dtypes(2, 8, 2, -(-K // 4), step, 2)[3] is np.int64
+        assert an._kernel_dtypes(2, 8, 2, K, step, 2, quarter=True)[3] is np.int64
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1134,6 +1265,26 @@ class TestFloatColumnSums:
                 if keys is not None:
                     assert [w for w, _, _ in runs] == [2] and np.array_equal(keys, an._pivot_keys(n, *shifts))
             assert {w for _, runs, _ in sets for w, _, _ in runs} <= ({1, 2} if p == 2 else {1, 2, 4})
+
+    @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_phases_drop_the_constant_columns(self, p, n, d):
+        # a phase's columns of first shift 0 are the constant 1: the last set stands for
+        # them by their total weight alone, that of the h1 = 0 orbits (every shift tuple
+        # with a zero: 1 at d = 3, 2 p^n - 1 at d = 4), and the others hold the rest
+        hs, weights = an._derivative_orbits(p, n, d)
+        zero = hs[0] == 0
+        want = sorted(zip(*(h[~zero].tolist() for h in hs), weights[~zero].tolist()))
+        for N in (8, 3) if p == 2 else (p,):
+            *sets, (none, runs, keys) = an._column_sets(p, n, d, N, True)
+            assert none is None and keys is None
+            assert runs == ((int(weights[zero].sum()), 0, 1),) and runs[0][0] == (1 if d == 3 else 2 * p**n - 1)
+            got = sorted(s + (w,) for shifts, runs, _ in sets for w, a, b in runs
+                         for s in zip(*(h[a:b].tolist() for h in shifts)))
+            assert got == want
+        # on F_2^7 a phase's U^4 keeps the 127 columns a = b != 0 of the 255 on the whole space
+        whole = [shifts for shifts, _, keys in an._column_sets(2, 7, 4, 8, True) if shifts and keys is None]
+        assert [len(shifts[0]) for shifts in whole] == [127]
 
     @pytest.mark.parametrize("key", sorted(PINNED_POWERS))
     def test_pinned_values_past_the_oracle(self, monkeypatch, key):

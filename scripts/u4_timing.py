@@ -9,8 +9,10 @@ min-max spread beside it, and ends with the
 largest per-call peak of traced memory (each call run once more under
 ``tracemalloc``, after the timed call has filled the caches, so it is the
 call's own scratch) next to the process's peak RSS so far.  Each U^4 entry
-names the dtypes (transform planes / squares) its quarter-size and
-whole-space chunks ran on, read from the warm call.  Seven kinds of
+gives the number of columns the warm call built (transformed and summed;
+a phase's constant columns are counted without being built) and names the
+dtypes (transform planes / squares) its quarter-size and whole-space
+chunks ran on.  Seven kinds of
 rows: an eighth-root phase on F_2^n, the same kind of phase written out and
 read back as text (so it carries no exponent table and takes the ring-value
 columns), a Z[i]-valued function (a + b i) / 4, a +-1 phase (integer values, so U^4 has no minus
@@ -63,13 +65,15 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
-def chunk_dtypes(fn) -> str:
-    """Call fn once with ``analysis._mag4_sums`` wrapped, and name the
-    (transform planes / squares) dtypes of its quarter and whole-space chunks."""
-    seen, sums = {}, an._mag4_sums
+def chunk_survey(fn) -> str:
+    """Call fn once with ``analysis._mag4_sums`` wrapped, and give the number
+    of columns its chunks held and the (transform planes / squares) dtypes of
+    its quarter and whole-space chunks."""
+    seen, columns, sums = {}, [0], an._mag4_sums
 
     def recorded(R, tau, runs, dtypes, buffer=None, half=False):
         seen.setdefault("quarter" if half else "whole", set()).add(f"{tau.dtype}/{np.dtype(dtypes[0])}")
+        columns[0] += tau.shape[-1]
         return sums(R, tau, runs, dtypes, buffer, half)
 
     an._mag4_sums = recorded
@@ -77,7 +81,8 @@ def chunk_dtypes(fn) -> str:
         fn()
     finally:
         an._mag4_sums = sums
-    return "; ".join(f"{kind} {','.join(sorted(seen[kind]))}" for kind in ("quarter", "whole") if kind in seen)
+    tiers = (f"{kind} {','.join(sorted(seen[kind]))}" for kind in ("quarter", "whole") if kind in seen)
+    return "; ".join((f"{columns[0]} columns", *tiers))
 
 
 def gaussian_function(rng, n, den=4):
@@ -117,7 +122,7 @@ def main(max_n=8) -> int:
             f = make(rng, n)
             row, peak = [f"{label} F_{p}^{n}"], 0.0
             for d in (2, 3, 4):
-                tiers = chunk_dtypes(lambda: an.gowers_norm(f, d)) if d == 4 else ""  # the warm call
+                tiers = chunk_survey(lambda: an.gowers_norm(f, d)) if d == 4 else ""  # the warm call
                 val = an.gowers_norm(f, d)
                 med, lo, hi = timed(lambda: an.gowers_norm(f, d))
                 row.append(f"U^{d}={val.norm_float():.5f} ({med:.4f}s, {lo:.4f}-{hi:.4f}{', ' * bool(tiers)}{tiers})")

@@ -19,7 +19,8 @@ One in-place character transform of ``transform`` serves every path: a
 Walsh-Hadamard butterfly for p = 2, a radix-3 butterfly on the coefficient
 planes for p = 3, and a radix-p butterfly on them for p >= 5.  Exact
 U^2..U^4 norms run one column kernel: the transform of f, of each d_h f,
-or of each d_{h1} d_{h2} f with symmetric shifts folded together, then sum
+or of each d_{h1} d_{h2} f, one column per orbit of shifts under swapping
+them and negating each (orbits of up to 8 pairs at odd p), then sum
 |tau|^4, each stage on the narrowest fixed-width integers a stated bound
 allows (transform planes from int8, squares from int16) and on Python
 integers past it; a phase's constant columns (first shift 0) are counted,
@@ -589,12 +590,18 @@ def _derivative_orbits(p: int, n: int, d: int) -> tuple:
     """Representative shifts of the U^d columns, with the number of shifts each stands for.
 
     Column (h_1, ..., h_{d-2}) is d_{h_1} ... d_{h_{d-2}} f.  For d = 4 it is
-    symmetric in (h1, h2), and for every d the shifts -h give the column
-    x -> conj(g(x - h_1 - ... - h_{d-2})), whose transform has the same |tau|^2
-    values as ring elements.  So each orbit of shifts under swapping and
-    joint negation contributes its size times one column.  Returns the index
-    arrays of the representatives (one per shift, all_vectors order) and the
-    orbit sizes.
+    symmetric in (h1, h2).  Each shift's sign is a symmetry on its own:
+    d_{-b} f = conj(d_b f)(. - b), and the other derivatives commute with
+    conjugation and translation, so negating b turns the column g into
+    x -> conj(g(x - b)), whose transform has the same |tau|^2 values as
+    ring elements, permuted.  So each orbit of shifts under swapping and
+    negating any of them contributes its size times one column: at odd p
+    and d = 4 the orbit of (a, b) is {+-a} x {+-b} and its swap, of size 1,
+    4 or 8.  Its representative, its least sorted tuple in index order, has
+    each shift the lesser of h and -h, and the pairs a <= b of
+    ``triu_indices`` with that property are one per orbit.  Returns the
+    index arrays of the representatives (one per shift, all_vectors order)
+    and the orbit sizes.
     """
     size = p**n
     if d == 2:
@@ -607,11 +614,10 @@ def _derivative_orbits(p: int, n: int, d: int) -> tuple:
     if p == 2:  # -h = h
         return hs, weights
     neg = _shift_table(p, n).argmin(axis=1)  # x + neg[x] = 0
-    key = hs[0] * size + hs[-1]
-    negs = neg[np.array(hs)]
-    nkey = negs.min(axis=0) * size + negs.max(axis=0)  # the negated shifts, sorted
-    keep = key <= nkey
-    return tuple(h[keep] for h in hs), (weights * np.where(key == nkey, 1, 2))[keep]
+    keep = np.logical_and.reduce([h <= neg[h] for h in hs])
+    for h in hs:  # the sign of each nonzero shift doubles the orbit
+        weights = weights << (h != 0)
+    return tuple(h[keep] for h in hs), weights[keep]
 
 
 @lru_cache(maxsize=None)
@@ -1059,12 +1065,12 @@ def _column_sets(p: int, n: int, d: int, N: int, phase: bool = False) -> tuple:
     = b on their own.  Each set is sorted by orbit size, stably, into runs
     (weight, start, stop) of columns that all count ``weight`` times, an
     integer: at p = 2 the quarter columns are one run of weight 2 and the
-    others runs of weights 1 and 2; at odd p the weights are 1, 2 and 4.  A
-    set of whole-space columns has no keys (None); at d = 2 the one column
-    of f has no shifts either.  For a ``phase`` (d >= 3) the columns of
-    first shift 0 are the constant 1, as d_0 g = |g|^2 = 1, and are not
-    built: they come last, as the set (None, ((their total weight, 0, 1),),
-    None)."""
+    others runs of weights 1 and 2; at odd p the weights are 1 and 2 at
+    d = 3, and 1, 4 and 8 at d = 4.  A set of whole-space columns has no
+    keys (None); at d = 2 the one column of f has no shifts either.  For a
+    ``phase`` (d >= 3) the columns of first shift 0 are the constant 1, as
+    d_0 g = |g|^2 = 1, and are not built: they come last, as the set (None,
+    ((their total weight, 0, 1),), None)."""
     hs, weights = _derivative_orbits(p, n, d)
     quarter = p == 2 and d == 4 and (N & (N - 1)) == 0
     q = (hs[0] != 0) & (hs[0] != hs[1]) if quarter else np.zeros(len(weights), dtype=bool)
@@ -1182,10 +1188,12 @@ def gowers_norm(
 
     Each power is a sum of |tau|^4 over the character transforms of one
     column per derivative shift (``_gowers_columns``): f for U^2, d_h f for
-    U^3, d_{h1} d_{h2} f for U^4, with symmetric shifts folded together.
-    Phases carrying ``exps`` build their columns from exponent tables,
-    other functions from ring products.  For d > 4 it averages
-    U^{d-1}(d_h f)^{2^{d-1}} over all shifts h.
+    U^3, d_{h1} d_{h2} f for U^4, one column per orbit of shifts under
+    swapping them and negating each (``_derivative_orbits``), weighted by
+    the orbit's size.  Phases carrying ``exps`` build their columns from
+    exponent tables, other functions from ring products.  For d > 4 it
+    averages U^{d-1}(d_h f)^{2^{d-1}} over all shifts h, once for each pair
+    {h, -h} with weight 2: d_{-h} f = conj(d_h f)(. - h) has the same norm.
     """
     if d < 2:
         raise PreconditionError("Gowers norms need d >= 2")
@@ -1198,8 +1206,10 @@ def gowers_norm(
         return _gowers_columns(fn, d)
     if fn.exps is None:  # object coefficients keep the derivatives of values exact at any size
         fn = BoundedFunction(p, n, fn.ring, fn.coeffs.astype(object), fn.den)
-    total = sum(np.array(gowers_norm(fn.mult_derivative(h), d - 1, budget).power_num, dtype=object)
-                for h in all_vectors(p, n))
+    vecs = all_vectors(p, n)
+    hs, weights = _derivative_orbits(p, n, 3)  # h and -h once, as d_{-h} f = conj(d_h f)(. - h)
+    total = sum(w * np.array(gowers_norm(fn.mult_derivative(vecs[h]), d - 1, budget).power_num, dtype=object)
+                for h, w in zip(hs[0].tolist(), weights.tolist()))
     return GowersNormValue.from_parts(d, fn.ring, total, p ** ((d + 2) * n) * fn.den ** (1 << d))
 
 

@@ -5,14 +5,17 @@ an einsum over the d x d x d fold table, so the kernels under test are
 checked against arithmetic that shares none of their code.  The one
 exceptions are former code kept as references: ``ref_column_power``, the
 full-size U^d column loop of ``hofa.analysis``, its phase columns from
-gathers of the exponents, for its quarter-size U^4 columns and the
-first-derivative table, ``ref_quarter_exponents``, the former four-gather
-quarter rows of its exponent columns, for that table's quarter rows,
+gathers of the exponents and its shifts folded by ``ref_orbits`` (swapping
+and joint negation only), for its quarter-size U^4 columns, the
+first-derivative table and the orbits under negating each shift on its
+own, ``ref_quarter_exponents``, the former four-gather quarter rows of its
+exponent columns, for that table's quarter rows,
 ``ref_complement_rows``, the former ``analysis._complement_rows``, for the
 pivot keys cached with the column sets, and ``RefSurd`` with
 ``ref_surd_sign``, the former a + b*sqrt(2) ``RealSurd`` of
 ``hofa.cyclotomic``, for the one exact real number there.
 """
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,19 +106,41 @@ def ref_first_max(R, sums):
     return best
 
 
+def ref_orbits(p, n, d):
+    """The former ``analysis._derivative_orbits``: the U^d shifts (one
+    index array per shift) up to swapping (d = 4) and joint negation, each
+    representative the lesser of its sorted tuple and its negation's, with
+    the orbit sizes 1, 2 or 4."""
+    size = p**n
+    if d == 2:
+        return (), np.ones(1, dtype=np.int64)
+    if d == 3:
+        hs, weights = (np.arange(size),), np.ones(size, dtype=np.int64)
+    else:
+        h1, h2 = np.triu_indices(size)
+        hs, weights = (h1, h2), np.where(h1 == h2, 1, 2)
+    digits = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).reshape(size, n)
+    neg = (-digits % p) @ p ** np.arange(n - 1, -1, -1)  # the index of -x
+    key = hs[0] * size + hs[-1]
+    negs = neg[np.array(hs)]
+    nkey = negs.min(axis=0) * size + negs.max(axis=0)
+    keep = key <= nkey
+    return tuple(h[keep] for h in hs), (weights * np.where(key == nkey, 1, 2))[keep]
+
+
 def ref_column_power(fn, d):
     """The former ``analysis._gowers_columns`` loop, d in {2, 3, 4}: every
-    orbit of derivative shifts transformed on all of F_p^n, its sum of
-    |tau|^4 weighted by the orbit size, with the dtypes of ``_kernel_dtypes``
-    at the columns' bound K but the column sums always on integers; returns
-    the ``GowersNormValue``.  A phase's
-    column is zeta^E for E(x) = e(x + a + b) - e(x + a) - e(x + b) + e(x)
-    (d = 4; e(x + h) - e(x) for d = 3), from gathers of its exponents."""
+    orbit of derivative shifts of ``ref_orbits`` transformed on all of
+    F_p^n, its sum of |tau|^4 weighted by the orbit size, with the dtypes of
+    ``_kernel_dtypes`` at the columns' bound K but the column sums always on
+    integers; returns the ``GowersNormValue``.  A phase's column is zeta^E
+    for E(x) = e(x + a + b) - e(x + a) - e(x + b) + e(x) (d = 4; e(x + h) -
+    e(x) for d = 3), from gathers of its exponents."""
     p, n, R = fn.p, fn.n, fn.ring
     size = p**n
     exps = fn.restricted_exps()
     M2 = 1 if exps is not None else an._modulus_bound_sq(R, fn.coeffs)
-    hs, weights = an._derivative_orbits(p, n, d)
+    hs, weights = ref_orbits(p, n, d)
     step = max(1, an._CHUNK_ENTRIES // (size if exps is not None else 2 * size * R.degree))
     K = M2 ** (1 << (d - 2))
     values_dt, plane_dt, _, sum_dt, acc_dt = an._kernel_dtypes(p, n, R.degree, K, step, int(weights.max()))

@@ -401,16 +401,29 @@ class TestColumnKernel:
         direct = an.direct_gowers_power(f, 5).power_surd()
         assert an.gowers_norm(f, 5).power_surd() == an.gowers_norm(stripped, 5).power_surd() == direct
 
+    @pytest.mark.parametrize("p, n", [(3, 2), (5, 1)])
+    def test_u5_recursion_pairs_each_shift_with_its_negation(self, monkeypatch, p, n):
+        # at odd p d_{-h} f = conj(d_h f)(. - h): one U^4 per pair {h, -h}, weighted 2, and
+        # h = 0, so (p^n + 1) / 2 U^4 calls for f and as many for its stripped copy
+        f = an.random_unimodular_exact(random.Random(n), p, n, 1)
+        stripped = an.BoundedFunction(p, n, f.ring, f.coeffs, 1)
+        direct = an.direct_gowers_power(f, 5).power_surd()
+        calls, columns = [], an._gowers_columns
+        monkeypatch.setattr(an, "_gowers_columns", lambda g, d: calls.append(d) or columns(g, d))
+        assert an.gowers_norm(f, 5).power_surd() == an.gowers_norm(stripped, 5).power_surd() == direct
+        assert calls == [4] * (p**n + 1)
+
     @pytest.mark.parametrize("p, n, d", [(2, 3, 3), (2, 3, 4), (3, 2, 3), (3, 2, 4), (3, 3, 4)])
     def test_orbits_cover_every_shift_once(self, p, n, d):
         hs, weights = an._derivative_orbits(p, n, d)
         size = p**n
         assert weights.sum() == size ** (d - 2)
         seen = set()
+        neg = an._shift_table(p, n).argmin(axis=1)
         for i, rep in enumerate(zip(*hs)):
-            orbit = {tuple(rep), tuple(rep[::-1])} if d == 4 else {tuple(rep)}
-            neg = an._shift_table(p, n).argmin(axis=1)
-            orbit |= {tuple(int(neg[h]) for h in o) for o in orbit}
+            # swapping, and negating each shift on its own
+            signed = set(itertools.product(*({int(h), int(neg[h])} for h in rep)))
+            orbit = signed | {o[::-1] for o in signed} if d == 4 else signed
             assert len(orbit) == weights[i] and not orbit & seen
             seen |= orbit
         assert len(seen) == size ** (d - 2)
@@ -498,6 +511,80 @@ class TestColumnKernel:
         # omega^{x_1}: one transform entry reaches 3^n
         exps = np.repeat([0, 1, 2], 3 ** (n - 1))
         assert an.gowers_norm(an.BoundedFunction.from_exponents(3, n, 1, exps), 2).power_surd() == RealSurd(1)
+
+
+# U^4 inputs on the largest odd-p spaces the tests reach, and their exact
+# powers (num, den) as computed with the shifts folded under swapping and
+# joint negation only, orbits of at most 4 pairs
+SIGN_ORBIT_INPUTS = {
+    "phase F_3^4": lambda: an.random_unimodular_exact(random.Random(4), 3, 4, 1),
+    "zeta9 phase F_3^4": lambda: an.random_unimodular_exact(random.Random(4), 3, 4, 2),
+    "phase F_3^5": lambda: an.random_unimodular_exact(random.Random(5), 3, 5, 1),
+    "phase F_5^3": lambda: an.random_unimodular_exact(random.Random(3), 5, 3, 1),
+    "stripped F_3^4": lambda: _stripped(an.random_unimodular_exact(random.Random(4), 3, 4, 1)),
+    "mu3 zeros F_3^4": lambda: an.random_mu_p_function(random.Random(4), 3, 4, zeros=True),
+    "mu5 zeros F_5^3": lambda: an.random_mu_p_function(random.Random(3), 5, 3, zeros=True),
+}
+SIGN_ORBIT_POWERS = {
+    "phase F_3^4": ((14964965217, 0), 282429536481),
+    "zeta9 phase F_3^4": ((14027698665, -87619968, 87619968, 0, -104579424, -16959456), 282429536481),
+    "phase F_3^5": ((3453212977785, 0), 205891132094649),
+    "phase F_5^3": ((120623975625, 0, -233730000, -233730000), 3814697265625),
+    "stripped F_3^4": ((14964965217, 0), 282429536481),
+    "mu3 zeros F_3^4": ((1433026404, 0), 282429536481),
+    "mu5 zeros F_5^3": ((20134682500, 0, -42000000, -42000000), 3814697265625),
+}
+
+
+class TestSignOrbits:
+    """At odd p the U^4 shift pairs (a, b) fold under swapping and negating
+    each shift on its own: orbits {+-a} x {+-b} and their swaps, of size 1, 4
+    or 8, one column each."""
+
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1)])
+    def test_orbits_of_order_8(self, p, n):
+        vecs = all_vectors(p, n)
+        index = {v: i for i, v in enumerate(vecs)}
+        neg = [index[tuple(-c % p for c in v)] for v in vecs]
+        orbits = {}
+        for a, b in itertools.product(range(p**n), repeat=2):
+            images = {(x, y) for x in (a, neg[a]) for y in (b, neg[b])}
+            images |= {(y, x) for x, y in images}
+            orbits.setdefault(min(images), images)  # keyed by its least member
+        hs, weights = an._derivative_orbits(p, n, 4)
+        got = dict(zip(zip(hs[0].tolist(), hs[1].tolist()), weights.tolist()))
+        # each representative the least member of its orbit, weighted by the orbit's size
+        assert got == {rep: len(images) for rep, images in orbits.items()}
+        assert sum(got.values()) == p ** (2 * n) and set(got.values()) <= {1, 4, 8}
+        assert list(got) == sorted(got)  # the orbits of first shift 0 first
+        # the orbits of a = 0, a = b and a = -b are there, -h folded into h
+        assert got[0, 0] == 1
+        for h in range(1, p**n):
+            lo = min(h, neg[h])
+            assert got[0, lo] == got[lo, lo] == 4 and (0, max(h, neg[h])) not in got and (lo, neg[lo]) not in got
+
+    @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 1)])
+    def test_u4_matches_direct_oracle(self, p, n):
+        rng = random.Random(10 * p + n)
+        f = an.random_unimodular_exact(rng, p, n, 1)
+        g = an.random_unimodular_exact(rng, p, n, 2)  # Z[zeta_9] at p = 3
+        inputs = [f, _stripped(f), an.random_mu_p_function(rng, p, n, zeros=True), g, _stripped(g)]
+        if p == 3:  # Z[omega] values over den 3
+            inputs.append(_values_at(3, n, 1, 3, n))
+        for h in inputs:
+            assert an.gowers_norm(h, 4).power_surd() == an.direct_gowers_power(h, 4).power_surd()
+
+    @pytest.mark.parametrize("name", list(SIGN_ORBIT_POWERS))
+    def test_pinned_u4(self, name):
+        f = SIGN_ORBIT_INPUTS[name]()
+        value, ref = an.gowers_norm(f, 4), ref_column_power(f, 4)
+        assert (value.power_num, value.power_den) == (ref.power_num, ref.power_den) == SIGN_ORBIT_POWERS[name]
+
+    @pytest.mark.parametrize("p, n, built", [(3, 4, 820), (3, 5, 7381), (5, 3, 1953)])
+    def test_phase_columns_halved(self, p, n, built):
+        # (p^{2n} - 1) / 8 columns: half of the swap-and-joint-negation orbits of first shift != 0
+        sets = an._column_sets(p, n, 4, p, True)
+        assert sum(len(shifts[0]) for shifts, _, _ in sets if shifts is not None) == built == (p ** (2 * n) - 1) // 8
 
 
 def _zi_function(den, n=2, seed=0):
@@ -1264,7 +1351,7 @@ class TestFloatColumnSums:
                 assert (keys is not None) == (p == 2 and d == 4 and N == 8 and bool((shifts[0] != 0).all()))
                 if keys is not None:
                     assert [w for w, _, _ in runs] == [2] and np.array_equal(keys, an._pivot_keys(n, *shifts))
-            assert {w for _, runs, _ in sets for w, _, _ in runs} <= ({1, 2} if p == 2 else {1, 2, 4})
+            assert {w for _, runs, _ in sets for w, _, _ in runs} <= ({1, 2} if p == 2 or d == 3 else {1, 4, 8})
 
     @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
     @pytest.mark.parametrize("d", [3, 4])
